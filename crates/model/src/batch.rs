@@ -2,34 +2,37 @@
 //!
 //! Mamba2 sequences share no cross-sequence state, so a batched step is
 //! semantically just N independent [`MambaModel::forward_step`] calls.
-//! The implementation here reorders the loops — *layer outer, sequence
-//! inner* — so each block's weights are touched once per step no matter
-//! how many sequences are resident. That is the software analogue of the
-//! accelerator's shared weight stream (`lightmamba_accel::batch`) and the
-//! hot path `lightmamba_serve`'s continuous batcher drives.
+//! The implementation reorders the loops — *layer outer* — and hands
+//! each layer the whole sub-batch at once, so an execution path can run
+//! a layer as phases over all resident sequences (the quantized model
+//! runs one GEMM per linear layer; this FP model simply loops the
+//! sequences). Either way each block's weights are touched once per step
+//! no matter how many sequences are resident: the software analogue of
+//! the accelerator's shared weight stream (`lightmamba_accel::batch`) and
+//! the hot path `lightmamba_serve`'s continuous batcher drives.
 //!
 //! Per-sequence arithmetic is performed in exactly the same order as the
 //! single-stream path, so batched logits are bit-for-bit identical to
 //! sequential decode — a property the serve crate's tests pin down.
 //!
-//! The orchestration (up-front validation so no state is half-advanced,
-//! the layer-outer sweep, ragged prefill) is exposed as generic drivers
-//! ([`validate_batch_items`], [`drive_step_batch_indexed`],
-//! [`drive_prefill_batch`]) so every execution path with the Mamba2
-//! decode contract — the FP model here, the quantized model in
-//! `lightmamba_quant` — shares one implementation and the guarantees
-//! cannot drift between them.
+//! The orchestration is generic and lives in two places, shared by every
+//! execution path with the Mamba2 decode contract (the FP model here, the
+//! quantized model in `lightmamba_quant`) so the guarantees cannot drift
+//! between them: the one step loop
+//! ([`drive_step_shard`], reached after
+//! [`StepWorkspace::validate`] so no state is half-advanced on a bad
+//! batch) and the ragged multi-token advance built on it
+//! ([`drive_advance_batch_with`]).
 //!
-//! The steady-state hot path is the workspace-threaded variant
-//! ([`drive_step_batch_indexed_into`] over a [`StepWorkspace`]): every
-//! temporary a step needs — residual streams, logits, the validation
-//! bitmap, the per-block kernel scratch — lives in a reusable workspace,
-//! so decode performs **zero heap allocations** once warmed up (pinned
-//! by a counting-allocator test). The allocating APIs remain as
+//! Every temporary a step needs — residual streams, logits, the
+//! validation bitmap, the per-block kernel scratch — lives in a reusable
+//! workspace, so decode performs **zero heap allocations** once warmed up
+//! (pinned by a counting-allocator test). The allocating APIs remain as
 //! convenience wrappers and are bit-identical.
 
 use crate::block::BlockScratch;
-use crate::state::{LayerState, ModelState};
+use crate::par::{drive_step_shard, StateShards};
+use crate::state::ModelState;
 use crate::{MambaConfig, MambaModel, ModelError, Result};
 
 /// Reusable buffers for one batched decode step: per-sequence residual
@@ -45,9 +48,9 @@ use crate::{MambaConfig, MambaModel, ModelError, Result};
 pub struct StepWorkspace {
     pub(crate) xs: Vec<Vec<f32>>,
     pub(crate) logits: Vec<Vec<f32>>,
-    pub(crate) seen: Vec<bool>,
-    /// Number of items in the latest step (buffers may be longer).
-    pub(crate) items: usize,
+    seen: Vec<bool>,
+    /// Number of logits the latest step produced (buffers may be longer).
+    pub(crate) produced: usize,
 }
 
 impl StepWorkspace {
@@ -56,19 +59,39 @@ impl StepWorkspace {
         StepWorkspace::default()
     }
 
-    /// Logits produced by the latest `_into` step, index-aligned with
-    /// that step's `items` slice.
+    /// Logits produced by the latest step: one per item whose logits
+    /// were asked for (every item, for a plain decode step), in that
+    /// step's `items` order.
     pub fn logits(&self) -> &[Vec<f32>] {
-        &self.logits[..self.items]
+        &self.logits[..self.produced]
     }
 
     /// Moves the latest step's logits out (the workspace re-warms on the
     /// next step) — used by the allocating convenience wrappers.
     pub fn take_logits(&mut self) -> Vec<Vec<f32>> {
         let mut v = std::mem::take(&mut self.logits);
-        v.truncate(self.items);
-        self.items = 0;
+        v.truncate(self.produced);
+        self.produced = 0;
         v
+    }
+
+    /// Validates a batch of `(state_index, token)` items against a model
+    /// configuration, allocation-free once warm: indices in bounds and
+    /// unique, states shaped for `cfg`, tokens within the vocabulary.
+    /// Callers run this before touching any state so a rejected batch
+    /// leaves every state untouched.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::StateMismatch`] / [`ModelError::TokenOutOfRange`]
+    /// describing the first offending item.
+    pub fn validate(
+        &mut self,
+        cfg: &MambaConfig,
+        items: &[(usize, u32)],
+        states: &[ModelState],
+    ) -> std::result::Result<(), ModelError> {
+        validate_batch_items_with(cfg, items, states, &mut self.seen)
     }
 
     pub(crate) fn prepare(&mut self, n: usize) {
@@ -78,34 +101,17 @@ impl StepWorkspace {
         if self.logits.len() < n {
             self.logits.resize_with(n, Vec::new);
         }
-        self.items = n;
+        self.produced = 0;
     }
 }
 
-/// Validates a batch of `(state_index, token)` items against a model
-/// configuration: indices in bounds and unique, states shaped for `cfg`,
-/// tokens within the vocabulary. Callers run this before touching any
-/// state so a rejected batch leaves every state untouched.
+/// Batch validation with a caller-provided uniqueness bitmap (`seen` is
+/// cleared and resized to `states.len()` in place) — see
+/// [`StepWorkspace::validate`].
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::StateMismatch`] / [`ModelError::TokenOutOfRange`]
-/// describing the first offending item.
-pub fn validate_batch_items(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &[ModelState],
-) -> std::result::Result<(), ModelError> {
-    validate_batch_items_with(cfg, items, states, &mut Vec::new())
-}
-
-/// [`validate_batch_items`] with a caller-provided uniqueness bitmap, so
-/// the per-step hot path validates without allocating (`seen` is cleared
-/// and resized to `states.len()` in place).
-///
-/// # Errors
-///
-/// Same conditions as [`validate_batch_items`].
+/// Same conditions as [`StepWorkspace::validate`].
 pub fn validate_batch_items_with(
     cfg: &MambaConfig,
     items: &[(usize, u32)],
@@ -156,195 +162,74 @@ pub fn validate_batch_items_with(
     Ok(())
 }
 
-/// Drives one batched decode step generically: validate everything up
-/// front (no state is half-advanced on error), `embed` every token, then
-/// sweep layer-outer / sequence-inner so each block's weights are
-/// touched once per step, and `finish` (final norm + LM head) each
-/// sequence. `block_step(layer, x, lstate)` advances one sequence
-/// through one block in place. Results are returned in `items` order.
+/// Drives a ragged multi-token advance generically — batched prefill, a
+/// prefill chunk, or (one token each) a decode step. Each
+/// `items[k] = (state_index, tokens)` feeds `tokens` into
+/// `states[state_index]`; the result is each item's logits after its
+/// *final* token, in `items` order. The recurrence is sequential per
+/// token, so this runs `step(step_items, want, states, ws)` once per
+/// token position over the items that still have a token there, reusing
+/// `ws` across positions. `want[j]` marks the step items at their final
+/// position: only those need logits, which is what spares prefill the
+/// final norm and LM head at every other position. Afterwards
+/// `logits_at(ws, m)` must yield the `m`-th wanted item's logits.
 ///
 /// # Errors
 ///
-/// The conditions of [`validate_batch_items`], plus whatever the
-/// closures raise.
-pub fn drive_step_batch_indexed<E, Emb, Blk, Fin>(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &mut [ModelState],
-    mut embed: Emb,
-    mut block_step: Blk,
-    mut finish: Fin,
-) -> std::result::Result<Vec<(usize, Vec<f32>)>, E>
-where
-    E: From<ModelError>,
-    Emb: FnMut(u32) -> std::result::Result<Vec<f32>, E>,
-    Blk: FnMut(usize, &mut Vec<f32>, &mut LayerState) -> std::result::Result<(), E>,
-    Fin: FnMut(Vec<f32>) -> std::result::Result<Vec<f32>, E>,
-{
-    let mut ws = StepWorkspace::new();
-    drive_step_batch_indexed_into(
-        cfg,
-        items,
-        states,
-        &mut ws,
-        |token, buf| {
-            *buf = embed(token)?;
-            Ok(())
-        },
-        |layer, x, lstate| block_step(layer, x, lstate),
-        |x, out| {
-            *out = finish(std::mem::take(x))?;
-            Ok(())
-        },
-    )?;
-    Ok(items
-        .iter()
-        .map(|&(slot, _)| slot)
-        .zip(ws.take_logits())
-        .collect())
-}
-
-/// The workspace-threaded form of [`drive_step_batch_indexed`]: every
-/// buffer the step needs lives in `ws` and in the closures' captured
-/// scratch, so a steady-state decode loop allocates nothing. Results
-/// land in `ws.logits()`, index-aligned with `items`.
-///
-/// Closure contract: `embed(token, buf)` fills `buf` with the embedded
-/// token (reusing its capacity); `block_step(layer, x, lstate)` advances
-/// one sequence through one block in place; `finish(x, logits)` turns
-/// the final residual stream into logits, reusing `logits`' capacity.
-///
-/// # Errors
-///
-/// The conditions of [`validate_batch_items`], plus whatever the
-/// closures raise.
-pub fn drive_step_batch_indexed_into<E, Emb, Blk, Fin>(
-    cfg: &MambaConfig,
-    items: &[(usize, u32)],
-    states: &mut [ModelState],
-    ws: &mut StepWorkspace,
-    mut embed: Emb,
-    mut block_step: Blk,
-    mut finish: Fin,
-) -> std::result::Result<(), E>
-where
-    E: From<ModelError>,
-    Emb: FnMut(u32, &mut Vec<f32>) -> std::result::Result<(), E>,
-    Blk: FnMut(usize, &mut Vec<f32>, &mut LayerState) -> std::result::Result<(), E>,
-    Fin: FnMut(&mut Vec<f32>, &mut Vec<f32>) -> std::result::Result<(), E>,
-{
-    validate_batch_items_with(cfg, items, states, &mut ws.seen)?;
-    ws.prepare(items.len());
-    for (x, &(_, token)) in ws.xs.iter_mut().zip(items) {
-        embed(token, x)?;
-    }
-    for layer in 0..cfg.n_layer {
-        for (x, &(slot, _)) in ws.xs.iter_mut().zip(items) {
-            block_step(layer, x, &mut states[slot].layers[layer])?;
-        }
-    }
-    for (x, logits) in ws.xs.iter_mut().zip(ws.logits.iter_mut()).take(items.len()) {
-        finish(x, logits)?;
-    }
-    Ok(())
-}
-
-/// Drives batched ragged prefill generically: consumes `prompts[k]` into
-/// `states[k]` position-by-position through `step_batch` (all sequences
-/// advance together, sharing each layer's weights per position) and
-/// returns each sequence's logits after its final prompt token.
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidConfig`] when any prompt is empty or the
-/// slice lengths disagree; propagates step errors.
-pub fn drive_prefill_batch<E, Step>(
-    prompts: &[&[u32]],
-    states: &mut [ModelState],
-    mut step_batch: Step,
-) -> std::result::Result<Vec<Vec<f32>>, E>
-where
-    E: From<ModelError>,
-    Step:
-        FnMut(&[(usize, u32)], &mut [ModelState]) -> std::result::Result<Vec<(usize, Vec<f32>)>, E>,
-{
-    validate_prefill(prompts, states)?;
-    let max_len = prompts.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut finals: Vec<Option<Vec<f32>>> = vec![None; prompts.len()];
-    for pos in 0..max_len {
-        let items: Vec<(usize, u32)> = prompts
-            .iter()
-            .enumerate()
-            .filter_map(|(k, p)| p.get(pos).map(|&t| (k, t)))
-            .collect();
-        for (slot, logits) in step_batch(&items, states)? {
-            if pos + 1 == prompts[slot].len() {
-                finals[slot] = Some(logits);
-            }
-        }
-    }
-    Ok(finals
-        .into_iter()
-        .map(|l| l.expect("prompt non-empty"))
-        .collect())
-}
-
-/// The workspace-threaded form of [`drive_prefill_batch`], shared by
-/// the FP and quantized models: consumes `prompts[k]` into `states[k]`
-/// position-by-position through `step(items, states, ws)`, reusing `ws`
-/// across positions, and captures each sequence's final-position logits
-/// via `final_logits(ws, j)` (index `j` is the item's position within
-/// that step's batch). Only the captured finals allocate.
-///
-/// # Errors
-///
-/// The conditions of [`validate_prefill`]; propagates step errors.
-pub fn drive_prefill_batch_with<E, W, Step, Logit>(
-    prompts: &[&[u32]],
+/// Returns [`ModelError::InvalidConfig`] when an item has no tokens;
+/// propagates step errors.
+pub fn drive_advance_batch_with<E, W, Step, Logit>(
+    items: &[(usize, &[u32])],
     states: &mut [ModelState],
     ws: &mut W,
     mut step: Step,
-    mut final_logits: Logit,
+    mut logits_at: Logit,
 ) -> std::result::Result<Vec<Vec<f32>>, E>
 where
     E: From<ModelError>,
-    Step: FnMut(&[(usize, u32)], &mut [ModelState], &mut W) -> std::result::Result<(), E>,
+    Step: FnMut(&[(usize, u32)], &[bool], &mut [ModelState], &mut W) -> std::result::Result<(), E>,
     Logit: FnMut(&W, usize) -> Vec<f32>,
 {
-    validate_prefill(prompts, states)?;
-    let max_len = prompts.iter().map(|p| p.len()).max().unwrap_or(0);
-    let mut finals: Vec<Option<Vec<f32>>> = vec![None; prompts.len()];
-    let mut items: Vec<(usize, u32)> = Vec::new();
+    if let Some((slot, _)) = items.iter().find(|(_, toks)| toks.is_empty()) {
+        return Err(ModelError::InvalidConfig(format!(
+            "advance of state {slot} was given no tokens"
+        ))
+        .into());
+    }
+    let max_len = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
+    let mut finals: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
+    let mut step_items: Vec<(usize, u32)> = Vec::with_capacity(items.len());
+    let mut want: Vec<bool> = Vec::with_capacity(items.len());
     for pos in 0..max_len {
-        items.clear();
-        items.extend(
-            prompts
-                .iter()
-                .enumerate()
-                .filter_map(|(k, p)| p.get(pos).map(|&t| (k, t))),
-        );
-        step(&items, states, ws)?;
-        for (j, &(slot, _)) in items.iter().enumerate() {
-            if pos + 1 == prompts[slot].len() {
-                finals[slot] = Some(final_logits(ws, j));
+        step_items.clear();
+        want.clear();
+        for &(slot, toks) in items {
+            if let Some(&token) = toks.get(pos) {
+                step_items.push((slot, token));
+                want.push(pos + 1 == toks.len());
             }
         }
+        step(&step_items, &want, states, ws)?;
+        let done = items.iter().zip(&mut finals);
+        for (m, (_, last)) in done
+            .filter(|((_, toks), _)| pos + 1 == toks.len())
+            .enumerate()
+        {
+            *last = logits_at(ws, m);
+        }
     }
-    Ok(finals
-        .into_iter()
-        .map(|l| l.expect("prompt non-empty"))
-        .collect())
+    Ok(finals)
 }
 
-/// Shared ragged-prefill validation: parallel slices, no empty prompt.
+/// Pairs `prompts[k]` with `states[k]` for a ragged advance.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::InvalidConfig`] describing the violation.
-pub fn validate_prefill(
-    prompts: &[&[u32]],
+/// Returns [`ModelError::InvalidConfig`] when the slice lengths disagree.
+pub fn prefill_items<'p>(
+    prompts: &[&'p [u32]],
     states: &[ModelState],
-) -> std::result::Result<(), ModelError> {
+) -> std::result::Result<Vec<(usize, &'p [u32])>, ModelError> {
     if prompts.len() != states.len() {
         return Err(ModelError::InvalidConfig(format!(
             "{} prompts for {} states",
@@ -352,12 +237,7 @@ pub fn validate_prefill(
             states.len()
         )));
     }
-    if prompts.iter().any(|p| p.is_empty()) {
-        return Err(ModelError::InvalidConfig(
-            "prefill needs at least one token per prompt".into(),
-        ));
-    }
-    Ok(())
+    Ok(prompts.iter().copied().enumerate().collect())
 }
 
 /// The FP reference model's decode workspace: the batch-level buffers
@@ -375,14 +255,78 @@ impl DecodeWorkspace {
         DecodeWorkspace::default()
     }
 
-    /// Logits of the latest [`MambaModel::forward_step_batch_indexed_with`]
-    /// call, index-aligned with its `items`.
+    /// Logits of the latest step, one per item whose logits were asked
+    /// for (see [`StepWorkspace::logits`]).
     pub fn logits(&self) -> &[Vec<f32>] {
         self.step.logits()
     }
 }
 
 impl MambaModel {
+    /// One shard's share of a step with this model's kernels: the FP
+    /// closures of [`drive_step_shard`]. The layer closure loops the
+    /// sub-batch's sequences through
+    /// [`MambaBlock::forward_step_into`](crate::MambaBlock::forward_step_into),
+    /// so FP arithmetic and loop order are those of sequential decode.
+    ///
+    /// # Safety
+    ///
+    /// The contract of [`drive_step_shard`].
+    pub(crate) unsafe fn step_shard(
+        &self,
+        items: &[(usize, u32)],
+        want: Option<&[bool]>,
+        states: &StateShards<'_>,
+        ws: &mut DecodeWorkspace,
+    ) -> Result<()> {
+        let scratch = &mut ws.scratch;
+        let vocab = self.config().vocab_size;
+        // SAFETY: forwarded from this function's contract.
+        unsafe {
+            drive_step_shard(
+                self.config(),
+                items,
+                want,
+                states,
+                &mut ws.step,
+                |token, buf| {
+                    let row = self.embedding().row(token as usize)?;
+                    buf.clear();
+                    buf.extend_from_slice(row);
+                    Ok(())
+                },
+                |layer, xs, lstates| {
+                    for (k, x) in xs.iter_mut().enumerate() {
+                        self.blocks()[layer].forward_step_into(x, lstates.state_mut(k), scratch)?;
+                    }
+                    Ok(())
+                },
+                |xs, logits| {
+                    for (x, logits) in xs.iter_mut().zip(logits) {
+                        lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
+                        logits.resize(vocab, 0.0);
+                        self.embedding().matvec_into(x, logits)?;
+                    }
+                    Ok(())
+                },
+            )
+        }
+    }
+
+    fn step_with(
+        &self,
+        items: &[(usize, u32)],
+        want: Option<&[bool]>,
+        states: &mut [ModelState],
+        ws: &mut DecodeWorkspace,
+    ) -> Result<()> {
+        ws.step.validate(self.config(), items, states)?;
+        // SAFETY: the batch was just validated (slots in bounds and
+        // unique, states shaped for this model, tokens in range) and
+        // this single shard is the only user of the view.
+        unsafe { self.step_shard(items, want, &StateShards::new(states), ws) }
+    }
+
     /// Workspace-threaded batched decode step: like
     /// [`MambaModel::forward_step_batch_indexed`], but every temporary
     /// lives in `ws`, so a steady-state decode loop performs zero heap
@@ -399,48 +343,33 @@ impl MambaModel {
         states: &mut [ModelState],
         ws: &mut DecodeWorkspace,
     ) -> Result<()> {
-        let scratch = &mut ws.scratch;
-        let vocab = self.config().vocab_size;
-        drive_step_batch_indexed_into(
-            self.config(),
-            items,
-            states,
-            &mut ws.step,
-            |token, buf| {
-                let row = self.embedding().row(token as usize)?;
-                buf.clear();
-                buf.extend_from_slice(row);
-                Ok(())
-            },
-            |layer, x, lstate| self.blocks()[layer].forward_step_into(x, lstate, scratch),
-            |x, logits| {
-                lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
-                logits.resize(vocab, 0.0);
-                Ok(self.embedding().matvec_into(x, logits)?)
-            },
-        )
+        self.step_with(items, None, states, ws)
     }
 
-    /// Workspace-threaded ragged prefill: consumes `prompts[k]` into
-    /// `states[k]` position-by-position reusing `ws` across positions,
-    /// and returns each sequence's logits after its final prompt token.
-    /// Only the returned finals allocate (once per sequence).
+    /// Workspace-threaded ragged advance (batched prefill, a prefill
+    /// chunk, a decode step): feeds `items[k].1` into
+    /// `states[items[k].0]` position by position, reusing `ws`, and
+    /// returns each item's logits after its final token. The final norm
+    /// and LM head run only at those final positions. Only the returned
+    /// logits allocate.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`MambaModel::prefill_batch`].
-    pub fn prefill_batch_with(
+    /// Rejects items without tokens, plus the conditions of
+    /// [`MambaModel::forward_step_batch_indexed`] (checked before any
+    /// state advances, for the first position).
+    pub fn advance_batch_indexed_with(
         &self,
-        prompts: &[&[u32]],
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
         ws: &mut DecodeWorkspace,
     ) -> Result<Vec<Vec<f32>>> {
-        drive_prefill_batch_with(
-            prompts,
+        drive_advance_batch_with(
+            items,
             states,
             ws,
-            |items, states, ws| self.forward_step_batch_indexed_with(items, states, ws),
-            |ws, j| ws.logits()[j].clone(),
+            |items, want, states, ws| self.step_with(items, Some(want), states, ws),
+            |ws, m| ws.logits()[m].clone(),
         )
     }
 
@@ -513,7 +442,8 @@ impl MambaModel {
         prompts: &[&[u32]],
         states: &mut [ModelState],
     ) -> Result<Vec<Vec<f32>>> {
-        self.prefill_batch_with(prompts, states, &mut DecodeWorkspace::new())
+        let items = prefill_items(prompts, states)?;
+        self.advance_batch_indexed_with(&items, states, &mut DecodeWorkspace::new())
     }
 }
 

@@ -53,7 +53,7 @@ pub use block::{BlockCapture, BlockScratch, MambaBlock};
 pub use config::{MambaConfig, ModelPreset};
 pub use error::ModelError;
 pub use model::{Capture, MambaModel};
-pub use par::{ParDecodeWorkspace, ShardPlan, StateShards};
+pub use par::{LayerBatch, ParDecodeWorkspace, ShardPlan, StateShards};
 pub use state::{LayerState, ModelState};
 pub use weights::{BlockWeights, ModelWeights};
 

@@ -10,13 +10,13 @@
 //! # Determinism
 //!
 //! Per-sequence arithmetic is untouched: each shard runs exactly the
-//! sequential layer-outer / sequence-inner loop of
-//! [`drive_step_batch_indexed_into`](crate::batch::drive_step_batch_indexed_into)
-//! over its slice. Sequences never interact, shard boundaries only split
-//! the *iteration* (never a sequence), and every sequence writes its own
-//! state and logits slot. Logits and states are therefore **bit-identical
-//! for any thread count**, regardless of how the OS schedules the
-//! workers — pinned by proptests in `lightmamba_serve`.
+//! step loop a single-threaded step runs ([`drive_step_shard`] — the
+//! sequential path *is* the one-shard case) over its slice. Sequences
+//! never interact, shard boundaries only split the *iteration* (never a
+//! sequence), and every sequence writes its own state and logits slot.
+//! Logits and states are therefore **bit-identical for any thread
+//! count**, regardless of how the OS schedules the workers — pinned by
+//! proptests in `lightmamba_serve`.
 //!
 //! # Send/Sync boundaries
 //!
@@ -32,7 +32,9 @@ use std::sync::{Mutex, PoisonError};
 
 use lightmamba_pool::WorkerPool;
 
-use crate::batch::{validate_batch_items_with, DecodeWorkspace, StepWorkspace};
+use crate::batch::{
+    drive_advance_batch_with, validate_batch_items_with, DecodeWorkspace, StepWorkspace,
+};
 use crate::state::{LayerState, ModelState};
 use crate::{MambaConfig, MambaModel, ModelError, Result};
 
@@ -93,6 +95,33 @@ impl<'a> StateShards<'a> {
     }
 }
 
+/// One layer's recurrent states for the sequences of a (shard's)
+/// sub-batch, handed to the layer closure of [`drive_step_shard`]: item
+/// `k`'s [`LayerState`] for the layer being run, one exclusive borrow at
+/// a time.
+pub struct LayerBatch<'a, 's> {
+    states: &'a StateShards<'s>,
+    items: &'a [(usize, u32)],
+    layer: usize,
+}
+
+impl LayerBatch<'_, '_> {
+    /// The state of sub-batch item `k` at this layer.
+    ///
+    /// # Panics
+    ///
+    /// If `k` is not an item index of the sub-batch.
+    pub fn state_mut(&mut self, k: usize) -> &mut LayerState {
+        let slot = self.items[k].0;
+        // SAFETY: a `LayerBatch` is only built by `drive_step_shard`,
+        // whose contract makes this shard the sole user of its (valid)
+        // slots; `&mut self` keeps borrows handed out here from
+        // overlapping one another.
+        let state = unsafe { self.states.state_mut(slot) };
+        &mut state.layers[self.layer]
+    }
+}
+
 /// Reusable sharding bookkeeping for parallel steps: the validation
 /// bitmap and the contiguous `(start, end)` item ranges of the latest
 /// step. Lives inside the parallel workspaces so steady-state decode
@@ -143,14 +172,26 @@ impl ShardPlan {
     }
 }
 
-/// One shard's share of a batched decode step: the sequential
-/// layer-outer / sequence-inner sweep of
-/// [`drive_step_batch_indexed_into`](crate::batch::drive_step_batch_indexed_into),
-/// minus validation, with states reached through a [`StateShards`] view.
-/// Execution paths outside this crate (the quantized model) build their
-/// parallel step on this exactly as they build their sequential step on
-/// the `_into` driver, so the loop structure — and therefore bit-exact
-/// equivalence with sequential decode — cannot drift between them.
+/// The one step loop: embed every token, run each layer over the whole
+/// sub-batch, then turn the wanted residual streams into logits — minus
+/// validation, with states reached through a [`StateShards`] view. A
+/// single-threaded step is one call over the whole batch; a parallel
+/// step is one call per shard. Every execution path (the FP model, the
+/// quantized model) supplies its kernels as the three closures, so the
+/// loop structure — and therefore bit-exact equivalence between
+/// sequential, batched and sharded decode — cannot drift between them.
+///
+/// Closure contract: `embed(token, buf)` fills `buf` with the embedded
+/// token (reusing its capacity); `layer_step(layer, xs, lstates)`
+/// advances every sequence of the sub-batch through one block in place
+/// (`xs[k]` with `lstates.state_mut(k)`), free to batch across sequences
+/// whatever does not depend on their recurrent state;
+/// `finish(xs, logits)` turns each final residual stream `xs[m]` into
+/// `logits[m]`, reusing its capacity.
+///
+/// `want` marks the items whose logits are needed (`None`: all of them,
+/// a decode step). `finish` sees only those, in `items` order, and
+/// [`StepWorkspace::logits`] holds exactly its outputs.
 ///
 /// # Safety
 ///
@@ -164,46 +205,63 @@ impl ShardPlan {
 ///
 /// Whatever the closures raise (validation errors cannot occur here —
 /// they were raised before sharding).
-pub unsafe fn drive_step_shard<E, Emb, Blk, Fin>(
+///
+/// # Panics
+///
+/// If `want` is given and is not as long as `items`.
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn drive_step_shard<E, Emb, Lay, Fin>(
     cfg: &MambaConfig,
     items: &[(usize, u32)],
+    want: Option<&[bool]>,
     states: &StateShards<'_>,
     ws: &mut StepWorkspace,
     mut embed: Emb,
-    mut block_step: Blk,
+    mut layer_step: Lay,
     mut finish: Fin,
 ) -> std::result::Result<(), E>
 where
     E: From<ModelError>,
     Emb: FnMut(u32, &mut Vec<f32>) -> std::result::Result<(), E>,
-    Blk: FnMut(usize, &mut Vec<f32>, &mut LayerState) -> std::result::Result<(), E>,
-    Fin: FnMut(&mut Vec<f32>, &mut Vec<f32>) -> std::result::Result<(), E>,
+    Lay: FnMut(usize, &mut [Vec<f32>], &mut LayerBatch<'_, '_>) -> std::result::Result<(), E>,
+    Fin: FnMut(&mut [Vec<f32>], &mut [Vec<f32>]) -> std::result::Result<(), E>,
 {
-    ws.prepare(items.len());
+    let n = items.len();
+    assert!(want.map_or(true, |w| w.len() == n), "one flag per item");
+    ws.prepare(n);
     for (x, &(_, token)) in ws.xs.iter_mut().zip(items) {
         embed(token, x)?;
     }
     for layer in 0..cfg.n_layer {
-        for (x, &(slot, _)) in ws.xs.iter_mut().zip(items) {
-            // SAFETY: forwarded from this function's contract — this
-            // shard is the only holder of `slot`.
-            let state = unsafe { states.state_mut(slot) };
-            block_step(layer, x, &mut state.layers[layer])?;
+        let mut lstates = LayerBatch {
+            states,
+            items,
+            layer,
+        };
+        layer_step(layer, &mut ws.xs[..n], &mut lstates)?;
+    }
+    // Gather the wanted residual streams at the front (the buffers are
+    // interchangeable; the next step re-embeds into all of them).
+    let mut wanted = n;
+    if let Some(want) = want {
+        wanted = 0;
+        for k in (0..n).filter(|&k| want[k]) {
+            ws.xs.swap(wanted, k);
+            wanted += 1;
         }
     }
-    for (x, logits) in ws.xs.iter_mut().zip(ws.logits.iter_mut()).take(items.len()) {
-        finish(x, logits)?;
-    }
+    finish(&mut ws.xs[..wanted], &mut ws.logits[..wanted])?;
+    ws.produced = wanted;
     Ok(())
 }
 
-/// The parallel form of
-/// [`drive_step_batch_indexed_into`](crate::batch::drive_step_batch_indexed_into):
-/// validates the whole batch up front (no state is half-advanced on a
-/// validation error), partitions it into contiguous per-thread shards,
-/// and runs `shard_fn(shard_items, states, workspace)` for each shard
-/// on the pool. `workspaces` grows to the shard count once and is then
-/// reused, so steady-state parallel decode allocates nothing.
+/// The parallel step: validates the whole batch up front (no state is
+/// half-advanced on a validation error), partitions it into contiguous
+/// per-thread shards, and runs
+/// `shard_fn(shard_items, shard_want, states, workspace)` for each shard
+/// on the pool (`shard_want` is the shard's slice of `want`, see
+/// [`drive_step_shard`]). `workspaces` grows to the shard count once and
+/// is then reused, so steady-state parallel decode allocates nothing.
 ///
 /// `shard_fn` is expected to wrap [`drive_step_shard`] with the
 /// execution path's kernels; the disjoint contiguous ranges planned
@@ -211,14 +269,15 @@ where
 ///
 /// # Errors
 ///
-/// The conditions of
-/// [`validate_batch_items`](crate::batch::validate_batch_items), plus
-/// whatever `shard_fn` raises. When several shards fail, the error of
-/// the lowest-indexed shard is returned so the reported error does not
+/// The conditions of [`StepWorkspace::validate`], plus whatever
+/// `shard_fn` raises. When several shards fail, the error of the
+/// lowest-indexed shard is returned so the reported error does not
 /// depend on thread scheduling.
+#[allow(clippy::too_many_arguments)]
 pub fn drive_step_batch_indexed_par<E, W, F>(
     cfg: &MambaConfig,
     items: &[(usize, u32)],
+    want: Option<&[bool]>,
     states: &mut [ModelState],
     pool: &WorkerPool,
     plan: &mut ShardPlan,
@@ -228,7 +287,8 @@ pub fn drive_step_batch_indexed_par<E, W, F>(
 where
     E: From<ModelError> + Send,
     W: Send + Default,
-    F: Fn(&[(usize, u32)], &StateShards<'_>, &mut W) -> std::result::Result<(), E> + Sync,
+    F: Fn(&[(usize, u32)], Option<&[bool]>, &StateShards<'_>, &mut W) -> std::result::Result<(), E>
+        + Sync,
 {
     validate_batch_items_with(cfg, items, states, &mut plan.seen)?;
     plan.plan(items.len(), pool.threads());
@@ -243,7 +303,7 @@ where
     let first_err: Mutex<Option<(usize, E)>> = Mutex::new(None);
     pool.run_over(&mut workspaces[..plan.used], |k, ws| {
         let (lo, hi) = ranges[k];
-        if let Err(e) = shard_fn(&items[lo..hi], &view, ws) {
+        if let Err(e) = shard_fn(&items[lo..hi], want.map(|w| &w[lo..hi]), &view, ws) {
             let mut slot = first_err.lock().unwrap_or_else(PoisonError::into_inner);
             // Keep the lowest-shard error (MSRV 1.75: no `is_none_or`).
             let keep_existing = matches!(slot.as_ref(), Some(&(j, _)) if j < k);
@@ -278,35 +338,59 @@ impl ParDecodeWorkspace {
         ParDecodeWorkspace::default()
     }
 
-    /// Logits of the latest parallel step in `items` order (shard
-    /// ranges are contiguous, so chaining shards restores batch order).
+    /// Logits of the latest parallel step — one per item whose logits
+    /// were asked for — in `items` order (shard ranges are contiguous, so
+    /// chaining shards restores batch order).
     pub fn logits(&self) -> impl Iterator<Item = &Vec<f32>> + '_ {
         self.shards[..self.plan.used]
             .iter()
             .flat_map(|ws| ws.logits().iter())
     }
 
-    /// Logits of item `j` of the latest parallel step.
+    /// The `m`-th logits of the latest parallel step, i.e.
+    /// `logits().nth(m)`.
     ///
     /// # Panics
     ///
-    /// If `j` is not an item index of the latest step.
-    pub fn logits_at(&self, j: usize) -> &Vec<f32> {
-        for (k, &(lo, hi)) in self.plan.ranges().iter().enumerate() {
-            if j >= lo && j < hi {
-                return &self.shards[k].logits()[j - lo];
-            }
-        }
-        panic!("logit index {j} out of range for the latest step");
+    /// If the latest step produced `m` logits or fewer.
+    pub fn logits_at(&self, m: usize) -> &Vec<f32> {
+        self.logits()
+            .nth(m)
+            .unwrap_or_else(|| panic!("logit index {m} out of range for the latest step"))
     }
 }
 
 impl MambaModel {
+    fn step_par_with(
+        &self,
+        items: &[(usize, u32)],
+        want: Option<&[bool]>,
+        states: &mut [ModelState],
+        pool: &WorkerPool,
+        ws: &mut ParDecodeWorkspace,
+    ) -> Result<()> {
+        drive_step_batch_indexed_par(
+            self.config(),
+            items,
+            want,
+            states,
+            pool,
+            &mut ws.plan,
+            &mut ws.shards,
+            // SAFETY: the batch was validated duplicate-free and the
+            // planner hands each shard a disjoint contiguous range, so
+            // each shard exclusively owns its slots.
+            |items, want, view, dws: &mut DecodeWorkspace| unsafe {
+                self.step_shard(items, want, view, dws)
+            },
+        )
+    }
+
     /// Multi-core batched decode step: like
     /// [`forward_step_batch_indexed_with`](MambaModel::forward_step_batch_indexed_with),
     /// but the validated batch is sharded into contiguous ranges and
-    /// each range's weight-stationary sweep runs on its own pool thread
-    /// with its own workspace. Logits land in `ws` (see
+    /// each range's step loop runs on its own pool thread with its own
+    /// workspace. Logits land in `ws` (see
     /// [`ParDecodeWorkspace::logits`]), index-aligned with `items`, and
     /// are bit-identical to the sequential path for any thread count.
     ///
@@ -321,66 +405,31 @@ impl MambaModel {
         pool: &WorkerPool,
         ws: &mut ParDecodeWorkspace,
     ) -> Result<()> {
-        let vocab = self.config().vocab_size;
-        drive_step_batch_indexed_par(
-            self.config(),
-            items,
-            states,
-            pool,
-            &mut ws.plan,
-            &mut ws.shards,
-            |shard_items, view, dws: &mut DecodeWorkspace| {
-                let scratch = &mut dws.scratch;
-                // SAFETY: the batch was validated duplicate-free and the
-                // planner hands each shard a disjoint contiguous range,
-                // so this shard exclusively owns its slots.
-                unsafe {
-                    drive_step_shard(
-                        self.config(),
-                        shard_items,
-                        view,
-                        &mut dws.step,
-                        |token, buf| {
-                            let row = self.embedding().row(token as usize)?;
-                            buf.clear();
-                            buf.extend_from_slice(row);
-                            Ok(())
-                        },
-                        |layer, x, lstate| {
-                            self.blocks()[layer].forward_step_into(x, lstate, scratch)
-                        },
-                        |x, logits| {
-                            lightmamba_tensor::norm::rms_norm(x, self.final_norm_gamma(), 1e-5);
-                            logits.resize(vocab, 0.0);
-                            Ok(self.embedding().matvec_into(x, logits)?)
-                        },
-                    )
-                }
-            },
-        )
+        self.step_par_with(items, None, states, pool, ws)
     }
 
-    /// Multi-core ragged prefill: the parallel twin of
-    /// [`prefill_batch_with`](MambaModel::prefill_batch_with), driving
-    /// the sharded step position-by-position. Only the returned finals
-    /// allocate.
+    /// Multi-core ragged advance: the parallel twin of
+    /// [`advance_batch_indexed_with`](MambaModel::advance_batch_indexed_with),
+    /// driving the sharded step position-by-position. Only the returned
+    /// logits allocate.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`prefill_batch`](MambaModel::prefill_batch).
-    pub fn prefill_batch_par_with(
+    /// Same conditions as
+    /// [`advance_batch_indexed_with`](MambaModel::advance_batch_indexed_with).
+    pub fn advance_batch_indexed_par_with(
         &self,
-        prompts: &[&[u32]],
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
         pool: &WorkerPool,
         ws: &mut ParDecodeWorkspace,
     ) -> Result<Vec<Vec<f32>>> {
-        crate::batch::drive_prefill_batch_with(
-            prompts,
+        drive_advance_batch_with(
+            items,
             states,
             ws,
-            |items, states, ws| self.forward_step_batch_indexed_par_with(items, states, pool, ws),
-            |ws, j| ws.logits_at(j).clone(),
+            |items, want, states, ws| self.step_par_with(items, Some(want), states, pool, ws),
+            |ws, m| ws.logits_at(m).clone(),
         )
     }
 }
@@ -458,8 +507,9 @@ mod tests {
 
         let mut par_states: Vec<_> = (0..3).map(|_| m.new_state()).collect();
         let mut ws = ParDecodeWorkspace::new();
+        let items = crate::batch::prefill_items(&prompts, &par_states).unwrap();
         let par = m
-            .prefill_batch_par_with(&prompts, &mut par_states, &pool, &mut ws)
+            .advance_batch_indexed_par_with(&items, &mut par_states, &pool, &mut ws)
             .unwrap();
 
         assert_eq!(par, seq);

@@ -1,28 +1,66 @@
 //! True-integer W4A4 decode kernels over packed 4-bit weights.
 //!
 //! [`crate::qmodel`]'s fake-quantized path evaluates PTQ *accuracy*: it
-//! dequantizes to f32 at load and every step computes in f32, so the host
-//! never sees the paper's bandwidth win. This module is the execution
-//! half: weights live packed — **two signed nibbles per byte** plus one
-//! f32 scale per `(output row, input group)` block — and the GEMV/GEMM
-//! kernels compute `i8 activations × u4-packed weights → i32 accumulate →
-//! one f32 rescale per group`. Per output element the weight stream is
-//! 0.5 bytes instead of the dequantized path's 4, which is what makes
-//! host decode of a bandwidth-bound Mamba step fast.
+//! dequantizes to f32 at load and every step computes in f32. This
+//! module is the execution half: weights live packed — **two 4-bit codes
+//! per byte** plus one f32 scale per `(output, input group)` block — and
+//! one GEMM ([`gemm_packed`]; [`gemv_packed`] is its one-activation
+//! case) computes `i8 activations × u4 weights → integer accumulate →
+//! one f32 rescale per group`, the arithmetic of the paper's MMU.
+//!
+//! # Layout: output-stationary tiles, reduction-interleaved
+//!
+//! ```text
+//!  PackedW4.blocks, tile-major:
+//!
+//!  tile 0 (outputs 0..32)         tile 1 (outputs 32..64)       …
+//!  ┌────────┬────────┬─────┬────────┐┌────────┬────────┬───
+//!  │pair 0  │pair 1  │  …  │pair P-1││pair 0  │pair 1  │ …
+//!  │in 0,1  │in 2,3  │     │        ││in 0,1  │in 2,3  │
+//!  └────────┴────────┴─────┴────────┘└────────┴────────┴───
+//!   32 B: 32 outputs × 2 inputs, nibbles `code + 8`   (crate::simd)
+//!
+//!  group g owns pairs g·⌈group/2⌉ ..: a group of odd length ends in a
+//!  pair whose second input does not exist (weight nibble = code 0,
+//!  activation code = 0); so does an odd `in_features`. Outputs past
+//!  `out_features` in the last tile are code 0 and are never read back.
+//! ```
+//!
+//! A tile's 32 integer accumulators stay put (in registers, in the AVX2
+//! form) while that tile's blocks stream past once, and up to four
+//! activations share each block as it passes — weights are fetched once
+//! and reused by everything resident, the paper's dataflow. The
+//! micro-kernel and its overflow bound live in [`crate::simd`].
+//!
+//! # Why `+8`, and why outputs do not move
+//!
+//! The weight nibble is stored unsigned (`code + 8 ∈ [0, 15]`) because
+//! the AVX2 multiply-add wants one unsigned operand. The kernel thus
+//! accumulates `Σ (c+8)·q` and the sweep subtracts `8·Σq` (per
+//! activation and group, computed once) — both exact integers, so the
+//! group's reduction `ia = Σ c·q` is the same integer any other
+//! summation order produces. Padding positions carry activation code 0
+//! and add nothing to either term. Everything after that is unchanged
+//! from the first integer kernel this crate had: `out += ia as f32 *
+//! (wsc * asc)`, multiply then add, groups in ascending order, one
+//! output element at a time. Same integers into the same float
+//! operations in the same order: logits are bit-identical across
+//! layouts, batch sizes, K-block remainders and instruction sets.
 //!
 //! # Agreement with the fake-quant reference
 //!
 //! Both paths share one quantization grid (the codes come from the same
 //! [`QuantizedTensor`] rounding), so they differ only in accumulation:
 //! the integer kernel computes `Σ_g (Σ_{i∈g} qw·qa) · sw_g·sa_g` with the
-//! inner sum exact in i32, while the reference ([`gemv_reference`])
-//! computes `Σ_g Σ_{i∈g} (qw·sw_g)·(qa·sa_g)` in f32, group-blocked in
-//! the same order.
+//! inner sum exact, while the reference ([`gemv_reference`]) computes
+//! `Σ_g Σ_{i∈g} (qw·sw_g)·(qa·sa_g)` in f32, group-blocked in the same
+//! order.
 //!
 //! * With **power-of-two scales** the two are **bit-exact**: every
 //!   partial product `qw·qa·2^e` and every group subtotal (bounded by
-//!   `qmax² · group ≤ 49·4096 ≪ 2²⁴`) is exactly representable in f32,
-//!   so no operation in either path rounds. The proptests pin this.
+//!   `8 · 127 · group ≪ 2²⁴` for any group this crate meets) is exactly
+//!   representable in f32, so no operation in either path rounds. The
+//!   proptests pin this.
 //! * With arbitrary scales the reference rounds once per element and the
 //!   integer path once per group, so outputs agree to a few ulps of each
 //!   group contribution (proptested against a relative bound).
@@ -34,7 +72,7 @@
 use lightmamba_tensor::Tensor;
 
 use crate::quantizer::{Granularity, QuantScheme, QuantizedTensor};
-use crate::simd::{accumulate_row_i16, accumulate_row_i32, Lanes};
+use crate::simd::{code_pair, flush_pairs, mac_tile, Block, CodePair, Lanes, KBLOCK, TILE};
 use crate::{QuantError, Result};
 
 /// Packs signed 4-bit codes two-per-byte (even index → low nibble, odd
@@ -66,7 +104,7 @@ pub fn unpack_nibbles_into(packed: &[u8], n: usize, out: &mut [i8]) {
     }
 }
 
-/// A weight matrix in packed 4-bit form for integer GEMV/GEMM.
+/// A weight matrix in packed 4-bit form for integer GEMM.
 ///
 /// Logical layout matches the FP path — `(in_features, out_features)`,
 /// activations multiply from the left. Quantization groups run along the
@@ -74,34 +112,36 @@ pub fn unpack_nibbles_into(packed: &[u8], n: usize, out: &mut [i8]) {
 /// the paper's DSP-packing MMU (Fig. 5b) — so the scale grid is one f32
 /// per `(output, input-group)` block.
 ///
-/// Physical storage is **input-major**: one packed row of
-/// `out_features` nibbles per *input* channel. A GEMV then sweeps
-/// activation-outer / output-inner exactly like the f32 `vecmat` hot
-/// loop: each nonzero activation code streams one contiguous byte row
-/// (0.5 bytes per weight) into contiguous i32 accumulators, zero codes
-/// skip their row entirely (4-bit activations are frequently zero), and
-/// one rescale per group folds the accumulators into f32. Scales are
-/// held twice: output-major ([`PackedW4::scales`], the grid order the
-/// quantizer produces) and group-major (`scales_t`, the order the
-/// rescale sweep consumes).
+/// Physical storage is the **tiled, reduction-interleaved** layout the
+/// micro-kernel consumes (module docs): `out_features.div_ceil(32)`
+/// tiles, each a contiguous run of one 32-byte block per input pair.
+/// Scales are held twice: output-major ([`PackedW4::scales`], the grid
+/// order the quantizer produces) and group-major (`scales_t`, the order
+/// the rescale consumes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedW4 {
-    /// `in_features` rows of `bytes_per_row` packed nibbles each
-    /// (output 2j in the low nibble of byte j, output 2j+1 in the high).
-    packed: Vec<u8>,
+    /// `tiles × pairs` blocks, tile-major.
+    blocks: Vec<Block>,
     /// One scale per `(output, group)` block, `groups_per_row` per
     /// output — the [`QuantizedTensor`] grid order.
     scales: Vec<f32>,
-    /// The same scales transposed to `[group][output]` for the rescale
-    /// sweep.
+    /// The same scales transposed to `[group][output]`.
     scales_t: Vec<f32>,
     group: usize,
     groups_per_row: usize,
-    bytes_per_row: usize,
+    /// Input pairs of a full group (`group.div_ceil(2)`): every group
+    /// starts on a pair boundary, so an odd group ends in a half-empty
+    /// pair.
+    pairs_per_group: usize,
+    /// Input pairs of one tile (the last group may be ragged).
+    pairs: usize,
     in_features: usize,
     out_features: usize,
-    bits: u8,
 }
+
+/// Nibble of a padding position (`code 0`): inputs past the end of an
+/// odd group and outputs past the last tile's real ones.
+const PAD: u8 = 0x88;
 
 impl PackedW4 {
     /// Quantizes a `(in_features, out_features)` weight matrix under a
@@ -132,36 +172,93 @@ impl PackedW4 {
         }
         let (in_features, out_features) = weight.as_matrix_dims()?;
         // Quantize the transposed view so groups run along the reduction
-        // (input) dimension; then pack input-major for the GEMV sweep.
-        let wt = weight.transpose()?;
-        let q = QuantizedTensor::quantize(&wt, scheme)?;
-        let groups_per_row = in_features.div_ceil(group);
-        let bytes_per_row = out_features.div_ceil(2);
-        let mut packed = Vec::with_capacity(in_features * bytes_per_row);
-        let mut row_codes = vec![0i8; out_features];
-        for i in 0..in_features {
-            for (o, c) in row_codes.iter_mut().enumerate() {
-                *c = q.codes()[o * in_features + i];
-            }
-            packed.extend(pack_nibbles(&row_codes));
+        // (input) dimension.
+        let q = QuantizedTensor::quantize(&weight.transpose()?, scheme)?;
+        PackedW4::from_codes(q.codes(), q.scales(), in_features, out_features, group)
+    }
+
+    /// Packs caller-supplied codes: `codes[o · in_features + i]` is the
+    /// signed 4-bit code of output `o`, input `i`, and
+    /// `scales[o · groups + g]` its group's scale — the
+    /// [`QuantizedTensor`] order [`PackedW4::quantize`] feeds in. Any
+    /// nibble value is accepted, including the −8 the symmetric
+    /// quantizer never emits.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidScheme`] for a zero dimension or
+    /// group, a code outside `[-8, 7]`, or slices of the wrong length.
+    pub fn from_codes(
+        codes: &[i8],
+        scales: &[f32],
+        in_features: usize,
+        out_features: usize,
+        group: usize,
+    ) -> Result<Self> {
+        if in_features == 0 || out_features == 0 || group == 0 {
+            return Err(QuantError::InvalidScheme(format!(
+                "packed weight needs non-zero dimensions, got {in_features}×{out_features} group {group}"
+            )));
         }
+        let groups_per_row = in_features.div_ceil(group);
+        if codes.len() != in_features * out_features
+            || scales.len() != out_features * groups_per_row
+        {
+            return Err(QuantError::InvalidScheme(format!(
+                "{} codes and {} scales do not describe a {in_features}×{out_features} weight \
+                 in groups of {group}",
+                codes.len(),
+                scales.len()
+            )));
+        }
+        if let Some(c) = codes.iter().find(|c| !(-8..=7).contains(*c)) {
+            return Err(QuantError::InvalidScheme(format!(
+                "code {c} does not fit a signed nibble"
+            )));
+        }
+        let pairs_per_group = group.div_ceil(2);
+        let last_group = in_features - (groups_per_row - 1) * group;
+        let pairs = (groups_per_row - 1) * pairs_per_group + last_group.div_ceil(2);
         let mut scales_t = vec![0.0f32; groups_per_row * out_features];
         for o in 0..out_features {
             for g in 0..groups_per_row {
-                scales_t[g * out_features + o] = q.scales()[o * groups_per_row + g];
+                scales_t[g * out_features + o] = scales[o * groups_per_row + g];
             }
         }
-        Ok(PackedW4 {
-            packed,
-            scales: q.scales().to_vec(),
+        let mut packed = PackedW4 {
+            blocks: vec![Block([PAD; TILE]); out_features.div_ceil(TILE) * pairs],
+            scales: scales.to_vec(),
             scales_t,
             group,
             groups_per_row,
-            bytes_per_row,
+            pairs_per_group,
+            pairs,
             in_features,
             out_features,
-            bits: scheme.bits,
-        })
+        };
+        for o in 0..out_features {
+            for i in 0..in_features {
+                let (block, byte, shift) = packed.locate(i, o);
+                let nib = (codes[o * in_features + i] + 8) as u8;
+                let b = &mut packed.blocks[block].0[byte];
+                *b = (*b & !(0x0F << shift)) | (nib << shift);
+            }
+        }
+        Ok(packed)
+    }
+
+    /// Where weight `(input i, output o)` lives: block index, byte
+    /// within the block, and the nibble's bit offset.
+    #[inline]
+    fn locate(&self, i: usize, o: usize) -> (usize, usize, u32) {
+        let (g, r) = (i / self.group, i % self.group);
+        let pair = g * self.pairs_per_group + r / 2;
+        let (tile, lane) = (o / TILE, o % TILE);
+        (
+            tile * self.pairs + pair,
+            2 * (lane % (TILE / 2)) + (r & 1),
+            if lane < TILE / 2 { 0 } else { 4 },
+        )
     }
 
     /// Input width.
@@ -184,32 +281,23 @@ impl PackedW4 {
         &self.scales
     }
 
-    /// The packed nibble storage (`in_features` rows of
-    /// `out_features.div_ceil(2)` bytes).
-    pub fn packed_bytes(&self) -> &[u8] {
-        &self.packed
-    }
-
     /// Gathers output channel `o`'s signed codes (one per input) into
     /// `out` (length `in_features`) — the logical "weight row" view used
-    /// by the reference oracle and tests; the hot kernels never gather.
+    /// by the reference oracle and tests; the hot kernel never gathers.
     pub fn unpack_row_into(&self, o: usize, out: &mut [i8]) {
         for (i, v) in out.iter_mut().enumerate().take(self.in_features) {
-            let b = self.packed[i * self.bytes_per_row + o / 2];
-            *v = if o & 1 == 0 {
-                ((b << 4) as i8) >> 4
-            } else {
-                (b as i8) >> 4
-            };
+            let (block, byte, shift) = self.locate(i, o);
+            *v = ((self.blocks[block].0[byte] >> shift) & 0x0F) as i8 - 8;
         }
     }
 
-    /// Storage footprint in bits of the representation actually held:
-    /// packed nibble bytes (including any odd-width padding nibble) plus
-    /// FP16 scales. This is the honest weight-stream width the serving
-    /// cost model prices.
+    /// Storage footprint in bits of the weight stream an accelerator
+    /// fetches: one nibble per parameter (an odd output width rounds
+    /// each input's row up to a whole byte) plus FP16 scales. The host
+    /// layout's tile and pair padding is not part of that stream and is
+    /// not counted.
     pub fn storage_bits(&self) -> usize {
-        self.packed.len() * 8 + self.scales.len() * 16
+        self.in_features * self.out_features.div_ceil(2) * 8 + self.scales.len() * 16
     }
 
     /// Number of quantized parameters (the storage denominator).
@@ -245,8 +333,8 @@ pub struct ActQuant {
     scales: Vec<f32>,
     group: usize,
     len: usize,
-    /// Largest code magnitude of the latest scheme (drives the i16
-    /// fast-path overflow proof in [`gemv_packed`]).
+    /// Largest code magnitude of the latest scheme (sets how many input
+    /// pairs the micro-kernel may accumulate in i16, see [`crate::simd`]).
     qmax: i32,
 }
 
@@ -336,17 +424,15 @@ fn check_gemv(w: &PackedW4, act: &ActQuant, out: &[f32]) -> Result<()> {
     Ok(())
 }
 
-/// Reusable integer accumulator planes for [`gemv_packed`] /
-/// [`gemm_packed`]: one "even outputs" and one "odd outputs" plane per
-/// activation, in i16 (the W4A4 fast path — twice the SIMD lanes, exact
-/// because a group's reduction is bounded by `group · qmaxₐ · qmax_w`)
-/// or i32 (the general path). Splitting by nibble parity keeps every hot
-/// loop stride-1 over contiguous buffers, which is what lets the
-/// compiler vectorize the unpack-multiply-accumulate.
+/// Reusable scratch of [`gemv_packed`] / [`gemm_packed`]: every
+/// activation's codes re-laid as the code pairs the micro-kernel
+/// broadcasts (each group padded to a whole pair with a zero code), and
+/// `Σq` per `(activation, group)` for the `−8·Σq` correction. Grows to
+/// the largest batch seen, then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GemvScratch {
-    acc16: Vec<i16>,
-    acc32: Vec<i32>,
+    pairs: Vec<CodePair>,
+    qsum: Vec<i32>,
 }
 
 impl GemvScratch {
@@ -354,28 +440,39 @@ impl GemvScratch {
     pub fn new() -> Self {
         GemvScratch::default()
     }
-}
 
-/// Whether a whole group's integer reduction provably fits i16:
-/// `group · qmaxₐ · qmax_w ≤ i16::MAX` (weight codes are ≤ 4-bit, so
-/// `qmax_w = 7`). The W4A4 recipe (qmaxₐ = 7) qualifies up to group 668.
-#[inline]
-fn fits_i16(group: usize, act_qmax: i32) -> bool {
-    (group as i64) * (act_qmax as i64) * 7 <= i16::MAX as i64
+    /// Lays `acts` out for a sweep over `w`; returns the largest code
+    /// magnitude any of their schemes allows.
+    fn load(&mut self, w: &PackedW4, acts: &[ActQuant]) -> i32 {
+        self.pairs.clear();
+        self.pairs.resize(acts.len() * w.pairs, 0);
+        self.qsum.clear();
+        let mut qmax = 1;
+        for (act, pairs) in acts.iter().zip(self.pairs.chunks_exact_mut(w.pairs)) {
+            qmax = qmax.max(act.qmax);
+            for (codes, pairs) in act
+                .codes()
+                .chunks(w.group)
+                .zip(pairs.chunks_mut(w.pairs_per_group))
+            {
+                self.qsum.push(codes.iter().map(|&q| q as i32).sum());
+                for (q, pair) in codes.chunks(2).zip(pairs) {
+                    *pair = code_pair(q[0], q.get(1).copied().unwrap_or(0));
+                }
+            }
+        }
+        qmax
+    }
 }
 
 /// Integer GEMV: `out[o] = Σ_g (Σ_{i∈g} qw·qa) · sw[o,g]·sa[g]`, with the
 /// inner reduction exact in integers and one f32 rescale per `(output,
 /// group)` block — the arithmetic the DSP tree of the paper's MMU
-/// performs. The sweep is activation-outer like the f32 `vecmat` hot
-/// loop: zero activation codes skip their whole weight row (frequent at
-/// 4 bits), and each nonzero code streams 0.5 bytes per output into the
-/// accumulator planes of `scratch` (allocation-free once warm). For
-/// W4A4-shaped groups the planes are i16, doubling SIMD width; the
-/// reduction value is identical either way.
+/// performs. This is the one-activation case of [`gemm_packed`]: same
+/// kernel, same loop, `scratch` allocation-free once warm.
 ///
-/// The accumulate loops run on the instruction set reported by
-/// [`crate::simd::detect`] (AVX2/NEON under the `simd` feature, scalar
+/// The integer sweep runs on the instruction set reported by
+/// [`crate::simd::detect`] (AVX2 under the `simd` feature, scalar
 /// otherwise); results are bit-identical either way — see
 /// [`crate::simd`] for the argument and [`gemv_packed_scalar`] for the
 /// pinned-scalar entry point.
@@ -389,11 +486,18 @@ pub fn gemv_packed(
     scratch: &mut GemvScratch,
     out: &mut [f32],
 ) -> Result<()> {
-    gemv_packed_lanes(w, act, scratch, out, crate::simd::detect())
+    gemm_rows(
+        w,
+        std::slice::from_ref(act),
+        scratch,
+        &mut [out],
+        |o| &mut o[..],
+        crate::simd::detect(),
+    )
 }
 
-/// [`gemv_packed`] forced onto the scalar accumulate loops — the oracle
-/// the SIMD dispatch is proptested bit-identical against, and the loop
+/// [`gemv_packed`] forced onto the scalar micro-kernel — the oracle the
+/// SIMD dispatch is proptested bit-identical against, and the kernel
 /// every host runs without the `simd` feature.
 ///
 /// # Errors
@@ -405,65 +509,14 @@ pub fn gemv_packed_scalar(
     scratch: &mut GemvScratch,
     out: &mut [f32],
 ) -> Result<()> {
-    gemv_packed_lanes(w, act, scratch, out, Lanes::Scalar)
-}
-
-fn gemv_packed_lanes(
-    w: &PackedW4,
-    act: &ActQuant,
-    scratch: &mut GemvScratch,
-    out: &mut [f32],
-    lanes: Lanes,
-) -> Result<()> {
-    check_gemv(w, act, out)?;
-    let qa = act.codes();
-    out.fill(0.0);
-    let half = w.bytes_per_row;
-    let narrow = fits_i16(w.group, act.qmax);
-    if narrow {
-        scratch.acc16.resize(2 * half, 0);
-    } else {
-        scratch.acc32.resize(2 * half, 0);
-    }
-    for (g, &asc) in act.scales().iter().enumerate() {
-        let start = g * w.group;
-        let end = (start + w.group).min(w.in_features);
-        let mut any = false;
-        if narrow {
-            scratch.acc16.fill(0);
-        } else {
-            scratch.acc32.fill(0);
-        }
-        for (i, &q) in qa.iter().enumerate().take(end).skip(start) {
-            if q == 0 {
-                continue;
-            }
-            any = true;
-            let row = &w.packed[i * half..(i + 1) * half];
-            if narrow {
-                let (even, odd) = scratch.acc16.split_at_mut(half);
-                accumulate_row_i16(lanes, row, q as i16, even, odd);
-            } else {
-                let (even, odd) = scratch.acc32.split_at_mut(half);
-                accumulate_row_i32(lanes, row, q as i32, even, odd);
-            }
-        }
-        if !any {
-            continue;
-        }
-        // One rescale per (output, group) block; with PoT scales every
-        // operation here is exact (see module docs).
-        let srow = &w.scales_t[g * w.out_features..(g + 1) * w.out_features];
-        for (o, (out_v, &wsc)) in out.iter_mut().zip(srow).enumerate() {
-            let ia = if narrow {
-                scratch.acc16[(o & 1) * half + (o >> 1)] as i32
-            } else {
-                scratch.acc32[(o & 1) * half + (o >> 1)]
-            };
-            *out_v += ia as f32 * (wsc * asc);
-        }
-    }
-    Ok(())
+    gemm_rows(
+        w,
+        std::slice::from_ref(act),
+        scratch,
+        &mut [out],
+        |o| &mut o[..],
+        Lanes::Scalar,
+    )
 }
 
 /// The fake-quant reference oracle for [`gemv_packed`]: dequantize both
@@ -497,18 +550,14 @@ pub fn gemv_reference(w: &PackedW4, act: &ActQuant, out: &mut [f32]) -> Result<(
     Ok(())
 }
 
-/// Integer GEMM over a shared packed weight: the batched form of
-/// [`gemv_packed`], weight-stationary — each packed byte row is streamed
-/// **once per group sweep** and reused (L1-hot) across every activation
-/// in the batch, which is the software analogue of the accelerator's
-/// shared weight stream. `scratch` holds one pair of i32 accumulator
-/// planes per activation; `outs[k]` is resized to `out_features`
-/// (allocation-free once warm).
+/// Integer GEMM over a shared packed weight, output-stationary: each
+/// tile's blocks are streamed once per four activations (and stay
+/// L1-hot across the blocks of a larger batch), which is the software
+/// analogue of the accelerator's shared weight stream. `outs[k]` is
+/// resized to `out_features` (allocation-free once warm).
 ///
-/// Per activation the integer reduction is identical to
-/// [`gemv_packed`]'s, so results are value-identical. As there, the
-/// accumulate loops run on the detected instruction set and are
-/// bit-identical to [`gemm_packed_scalar`].
+/// `outs[k]` is bit-identical to [`gemv_packed`] of `acts[k]` alone, and
+/// the dispatched sweep is bit-identical to [`gemm_packed_scalar`].
 ///
 /// # Errors
 ///
@@ -523,8 +572,8 @@ pub fn gemm_packed(
     gemm_packed_lanes(w, acts, scratch, outs, crate::simd::detect())
 }
 
-/// [`gemm_packed`] forced onto the scalar accumulate loops — the oracle
-/// the SIMD dispatch is proptested bit-identical against.
+/// [`gemm_packed`] forced onto the scalar micro-kernel — the oracle the
+/// SIMD dispatch is proptested bit-identical against.
 ///
 /// # Errors
 ///
@@ -545,43 +594,95 @@ fn gemm_packed_lanes(
     outs: &mut [Vec<f32>],
     lanes: Lanes,
 ) -> Result<()> {
-    if acts.len() != outs.len() {
+    for out in outs.iter_mut() {
+        out.resize(w.out_features, 0.0);
+    }
+    gemm_rows(w, acts, scratch, outs, |o| &mut o[..], lanes)
+}
+
+/// [`gemm_packed`] writing into one `out_features`-long slice of each
+/// `rows[k]`, picked by `out_of` — how the quantized model lands a
+/// projection in its per-sequence scratch without staging copies.
+///
+/// # Errors
+///
+/// Same conditions as [`gemm_packed`].
+pub(crate) fn gemm_packed_into<T>(
+    w: &PackedW4,
+    acts: &[ActQuant],
+    scratch: &mut GemvScratch,
+    rows: &mut [T],
+    out_of: impl for<'a> Fn(&'a mut T) -> &'a mut [f32],
+) -> Result<()> {
+    gemm_rows(w, acts, scratch, rows, out_of, crate::simd::detect())
+}
+
+/// The one GEMM loop: tile-outer, then [`KBLOCK`] activations at a time,
+/// then groups ascending. Per `(tile, activation block, group)` the
+/// micro-kernel leaves `Σ (c+8)·q` in i32; the correction and the f32
+/// rescale happen here, in the order every earlier kernel used
+/// (`out += ia as f32 * (wsc * asc)`, one group after the other), which
+/// is what keeps outputs bit-identical across kernels, batch sizes and
+/// instruction sets.
+fn gemm_rows<T>(
+    w: &PackedW4,
+    acts: &[ActQuant],
+    scratch: &mut GemvScratch,
+    rows: &mut [T],
+    out_of: impl for<'a> Fn(&'a mut T) -> &'a mut [f32],
+    lanes: Lanes,
+) -> Result<()> {
+    if acts.len() != rows.len() {
         return Err(QuantError::InvalidScheme(format!(
             "{} activations for {} outputs",
             acts.len(),
-            outs.len()
+            rows.len()
         )));
     }
-    for (act, out) in acts.iter().zip(outs.iter_mut()) {
-        out.resize(w.out_features, 0.0);
+    for (act, row) in acts.iter().zip(rows.iter_mut()) {
+        let out = out_of(row);
         check_gemv(w, act, out)?;
         out.fill(0.0);
     }
-    let half = w.bytes_per_row;
-    let planes = 2 * half;
-    scratch.acc32.resize(acts.len() * planes, 0);
-    for g in 0..w.groups_per_row {
-        let start = g * w.group;
-        let end = (start + w.group).min(w.in_features);
-        scratch.acc32.fill(0);
-        for i in start..end {
-            let row = &w.packed[i * half..(i + 1) * half];
-            for (k, act) in acts.iter().enumerate() {
-                let q = act.codes()[i] as i32;
-                if q == 0 {
-                    continue;
+    let run = flush_pairs(scratch.load(w, acts));
+    let groups = w.groups_per_row;
+    let mut acc = [[0i32; TILE]; KBLOCK];
+    for (tile, blocks) in w.blocks.chunks_exact(w.pairs).enumerate() {
+        let o0 = tile * TILE;
+        let o1 = (o0 + TILE).min(w.out_features);
+        for k0 in (0..acts.len()).step_by(KBLOCK) {
+            let kb = KBLOCK.min(acts.len() - k0);
+            for g in 0..groups {
+                let p0 = g * w.pairs_per_group;
+                let p1 = (p0 + w.pairs_per_group).min(w.pairs);
+                let acc = &mut acc[..kb];
+                acc.fill([0; TILE]);
+                let mut lo = p0;
+                while lo < p1 {
+                    let hi = (lo + run).min(p1);
+                    let codes: [&[CodePair]; KBLOCK] = std::array::from_fn(|kk| {
+                        let base = (k0 + kk) * w.pairs;
+                        if kk < kb {
+                            &scratch.pairs[base + lo..base + hi]
+                        } else {
+                            &[]
+                        }
+                    });
+                    mac_tile(lanes, &blocks[lo..hi], &codes[..kb], acc);
+                    lo = hi;
                 }
-                let (even, odd) = scratch.acc32[k * planes..(k + 1) * planes].split_at_mut(half);
-                accumulate_row_i32(lanes, row, q, even, odd);
-            }
-        }
-        let srow = &w.scales_t[g * w.out_features..(g + 1) * w.out_features];
-        for (k, (act, out)) in acts.iter().zip(outs.iter_mut()).enumerate() {
-            let asc = act.scales()[g];
-            let planes_k = &scratch.acc32[k * planes..(k + 1) * planes];
-            for (o, (out_v, &wsc)) in out.iter_mut().zip(srow).enumerate() {
-                let ia = planes_k[(o & 1) * half + (o >> 1)];
-                *out_v += ia as f32 * (wsc * asc);
+                let wscales = &w.scales_t[g * w.out_features..][o0..o1];
+                for (kk, acc) in acc.iter().enumerate() {
+                    let k = k0 + kk;
+                    let asc = acts[k].scales()[g];
+                    let bias = 8 * scratch.qsum[k * groups + g];
+                    let out = &mut out_of(&mut rows[k])[o0..o1];
+                    // With PoT scales every operation here is exact
+                    // (module docs).
+                    for ((out_v, &ia), &wsc) in out.iter_mut().zip(acc).zip(wscales) {
+                        *out_v += (ia - bias) as f32 * (wsc * asc);
+                    }
+                }
             }
         }
     }
@@ -749,6 +850,13 @@ mod tests {
         // Output length mismatch.
         assert!(gemv_packed(&p, &act, &mut iacc, &mut out[..4]).is_err());
         gemv_packed(&p, &act, &mut iacc, &mut out).unwrap();
+        // Hand-built codes: wrong lengths, a value no nibble holds, an
+        // empty dimension.
+        assert!(PackedW4::from_codes(&[0; 6], &[1.0; 3], 2, 3, 2).is_ok());
+        assert!(PackedW4::from_codes(&[0; 5], &[1.0; 3], 2, 3, 2).is_err());
+        assert!(PackedW4::from_codes(&[0; 6], &[1.0; 6], 2, 3, 2).is_err());
+        assert!(PackedW4::from_codes(&[0, 0, 8, 0, 0, 0], &[1.0; 3], 2, 3, 2).is_err());
+        assert!(PackedW4::from_codes(&[], &[], 0, 3, 2).is_err());
     }
 
     #[test]
@@ -760,7 +868,8 @@ mod tests {
         // 16-bit scales.
         assert_eq!(p.storage_bits(), 32 * 8 * 8 + 32 * 16);
         assert_eq!(p.params(), 512);
-        // Odd output width pads each input row to a whole byte.
+        // Odd output width pads each input row to a whole byte; the host
+        // layout's own padding (a 5-wide tile of 32) is not counted.
         let w = random_weight(&mut rng, 16, 5);
         let p = PackedW4::quantize(&w, w4(16)).unwrap();
         assert_eq!(p.storage_bits(), 16 * 3 * 8 + 5 * 16);

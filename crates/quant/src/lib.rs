@@ -39,7 +39,6 @@ mod error;
 mod prepared;
 
 pub mod calib;
-pub mod int_linear;
 pub mod kernels;
 pub mod metrics;
 pub mod outlier_suppression;

@@ -5,11 +5,12 @@
 //!
 //! * [`ExecMode::Integer`] — the serving hot path. Linear layers hold
 //!   packed 4-bit weights ([`crate::kernels::PackedW4`], two nibbles per
-//!   byte, per-group scales); each step quantizes the activation to i8
-//!   codes in a reusable scratch and runs the integer GEMV (i32
-//!   accumulate, one f32 rescale per group). This is the arithmetic the
-//!   paper's MMU performs and it streams 8× fewer weight bytes than the
-//!   dequantized-f32 path, which is what makes host decode fast.
+//!   byte, per-group scales); each step quantizes the activations to i8
+//!   codes in reusable scratch and runs **one integer GEMM per linear
+//!   layer over the whole sub-batch** ([`crate::kernels::gemm_packed`]:
+//!   integer accumulate, one f32 rescale per group). This is the
+//!   arithmetic and the dataflow of the paper's MMU: every weight is
+//!   streamed once per step and shared by all resident sequences.
 //! * [`ExecMode::FakeQuant`] — the auditable reference: weights are
 //!   dequantized to f32 **on the same quantization grid as the packed
 //!   codes** and every step computes in f32 with activations passed
@@ -27,6 +28,13 @@
 //! serving registries) duplicates no weight memory, and construction
 //! *moves* the prepared tensors instead of cloning them.
 //!
+//! A step runs each block as phases over the sub-batch — norm +
+//! activation quantization for every sequence → in_proj GEMM → conv /
+//! SiLU / SSM / gated norm / Hadamard / activation quantization per
+//! sequence → out_proj GEMM + residual — and the LM head as one more
+//! GEMM. Per sequence the arithmetic is that of a batch of one, so
+//! logits and states are bit-identical at every batch size.
+//!
 //! The SSM stays on the fake-quant path in both modes (the paper
 //! executes it on the SSMU's INT8 PoT datapath, not the MMU), so
 //! `LightMamba*`'s `ssm` scheme behaves identically in either mode.
@@ -38,11 +46,13 @@ use lightmamba_model::eval::StepModel;
 use lightmamba_model::par::{drive_step_batch_indexed_par, drive_step_shard, ShardPlan};
 use lightmamba_model::ssm::{ssm_step_into, SsmDims};
 use lightmamba_model::weights::InProjSplit;
-use lightmamba_model::{BlockScratch, LayerState, MambaConfig, ModelError, ModelState};
+use lightmamba_model::{
+    BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState, StateShards,
+};
 use lightmamba_pool::WorkerPool;
 use lightmamba_tensor::{activation, norm, Tensor};
 
-use crate::kernels::{gemv_packed, ActQuant, GemvScratch, PackedW4};
+use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
 use crate::prepared::{PreparedBlock, PreparedModel};
 use crate::quantizer::{fake_quant, fake_quant_slice, Granularity, QuantScheme, QuantizedTensor};
 use crate::Result;
@@ -162,18 +172,30 @@ struct SharedWeights {
     blocks: Vec<QBlock>,
 }
 
-/// Per-step kernel scratch for the quantized block forward: the shared
-/// FP block buffers ([`lightmamba_model::BlockScratch`] — one `prepare`
-/// keeps the shapes in sync with the FP path) plus the quantization-only
-/// pieces. Every temporary of
-/// [`QuantizedMamba::forward_step_batch_indexed_with`] lives here, so
+/// Kernel scratch of the quantized block forward: per resident sequence
+/// the shared FP block buffers ([`lightmamba_model::BlockScratch`] — one
+/// `prepare` keeps the shapes in sync with the FP path) and its
+/// activation codes, plus the GEMM's own scratch. Grows to the largest
+/// sub-batch seen; every temporary of a block lives here, so
 /// steady-state decode allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct QuantScratch {
-    block: BlockScratch,
-    act: ActQuant,
-    /// Integer accumulator planes for the packed GEMV.
-    iacc: GemvScratch,
+    blocks: Vec<BlockScratch>,
+    acts: Vec<ActQuant>,
+    gemm: GemvScratch,
+}
+
+impl QuantScratch {
+    /// Sizes the per-sequence scratch for a sub-batch of `n`.
+    fn prepare(&mut self, n: usize, cfg: &MambaConfig) {
+        if self.blocks.len() < n {
+            self.blocks.resize_with(n, BlockScratch::default);
+            self.acts.resize_with(n, ActQuant::new);
+        }
+        for block in &mut self.blocks[..n] {
+            block.prepare(cfg);
+        }
+    }
 }
 
 /// Reusable workspace for the quantized batched decode hot path: the
@@ -184,11 +206,11 @@ struct QuantScratch {
 pub struct QuantWorkspace {
     step: StepWorkspace,
     scratch: QuantScratch,
-    /// LM-head activation codes and i32 accumulators, separate from the
-    /// block scratch so the step driver's block and finish closures
+    /// LM-head activation codes and GEMM scratch, separate from the
+    /// block scratch so the step driver's layer and finish closures
     /// borrow disjoint state.
-    head_act: ActQuant,
-    head_iacc: GemvScratch,
+    head_acts: Vec<ActQuant>,
+    head_gemm: GemvScratch,
 }
 
 impl QuantWorkspace {
@@ -197,7 +219,8 @@ impl QuantWorkspace {
         QuantWorkspace::default()
     }
 
-    /// Logits of the latest
+    /// Logits of the latest step, one per item whose logits were asked
+    /// for — every item of a
     /// [`QuantizedMamba::forward_step_batch_indexed_with`] call,
     /// index-aligned with its `items`.
     pub fn logits(&self) -> &[Vec<f32>] {
@@ -223,26 +246,25 @@ impl ParQuantWorkspace {
         ParQuantWorkspace::default()
     }
 
-    /// Logits of the latest parallel step in `items` order (shard
-    /// ranges are contiguous, so chaining shards restores batch order).
+    /// Logits of the latest parallel step — one per item whose logits
+    /// were asked for — in `items` order (shard ranges are contiguous, so
+    /// chaining shards restores batch order).
     pub fn logits(&self) -> impl Iterator<Item = &Vec<f32>> + '_ {
         self.shards[..self.plan.used()]
             .iter()
             .flat_map(|ws| ws.logits().iter())
     }
 
-    /// Logits of item `j` of the latest parallel step.
+    /// The `m`-th logits of the latest parallel step, i.e.
+    /// `logits().nth(m)`.
     ///
     /// # Panics
     ///
-    /// If `j` is not an item index of the latest step.
-    pub fn logits_at(&self, j: usize) -> &Vec<f32> {
-        for (k, &(lo, hi)) in self.plan.ranges().iter().enumerate() {
-            if j >= lo && j < hi {
-                return &self.shards[k].logits()[j - lo];
-            }
-        }
-        panic!("logit index {j} out of range for the latest step");
+    /// If the latest step produced `m` logits or fewer.
+    pub fn logits_at(&self, m: usize) -> &Vec<f32> {
+        self.logits()
+            .nth(m)
+            .unwrap_or_else(|| panic!("logit index {m} out of range for the latest step"))
     }
 }
 
@@ -467,189 +489,283 @@ impl QuantizedMamba {
         self.exec == ExecMode::Integer
     }
 
-    /// Advances one block given the residual-stream input `x` and that
-    /// block's recurrent state, with every temporary in `scratch`. This
-    /// is the shared per-sequence core of the sequential and batched
-    /// paths, so the two are bit-identical by construction *per
-    /// sequence* (their loop orders differ: sequential is block-outer,
-    /// batched is layer-outer/sequence-inner).
-    fn block_step_with(
+    /// Advances every sequence of a sub-batch through one block, as
+    /// phases: per sequence whatever touches only that sequence, and one
+    /// GEMM across the sub-batch for each projection. A batch of one
+    /// runs the same code, so per-sequence arithmetic — and therefore
+    /// every logit and state bit — does not depend on the batch.
+    fn layer_step(
         &self,
         block: &QBlock,
-        x: &mut [f32],
-        lstate: &mut LayerState,
+        xs: &mut [Vec<f32>],
+        lstates: &mut LayerBatch<'_, '_>,
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        let act = self.precision.act;
-        let ssm_scheme = self.precision.ssm;
-        let di = self.cfg.d_inner();
-        let g = self.cfg.ngroups * self.cfg.d_state;
-        scratch.block.prepare(&self.cfg);
+        let n = xs.len();
+        scratch.prepare(n, &self.cfg);
+        let QuantScratch { blocks, acts, gemm } = scratch;
+        let (blocks, acts) = (&mut blocks[..n], &mut acts[..n]);
 
-        // Pre-norm + method-specific activation conditioning.
-        scratch.block.normed.copy_from_slice(x);
-        norm::rms_norm(&mut scratch.block.normed, &block.norm_gamma, 1e-5);
+        for ((x, s), act) in xs.iter().zip(blocks.iter_mut()).zip(acts.iter_mut()) {
+            self.pre_in_proj(block, x, s, act)?;
+        }
+        match (&block.w_in_packed, self.integer()) {
+            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.proj)?,
+            _ => {
+                for s in blocks.iter_mut() {
+                    block.w_in.vecmat_into(&s.normed, &mut s.proj)?;
+                }
+            }
+        }
+        for (k, (s, act)) in blocks.iter_mut().zip(acts.iter_mut()).enumerate() {
+            self.mix(block, s, lstates.state_mut(k), act)?;
+        }
+        match (&block.w_out_packed, self.integer()) {
+            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.out)?,
+            _ => {
+                for s in blocks.iter_mut() {
+                    block.w_out.vecmat_into(&s.y, &mut s.out)?;
+                }
+            }
+        }
+        for (x, s) in xs.iter_mut().zip(blocks.iter_mut()) {
+            if let Some(bias) = &block.w_out_bias {
+                for (o, b) in s.out.iter_mut().zip(bias.iter()) {
+                    *o += b;
+                }
+            }
+            for (xi, oi) in x.iter_mut().zip(s.out.iter()) {
+                *xi += oi;
+            }
+        }
+        Ok(())
+    }
+
+    /// Quantizes a projection's input for the active execution mode:
+    /// integer codes into `act` on the hot path, quantize→dequantize in
+    /// place on the oracle path.
+    fn quantize_act(&self, v: &mut [f32], act: &mut ActQuant) -> Result<()> {
+        match (self.precision.act, self.integer()) {
+            (Some(scheme), true) => act.quantize(v, scheme),
+            (Some(scheme), false) => fake_quant_slice(v, scheme),
+            (None, _) => Ok(()),
+        }
+    }
+
+    /// One sequence, up to the input projection: pre-norm of the
+    /// residual stream `x` into `s.normed`, the method's activation
+    /// conditioning, activation quantization.
+    fn pre_in_proj(
+        &self,
+        block: &QBlock,
+        x: &[f32],
+        s: &mut BlockScratch,
+        act: &mut ActQuant,
+    ) -> Result<()> {
+        s.normed.copy_from_slice(x);
+        norm::rms_norm(&mut s.normed, &block.norm_gamma, 1e-5);
         if let Some(shift) = &block.in_act_shift {
-            for (v, s) in scratch.block.normed.iter_mut().zip(shift.iter()) {
+            for (v, s) in s.normed.iter_mut().zip(shift.iter()) {
                 *v -= s;
             }
         }
         if let Some(scale) = &block.in_act_scale {
-            for (v, s) in scratch.block.normed.iter_mut().zip(scale.iter()) {
+            for (v, s) in s.normed.iter_mut().zip(scale.iter()) {
                 *v /= s;
             }
         }
+        self.quantize_act(&mut s.normed, act)
+    }
 
-        // Input projection: integer GEMV over packed nibbles on the hot
-        // path, fake-quant + f32 GEMV on the oracle path.
-        match (&block.w_in_packed, self.integer()) {
-            (Some(packed), true) => {
-                let scheme = act.expect("packable precision has an act scheme");
-                scratch.act.quantize(&scratch.block.normed, scheme)?;
-                gemv_packed(
-                    packed,
-                    &scratch.act,
-                    &mut scratch.iacc,
-                    &mut scratch.block.proj,
-                )?;
-            }
-            _ => {
-                if let Some(s) = act {
-                    fake_quant_slice(&mut scratch.block.normed, s)?;
-                }
-                block
-                    .w_in
-                    .vecmat_into(&scratch.block.normed, &mut scratch.block.proj)?;
-            }
-        }
+    /// One sequence, between the projections: from `scratch.proj` (the
+    /// input projection's output) through conv, SiLU, the SSM
+    /// recurrence on `lstate`, gated norm, online rotation and the
+    /// method's conditioning to the quantized out_proj input in
+    /// `scratch.y` / `act`.
+    fn mix(
+        &self,
+        block: &QBlock,
+        scratch: &mut BlockScratch,
+        lstate: &mut LayerState,
+        act: &mut ActQuant,
+    ) -> Result<()> {
+        let ssm_scheme = self.precision.ssm;
+        let di = self.cfg.d_inner();
+        let g = self.cfg.ngroups * self.cfg.d_state;
         if let Some(bias) = &block.w_in_bias {
-            for (p, b) in scratch.block.proj.iter_mut().zip(bias.iter()) {
+            for (p, b) in scratch.proj.iter_mut().zip(bias.iter()) {
                 *p += b;
             }
         }
         let s = &self.split;
 
         // Causal conv over (x, B, C), then SiLU on the conv output.
-        scratch.block.conv_in[0..di].copy_from_slice(&scratch.block.proj[s.x.0..s.x.1]);
-        scratch.block.conv_in[di..di + g].copy_from_slice(&scratch.block.proj[s.b.0..s.b.1]);
-        scratch.block.conv_in[di + g..di + 2 * g]
-            .copy_from_slice(&scratch.block.proj[s.c.0..s.c.1]);
+        scratch.conv_in[0..di].copy_from_slice(&scratch.proj[s.x.0..s.x.1]);
+        scratch.conv_in[di..di + g].copy_from_slice(&scratch.proj[s.b.0..s.b.1]);
+        scratch.conv_in[di + g..di + 2 * g].copy_from_slice(&scratch.proj[s.c.0..s.c.1]);
         lstate.conv.step_into(
-            &scratch.block.conv_in,
+            &scratch.conv_in,
             &block.conv_weight,
             &block.conv_bias,
-            &mut scratch.block.conv_out,
+            &mut scratch.conv_out,
         )?;
-        activation::silu_slice(&mut scratch.block.conv_out);
+        activation::silu_slice(&mut scratch.conv_out);
 
         // SSM quantization (LightMamba*): quantize the element-wise
         // chain's operands and re-quantize state and output, modelling
         // the INT8 per-group PoT dataflow of the SSMU (identical in both
         // execution modes — the SSM never runs on the MMU).
         if let Some(sq) = ssm_scheme {
-            fake_quant_slice(&mut scratch.block.conv_out[0..di], sq)?;
-            fake_quant_slice(&mut scratch.block.conv_out[di..di + g], sq)?;
-            fake_quant_slice(&mut scratch.block.conv_out[di + g..di + 2 * g], sq)?;
+            fake_quant_slice(&mut scratch.conv_out[0..di], sq)?;
+            fake_quant_slice(&mut scratch.conv_out[di..di + g], sq)?;
+            fake_quant_slice(&mut scratch.conv_out[di + g..di + 2 * g], sq)?;
         }
         ssm_step_into(
             self.dims,
-            &scratch.block.conv_out[0..di],
-            &scratch.block.conv_out[di..di + g],
-            &scratch.block.conv_out[di + g..di + 2 * g],
-            &scratch.block.proj[s.dt.0..s.dt.1],
+            &scratch.conv_out[0..di],
+            &scratch.conv_out[di..di + g],
+            &scratch.conv_out[di + g..di + 2 * g],
+            &scratch.proj[s.dt.0..s.dt.1],
             &block.a_log,
             &block.dt_bias,
             &block.d_skip,
             &mut lstate.h,
-            &mut scratch.block.y,
+            &mut scratch.y,
         )?;
         if let Some(sq) = ssm_scheme {
             fake_quant_slice(&mut lstate.h, sq)?;
-            fake_quant_slice(&mut scratch.block.y, sq)?;
+            fake_quant_slice(&mut scratch.y, sq)?;
         }
 
         // Gated norm (scale kept unfused per Fig. 4b), online rotation,
         // method-specific conditioning, activation quantization.
         norm::gated_rms_norm(
-            &mut scratch.block.y,
-            &scratch.block.proj[s.z.0..s.z.1],
+            &mut scratch.y,
+            &scratch.proj[s.z.0..s.z.1],
             &block.gate_norm_gamma,
             1e-5,
         );
         if let Some(h) = &block.online_hadamard {
-            h.apply(&mut scratch.block.y);
+            h.apply(&mut scratch.y);
         }
         if let Some(shift) = &block.out_act_shift {
-            for (v, s) in scratch.block.y.iter_mut().zip(shift.iter()) {
+            for (v, s) in scratch.y.iter_mut().zip(shift.iter()) {
                 *v -= s;
             }
         }
         if let Some(scale) = &block.out_act_scale {
-            for (v, s) in scratch.block.y.iter_mut().zip(scale.iter()) {
+            for (v, s) in scratch.y.iter_mut().zip(scale.iter()) {
                 *v /= s;
             }
         }
+        self.quantize_act(&mut scratch.y, act)
+    }
 
-        // Output projection, then the residual add.
-        match (&block.w_out_packed, self.integer()) {
-            (Some(packed), true) => {
-                let scheme = act.expect("packable precision has an act scheme");
-                scratch.act.quantize(&scratch.block.y, scheme)?;
-                gemv_packed(
-                    packed,
-                    &scratch.act,
-                    &mut scratch.iacc,
-                    &mut scratch.block.out,
-                )?;
-            }
+    /// Final norm + optional activation quantization + LM head for the
+    /// residual streams whose logits are wanted, one GEMM for all of
+    /// them, writing into reusable logits buffers.
+    fn logits_into(
+        &self,
+        xs: &mut [Vec<f32>],
+        logits: &mut [Vec<f32>],
+        acts: &mut Vec<ActQuant>,
+        gemm: &mut GemvScratch,
+    ) -> Result<()> {
+        if acts.len() < xs.len() {
+            acts.resize_with(xs.len(), ActQuant::new);
+        }
+        let acts = &mut acts[..xs.len()];
+        for (x, act) in xs.iter_mut().zip(acts.iter_mut()) {
+            norm::rms_norm(x, &self.weights.final_norm_gamma, 1e-5);
+            self.quantize_act(x, act)?;
+        }
+        match (&self.weights.lm_head_packed, self.integer()) {
+            (Some(packed), true) => gemm_packed(packed, acts, gemm, logits)?,
             _ => {
-                if let Some(s) = act {
-                    fake_quant_slice(&mut scratch.block.y, s)?;
+                for (x, logits) in xs.iter().zip(logits.iter_mut()) {
+                    logits.resize(self.cfg.vocab_size, 0.0);
+                    self.weights.lm_head.vecmat_into(x, logits)?;
                 }
-                block
-                    .w_out
-                    .vecmat_into(&scratch.block.y, &mut scratch.block.out)?;
             }
-        }
-        if let Some(bias) = &block.w_out_bias {
-            for (o, b) in scratch.block.out.iter_mut().zip(bias.iter()) {
-                *o += b;
-            }
-        }
-        for (xi, oi) in x.iter_mut().zip(scratch.block.out.iter()) {
-            *xi += oi;
         }
         Ok(())
     }
 
-    /// Final norm + optional activation quantization + LM head, writing
-    /// into a reusable logits buffer.
-    fn logits_into(
+    /// One shard's share of a step with this model's kernels — the
+    /// quantized closures of [`drive_step_shard`].
+    ///
+    /// # Safety
+    ///
+    /// The contract of [`drive_step_shard`].
+    unsafe fn step_shard(
         &self,
-        x: &mut [f32],
-        logits: &mut Vec<f32>,
-        act: &mut ActQuant,
-        iacc: &mut GemvScratch,
+        items: &[(usize, u32)],
+        want: Option<&[bool]>,
+        states: &StateShards<'_>,
+        ws: &mut QuantWorkspace,
     ) -> Result<()> {
-        norm::rms_norm(x, &self.weights.final_norm_gamma, 1e-5);
-        logits.resize(self.cfg.vocab_size, 0.0);
-        match (&self.weights.lm_head_packed, self.integer()) {
-            (Some(packed), true) => {
-                let scheme = self
-                    .precision
-                    .act
-                    .expect("packable precision has an act scheme");
-                act.quantize(x, scheme)?;
-                gemv_packed(packed, act, iacc, logits)?;
-            }
-            _ => {
-                if let Some(s) = self.precision.act {
-                    fake_quant_slice(x, s)?;
-                }
-                self.weights.lm_head.vecmat_into(x, logits)?;
-            }
+        let scratch = &mut ws.scratch;
+        let head_acts = &mut ws.head_acts;
+        let head_gemm = &mut ws.head_gemm;
+        // SAFETY: forwarded from this function's contract.
+        unsafe {
+            drive_step_shard(
+                &self.cfg,
+                items,
+                want,
+                states,
+                &mut ws.step,
+                |token, buf| {
+                    let row = self.weights.embedding.row(token as usize)?;
+                    buf.clear();
+                    buf.extend_from_slice(row);
+                    Ok(())
+                },
+                |layer, xs, lstates| {
+                    self.layer_step(&self.weights.blocks[layer], xs, lstates, scratch)
+                },
+                |xs, logits| self.logits_into(xs, logits, head_acts, head_gemm),
+            )
         }
-        Ok(())
+    }
+
+    fn step_with(
+        &self,
+        items: &[(usize, u32)],
+        want: Option<&[bool]>,
+        states: &mut [ModelState],
+        ws: &mut QuantWorkspace,
+    ) -> Result<()> {
+        ws.step.validate(&self.cfg, items, states)?;
+        // SAFETY: the batch was just validated (slots in bounds and
+        // unique, states shaped for this model, tokens in range) and
+        // this single shard is the only user of the view.
+        unsafe { self.step_shard(items, want, &StateShards::new(states), ws) }
+    }
+
+    fn step_par_with(
+        &self,
+        items: &[(usize, u32)],
+        want: Option<&[bool]>,
+        states: &mut [ModelState],
+        pool: &WorkerPool,
+        ws: &mut ParQuantWorkspace,
+    ) -> Result<()> {
+        drive_step_batch_indexed_par(
+            &self.cfg,
+            items,
+            want,
+            states,
+            pool,
+            &mut ws.plan,
+            &mut ws.shards,
+            // SAFETY: the batch was validated duplicate-free and the
+            // planner hands each shard a disjoint contiguous range, so
+            // each shard exclusively owns its slots.
+            |items, want, view, qws: &mut QuantWorkspace| unsafe {
+                self.step_shard(items, want, view, qws)
+            },
+        )
     }
 
     /// One decode step against an external state (the serving path; the
@@ -686,33 +802,15 @@ impl QuantizedMamba {
         states: &mut [ModelState],
         ws: &mut QuantWorkspace,
     ) -> Result<()> {
-        let scratch = &mut ws.scratch;
-        let head_act = &mut ws.head_act;
-        let head_iacc = &mut ws.head_iacc;
-        batch::drive_step_batch_indexed_into(
-            &self.cfg,
-            items,
-            states,
-            &mut ws.step,
-            |token, buf| {
-                let row = self.weights.embedding.row(token as usize)?;
-                buf.clear();
-                buf.extend_from_slice(row);
-                Ok(())
-            },
-            |layer, x, lstate| {
-                self.block_step_with(&self.weights.blocks[layer], x, lstate, scratch)
-            },
-            |x, logits| self.logits_into(x, logits, head_act, head_iacc),
-        )
+        self.step_with(items, None, states, ws)
     }
 
     /// Multi-core batched decode step: like
     /// [`QuantizedMamba::forward_step_batch_indexed_with`], but the
     /// validated batch is sharded into contiguous ranges and each
-    /// range's weight-stationary sweep runs on its own pool thread with
-    /// its own workspace (packed weights are shared read-only through
-    /// the model's `Arc`). Logits land in `ws` (see
+    /// range's phase-batched step runs on its own pool thread with its
+    /// own workspace (packed weights are shared read-only through the
+    /// model's `Arc`). Logits land in `ws` (see
     /// [`ParQuantWorkspace::logits`]), index-aligned with `items`, and
     /// are bit-identical to the sequential path for any thread count.
     ///
@@ -727,62 +825,58 @@ impl QuantizedMamba {
         pool: &WorkerPool,
         ws: &mut ParQuantWorkspace,
     ) -> Result<()> {
-        drive_step_batch_indexed_par(
-            &self.cfg,
-            items,
-            states,
-            pool,
-            &mut ws.plan,
-            &mut ws.shards,
-            |shard_items, view, qws: &mut QuantWorkspace| {
-                let scratch = &mut qws.scratch;
-                let head_act = &mut qws.head_act;
-                let head_iacc = &mut qws.head_iacc;
-                // SAFETY: the batch was validated duplicate-free and the
-                // planner hands each shard a disjoint contiguous range,
-                // so this shard exclusively owns its slots.
-                unsafe {
-                    drive_step_shard(
-                        &self.cfg,
-                        shard_items,
-                        view,
-                        &mut qws.step,
-                        |token, buf| {
-                            let row = self.weights.embedding.row(token as usize)?;
-                            buf.clear();
-                            buf.extend_from_slice(row);
-                            Ok(())
-                        },
-                        |layer, x, lstate| {
-                            self.block_step_with(&self.weights.blocks[layer], x, lstate, scratch)
-                        },
-                        |x, logits| self.logits_into(x, logits, head_act, head_iacc),
-                    )
-                }
-            },
-        )
+        self.step_par_with(items, None, states, pool, ws)
     }
 
-    /// Multi-core ragged prefill: the parallel twin of
-    /// [`QuantizedMamba::prefill_batch_with`], driving the sharded step
-    /// position-by-position. Only the returned finals allocate.
+    /// Workspace-threaded ragged advance (batched prefill, a prefill
+    /// chunk, a decode step): feeds `items[k].1` into
+    /// `states[items[k].0]` position by position, reusing `ws`, and
+    /// returns each item's logits after its final token. The final norm
+    /// and LM head run only at those final positions. Only the returned
+    /// logits allocate.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`QuantizedMamba::prefill_batch`].
-    pub fn prefill_batch_par_with(
+    /// Rejects items without tokens, plus the conditions of
+    /// [`QuantizedMamba::forward_step_batch_indexed`] (checked before
+    /// any state advances, for the first position).
+    pub fn advance_batch_indexed_with(
         &self,
-        prompts: &[&[u32]],
+        items: &[(usize, &[u32])],
+        states: &mut [ModelState],
+        ws: &mut QuantWorkspace,
+    ) -> Result<Vec<Vec<f32>>> {
+        batch::drive_advance_batch_with(
+            items,
+            states,
+            ws,
+            |items, want, states, ws| self.step_with(items, Some(want), states, ws),
+            |ws, m| ws.logits()[m].clone(),
+        )
+    }
+
+    /// Multi-core ragged advance: the parallel twin of
+    /// [`QuantizedMamba::advance_batch_indexed_with`], driving the
+    /// sharded step position-by-position. Only the returned logits
+    /// allocate.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as
+    /// [`QuantizedMamba::advance_batch_indexed_with`].
+    pub fn advance_batch_indexed_par_with(
+        &self,
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
         pool: &WorkerPool,
         ws: &mut ParQuantWorkspace,
     ) -> Result<Vec<Vec<f32>>> {
-        batch::drive_prefill_batch_with(
-            prompts,
+        batch::drive_advance_batch_with(
+            items,
             states,
             ws,
-            |items, states, ws| self.forward_step_batch_indexed_par_with(items, states, pool, ws),
-            |ws, j| ws.logits_at(j).clone(),
+            |items, want, states, ws| self.step_par_with(items, Some(want), states, pool, ws),
+            |ws, m| ws.logits_at(m).clone(),
         )
     }
 
@@ -791,9 +885,10 @@ impl QuantizedMamba {
     /// sequence's next-token logits as `(state_index, logits)` — the
     /// quantized mirror of
     /// [`lightmamba_model::MambaModel::forward_step_batch_indexed`],
-    /// layer-outer/sequence-inner so each block's weights are touched
-    /// once per step. Per-sequence arithmetic is bit-identical to the
-    /// sequential [`StepModel`] decode.
+    /// layer-outer with each linear layer one GEMM over the batch, so
+    /// each block's weights are streamed once per step. Per-sequence
+    /// arithmetic is bit-identical to the sequential [`StepModel`]
+    /// decode.
     ///
     /// # Errors
     ///
@@ -852,29 +947,6 @@ impl QuantizedMamba {
         out
     }
 
-    /// Workspace-threaded ragged prefill: consumes `prompts[k]` into
-    /// `states[k]` position-by-position reusing `ws` across positions,
-    /// and returns each sequence's logits after its final prompt token.
-    /// Only the returned finals allocate (once per sequence).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantizedMamba::prefill_batch`].
-    pub fn prefill_batch_with(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-        ws: &mut QuantWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        batch::drive_prefill_batch_with(
-            prompts,
-            states,
-            ws,
-            |items, states, ws| self.forward_step_batch_indexed_with(items, states, ws),
-            |ws, j| ws.logits()[j].clone(),
-        )
-    }
-
     /// Batched prefill over ragged prompts: consumes `prompts[k]` into
     /// `states[k]` position-by-position and returns each sequence's
     /// logits after its final prompt token (mirrors
@@ -889,7 +961,8 @@ impl QuantizedMamba {
         prompts: &[&[u32]],
         states: &mut [ModelState],
     ) -> Result<Vec<Vec<f32>>> {
-        self.prefill_batch_with(prompts, states, &mut QuantWorkspace::new())
+        let items = batch::prefill_items(prompts, states)?;
+        self.advance_batch_indexed_with(&items, states, &mut QuantWorkspace::new())
     }
 }
 
@@ -1120,13 +1193,99 @@ mod tests {
             .forward_step_batch_indexed(&[(0, 1), (0, 2)], &mut states)
             .is_err());
         assert_eq!(states, before, "states must be untouched on error");
+        // A token outside the vocabulary rejects the whole batch, on the
+        // sharded path too.
+        let bad = q.config().vocab_size as u32;
+        assert!(q
+            .forward_step_batch_indexed(&[(0, 1), (1, bad)], &mut states)
+            .is_err());
+        assert!(q
+            .forward_step_batch_indexed_par_with(
+                &[(0, 1), (1, bad)],
+                &mut states,
+                &WorkerPool::new(4),
+                &mut ParQuantWorkspace::new(),
+            )
+            .is_err());
+        assert_eq!(states, before, "states must be untouched on error");
         // A state shaped for a different config is rejected up front.
         let mut other_cfg = MambaConfig::tiny();
         other_cfg.d_state = 32;
         let mut states = vec![q.new_state(), ModelState::new(&other_cfg)];
+        let before = states.clone();
         assert!(q
             .forward_step_batch_indexed(&[(0, 1), (1, 2)], &mut states)
             .is_err());
+        assert_eq!(states, before, "states must be untouched on error");
+    }
+
+    #[test]
+    fn phase_batched_steps_match_sequential_at_every_batch_size() {
+        // Ragged prefill then one decode step, batches of 1..=9 (every
+        // K-block remainder), both execution modes, unsharded and
+        // sharded over 1 and 4 threads — against one sequence at a time
+        // through `forward_step_with`. Logits and states, bit for bit.
+        let model = reference();
+        let prepared = PreparedModel::from_reference(&model).unwrap();
+        let q_int = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+        let q_fake = q_int.clone().with_exec_mode(ExecMode::FakeQuant).unwrap();
+        let prompts: Vec<Vec<u32>> = (0..9u32)
+            .map(|k| {
+                (0..1 + (k * 5) % 4)
+                    .map(|i| (k * 31 + i * 7) % 256)
+                    .collect()
+            })
+            .collect();
+        let next = |k: usize| (k as u32 * 13 + 3) % 256;
+        for q in [&q_int, &q_fake] {
+            let mut want_states = Vec::new();
+            let mut want_prefill = Vec::new();
+            let mut want_decode = Vec::new();
+            for (k, prompt) in prompts.iter().enumerate() {
+                let mut state = q.new_state();
+                let mut last = Vec::new();
+                for &t in prompt {
+                    last = q.forward_step_with(t, &mut state).unwrap();
+                }
+                want_prefill.push(last);
+                want_decode.push(q.forward_step_with(next(k), &mut state).unwrap());
+                want_states.push(state);
+            }
+            for n in 1..=prompts.len() {
+                let ragged: Vec<(usize, &[u32])> =
+                    prompts[..n].iter().map(|p| &p[..]).enumerate().collect();
+                let decode: Vec<(usize, u32)> = (0..n).map(|k| (k, next(k))).collect();
+                let fresh = || -> Vec<ModelState> { (0..n).map(|_| q.new_state()).collect() };
+                let label = format!("{:?} batch {n}", q.exec_mode());
+
+                let mut states = fresh();
+                let mut ws = QuantWorkspace::new();
+                let prefill = q
+                    .advance_batch_indexed_with(&ragged, &mut states, &mut ws)
+                    .unwrap();
+                assert_eq!(prefill, want_prefill[..n], "{label}: prefill");
+                q.forward_step_batch_indexed_with(&decode, &mut states, &mut ws)
+                    .unwrap();
+                assert_eq!(ws.logits(), &want_decode[..n], "{label}: decode");
+                assert_eq!(states, want_states[..n], "{label}: states");
+
+                for threads in [1, 4] {
+                    let pool = WorkerPool::new(threads);
+                    let mut states = fresh();
+                    let mut ws = ParQuantWorkspace::new();
+                    let prefill = q
+                        .advance_batch_indexed_par_with(&ragged, &mut states, &pool, &mut ws)
+                        .unwrap();
+                    assert_eq!(prefill, want_prefill[..n], "{label} t{threads}: prefill");
+                    q.forward_step_batch_indexed_par_with(&decode, &mut states, &pool, &mut ws)
+                        .unwrap();
+                    let logits: Vec<&Vec<f32>> = ws.logits().collect();
+                    let want: Vec<&Vec<f32>> = want_decode[..n].iter().collect();
+                    assert_eq!(logits, want, "{label} t{threads}: decode");
+                    assert_eq!(states, want_states[..n], "{label} t{threads}: states");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,54 +1,109 @@
-//! Runtime-dispatched SIMD variants of the packed W4A4 accumulate loops.
+//! The output-stationary W4A4 micro-kernel and its instruction-set
+//! dispatch.
 //!
-//! The hot work of [`crate::kernels::gemv_packed`] / `gemm_packed` is the
-//! nibble unpack–multiply–accumulate over one packed byte row per nonzero
-//! activation code. This module holds that inner loop in three forms:
+//! [`crate::kernels::gemm_packed`] walks a packed weight tile by tile;
+//! everything it does per tile funnels into one function, `mac_tile`:
+//! *for up to four activations at once, add the integer dot products of
+//! a run of input pairs into a tile's 32 accumulators*. The accumulators
+//! stay where they are for the whole run (registers, in the AVX2 form)
+//! while the weights stream past once and are shared by every activation
+//! of the block — the dataflow of the paper's MMU.
 //!
-//! * **scalar** — the portable form, always compiled. This is the
-//!   proptested oracle; the SIMD forms must match it *bit-for-bit*.
-//! * **AVX2** (`x86_64`, behind the `simd` cargo feature) — 16 packed
-//!   bytes per iteration into i16 planes, 8 per iteration into i32.
-//! * **NEON** (`aarch64`, behind the `simd` cargo feature) — the same
-//!   strides with 128-bit vectors.
+//! # The block the kernel consumes
 //!
-//! # Why SIMD is exactly bit-identical here
+//! One block is 32 bytes: the 64 weights of one 32-output tile × one
+//! input pair `(i, i+1)`, each stored as the unsigned nibble
+//! `code + 8 ∈ [0, 15]`. For `j = 0..16`:
 //!
-//! The vectorized loops perform only *integer* operations — nibble mask,
-//! `(c ^ 8) − 8` sign extension, widening, multiply, add — each of which
-//! is exact and element-independent, and they accumulate in the same
-//! per-element slots as the scalar loop (one add per output element per
-//! row, so not even integer associativity is exercised). The f32 rescale
-//! stays scalar in the callers, so no float operation is reordered.
-//! Equality with the scalar oracle is therefore exact, not approximate —
-//! pinned by proptests in `tests/kernel_props.rs`.
+//! ```text
+//!              byte 2j                          byte 2j+1
+//!   ┌────────────────┬─────────────┐  ┌──────────────────┬───────────────┐
+//!   │ hi  w[i][16+j] │ lo  w[i][j] │  │ hi  w[i+1][16+j] │ lo  w[i+1][j] │
+//!   └────────────────┴─────────────┘  └──────────────────┴───────────────┘
+//! ```
 //!
-//! Dispatch is a one-time CPU check ([`detect`], cached): compiling the
-//! `simd` feature on a host without AVX2/NEON simply runs scalar.
+//! Masking the low nibbles of a block therefore yields, for outputs
+//! `0..16` of the tile, the byte pairs `(w[i][j], w[i+1][j])`, and
+//! shifting yields the same for outputs `16..32` — exactly the operand
+//! shape of `maddubs_epi16(weights_u8, activation_pair_i8)`, whose i16
+//! lane `j` is `w[i][j]·a[i] + w[i+1][j]·a[i+1]`. An AVX2 step is
+//! load → `and` / `srli`+`and` → `maddubs` → `add_epi16`.
+//!
+//! Weights enter unsigned because `maddubs` wants one unsigned operand;
+//! the caller removes the bias exactly afterwards (`Σ(c+8)·q − 8·Σq`).
+//!
+//! # Why i16 accumulators are exact
+//!
+//! A `maddubs` pair sum is at most `2·15·127 = 3810`, far from
+//! saturation, and a lane that has absorbed `n` inputs holds at most
+//! `n·15·qmaxₐ`. `flush_pairs` turns `n·15·qmaxₐ ≤ i16::MAX` into the
+//! number of input pairs one `mac_tile` call may take; the caller never
+//! passes more, and each call widens its i16 lanes into the caller's i32
+//! accumulators before returning — the same kernel whether a group fits
+//! in one call or not. W4A4 at group 128 reaches 13 440: one call per
+//! group. 8-bit activations flush every 8 pairs (16 inputs).
+//!
+//! # Forms
+//!
+//! * **scalar** — always compiled; the same i16-then-widen sums as
+//!   16-lane loops a baseline compiler vectorizes. It is the oracle
+//!   tier-1 runs (in debug builds its i16 adds trap on overflow, so the
+//!   bound above is checked on every test run) and the kernel of every
+//!   host without the `simd` feature or without AVX2.
+//! * **AVX2** (`x86_64`, behind the `simd` cargo feature), as above.
+//!
+//! Both forms compute the same integers, and every float operation
+//! stays in the caller, so dispatched and scalar results are
+//! bit-identical (pinned in `tests/kernel_props.rs`).
+//!
+//! There is no NEON form: the build image has no `aarch64` target to
+//! compile-check one against, so `aarch64` runs the scalar form.
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-pub use avx2::{accumulate_row_i16_avx2, accumulate_row_i32_avx2};
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-pub use neon::{accumulate_row_i16_neon, accumulate_row_i32_neon};
+/// Outputs per weight tile.
+pub(crate) const TILE: usize = 32;
 
-/// Which instruction set the packed-kernel inner loops run with.
-///
-/// Produced by [`detect`]; the scalar variant is always available and is
-/// the reference the others are proptested against.
+/// Activations that share one pass over a tile's weights.
+pub(crate) const KBLOCK: usize = 4;
+
+/// One tile × one input pair of packed weights (module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lanes {
-    /// Portable scalar loops (the bit-exactness oracle).
-    Scalar,
-    /// 256-bit AVX2 loops (x86_64, runtime-detected).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx2,
-    /// 128-bit NEON loops (aarch64, runtime-detected).
-    #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-    Neon,
+pub(crate) struct Block(pub(crate) [u8; TILE]);
+
+/// One activation's codes for an input pair `(i, i+1)`: the two i8
+/// codes, twice over (`[q₀, q₁, q₀, q₁]`, little-endian), so the AVX2
+/// form broadcasts a pair with a plain 32-bit load.
+pub(crate) type CodePair = i32;
+
+/// Packs two activation codes into a [`CodePair`].
+#[inline]
+pub(crate) fn code_pair(q0: i8, q1: i8) -> CodePair {
+    i32::from_le_bytes([q0 as u8, q1 as u8, q0 as u8, q1 as u8])
 }
 
-/// Detects the best available instruction set once (cached) — an AVX2 /
-/// NEON CPUID-style check under the `simd` feature, always
-/// [`Lanes::Scalar`] without it.
+/// Largest number of input pairs one [`mac_tile`] call may accumulate
+/// for activation codes bounded by `act_qmax`: the i16 lanes hold
+/// `2·pairs·15·qmaxₐ`, which must not exceed `i16::MAX`.
+#[inline]
+pub(crate) fn flush_pairs(act_qmax: i32) -> usize {
+    (i16::MAX as usize / (2 * 15 * act_qmax.max(1) as usize)).max(1)
+}
+
+/// Which instruction set the micro-kernel runs with.
+///
+/// Produced by [`detect`]; the scalar variant is always available and is
+/// the reference the other is tested against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lanes {
+    /// The portable scalar form (the bit-exactness oracle).
+    Scalar,
+    /// The 256-bit AVX2 form (x86_64, runtime-detected).
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx2,
+}
+
+/// Detects the best available instruction set once (cached) — an AVX2
+/// CPUID check under the `simd` feature on x86_64, [`Lanes::Scalar`]
+/// everywhere else.
 pub fn detect() -> Lanes {
     static ACTIVE: std::sync::OnceLock<Lanes> = std::sync::OnceLock::new();
     *ACTIVE.get_or_init(|| {
@@ -58,311 +113,153 @@ pub fn detect() -> Lanes {
                 return Lanes::Avx2;
             }
         }
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        {
-            if std::arch::is_aarch64_feature_detected!("neon") {
-                return Lanes::Neon;
-            }
-        }
         Lanes::Scalar
     })
 }
 
-/// Human-readable name of the detected instruction set ("avx2", "neon",
-/// or "scalar") — surfaced by the bench bins so archived BENCH_JSON
-/// records what actually ran.
+/// Human-readable name of the detected instruction set ("avx2" or
+/// "scalar") — surfaced by the bench bins so archived results record
+/// what actually ran.
 pub fn active_isa() -> &'static str {
     match detect() {
         Lanes::Scalar => "scalar",
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         Lanes::Avx2 => "avx2",
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        Lanes::Neon => "neon",
     }
 }
 
-/// Accumulates one packed weight row (input channel `i`'s nibbles across
-/// all outputs) into the even/odd accumulator planes, scaled by the
-/// activation code `q`. Nibble sign-extension is branchless
-/// (`(n ^ 8) - 8`), both planes are stride-1, and the zips are
-/// bounds-check free — the scalar loop auto-vectorizes reasonably and is
-/// the bit-exactness oracle for the explicit SIMD forms.
+/// The micro-kernel: for each activation `k`, adds
+/// `Σ_p blocks[p] · acts[k][p]` (the unsigned-weight dot products of
+/// `blocks.len()` input pairs, per tile output) into `acc[k]`.
+///
+/// # Panics
+///
+/// Unless `acts.len() == acc.len() ≤ KBLOCK` and every `acts[k]` holds
+/// one [`CodePair`] per block. The caller additionally keeps
+/// `blocks.len() ≤ flush_pairs(qmaxₐ)` so the AVX2 lanes cannot
+/// overflow (that one is an arithmetic contract, not a memory one).
 #[inline]
-pub(crate) fn accumulate_row_i16_scalar(row: &[u8], q: i16, even: &mut [i16], odd: &mut [i16]) {
-    for ((&b, e), o) in row.iter().zip(even.iter_mut()).zip(odd.iter_mut()) {
-        *e += q * (((b & 0x0F) ^ 8) as i16 - 8);
-        *o += q * (((b >> 4) ^ 8) as i16 - 8);
-    }
-}
-
-/// The i32 twin of [`accumulate_row_i16_scalar`] for wider activations.
-#[inline]
-pub(crate) fn accumulate_row_i32_scalar(row: &[u8], q: i32, even: &mut [i32], odd: &mut [i32]) {
-    for ((&b, e), o) in row.iter().zip(even.iter_mut()).zip(odd.iter_mut()) {
-        *e += q * (((b & 0x0F) ^ 8) as i32 - 8);
-        *o += q * (((b >> 4) ^ 8) as i32 - 8);
-    }
-}
-
-/// Dispatches one i16 row accumulation to the active instruction set.
-#[inline]
-pub(crate) fn accumulate_row_i16(
+pub(crate) fn mac_tile(
     lanes: Lanes,
-    row: &[u8],
-    q: i16,
-    even: &mut [i16],
-    odd: &mut [i16],
+    blocks: &[Block],
+    acts: &[&[CodePair]],
+    acc: &mut [[i32; TILE]],
 ) {
+    assert!(acts.len() == acc.len() && acts.len() <= KBLOCK);
+    assert!(acts.iter().all(|a| a.len() == blocks.len()));
     match lanes {
-        Lanes::Scalar => accumulate_row_i16_scalar(row, q, even, odd),
+        Lanes::Scalar => mac_tile_scalar(blocks, acts, acc),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `lanes == Avx2` only comes from `detect`, which
-        // verified AVX2; slice-length contract checked by the callee's
-        // debug assertions and upheld by the plane layout (planes are at
-        // least as long as a packed row).
-        Lanes::Avx2 => unsafe { accumulate_row_i16_avx2(row, q, even, odd) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: as above, with NEON verified by `detect`.
-        Lanes::Neon => unsafe { accumulate_row_i16_neon(row, q, even, odd) },
+        // SAFETY: `Lanes::Avx2` only comes from `detect`, which verified
+        // AVX2; the length contract is asserted just above.
+        Lanes::Avx2 => unsafe {
+            match acts.len() {
+                1 => avx2::mac_tile::<1>(blocks, acts, acc),
+                2 => avx2::mac_tile::<2>(blocks, acts, acc),
+                3 => avx2::mac_tile::<3>(blocks, acts, acc),
+                4 => avx2::mac_tile::<4>(blocks, acts, acc),
+                _ => {}
+            }
+        },
     }
 }
 
-/// Dispatches one i32 row accumulation to the active instruction set.
-#[inline]
-pub(crate) fn accumulate_row_i32(
-    lanes: Lanes,
-    row: &[u8],
-    q: i32,
-    even: &mut [i32],
-    odd: &mut [i32],
-) {
-    match lanes {
-        Lanes::Scalar => accumulate_row_i32_scalar(row, q, even, odd),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `lanes == Avx2` only comes from `detect`.
-        Lanes::Avx2 => unsafe { accumulate_row_i32_avx2(row, q, even, odd) },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: `lanes == Neon` only comes from `detect`.
-        Lanes::Neon => unsafe { accumulate_row_i32_neon(row, q, even, odd) },
+/// Scalar [`mac_tile`]: the same sums in the same i16-then-widen shape,
+/// written as 16-lane loops over `u16` words so a baseline compiler
+/// vectorizes them. Debug builds trap on i16 overflow, so every tier-1
+/// run also checks the caller's [`flush_pairs`] bound.
+fn mac_tile_scalar(blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE]]) {
+    const HALF: usize = TILE / 2;
+    let mut lo = [[0i16; HALF]; KBLOCK];
+    let mut hi = [[0i16; HALF]; KBLOCK];
+    for (p, Block(bytes)) in blocks.iter().enumerate() {
+        // One word per output lane: nibbles, low to high, are
+        // (in 0, out j), (in 0, out 16+j), (in 1, out j), (in 1, out 16+j).
+        let mut w = [[0i16; HALF]; 4];
+        for (j, pair) in bytes.chunks_exact(2).enumerate() {
+            let word = u16::from_le_bytes([pair[0], pair[1]]);
+            for (n, w) in w.iter_mut().enumerate() {
+                w[j] = ((word >> (4 * n)) & 0x0F) as i16;
+            }
+        }
+        for ((a, lo), hi) in acts.iter().zip(&mut lo).zip(&mut hi) {
+            let [q0, q1, ..] = a[p].to_le_bytes();
+            let (q0, q1) = (q0 as i8 as i16, q1 as i8 as i16);
+            for j in 0..HALF {
+                lo[j] += w[0][j] * q0 + w[2][j] * q1;
+                hi[j] += w[1][j] * q0 + w[3][j] * q1;
+            }
+        }
+    }
+    for ((acc, lo), hi) in acc.iter_mut().zip(&lo).zip(&hi) {
+        for j in 0..HALF {
+            acc[j] += lo[j] as i32;
+            acc[HALF + j] += hi[j] as i32;
+        }
     }
 }
 
-/// AVX2 forms of the accumulate loops: 16 packed bytes (32 nibbles) per
-/// i16 iteration, 8 per i32 iteration, with the ragged tail handled by
-/// the scalar oracle so the whole row is covered.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    use super::{accumulate_row_i16_scalar, accumulate_row_i32_scalar};
+    use super::{Block, CodePair, TILE};
 
-    /// AVX2 [`accumulate_row_i16_scalar`](super::accumulate_row_i16_scalar):
-    /// per 128-bit load, both nibbles of 16 packed bytes are
-    /// sign-extended (`(c ^ 8) − 8` bytewise, then `cvtepi8_epi16`),
-    /// multiplied by the splatted activation code, and added into the
-    /// even/odd i16 planes. All operations are exact integer ops on the
-    /// same per-element slots as the scalar loop, so the result is
-    /// bit-identical.
+    /// AVX2 [`mac_tile`](super::mac_tile) for exactly `K` activations:
+    /// `2·K` i16 accumulator registers live across the whole run, each
+    /// block is loaded and split into its two nibble planes once, and
+    /// every activation pays one broadcast, two `maddubs` and two adds
+    /// per block. The i16 lanes are widened into `acc` on the way out.
     ///
     /// # Safety
     ///
-    /// * The CPU must support AVX2 (guaranteed when dispatched through
-    ///   [`detect`](super::detect)).
-    /// * `even.len() >= row.len()` and `odd.len() >= row.len()` — the
-    ///   unaligned vector loads/stores read and write `row.len()`
-    ///   elements of each plane.
+    /// * The CPU must support AVX2.
+    /// * `acts.len() == acc.len() == K` and every `acts[k]` is at least
+    ///   `blocks.len()` long — the loads below index by block.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_row_i16_avx2(row: &[u8], q: i16, even: &mut [i16], odd: &mut [i16]) {
-        let n = row.len();
-        debug_assert!(even.len() >= n && odd.len() >= n);
-        let qv = _mm256_set1_epi16(q);
-        let nib_mask = _mm_set1_epi8(0x0F);
-        let sign_bit = _mm_set1_epi8(8);
-        let mut i = 0;
-        while i + 16 <= n {
-            let bytes = _mm_loadu_si128(row.as_ptr().add(i) as *const __m128i);
-            let lo = _mm_sub_epi8(
-                _mm_xor_si128(_mm_and_si128(bytes, nib_mask), sign_bit),
-                sign_bit,
-            );
-            // High nibbles: a 16-bit shift drags bits across byte lanes,
-            // the mask removes them.
-            let hi = _mm_sub_epi8(
-                _mm_xor_si128(_mm_and_si128(_mm_srli_epi16(bytes, 4), nib_mask), sign_bit),
-                sign_bit,
-            );
-            let e_ptr = even.as_mut_ptr().add(i) as *mut __m256i;
-            let o_ptr = odd.as_mut_ptr().add(i) as *mut __m256i;
-            let e = _mm256_loadu_si256(e_ptr);
-            let o = _mm256_loadu_si256(o_ptr);
-            _mm256_storeu_si256(
-                e_ptr,
-                _mm256_add_epi16(e, _mm256_mullo_epi16(qv, _mm256_cvtepi8_epi16(lo))),
-            );
-            _mm256_storeu_si256(
-                o_ptr,
-                _mm256_add_epi16(o, _mm256_mullo_epi16(qv, _mm256_cvtepi8_epi16(hi))),
-            );
-            i += 16;
+    pub(super) unsafe fn mac_tile<const K: usize>(
+        blocks: &[Block],
+        acts: &[&[CodePair]],
+        acc: &mut [[i32; TILE]],
+    ) {
+        debug_assert!(acts.len() == K && acc.len() == K);
+        let nib = _mm256_set1_epi8(0x0F);
+        let mut lo = [_mm256_setzero_si256(); K];
+        let mut hi = [_mm256_setzero_si256(); K];
+        for (p, block) in blocks.iter().enumerate() {
+            // SAFETY: `Block` is 32 readable bytes; the load is unaligned.
+            let v = unsafe { _mm256_loadu_si256(block.0.as_ptr() as *const __m256i) };
+            let w_lo = _mm256_and_si256(v, nib);
+            // A 16-bit shift drags bits across byte lanes; the mask
+            // removes them.
+            let w_hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), nib);
+            for k in 0..K {
+                // SAFETY: `p < blocks.len() ≤ acts[k].len()` per the
+                // function contract.
+                let q = _mm256_set1_epi32(unsafe { *acts.get_unchecked(k).get_unchecked(p) });
+                lo[k] = _mm256_add_epi16(lo[k], _mm256_maddubs_epi16(w_lo, q));
+                hi[k] = _mm256_add_epi16(hi[k], _mm256_maddubs_epi16(w_hi, q));
+            }
         }
-        accumulate_row_i16_scalar(&row[i..], q, &mut even[i..n], &mut odd[i..n]);
-    }
-
-    /// AVX2 [`accumulate_row_i32_scalar`](super::accumulate_row_i32_scalar):
-    /// as the i16 form but widening 8 packed bytes to i32 lanes per
-    /// iteration. Bit-identical to scalar for the same reason.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`accumulate_row_i16_avx2`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_row_i32_avx2(row: &[u8], q: i32, even: &mut [i32], odd: &mut [i32]) {
-        let n = row.len();
-        debug_assert!(even.len() >= n && odd.len() >= n);
-        let qv = _mm256_set1_epi32(q);
-        let nib_mask = _mm_set1_epi8(0x0F);
-        let sign_bit = _mm_set1_epi8(8);
-        let mut i = 0;
-        while i + 8 <= n {
-            let bytes = _mm_loadl_epi64(row.as_ptr().add(i) as *const __m128i);
-            let lo = _mm_sub_epi8(
-                _mm_xor_si128(_mm_and_si128(bytes, nib_mask), sign_bit),
-                sign_bit,
-            );
-            let hi = _mm_sub_epi8(
-                _mm_xor_si128(_mm_and_si128(_mm_srli_epi16(bytes, 4), nib_mask), sign_bit),
-                sign_bit,
-            );
-            let e_ptr = even.as_mut_ptr().add(i) as *mut __m256i;
-            let o_ptr = odd.as_mut_ptr().add(i) as *mut __m256i;
-            let e = _mm256_loadu_si256(e_ptr);
-            let o = _mm256_loadu_si256(o_ptr);
-            _mm256_storeu_si256(
-                e_ptr,
-                _mm256_add_epi32(e, _mm256_mullo_epi32(qv, _mm256_cvtepi8_epi32(lo))),
-            );
-            _mm256_storeu_si256(
-                o_ptr,
-                _mm256_add_epi32(o, _mm256_mullo_epi32(qv, _mm256_cvtepi8_epi32(hi))),
-            );
-            i += 8;
+        for k in 0..K {
+            // SAFETY: `k < K == acc.len()` per the function contract.
+            let out = unsafe { acc.get_unchecked_mut(k) }.as_mut_ptr() as *mut __m256i;
+            let quarters = [
+                _mm256_castsi256_si128(lo[k]),
+                _mm256_extracti128_si256::<1>(lo[k]),
+                _mm256_castsi256_si128(hi[k]),
+                _mm256_extracti128_si256::<1>(hi[k]),
+            ];
+            for (j, q) in quarters.into_iter().enumerate() {
+                // SAFETY: `acc[k]` is 32 i32 = four unaligned 256-bit
+                // slots; `j < 4`.
+                unsafe {
+                    let slot = out.add(j);
+                    let sum = _mm256_add_epi32(_mm256_loadu_si256(slot), _mm256_cvtepi16_epi32(q));
+                    _mm256_storeu_si256(slot, sum);
+                }
+            }
         }
-        accumulate_row_i32_scalar(&row[i..], q, &mut even[i..n], &mut odd[i..n]);
-    }
-}
-
-/// NEON forms of the accumulate loops (aarch64): 16 packed bytes per
-/// i16 iteration, 8 per i32 iteration, scalar tail.
-#[cfg(all(feature = "simd", target_arch = "aarch64"))]
-mod neon {
-    use std::arch::aarch64::*;
-
-    use super::{accumulate_row_i16_scalar, accumulate_row_i32_scalar};
-
-    /// NEON [`accumulate_row_i16_scalar`](super::accumulate_row_i16_scalar):
-    /// both nibbles of 16 packed bytes are sign-extended bytewise,
-    /// widened with `vmovl_s8`, and multiply-accumulated into the
-    /// even/odd i16 planes. Exact integer ops on the scalar loop's
-    /// per-element slots — bit-identical.
-    ///
-    /// # Safety
-    ///
-    /// * The CPU must support NEON (guaranteed when dispatched through
-    ///   [`detect`](super::detect); architecturally always true on
-    ///   aarch64).
-    /// * `even.len() >= row.len()` and `odd.len() >= row.len()` — the
-    ///   vector loads/stores read and write `row.len()` elements of
-    ///   each plane.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn accumulate_row_i16_neon(row: &[u8], q: i16, even: &mut [i16], odd: &mut [i16]) {
-        let n = row.len();
-        debug_assert!(even.len() >= n && odd.len() >= n);
-        let qv = vdupq_n_s16(q);
-        let nib_mask = vdupq_n_u8(0x0F);
-        let sign_bit = vdupq_n_s8(8);
-        let mut i = 0;
-        while i + 16 <= n {
-            let bytes = vld1q_u8(row.as_ptr().add(i));
-            let lo = vsubq_s8(
-                veorq_s8(vreinterpretq_s8_u8(vandq_u8(bytes, nib_mask)), sign_bit),
-                sign_bit,
-            );
-            // 8-bit lane shift: no cross-byte contamination on NEON.
-            let hi = vsubq_s8(
-                veorq_s8(vreinterpretq_s8_u8(vshrq_n_u8::<4>(bytes)), sign_bit),
-                sign_bit,
-            );
-            let e_ptr = even.as_mut_ptr().add(i);
-            let o_ptr = odd.as_mut_ptr().add(i);
-            vst1q_s16(
-                e_ptr,
-                vmlaq_s16(vld1q_s16(e_ptr), qv, vmovl_s8(vget_low_s8(lo))),
-            );
-            vst1q_s16(
-                e_ptr.add(8),
-                vmlaq_s16(vld1q_s16(e_ptr.add(8)), qv, vmovl_s8(vget_high_s8(lo))),
-            );
-            vst1q_s16(
-                o_ptr,
-                vmlaq_s16(vld1q_s16(o_ptr), qv, vmovl_s8(vget_low_s8(hi))),
-            );
-            vst1q_s16(
-                o_ptr.add(8),
-                vmlaq_s16(vld1q_s16(o_ptr.add(8)), qv, vmovl_s8(vget_high_s8(hi))),
-            );
-            i += 16;
-        }
-        accumulate_row_i16_scalar(&row[i..], q, &mut even[i..n], &mut odd[i..n]);
-    }
-
-    /// NEON [`accumulate_row_i32_scalar`](super::accumulate_row_i32_scalar):
-    /// as the i16 form but widening 8 packed bytes to i32 lanes per
-    /// iteration. Bit-identical to scalar.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`accumulate_row_i16_neon`].
-    #[target_feature(enable = "neon")]
-    pub unsafe fn accumulate_row_i32_neon(row: &[u8], q: i32, even: &mut [i32], odd: &mut [i32]) {
-        let n = row.len();
-        debug_assert!(even.len() >= n && odd.len() >= n);
-        let qv = vdupq_n_s32(q);
-        let nib_mask = vdup_n_u8(0x0F);
-        let sign_bit = vdup_n_s8(8);
-        let mut i = 0;
-        while i + 8 <= n {
-            let bytes = vld1_u8(row.as_ptr().add(i));
-            let lo = vsub_s8(
-                veor_s8(vreinterpret_s8_u8(vand_u8(bytes, nib_mask)), sign_bit),
-                sign_bit,
-            );
-            let hi = vsub_s8(
-                veor_s8(vreinterpret_s8_u8(vshr_n_u8::<4>(bytes)), sign_bit),
-                sign_bit,
-            );
-            let lo16 = vmovl_s8(lo);
-            let hi16 = vmovl_s8(hi);
-            let e_ptr = even.as_mut_ptr().add(i);
-            let o_ptr = odd.as_mut_ptr().add(i);
-            vst1q_s32(
-                e_ptr,
-                vmlaq_s32(vld1q_s32(e_ptr), qv, vmovl_s16(vget_low_s16(lo16))),
-            );
-            vst1q_s32(
-                e_ptr.add(4),
-                vmlaq_s32(vld1q_s32(e_ptr.add(4)), qv, vmovl_s16(vget_high_s16(lo16))),
-            );
-            vst1q_s32(
-                o_ptr,
-                vmlaq_s32(vld1q_s32(o_ptr), qv, vmovl_s16(vget_low_s16(hi16))),
-            );
-            vst1q_s32(
-                o_ptr.add(4),
-                vmlaq_s32(vld1q_s32(o_ptr.add(4)), qv, vmovl_s16(vget_high_s16(hi16))),
-            );
-            i += 8;
-        }
-        accumulate_row_i32_scalar(&row[i..], q, &mut even[i..n], &mut odd[i..n]);
     }
 }
 
@@ -374,37 +271,88 @@ mod tests {
     fn detect_is_stable_and_named() {
         assert_eq!(detect(), detect());
         let isa = active_isa();
-        assert!(["scalar", "avx2", "neon"].contains(&isa), "unknown {isa}");
+        assert!(["scalar", "avx2"].contains(&isa), "unknown {isa}");
         if cfg!(not(feature = "simd")) {
             assert_eq!(detect(), Lanes::Scalar);
         }
     }
 
     #[test]
-    fn dispatched_matches_scalar_on_all_nibbles() {
-        // Every signed nibble pair in every lane position, across sizes
-        // that cover the vector body and the ragged tail.
-        for n in [0usize, 1, 7, 8, 15, 16, 17, 31, 32, 40] {
-            let row: Vec<u8> = (0..n).map(|i| (i * 37 + 11) as u8).collect();
-            for q in [-7i16, -1, 1, 3, 7] {
-                let mut e_s = vec![1i16; n];
-                let mut o_s = vec![-2i16; n];
-                accumulate_row_i16_scalar(&row, q, &mut e_s, &mut o_s);
-                let mut e_d = vec![1i16; n];
-                let mut o_d = vec![-2i16; n];
-                accumulate_row_i16(detect(), &row, q, &mut e_d, &mut o_d);
-                assert_eq!(e_s, e_d);
-                assert_eq!(o_s, o_d);
+    fn flush_bound_keeps_i16_lanes_exact() {
+        for qmax in [1, 3, 7, 15, 127] {
+            let pairs = flush_pairs(qmax) as i32;
+            assert!(2 * pairs * 15 * qmax <= i16::MAX as i32, "qmax {qmax}");
+            assert!(2 * (pairs + 1) * 15 * qmax > i16::MAX as i32, "qmax {qmax}");
+        }
+        // The W4A4 recipe takes a whole 128-wide group in one call; 8-bit
+        // activations flush every 8 pairs (16 inputs).
+        assert!(flush_pairs(7) >= 64);
+        assert_eq!(flush_pairs(127), 8);
+    }
 
-                let mut e32_s = vec![5i32; n];
-                let mut o32_s = vec![-9i32; n];
-                accumulate_row_i32_scalar(&row, q as i32, &mut e32_s, &mut o32_s);
-                let mut e32_d = vec![5i32; n];
-                let mut o32_d = vec![-9i32; n];
-                accumulate_row_i32(detect(), &row, q as i32, &mut e32_d, &mut o32_d);
-                assert_eq!(e32_s, e32_d);
-                assert_eq!(o32_s, o32_d);
+    /// The sums [`mac_tile`] must produce, straight from the block
+    /// layout of the module docs, in i32.
+    fn mac_tile_naive(blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE]]) {
+        for (a, acc) in acts.iter().zip(acc.iter_mut()) {
+            for (Block(bytes), pair) in blocks.iter().zip(a.iter()) {
+                let [q0, q1, ..] = pair.to_le_bytes();
+                for (lane, acc) in acc.iter_mut().enumerate() {
+                    let (j, shift) = (lane % 16, 4 * (lane / 16));
+                    let w0 = (bytes[2 * j] >> shift) & 0x0F;
+                    let w1 = (bytes[2 * j + 1] >> shift) & 0x0F;
+                    *acc += w0 as i32 * q0 as i8 as i32 + w1 as i32 * q1 as i8 as i32;
+                }
             }
         }
+    }
+
+    #[test]
+    fn dispatched_matches_scalar_on_all_nibbles() {
+        // Every nibble value in every lane, extreme activation codes,
+        // runs of exactly `flush_pairs` blocks (the overflow bound),
+        // every K remainder — scalar and dispatched against the naive
+        // i32 sums.
+        for qmax in [7i32, 127] {
+            let pairs = flush_pairs(qmax);
+            let blocks: Vec<Block> = (0..pairs)
+                .map(|p| {
+                    let mut b = [0u8; TILE];
+                    for (j, v) in b.iter_mut().enumerate() {
+                        *v = match p % 3 {
+                            0 => 0xFF,
+                            1 => (j * 37 + p * 11) as u8,
+                            _ => 0x00,
+                        };
+                    }
+                    Block(b)
+                })
+                .collect();
+            let extremes = [qmax as i8, -(qmax as i8)];
+            for k in 1..=KBLOCK {
+                let codes: Vec<Vec<CodePair>> = (0..k)
+                    .map(|kk| {
+                        (0..pairs)
+                            .map(|p| code_pair(extremes[kk % 2], extremes[(kk + p / 3) % 2]))
+                            .collect()
+                    })
+                    .collect();
+                let acts: Vec<&[CodePair]> = codes.iter().map(|c| &c[..]).collect();
+                let mut want = vec![[3i32; TILE]; k];
+                mac_tile_naive(&blocks, &acts, &mut want);
+                for lanes in [Lanes::Scalar, detect()] {
+                    let mut got = vec![[3i32; TILE]; k];
+                    mac_tile(lanes, &blocks, &acts, &mut got);
+                    assert_eq!(got, want, "{lanes:?} qmax {qmax} k {k}");
+                }
+            }
+        }
+        // All-ones weights against a constant extreme code reach the
+        // bound itself.
+        let pairs = flush_pairs(127);
+        let blocks = vec![Block([0xFF; TILE]); pairs];
+        let codes = vec![code_pair(127, 127); pairs];
+        let mut got = [[0i32; TILE]];
+        mac_tile(detect(), &blocks, &[&codes[..]], &mut got);
+        assert_eq!(got[0], [2 * pairs as i32 * 15 * 127; TILE]);
     }
 }

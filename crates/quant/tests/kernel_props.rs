@@ -1,7 +1,10 @@
 //! Property tests for the packed integer W4A4 kernels: lossless nibble
 //! packing, agreement between the integer GEMV and the fake-quant
-//! reference oracle (bit-exact under PoT scales), GEMM ≡ GEMV, and
-//! full-model integer-vs-oracle decode agreement.
+//! reference oracle (bit-exact under PoT scales), GEMM ≡ GEMV at every
+//! K-block remainder, dispatched ≡ scalar, the shapes that stress the
+//! tiled layout's padding and the i16 flush bound, and full-model
+//! integer-vs-oracle decode agreement. Run with and without
+//! `--features simd`.
 
 use lightmamba_model::MambaConfig;
 use lightmamba_model::MambaModel;
@@ -51,6 +54,94 @@ fn every_byte_pattern_roundtrips() {
         unpack_nibbles_into(&[b], 2, &mut pair);
         assert!((-8..=7).contains(&pair[0]) && (-8..=7).contains(&pair[1]));
         assert_eq!(pack_nibbles(&pair), vec![b], "byte {b:#04x}");
+    }
+}
+
+/// The shapes the tiled layout has to pad or split, on hand-built
+/// weights that use every nibble including −8: partial and multiple
+/// output tiles, odd `in_features`, groups that are odd / wider than the
+/// input / ragged at the end, 8-bit activations on both sides of the
+/// i16 flush bound (16 inputs), activations with all-zero groups, and
+/// every K-block remainder. Scalar, dispatched, batched and
+/// one-at-a-time must agree bit for bit, and — scales being powers of
+/// two — with the f32 reference as well.
+#[test]
+fn edge_shapes_agree_across_kernels_batches_and_the_reference() {
+    // (in_features, out_features, group, activation bits)
+    let shapes = [
+        (8usize, 1usize, 4usize, 4u8),
+        (9, 7, 3, 4),
+        (33, 33, 5, 4),
+        (31, 32, 128, 4),
+        (40, 65, 16, 4),
+        (70, 34, 32, 4),
+        (48, 7, 16, 8),
+        (51, 33, 17, 8),
+        (54, 40, 18, 8),
+        (256, 33, 128, 8),
+        (255, 5, 128, 8),
+    ];
+    for (case, &(inf, outf, group, abits)) in shapes.iter().enumerate() {
+        let groups = inf.div_ceil(group);
+        // Every nibble value, −8 included, in a pattern that does not
+        // repeat with the tile or pair period.
+        let codes: Vec<i8> = (0..inf * outf)
+            .map(|n| ((n * 7 + n / 5 + case) % 16) as i8 - 8)
+            .collect();
+        let scales: Vec<f32> = (0..outf * groups)
+            .map(|n| 2f32.powi(-((n % 5) as i32) - 2))
+            .collect();
+        let p = PackedW4::from_codes(&codes, &scales, inf, outf, group).unwrap();
+        let mut row = vec![0i8; inf];
+        for o in 0..outf {
+            p.unpack_row_into(o, &mut row);
+            assert_eq!(row, codes[o * inf..(o + 1) * inf], "case {case} row {o}");
+        }
+
+        let mut rng = StdRng::seed_from_u64(case as u64);
+        let acts: Vec<ActQuant> = (0..9)
+            .map(|k| {
+                let mut x: Vec<f32> = (0..inf).map(|_| rng.gen_range(-3.0f32..3.0)).collect();
+                // Saturate one element per group so extreme codes occur,
+                // and silence whole groups of every third activation.
+                for (g, chunk) in x.chunks_mut(group).enumerate() {
+                    chunk[0] = if k % 2 == 0 { 3.0 } else { -3.0 };
+                    if k % 3 == 2 && g % 2 == 0 {
+                        chunk.fill(0.0);
+                    }
+                }
+                let mut a = ActQuant::new();
+                a.quantize(&x, per_group(abits, group, true)).unwrap();
+                a
+            })
+            .collect();
+        assert!(acts[2].codes()[..group.min(inf)].iter().all(|&q| q == 0));
+
+        let mut scratch = GemvScratch::new();
+        let singles: Vec<Vec<f32>> = acts
+            .iter()
+            .map(|a| {
+                let mut reference = vec![0.0f32; outf];
+                gemv_reference(&p, a, &mut reference).unwrap();
+                let mut scalar = vec![0.0f32; outf];
+                gemv_packed_scalar(&p, a, &mut scratch, &mut scalar).unwrap();
+                let mut dispatched = vec![1.0f32; outf];
+                gemv_packed(&p, a, &mut scratch, &mut dispatched).unwrap();
+                assert_eq!(scalar, reference, "case {case}: scalar vs reference");
+                assert_eq!(
+                    dispatched, reference,
+                    "case {case}: dispatched vs reference"
+                );
+                reference
+            })
+            .collect();
+        for batch in 1..=acts.len() {
+            let mut outs: Vec<Vec<f32>> = vec![Vec::new(); batch];
+            gemm_packed(&p, &acts[..batch], &mut scratch, &mut outs).unwrap();
+            assert_eq!(outs, singles[..batch], "case {case} batch {batch}");
+            gemm_packed_scalar(&p, &acts[..batch], &mut scratch, &mut outs).unwrap();
+            assert_eq!(outs, singles[..batch], "case {case} batch {batch} (scalar)");
+        }
     }
 }
 
@@ -120,12 +211,12 @@ proptest! {
         group in 1usize..48,
         pot in any::<bool>(),
     ) {
-        // The runtime-dispatched entry point (AVX2/NEON when built with
+        // The runtime-dispatched entry point (AVX2 when built with
         // `--features simd` on capable hardware, scalar otherwise) against
-        // the always-scalar oracle. Only the integer accumulate loops are
-        // vectorized — one exact integer add per output element, and the
-        // f32 rescale stays scalar on both paths — so agreement is
-        // bit-exact for *any* scale mode, not just PoT.
+        // the always-scalar oracle. Only the integer micro-kernel is
+        // vectorized — the `−8·Σq` correction and the f32 rescale are
+        // shared code — so agreement is bit-exact for *any* scale mode,
+        // not just PoT.
         let (p, act) = random_problem(seed, inf, outf, group, 4, 4, pot);
         let mut s1 = GemvScratch::new();
         let mut s2 = GemvScratch::new();
@@ -142,7 +233,7 @@ proptest! {
         inf in 1usize..64,
         outf in 1usize..48,
         group in 1usize..32,
-        batch in 1usize..5,
+        batch in 1usize..10,
         pot in any::<bool>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -170,7 +261,7 @@ proptest! {
         inf in 1usize..64,
         outf in 1usize..48,
         group in 1usize..32,
-        batch in 1usize..5,
+        batch in 1usize..10,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let w = Tensor::from_fn(&[inf, outf], |_| rng.gen_range(-0.8f32..0.8));

@@ -1,6 +1,7 @@
 //! Pins the quantized hot-path contract: steady-state batched decode —
-//! on both the packed-integer path and the fake-quant oracle path —
-//! performs **zero heap allocations** through the workspace API. A
+//! on both the packed-integer path and the fake-quant oracle path, at
+//! batch 16 and across a 16 → 3 → 16 change of batch size — performs
+//! **zero heap allocations** through the workspace API. A
 //! counting global allocator wraps the system allocator; after warm-up
 //! the counter must not move.
 //!
@@ -41,33 +42,40 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-fn drive(q: &QuantizedMamba, label: &str) {
-    let batch = 3;
-    let mut states: Vec<_> = (0..batch).map(|_| q.new_state()).collect();
-    let mut ws = QuantWorkspace::new();
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
+/// Batch sizes of the measured window: full, shrunk, full again — the
+/// per-sequence scratch grows to the largest batch once and a smaller
+/// step must neither free nor regrow it.
+const BATCHES: [usize; 3] = [16, 3, 16];
 
-    let mut step = |t: usize, states: &mut [_], ws: &mut QuantWorkspace| {
+fn drive(q: &QuantizedMamba, label: &str) {
+    let largest = BATCHES[0];
+    let mut states: Vec<_> = (0..largest).map(|_| q.new_state()).collect();
+    let mut ws = QuantWorkspace::new();
+    let mut items: Vec<(usize, u32)> = (0..largest).map(|k| (k, 0u32)).collect();
+
+    let mut step = |t: usize, batch: usize, states: &mut [_], ws: &mut QuantWorkspace| {
         for (k, item) in items.iter_mut().enumerate() {
             item.1 = ((t * 11 + k * 5) % 256) as u32;
         }
-        q.forward_step_batch_indexed_with(&items, states, ws)
+        q.forward_step_batch_indexed_with(&items[..batch], states, ws)
             .unwrap();
         assert_eq!(ws.logits().len(), batch);
     };
 
     for t in 0..3 {
-        step(t, &mut states, &mut ws);
+        step(t, largest, &mut states, &mut ws);
     }
     let before = ALLOCS.load(Ordering::SeqCst);
-    for t in 3..40 {
-        step(t, &mut states, &mut ws);
+    for (phase, &batch) in BATCHES.iter().enumerate() {
+        for t in 0..12 {
+            step(3 + phase * 12 + t, batch, &mut states, &mut ws);
+        }
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state {label} decode allocated {} times over 37 steps",
+        "steady-state {label} decode allocated {} times over 36 steps at batch {BATCHES:?}",
         after - before
     );
 }

@@ -1,6 +1,7 @@
 //! Pins the threaded quantized hot-path contract: steady-state batched
-//! integer-W4A4 decode sharded across a 4-thread worker pool performs
-//! **zero heap allocations** on every participating thread. A counting
+//! integer-W4A4 decode sharded across a 4-thread worker pool — at batch
+//! 16 and across a 16 → 3 → 16 change of batch size — performs **zero
+//! heap allocations** on every participating thread. A counting
 //! global allocator wraps the system allocator; after warm-up (each
 //! worker's private workspace has grown to its shard's shapes) the
 //! counter must not move.
@@ -50,35 +51,41 @@ fn steady_state_parallel_quantized_decode_allocates_nothing() {
     let q = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
     assert_eq!(q.exec_mode(), ExecMode::Integer);
 
-    let batch = 6;
+    // Full, shrunk, full again: per-shard scratch grows to its largest
+    // sub-batch once; a smaller step (fewer shards, one sequence each)
+    // must neither free nor regrow it.
+    let batches = [16usize, 3, 16];
+    let largest = batches[0];
     let pool = WorkerPool::new(4);
-    let mut states: Vec<_> = (0..batch).map(|_| q.new_state()).collect();
+    let mut states: Vec<_> = (0..largest).map(|_| q.new_state()).collect();
     let mut ws = ParQuantWorkspace::new();
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
+    let mut items: Vec<(usize, u32)> = (0..largest).map(|k| (k, 0u32)).collect();
 
-    let mut step = |t: usize, states: &mut [_], ws: &mut ParQuantWorkspace| {
+    let mut step = |t: usize, batch: usize, states: &mut [_], ws: &mut ParQuantWorkspace| {
         for (k, item) in items.iter_mut().enumerate() {
             item.1 = ((t * 11 + k * 5) % 256) as u32;
         }
-        q.forward_step_batch_indexed_par_with(&items, states, &pool, ws)
+        q.forward_step_batch_indexed_par_with(&items[..batch], states, &pool, ws)
             .unwrap();
         assert_eq!(ws.logits().count(), batch);
     };
 
     // Warm-up: per-worker scratch grows to final shapes, pool settles.
     for t in 0..3 {
-        step(t, &mut states, &mut ws);
+        step(t, largest, &mut states, &mut ws);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
-    for t in 3..40 {
-        step(t, &mut states, &mut ws);
+    for (phase, &batch) in batches.iter().enumerate() {
+        for t in 0..12 {
+            step(3 + phase * 12 + t, batch, &mut states, &mut ws);
+        }
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
-        "steady-state 4-thread integer-W4A4 decode allocated {} times over 37 steps",
+        "steady-state 4-thread integer-W4A4 decode allocated {} times over 36 steps at batch {batches:?}",
         after - before
     );
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the quantization stack.
 
-use lightmamba_quant::int_linear::IntLinear;
+use lightmamba_quant::kernels::{gemv_packed, gemv_reference, ActQuant, GemvScratch, PackedW4};
 use lightmamba_quant::pot;
 use lightmamba_quant::quantizer::{fake_quant, Granularity, QuantScheme, QuantizedTensor};
 use lightmamba_tensor::Tensor;
@@ -97,14 +97,21 @@ proptest! {
         seed in 0u64..200,
         bits in prop::sample::select(vec![4u8, 8]),
     ) {
+        // The integer linear layer (packed 4-bit weights, `bits`-bit
+        // activations) against the dequantize-then-f32 path on the same
+        // quantization grid.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let (k, n, g) = (32usize, 16usize, 8usize);
         let w = Tensor::from_fn(&[k, n], |_| rng.gen_range(-0.5f32..0.5));
-        let lin = IntLinear::quantize(&w, bits, g).unwrap();
+        let lin = PackedW4::quantize(&w, QuantScheme::weight_per_group(4, g)).unwrap();
         let x: Vec<f32> = (0..k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-        let int_out = lin.forward(&x, bits).unwrap();
-        let fp_out = lin.forward_dequantized(&x, bits).unwrap();
+        let mut act = ActQuant::new();
+        act.quantize(&x, QuantScheme::act_per_group(bits, g)).unwrap();
+        let mut int_out = vec![0.0f32; n];
+        let mut fp_out = vec![0.0f32; n];
+        gemv_packed(&lin, &act, &mut GemvScratch::new(), &mut int_out).unwrap();
+        gemv_reference(&lin, &act, &mut fp_out).unwrap();
         for (a, b) in int_out.iter().zip(fp_out.iter()) {
             prop_assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }

@@ -46,6 +46,7 @@ use std::sync::Arc;
 
 use lightmamba_accel::arch::{AcceleratorConfig, HwPrecision};
 use lightmamba_accel::platform::Platform;
+use lightmamba_model::batch::prefill_items;
 use lightmamba_model::{DecodeWorkspace, MambaConfig, MambaModel, ModelState, ParDecodeWorkspace};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::qmodel::QuantWorkspace;
@@ -258,7 +259,9 @@ pub trait DecodeBackend: Send {
     ) -> Result<Vec<(usize, Vec<f32>)>, ServeError>;
 
     /// Batched ragged prefill: consumes `prompts[k]` into `states[k]`
-    /// and returns each sequence's logits after its final prompt token.
+    /// and returns each sequence's logits after its final prompt token —
+    /// [`DecodeBackend::advance_batch_indexed`] with prompt `k` paired
+    /// to state `k`.
     ///
     /// # Errors
     ///
@@ -267,7 +270,11 @@ pub trait DecodeBackend: Send {
         &self,
         prompts: &[&[u32]],
         states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError>;
+    ) -> Result<Vec<Vec<f32>>, ServeError> {
+        let items = prefill_items(prompts, states)?;
+        let advanced = self.advance_batch_indexed(&items, states)?;
+        Ok(advanced.into_iter().map(|(_, logits)| logits).collect())
+    }
 
     /// Batched ragged advance — the chunked-prefill step. Each
     /// `items[k] = (state_index, tokens)` feeds `tokens` (one or more)
@@ -279,7 +286,10 @@ pub trait DecodeBackend: Send {
     /// [`DecodeBackend::forward_step_batch_indexed`] once per token
     /// position across the ragged batch — bit-identical to sequential
     /// decode by construction, which keeps the engine's batched ≡
-    /// sequential invariant intact for any chunk size.
+    /// sequential invariant intact for any chunk size. It computes (and
+    /// drops) logits at every position; both shipped backends override
+    /// it with their model's ragged advance, which runs the final norm
+    /// and LM head at final positions only.
     ///
     /// # Errors
     ///
@@ -290,11 +300,7 @@ pub trait DecodeBackend: Send {
         items: &[(usize, &[u32])],
         states: &mut [ModelState],
     ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        if let Some((slot, _)) = items.iter().find(|(_, toks)| toks.is_empty()) {
-            return Err(ServeError::InvalidConfig(format!(
-                "advance of state {slot} was given no tokens"
-            )));
-        }
+        reject_empty_advance(items)?;
         let max_len = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
         let mut last: Vec<Option<Vec<f32>>> = vec![None; items.len()];
         for j in 0..max_len {
@@ -350,6 +356,17 @@ pub trait DecodeBackend: Send {
 
     /// Pricing profile for the accelerator cost model.
     fn cost_profile(&self) -> CostProfile;
+}
+
+/// The ragged-advance input check shared by every implementation of
+/// [`DecodeBackend::advance_batch_indexed`].
+fn reject_empty_advance(items: &[(usize, &[u32])]) -> Result<(), ServeError> {
+    match items.iter().find(|(_, toks)| toks.is_empty()) {
+        Some((slot, _)) => Err(ServeError::InvalidConfig(format!(
+            "advance of state {slot} was given no tokens"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Workspace pair of a backend: the sequential single-workspace path
@@ -435,22 +452,23 @@ impl DecodeBackend for FpBackend<'_> {
             .collect())
     }
 
-    fn prefill_batch(
+    fn advance_batch_indexed(
         &self,
-        prompts: &[&[u32]],
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
+    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
+        reject_empty_advance(items)?;
         let mut ws = self.ws.borrow_mut();
-        match self.pool.as_ref().filter(|_| prompts.len() > 1) {
+        let logits = match self.pool.as_ref().filter(|_| items.len() > 1) {
             Some(pool) => {
-                Ok(self
-                    .model
-                    .prefill_batch_par_with(prompts, states, pool, &mut ws.par)?)
+                self.model
+                    .advance_batch_indexed_par_with(items, states, pool, &mut ws.par)?
             }
-            None => Ok(self
+            None => self
                 .model
-                .prefill_batch_with(prompts, states, &mut ws.seq)?),
-        }
+                .advance_batch_indexed_with(items, states, &mut ws.seq)?,
+        };
+        Ok(items.iter().map(|&(slot, _)| slot).zip(logits).collect())
     }
 
     fn attach_pool(&mut self, pool: &Arc<WorkerPool>) {
@@ -565,22 +583,23 @@ impl DecodeBackend for W4A4Backend {
             .collect())
     }
 
-    fn prefill_batch(
+    fn advance_batch_indexed(
         &self,
-        prompts: &[&[u32]],
+        items: &[(usize, &[u32])],
         states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
+    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
+        reject_empty_advance(items)?;
         let mut ws = self.ws.borrow_mut();
-        match self.pool.as_ref().filter(|_| prompts.len() > 1) {
+        let logits = match self.pool.as_ref().filter(|_| items.len() > 1) {
             Some(pool) => {
-                Ok(self
-                    .model
-                    .prefill_batch_par_with(prompts, states, pool, &mut ws.par)?)
+                self.model
+                    .advance_batch_indexed_par_with(items, states, pool, &mut ws.par)?
             }
-            None => Ok(self
+            None => self
                 .model
-                .prefill_batch_with(prompts, states, &mut ws.seq)?),
-        }
+                .advance_batch_indexed_with(items, states, &mut ws.seq)?,
+        };
+        Ok(items.iter().map(|&(slot, _)| slot).zip(logits).collect())
     }
 
     fn attach_pool(&mut self, pool: &Arc<WorkerPool>) {
@@ -659,6 +678,44 @@ mod tests {
         let mut ref1 = model.new_state();
         let expect1 = model.prefill(&[5, 6], &mut ref1).unwrap();
         assert_eq!(out1[1].1, expect1);
+    }
+
+    #[test]
+    fn ragged_advance_skips_only_logits_nobody_reads() {
+        // The shipped backends run the LM head at final positions only;
+        // logits and states must equal stepping one token at a time
+        // (logits at every position), pooled or not.
+        let model = tiny_model();
+        let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
+        let pool = Arc::new(WorkerPool::new(4));
+        let mut backends: Vec<Box<dyn DecodeBackend + '_>> = vec![
+            Box::new(FpBackend::new(&model)),
+            Box::new(W4A4Backend::new(q.clone())),
+            Box::new(FpBackend::new(&model)),
+            Box::new(W4A4Backend::new(q)),
+        ];
+        for pooled in &mut backends[2..] {
+            pooled.attach_pool(&pool);
+        }
+        let chunks: [&[u32]; 3] = [&[4, 9, 1, 7], &[3], &[2, 8, 6]];
+        for backend in &backends {
+            let items: Vec<(usize, &[u32])> = chunks.iter().copied().enumerate().collect();
+            let mut advanced = vec![backend.new_state(); 3];
+            let out = backend
+                .advance_batch_indexed(&items, &mut advanced)
+                .unwrap();
+            let mut stepped = vec![backend.new_state(); 3];
+            for (k, chunk) in chunks.iter().enumerate() {
+                let mut last = Vec::new();
+                for &t in *chunk {
+                    last = backend
+                        .forward_step_batch_indexed(&[(k, t)], &mut stepped)
+                        .unwrap();
+                }
+                assert_eq!(out[k], last[0], "{} sequence {k}", backend.name());
+            }
+            assert_eq!(advanced, stepped, "{} states", backend.name());
+        }
     }
 
     #[test]
