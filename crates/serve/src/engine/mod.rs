@@ -46,40 +46,29 @@
 //! other models are multiplexed — the engine's equivalence tests pin
 //! batched-vs-sequential outputs bit-for-bit.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
-use std::time::Instant;
+#![deny(clippy::too_many_lines)]
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+mod report;
+mod seq;
+mod step;
+
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use lightmamba_model::MambaModel;
-use lightmamba_obs::recorder::{FaultKind, LifecyclePhase, StepRecord};
 use lightmamba_pool::WorkerPool;
 
 use crate::backend::PausedState;
 use crate::error::ServeError;
-use crate::metrics::{ClassBreakdown, ModelBreakdown, Percentiles, RunTrace, ServeReport};
+use crate::metrics::{RunTrace, ServeReport};
 use crate::observe::{EngineObs, ObsConfig};
 use crate::prefix::PrefixCache;
-use crate::registry::ModelRegistry;
-use crate::request::{Completion, FinishReason, GenRequest, Priority, RequestId};
+use crate::registry::{same_state_shape, ModelRegistry};
+use crate::request::{Completion, GenRequest, RequestId};
 use crate::resilience::{BackendHealth, DegradationController, HealthTracker, ResilienceConfig};
-use crate::scheduler::{AdmissionCtx, Policy, SeqView, TokenBudget};
+use crate::scheduler::{Policy, TokenBudget};
 use crate::slots::SlotPool;
-
-/// Human-readable description of a caught panic payload (`panic!` with
-/// a literal yields `&str`, with a format string yields `String`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
+use seq::{ActiveSeq, PausedSeq};
 
 /// The continuation record of a finished session turn: the final
 /// fixed-size recurrent state plus the one token that was sampled but
@@ -132,147 +121,51 @@ pub enum StepEvent {
     },
 }
 
-/// One resident sequence.
-#[derive(Debug)]
-struct ActiveSeq {
-    req: GenRequest,
-    slot: usize,
-    /// Prompt tokens consumed so far; decode starts at `prompt.len()`.
-    pos: usize,
-    generated: Vec<u32>,
-    rng: StdRng,
-    admitted_step: u64,
-    first_token_step: Option<u64>,
-    /// Times this sequence has been paused out of its slot.
-    preemptions: u32,
-    /// Steps spent paused across all completed episodes.
-    paused_steps: u64,
-    /// The subset of `paused_steps` accrued before the first token
-    /// (excluded from TTFT).
-    paused_steps_pre_first: u64,
-    /// `Some(k)`: the first `k` prompt tokens are a shared prefix the
-    /// prefix cache missed on — snapshot the state when `pos` reaches
-    /// `k` (see [`ServeEngine::step`] phase 8b), then clear. Feeding
-    /// clips at `k` so the snapshot summarizes exactly the prefix.
-    harvest: Option<usize>,
-}
+/// The optional observability layer and the single hook into it.
+/// Boxed so the disabled engine pays one word and one branch per hook.
+struct ObsSlot(Option<Box<EngineObs>>);
 
-/// One preempted sequence: its fixed-size saved state plus every piece
-/// of generation progress needed to resume bit-identically — prompt
-/// position, sampled tokens, and the request's private RNG (moved, not
-/// reseeded, so the sampling stream continues exactly where it paused).
-#[derive(Debug)]
-struct PausedSeq {
-    req: GenRequest,
-    state: PausedState,
-    pos: usize,
-    generated: Vec<u32>,
-    rng: StdRng,
-    admitted_step: u64,
-    first_token_step: Option<u64>,
-    /// Step at which this pause episode began.
-    paused_at: u64,
-    preemptions: u32,
-    paused_steps: u64,
-    paused_steps_pre_first: u64,
-    /// Pending prefix-harvest marker, carried across the pause (see
-    /// [`ActiveSeq::harvest`]).
-    harvest: Option<usize>,
-}
-
-impl PausedSeq {
-    /// Scheduling view with progress-aware remaining work.
-    fn view(&self, prefill_chunk: usize) -> SeqView {
-        SeqView::new(
-            &self.req,
-            self.req
-                .min_steps_remaining(self.pos, self.generated.len(), prefill_chunk),
-        )
-    }
-
-    /// Ends the current pause episode at `clock`: the episode length
-    /// plus the updated `(paused_steps, paused_steps_pre_first)`
-    /// totals. The pre-first-token split is the TTFT-exclusion rule —
-    /// one place, shared by resume and by eviction-while-paused.
-    fn end_episode(&self, clock: u64) -> (u64, u64, u64) {
-        let pause_len = clock.checked_sub(self.paused_at);
-        debug_assert!(
-            pause_len.is_some(),
-            "pause episode of request {} ends at step {clock}, before it began at {}",
-            self.req.id,
-            self.paused_at
-        );
-        let pause_len = pause_len.unwrap_or(0);
-        let pre_first = if self.first_token_step.is_none() {
-            pause_len
-        } else {
-            0
-        };
-        (
-            pause_len,
-            self.paused_steps + pause_len,
-            self.paused_steps_pre_first + pre_first,
-        )
-    }
-
-    /// Completion record for a pause episode ended at `clock` without a
-    /// resume — deadline eviction or client cancellation (the final,
-    /// never-resumed episode counts as paused time).
-    fn finish_paused(&mut self, clock: u64, finish: FinishReason) -> Completion {
-        let (_, paused_steps, pre_first) = self.end_episode(clock);
-        Completion {
-            id: self.req.id,
-            model: self.req.model,
-            priority: self.req.priority,
-            tokens: std::mem::take(&mut self.generated),
-            finish,
-            arrival_step: self.req.arrival_step,
-            deadline_steps: self.req.deadline_steps,
-            admitted_step: Some(self.admitted_step),
-            first_token_step: self.first_token_step,
-            finished_step: clock,
-            preemptions: self.preemptions,
-            paused_steps,
-            paused_steps_before_first_token: pre_first,
-            retry_after_steps: None,
+impl ObsSlot {
+    /// Runs `f` against the layer when it is enabled.
+    #[inline]
+    fn with(&mut self, f: impl FnOnce(&mut EngineObs)) {
+        if let Some(o) = self.0.as_deref_mut() {
+            f(o);
         }
     }
 }
 
-impl ActiveSeq {
-    /// Tokens this sequence advances in the next batched step: a prompt
-    /// chunk of at most `prefill_chunk` while prefilling (clipped at a
-    /// pending harvest boundary so the post-prefix state is observable),
-    /// exactly 1 while decoding. [`ActiveSeq::feed`] and the phase-8
-    /// bookkeeping both derive from this, so they can never disagree.
-    fn feed_len(&self, prefill_chunk: usize) -> usize {
-        if self.pos < self.req.prompt.len() {
-            let mut end = (self.pos + prefill_chunk.max(1)).min(self.req.prompt.len());
-            if let Some(h) = self.harvest {
-                if self.pos < h {
-                    end = end.min(h);
-                }
-            }
-            end - self.pos
-        } else {
-            1
-        }
-    }
-
-    /// Tokens this sequence feeds into the next batched step: a prompt
-    /// chunk of at most `prefill_chunk` tokens while prefilling, the
-    /// previously sampled token while decoding.
-    fn feed(&self, prefill_chunk: usize) -> &[u32] {
-        if self.pos < self.req.prompt.len() {
-            &self.req.prompt[self.pos..self.pos + self.feed_len(prefill_chunk)]
-        } else {
-            std::slice::from_ref(
-                self.generated
-                    .last()
-                    .expect("decode implies a sampled token"),
-            )
-        }
-    }
+/// Run-wide tallies, read back by the accessors and
+/// [`ServeEngine::report`].
+#[derive(Debug, Default)]
+struct Totals {
+    prefill_tokens: u64,
+    decode_tokens: u64,
+    /// Pause / resume events.
+    preemptions: u64,
+    resumes: u64,
+    /// Requests evicted by client cancellation.
+    cancellations: usize,
+    /// Token-advances spent on requests that were later cancelled.
+    wasted_advances: u64,
+    /// Minimum remaining service (steps) of cancelled residents at the
+    /// moment their slot was reclaimed.
+    reclaimed_slot_steps: u64,
+    /// Requests retired as `Failed` by backend faults.
+    failed: usize,
+    /// Arrivals shed as `Rejected`.
+    rejected: usize,
+    /// Backend faults contained (error returns plus caught panics).
+    backend_faults: u64,
+    /// Quarantine entries (first faults and half-open re-faults) and
+    /// recoveries (half-open canary survived).
+    quarantine_entries: u64,
+    quarantine_recoveries: u64,
+    /// Admissions the token budget deferred.
+    budget_deferrals: u64,
+    /// Peak resident-token footprint (Σ `prompt + max_new` over
+    /// slot-holders).
+    peak_resident_tokens: usize,
 }
 
 /// Engine limits.
@@ -329,6 +222,9 @@ pub struct ServeEngine<'m> {
     /// it. `None` means sequential execution.
     workers: Option<Arc<WorkerPool>>,
     cfg: EngineConfig,
+    /// Vocabulary size per registered model — what
+    /// [`ServeEngine::submit`] validates prompt tokens against.
+    vocab_sizes: Vec<usize>,
     /// Future arrivals, sorted by `arrival_step` (then id).
     pending: VecDeque<GenRequest>,
     /// Arrived, unadmitted requests in arrival order. Policies select
@@ -342,26 +238,14 @@ pub struct ServeEngine<'m> {
     clock: u64,
     completions: Vec<Completion>,
     trace: RunTrace,
-    total_prefill_tokens: u64,
-    total_decode_tokens: u64,
+    totals: Totals,
     /// Token-advances per model across all steps (Σ sub-batch tokens).
     processed_per_model: Vec<u64>,
-    /// Pause events across the run.
-    total_preemptions: u64,
-    /// Resume events across the run.
-    total_resumes: u64,
     /// Steps between pause and resume, per completed episode.
     resume_latency: Vec<f64>,
     /// Requests whose clients asked for cancellation; honored at the
     /// top of the next step.
     cancels: HashSet<RequestId>,
-    /// Requests evicted by client cancellation across the run.
-    total_cancellations: usize,
-    /// Token-advances spent on requests that were later cancelled.
-    total_wasted_advances: u64,
-    /// Minimum remaining service (steps) of cancelled residents at the
-    /// moment their slot was reclaimed.
-    total_reclaimed_slot_steps: u64,
     /// Saved states of submitted session resumes, restored into the
     /// slot at admission ([`ServeEngine::submit_with_state`]).
     resume_states: HashMap<RequestId, PausedState>,
@@ -373,9 +257,8 @@ pub struct ServeEngine<'m> {
     /// Events recorded since [`ServeEngine::take_events`].
     events: Vec<StepEvent>,
     /// The observability layer, when enabled
-    /// ([`ServeEngine::enable_obs`]). Boxed so the disabled engine pays
-    /// one word and one branch per hook.
-    obs: Option<Box<EngineObs>>,
+    /// ([`ServeEngine::enable_obs`]).
+    obs: ObsSlot,
     /// Fault-tolerance knobs ([`ServeEngine::set_resilience`]); the
     /// default is inert on the fault-free path.
     resilience: ResilienceConfig,
@@ -388,16 +271,6 @@ pub struct ServeEngine<'m> {
     /// Sustained-overload ladder walker (inert unless
     /// [`ResilienceConfig::degradation`] is set).
     degradation: DegradationController,
-    /// Requests retired as [`FinishReason::Failed`] by backend faults.
-    total_failed: usize,
-    /// Arrivals shed as [`FinishReason::Rejected`].
-    total_rejected: usize,
-    /// Backend faults contained (error returns plus caught panics).
-    total_backend_faults: u64,
-    /// Quarantine entries (first faults and half-open re-faults).
-    total_quarantine_entries: u64,
-    /// Quarantine recoveries (half-open canary survived).
-    total_quarantine_recoveries: u64,
     /// The shared-prefix state cache, when enabled
     /// ([`EngineConfig::prefix_cache`]).
     prefix: Option<PrefixCache>,
@@ -405,11 +278,6 @@ pub struct ServeEngine<'m> {
     /// feeds the overload shed hint so budget-deferred congestion and
     /// queue depth report consistent retry semantics.
     budget_deferred_last_step: u64,
-    /// Admissions the token budget deferred across the run.
-    total_budget_deferrals: u64,
-    /// Peak resident-token footprint (Σ `prompt + max_new` over
-    /// slot-holders) observed across the run.
-    peak_resident_tokens: usize,
 }
 
 impl<'m> ServeEngine<'m> {
@@ -435,33 +303,26 @@ impl<'m> ServeEngine<'m> {
         mut registry: ModelRegistry<'m>,
         cfg: EngineConfig,
     ) -> Result<Self, ServeError> {
-        if cfg.slots == 0 {
-            return Err(ServeError::InvalidConfig("slot pool of size 0".into()));
-        }
-        if cfg.prefill_chunk == 0 {
-            return Err(ServeError::InvalidConfig(
-                "prefill chunk of 0 tokens per step".into(),
-            ));
-        }
-        if cfg.threads == 0 {
-            return Err(ServeError::InvalidConfig(
-                "engine with 0 threads (1 = sequential)".into(),
-            ));
-        }
-        if registry.is_empty() {
-            return Err(ServeError::InvalidConfig(
-                "engine needs at least one registered model".into(),
-            ));
+        let invalid = [
+            (cfg.slots == 0, "slot pool of size 0"),
+            (cfg.prefill_chunk == 0, "prefill chunk of 0 tokens per step"),
+            (cfg.threads == 0, "engine with 0 threads (1 = sequential)"),
+            (
+                registry.is_empty(),
+                "engine needs at least one registered model",
+            ),
+            (
+                cfg.prefix_cache == Some(0),
+                "prefix cache of 0 entries (use None to disable)",
+            ),
+        ];
+        if let Some((_, why)) = invalid.iter().find(|(bad, _)| *bad) {
+            return Err(ServeError::InvalidConfig((*why).into()));
         }
         if let Some(budget) = cfg.token_budget {
             // Re-validate here so a literal-built budget can't smuggle a
             // zero cap past `TokenBudget::new`.
             TokenBudget::new(budget.max_prefill_tokens_per_step, budget.max_total_tokens)?;
-        }
-        if cfg.prefix_cache == Some(0) {
-            return Err(ServeError::InvalidConfig(
-                "prefix cache of 0 entries (use None to disable)".into(),
-            ));
         }
         let workers = (cfg.threads > 1).then(|| {
             let pool = Arc::new(WorkerPool::new(cfg.threads));
@@ -470,11 +331,13 @@ impl<'m> ServeEngine<'m> {
         });
         let template = registry.new_state();
         let n_models = registry.len();
+        let vocab_sizes = registry.vocab_sizes();
         Ok(ServeEngine {
             registry,
             pool: SlotPool::new(&template, cfg.slots),
             workers,
             cfg,
+            vocab_sizes,
             pending: VecDeque::new(),
             waiting: Vec::new(),
             active: Vec::new(),
@@ -482,34 +345,21 @@ impl<'m> ServeEngine<'m> {
             clock: 0,
             completions: Vec::new(),
             trace: RunTrace::default(),
-            total_prefill_tokens: 0,
-            total_decode_tokens: 0,
+            totals: Totals::default(),
             processed_per_model: vec![0; n_models],
-            total_preemptions: 0,
-            total_resumes: 0,
             resume_latency: Vec::new(),
             cancels: HashSet::new(),
-            total_cancellations: 0,
-            total_wasted_advances: 0,
-            total_reclaimed_slot_steps: 0,
             resume_states: HashMap::new(),
             session_snapshots: Vec::new(),
             events_enabled: false,
             events: Vec::new(),
-            obs: None,
+            obs: ObsSlot(None),
             resilience: ResilienceConfig::default(),
             health: HealthTracker::new(n_models),
             quarantine_mask: vec![false; n_models],
             degradation: DegradationController::default(),
-            total_failed: 0,
-            total_rejected: 0,
-            total_backend_faults: 0,
-            total_quarantine_entries: 0,
-            total_quarantine_recoveries: 0,
             prefix: cfg.prefix_cache.map(PrefixCache::new),
             budget_deferred_last_step: 0,
-            total_budget_deferrals: 0,
-            peak_resident_tokens: 0,
         })
     }
 
@@ -552,28 +402,28 @@ impl<'m> ServeEngine<'m> {
         }
     }
 
-    /// Requests retired as [`FinishReason::Failed`] by backend faults.
+    /// Requests retired as [`crate::request::FinishReason::Failed`] by backend faults.
     pub fn failed_count(&self) -> usize {
-        self.total_failed
+        self.totals.failed
     }
 
-    /// Arrivals shed as [`FinishReason::Rejected`] by overload
+    /// Arrivals shed as [`crate::request::FinishReason::Rejected`] by overload
     /// protection.
     pub fn rejected_count(&self) -> usize {
-        self.total_rejected
+        self.totals.rejected
     }
 
     /// Backend faults contained so far (error returns plus caught
     /// panics, one per model per step at most).
     pub fn backend_fault_count(&self) -> u64 {
-        self.total_backend_faults
+        self.totals.backend_faults
     }
 
     /// Quarantine transitions so far: `(entries, recoveries)`.
     pub fn quarantine_transitions(&self) -> (u64, u64) {
         (
-            self.total_quarantine_entries,
-            self.total_quarantine_recoveries,
+            self.totals.quarantine_entries,
+            self.totals.quarantine_recoveries,
         )
     }
 
@@ -594,25 +444,15 @@ impl<'m> ServeEngine<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for empty prompts or
-    /// out-of-order arrivals, and [`ServeError::UnknownModel`] for a
-    /// request naming a model the registry does not hold.
+    /// Returns [`ServeError::InvalidConfig`] for empty prompts, prompt
+    /// tokens outside the target model's vocabulary, or out-of-order
+    /// arrivals, and [`ServeError::UnknownModel`] for a request naming a
+    /// model the registry does not hold. A rejected request holds no
+    /// slot and records no [`Completion`]; requests ahead of it in the
+    /// same call stay submitted.
     pub fn submit(&mut self, requests: Vec<GenRequest>) -> Result<(), ServeError> {
         for r in requests {
-            if r.prompt.is_empty() {
-                return Err(ServeError::InvalidConfig(format!(
-                    "request {} has an empty prompt",
-                    r.id
-                )));
-            }
-            if r.model >= self.registry.len() {
-                return Err(ServeError::UnknownModel(format!(
-                    "request {} names model id {} but only {} model(s) are registered",
-                    r.id,
-                    r.model,
-                    self.registry.len()
-                )));
-            }
+            r.validate(&self.vocab_sizes)?;
             if let Some(back) = self.pending.back() {
                 if r.arrival_step < back.arrival_step {
                     return Err(ServeError::InvalidConfig(
@@ -643,15 +483,7 @@ impl<'m> ServeEngine<'m> {
         mut req: GenRequest,
         snapshot: SessionSnapshot,
     ) -> Result<(), ServeError> {
-        let template = self.registry.new_state();
-        let state = snapshot.state.state();
-        let compatible = state.layers.len() == template.layers.len()
-            && state.layers.iter().zip(&template.layers).all(|(a, b)| {
-                a.h.len() == b.h.len()
-                    && a.conv.channels() == b.conv.channels()
-                    && a.conv.kernel() == b.conv.kernel()
-            });
-        if !compatible {
+        if !same_state_shape(snapshot.state.state(), &self.registry.new_state()) {
             return Err(ServeError::InvalidConfig(format!(
                 "request {} resumes a session state whose shape does not fit this engine's \
                  slot pool",
@@ -668,7 +500,7 @@ impl<'m> ServeEngine<'m> {
     /// Requests cancellation of `id` (client hang-up). At the top of
     /// the next step the request is evicted from wherever it sits —
     /// pending, waiting, resident, or paused — with
-    /// [`FinishReason::Cancelled`]; a cancelled *resident* frees its
+    /// [`crate::request::FinishReason::Cancelled`]; a cancelled *resident* frees its
     /// slot within that one step, and the freed capacity is offered to
     /// admission in the same step. Unknown or already-finished ids are
     /// ignored (the cancel raced with completion).
@@ -700,17 +532,17 @@ impl<'m> ServeEngine<'m> {
     /// wall-clock epoch at the call, replacing any prior layer.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         let names: Vec<&str> = self.registry.iter().map(|(_, name, _)| name).collect();
-        self.obs = Some(Box::new(EngineObs::new(cfg, &names)));
+        self.obs = ObsSlot(Some(Box::new(EngineObs::new(cfg, &names))));
     }
 
     /// The observability layer, when enabled.
     pub fn obs(&self) -> Option<&EngineObs> {
-        self.obs.as_deref()
+        self.obs.0.as_deref()
     }
 
     /// Mutable access to the observability layer, when enabled.
     pub fn obs_mut(&mut self) -> Option<&mut EngineObs> {
-        self.obs.as_deref_mut()
+        self.obs.0.as_deref_mut()
     }
 
     /// Detaches and returns the observability layer (the engine keeps
@@ -718,23 +550,7 @@ impl<'m> ServeEngine<'m> {
     /// final metrics/trace/flight state to the caller with the run
     /// report.
     pub fn take_obs(&mut self) -> Option<Box<EngineObs>> {
-        self.obs.take()
-    }
-
-    /// Opens a phase span when observability is enabled.
-    #[inline]
-    fn obs_begin(&mut self, name: &'static str, cat: &'static str) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.spans.begin(name, cat, self.clock);
-        }
-    }
-
-    /// Closes the innermost phase span when observability is enabled.
-    #[inline]
-    fn obs_end(&mut self) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.spans.end();
-        }
+        self.obs.0.take()
     }
 
     /// Submitted session resumes whose saved state has not yet been
@@ -769,13 +585,13 @@ impl<'m> ServeEngine<'m> {
     /// Admissions deferred by the token budget across the run
     /// ([`EngineConfig::token_budget`]); 0 with no budget set.
     pub fn budget_deferrals(&self) -> u64 {
-        self.total_budget_deferrals
+        self.totals.budget_deferrals
     }
 
     /// Peak resident-token footprint (Σ `prompt + max_new` over
     /// slot-holders at the post-admission point) observed so far.
     pub fn peak_resident_tokens(&self) -> usize {
-        self.peak_resident_tokens
+        self.totals.peak_resident_tokens
     }
 
     /// Slot-pool capacity.
@@ -811,7 +627,8 @@ impl<'m> ServeEngine<'m> {
     ///
     /// # Errors
     ///
-    /// Propagates model step errors (invalid tokens, state mismatch).
+    /// None today — backend faults are contained per model, not
+    /// returned (see [`ServeEngine::step`]).
     pub fn run(&mut self, policy: &mut dyn Policy) -> Result<ServeReport, ServeError> {
         while self.has_work() && self.clock < self.cfg.max_steps {
             self.step(policy)?;
@@ -819,1254 +636,52 @@ impl<'m> ServeEngine<'m> {
         Ok(self.report(&*policy))
     }
 
-    /// Records the eviction of a never-admitted request (pending or
-    /// waiting) — deadline expiry or client cancellation.
-    fn evict_unadmitted(
-        completions: &mut Vec<Completion>,
-        r: &GenRequest,
-        clock: u64,
-        finish: FinishReason,
-    ) {
-        completions.push(Completion {
-            id: r.id,
-            model: r.model,
-            priority: r.priority,
-            tokens: Vec::new(),
-            finish,
-            arrival_step: r.arrival_step,
-            deadline_steps: r.deadline_steps,
-            admitted_step: None,
-            first_token_step: None,
-            finished_step: clock,
-            preemptions: 0,
-            paused_steps: 0,
-            paused_steps_before_first_token: 0,
-            retry_after_steps: None,
-        });
-    }
-
-    /// Scheduling views of the resident sequences, batch order.
-    fn resident_views(&self) -> Vec<SeqView> {
-        self.active
-            .iter()
-            .map(|s| {
-                SeqView::new(
-                    &s.req,
-                    s.req
-                        .min_steps_remaining(s.pos, s.generated.len(), self.cfg.prefill_chunk),
-                )
-            })
-            .collect()
-    }
-
-    /// Scheduling views of the paused sequences, oldest pause first.
-    fn paused_views(&self) -> Vec<SeqView> {
-        self.paused
-            .iter()
-            .map(|p| p.view(self.cfg.prefill_chunk))
-            .collect()
-    }
-
-    /// Executes one engine step: arrivals → expiry/doomed eviction →
-    /// policy preemption (pause residents for urgent work) → policy
-    /// admission (fresh arrivals and resumes compete for the freed
-    /// slots) → batched model advance (chunked prefill + decode) →
-    /// sampling/finish/evict bookkeeping.
+    /// Executes one engine step — one batched model invocation — as an
+    /// ordered list of phases sharing one per-step `StepCtx`: arrivals →
+    /// cancel / expiry / doomed eviction → policy preemption (pause
+    /// residents for urgent work) → policy admission (fresh arrivals and
+    /// resumes compete for the freed slots, under the quarantine and
+    /// token-budget gates) → batched model advance (chunked prefill +
+    /// decode, one fault domain per backend) → sampling and prefix
+    /// harvest → retirement → degradation ladder → trace and
+    /// observability close. ARCHITECTURE.md tabulates what each phase
+    /// reads and writes.
     ///
     /// # Errors
     ///
-    /// Propagates model step errors.
+    /// None today: a backend error or panic is *contained* — the faulted
+    /// model's residents retire as [`crate::request::FinishReason::Failed`],
+    /// the backend is quarantined, and the step still returns `Ok`. The
+    /// `Result` is kept so callers written as `step(..)?` stay valid.
     pub fn step(&mut self, policy: &mut dyn Policy) -> Result<(), ServeError> {
-        let completions_at_entry = self.completions.len();
-        let snapshots_at_entry = self.session_snapshots.len();
-        // Wall-clock timing and the step span exist only when the
-        // observability layer is on — a bare engine pays one branch.
-        let wall_start = self.obs.is_some().then(Instant::now);
-        let cat = policy.name();
-        self.obs_begin("step", cat);
-
-        // 0. Fault-layer heartbeat. Every registered backend observes
-        //    the step clock — quarantined ones included, so a fault
-        //    injector's windows elapse in virtual time whether or not
-        //    the engine routes work to it (like a real transient fault
-        //    clearing on its own schedule). Then quarantine windows
-        //    whose backoff elapsed open half-way: admission below will
-        //    offer each such backend exactly one canary.
-        for (_, _, backend) in self.registry.iter() {
-            backend.on_step(self.clock);
-        }
-        {
-            let clock = self.clock;
-            let obs = &mut self.obs;
-            self.health.tick(clock, |mid, _level| {
-                if let Some(o) = obs.as_deref_mut() {
-                    o.fault_event(clock, mid as u32, FaultKind::HalfOpen);
-                }
-            });
-        }
-
-        // 1. Arrivals whose time has come join the waiting queue —
-        //    unless overload protection sheds them: with a bounded
-        //    queue, arrivals beyond `queue_limit` are turned away, and
-        //    from rung 2 of the degradation ladder Batch-priority
-        //    arrivals are shed outright. A shed request retires as
-        //    `Rejected` with a retry hint scaled to queue pressure; it
-        //    never holds a slot and does no model work. From rung 3,
-        //    degradable (non-Interactive, non-session) arrivals are
-        //    rerouted to the registry's cheapest backend.
-        let degradation_level = self.degradation.level();
-        let reroute_to = (degradation_level >= 3)
-            .then(|| self.registry.cheapest_model())
-            .flatten();
-        while self
-            .pending
-            .front()
-            .is_some_and(|r| r.arrival_step <= self.clock)
-        {
-            let mut r = self.pending.pop_front().expect("front checked");
-            let over_limit = self
-                .resilience
-                .queue_limit
-                .is_some_and(|lim| self.waiting.len() >= lim);
-            let shed_class = degradation_level >= 2 && r.priority == Priority::Batch;
-            if over_limit || shed_class {
-                // Hint: the steps the backlog ahead needs to drain at
-                // one slot-pool wave per step — crude, but
-                // deterministic and monotone in pressure. Token-budget
-                // deferrals slow the drain below one wave per step, so
-                // last step's deferral count is added: a client turned
-                // away under budget pressure waits longer than one
-                // turned away by queue depth alone (saturating — the
-                // hint is advisory, never a wrap).
-                let hint = (1 + self.waiting.len() as u64 / self.pool.capacity().max(1) as u64)
-                    .saturating_add(self.budget_deferred_last_step);
-                self.total_rejected += 1;
-                // A shed session resume never restores its state.
-                self.resume_states.remove(&r.id);
-                self.completions.push(Completion {
-                    id: r.id,
-                    model: r.model,
-                    priority: r.priority,
-                    tokens: Vec::new(),
-                    finish: FinishReason::Rejected,
-                    arrival_step: r.arrival_step,
-                    deadline_steps: r.deadline_steps,
-                    admitted_step: None,
-                    first_token_step: None,
-                    finished_step: self.clock,
-                    preemptions: 0,
-                    paused_steps: 0,
-                    paused_steps_before_first_token: 0,
-                    retry_after_steps: Some(hint),
-                });
-                continue;
-            }
-            if let Some(cheap) = reroute_to {
-                // Session resumes stay on their model: their saved
-                // state embodies that model's decode history.
-                if r.priority != Priority::Interactive && !self.resume_states.contains_key(&r.id) {
-                    r.model = cheap;
-                }
-            }
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.lifecycle(r.id, self.clock, LifecyclePhase::Queued);
-            }
-            self.waiting.push(r);
-        }
-
-        // 1b. Client cancellations: a cancelled request leaves from
-        //     wherever it sits. A cancelled *resident* frees its slot
-        //     right here — before admission — so the capacity it hands
-        //     back is re-offered this very step; its sunk
-        //     token-advances are booked as wasted work and the minimum
-        //     service it still owed as reclaimed slot-steps. Ids the
-        //     engine no longer holds are dropped silently (the cancel
-        //     raced with completion).
-        let mut cancelled_this_step = 0usize;
-        self.obs_begin("cancel", cat);
-        if !self.cancels.is_empty() {
-            let cancels = std::mem::take(&mut self.cancels);
-            for id in &cancels {
-                // A cancelled session resume never restores its state.
-                self.resume_states.remove(id);
-            }
-            let clock = self.clock;
-            let chunk = self.cfg.prefill_chunk;
-            let completions = &mut self.completions;
-            self.pending.retain(|r| {
-                let hit = cancels.contains(&r.id);
-                if hit {
-                    cancelled_this_step += 1;
-                    Self::evict_unadmitted(completions, r, clock, FinishReason::Cancelled);
-                }
-                !hit
-            });
-            self.waiting.retain(|r| {
-                let hit = cancels.contains(&r.id);
-                if hit {
-                    cancelled_this_step += 1;
-                    Self::evict_unadmitted(completions, r, clock, FinishReason::Cancelled);
-                }
-                !hit
-            });
-            let pool = &mut self.pool;
-            let mut wasted = 0u64;
-            let mut reclaimed = 0u64;
-            self.active.retain_mut(|seq| {
-                if !cancels.contains(&seq.req.id) {
-                    return true;
-                }
-                wasted += seq.pos as u64;
-                reclaimed += seq
-                    .req
-                    .min_steps_remaining(seq.pos, seq.generated.len(), chunk);
-                cancelled_this_step += 1;
-                pool.release(seq.slot);
-                completions.push(Completion {
-                    id: seq.req.id,
-                    model: seq.req.model,
-                    priority: seq.req.priority,
-                    tokens: std::mem::take(&mut seq.generated),
-                    finish: FinishReason::Cancelled,
-                    arrival_step: seq.req.arrival_step,
-                    deadline_steps: seq.req.deadline_steps,
-                    admitted_step: Some(seq.admitted_step),
-                    first_token_step: seq.first_token_step,
-                    finished_step: clock,
-                    preemptions: seq.preemptions,
-                    paused_steps: seq.paused_steps,
-                    paused_steps_before_first_token: seq.paused_steps_pre_first,
-                    retry_after_steps: None,
-                });
-                false
-            });
-            self.paused.retain_mut(|p| {
-                if !cancels.contains(&p.req.id) {
-                    return true;
-                }
-                wasted += p.pos as u64;
-                cancelled_this_step += 1;
-                completions.push(p.finish_paused(clock, FinishReason::Cancelled));
-                false
-            });
-            self.total_cancellations += cancelled_this_step;
-            self.total_wasted_advances += wasted;
-            self.total_reclaimed_slot_steps += reclaimed;
-        }
-        self.obs_end();
-        self.obs_begin("expire", cat);
-
-        // 2. Evict deadline-expired requests still waiting — they must
-        //    not burn a slot or a batched model step on admission.
-        {
-            let clock = self.clock;
-            let completions = &mut self.completions;
-            self.waiting.retain(|r| {
-                let expired = r
-                    .deadline_steps
-                    .is_some_and(|d| clock.saturating_sub(r.arrival_step) >= d);
-                if expired {
-                    Self::evict_unadmitted(completions, r, clock, FinishReason::DeadlineExceeded);
-                }
-                !expired
-            });
-        }
-
-        // 3. Evict resident sequences whose deadline lapsed before this
-        //    step — the same pre-step rule as the waiting queue, so an
-        //    expired sequence never joins another batched model step.
-        {
-            let clock = self.clock;
-            let pool = &mut self.pool;
-            let completions = &mut self.completions;
-            self.active.retain_mut(|seq| {
-                let expired = seq
-                    .req
-                    .deadline_steps
-                    .is_some_and(|d| clock.saturating_sub(seq.req.arrival_step) >= d);
-                if !expired {
-                    return true;
-                }
-                pool.release(seq.slot);
-                completions.push(Completion {
-                    id: seq.req.id,
-                    model: seq.req.model,
-                    priority: seq.req.priority,
-                    tokens: std::mem::take(&mut seq.generated),
-                    finish: FinishReason::DeadlineExceeded,
-                    arrival_step: seq.req.arrival_step,
-                    deadline_steps: seq.req.deadline_steps,
-                    admitted_step: Some(seq.admitted_step),
-                    first_token_step: seq.first_token_step,
-                    finished_step: clock,
-                    preemptions: seq.preemptions,
-                    paused_steps: seq.paused_steps,
-                    paused_steps_before_first_token: seq.paused_steps_pre_first,
-                    retry_after_steps: None,
-                });
-                false
-            });
-        }
-
-        // 3b. The same expiry rule for paused sequences: a lapsed
-        //     deadline ends the request even while it holds no slot.
-        {
-            let clock = self.clock;
-            let completions = &mut self.completions;
-            self.paused.retain_mut(|p| {
-                let expired = p
-                    .req
-                    .deadline_steps
-                    .is_some_and(|d| clock.saturating_sub(p.req.arrival_step) >= d);
-                if expired {
-                    completions.push(p.finish_paused(clock, FinishReason::DeadlineExceeded));
-                }
-                !expired
-            });
-        }
-        self.obs_end();
-        self.obs_begin("doom", cat);
-
-        // 4. Doomed eviction (deadline-aware policies only): a waiting
-        //    or paused request whose minimal completion no longer fits
-        //    its budget is a guaranteed miss — drop it *before*
-        //    admission instead of wasting slot steps discovering that
-        //    at expiry. Paused sequences are judged on their *remaining*
-        //    work: partial progress buys real slack.
-        if policy.evicts_doomed() {
-            let clock = self.clock;
-            let chunk = self.cfg.prefill_chunk;
-            let completions = &mut self.completions;
-            self.waiting.retain(|r| {
-                let doomed = r
-                    .absolute_deadline()
-                    .is_some_and(|abs| clock + r.min_steps_to_complete(chunk) > abs);
-                if doomed {
-                    Self::evict_unadmitted(completions, r, clock, FinishReason::DeadlineExceeded);
-                }
-                !doomed
-            });
-            self.paused.retain_mut(|p| {
-                let doomed = p.req.absolute_deadline().is_some_and(|abs| {
-                    clock + p.req.min_steps_remaining(p.pos, p.generated.len(), chunk) > abs
-                });
-                if doomed {
-                    completions.push(p.finish_paused(clock, FinishReason::DeadlineExceeded));
-                }
-                !doomed
-            });
-        }
-        self.obs_end();
-
-        // 5. Preemption: the policy may pause residents so that more
-        //    urgent candidates can take their slots this very step. A
-        //    victim's fixed-size state is snapshotted via its backend,
-        //    the slot is released, and the sequence joins the paused
-        //    queue (it re-enters through admission as a candidate). The
-        //    engine enforces index validity, mirroring admission.
-        let chunk = self.effective_prefill_chunk();
-        self.health.fill_mask(&mut self.quarantine_mask);
-        let mut active_per_model = vec![0usize; self.registry.len()];
-        for seq in &self.active {
-            active_per_model[seq.req.model] += 1;
-        }
-        let mut preempted_this_step = 0usize;
-        let mut resumed_this_step = 0usize;
-        let mut admitted_this_step = 0usize;
-        let mut sub_state_moves = vec![0usize; self.registry.len()];
-        let mut resident_views = self.resident_views();
-        let mut paused_views = self.paused_views();
-        self.obs_begin("preempt", cat);
-        {
-            let mut victims = policy.preempt(&AdmissionCtx {
-                waiting: &self.waiting,
-                paused: &paused_views,
-                residents: &resident_views,
-                clock: self.clock,
-                free_slots: self.pool.free_count(),
-                active: self.active.len(),
-                active_per_model: &active_per_model,
-                prefill_chunk: chunk,
-                quarantined: &self.quarantine_mask,
-            });
-            let mut seen = vec![false; self.active.len()];
-            victims.retain(|&i| i < seen.len() && !std::mem::replace(&mut seen[i], true));
-            victims.sort_unstable();
-            for &i in victims.iter().rev() {
-                let seq = self.active.remove(i);
-                let backend = self
-                    .registry
-                    .get(seq.req.model)
-                    .expect("resident implies registered");
-                let state = backend.save_state(&self.pool.states()[seq.slot]);
-                self.pool.release(seq.slot);
-                active_per_model[seq.req.model] -= 1;
-                sub_state_moves[seq.req.model] += 1;
-                preempted_this_step += 1;
-                self.total_preemptions += 1;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.lifecycle(seq.req.id, self.clock, LifecyclePhase::Preempted);
-                }
-                self.paused.push(PausedSeq {
-                    state,
-                    pos: seq.pos,
-                    generated: seq.generated,
-                    rng: seq.rng,
-                    admitted_step: seq.admitted_step,
-                    first_token_step: seq.first_token_step,
-                    paused_at: self.clock,
-                    preemptions: seq.preemptions + 1,
-                    paused_steps: seq.paused_steps,
-                    paused_steps_pre_first: seq.paused_steps_pre_first,
-                    harvest: seq.harvest,
-                    req: seq.req,
-                });
-            }
-            // The views only change when someone was actually paused —
-            // the common (non-preempting) step reuses them for select.
-            if !victims.is_empty() {
-                resident_views = self.resident_views();
-                paused_views = self.paused_views();
-            }
-        }
-        self.obs_end();
-        self.obs_begin("admit", cat);
-
-        // 6. Admission: the policy selects *which* candidates — fresh
-        //    arrivals and paused sequences alike — take the free slots,
-        //    in what order. Picking a paused candidate restores its
-        //    saved state into the newly claimed slot (a resume). The
-        //    engine enforces the invariants (bounds, uniqueness, free
-        //    slots) so policies stay simple.
-        let mut picks = policy.select(&AdmissionCtx {
-            waiting: &self.waiting,
-            paused: &paused_views,
-            residents: &resident_views,
-            clock: self.clock,
-            free_slots: self.pool.free_count(),
-            active: self.active.len(),
-            active_per_model: &active_per_model,
-            prefill_chunk: chunk,
-            quarantined: &self.quarantine_mask,
-        });
-        let n_waiting = self.waiting.len();
-        {
-            let mut seen = vec![false; n_waiting + self.paused.len()];
-            picks.retain(|&i| i < seen.len() && !std::mem::replace(&mut seen[i], true));
-            // Quarantine gate, enforced by the engine so no policy can
-            // leak work into a faulted domain: picks naming a
-            // quarantined model are dropped; a half-open model admits
-            // exactly one canary to probe it. (Cold path — the vec
-            // allocates only on steps where some backend is unhealthy.)
-            if self.health.any_unhealthy() {
-                let health = &self.health;
-                let waiting = &self.waiting;
-                let paused = &self.paused;
-                let mut canary_used = vec![false; self.registry.len()];
-                picks.retain(|&i| {
-                    let model = if i < n_waiting {
-                        waiting[i].model
-                    } else {
-                        paused[i - n_waiting].req.model
-                    };
-                    match health.get(model) {
-                        BackendHealth::Healthy => true,
-                        BackendHealth::Quarantined { .. } => false,
-                        BackendHealth::HalfOpen { .. } => {
-                            !std::mem::replace(&mut canary_used[model], true)
-                        }
-                    }
-                });
-            }
-            picks.truncate(self.pool.free_count());
-        }
-        // 6a. Token-budget gate ([`TokenBudget`]), layered under every
-        //     policy: walk the surviving picks in policy order and defer
-        //     any that would push this step's prefill feed past
-        //     `max_prefill_tokens_per_step` or the resident footprint
-        //     past `max_total_tokens`. Deferred picks stay queued (or
-        //     paused) — admission pressure, never a drop. All accounting
-        //     uses the *configured* chunk, not the degradation ladder's
-        //     effective chunk, so a ladder recovering mid-run can never
-        //     invalidate an admission the budget already granted.
-        let mut budget_deferred_this_step = 0u64;
-        if let Some(budget) = self.cfg.token_budget {
-            let full_chunk = self.cfg.prefill_chunk;
-            // Running totals start from what the residents already
-            // commit this step: each prefilling sequence's next chunk,
-            // and every slot-holder's worst-case footprint.
-            let mut prefill_run: usize = self
-                .active
-                .iter()
-                .filter(|s| s.pos < s.req.prompt.len())
-                .map(|s| (s.req.prompt.len() - s.pos).min(full_chunk))
-                .sum();
-            let mut total_run: usize = self
-                .active
-                .iter()
-                .map(|s| s.req.prompt.len() + s.req.max_new_tokens)
-                .sum();
-            let waiting = &self.waiting;
-            let paused = &self.paused;
-            picks.retain(|&i| {
-                let (first_feed, footprint) = if i < n_waiting {
-                    let r = &waiting[i];
-                    // A fresh admission prefills from position 0; a
-                    // prefix-cache hit would feed less, but the gate
-                    // runs before the lookup, so it charges the
-                    // worst case (the invariant stays an upper bound).
-                    (
-                        r.prompt.len().min(full_chunk),
-                        r.prompt.len() + r.max_new_tokens,
-                    )
-                } else {
-                    let p = &paused[i - n_waiting];
-                    let feed = if p.pos < p.req.prompt.len() {
-                        (p.req.prompt.len() - p.pos).min(full_chunk)
-                    } else {
-                        0
-                    };
-                    (feed, p.req.prompt.len() + p.req.max_new_tokens)
-                };
-                // Liveness valve: with nothing resident and nothing yet
-                // admitted, the first pick runs even if it alone busts a
-                // cap — an oversized request executes solo instead of
-                // starving behind a budget it can never fit.
-                let valve = prefill_run == 0 && total_run == 0;
-                let fits = prefill_run + first_feed <= budget.max_prefill_tokens_per_step
-                    && total_run + footprint <= budget.max_total_tokens;
-                if fits || valve {
-                    prefill_run += first_feed;
-                    total_run += footprint;
-                    true
-                } else {
-                    budget_deferred_this_step += 1;
-                    false
-                }
-            });
-        }
-        self.total_budget_deferrals += budget_deferred_this_step;
-        if !picks.is_empty() {
-            let mut drained: Vec<Option<GenRequest>> = self.waiting.drain(..).map(Some).collect();
-            let mut drained_paused: Vec<Option<PausedSeq>> =
-                self.paused.drain(..).map(Some).collect();
-            for &i in &picks {
-                let slot = self.pool.alloc().expect("picks bounded by free slots");
-                if i < n_waiting {
-                    let req = drained[i].take().expect("picks are unique and in range");
-                    let mut start_pos = 0usize;
-                    let mut harvest = None;
-                    // A session resume: restore the prior turn's saved
-                    // state into the fresh slot (one state-transfer
-                    // move, priced like a preemption resume) instead of
-                    // starting from zeros.
-                    if let Some(prior) = self.resume_states.remove(&req.id) {
-                        let backend = self.registry.get(req.model).expect("validated at submit");
-                        backend.restore_state(&prior, &mut self.pool.states_mut()[slot]);
-                        sub_state_moves[req.model] += 1;
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.session_restore();
-                        }
-                    } else if let Some(cache) = self.prefix.as_mut() {
-                        // A shared-prefix marker (validated: at least
-                        // one token must remain to feed). A cache hit
-                        // restores the post-prefix snapshot — one
-                        // state-transfer move, priced exactly like a
-                        // resume — and prefill starts *after* the
-                        // prefix. A miss marks the sequence for harvest
-                        // in phase 8b.
-                        if let Some(k) =
-                            req.shared_prefix.filter(|&k| k > 0 && k < req.prompt.len())
-                        {
-                            if let Some(snap) = cache.lookup(req.model, &req.prompt[..k]) {
-                                let backend =
-                                    self.registry.get(req.model).expect("validated at submit");
-                                backend.restore_state(snap, &mut self.pool.states_mut()[slot]);
-                                sub_state_moves[req.model] += 1;
-                                start_pos = k;
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.prefix_hit();
-                                }
-                            } else {
-                                harvest = Some(k);
-                                if let Some(o) = self.obs.as_deref_mut() {
-                                    o.prefix_miss();
-                                }
-                            }
-                        }
-                    }
-                    admitted_this_step += 1;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.lifecycle(req.id, self.clock, LifecyclePhase::Admitted);
-                    }
-                    if self.events_enabled {
-                        self.events.push(StepEvent::Started {
-                            id: req.id,
-                            step: self.clock,
-                        });
-                    }
-                    let rng = StdRng::seed_from_u64(req.seed);
-                    self.active.push(ActiveSeq {
-                        slot,
-                        pos: start_pos,
-                        generated: Vec::with_capacity(req.max_new_tokens),
-                        rng,
-                        admitted_step: self.clock,
-                        first_token_step: None,
-                        preemptions: 0,
-                        paused_steps: 0,
-                        paused_steps_pre_first: 0,
-                        harvest,
-                        req,
-                    });
-                } else {
-                    let p = drained_paused[i - n_waiting]
-                        .take()
-                        .expect("picks are unique and in range");
-                    let backend = self
-                        .registry
-                        .get(p.req.model)
-                        .expect("resident implies registered");
-                    backend.restore_state(&p.state, &mut self.pool.states_mut()[slot]);
-                    let (pause_len, paused_steps, pre_first) = p.end_episode(self.clock);
-                    sub_state_moves[p.req.model] += 1;
-                    resumed_this_step += 1;
-                    self.total_resumes += 1;
-                    self.resume_latency.push(pause_len as f64);
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.lifecycle(p.req.id, self.clock, LifecyclePhase::Resumed);
-                    }
-                    self.active.push(ActiveSeq {
-                        slot,
-                        pos: p.pos,
-                        generated: p.generated,
-                        rng: p.rng,
-                        admitted_step: p.admitted_step,
-                        first_token_step: p.first_token_step,
-                        preemptions: p.preemptions,
-                        paused_steps,
-                        paused_steps_pre_first: pre_first,
-                        harvest: p.harvest,
-                        req: p.req,
-                    });
-                }
-            }
-            self.waiting = drained.into_iter().flatten().collect();
-            self.paused = drained_paused.into_iter().flatten().collect();
-        }
-        // Resident-token footprint at its per-step peak
-        // (post-admission, pre-retirement) — the quantity
-        // [`TokenBudget::max_total_tokens`] bounds, recorded whether or
-        // not a budget is set so utilization is always reportable.
-        let resident_tokens_this_step: usize = self
-            .active
-            .iter()
-            .map(|s| s.req.prompt.len() + s.req.max_new_tokens)
-            .sum();
-        self.peak_resident_tokens = self.peak_resident_tokens.max(resident_tokens_this_step);
-        self.obs_end();
-        self.obs_begin("advance", cat);
-
-        // 7. One batched advance per model: sequences are grouped into
-        //    per-model sub-batches (each is one shared weight stream on
-        //    the accelerator); a prefilling sequence feeds its next
-        //    prompt chunk, a decoding one its previous sample. Outputs
-        //    land per active sequence, so downstream bookkeeping is
-        //    multiplexing- and chunking-agnostic.
-        let total_batch = self.active.len();
-        let mut sub_batches = vec![0usize; self.registry.len()];
-        let mut sub_processed = vec![0usize; self.registry.len()];
-        let mut step_logits: Vec<Option<Vec<f32>>> = vec![None; total_batch];
-        let mut step_shards = 0u64;
-        // Each backend is one fault domain: its advance runs under a
-        // panic catch, so an error return or a panic fails only that
-        // model's sub-batch this step — every other domain's results
-        // land normally and the engine survives. At most one fault per
-        // model per step; `true` marks a caught panic.
-        let mut faulted: Vec<Option<bool>> = vec![None; self.registry.len()];
-        for (mid, _, backend) in self.registry.iter() {
-            let idxs: Vec<usize> = (0..self.active.len())
-                .filter(|&i| self.active[i].req.model == mid)
-                .collect();
-            if idxs.is_empty() {
-                continue;
-            }
-            let items: Vec<(usize, &[u32])> = idxs
-                .iter()
-                .map(|&i| (self.active[i].slot, self.active[i].feed(chunk)))
-                .collect();
-            let fed: usize = items.iter().map(|(_, toks)| toks.len()).sum();
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.spans.begin("sub_batch", cat, self.clock);
-            }
-            // `AssertUnwindSafe` is justified the same way the worker
-            // pool's is: on unwind the sub-batch's outputs are
-            // discarded, its sequences retire as Failed with their
-            // slots released, and `SlotPool::alloc` re-zeroes states on
-            // reuse — torn state cannot reach a later request.
-            let states = self.pool.states_mut();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                backend.advance_batch_indexed(&items, states)
-            }));
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.spans
-                    .end_with([("model", mid as f64), ("tokens", fed as f64)]);
-            }
-            let results = match outcome {
-                Ok(Ok(results)) => results,
-                Ok(Err(_)) => {
-                    faulted[mid] = Some(false);
-                    continue;
-                }
-                Err(payload) => {
-                    // The message is reconstructed for assertions only;
-                    // the payload itself stops here.
-                    let _ = panic_message(payload.as_ref());
-                    faulted[mid] = Some(true);
-                    continue;
-                }
-            };
-            sub_batches[mid] = idxs.len();
-            sub_processed[mid] = fed;
-            self.processed_per_model[mid] += fed as u64;
-            // Worker shards this sub-batch ran on: the pool never uses
-            // more shards than sequences (mirrors the backend's
-            // contiguous shard plan); 1 on the sequential path.
-            step_shards += backend.pool_threads().min(idxs.len()) as u64;
-            for (&i, (slot, logits)) in idxs.iter().zip(results) {
-                debug_assert_eq!(self.active[i].slot, slot);
-                step_logits[i] = Some(logits);
-            }
-            // A half-open backend whose canary advanced cleanly is
-            // readmitted for full service.
-            if self.health.on_clean_advance(mid) {
-                self.total_quarantine_recoveries += 1;
-                let clock = self.clock;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.fault_event(clock, mid as u32, FaultKind::Recovered);
-                }
-            }
-        }
-        let worker_threads = self.worker_threads();
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.pool_activity(worker_threads, step_shards);
-        }
-
-        // 7b. Fault containment: quarantine each faulted backend (with
-        //     deterministic exponential backoff) and retire its
-        //     residents as Failed — matching `step_logits` entries
-        //     removed in tandem so the sampling loop below stays
-        //     index-aligned. Paused sequences of the domain keep their
-        //     pre-fault (intact) saved states and resume once the
-        //     quarantine lifts; tokens generated before the fault ride
-        //     out in the completion record.
-        if faulted.iter().any(Option::is_some) {
-            for (mid, fault) in faulted.iter().enumerate() {
-                let Some(&was_panic) = fault.as_ref() else {
-                    continue;
-                };
-                self.total_backend_faults += 1;
-                // The unwound (or erroring) backend may hold torn
-                // internal scratch: have it rebuild before it is ever
-                // called again. The recovery hook is fault-isolated
-                // too — a panic here stays contained.
-                if let Some(backend) = self.registry.get(mid) {
-                    let _ = catch_unwind(AssertUnwindSafe(|| backend.reset_after_fault()));
-                }
-                let clock = self.clock;
-                let kind = if was_panic {
-                    FaultKind::BackendPanic
-                } else {
-                    FaultKind::BackendError
-                };
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.fault_event(clock, mid as u32, kind);
-                }
-                if self.resilience.quarantine {
-                    self.total_quarantine_entries += 1;
-                    self.health.on_fault(mid, clock, &self.resilience);
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.fault_event(clock, mid as u32, FaultKind::Quarantined);
-                    }
-                }
-            }
-            let clock = self.clock;
-            let mut i = 0;
-            while i < self.active.len() {
-                if faulted[self.active[i].req.model].is_none() {
-                    i += 1;
-                    continue;
-                }
-                let mut seq = self.active.remove(i);
-                step_logits.remove(i);
-                self.pool.release(seq.slot);
-                self.total_failed += 1;
-                // A failed request's pending session restore is dropped
-                // by the step-close sweep below, like any other exit.
-                self.completions.push(Completion {
-                    id: seq.req.id,
-                    model: seq.req.model,
-                    priority: seq.req.priority,
-                    tokens: std::mem::take(&mut seq.generated),
-                    finish: FinishReason::Failed,
-                    arrival_step: seq.req.arrival_step,
-                    deadline_steps: seq.req.deadline_steps,
-                    admitted_step: Some(seq.admitted_step),
-                    first_token_step: seq.first_token_step,
-                    finished_step: clock,
-                    preemptions: seq.preemptions,
-                    paused_steps: seq.paused_steps,
-                    paused_steps_before_first_token: seq.paused_steps_pre_first,
-                    retry_after_steps: None,
-                });
-            }
-        }
-
-        self.obs_end();
-        self.obs_begin("sample", cat);
-
-        // 8. Bookkeeping per sequence, in batch order. The step that
-        //    consumes the final prompt chunk (or a decode step) yields
-        //    the next sampled token.
-        let mut prefill_tokens = 0usize;
-        let mut decode_tokens = 0usize;
-        for (seq, logits) in self.active.iter_mut().zip(&step_logits) {
-            let logits = logits.as_ref().expect("every active sequence stepped");
-            if seq.pos < seq.req.prompt.len() {
-                // Mirrors `feed` exactly (both derive from `feed_len`),
-                // including the clip at a pending harvest boundary.
-                let fed = seq.feed_len(chunk);
-                prefill_tokens += fed;
-                seq.pos += fed;
-            } else {
-                seq.pos += 1;
-            }
-            if seq.pos >= seq.req.prompt.len() {
-                let token = seq.req.sampler.sample(logits, &mut seq.rng);
-                if seq.first_token_step.is_none() {
-                    seq.first_token_step = Some(self.clock);
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.lifecycle(seq.req.id, self.clock, LifecyclePhase::FirstToken);
-                    }
-                }
-                seq.generated.push(token);
-                decode_tokens += 1;
-                if self.events_enabled {
-                    self.events.push(StepEvent::Token {
-                        id: seq.req.id,
-                        token,
-                        step: self.clock,
-                    });
-                }
-            }
-        }
-
-        // 8b. Prefix harvest: a sequence whose prefill just crossed its
-        //     cache-miss prefix boundary has, in its slot, *exactly* the
-        //     state of a run that prefilled the prefix alone — feeding
-        //     clips there ([`ActiveSeq::feed_len`]). Snapshot it into
-        //     the cache (one state save on the shared stream, counted
-        //     with the step's other state moves) unless a concurrent
-        //     miss already harvested the same prefix this wave.
-        if let Some(cache) = self.prefix.as_mut() {
-            for seq in &mut self.active {
-                let Some(h) = seq.harvest else { continue };
-                if seq.pos < h {
-                    continue;
-                }
-                debug_assert_eq!(seq.pos, h, "feeding clips at the harvest boundary");
-                seq.harvest = None;
-                if !cache.contains(seq.req.model, &seq.req.prompt[..h]) {
-                    let backend = self
-                        .registry
-                        .get(seq.req.model)
-                        .expect("resident implies registered");
-                    cache.insert(
-                        seq.req.model,
-                        &seq.req.prompt[..h],
-                        backend.save_state(&self.pool.states()[seq.slot]),
-                    );
-                    sub_state_moves[seq.req.model] += 1;
-                }
-            }
-        }
-
-        self.obs_end();
-        self.obs_begin("retire", cat);
-
-        // 9. Retire finished sequences (deadline expiry is handled
-        //    pre-step, in 3).
-        let clock = self.clock;
-        let pool = &mut self.pool;
-        let completions = &mut self.completions;
-        let registry = &self.registry;
-        let session_snapshots = &mut self.session_snapshots;
-        self.active.retain_mut(|seq| {
-            let hit_eos = seq
-                .req
-                .eos_token
-                .is_some_and(|eos| seq.generated.last() == Some(&eos));
-            let done = seq.generated.len() >= seq.req.max_new_tokens || hit_eos;
-            if !done {
-                return true;
-            }
-            let finish = if hit_eos {
-                FinishReason::Eos
-            } else {
-                FinishReason::MaxTokens
-            };
-            // Session turns keep their final state for the next turn —
-            // one state save on the shared stream, counted with the
-            // step's other state moves. The last sampled token rides
-            // along: it was never fed through the model, so the resume
-            // feeds it first (see [`SessionSnapshot`]).
-            if let Some(sid) = seq.req.session {
-                let backend = registry
-                    .get(seq.req.model)
-                    .expect("resident implies registered");
-                session_snapshots.push((
-                    sid,
-                    SessionSnapshot {
-                        state: backend.save_state(&pool.states()[seq.slot]),
-                        pending_token: *seq
-                            .generated
-                            .last()
-                            .expect("finished implies a sampled token"),
-                        consumed_tokens: seq.pos,
-                    },
-                ));
-                sub_state_moves[seq.req.model] += 1;
-            }
-            pool.release(seq.slot);
-            completions.push(Completion {
-                id: seq.req.id,
-                model: seq.req.model,
-                priority: seq.req.priority,
-                tokens: std::mem::take(&mut seq.generated),
-                finish,
-                arrival_step: seq.req.arrival_step,
-                deadline_steps: seq.req.deadline_steps,
-                admitted_step: Some(seq.admitted_step),
-                first_token_step: seq.first_token_step,
-                finished_step: clock,
-                preemptions: seq.preemptions,
-                paused_steps: seq.paused_steps,
-                paused_steps_before_first_token: seq.paused_steps_pre_first,
-                retry_after_steps: None,
-            });
-            false
-        });
-        self.obs_end();
-
-        // 9b. Graceful degradation: fold this step's closing queue
-        //     depth into the breach/recovery counters and walk the
-        //     ladder on a sustained breach (or sustained recovery).
-        //     Inert unless configured.
-        if let Some(dcfg) = self.resilience.degradation {
-            if let Some(level) = self.degradation.observe(self.waiting.len(), &dcfg) {
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.degradation(level);
-                }
-            }
-        }
-
-        // 10. Trace for the cost models. `batch_per_step` is residency
-        //    (what URAM bounds); `processed_per_step` is token-advances
-        //    (what the weight stream is shared across, hence what a
-        //    step costs); `tokens_per_step` counts sampled outputs;
-        //    `state_moves_per_step` is pause/resume traffic (each move
-        //    is one fixed-size state on the shared memory stream).
-        let processed: usize = sub_processed.iter().sum();
-        self.total_prefill_tokens += prefill_tokens as u64;
-        self.total_decode_tokens += decode_tokens as u64;
-        self.trace.batch_per_step.push(total_batch);
-        self.trace.processed_per_step.push(processed);
-        self.trace.sub_batches_per_step.push(sub_batches);
-        self.trace.sub_processed_per_step.push(sub_processed);
-        self.trace.tokens_per_step.push(decode_tokens);
-        self.trace.queue_depth_per_step.push(self.waiting.len());
-        self.trace.preemptions_per_step.push(preempted_this_step);
-        self.trace.resumes_per_step.push(resumed_this_step);
-        self.trace.paused_depth_per_step.push(self.paused.len());
-        self.trace
-            .state_moves_per_step
-            .push(sub_state_moves.iter().sum());
-        self.trace.sub_state_moves_per_step.push(sub_state_moves);
-        self.trace.cancellations_per_step.push(cancelled_this_step);
-        self.trace.prefill_per_step.push(prefill_tokens);
-        self.trace
-            .resident_tokens_per_step
-            .push(resident_tokens_this_step);
-        self.trace
-            .budget_deferred_per_step
-            .push(budget_deferred_this_step as usize);
-        self.budget_deferred_last_step = budget_deferred_this_step;
-
-        // 10b. Observability close: end the step span with the step's
-        //      headline numbers, then fold the step — its record, the
-        //      requests that left the engine, its session parks, its
-        //      per-model work — into metrics and the flight recorder.
-        //      All of it is allocation-free in steady state.
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.spans.end_with([
-                ("batch", total_batch as f64),
-                ("processed", processed as f64),
-            ]);
-            let wall_ns = wall_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let sub_processed_step = self
-                .trace
-                .sub_processed_per_step
-                .last()
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let sub_moves_step = self
-                .trace
-                .sub_state_moves_per_step
-                .last()
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
-            let rec = StepRecord {
-                step: self.clock,
-                batch: total_batch as u32,
-                processed: processed as u32,
-                decode_tokens: decode_tokens as u32,
-                prefill_tokens: prefill_tokens as u32,
-                admitted: admitted_this_step as u32,
-                preempted: preempted_this_step as u32,
-                resumed: resumed_this_step as u32,
-                // Filled by `close_step` from the completion delta.
-                cancelled: 0,
-                expired: 0,
-                queue_depth: self.waiting.len() as u32,
-                paused_depth: self.paused.len() as u32,
-                free_slots: self.pool.free_count() as u32,
-                state_moves: sub_moves_step.iter().sum::<usize>() as u32,
-                wall_ns,
-            };
-            o.close_step(
-                rec,
-                &self.completions[completions_at_entry..],
-                &self.session_snapshots[snapshots_at_entry..],
-                sub_processed_step,
-                sub_moves_step,
-            );
-            o.budget_deferred(budget_deferred_this_step);
-        }
-
-        // A request that left the engine this step (completed, expired,
-        // or cancelled) can no longer claim its pending session
-        // restore — drop the saved state so nothing leaks.
-        if !self.resume_states.is_empty() {
-            for c in &self.completions[completions_at_entry..] {
-                self.resume_states.remove(&c.id);
-            }
-        }
-
-        debug_assert_eq!(
-            self.pool.free_count() + self.active.len(),
-            self.pool.capacity(),
-            "slot conservation violated"
-        );
-
-        self.clock += 1;
+        let mut ctx = self.open(policy.name());
+        self.heartbeat();
+        self.arrivals();
+        self.phase("cancel", &mut ctx, |e, _| e.cancel_phase());
+        self.phase("expire", &mut ctx, |e, _| e.expire());
+        self.phase("doom", &mut ctx, |e, _| e.doom(&*policy));
+        self.survey(&mut ctx);
+        self.phase("preempt", &mut ctx, |e, ctx| e.preempt(ctx, &mut *policy));
+        self.phase("admit", &mut ctx, |e, ctx| e.admit(ctx, &mut *policy));
+        self.phase("advance", &mut ctx, Self::advance);
+        self.phase("sample", &mut ctx, Self::sample);
+        self.phase("retire", &mut ctx, Self::retire);
+        self.degrade();
+        self.close(ctx);
         Ok(())
-    }
-
-    /// Builds the aggregate report for the run so far. The policy names
-    /// itself ([`Policy::name`]); no stringly-typed tag.
-    pub fn report(&self, policy: &dyn Policy) -> ServeReport {
-        let finished: Vec<&Completion> = self
-            .completions
-            .iter()
-            .filter(|c| matches!(c.finish, FinishReason::MaxTokens | FinishReason::Eos))
-            .collect();
-        let evicted = self
-            .completions
-            .iter()
-            .filter(|c| c.finish == FinishReason::DeadlineExceeded)
-            .count();
-        let ttft: Vec<f64> = finished
-            .iter()
-            .filter_map(|c| c.ttft_steps().map(|t| t as f64))
-            .collect();
-        let e2e: Vec<f64> = finished
-            .iter()
-            .filter_map(|c| c.e2e_steps().map(|e| e as f64))
-            .collect();
-        let queue: Vec<f64> = finished
-            .iter()
-            .filter_map(|c| c.queue_steps().map(|q| q as f64))
-            .collect();
-        // Cancelled requests are excluded from deadline accounting even
-        // when they carried a budget: the client withdrew them, so they
-        // neither hit nor missed (see [`Completion::deadline_hit`]).
-        // Failed and rejected requests are excluded the same way — an
-        // infrastructure fault or admission shed is not a scheduling
-        // outcome.
-        let deadline_total = self
-            .completions
-            .iter()
-            .filter(|c| {
-                c.deadline_steps.is_some()
-                    && !matches!(
-                        c.finish,
-                        FinishReason::Cancelled | FinishReason::Failed | FinishReason::Rejected
-                    )
-            })
-            .count();
-        let deadline_hits = self
-            .completions
-            .iter()
-            .filter(|c| c.deadline_hit() == Some(true))
-            .count();
-        // Requests touched by preemption at least once: finished ones
-        // carry the count in their completion; in-flight (resident or
-        // paused) ones are counted live so mid-run reports are honest.
-        let preempted_requests = self
-            .completions
-            .iter()
-            .filter(|c| c.preemptions > 0)
-            .count()
-            + self.active.iter().filter(|s| s.preemptions > 0).count()
-            + self.paused.len();
-
-        let per_model = self
-            .registry
-            .iter()
-            .map(|(mid, name, _)| {
-                let mine: Vec<&&Completion> = finished.iter().filter(|c| c.model == mid).collect();
-                let ttft: Vec<f64> = mine
-                    .iter()
-                    .filter_map(|c| c.ttft_steps().map(|t| t as f64))
-                    .collect();
-                let e2e: Vec<f64> = mine
-                    .iter()
-                    .filter_map(|c| c.e2e_steps().map(|e| e as f64))
-                    .collect();
-                ModelBreakdown {
-                    model: mid,
-                    name: name.to_string(),
-                    completed: mine.len(),
-                    evicted: self
-                        .completions
-                        .iter()
-                        .filter(|c| c.model == mid && c.finish == FinishReason::DeadlineExceeded)
-                        .count(),
-                    generated_tokens: mine.iter().map(|c| c.tokens.len() as u64).sum(),
-                    processed_tokens: self.processed_per_model[mid],
-                    ttft_steps: Percentiles::of(&ttft),
-                    e2e_steps: Percentiles::of(&e2e),
-                }
-            })
-            .collect();
-
-        let per_class = Priority::ALL
-            .iter()
-            .map(|&priority| {
-                let mine: Vec<&Completion> = self
-                    .completions
-                    .iter()
-                    .filter(|c| c.priority == priority)
-                    .collect();
-                let fin: Vec<&&Completion> = mine
-                    .iter()
-                    .filter(|c| matches!(c.finish, FinishReason::MaxTokens | FinishReason::Eos))
-                    .collect();
-                let ttft: Vec<f64> = fin
-                    .iter()
-                    .filter_map(|c| c.ttft_steps().map(|t| t as f64))
-                    .collect();
-                let e2e: Vec<f64> = fin
-                    .iter()
-                    .filter_map(|c| c.e2e_steps().map(|e| e as f64))
-                    .collect();
-                let queue: Vec<f64> = fin
-                    .iter()
-                    .filter_map(|c| c.queue_steps().map(|q| q as f64))
-                    .collect();
-                ClassBreakdown {
-                    priority,
-                    completed: fin.len(),
-                    evicted: mine
-                        .iter()
-                        .filter(|c| c.finish == FinishReason::DeadlineExceeded)
-                        .count(),
-                    deadline_total: mine
-                        .iter()
-                        .filter(|c| {
-                            c.deadline_steps.is_some()
-                                && !matches!(
-                                    c.finish,
-                                    FinishReason::Cancelled
-                                        | FinishReason::Failed
-                                        | FinishReason::Rejected
-                                )
-                        })
-                        .count(),
-                    deadline_hits: mine
-                        .iter()
-                        .filter(|c| c.deadline_hit() == Some(true))
-                        .count(),
-                    ttft_steps: Percentiles::of(&ttft),
-                    e2e_steps: Percentiles::of(&e2e),
-                    queue_steps: Percentiles::of(&queue),
-                }
-            })
-            .collect();
-
-        ServeReport {
-            policy: policy.name(),
-            completed: finished.len(),
-            evicted,
-            failed: self.total_failed,
-            rejected: self.total_rejected,
-            backend_faults: self.total_backend_faults,
-            quarantine_entries: self.total_quarantine_entries,
-            quarantine_recoveries: self.total_quarantine_recoveries,
-            cancellations: self.total_cancellations,
-            wasted_token_advances: self.total_wasted_advances,
-            reclaimed_slot_steps: self.total_reclaimed_slot_steps,
-            steps: self.clock,
-            generated_tokens: self.total_decode_tokens,
-            prefill_tokens: self.total_prefill_tokens,
-            deadline_total,
-            deadline_hits,
-            preemptions: self.total_preemptions,
-            resumes: self.total_resumes,
-            preempted_requests,
-            resume_latency_steps: Percentiles::of(&self.resume_latency),
-            ttft_steps: Percentiles::of(&ttft),
-            e2e_steps: Percentiles::of(&e2e),
-            queue_steps: Percentiles::of(&queue),
-            mean_occupancy: self.trace.mean_batch() / self.pool.capacity() as f64,
-            budget_deferrals: self.total_budget_deferrals,
-            budget_prefill_utilization: self.cfg.token_budget.map(|b| {
-                let steps = self.trace.prefill_per_step.len();
-                if steps == 0 {
-                    0.0
-                } else {
-                    let fed: u64 = self.trace.prefill_per_step.iter().map(|&p| p as u64).sum();
-                    fed as f64 / (steps as u64 * b.max_prefill_tokens_per_step as u64) as f64
-                }
-            }),
-            budget_resident_utilization: self
-                .cfg
-                .token_budget
-                .map(|b| self.peak_resident_tokens as f64 / b.max_total_tokens as f64),
-            prefix_hits: self.prefix.as_ref().map_or(0, PrefixCache::hits),
-            prefix_misses: self.prefix.as_ref().map_or(0, PrefixCache::misses),
-            per_model,
-            per_class,
-            trace: self.trace.clone(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{Edf, Fifo, PriorityClasses, StaticBatching, WeightedFair};
+    use crate::request::{FinishReason, Priority};
+    use crate::scheduler::{
+        AdmissionCtx, Edf, Fifo, PriorityClasses, StaticBatching, WeightedFair,
+    };
     use lightmamba_model::MambaConfig;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn tiny_model() -> MambaModel {
         MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
@@ -3901,5 +2516,230 @@ mod tests {
         assert_eq!(deferrals, 0);
         assert_eq!(steps_on, steps_off);
         assert_eq!(out_on, out_off);
+    }
+
+    #[test]
+    fn out_of_vocabulary_prompt_tokens_are_rejected_at_submit_not_booked_as_backend_faults() {
+        // One bad token used to reach the backend, whose range error was
+        // booked as a *backend fault*: every co-resident request of the
+        // model retired Failed and the backend was quarantined.
+        let model = tiny_model();
+        let vocab = model.config().vocab_size as u32;
+        let mut engine = ServeEngine::new(
+            &model,
+            EngineConfig {
+                slots: 4,
+                max_steps: 10_000,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let good = GenRequest::greedy(0, vec![1, 2, 3], 5);
+        let edge = GenRequest::greedy(2, vec![vocab - 1], 2);
+        engine.submit(vec![good.clone(), edge.clone()]).unwrap();
+        for bad_token in [vocab, vocab + 5, u32::MAX] {
+            let bad = GenRequest::greedy(1, vec![1, bad_token], 5);
+            let err = engine.submit(vec![bad]).unwrap_err();
+            assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        }
+        // The token a session resume prepends is checked the same way,
+        // and a rejected resume parks no state.
+        let snapshot = SessionSnapshot {
+            state: PausedState::new(model.new_state()),
+            pending_token: vocab,
+            consumed_tokens: 0,
+        };
+        let turn = GenRequest::greedy(3, vec![4], 2).with_session(9);
+        let err = engine.submit_with_state(turn, snapshot).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        assert_eq!(engine.pending_resumes(), 0);
+
+        let report = engine.run(&mut Fifo).unwrap();
+        assert_eq!(report.completed, 2, "the co-resident requests finish");
+        assert_eq!(
+            (
+                report.backend_faults,
+                report.failed,
+                report.quarantine_entries
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(engine.completions().len(), 2, "rejections record nothing");
+        for c in engine.completions() {
+            let req = if c.id == good.id { &good } else { &edge };
+            assert_eq!(c.tokens, sequential_reference(&model, req));
+        }
+        assert_eq!(engine.free_slots(), engine.capacity());
+    }
+
+    // -- Pieces of the step pipeline, called in isolation ---------------
+
+    #[test]
+    fn budget_gate_fits_defers_and_opens_the_valve_only_when_nothing_runs() {
+        use super::step::{budget_gate, Load};
+        let budget = TokenBudget::new(8, 40).unwrap();
+        let load = |feed, footprint| Load { feed, footprint };
+        let gate = |resident: Load, loads: &[Load], mut picks: Vec<usize>| {
+            let deferred = budget_gate(budget, resident, &mut picks, |i| loads[i]);
+            (picks, deferred)
+        };
+        let small = [load(4, 12); 3];
+        // Two picks fill the per-step prefill cap; the third waits.
+        assert_eq!(
+            gate(Load::default(), &small, vec![0, 1, 2]),
+            (vec![0, 1], 1)
+        );
+        // The footprint cap defers on its own, with feed to spare.
+        assert_eq!(gate(load(0, 30), &small, vec![0]), (vec![], 1));
+        // A later, smaller pick may still fit behind a deferred one.
+        let mixed = [load(4, 12), load(6, 12), load(2, 12)];
+        assert_eq!(
+            gate(Load::default(), &mixed, vec![0, 1, 2]),
+            (vec![0, 2], 1)
+        );
+        // Valve: an oversized request runs when the engine is empty...
+        let big = [load(9, 99), load(1, 1)];
+        assert_eq!(gate(Load::default(), &big, vec![0, 1]), (vec![0], 1));
+        // ...but not behind a resident (even a decoding one, feed 0)...
+        assert_eq!(gate(load(0, 5), &big, vec![0]), (vec![], 1));
+        // ...nor behind a pick admitted earlier this step.
+        assert_eq!(gate(Load::default(), &big, vec![1, 0]), (vec![1], 1));
+
+        // What a sequence is charged depends only on the chunk handed
+        // in: mid-prompt the remainder, past the prompt nothing.
+        let r = GenRequest::greedy(0, vec![1; 10], 4);
+        assert_eq!(Load::of(&r, 0, 4), load(4, 14));
+        assert_eq!(Load::of(&r, 8, 4), load(2, 14));
+        assert_eq!(Load::of(&r, 10, 4), load(0, 14));
+    }
+
+    #[test]
+    fn budget_accounting_uses_the_configured_chunk_under_degradation() {
+        let model = tiny_model();
+        let mut engine = ServeEngine::new(
+            &model,
+            EngineConfig {
+                slots: 2,
+                max_steps: 1_000,
+                prefill_chunk: 4,
+                threads: 1,
+                token_budget: Some(TokenBudget::new(4, 100).unwrap()),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // Walk the ladder to rung 1 by hand (the controller stays inert
+        // afterwards: no degradation config is set on the engine).
+        let dcfg = DegradationConfig {
+            queue_slo: 0,
+            breach_steps: 1,
+            recover_steps: 1,
+        };
+        assert_eq!(engine.degradation.observe(1, &dcfg), Some(1));
+        assert_eq!(engine.effective_prefill_chunk(), 2);
+        engine.submit(burst_requests(2, 4, 2)).unwrap();
+        engine.step(&mut Fifo).unwrap();
+        // Charged at the degraded chunk both would fit (2 + 2 <= 4); at
+        // the configured one the second is deferred (4 + 4 > 4) — while
+        // the step itself still feeds the degraded chunk.
+        assert_eq!(engine.active_count(), 1);
+        assert_eq!(engine.budget_deferrals(), 1);
+        assert_eq!(engine.trace.prefill_per_step, [2]);
+    }
+
+    #[test]
+    fn quarantine_gate_drops_quarantined_picks_and_admits_one_canary_per_model() {
+        use super::step::quarantine_gate;
+        let cfg = ResilienceConfig::default();
+        let mut health = HealthTracker::new(3);
+        let models = [0usize, 1, 2, 2, 0, 1, 1];
+        let gate = |health: &HealthTracker| {
+            let mut picks: Vec<usize> = (0..models.len()).collect();
+            quarantine_gate(&mut picks, health, 3, |i| models[i]);
+            picks
+        };
+        assert_eq!(gate(&health).len(), models.len(), "healthy passes all");
+        health.on_fault(1, 0, &cfg);
+        health.on_fault(2, 1, &cfg);
+        assert_eq!(gate(&health), [0, 4], "quarantined models admit nothing");
+        // Model 1's backoff elapses first: exactly one canary, the
+        // policy's first pick for it; model 2 is still shut.
+        health.tick(cfg.backoff_base, |_, _| {});
+        assert_eq!(gate(&health), [0, 1, 4]);
+        health.tick(cfg.backoff_base + 1, |_, _| {});
+        assert_eq!(gate(&health), [0, 1, 2, 4], "one canary per model");
+    }
+
+    #[test]
+    fn completion_constructors_stamp_unadmitted_and_paused_exits() {
+        use super::seq::{unadmitted, ActiveSeq, Progress};
+        let mut req = GenRequest::greedy(7, vec![1, 2, 3], 4)
+            .on_model(1)
+            .with_priority(Priority::Batch)
+            .with_deadline(9);
+        req.arrival_step = 2;
+        // Never admitted: no admission or first-token stamp, no tokens,
+        // no pause bookkeeping; only a shed carries a retry hint.
+        let c = unadmitted(&req, 5, FinishReason::Rejected, Some(3));
+        assert_eq!(
+            (c.id, c.model, c.priority, c.deadline_steps),
+            (7, 1, Priority::Batch, Some(9))
+        );
+        assert_eq!((c.arrival_step, c.finished_step), (2, 5));
+        assert_eq!((c.admitted_step, c.first_token_step), (None, None));
+        assert!(c.tokens.is_empty());
+        assert_eq!(
+            (
+                c.preemptions,
+                c.paused_steps,
+                c.paused_steps_before_first_token
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(c.retry_after_steps, Some(3));
+        let c = unadmitted(&req, 5, FinishReason::Cancelled, None);
+        assert_eq!(c.retry_after_steps, None);
+
+        let state = PausedState::new(tiny_model().new_state());
+        let seat = |run| ActiveSeq { run, slot: 0 };
+        // Paused before its first token and never resumed: the final
+        // episode counts as paused time, all of it pre-first-token.
+        let paused = seat(Progress::admit(req.clone(), 0, None, 3)).pause(state.clone(), 4);
+        let c = paused
+            .run
+            .finish(10, FinishReason::DeadlineExceeded, Some(4));
+        assert_eq!((c.admitted_step, c.first_token_step), (Some(3), None));
+        assert_eq!(
+            (
+                c.preemptions,
+                c.paused_steps,
+                c.paused_steps_before_first_token
+            ),
+            (1, 6, 6)
+        );
+        // Two episodes around the first token: resume books the first
+        // (pre-first-token), leaving while paused books the second.
+        let paused = seat(Progress::admit(req.clone(), 0, None, 3)).pause(state.clone(), 4);
+        let (mut seq, pause_len) = paused.resume(1, 6);
+        assert_eq!((pause_len, seq.slot), (2, 1));
+        seq.run.first_token_step = Some(7);
+        seq.run.generated.push(42);
+        let c = seq
+            .pause(state, 8)
+            .run
+            .finish(11, FinishReason::Cancelled, Some(8));
+        assert_eq!(c.tokens, [42]);
+        assert_eq!(
+            (
+                c.preemptions,
+                c.paused_steps,
+                c.paused_steps_before_first_token
+            ),
+            (2, 5, 2)
+        );
+        assert_eq!(c.ttft_steps(), Some(3), "7 - 2 arrival, minus 2 paused");
+        // A resident leaving (no open episode) adds no paused time.
+        let c = Progress::admit(req, 0, None, 3).finish(9, FinishReason::Failed, None);
+        assert_eq!((c.paused_steps, c.admitted_step), (0, Some(3)));
     }
 }

@@ -130,9 +130,13 @@ pub struct FrontendRun {
 ///
 /// # Errors
 ///
-/// Propagates engine step errors. Panics in `client` propagate after
-/// the engine thread is shut down; panics on the engine thread
-/// propagate after `client` returns.
+/// Returns [`ServeError::InvalidConfig`] for a zero `stream_capacity`.
+/// Backend faults are not errors here: the engine contains them per
+/// model and the affected streams end in [`StreamEvent::Failed`]; bad
+/// submissions are refused by [`FrontendHandle::submit`] before they
+/// reach the engine thread. Panics in `client` propagate after the
+/// engine thread is shut down; panics on the engine thread propagate
+/// after `client` returns.
 ///
 /// # Example
 ///
@@ -184,7 +188,11 @@ pub fn run_frontend<R>(
         ));
     }
     let (intake_tx, intake_rx) = channel::<ClientMsg>();
-    let handle = FrontendHandle::new(intake_tx, engine.registry().len(), cfg.stream_capacity);
+    let handle = FrontendHandle::new(
+        intake_tx,
+        engine.registry().vocab_sizes(),
+        cfg.stream_capacity,
+    );
     engine.enable_events();
     if let Some(obs_cfg) = cfg.obs {
         engine.enable_obs(obs_cfg);
@@ -208,6 +216,14 @@ pub fn run_frontend<R>(
     })
 }
 
+/// What the engine thread keeps between client messages.
+struct Intake {
+    store: SessionStore,
+    streams: HashMap<RequestId, SyncSender<StreamEvent>>,
+    session_resumes: u64,
+    session_misses: u64,
+}
+
 /// The engine thread: drain intake, step, fan events out to streams.
 fn engine_loop(
     engine: &mut ServeEngine<'_>,
@@ -216,25 +232,20 @@ fn engine_loop(
     intake: &Receiver<ClientMsg>,
 ) -> Result<FrontendRun, ServeError> {
     let max_steps = engine.config().max_steps;
-    let mut store = SessionStore::new(cfg.session_capacity);
-    let mut streams: HashMap<RequestId, SyncSender<StreamEvent>> = HashMap::new();
+    let mut st = Intake {
+        store: SessionStore::new(cfg.session_capacity),
+        streams: HashMap::new(),
+        session_resumes: 0,
+        session_misses: 0,
+    };
     let mut delivered = 0usize; // cursor into engine.completions()
-    let mut session_resumes = 0u64;
-    let mut session_misses = 0u64;
     let mut closed = false;
 
     loop {
         // Drain every queued client message without blocking…
         loop {
             match intake.try_recv() {
-                Ok(msg) => handle_msg(
-                    engine,
-                    &mut store,
-                    &mut streams,
-                    &mut session_resumes,
-                    &mut session_misses,
-                    msg,
-                )?,
+                Ok(msg) => st.handle(engine, msg)?,
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     closed = true;
@@ -250,14 +261,7 @@ fn engine_loop(
             }
             match intake.recv() {
                 Ok(msg) => {
-                    handle_msg(
-                        engine,
-                        &mut store,
-                        &mut streams,
-                        &mut session_resumes,
-                        &mut session_misses,
-                        msg,
-                    )?;
+                    st.handle(engine, msg)?;
                     continue; // drain any burst before stepping
                 }
                 Err(_) => break,
@@ -274,12 +278,12 @@ fn engine_loop(
                 StepEvent::Started { id, step } => (id, StreamEvent::Started { step }),
                 StepEvent::Token { id, token, step } => (id, StreamEvent::Token { token, step }),
             };
-            if let Some(tx) = streams.get(&id) {
+            if let Some(tx) = st.streams.get(&id) {
                 // A full stream blocks here (documented backpressure);
                 // a closed one means the client disconnected between
                 // our send and its Drop-cancel reaching the intake.
                 if tx.send(out).is_err() {
-                    streams.remove(&id);
+                    st.streams.remove(&id);
                     engine.cancel(id);
                 }
             }
@@ -302,13 +306,13 @@ fn engine_loop(
                 },
                 _ => StreamEvent::Done(Box::new(c.clone())),
             };
-            if let Some(tx) = streams.remove(&c.id) {
+            if let Some(tx) = st.streams.remove(&c.id) {
                 let _ = tx.send(out);
             }
         }
         delivered = completions.len();
         for (sid, snap) in engine.take_session_snapshots() {
-            store.insert(sid, snap);
+            st.store.insert(sid, snap);
         }
     }
 
@@ -317,53 +321,46 @@ fn engine_loop(
     Ok(FrontendRun {
         report,
         completions: engine.completions().to_vec(),
-        sessions_stored: store.len(),
-        session_resumes,
-        session_misses,
-        session_evictions: store.evictions(),
+        sessions_stored: st.store.len(),
+        session_resumes: st.session_resumes,
+        session_misses: st.session_misses,
+        session_evictions: st.store.evictions(),
         prefix_hits,
         prefix_misses,
         obs: engine.take_obs(),
     })
 }
 
-/// Applies one client message: stamp, resume-or-submit, or cancel.
-fn handle_msg(
-    engine: &mut ServeEngine<'_>,
-    store: &mut SessionStore,
-    streams: &mut HashMap<RequestId, SyncSender<StreamEvent>>,
-    session_resumes: &mut u64,
-    session_misses: &mut u64,
-    msg: ClientMsg,
-) -> Result<(), ServeError> {
-    match msg {
-        ClientMsg::Submit { mut req, events } => {
-            req.arrival_step = engine.clock();
-            let id = req.id;
-            // The stream is freshly created and capacity >= 1, so the
-            // Queued event can never block.
-            let _ = events.send(StreamEvent::Queued {
-                step: req.arrival_step,
-            });
-            match req.session.and_then(|sid| store.take(sid)) {
-                Some(snapshot) => {
-                    *session_resumes += 1;
-                    engine.submit_with_state(req, snapshot)?;
-                }
-                None => {
-                    if req.session.is_some() {
-                        *session_misses += 1;
-                    }
+impl Intake {
+    /// Applies one client message: stamp, resume-or-submit, or cancel.
+    fn handle(&mut self, engine: &mut ServeEngine<'_>, msg: ClientMsg) -> Result<(), ServeError> {
+        match msg {
+            ClientMsg::Submit { mut req, events } => {
+                req.arrival_step = engine.clock();
+                let id = req.id;
+                // The stream is freshly created and capacity >= 1, so
+                // the Queued event can never block.
+                let _ = events.send(StreamEvent::Queued {
+                    step: req.arrival_step,
+                });
+                let parked = req.session.and_then(|sid| self.store.take(sid));
+                // A parked state the turn's model cannot take (its
+                // pending token is outside that model's vocabulary) is
+                // a miss like any other: the turn re-prefills.
+                let resumed =
+                    parked.is_some_and(|snap| engine.submit_with_state(req.clone(), snap).is_ok());
+                if resumed {
+                    self.session_resumes += 1;
+                } else {
+                    self.session_misses += u64::from(req.session.is_some());
                     engine.submit(vec![req])?;
                 }
+                self.streams.insert(id, events);
             }
-            streams.insert(id, events);
+            ClientMsg::Cancel(id) => engine.cancel(id),
         }
-        ClientMsg::Cancel(id) => {
-            engine.cancel(id);
-        }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -392,6 +389,36 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_bad_token_submission_is_refused_while_a_concurrent_stream_completes() {
+        // The handle applies the engine's own intake validation, so an
+        // out-of-vocabulary prompt never reaches the engine thread —
+        // where it would fault the backend under every other stream.
+        let model = tiny_model();
+        let vocab = model.config().vocab_size as u32;
+        let ((bad, done), run) = run_frontend(
+            engine(&model, 2),
+            Box::new(Fifo),
+            FrontendConfig::default(),
+            |handle| {
+                let good = handle
+                    .submit(GenRequest::greedy(0, vec![1, 2, 3], 6))
+                    .unwrap();
+                let bad = handle
+                    .submit(GenRequest::greedy(0, vec![1, vocab + 5], 6))
+                    .map(|stream| stream.id());
+                (bad, good.wait())
+            },
+        )
+        .unwrap();
+        assert!(matches!(bad, Err(ServeError::InvalidConfig(_))), "{bad:?}");
+        let done = done.expect("the good stream ends in Done");
+        assert_eq!(done.tokens.len(), 6);
+        assert_eq!(run.report.completed, 1);
+        assert_eq!((run.report.failed, run.report.backend_faults), (0, 0));
+        assert_eq!(run.completions.len(), 1, "the refusal records nothing");
     }
 
     #[test]
@@ -563,6 +590,50 @@ mod tests {
         // Each resume is one state restore + one save in the trace.
         let moves: usize = run.report.trace.state_moves_per_step.iter().sum();
         assert_eq!(moves, 2 * 2 + 1, "3 saves + 2 restores");
+    }
+
+    #[test]
+    fn a_session_state_the_next_model_cannot_take_is_a_miss_not_an_engine_error() {
+        use crate::backend::FpBackend;
+        use crate::registry::ModelRegistry;
+        // Same state shape, smaller vocabulary: the first turn's pending
+        // token is out of range for the second turn's model, so the
+        // resume is refused at engine intake — which must cost the
+        // session its shortcut, not every client its engine thread.
+        let big = tiny_model();
+        let narrow = MambaConfig {
+            vocab_size: 64,
+            ..MambaConfig::tiny()
+        };
+        let small = MambaModel::synthetic(narrow, &mut StdRng::seed_from_u64(4)).unwrap();
+        let mut registry = ModelRegistry::new();
+        registry
+            .register("big", Box::new(FpBackend::new(&big)))
+            .unwrap();
+        registry
+            .register("small", Box::new(FpBackend::new(&small)))
+            .unwrap();
+        let engine = ServeEngine::with_registry(registry, EngineConfig::default()).unwrap();
+        let ((first, second), run) = run_frontend(
+            engine,
+            Box::new(Fifo),
+            FrontendConfig::default(),
+            |handle| {
+                let turn = |model, prompt| {
+                    let req = GenRequest::greedy(0, prompt, 3)
+                        .on_model(model)
+                        .with_session(5);
+                    handle.submit(req).unwrap().wait()
+                };
+                (turn(0, vec![1, 2, 3]), turn(1, vec![4, 5]))
+            },
+        )
+        .unwrap();
+        let pending = *first.expect("turn 1 completes").tokens.last().unwrap();
+        assert!(pending >= 64, "turn 1 must park an out-of-range token");
+        assert_eq!(second.expect("turn 2 re-prefills").tokens.len(), 3);
+        assert_eq!((run.session_resumes, run.session_misses), (0, 2));
+        assert_eq!(run.report.completed, 2);
     }
 
     #[test]

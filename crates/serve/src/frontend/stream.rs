@@ -106,25 +106,30 @@ pub(crate) enum ClientMsg {
 pub struct FrontendHandle {
     intake: Sender<ClientMsg>,
     next_id: Arc<AtomicU64>,
-    n_models: usize,
+    /// Vocabulary size per registered model (intake validation).
+    vocab_sizes: Arc<[usize]>,
     stream_capacity: usize,
 }
 
 impl std::fmt::Debug for FrontendHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrontendHandle")
-            .field("n_models", &self.n_models)
+            .field("n_models", &self.vocab_sizes.len())
             .field("stream_capacity", &self.stream_capacity)
             .finish()
     }
 }
 
 impl FrontendHandle {
-    pub(crate) fn new(intake: Sender<ClientMsg>, n_models: usize, stream_capacity: usize) -> Self {
+    pub(crate) fn new(
+        intake: Sender<ClientMsg>,
+        vocab_sizes: Vec<usize>,
+        stream_capacity: usize,
+    ) -> Self {
         FrontendHandle {
             intake,
             next_id: Arc::new(AtomicU64::new(0)),
-            n_models,
+            vocab_sizes: vocab_sizes.into(),
             stream_capacity,
         }
     }
@@ -137,23 +142,14 @@ impl FrontendHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for an empty prompt (or a
+    /// Returns [`ServeError::InvalidConfig`] for an empty prompt or a
+    /// prompt token outside the target model's vocabulary (or a
     /// frontend whose engine thread has already shut down) and
-    /// [`ServeError::UnknownModel`] for an out-of-range model id —
-    /// validated here so the engine thread never sees a rejectable
-    /// request.
+    /// [`ServeError::UnknownModel`] for an out-of-range model id — the
+    /// same intake validation the engine applies, run here so the
+    /// engine thread never sees a rejectable request.
     pub fn submit(&self, mut req: GenRequest) -> Result<TokenStream, ServeError> {
-        if req.prompt.is_empty() {
-            return Err(ServeError::InvalidConfig(
-                "streamed request has an empty prompt".into(),
-            ));
-        }
-        if req.model >= self.n_models {
-            return Err(ServeError::UnknownModel(format!(
-                "streamed request names model id {} but only {} model(s) are registered",
-                req.model, self.n_models
-            )));
-        }
+        req.validate(&self.vocab_sizes)?;
         req.id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let id = req.id;
         let (events, rx) = sync_channel(self.stream_capacity);

@@ -20,6 +20,17 @@ use crate::error::ServeError;
 /// Index of a registered model; `GenRequest::model` names backends by it.
 pub type ModelId = usize;
 
+/// Whether two decode states are slot-interchangeable: same layer
+/// count, same recurrent-state and conv-window dimensions per layer.
+pub(crate) fn same_state_shape(a: &ModelState, b: &ModelState) -> bool {
+    a.layers.len() == b.layers.len()
+        && a.layers.iter().zip(&b.layers).all(|(x, y)| {
+            x.h.len() == y.h.len()
+                && x.conv.channels() == y.conv.channels()
+                && x.conv.kernel() == y.conv.kernel()
+        })
+}
+
 struct Entry<'m> {
     name: String,
     backend: Box<dyn DecodeBackend + 'm>,
@@ -83,15 +94,7 @@ impl<'m> ModelRegistry<'m> {
             )));
         }
         if let Some(first) = self.entries.first() {
-            let a = first.backend.new_state();
-            let b = backend.new_state();
-            let compatible = a.layers.len() == b.layers.len()
-                && a.layers.iter().zip(&b.layers).all(|(x, y)| {
-                    x.h.len() == y.h.len()
-                        && x.conv.channels() == y.conv.channels()
-                        && x.conv.kernel() == y.conv.kernel()
-                });
-            if !compatible {
+            if !same_state_shape(&first.backend.new_state(), &backend.new_state()) {
                 return Err(ServeError::InvalidConfig(format!(
                     "model {name:?} has a decode-state shape incompatible with {:?}; \
                      backends sharing a slot pool must agree on state dimensions",
@@ -175,6 +178,15 @@ impl<'m> ModelRegistry<'m> {
                 },
             )
             .map(|(id, _)| id)
+    }
+
+    /// Vocabulary size of each registered model, indexed by [`ModelId`]
+    /// — what request intake validates prompt tokens against.
+    pub(crate) fn vocab_sizes(&self) -> Vec<usize> {
+        self.entries
+            .iter()
+            .map(|e| e.backend.config().vocab_size)
+            .collect()
     }
 
     /// A zeroed state shaped for the shared slot pool (from the first

@@ -2,6 +2,7 @@
 
 use lightmamba_model::sampler::Sampler;
 
+use crate::error::ServeError;
 use crate::registry::ModelId;
 
 /// Unique id of a request within one engine run.
@@ -141,6 +142,42 @@ impl GenRequest {
     pub fn with_shared_prefix(mut self, len: usize) -> Self {
         self.shared_prefix = Some(len);
         self
+    }
+
+    /// Intake validation, shared by [`crate::engine::ServeEngine::submit`]
+    /// and the streaming frontend's handle so the engine loop never
+    /// meets a rejectable request. `vocab_sizes` is indexed by model id.
+    /// A token outside the target model's vocabulary must stop here: fed
+    /// to the backend it would surface as a *backend fault* and fail
+    /// every co-resident request of that model.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::InvalidConfig`] for an empty prompt or an
+    /// out-of-vocabulary prompt token, [`ServeError::UnknownModel`] for
+    /// a model id the registry does not hold.
+    pub(crate) fn validate(&self, vocab_sizes: &[usize]) -> Result<(), ServeError> {
+        if self.prompt.is_empty() {
+            return Err(ServeError::InvalidConfig(format!(
+                "request {} has an empty prompt",
+                self.id
+            )));
+        }
+        let Some(&vocab) = vocab_sizes.get(self.model) else {
+            return Err(ServeError::UnknownModel(format!(
+                "request {} names model id {} but only {} model(s) are registered",
+                self.id,
+                self.model,
+                vocab_sizes.len()
+            )));
+        };
+        if let Some(&bad) = self.prompt.iter().find(|&&t| t as usize >= vocab) {
+            return Err(ServeError::InvalidConfig(format!(
+                "request {} has prompt token {bad} outside model {}'s vocabulary of {vocab}",
+                self.id, self.model
+            )));
+        }
+        Ok(())
     }
 
     /// Absolute engine step at which the engine evicts this request

@@ -153,7 +153,5 @@ fn prefix_cache_sessions_and_budget_interact_without_leaking_state() {
     assert_eq!(engine.completions().len(), 7);
     let final_report = engine.report(&policy);
     assert_eq!(final_report.completed, 7);
-    assert!(
-        final_report.budget_deferrals > 0 || !final_report.trace.prefill_per_step.is_empty()
-    );
+    assert!(final_report.budget_deferrals > 0 || !final_report.trace.prefill_per_step.is_empty());
 }
