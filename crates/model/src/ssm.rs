@@ -20,6 +20,37 @@
 //! (Eq. 1b–1d of the paper). `tests::ssm_is_not_rotation_equivariant`
 //! verifies this numerically, which is why the quantizer rotates only the
 //! linear layers and quantizes the SSM with the PoT scheme instead.
+//!
+//! # Forms
+//!
+//! The head step — update a head's `(headdim × d_state)` slab and read
+//! `y` out of it — has two forms, selected per call by a runtime CPU
+//! check ([`active_isa`] names the one that runs):
+//!
+//! * **scalar** — always compiled: row by row, `s ← Ā·s + (Δ·x_p)·B[n]`
+//!   and `acc += s·C[n]` for `n` ascending. This loop *defines* the
+//!   float order of the recurrence (every batched ≡ sequential pin, the
+//!   serve golden digests and the benchmark's exact lane rest on it) and
+//!   is the only form without the `simd` cargo feature or without AVX2.
+//! * **AVX2** (`x86_64`, behind the `simd` feature, which
+//!   `lightmamba_quant/simd` turns on) — eight *rows* `p..p+8` share the
+//!   lanes of one accumulator, not eight state indices `n`. Per block
+//!   of 8 rows × 8 columns it forms the updated state and the `s·C`
+//!   products row-major (contiguous loads and stores, the same `mul`,
+//!   `mul`, `add`, `mul` per element), transposes the 8×8 products in
+//!   registers, and adds the eight column vectors into the accumulator
+//!   in ascending `n`. Lane `r` therefore performs exactly row `p+r`'s
+//!   scalar chain `((0 + s₀c₀) + s₁c₁) + …`: nothing is reassociated,
+//!   so outputs and state are bit-identical to the scalar form
+//!   (`tests/properties.rs` pins it on a ragged grid; NaN payloads are
+//!   the one thing operand order may change). `d_state % 8` columns and
+//!   `headdim % 8` rows fall through to the scalar loop.
+//!
+//! Separate multiply and add are load-bearing: an FMA rounds
+//! `Ā·s + (Δ·x)·B` and `acc + s·C` once instead of twice, which would
+//! be faster and *different* — the forms would disagree, and so would
+//! every recorded digest. Nothing here is compiled with the `fma`
+//! target feature, and Rust never contracts `a * b + c` on its own.
 
 use crate::{MambaConfig, ModelError, Result};
 
@@ -79,12 +110,77 @@ pub fn head_coeffs(dt_raw: f32, dt_bias: f32, a_log: f32) -> HeadCoeffs {
     HeadCoeffs { dt, decay }
 }
 
-/// Advances the recurrence for a single head in place and returns nothing;
-/// the caller reads `y` out of `y_head`.
+/// Which form of the head step runs (module docs, "Forms").
+#[derive(Clone, Copy)]
+enum Lanes {
+    /// The portable scalar loop (the bit-exactness oracle).
+    Scalar,
+    /// Eight rows per 256-bit register (x86_64, runtime-detected).
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    Avx2,
+}
+
+/// The best form this host can run: an AVX2 CPUID check (cached by
+/// `std`) under the `simd` feature on x86_64, scalar everywhere else.
+fn detect() -> Lanes {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return Lanes::Avx2;
+        }
+    }
+    Lanes::Scalar
+}
+
+/// Name of the form [`ssm_step_into`] dispatches to on this host
+/// ("avx2" or "scalar"), so tests and benches can record what ran.
+pub fn active_isa() -> &'static str {
+    match detect() {
+        Lanes::Scalar => "scalar",
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Lanes::Avx2 => "avx2",
+    }
+}
+
+/// Advances the recurrence for a single head in place; the caller reads
+/// `y` out of `y_head`.
 ///
 /// `state` is the head's `(headdim × d_state)` slab, `x_head` its
 /// `headdim` inputs, `b`/`c` the group's `d_state` vectors.
-pub fn ssm_head_step(
+///
+/// # Panics
+///
+/// Unless `state.len() == x_head.len() · b.len()`,
+/// `y_head.len() == x_head.len()` and `c.len() == b.len()`.
+/// [`step_lanes`] validates the whole layer's lengths once, so these
+/// only fire on a bug in this module — but the AVX2 form indexes by
+/// raw pointer, so they are real `assert!`s, not debug ones.
+#[allow(clippy::too_many_arguments)]
+fn ssm_head_step(
+    lanes: Lanes,
+    state: &mut [f32],
+    y_head: &mut [f32],
+    x_head: &[f32],
+    b: &[f32],
+    c: &[f32],
+    coeffs: HeadCoeffs,
+    d_skip: f32,
+) {
+    assert_eq!(state.len(), x_head.len() * b.len());
+    assert_eq!(y_head.len(), x_head.len());
+    assert_eq!(c.len(), b.len());
+    match lanes {
+        Lanes::Scalar => head_step_scalar(state, y_head, x_head, b, c, coeffs, d_skip),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // SAFETY: `Lanes::Avx2` only comes from `detect`, which verified
+        // AVX2; the length contract is asserted just above.
+        Lanes::Avx2 => unsafe { avx2::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
+    }
+}
+
+/// The scalar head step (module docs, "Forms"): row by row, each row's
+/// `d_state` products added in ascending `n`.
+fn head_step_scalar(
     state: &mut [f32],
     y_head: &mut [f32],
     x_head: &[f32],
@@ -94,17 +190,163 @@ pub fn ssm_head_step(
     d_skip: f32,
 ) {
     let n = b.len();
-    debug_assert_eq!(state.len(), x_head.len() * n);
-    debug_assert_eq!(y_head.len(), x_head.len());
     for (p, (&xv, yv)) in x_head.iter().zip(y_head.iter_mut()).enumerate() {
-        let row = &mut state[p * n..(p + 1) * n];
         let dtx = coeffs.dt * xv;
-        let mut acc = 0.0f32;
-        for ((s, &bn), &cn) in row.iter_mut().zip(b.iter()).zip(c.iter()) {
-            *s = coeffs.decay * *s + dtx * bn;
-            acc += *s * cn;
-        }
+        let acc = row_step_scalar(&mut state[p * n..(p + 1) * n], b, c, coeffs.decay, dtx, 0.0);
         *yv = acc + d_skip * xv;
+    }
+}
+
+/// Updates one state row (or the tail of one) against the matching
+/// `b`/`c` columns and returns `acc` plus the row's `s·c` products,
+/// added one at a time in ascending column order.
+#[inline(always)]
+fn row_step_scalar(
+    row: &mut [f32],
+    b: &[f32],
+    c: &[f32],
+    decay: f32,
+    dtx: f32,
+    mut acc: f32,
+) -> f32 {
+    for ((s, &bn), &cn) in row.iter_mut().zip(b.iter()).zip(c.iter()) {
+        *s = decay * *s + dtx * bn;
+        acc += *s * cn;
+    }
+    acc
+}
+
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    use super::{head_step_scalar, row_step_scalar, HeadCoeffs};
+
+    /// Rows per register, and state columns per block.
+    const W: usize = 8;
+
+    /// AVX2 head step (module docs, "Forms"): for each block of 8 rows
+    /// × 8 state columns, update the state and form the `s·c` products
+    /// row-major with separate `mul`/`add`, transpose the 8×8 products
+    /// in registers, and add the eight column vectors — ascending `n` —
+    /// into one accumulator whose lane `r` is row `p + r`'s running
+    /// sum. Columns past the last full block and rows past the last
+    /// full group run the scalar loop, continuing the same sums.
+    ///
+    /// # Safety
+    ///
+    /// * The CPU must support AVX2.
+    /// * `state.len() == x_head.len() · b.len()`,
+    ///   `y_head.len() == x_head.len()` and `c.len() == b.len()` — the
+    ///   loads and stores below index `state`, `b` and `c` by raw
+    ///   pointer from those lengths.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn head_step(
+        state: &mut [f32],
+        y_head: &mut [f32],
+        x_head: &[f32],
+        b: &[f32],
+        c: &[f32],
+        coeffs: HeadCoeffs,
+        d_skip: f32,
+    ) {
+        let n = b.len();
+        let cols = n - n % W;
+        let rows = x_head.len() - x_head.len() % W;
+        let decay = _mm256_set1_ps(coeffs.decay);
+        for p in (0..rows).step_by(W) {
+            let mut dtx = [0.0f32; W];
+            for (d, &xv) in dtx.iter_mut().zip(&x_head[p..p + W]) {
+                *d = coeffs.dt * xv;
+            }
+            let mut acc = _mm256_setzero_ps();
+            for j in (0..cols).step_by(W) {
+                // SAFETY: `j + W ≤ cols ≤ n == b.len() == c.len()`.
+                let (bv, cv) = unsafe {
+                    (
+                        _mm256_loadu_ps(b.as_ptr().add(j)),
+                        _mm256_loadu_ps(c.as_ptr().add(j)),
+                    )
+                };
+                let mut prod = [_mm256_setzero_ps(); W];
+                for (r, prod) in prod.iter_mut().enumerate() {
+                    // SAFETY: row `p + r < rows ≤ x_head.len()` and
+                    // `j + W ≤ n`, so the 8 floats at `(p + r)·n + j`
+                    // lie inside `state` (`x_head.len() · n` long).
+                    unsafe {
+                        let at = state.as_mut_ptr().add((p + r) * n + j);
+                        let s = _mm256_add_ps(
+                            _mm256_mul_ps(decay, _mm256_loadu_ps(at)),
+                            _mm256_mul_ps(_mm256_set1_ps(dtx[r]), bv),
+                        );
+                        _mm256_storeu_ps(at, s);
+                        *prod = _mm256_mul_ps(s, cv);
+                    }
+                }
+                for col in transpose(prod) {
+                    acc = _mm256_add_ps(acc, col);
+                }
+            }
+            let mut sums = [0.0f32; W];
+            // SAFETY: `sums` is 8 writable floats; the store is unaligned.
+            unsafe { _mm256_storeu_ps(sums.as_mut_ptr(), acc) };
+            for (r, &sum) in sums.iter().enumerate() {
+                let row = p + r;
+                let acc = row_step_scalar(
+                    &mut state[row * n + cols..(row + 1) * n],
+                    &b[cols..],
+                    &c[cols..],
+                    coeffs.decay,
+                    dtx[r],
+                    sum,
+                );
+                y_head[row] = acc + d_skip * x_head[row];
+            }
+        }
+        head_step_scalar(
+            &mut state[rows * n..],
+            &mut y_head[rows..],
+            &x_head[rows..],
+            b,
+            c,
+            coeffs,
+            d_skip,
+        );
+    }
+
+    /// In-register 8×8 transpose: lane `r` of output `k` is lane `k` of
+    /// input `r`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose(m: [__m256; W]) -> [__m256; W] {
+        // Interleave row pairs, then pair the pairs, within 128-bit halves…
+        let t0 = _mm256_unpacklo_ps(m[0], m[1]);
+        let t1 = _mm256_unpackhi_ps(m[0], m[1]);
+        let t2 = _mm256_unpacklo_ps(m[2], m[3]);
+        let t3 = _mm256_unpackhi_ps(m[2], m[3]);
+        let t4 = _mm256_unpacklo_ps(m[4], m[5]);
+        let t5 = _mm256_unpackhi_ps(m[4], m[5]);
+        let t6 = _mm256_unpacklo_ps(m[6], m[7]);
+        let t7 = _mm256_unpackhi_ps(m[6], m[7]);
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        // …then swap the halves across.
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
     }
 }
 
@@ -140,7 +382,8 @@ pub fn ssm_step(
 }
 
 /// [`ssm_step`] writing the `d_inner` outputs into a caller-provided
-/// buffer — the allocation-free variant decode hot paths use.
+/// buffer — the allocation-free variant decode hot paths use. Runs the
+/// form [`active_isa`] names.
 ///
 /// # Errors
 ///
@@ -158,6 +401,77 @@ pub fn ssm_step_into(
     state: &mut [f32],
     y: &mut [f32],
 ) -> Result<()> {
+    step_lanes(
+        detect(),
+        dims,
+        x,
+        b,
+        c,
+        dt_raw,
+        a_log,
+        dt_bias,
+        d_skip,
+        state,
+        y,
+    )
+}
+
+/// [`ssm_step_into`] forced onto the scalar head step — the oracle the
+/// dispatch is tested bit-identical against, and the form every host
+/// runs without the `simd` feature.
+///
+/// # Errors
+///
+/// Same conditions as [`ssm_step_into`].
+#[allow(clippy::too_many_arguments)]
+pub fn ssm_step_into_scalar(
+    dims: SsmDims,
+    x: &[f32],
+    b: &[f32],
+    c: &[f32],
+    dt_raw: &[f32],
+    a_log: &[f32],
+    dt_bias: &[f32],
+    d_skip: &[f32],
+    state: &mut [f32],
+    y: &mut [f32],
+) -> Result<()> {
+    step_lanes(
+        Lanes::Scalar,
+        dims,
+        x,
+        b,
+        c,
+        dt_raw,
+        a_log,
+        dt_bias,
+        d_skip,
+        state,
+        y,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn step_lanes(
+    lanes: Lanes,
+    dims: SsmDims,
+    x: &[f32],
+    b: &[f32],
+    c: &[f32],
+    dt_raw: &[f32],
+    a_log: &[f32],
+    dt_bias: &[f32],
+    d_skip: &[f32],
+    state: &mut [f32],
+    y: &mut [f32],
+) -> Result<()> {
+    // `dims` is caller-built (every field is `pub`): the head→group map
+    // below divides by `ngroups` and slices `b`/`c` by the quotient.
+    if dims.ngroups == 0 || dims.nheads % dims.ngroups != 0 {
+        return Err(ModelError::StateMismatch(format!(
+            "ssm_step needs nheads divisible by a non-zero ngroups, got {dims:?}"
+        )));
+    }
     if x.len() != dims.inner_len()
         || b.len() != dims.bc_len()
         || c.len() != dims.bc_len()
@@ -178,14 +492,13 @@ pub fn ssm_step_into(
     for h in 0..dims.nheads {
         let g = h / heads_per_group;
         let coeffs = head_coeffs(dt_raw[h], dt_bias[h], a_log[h]);
-        let bg = &b[g * n..(g + 1) * n];
-        let cg = &c[g * n..(g + 1) * n];
         ssm_head_step(
+            lanes,
             &mut state[h * p * n..(h + 1) * p * n],
             &mut y[h * p..(h + 1) * p],
             &x[h * p..(h + 1) * p],
-            bg,
-            cg,
+            &b[g * n..(g + 1) * n],
+            &c[g * n..(g + 1) * n],
             coeffs,
             d_skip[h],
         );
@@ -307,6 +620,30 @@ mod tests {
             &mut state,
         );
         assert!(matches!(bad, Err(ModelError::StateMismatch(_))));
+    }
+
+    #[test]
+    fn rejects_dims_whose_heads_do_not_split_into_groups() {
+        // `SsmDims` is caller-built: zero groups would divide by zero and
+        // 3 heads over 2 groups would slice `b`/`c` past their end.
+        for (nheads, ngroups) in [(2usize, 0usize), (3, 2), (1, 2)] {
+            let dims = SsmDims {
+                nheads,
+                headdim: 1,
+                d_state: 2,
+                ngroups,
+            };
+            let per_head = vec![0.0f32; nheads];
+            let bc = vec![1.0f32; dims.bc_len()];
+            let mut state = vec![0.0f32; dims.state_len()];
+            let bad = ssm_step(
+                dims, &per_head, &bc, &bc, &per_head, &per_head, &per_head, &per_head, &mut state,
+            );
+            assert!(
+                matches!(bad, Err(ModelError::StateMismatch(_))),
+                "{dims:?}: {bad:?}"
+            );
+        }
     }
 
     #[test]

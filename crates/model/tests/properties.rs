@@ -1,6 +1,8 @@
 //! Property-based tests for the Mamba2 substrate.
 
-use lightmamba_model::ssm::{head_coeffs, ssm_step, SsmDims};
+use lightmamba_model::ssm::{
+    active_isa, head_coeffs, ssm_step, ssm_step_into, ssm_step_into_scalar, SsmDims,
+};
 use lightmamba_model::{MambaConfig, MambaModel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -98,5 +100,138 @@ proptest! {
         let mut state = model.new_state();
         let logits = model.forward_step(token, &mut state).unwrap();
         prop_assert!(logits.iter().all(|v| v.is_finite()));
+    }
+}
+
+/// Bit pattern with every NaN folded onto one: the two head-step forms
+/// may hand `mul`/`add` their operands in either order, and which
+/// NaN's payload survives depends on that order.
+fn bits_nan_folded(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+/// Values the recurrence must treat exactly as the scalar loop does.
+/// Each profile adds to the one before: signed zeros and denormals
+/// (sums that round differently under reassociation, `0.0 + -0.0`),
+/// 1e30-scale values (products overflow, `inf − inf`), then ±inf.
+fn special_value(profile: usize, rng: &mut StdRng) -> f32 {
+    use rand::Rng;
+    const POOL: [f32; 10] = [
+        0.0,
+        -0.0,
+        1.0e-40,
+        -3.0e-42,
+        f32::MIN_POSITIVE,
+        1.0e30,
+        -2.5e30,
+        3.0e-30,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    /// How much of `POOL` each profile draws from.
+    const POOL_LEN: [usize; 3] = [5, 8, 10];
+    POOL[rng.gen_range(0..POOL_LEN[profile])]
+}
+
+/// `len` ordinary values in `±scale`, one in eight replaced by a special
+/// (one in 32 once specials can overflow, so finite rows remain).
+fn grid_values(len: usize, scale: f32, profile: usize, rng: &mut StdRng) -> Vec<f32> {
+    use rand::Rng;
+    const ONE_IN: [u32; 3] = [8, 32, 32];
+    (0..len)
+        .map(|_| {
+            if rng.gen_range(0..ONE_IN[profile]) == 0 {
+                special_value(profile, rng)
+            } else {
+                rng.gen_range(-scale..scale)
+            }
+        })
+        .collect()
+}
+
+/// The dispatched SSM step (AVX2 under `--features lightmamba_quant/simd`
+/// on a capable host) against the scalar oracle, bit for bit on outputs
+/// *and* carried state, over shapes that hit every ragged edge of the
+/// 8-row × 8-column blocking.
+#[test]
+fn dispatched_ssm_step_is_bit_identical_to_scalar() {
+    use std::io::Write;
+    const STEPS: usize = 4;
+    const NHEADS: usize = 4;
+    // Straight to stderr: the harness only captures the print macros, so
+    // a scalar-vs-scalar pass is visible in a plain `cargo test` log.
+    writeln!(
+        std::io::stderr(),
+        "dispatched_ssm_step_is_bit_identical_to_scalar: comparing {} against scalar",
+        active_isa()
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(14);
+    for headdim in [1usize, 7, 8, 9, 16, 61, 64] {
+        for d_state in [1usize, 5, 8, 13, 64, 67, 128] {
+            for ngroups in [1usize, 2] {
+                for profile in 0..3 {
+                    let dims = SsmDims {
+                        nheads: NHEADS,
+                        headdim,
+                        d_state,
+                        ngroups,
+                    };
+                    let at = format!("{dims:?} profile {profile}");
+                    let a_log = grid_values(NHEADS, 1.0, 0, &mut rng);
+                    let dt_bias = grid_values(NHEADS, 1.0, 0, &mut rng);
+                    let d_skip = grid_values(NHEADS, 2.0, profile, &mut rng);
+                    let mut state = grid_values(dims.state_len(), 1.0, profile, &mut rng);
+                    let mut state_ref = state.clone();
+                    let mut y = vec![0.0f32; dims.inner_len()];
+                    let mut y_ref = y.clone();
+                    for step in 0..STEPS {
+                        let x = grid_values(dims.inner_len(), 2.0, profile, &mut rng);
+                        let b = grid_values(dims.bc_len(), 1.0, profile, &mut rng);
+                        let c = grid_values(dims.bc_len(), 1.0, profile, &mut rng);
+                        let dt_raw = grid_values(NHEADS, 2.0, 0, &mut rng);
+                        ssm_step_into(
+                            dims, &x, &b, &c, &dt_raw, &a_log, &dt_bias, &d_skip, &mut state,
+                            &mut y,
+                        )
+                        .unwrap();
+                        ssm_step_into_scalar(
+                            dims,
+                            &x,
+                            &b,
+                            &c,
+                            &dt_raw,
+                            &a_log,
+                            &dt_bias,
+                            &d_skip,
+                            &mut state_ref,
+                            &mut y_ref,
+                        )
+                        .unwrap();
+                        for (what, got, want) in [("y", &y, &y_ref), ("state", &state, &state_ref)]
+                        {
+                            for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+                                assert_eq!(
+                                    bits_nan_folded(*g),
+                                    bits_nan_folded(*w),
+                                    "{what}[{i}] {g:e} vs {w:e} at step {step}, {at}"
+                                );
+                            }
+                        }
+                    }
+                    // Zeros and denormals alone must not blow anything up;
+                    // the larger profiles may, and then compare inf/NaN
+                    // placement.
+                    assert!(
+                        profile > 0 || y_ref.iter().all(|v| v.is_finite()),
+                        "non-finite output, {at}"
+                    );
+                }
+            }
+        }
     }
 }

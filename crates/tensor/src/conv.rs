@@ -87,7 +87,9 @@ impl ConvState {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when `input`/`bias` lengths or
-    /// the weight shape disagree with this state.
+    /// the weight shape disagree with this state, and
+    /// [`TensorError::InvalidArgument`] for a state of kernel width 0
+    /// (there is no newest tap to push into).
     pub fn step(&mut self, input: &[f32], weight: &Tensor, bias: &[f32]) -> Result<Vec<f32>> {
         let mut out = vec![0.0f32; self.channels];
         self.step_into(input, weight, bias, &mut out)?;
@@ -123,17 +125,29 @@ impl ConvState {
                 right: vec![wc, wk],
             });
         }
-        let w = weight.data();
-        for c in 0..self.channels {
-            let win = &mut self.window[c * self.kernel..(c + 1) * self.kernel];
-            win.rotate_left(1);
-            win[self.kernel - 1] = input[c];
-            let taps = &w[c * self.kernel..(c + 1) * self.kernel];
-            let mut acc = bias[c];
-            for (t, x) in taps.iter().zip(win.iter()) {
-                acc += t * x;
+        let Some(newest) = self.kernel.checked_sub(1) else {
+            return Err(TensorError::InvalidArgument(
+                "conv kernel width must be at least 1".into(),
+            ));
+        };
+        // One pass per channel: each tap reads the sample that is about
+        // to move into its slot, so shift and MAC share the loop. Taps
+        // run oldest→newest — the sums of shift-then-dot, and of
+        // `causal_conv1d`, bit for bit.
+        let windows = self.window.chunks_exact_mut(self.kernel);
+        let taps = weight.data().chunks_exact(self.kernel);
+        for (((win, taps), (&x, &bias)), out) in windows
+            .zip(taps)
+            .zip(input.iter().zip(bias))
+            .zip(out.iter_mut())
+        {
+            let mut acc = bias;
+            for k in 0..newest {
+                win[k] = win[k + 1];
+                acc += taps[k] * win[k];
             }
-            out[c] = acc;
+            win[newest] = x;
+            *out = acc + taps[newest] * x;
         }
         Ok(())
     }
@@ -248,6 +262,18 @@ mod tests {
         assert!(st.step(&[1.0], &bad_w, &[0.0]).is_err());
         let input = Tensor::zeros(&[4, 1]);
         assert!(causal_conv1d(&input, &bad_w, &[0.0]).is_err());
+    }
+
+    #[test]
+    fn zero_width_kernel_is_an_error_not_an_underflow() {
+        let mut st = ConvState::new(3, 0);
+        let w = Tensor::zeros(&[3, 0]);
+        let mut out = [0.0f32; 3];
+        let got = st.step_into(&[1.0; 3], &w, &[0.0; 3], &mut out);
+        assert!(
+            matches!(got, Err(TensorError::InvalidArgument(_))),
+            "{got:?}"
+        );
     }
 
     #[test]

@@ -104,3 +104,49 @@ proptest! {
         }
     }
 }
+
+/// What `ConvState::step_into` fuses into one pass: shift the window,
+/// push the sample, then dot taps against the window oldest→newest.
+fn rotate_then_dot(win: &mut [f32], x: f32, taps: &[f32], bias: f32) -> f32 {
+    win.rotate_left(1);
+    *win.last_mut().unwrap() = x;
+    taps.iter()
+        .zip(win.iter())
+        .fold(bias, |acc, (t, v)| acc + t * v)
+}
+
+#[test]
+fn conv_step_into_matches_rotate_then_dot_and_full_conv_bitwise() {
+    use lightmamba_tensor::conv::{causal_conv1d, ConvState};
+    use rand::{Rng, SeedableRng};
+    const STEPS: usize = 10;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+    for kernel in 1..=5usize {
+        for channels in [1usize, 3, 640] {
+            let weight = Tensor::from_fn(&[channels, kernel], |_| rng.gen_range(-1.0f32..1.0));
+            let bias: Vec<f32> = (0..channels).map(|_| rng.gen_range(-0.5f32..0.5)).collect();
+            let input = Tensor::from_fn(&[STEPS, channels], |_| rng.gen_range(-3.0f32..3.0));
+            let full = causal_conv1d(&input, &weight, &bias).unwrap();
+
+            let mut state = ConvState::new(channels, kernel);
+            let mut reference = vec![0.0f32; channels * kernel];
+            let mut out = vec![0.0f32; channels];
+            for t in 0..STEPS {
+                let x = input.row(t).unwrap();
+                state.step_into(x, &weight, &bias, &mut out).unwrap();
+                for c in 0..channels {
+                    let want = rotate_then_dot(
+                        &mut reference[c * kernel..(c + 1) * kernel],
+                        x[c],
+                        weight.row(c).unwrap(),
+                        bias[c],
+                    );
+                    let at = format!("kernel {kernel} channels {channels} t {t} c {c}");
+                    assert_eq!(out[c].to_bits(), want.to_bits(), "vs rotate-then-dot, {at}");
+                    let row = full.row(t).unwrap()[c];
+                    assert_eq!(out[c].to_bits(), row.to_bits(), "vs causal_conv1d, {at}");
+                }
+            }
+        }
+    }
+}
