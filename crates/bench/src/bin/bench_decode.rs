@@ -23,10 +23,10 @@
 //! ≤5% by `tests/obs_overhead.rs`).
 //!
 //! A third section sweeps the worker-pool width: the same batched
-//! decode sharded over 1, 2, … `--threads` cores through the parallel
-//! drivers (`lightmamba_model::par`), on the FP and the integer-W4A4
-//! path. Sharded output is bit-identical to sequential for every width
-//! (pinned by the par-driver tests), so the sweep measures pure
+//! decode cut into 1, 2, … `--threads` lanes by the decode driver
+//! (`lightmamba_model::batch`), one per core, on the FP and the
+//! integer-W4A4 path. Output is bit-identical for every lane count
+//! (pinned by the driver's tests), so the sweep measures pure
 //! host-scaling, and the per-width tokens/s land in BENCH_JSON
 //! alongside the active SIMD ISA.
 //!
@@ -43,10 +43,10 @@ use std::time::Instant;
 
 use lightmamba::report::render_table;
 use lightmamba_bench::engine_obs_overhead;
-use lightmamba_model::{DecodeWorkspace, MambaConfig, MambaModel, ModelState, ParDecodeWorkspace};
+use lightmamba_model::{batch, DecodeWorkspace, MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{ParQuantWorkspace, PreparedModel, QuantizedMamba};
+use lightmamba_quant::{PreparedModel, QuantizedMamba};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -259,11 +259,11 @@ fn main() {
         )
     );
 
-    // Worker-pool scaling: the same batched decode sharded across the
-    // sweep's pool widths at the largest batch. Width 1 times the
-    // sequential workspace path (the true single-thread baseline);
-    // wider pools run the sharded parallel drivers over per-worker
-    // workspaces — bit-identical output, so this isolates host scaling.
+    // Worker-pool scaling: the same batched decode at the largest
+    // batch, cut into one lane per thread across the sweep's pool
+    // widths. Width 1 passes no pool (the one-lane cut on this thread,
+    // the true single-thread baseline) — bit-identical output at every
+    // width, so this isolates host scaling.
     let sweep = thread_sweep(args.threads);
     let par_batch = *batches.last().unwrap();
     let mut fp_par_tps: Vec<f64> = Vec::new();
@@ -271,62 +271,29 @@ fn main() {
     if args.threads > 1 {
         for &t in &sweep {
             let mut states: Vec<ModelState> = (0..par_batch).map(|_| model.new_state()).collect();
-            let (fp, int) = if t == 1 {
-                let fp = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        model
-                            .forward_step_batch_indexed_with(items, states, &mut fp_ws)
-                            .expect("fp step");
-                    },
-                );
-                let int = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        q_int
-                            .forward_step_batch_indexed_with(items, states, &mut int_ws)
-                            .expect("integer step");
-                    },
-                );
-                (fp, int)
-            } else {
-                let pool = WorkerPool::new(t);
-                let mut fp_pws = ParDecodeWorkspace::new();
-                let mut int_pws = ParQuantWorkspace::new();
-                let fp = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        model
-                            .forward_step_batch_indexed_par_with(items, states, &pool, &mut fp_pws)
-                            .expect("fp par step");
-                    },
-                );
-                let int = time_decode(
-                    cfg.vocab_size,
-                    par_batch,
-                    warmup,
-                    args.steps,
-                    &mut states,
-                    |items, states| {
-                        q_int
-                            .forward_step_batch_indexed_par_with(items, states, &pool, &mut int_pws)
-                            .expect("integer par step");
-                    },
-                );
-                (fp, int)
-            };
+            let pool = (t > 1).then(|| WorkerPool::new(t));
+            let pool = pool.as_ref();
+            let fp = time_decode(
+                cfg.vocab_size,
+                par_batch,
+                warmup,
+                args.steps,
+                &mut states,
+                |items, states| {
+                    batch::step(&model, items, None, states, pool, &mut fp_ws).expect("fp step");
+                },
+            );
+            let int = time_decode(
+                cfg.vocab_size,
+                par_batch,
+                warmup,
+                args.steps,
+                &mut states,
+                |items, states| {
+                    batch::step(&q_int, items, None, states, pool, &mut int_ws)
+                        .expect("integer step");
+                },
+            );
             fp_par_tps.push(fp);
             int_par_tps.push(int);
         }

@@ -1,5 +1,5 @@
-//! Release-only pin of the worker-pool scaling claim: sharding a
-//! batch-16 integer-W4A4 decode across 4 threads must reach ≥2.5× the
+//! Release-only pin of the worker-pool scaling claim: cutting a
+//! batch-16 integer-W4A4 decode into 4 lanes, one per thread, must reach ≥2.5× the
 //! single-thread tokens/s (the `bench_decode --threads` headline).
 //!
 //! The pin self-skips on debug builds (kernel timings there measure
@@ -10,10 +10,10 @@
 
 use std::time::Instant;
 
-use lightmamba_model::{MambaConfig, MambaModel, ModelState};
+use lightmamba_model::{batch, MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{ParQuantWorkspace, PreparedModel, QuantizedMamba};
+use lightmamba_quant::{PreparedModel, QuantizedMamba};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,24 +76,18 @@ fn four_thread_integer_decode_reaches_2_5x() {
     assert_eq!(q.exec_mode(), ExecMode::Integer);
 
     let mut states: Vec<ModelState> = (0..BATCH).map(|_| q.new_state()).collect();
-    let mut seq_ws = QuantWorkspace::new();
-    let seq = tok_s(cfg.vocab_size, &mut states, |items, states| {
-        q.forward_step_batch_indexed_with(items, states, &mut seq_ws)
-            .unwrap();
-    });
+    let mut ws = QuantWorkspace::new();
+    let mut run = |pool: Option<&WorkerPool>| {
+        tok_s(cfg.vocab_size, &mut states, |items, states| {
+            batch::step(&q, items, None, states, pool, &mut ws).unwrap();
+        })
+    };
+    let seq = run(None);
 
     let pool = WorkerPool::new(4);
-    let mut par_ws = ParQuantWorkspace::new();
     // Best of 3: one scheduler hiccup on a shared runner must not fail
     // the floor.
-    let par = (0..3)
-        .map(|_| {
-            tok_s(cfg.vocab_size, &mut states, |items, states| {
-                q.forward_step_batch_indexed_par_with(items, states, &pool, &mut par_ws)
-                    .unwrap();
-            })
-        })
-        .fold(0.0f64, f64::max);
+    let par = (0..3).map(|_| run(Some(&pool))).fold(0.0f64, f64::max);
 
     let scaling = par / seq;
     assert!(

@@ -32,7 +32,6 @@
 //! ```
 
 pub mod batch;
-pub mod par;
 
 mod block;
 mod config;
@@ -48,12 +47,11 @@ pub mod synth;
 pub mod transformer;
 pub mod weights;
 
-pub use batch::{DecodeWorkspace, StepWorkspace};
+pub use batch::{DecodeKernels, DecodeWorkspace, LayerBatch, ParDecodeWorkspace, Workspace};
 pub use block::{BlockCapture, BlockScratch, MambaBlock};
 pub use config::{MambaConfig, ModelPreset};
 pub use error::ModelError;
 pub use model::{Capture, MambaModel};
-pub use par::{LayerBatch, ParDecodeWorkspace, ShardPlan, StateShards};
 pub use state::{LayerState, ModelState};
 pub use weights::{BlockWeights, ModelWeights};
 

@@ -1,9 +1,13 @@
 //! Pins the threaded hot-path contract: steady-state batched decode
 //! through the worker pool performs **zero heap allocations** on every
 //! participating thread. A counting global allocator wraps the system
-//! allocator; after a warm-up phase (per-worker workspace buffers grow
-//! to their sharded shapes, the pool's threads are already parked on
+//! allocator; after a warm-up phase (every lane's buffers grow
+//! to their shapes, the pool's threads are already parked on
 //! their condvar) the allocation counter must not move.
+//!
+//! The same workspace then alternates pooled and unpooled steps — one
+//! workspace type serves both — and must stay allocation-free and
+//! bit-identical to a workspace that never saw a pool.
 //!
 //! This file holds exactly one test so no parallel test can inject
 //! allocations into the measurement window.
@@ -11,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lightmamba_model::{MambaConfig, MambaModel, ParDecodeWorkspace};
+use lightmamba_model::{batch, DecodeWorkspace, MambaConfig, MambaModel};
 use lightmamba_pool::WorkerPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,34 +51,57 @@ fn steady_state_parallel_decode_allocates_nothing() {
     let batch = 6;
     let pool = WorkerPool::new(4);
     let mut states: Vec<_> = (0..batch).map(|_| model.new_state()).collect();
-    let mut ws = ParDecodeWorkspace::new();
+    let mut ws = DecodeWorkspace::new();
     let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
 
-    let mut step = |t: usize, states: &mut [_], ws: &mut ParDecodeWorkspace| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 11 + k * 5) % 256) as u32;
-        }
-        model
-            .forward_step_batch_indexed_par_with(&items, states, &pool, ws)
-            .unwrap();
-        assert_eq!(ws.logits().count(), batch);
-    };
+    let mut step =
+        |t: usize, states: &mut [_], pool: Option<&WorkerPool>, ws: &mut DecodeWorkspace| {
+            for (k, item) in items.iter_mut().enumerate() {
+                item.1 = ((t * 11 + k * 5) % 256) as u32;
+            }
+            batch::step(&model, &items, None, states, pool, ws).unwrap();
+            assert_eq!(ws.logits().len(), batch);
+        };
 
-    // Warm-up: every per-worker workspace grows to its shard's shapes
-    // and the pool settles into its park/dispatch rhythm.
+    // Warm-up: every lane's buffers grow to their shapes and the pool
+    // settles into its park/dispatch rhythm.
     for t in 0..3 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states, Some(&pool), &mut ws);
     }
 
     let before = ALLOCS.load(Ordering::SeqCst);
     for t in 3..40 {
-        step(t, &mut states, &mut ws);
+        step(t, &mut states, Some(&pool), &mut ws);
     }
     let after = ALLOCS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
         0,
         "steady-state 4-thread FP decode allocated {} times over 37 steps",
+        after - before
+    );
+
+    // One workspace, pooled and unpooled steps in turn, against a twin
+    // that only ever runs the one-lane cut.
+    let mut twin_states = states.clone();
+    let mut twin_ws = DecodeWorkspace::new();
+    let mut alternate = |t: usize| {
+        step(t, &mut states, (t % 2 == 0).then_some(&pool), &mut ws);
+        step(t, &mut twin_states, None, &mut twin_ws);
+        assert_eq!(ws.logits(), twin_ws.logits(), "step {t} diverged");
+    };
+    for t in 40..46 {
+        alternate(t);
+    }
+    let before = ALLOCS.load(Ordering::SeqCst);
+    for t in 46..70 {
+        alternate(t);
+    }
+    let after = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "alternating pooled and unpooled steps on one warm workspace allocated {} times",
         after - before
     );
 }

@@ -54,7 +54,7 @@ pub mod smoothquant;
 pub use error::QuantError;
 pub use kernels::{ActQuant, PackedW4};
 pub use prepared::{PreparedBlock, PreparedModel};
-pub use qmodel::{ParQuantWorkspace, QuantizedMamba};
+pub use qmodel::QuantizedMamba;
 pub use quantizer::{Granularity, QuantScheme, QuantizedTensor};
 
 /// Convenience alias for results produced by this crate.

@@ -41,15 +41,11 @@
 
 use std::sync::Arc;
 
-use lightmamba_model::batch::{self, StepWorkspace};
+use lightmamba_model::batch::{self, DecodeKernels, Workspace};
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::par::{drive_step_batch_indexed_par, drive_step_shard, ShardPlan};
 use lightmamba_model::ssm::{ssm_step_into, SsmDims};
 use lightmamba_model::weights::InProjSplit;
-use lightmamba_model::{
-    BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState, StateShards,
-};
-use lightmamba_pool::WorkerPool;
+use lightmamba_model::{BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState};
 use lightmamba_tensor::{activation, norm, Tensor};
 
 use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
@@ -172,21 +168,23 @@ struct SharedWeights {
     blocks: Vec<QBlock>,
 }
 
-/// Kernel scratch of the quantized block forward: per resident sequence
-/// the shared FP block buffers ([`lightmamba_model::BlockScratch`] — one
-/// `prepare` keeps the shapes in sync with the FP path) and its
-/// activation codes, plus the GEMM's own scratch. Grows to the largest
-/// sub-batch seen; every temporary of a block lives here, so
-/// steady-state decode allocates nothing.
+/// Kernel scratch of the quantized decode step, one per lane: per
+/// resident sequence the shared FP block buffers
+/// ([`lightmamba_model::BlockScratch`] — one `prepare` keeps the shapes
+/// in sync with the FP path) and its activation codes, plus the GEMM's
+/// own scratch. The LM head reuses the codes and the GEMM scratch once
+/// the last block is done with them. Grows to the largest lane seen;
+/// every temporary of a step lives here, so steady-state decode
+/// allocates nothing.
 #[derive(Debug, Clone, Default)]
-struct QuantScratch {
+pub struct QuantScratch {
     blocks: Vec<BlockScratch>,
     acts: Vec<ActQuant>,
     gemm: GemvScratch,
 }
 
 impl QuantScratch {
-    /// Sizes the per-sequence scratch for a sub-batch of `n`.
+    /// Sizes the per-sequence scratch for a lane of `n`.
     fn prepare(&mut self, n: usize, cfg: &MambaConfig) {
         if self.blocks.len() < n {
             self.blocks.resize_with(n, BlockScratch::default);
@@ -198,75 +196,10 @@ impl QuantScratch {
     }
 }
 
-/// Reusable workspace for the quantized batched decode hot path: the
-/// model-agnostic batch buffers plus the quantized kernel scratch
-/// (activation codes included). Grows to the largest batch seen, then
-/// steady-state decode performs zero heap allocations.
-#[derive(Debug, Clone, Default)]
-pub struct QuantWorkspace {
-    step: StepWorkspace,
-    scratch: QuantScratch,
-    /// LM-head activation codes and GEMM scratch, separate from the
-    /// block scratch so the step driver's layer and finish closures
-    /// borrow disjoint state.
-    head_acts: Vec<ActQuant>,
-    head_gemm: GemvScratch,
-}
-
-impl QuantWorkspace {
-    /// An empty workspace; it warms up on the first step.
-    pub fn new() -> Self {
-        QuantWorkspace::default()
-    }
-
-    /// Logits of the latest step, one per item whose logits were asked
-    /// for — every item of a
-    /// [`QuantizedMamba::forward_step_batch_indexed_with`] call,
-    /// index-aligned with its `items`.
-    pub fn logits(&self) -> &[Vec<f32>] {
-        self.step.logits()
-    }
-}
-
-/// Per-shard workspaces for the quantized model's parallel step: one
-/// [`QuantWorkspace`] per pool thread plus the shard bookkeeping — the
-/// quantized mirror of [`lightmamba_model::ParDecodeWorkspace`]. Grows
-/// to the pool width on the first step, then steady-state parallel
-/// decode performs zero heap allocations (pinned by the threaded
-/// `no_alloc` test).
-#[derive(Debug, Clone, Default)]
-pub struct ParQuantWorkspace {
-    plan: ShardPlan,
-    shards: Vec<QuantWorkspace>,
-}
-
-impl ParQuantWorkspace {
-    /// An empty workspace; it warms up on the first step.
-    pub fn new() -> Self {
-        ParQuantWorkspace::default()
-    }
-
-    /// Logits of the latest parallel step — one per item whose logits
-    /// were asked for — in `items` order (shard ranges are contiguous, so
-    /// chaining shards restores batch order).
-    pub fn logits(&self) -> impl Iterator<Item = &Vec<f32>> + '_ {
-        self.shards[..self.plan.used()]
-            .iter()
-            .flat_map(|ws| ws.logits().iter())
-    }
-
-    /// The `m`-th logits of the latest parallel step, i.e.
-    /// `logits().nth(m)`.
-    ///
-    /// # Panics
-    ///
-    /// If the latest step produced `m` logits or fewer.
-    pub fn logits_at(&self, m: usize) -> &Vec<f32> {
-        self.logits()
-            .nth(m)
-            .unwrap_or_else(|| panic!("logit index {m} out of range for the latest step"))
-    }
-}
+/// The quantized model's decode workspace: the driver's
+/// [`Workspace`] over [`QuantScratch`], for any batch size, pooled or
+/// not.
+pub type QuantWorkspace = Workspace<QuantScratch>;
 
 /// A quantized Mamba2 model implementing [`StepModel`].
 ///
@@ -489,58 +422,6 @@ impl QuantizedMamba {
         self.exec == ExecMode::Integer
     }
 
-    /// Advances every sequence of a sub-batch through one block, as
-    /// phases: per sequence whatever touches only that sequence, and one
-    /// GEMM across the sub-batch for each projection. A batch of one
-    /// runs the same code, so per-sequence arithmetic — and therefore
-    /// every logit and state bit — does not depend on the batch.
-    fn layer_step(
-        &self,
-        block: &QBlock,
-        xs: &mut [Vec<f32>],
-        lstates: &mut LayerBatch<'_, '_>,
-        scratch: &mut QuantScratch,
-    ) -> Result<()> {
-        let n = xs.len();
-        scratch.prepare(n, &self.cfg);
-        let QuantScratch { blocks, acts, gemm } = scratch;
-        let (blocks, acts) = (&mut blocks[..n], &mut acts[..n]);
-
-        for ((x, s), act) in xs.iter().zip(blocks.iter_mut()).zip(acts.iter_mut()) {
-            self.pre_in_proj(block, x, s, act)?;
-        }
-        match (&block.w_in_packed, self.integer()) {
-            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.proj)?,
-            _ => {
-                for s in blocks.iter_mut() {
-                    block.w_in.vecmat_into(&s.normed, &mut s.proj)?;
-                }
-            }
-        }
-        for (k, (s, act)) in blocks.iter_mut().zip(acts.iter_mut()).enumerate() {
-            self.mix(block, s, lstates.state_mut(k), act)?;
-        }
-        match (&block.w_out_packed, self.integer()) {
-            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.out)?,
-            _ => {
-                for s in blocks.iter_mut() {
-                    block.w_out.vecmat_into(&s.y, &mut s.out)?;
-                }
-            }
-        }
-        for (x, s) in xs.iter_mut().zip(blocks.iter_mut()) {
-            if let Some(bias) = &block.w_out_bias {
-                for (o, b) in s.out.iter_mut().zip(bias.iter()) {
-                    *o += b;
-                }
-            }
-            for (xi, oi) in x.iter_mut().zip(s.out.iter()) {
-                *xi += oi;
-            }
-        }
-        Ok(())
-    }
-
     /// Quantizes a projection's input for the active execution mode:
     /// integer codes into `act` on the hot path, quantize→dequantize in
     /// place on the oracle path.
@@ -661,16 +542,126 @@ impl QuantizedMamba {
         self.quantize_act(&mut scratch.y, act)
     }
 
+    /// One decode step against an external state (the serving path; the
+    /// internal [`StepModel`] state is untouched).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::TokenOutOfRange`] / [`ModelError::StateMismatch`]
+    /// wrapped in [`crate::QuantError`] for invalid inputs.
+    pub fn forward_step_with(&self, token: u32, state: &mut ModelState) -> Result<Vec<f32>> {
+        let mut ws = QuantWorkspace::new();
+        self.forward_step_batch_indexed_with(&[(0, token)], std::slice::from_mut(state), &mut ws)?;
+        let logits = ws.into_logits().pop();
+        Ok(logits.expect("one item yields one logits vector"))
+    }
+
+    /// [`batch::step`] over this model on the caller's thread, logits
+    /// for every item (in `ws.logits()`, index-aligned with `items`).
+    /// Layer-outer with each linear layer one GEMM over the batch, so
+    /// each block's weights are streamed once per step; per-sequence
+    /// arithmetic is bit-identical to sequential decode.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`batch::step`].
+    pub fn forward_step_batch_indexed_with(
+        &self,
+        items: &[(usize, u32)],
+        states: &mut [ModelState],
+        ws: &mut QuantWorkspace,
+    ) -> Result<()> {
+        batch::step(self, items, None, states, None, ws)
+    }
+
+    fn step_inner(&mut self, token: u32) -> Result<Vec<f32>> {
+        // Swap the private state out so the shared stateless core can
+        // borrow `self` immutably (no per-step allocation: the
+        // placeholder is an empty layer list).
+        let mut state = std::mem::replace(&mut self.state, ModelState { layers: Vec::new() });
+        let out = self.forward_step_with(token, &mut state);
+        self.state = state;
+        out
+    }
+}
+
+impl DecodeKernels for QuantizedMamba {
+    type Scratch = QuantScratch;
+    type Error = crate::QuantError;
+
+    fn config(&self) -> &MambaConfig {
+        &self.cfg
+    }
+
+    fn embed(&self, token: u32, x: &mut Vec<f32>) -> Result<()> {
+        x.clear();
+        x.extend_from_slice(self.weights.embedding.row(token as usize)?);
+        Ok(())
+    }
+
+    /// Advances every sequence of a lane through one block, as phases:
+    /// per sequence whatever touches only that sequence, and one GEMM
+    /// across the lane for each projection. A lane of one runs the same
+    /// code, so per-sequence arithmetic — and therefore every logit and
+    /// state bit — does not depend on the batch.
+    fn layer_step(
+        &self,
+        layer: usize,
+        xs: &mut [Vec<f32>],
+        lstates: &mut LayerBatch<'_>,
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        let block = &self.weights.blocks[layer];
+        let n = xs.len();
+        scratch.prepare(n, &self.cfg);
+        let QuantScratch { blocks, acts, gemm } = scratch;
+        let (blocks, acts) = (&mut blocks[..n], &mut acts[..n]);
+
+        for ((x, s), act) in xs.iter().zip(blocks.iter_mut()).zip(acts.iter_mut()) {
+            self.pre_in_proj(block, x, s, act)?;
+        }
+        match (&block.w_in_packed, self.integer()) {
+            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.proj)?,
+            _ => {
+                for s in blocks.iter_mut() {
+                    block.w_in.vecmat_into(&s.normed, &mut s.proj)?;
+                }
+            }
+        }
+        for (k, (s, act)) in blocks.iter_mut().zip(acts.iter_mut()).enumerate() {
+            self.mix(block, s, lstates.state_mut(k), act)?;
+        }
+        match (&block.w_out_packed, self.integer()) {
+            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.out)?,
+            _ => {
+                for s in blocks.iter_mut() {
+                    block.w_out.vecmat_into(&s.y, &mut s.out)?;
+                }
+            }
+        }
+        for (x, s) in xs.iter_mut().zip(blocks.iter_mut()) {
+            if let Some(bias) = &block.w_out_bias {
+                for (o, b) in s.out.iter_mut().zip(bias.iter()) {
+                    *o += b;
+                }
+            }
+            for (xi, oi) in x.iter_mut().zip(s.out.iter()) {
+                *xi += oi;
+            }
+        }
+        Ok(())
+    }
+
     /// Final norm + optional activation quantization + LM head for the
     /// residual streams whose logits are wanted, one GEMM for all of
     /// them, writing into reusable logits buffers.
-    fn logits_into(
+    fn finish(
         &self,
         xs: &mut [Vec<f32>],
         logits: &mut [Vec<f32>],
-        acts: &mut Vec<ActQuant>,
-        gemm: &mut GemvScratch,
+        scratch: &mut QuantScratch,
     ) -> Result<()> {
+        let QuantScratch { acts, gemm, .. } = scratch;
         if acts.len() < xs.len() {
             acts.resize_with(xs.len(), ActQuant::new);
         }
@@ -689,280 +680,6 @@ impl QuantizedMamba {
             }
         }
         Ok(())
-    }
-
-    /// One shard's share of a step with this model's kernels — the
-    /// quantized closures of [`drive_step_shard`].
-    ///
-    /// # Safety
-    ///
-    /// The contract of [`drive_step_shard`].
-    unsafe fn step_shard(
-        &self,
-        items: &[(usize, u32)],
-        want: Option<&[bool]>,
-        states: &StateShards<'_>,
-        ws: &mut QuantWorkspace,
-    ) -> Result<()> {
-        let scratch = &mut ws.scratch;
-        let head_acts = &mut ws.head_acts;
-        let head_gemm = &mut ws.head_gemm;
-        // SAFETY: forwarded from this function's contract.
-        unsafe {
-            drive_step_shard(
-                &self.cfg,
-                items,
-                want,
-                states,
-                &mut ws.step,
-                |token, buf| {
-                    let row = self.weights.embedding.row(token as usize)?;
-                    buf.clear();
-                    buf.extend_from_slice(row);
-                    Ok(())
-                },
-                |layer, xs, lstates| {
-                    self.layer_step(&self.weights.blocks[layer], xs, lstates, scratch)
-                },
-                |xs, logits| self.logits_into(xs, logits, head_acts, head_gemm),
-            )
-        }
-    }
-
-    fn step_with(
-        &self,
-        items: &[(usize, u32)],
-        want: Option<&[bool]>,
-        states: &mut [ModelState],
-        ws: &mut QuantWorkspace,
-    ) -> Result<()> {
-        ws.step.validate(&self.cfg, items, states)?;
-        // SAFETY: the batch was just validated (slots in bounds and
-        // unique, states shaped for this model, tokens in range) and
-        // this single shard is the only user of the view.
-        unsafe { self.step_shard(items, want, &StateShards::new(states), ws) }
-    }
-
-    fn step_par_with(
-        &self,
-        items: &[(usize, u32)],
-        want: Option<&[bool]>,
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParQuantWorkspace,
-    ) -> Result<()> {
-        drive_step_batch_indexed_par(
-            &self.cfg,
-            items,
-            want,
-            states,
-            pool,
-            &mut ws.plan,
-            &mut ws.shards,
-            // SAFETY: the batch was validated duplicate-free and the
-            // planner hands each shard a disjoint contiguous range, so
-            // each shard exclusively owns its slots.
-            |items, want, view, qws: &mut QuantWorkspace| unsafe {
-                self.step_shard(items, want, view, qws)
-            },
-        )
-    }
-
-    /// One decode step against an external state (the serving path; the
-    /// internal [`StepModel`] state is untouched).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::TokenOutOfRange`] / [`ModelError::StateMismatch`]
-    /// wrapped in [`crate::QuantError`] for invalid inputs.
-    pub fn forward_step_with(&self, token: u32, state: &mut ModelState) -> Result<Vec<f32>> {
-        let mut ws = QuantWorkspace::new();
-        self.forward_step_batch_indexed_with(&[(0, token)], std::slice::from_mut(state), &mut ws)?;
-        Ok(ws
-            .step
-            .take_logits()
-            .pop()
-            .expect("one item yields one logits vector"))
-    }
-
-    /// Workspace-threaded batched decode step: like
-    /// [`QuantizedMamba::forward_step_batch_indexed`], but every
-    /// temporary — residual streams, projections, activation codes,
-    /// logits — lives in `ws`, so a steady-state decode loop performs
-    /// zero heap allocations (pinned by the `no_alloc` integration
-    /// test). Logits land in `ws.logits()`, index-aligned with `items`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`QuantizedMamba::forward_step_batch_indexed`].
-    pub fn forward_step_batch_indexed_with(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-        ws: &mut QuantWorkspace,
-    ) -> Result<()> {
-        self.step_with(items, None, states, ws)
-    }
-
-    /// Multi-core batched decode step: like
-    /// [`QuantizedMamba::forward_step_batch_indexed_with`], but the
-    /// validated batch is sharded into contiguous ranges and each
-    /// range's phase-batched step runs on its own pool thread with its
-    /// own workspace (packed weights are shared read-only through the
-    /// model's `Arc`). Logits land in `ws` (see
-    /// [`ParQuantWorkspace::logits`]), index-aligned with `items`, and
-    /// are bit-identical to the sequential path for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`QuantizedMamba::forward_step_batch_indexed`].
-    pub fn forward_step_batch_indexed_par_with(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParQuantWorkspace,
-    ) -> Result<()> {
-        self.step_par_with(items, None, states, pool, ws)
-    }
-
-    /// Workspace-threaded ragged advance (batched prefill, a prefill
-    /// chunk, a decode step): feeds `items[k].1` into
-    /// `states[items[k].0]` position by position, reusing `ws`, and
-    /// returns each item's logits after its final token. The final norm
-    /// and LM head run only at those final positions. Only the returned
-    /// logits allocate.
-    ///
-    /// # Errors
-    ///
-    /// Rejects items without tokens, plus the conditions of
-    /// [`QuantizedMamba::forward_step_batch_indexed`] (checked before
-    /// any state advances, for the first position).
-    pub fn advance_batch_indexed_with(
-        &self,
-        items: &[(usize, &[u32])],
-        states: &mut [ModelState],
-        ws: &mut QuantWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        batch::drive_advance_batch_with(
-            items,
-            states,
-            ws,
-            |items, want, states, ws| self.step_with(items, Some(want), states, ws),
-            |ws, m| ws.logits()[m].clone(),
-        )
-    }
-
-    /// Multi-core ragged advance: the parallel twin of
-    /// [`QuantizedMamba::advance_batch_indexed_with`], driving the
-    /// sharded step position-by-position. Only the returned logits
-    /// allocate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`QuantizedMamba::advance_batch_indexed_with`].
-    pub fn advance_batch_indexed_par_with(
-        &self,
-        items: &[(usize, &[u32])],
-        states: &mut [ModelState],
-        pool: &WorkerPool,
-        ws: &mut ParQuantWorkspace,
-    ) -> Result<Vec<Vec<f32>>> {
-        batch::drive_advance_batch_with(
-            items,
-            states,
-            ws,
-            |items, want, states, ws| self.step_par_with(items, Some(want), states, pool, ws),
-            |ws, m| ws.logits_at(m).clone(),
-        )
-    }
-
-    /// One decode step for a batch: `items[k] = (state_index, token)`
-    /// advances `states[state_index]` by `token` and yields that
-    /// sequence's next-token logits as `(state_index, logits)` — the
-    /// quantized mirror of
-    /// [`lightmamba_model::MambaModel::forward_step_batch_indexed`],
-    /// layer-outer with each linear layer one GEMM over the batch, so
-    /// each block's weights are streamed once per step. Per-sequence
-    /// arithmetic is bit-identical to the sequential [`StepModel`]
-    /// decode.
-    ///
-    /// # Errors
-    ///
-    /// Rejects out-of-bounds or duplicated indices, foreign-config states,
-    /// and invalid tokens; states are not advanced on error.
-    pub fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>> {
-        let mut ws = QuantWorkspace::new();
-        self.forward_step_batch_indexed_with(items, states, &mut ws)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.step.take_logits())
-            .collect())
-    }
-
-    /// One decode step for every sequence: `tokens` and `states` are
-    /// parallel slices. Returns one logits vector per sequence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::StateMismatch`] when the slices disagree in
-    /// length, plus the conditions of
-    /// [`QuantizedMamba::forward_step_batch_indexed`].
-    pub fn forward_step_batch(
-        &self,
-        tokens: &[u32],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>> {
-        if tokens.len() != states.len() {
-            return Err(ModelError::StateMismatch(format!(
-                "{} tokens for {} states",
-                tokens.len(),
-                states.len()
-            ))
-            .into());
-        }
-        let items: Vec<(usize, u32)> = tokens.iter().copied().enumerate().collect();
-        Ok(self
-            .forward_step_batch_indexed(&items, states)?
-            .into_iter()
-            .map(|(_, logits)| logits)
-            .collect())
-    }
-
-    fn step_inner(&mut self, token: u32) -> Result<Vec<f32>> {
-        // Swap the private state out so the shared stateless core can
-        // borrow `self` immutably (no per-step allocation: the
-        // placeholder is an empty layer list).
-        let mut state = std::mem::replace(&mut self.state, ModelState { layers: Vec::new() });
-        let out = self.forward_step_with(token, &mut state);
-        self.state = state;
-        out
-    }
-
-    /// Batched prefill over ragged prompts: consumes `prompts[k]` into
-    /// `states[k]` position-by-position and returns each sequence's
-    /// logits after its final prompt token (mirrors
-    /// [`lightmamba_model::MambaModel::prefill_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidConfig`] when any prompt is empty or
-    /// the slice lengths disagree; propagates step errors.
-    pub fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>> {
-        let items = batch::prefill_items(prompts, states)?;
-        self.advance_batch_indexed_with(&items, states, &mut QuantWorkspace::new())
     }
 }
 
@@ -993,8 +710,10 @@ pub fn fake_quant_weight(t: &Tensor, scheme: QuantScheme) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantError;
     use lightmamba_model::eval::{compare_models, ReferenceRunner};
     use lightmamba_model::{corpus::SyntheticCorpus, MambaModel};
+    use lightmamba_pool::WorkerPool;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1012,35 +731,6 @@ mod tests {
 
     fn sequences() -> Vec<Vec<u32>> {
         SyntheticCorpus::for_vocab(256).calibration_set(&mut StdRng::seed_from_u64(5), 2, 10)
-    }
-
-    #[test]
-    fn parallel_integer_step_matches_sequential_bitwise() {
-        let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let q = QuantizedMamba::new(prepared, Precision::w4a4(32)).unwrap();
-        assert_eq!(q.exec_mode(), ExecMode::Integer);
-        let pool = WorkerPool::new(4);
-        let n = 6;
-
-        let mut seq_states: Vec<_> = (0..n).map(|_| q.new_state()).collect();
-        let mut par_states = seq_states.clone();
-        let mut seq_ws = QuantWorkspace::new();
-        let mut par_ws = ParQuantWorkspace::new();
-
-        for step in 0..4u32 {
-            let items: Vec<(usize, u32)> = (0..n).map(|k| (k, step * 17 + k as u32)).collect();
-            q.forward_step_batch_indexed_with(&items, &mut seq_states, &mut seq_ws)
-                .unwrap();
-            q.forward_step_batch_indexed_par_with(&items, &mut par_states, &pool, &mut par_ws)
-                .unwrap();
-            let par_logits: Vec<&Vec<f32>> = par_ws.logits().collect();
-            assert_eq!(par_logits.len(), n);
-            for (k, seq_logits) in seq_ws.logits().iter().enumerate() {
-                assert_eq!(par_logits[k], seq_logits, "sequence {k} diverged at {step}");
-            }
-        }
-        assert_eq!(par_states, seq_states, "states diverged");
     }
 
     #[test]
@@ -1131,44 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_decode_matches_sequential_bitwise() {
-        let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let mut q = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
-        assert_eq!(q.exec_mode(), ExecMode::Integer);
-        let prompts: [&[u32]; 3] = [&[5, 9, 2], &[40, 1], &[7, 7, 7, 7]];
-
-        // Sequential reference through the StepModel interface.
-        let mut seq_logits = Vec::new();
-        for p in &prompts {
-            q.reset();
-            let mut last = Vec::new();
-            for &t in *p {
-                last = q.step(t).unwrap();
-            }
-            last = {
-                let next = lightmamba_model::MambaModel::argmax(&last) as u32;
-                q.step(next).unwrap()
-            };
-            seq_logits.push(last);
-        }
-
-        // Batched path over external states.
-        let mut states: Vec<_> = (0..3).map(|_| q.new_state()).collect();
-        let finals = q.prefill_batch(&prompts, &mut states).unwrap();
-        let tokens: Vec<(usize, u32)> = finals
-            .iter()
-            .enumerate()
-            .map(|(k, l)| (k, lightmamba_model::MambaModel::argmax(l) as u32))
-            .collect();
-        let batched = q.forward_step_batch_indexed(&tokens, &mut states).unwrap();
-        for (k, (slot, logits)) in batched.iter().enumerate() {
-            assert_eq!(*slot, k);
-            assert_eq!(logits, &seq_logits[k], "sequence {k} diverged");
-        }
-    }
-
-    #[test]
     fn external_step_leaves_internal_state_untouched() {
         let model = reference();
         let prepared = PreparedModel::from_reference(&model).unwrap();
@@ -1184,47 +836,60 @@ mod tests {
 
     #[test]
     fn batched_rejects_duplicate_slot_and_foreign_state() {
+        // The rejection table: each row is refused by `advance` and (all
+        // rows but the last being one token per item) by `step`, pooled
+        // and not, with every state left bit-equal.
         let model = reference();
         let prepared = PreparedModel::from_reference(&model).unwrap();
         let q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
-        let mut states: Vec<_> = (0..2).map(|_| q.new_state()).collect();
-        let before = states.clone();
-        assert!(q
-            .forward_step_batch_indexed(&[(0, 1), (0, 2)], &mut states)
-            .is_err());
-        assert_eq!(states, before, "states must be untouched on error");
-        // A token outside the vocabulary rejects the whole batch, on the
-        // sharded path too.
         let bad = q.config().vocab_size as u32;
-        assert!(q
-            .forward_step_batch_indexed(&[(0, 1), (1, bad)], &mut states)
-            .is_err());
-        assert!(q
-            .forward_step_batch_indexed_par_with(
-                &[(0, 1), (1, bad)],
-                &mut states,
-                &WorkerPool::new(4),
-                &mut ParQuantWorkspace::new(),
-            )
-            .is_err());
-        assert_eq!(states, before, "states must be untouched on error");
-        // A state shaped for a different config is rejected up front.
         let mut other_cfg = MambaConfig::tiny();
         other_cfg.d_state = 32;
-        let mut states = vec![q.new_state(), ModelState::new(&other_cfg)];
-        let before = states.clone();
-        assert!(q
-            .forward_step_batch_indexed(&[(0, 1), (1, 2)], &mut states)
-            .is_err());
-        assert_eq!(states, before, "states must be untouched on error");
+        let own = || vec![q.new_state(), q.new_state()];
+        let foreign = || vec![q.new_state(), ModelState::new(&other_cfg)];
+        type Expected = fn(&QuantError) -> bool;
+        let mismatch: Expected = |e| matches!(e, QuantError::Model(ModelError::StateMismatch(_)));
+        let out_of_range: Expected =
+            |e| matches!(e, QuantError::Model(ModelError::TokenOutOfRange { .. }));
+        let reject = |row: &str,
+                      mut states: Vec<ModelState>,
+                      items: [(usize, &[u32]); 2],
+                      expected: Expected| {
+            let before = states.clone();
+            let single: Option<Vec<(usize, u32)>> = items
+                .iter()
+                .map(|&(slot, toks)| (toks.len() == 1).then(|| (slot, toks[0])))
+                .collect();
+            for pool in [None, Some(WorkerPool::new(4))] {
+                let (pool, mut ws) = (pool.as_ref(), QuantWorkspace::new());
+                let err = batch::advance(&q, &items, &mut states, pool, &mut ws).unwrap_err();
+                assert!(expected(&err), "{row}, advance, pool {pool:?}: {err:?}");
+                if let Some(single) = &single {
+                    let err =
+                        batch::step(&q, single, None, &mut states, pool, &mut ws).unwrap_err();
+                    assert!(expected(&err), "{row}, step, pool {pool:?}: {err:?}");
+                }
+                assert_eq!(states, before, "{row}: states must be untouched on error");
+            }
+        };
+        reject("duplicate slot", own(), [(0, &[1]), (0, &[2])], mismatch);
+        reject("slot out of range", own(), [(0, &[1]), (2, &[2])], mismatch);
+        reject("foreign state", foreign(), [(0, &[1]), (1, &[2])], mismatch);
+        reject("bad token", own(), [(0, &[1]), (1, &[bad])], out_of_range);
+        // Atomicity of a ragged advance: nothing may advance even though
+        // the bad token is the second item's last.
+        let late: [(usize, &[u32]); 2] = [(0, &[1, 2, 3]), (1, &[4, 5, bad])];
+        reject("late bad token", own(), late, out_of_range);
     }
 
     #[test]
     fn phase_batched_steps_match_sequential_at_every_batch_size() {
-        // Ragged prefill then one decode step, batches of 1..=9 (every
-        // K-block remainder), both execution modes, unsharded and
-        // sharded over 1 and 4 threads — against one sequence at a time
-        // through `forward_step_with`. Logits and states, bit for bit.
+        // Ragged prefill (`advance`), a decode `step`, then a `step`
+        // with a ragged `want` — batches of 1..=9 (every K-block
+        // remainder), both execution modes, every lane cut (no pool;
+        // pools of 1, 3, 4 and 16 threads, so also more threads than
+        // items) — against one sequence at a time through
+        // `forward_step_with`. Logits and states, bit for bit.
         let model = reference();
         let prepared = PreparedModel::from_reference(&model).unwrap();
         let q_int = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
@@ -1236,53 +901,49 @@ mod tests {
                     .collect()
             })
             .collect();
-        let next = |k: usize| (k as u32 * 13 + 3) % 256;
+        let next = |k: usize, round: u32| (k as u32 * 13 + 3 + round * 29) % 256;
+        let wanted = |k: usize| k % 3 != 1;
+        let mut pools = vec![None];
+        pools.extend([1, 3, 4, 16].map(|t| Some(WorkerPool::new(t))));
         for q in [&q_int, &q_fake] {
             let mut want_states = Vec::new();
-            let mut want_prefill = Vec::new();
-            let mut want_decode = Vec::new();
+            let mut want_logits = [Vec::new(), Vec::new(), Vec::new()];
             for (k, prompt) in prompts.iter().enumerate() {
                 let mut state = q.new_state();
                 let mut last = Vec::new();
                 for &t in prompt {
                     last = q.forward_step_with(t, &mut state).unwrap();
                 }
-                want_prefill.push(last);
-                want_decode.push(q.forward_step_with(next(k), &mut state).unwrap());
+                want_logits[0].push(last);
+                for round in 0..2 {
+                    let logits = q.forward_step_with(next(k, round), &mut state).unwrap();
+                    want_logits[1 + round as usize].push(logits);
+                }
                 want_states.push(state);
             }
             for n in 1..=prompts.len() {
                 let ragged: Vec<(usize, &[u32])> =
                     prompts[..n].iter().map(|p| &p[..]).enumerate().collect();
-                let decode: Vec<(usize, u32)> = (0..n).map(|k| (k, next(k))).collect();
-                let fresh = || -> Vec<ModelState> { (0..n).map(|_| q.new_state()).collect() };
-                let label = format!("{:?} batch {n}", q.exec_mode());
-
-                let mut states = fresh();
-                let mut ws = QuantWorkspace::new();
-                let prefill = q
-                    .advance_batch_indexed_with(&ragged, &mut states, &mut ws)
-                    .unwrap();
-                assert_eq!(prefill, want_prefill[..n], "{label}: prefill");
-                q.forward_step_batch_indexed_with(&decode, &mut states, &mut ws)
-                    .unwrap();
-                assert_eq!(ws.logits(), &want_decode[..n], "{label}: decode");
-                assert_eq!(states, want_states[..n], "{label}: states");
-
-                for threads in [1, 4] {
-                    let pool = WorkerPool::new(threads);
-                    let mut states = fresh();
-                    let mut ws = ParQuantWorkspace::new();
-                    let prefill = q
-                        .advance_batch_indexed_par_with(&ragged, &mut states, &pool, &mut ws)
-                        .unwrap();
-                    assert_eq!(prefill, want_prefill[..n], "{label} t{threads}: prefill");
-                    q.forward_step_batch_indexed_par_with(&decode, &mut states, &pool, &mut ws)
-                        .unwrap();
-                    let logits: Vec<&Vec<f32>> = ws.logits().collect();
-                    let want: Vec<&Vec<f32>> = want_decode[..n].iter().collect();
-                    assert_eq!(logits, want, "{label} t{threads}: decode");
-                    assert_eq!(states, want_states[..n], "{label} t{threads}: states");
+                let decode =
+                    |round| -> Vec<(usize, u32)> { (0..n).map(|k| (k, next(k, round))).collect() };
+                let want: Vec<bool> = (0..n).map(wanted).collect();
+                let want_ragged: Vec<&Vec<f32>> = (0..n)
+                    .filter(|&k| wanted(k))
+                    .map(|k| &want_logits[2][k])
+                    .collect();
+                for pool in &pools {
+                    let pool = pool.as_ref();
+                    let label = format!("{:?} batch {n} pool {pool:?}", q.exec_mode());
+                    let mut states: Vec<ModelState> = (0..n).map(|_| q.new_state()).collect();
+                    let mut ws = QuantWorkspace::new();
+                    let prefill = batch::advance(q, &ragged, &mut states, pool, &mut ws).unwrap();
+                    assert_eq!(prefill, want_logits[0][..n], "{label}: prefill");
+                    batch::step(q, &decode(0), None, &mut states, pool, &mut ws).unwrap();
+                    assert_eq!(ws.logits(), &want_logits[1][..n], "{label}: decode");
+                    batch::step(q, &decode(1), Some(&want), &mut states, pool, &mut ws).unwrap();
+                    let got: Vec<&Vec<f32>> = ws.logits().iter().collect();
+                    assert_eq!(got, want_ragged, "{label}: ragged want");
+                    assert_eq!(states, want_states[..n], "{label}: states");
                 }
             }
         }

@@ -6,12 +6,15 @@
 //! step needs — state allocation, batched ragged prefill, and an indexed
 //! batched decode step — plus a [`CostProfile`] so the accelerator cost
 //! model can price each backend's steps with its own weight-stream bytes.
-//! Two implementations ship:
+//! One implementation ships, [`ModelBackend`], generic over any
+//! [`ServedModel`] — a model with the decode driver's kernels
+//! ([`lightmamba_model::DecodeKernels`]) plus a report name and a cost
+//! profile — and it is known under two names:
 //!
-//! * [`FpBackend`] — the FP16 reference path over
-//!   [`MambaModel::forward_step_batch_indexed`];
-//! * [`W4A4Backend`] — quantized execution over [`QuantizedMamba`]'s
-//!   batched decode, closing the loop between the paper's W4A4
+//! * [`FpBackend`] — the FP16 reference path over a borrowed
+//!   [`MambaModel`];
+//! * [`W4A4Backend`] — quantized execution over an owned
+//!   [`QuantizedMamba`], closing the loop between the paper's W4A4
 //!   quantization stack and the serving engine. For the W4A4 recipe the
 //!   model serves from **packed 4-bit weights** on the true-integer
 //!   kernel path, so the host really streams ~4× fewer weight bytes per
@@ -20,37 +23,39 @@
 //!   extended to multi-tenant serving and measured on the host by the
 //!   `bench_decode` bin.
 //!
-//! Both backends reuse internal decode workspaces across engine steps,
-//! so the batched forward allocates nothing in steady state (pinned by
+//! The backend reuses one decode workspace across engine steps, so the
+//! batched forward allocates nothing in steady state (pinned by
 //! counting-allocator tests in the model and quant crates).
 //!
-//! Backends can additionally be *pooled*
+//! A backend can additionally be *pooled*
 //! ([`DecodeBackend::attach_pool`]): the engine hands every registered
-//! backend one shared [`WorkerPool`], and a pooled backend shards each
-//! batched step across the pool's threads through the parallel drivers
-//! (`lightmamba_model::par`). Each worker owns its own workspace —
-//! handed out `&mut`-disjoint by `WorkerPool::run_over`, so no
-//! `RefCell` ever crosses a thread boundary — and the sharded step is
-//! **bit-identical** to the sequential one for any thread count
-//! (per-sequence arithmetic is independent; sharding only partitions
-//! the batch). Pinned by the pooled-equivalence tests below and the
-//! engine-level 1-vs-N-thread proptests.
+//! backend one shared [`WorkerPool`], and a pooled backend passes it to
+//! the decode driver (`lightmamba_model::batch`), which cuts each batch
+//! into one lane per thread. Each lane owns its buffers — handed out
+//! `&mut`-disjoint by `WorkerPool::run_over`, so no `RefCell` ever
+//! crosses a thread boundary — and the pooled step is **bit-identical**
+//! to the unpooled one for any thread count (per-sequence arithmetic is
+//! independent; lanes only partition the batch). Pinned by the
+//! pooled-equivalence tests below and the engine-level 1-vs-N-thread
+//! proptests.
 //!
 //! Backends are multiplexed over one slot pool by
-//! [`crate::registry::ModelRegistry`]. To add a third backend (say a GPU
-//! or sparse path), implement this trait and register it — the engine,
-//! scheduler, and cost model need no changes.
+//! [`crate::registry::ModelRegistry`]. To serve another model type,
+//! implement [`ServedModel`] for it; to add a backend that is not a
+//! host model at all (say a GPU path), implement [`DecodeBackend`] —
+//! one required execution method — and register it. The engine,
+//! scheduler, and cost model need no changes either way.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use lightmamba_accel::arch::{AcceleratorConfig, HwPrecision};
 use lightmamba_accel::platform::Platform;
-use lightmamba_model::batch::prefill_items;
-use lightmamba_model::{DecodeWorkspace, MambaConfig, MambaModel, ModelState, ParDecodeWorkspace};
+use lightmamba_model::batch::{self, DecodeKernels, Workspace};
+use lightmamba_model::{MambaConfig, MambaModel, ModelError, ModelState};
 use lightmamba_pool::WorkerPool;
-use lightmamba_quant::qmodel::QuantWorkspace;
-use lightmamba_quant::{ParQuantWorkspace, QuantizedMamba};
+use lightmamba_quant::QuantizedMamba;
 
 use crate::error::ServeError;
 
@@ -161,11 +166,13 @@ impl PausedState {
 ///
 /// The contract mirrors the engine's step loop: every resident sequence
 /// owns one fixed-size [`ModelState`] slot, and one engine step advances
-/// a chosen subset of slots by one token each
-/// ([`DecodeBackend::forward_step_batch_indexed`]). Implementations must
-/// keep batched decode bit-identical to their sequential decode so
-/// request outputs are independent of batch composition — the invariant
-/// all engine equivalence tests pin.
+/// a chosen subset of slots by one or more tokens each
+/// ([`DecodeBackend::advance_batch_indexed`] — the one execution method
+/// an implementation must supply; a decode step and a whole-prompt
+/// prefill are provided special cases of it). Implementations must keep
+/// batched decode bit-identical to their sequential decode so request
+/// outputs are independent of batch composition — the invariant all
+/// engine equivalence tests pin.
 ///
 /// Backends also supply the preemption primitive pair
 /// [`DecodeBackend::save_state`] / [`DecodeBackend::restore_state`]: a
@@ -244,19 +251,42 @@ pub trait DecodeBackend: Send {
         into.copy_from(paused.state());
     }
 
-    /// One batched decode step: `items[k] = (state_index, token)`
-    /// advances `states[state_index]` and yields `(state_index, logits)`
-    /// in `items` order. States not named in `items` must be untouched.
+    /// Batched ragged advance — the engine's one execution call. Each
+    /// `items[k] = (state_index, tokens)` feeds `tokens` (one or more)
+    /// into `states[state_index]` and yields `(state_index, logits)`
+    /// after the *final* fed token, in `items` order. A decode step is
+    /// the one-token case; a prefill chunk feeds several prompt tokens
+    /// without sampling in between. States not named in `items` must be
+    /// untouched, and the result must be bit-identical to feeding each
+    /// sequence alone, one token at a time.
     ///
     /// # Errors
     ///
-    /// Invalid tokens, out-of-range or duplicated indices, and
-    /// foreign-config states are rejected without advancing any state.
+    /// Empty token slices, invalid tokens (at any position),
+    /// out-of-range or duplicated indices, and foreign-config states are
+    /// rejected without advancing any state.
+    fn advance_batch_indexed(
+        &self,
+        items: &[(usize, &[u32])],
+        states: &mut [ModelState],
+    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError>;
+
+    /// One batched decode step: `items[k] = (state_index, token)` —
+    /// [`DecodeBackend::advance_batch_indexed`] with one token per item.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`DecodeBackend::advance_batch_indexed`].
     fn forward_step_batch_indexed(
         &self,
         items: &[(usize, u32)],
         states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError>;
+    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
+        let single = items
+            .iter()
+            .map(|(slot, t)| (*slot, std::slice::from_ref(t)));
+        self.advance_batch_indexed(&single.collect::<Vec<_>>(), states)
+    }
 
     /// Batched ragged prefill: consumes `prompts[k]` into `states[k]`
     /// and returns each sequence's logits after its final prompt token —
@@ -265,66 +295,27 @@ pub trait DecodeBackend: Send {
     ///
     /// # Errors
     ///
-    /// Rejects empty prompts and mismatched slice lengths.
+    /// Rejects mismatched slice lengths, plus the conditions of
+    /// [`DecodeBackend::advance_batch_indexed`].
     fn prefill_batch(
         &self,
         prompts: &[&[u32]],
         states: &mut [ModelState],
     ) -> Result<Vec<Vec<f32>>, ServeError> {
-        let items = prefill_items(prompts, states)?;
+        if prompts.len() != states.len() {
+            let (p, s) = (prompts.len(), states.len());
+            return Err(ModelError::InvalidConfig(format!("{p} prompts for {s} states")).into());
+        }
+        let items: Vec<(usize, &[u32])> = prompts.iter().copied().enumerate().collect();
         let advanced = self.advance_batch_indexed(&items, states)?;
         Ok(advanced.into_iter().map(|(_, logits)| logits).collect())
     }
 
-    /// Batched ragged advance — the chunked-prefill step. Each
-    /// `items[k] = (state_index, tokens)` feeds `tokens` (one or more)
-    /// into `states[state_index]` and yields `(state_index, logits)`
-    /// after the *final* fed token, in `items` order. A decode step is
-    /// the one-token case; a prefill chunk feeds several prompt tokens
-    /// without sampling in between. The recurrence is sequential per
-    /// token, so the default implementation drives
-    /// [`DecodeBackend::forward_step_batch_indexed`] once per token
-    /// position across the ragged batch — bit-identical to sequential
-    /// decode by construction, which keeps the engine's batched ≡
-    /// sequential invariant intact for any chunk size. It computes (and
-    /// drops) logits at every position; both shipped backends override
-    /// it with their model's ragged advance, which runs the final norm
-    /// and LM head at final positions only.
-    ///
-    /// # Errors
-    ///
-    /// Rejects empty token slices and whatever the underlying step
-    /// rejects (invalid tokens, bad indices, foreign states).
-    fn advance_batch_indexed(
-        &self,
-        items: &[(usize, &[u32])],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        reject_empty_advance(items)?;
-        let max_len = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
-        let mut last: Vec<Option<Vec<f32>>> = vec![None; items.len()];
-        for j in 0..max_len {
-            let live: Vec<usize> = (0..items.len()).filter(|&k| j < items[k].1.len()).collect();
-            let step_items: Vec<(usize, u32)> =
-                live.iter().map(|&k| (items[k].0, items[k].1[j])).collect();
-            let results = self.forward_step_batch_indexed(&step_items, states)?;
-            for (&k, (slot, logits)) in live.iter().zip(results) {
-                debug_assert_eq!(items[k].0, slot);
-                last[k] = Some(logits);
-            }
-        }
-        Ok(items
-            .iter()
-            .zip(last)
-            .map(|(&(slot, _), logits)| (slot, logits.expect("every item fed at least one token")))
-            .collect())
-    }
-
     /// Attaches a shared worker pool for multi-core engine steps. The
     /// default ignores it — a backend opts into parallel execution by
-    /// storing the pool and routing its batched calls through the
-    /// sharded drivers (both shipped backends do). Implementations must
-    /// keep pooled output **bit-identical** to the single-thread path:
+    /// storing the pool and handing it to the decode driver
+    /// ([`ModelBackend`] does). Implementations must keep pooled output
+    /// **bit-identical** to the single-thread path:
     /// attaching a pool may change how fast a step runs, never what a
     /// request generates.
     fn attach_pool(&mut self, _pool: &Arc<WorkerPool>) {}
@@ -347,8 +338,8 @@ pub trait DecodeBackend: Send {
     /// Post-fault recovery hook: called by the engine after an advance
     /// on this backend returned an error or panicked, before the
     /// backend is quarantined. Implementations discard any internal
-    /// scratch that an unwind may have left torn (the shipped backends
-    /// rebuild their `RefCell` workspaces — a `RefMut` releases its
+    /// scratch that an unwind may have left torn ([`ModelBackend`]
+    /// rebuilds its `RefCell` workspace — a `RefMut` releases its
     /// borrow during unwind, so the borrow itself is clean, but the
     /// workspace *contents* may hold a half-written step). This is the
     /// cold path; allocating here is fine.
@@ -358,98 +349,107 @@ pub trait DecodeBackend: Send {
     fn cost_profile(&self) -> CostProfile;
 }
 
-/// The ragged-advance input check shared by every implementation of
-/// [`DecodeBackend::advance_batch_indexed`].
-fn reject_empty_advance(items: &[(usize, &[u32])]) -> Result<(), ServeError> {
-    match items.iter().find(|(_, toks)| toks.is_empty()) {
-        Some((slot, _)) => Err(ServeError::InvalidConfig(format!(
-            "advance of state {slot} was given no tokens"
-        ))),
-        None => Ok(()),
+/// What [`ModelBackend`] needs of a model beyond its decode kernels:
+/// how reports name it and how the cost model prices it.
+pub trait ServedModel: DecodeKernels {
+    /// Short report name (`"fp"`, `"w4a4"`, …) and pricing profile.
+    fn served_as(&self) -> (String, CostProfile);
+}
+
+impl ServedModel for MambaModel {
+    fn served_as(&self) -> (String, CostProfile) {
+        ("fp".to_string(), CostProfile::fp16())
     }
 }
 
-/// Workspace pair of a backend: the sequential single-workspace path
-/// plus the per-shard parallel workspaces. Both live behind one
-/// `RefCell` because the trait takes `&self` and the engine serializes
-/// all backend calls, so the borrow is never contended. On the pooled
-/// path the parallel workspaces are handed to the worker pool
-/// one-per-shard as disjoint `&mut`s (`WorkerPool::run_over`), so the
-/// `RefCell` itself never crosses a thread boundary — only plain
-/// mutable borrows of its interior do.
-#[derive(Debug, Clone, Default)]
-struct Workspaces<Seq, Par> {
-    seq: Seq,
-    par: Par,
+/// Any [`lightmamba_quant::qmodel::Precision`] is served; name and
+/// profile are derived from the model: `weight_bits` is its actual mean
+/// stored bits per parameter ([`QuantizedMamba::mean_weight_bits`] — for
+/// the packed path, the packed nibble bytes plus scales actually held),
+/// and the datapath maps to the narrowest [`HwPrecision`] that hosts the
+/// declared widths (≤4-bit weights on the W4A4/W4A16 path, 5–8-bit on
+/// W8A8, FP weights on FP16).
+impl ServedModel for QuantizedMamba {
+    fn served_as(&self) -> (String, CostProfile) {
+        let precision = self.precision();
+        let act_bits = precision.act.map_or(16, |s| s.bits);
+        let (name, hw) = match precision.weight.map(|s| s.bits) {
+            None => ("quant-fp".to_string(), HwPrecision::Fp16),
+            Some(w) if w <= 4 && act_bits <= 4 => (format!("w{w}a{act_bits}"), HwPrecision::W4A4),
+            Some(w) if w <= 4 => (format!("w{w}a{act_bits}"), HwPrecision::W4A16),
+            Some(w) => (format!("w{w}a{act_bits}"), HwPrecision::W8A8),
+        };
+        let profile = CostProfile {
+            precision: hw,
+            weight_bits: self.mean_weight_bits(),
+        };
+        (name, profile)
+    }
 }
 
-/// The FP reference backend over [`MambaModel`]'s batched decode.
+/// The backend over a host model `M`, held as `B` — owned (`B = M`) or
+/// borrowed (`B = &M`).
 ///
-/// The backend owns reusable workspaces (behind a `RefCell` since the
-/// trait takes `&self`), so every engine step runs the allocation-free
-/// `_with` decode path: residual streams, kernel scratch, and the
-/// validation bitmap are reused across steps, and only the returned
-/// logits vectors allocate. With a pool attached
-/// ([`DecodeBackend::attach_pool`]), multi-sequence steps shard across
-/// the pool's threads — bit-identically to the sequential path.
+/// The backend owns one reusable decode workspace (behind a `RefCell`
+/// because the trait takes `&self` and the engine serializes all backend
+/// calls, so the borrow is never contended): residual streams, kernel
+/// scratch and the validation bitmap are reused across steps, and only
+/// the returned logits vectors allocate. With a pool attached
+/// ([`DecodeBackend::attach_pool`]) multi-sequence steps run as one lane
+/// per pool thread — bit-identically to the unpooled step — and the
+/// lanes' buffers are handed to the pool as disjoint `&mut`s, so the
+/// `RefCell` itself never crosses a thread boundary.
 #[derive(Debug, Clone)]
-pub struct FpBackend<'m> {
-    model: &'m MambaModel,
-    ws: RefCell<Workspaces<DecodeWorkspace, ParDecodeWorkspace>>,
+pub struct ModelBackend<M: ServedModel, B = M> {
+    model: B,
+    name: String,
+    profile: CostProfile,
+    ws: RefCell<Workspace<M::Scratch>>,
     pool: Option<Arc<WorkerPool>>,
 }
 
-impl<'m> FpBackend<'m> {
-    /// Wraps a reference model.
-    pub fn new(model: &'m MambaModel) -> Self {
-        FpBackend {
+/// The FP reference backend: [`ModelBackend`] over a borrowed
+/// [`MambaModel`].
+pub type FpBackend<'m> = ModelBackend<MambaModel, &'m MambaModel>;
+
+/// Quantized execution backend: [`ModelBackend`] over an owned
+/// [`QuantizedMamba`]. For packable precisions (the W4A4 recipe) the
+/// model serves from **packed 4-bit weights** on the true-integer kernel
+/// path ([`lightmamba_quant::kernels`]), not from dequantized f32
+/// tensors. Despite the name (the paper's headline recipe) any precision
+/// works — see [`ServedModel`]'s impl for how it is named and priced.
+pub type W4A4Backend = ModelBackend<QuantizedMamba>;
+
+impl<M: ServedModel, B: Borrow<M>> ModelBackend<M, B> {
+    /// Wraps a model, taking its report name and cost profile.
+    pub fn new(model: B) -> Self {
+        let (name, profile) = model.borrow().served_as();
+        ModelBackend {
             model,
-            ws: RefCell::new(Workspaces::default()),
+            name,
+            profile,
+            ws: RefCell::new(Workspace::new()),
             pool: None,
         }
     }
-
-    /// The wrapped model.
-    pub fn model(&self) -> &'m MambaModel {
-        self.model
-    }
 }
 
-impl DecodeBackend for FpBackend<'_> {
+impl<M, B> DecodeBackend for ModelBackend<M, B>
+where
+    M: ServedModel,
+    ServeError: From<M::Error>,
+    B: Borrow<M> + Send,
+{
     fn name(&self) -> &str {
-        "fp"
+        &self.name
     }
 
     fn config(&self) -> &MambaConfig {
-        self.model.config()
+        self.model.borrow().config()
     }
 
     fn new_state(&self) -> ModelState {
-        self.model.new_state()
-    }
-
-    fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        let mut ws = self.ws.borrow_mut();
-        if let Some(pool) = self.pool.as_ref().filter(|_| items.len() > 1) {
-            self.model
-                .forward_step_batch_indexed_par_with(items, states, pool, &mut ws.par)?;
-            return Ok(items
-                .iter()
-                .map(|&(slot, _)| slot)
-                .zip(ws.par.logits().cloned())
-                .collect());
-        }
-        self.model
-            .forward_step_batch_indexed_with(items, states, &mut ws.seq)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.seq.logits().iter().cloned())
-            .collect())
+        ModelState::new(self.config())
     }
 
     fn advance_batch_indexed(
@@ -457,17 +457,15 @@ impl DecodeBackend for FpBackend<'_> {
         items: &[(usize, &[u32])],
         states: &mut [ModelState],
     ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        reject_empty_advance(items)?;
-        let mut ws = self.ws.borrow_mut();
-        let logits = match self.pool.as_ref().filter(|_| items.len() > 1) {
-            Some(pool) => {
-                self.model
-                    .advance_batch_indexed_par_with(items, states, pool, &mut ws.par)?
-            }
-            None => self
-                .model
-                .advance_batch_indexed_with(items, states, &mut ws.seq)?,
-        };
+        // The driver refuses this too, as a model error; callers of the
+        // backend are promised the serve-level `InvalidConfig`.
+        if let Some((slot, _)) = items.iter().find(|(_, toks)| toks.is_empty()) {
+            return Err(ServeError::InvalidConfig(format!(
+                "advance of state {slot} was given no tokens"
+            )));
+        }
+        let (model, pool) = (self.model.borrow(), self.pool.as_deref());
+        let logits = batch::advance(model, items, states, pool, &mut self.ws.borrow_mut())?;
         Ok(items.iter().map(|&(slot, _)| slot).zip(logits).collect())
     }
 
@@ -481,139 +479,9 @@ impl DecodeBackend for FpBackend<'_> {
 
     fn reset_after_fault(&self) {
         // A panic mid-step may have left half-written residual streams
-        // or shard logits in the reusable workspaces; rebuild them from
+        // or lane logits in the reusable workspace; rebuild it from
         // scratch (cold path, re-grown lazily by the next step).
-        *self.ws.borrow_mut() = Workspaces::default();
-    }
-
-    fn cost_profile(&self) -> CostProfile {
-        CostProfile::fp16()
-    }
-}
-
-/// Quantized execution backend over [`QuantizedMamba`]'s batched decode.
-///
-/// For packable precisions (the W4A4 recipe) the wrapped model serves
-/// from **packed 4-bit weights** on the true-integer kernel path
-/// ([`lightmamba_quant::kernels`]), not from dequantized f32 tensors,
-/// and the backend reuses a [`QuantWorkspace`] across steps so the
-/// decode hot path is allocation-free. Despite the name (the paper's
-/// headline W4A4 recipe), any [`lightmamba_quant::qmodel::Precision`]
-/// works; the cost profile is derived from the wrapped model:
-/// `weight_bits` is its actual mean stored bits per parameter
-/// ([`QuantizedMamba::mean_weight_bits`] — for the packed path, the
-/// packed nibble bytes plus scales actually held), and the datapath maps
-/// to the narrowest [`HwPrecision`] that hosts the declared widths
-/// (≤4-bit weights on the W4A4/W4A16 path, 5–8-bit on W8A8, FP weights
-/// on FP16).
-#[derive(Debug, Clone)]
-pub struct W4A4Backend {
-    model: QuantizedMamba,
-    name: String,
-    profile: CostProfile,
-    ws: RefCell<Workspaces<QuantWorkspace, ParQuantWorkspace>>,
-    pool: Option<Arc<WorkerPool>>,
-}
-
-impl W4A4Backend {
-    /// Wraps a quantized model, deriving name and cost profile from its
-    /// precision.
-    pub fn new(model: QuantizedMamba) -> Self {
-        let precision = model.precision();
-        let act_bits = precision.act.map_or(16, |s| s.bits);
-        let (name, hw) = match precision.weight.map(|s| s.bits) {
-            None => ("quant-fp".to_string(), HwPrecision::Fp16),
-            Some(w) if w <= 4 && act_bits <= 4 => (format!("w{w}a{act_bits}"), HwPrecision::W4A4),
-            Some(w) if w <= 4 => (format!("w{w}a{act_bits}"), HwPrecision::W4A16),
-            Some(w) => (format!("w{w}a{act_bits}"), HwPrecision::W8A8),
-        };
-        let profile = CostProfile {
-            precision: hw,
-            weight_bits: model.mean_weight_bits(),
-        };
-        W4A4Backend {
-            model,
-            name,
-            profile,
-            ws: RefCell::new(Workspaces::default()),
-            pool: None,
-        }
-    }
-
-    /// The wrapped quantized model.
-    pub fn model(&self) -> &QuantizedMamba {
-        &self.model
-    }
-}
-
-impl DecodeBackend for W4A4Backend {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn config(&self) -> &MambaConfig {
-        self.model.config()
-    }
-
-    fn new_state(&self) -> ModelState {
-        self.model.new_state()
-    }
-
-    fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        let mut ws = self.ws.borrow_mut();
-        if let Some(pool) = self.pool.as_ref().filter(|_| items.len() > 1) {
-            self.model
-                .forward_step_batch_indexed_par_with(items, states, pool, &mut ws.par)?;
-            return Ok(items
-                .iter()
-                .map(|&(slot, _)| slot)
-                .zip(ws.par.logits().cloned())
-                .collect());
-        }
-        self.model
-            .forward_step_batch_indexed_with(items, states, &mut ws.seq)?;
-        Ok(items
-            .iter()
-            .map(|&(slot, _)| slot)
-            .zip(ws.seq.logits().iter().cloned())
-            .collect())
-    }
-
-    fn advance_batch_indexed(
-        &self,
-        items: &[(usize, &[u32])],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        reject_empty_advance(items)?;
-        let mut ws = self.ws.borrow_mut();
-        let logits = match self.pool.as_ref().filter(|_| items.len() > 1) {
-            Some(pool) => {
-                self.model
-                    .advance_batch_indexed_par_with(items, states, pool, &mut ws.par)?
-            }
-            None => self
-                .model
-                .advance_batch_indexed_with(items, states, &mut ws.seq)?,
-        };
-        Ok(items.iter().map(|&(slot, _)| slot).zip(logits).collect())
-    }
-
-    fn attach_pool(&mut self, pool: &Arc<WorkerPool>) {
-        self.pool = (pool.threads() > 1).then(|| Arc::clone(pool));
-    }
-
-    fn pool_threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.threads())
-    }
-
-    fn reset_after_fault(&self) {
-        // Same recovery as the FP backend: discard possibly-torn
-        // scratch; the next step re-grows it.
-        *self.ws.borrow_mut() = Workspaces::default();
+        *self.ws.borrow_mut() = Workspace::new();
     }
 
     fn cost_profile(&self) -> CostProfile {
@@ -846,6 +714,46 @@ mod tests {
             .advance_batch_indexed(&[(0, &[][..])], &mut states)
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err:?}");
+    }
+
+    #[test]
+    fn ragged_advance_is_atomic() {
+        // A bad token at a *later* position of the second item: the
+        // advance is refused and no state has moved — FP and W4A4,
+        // pooled and not.
+        let model = tiny_model();
+        let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
+        let pool = Arc::new(WorkerPool::new(4));
+        let mut backends: Vec<Box<dyn DecodeBackend + '_>> = vec![
+            Box::new(FpBackend::new(&model)),
+            Box::new(W4A4Backend::new(q.clone())),
+            Box::new(FpBackend::new(&model)),
+            Box::new(W4A4Backend::new(q)),
+        ];
+        for pooled in &mut backends[2..] {
+            pooled.attach_pool(&pool);
+        }
+        let bad = model.config().vocab_size as u32;
+        let items: [(usize, &[u32]); 2] = [(0, &[1, 2, 3]), (1, &[4, 5, bad])];
+        for backend in &backends {
+            let mut states = vec![backend.new_state(); 2];
+            backend
+                .advance_batch_indexed(&[(0, &[7]), (1, &[8])], &mut states)
+                .unwrap();
+            let before = states.clone();
+            let err = backend
+                .advance_batch_indexed(&items, &mut states)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Model(ModelError::TokenOutOfRange { token, .. }) if token == bad
+                ),
+                "{}: {err:?}",
+                backend.name()
+            );
+            assert_eq!(states, before, "{} advanced a state", backend.name());
+        }
     }
 
     #[test]

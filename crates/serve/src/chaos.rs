@@ -6,8 +6,10 @@
 //! always yields the same windows, so every chaos test and the
 //! `serve_traffic --chaos` study replay exactly. A [`ChaosBackend`]
 //! wraps any [`DecodeBackend`] and fires the plan against it: inside a
-//! window the wrapped backend's batched advance returns an error,
-//! panics, records a latency spike, or poisons the next state restore —
+//! window the wrapped backend's batched advance (the trait's one
+//! execution method, so the decode-step and prefill conveniences built
+//! on it fault too) returns an error, panics, records a latency spike,
+//! or poisons the next state restore —
 //! outside the windows (and always at fault rate 0) the wrapper is a
 //! transparent delegate, which is what keeps fault-free runs
 //! bit-identical with the chaos layer compiled in.
@@ -239,22 +241,6 @@ impl DecodeBackend for ChaosBackend<'_> {
         }
     }
 
-    fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        self.inner.forward_step_batch_indexed(items, states)
-    }
-
-    fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        self.inner.prefill_batch(prompts, states)
-    }
-
     fn advance_batch_indexed(
         &self,
         items: &[(usize, &[u32])],
@@ -381,9 +367,19 @@ mod tests {
             .advance_batch_indexed(&[(0, toks)], &mut states)
             .unwrap_err();
         assert!(matches!(err, ServeError::BackendFault { ref model, .. } if model == "fp"));
+        // Every entry point faults inside the window, not only the one
+        // the engine calls: a one-token decode step goes the same way.
+        let before = states.clone();
+        let err = b
+            .forward_step_batch_indexed(&[(0, 1)], &mut states)
+            .unwrap_err();
+        assert!(matches!(err, ServeError::BackendFault { .. }), "{err:?}");
+        assert!(b.prefill_batch(&[toks], &mut states).is_err());
+        assert_eq!(states, before, "a faulted step advances nothing");
         b.on_step(7);
         assert!(b.advance_batch_indexed(&[(0, toks)], &mut states).is_ok());
-        assert_eq!(b.injected(), 1);
+        assert!(b.forward_step_batch_indexed(&[(0, 1)], &mut states).is_ok());
+        assert_eq!(b.injected(), 3);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! Fig. 9a). This crate builds the serving layer that insight makes
 //! cheap: every resident sequence costs one statically-sized slot
 //! ([`slots::SlotPool`]), so admission control is slot counting, and the
-//! batched step ([`lightmamba_model::MambaModel::forward_step_batch_indexed`])
+//! batched step ([`lightmamba_model::batch::step`], reached through
+//! [`backend::DecodeBackend::advance_batch_indexed`])
 //! shares each layer's weights across all resident sequences — the
 //! software analogue of the accelerator's shared weight stream.
 //!
@@ -17,7 +18,8 @@
 //!   deadline-aware policies compete on;
 //! * [`slots`] — the fixed pool of per-sequence recurrent states;
 //! * [`backend`] — pluggable execution backends ([`backend::DecodeBackend`]):
-//!   the FP reference and the W4A4 quantized model, each with a
+//!   one generic [`backend::ModelBackend`] serving the FP reference and
+//!   the W4A4 quantized model, each with a
 //!   [`backend::CostProfile`] for accelerator pricing, plus the
 //!   pause/resume primitives ([`backend::PausedState`]) preemptive
 //!   scheduling is built on;

@@ -10,7 +10,7 @@
 //! preemption churn, and session resume.
 
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_model::{batch, DecodeWorkspace, MambaConfig, MambaModel};
 use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
 use lightmamba_quant::QuantizedMamba;
 use lightmamba_serve::backend::{DecodeBackend, FpBackend, W4A4Backend};
@@ -198,18 +198,22 @@ proptest! {
 
         // Batched decode of all sequences together.
         let mut states: Vec<_> = prompts.iter().map(|_| model.new_state()).collect();
-        let slices: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
-        let mut logits = model.prefill_batch(&slices, &mut states).unwrap();
+        let ragged: Vec<(usize, &[u32])> =
+            prompts.iter().map(|p| p.as_slice()).enumerate().collect();
+        let mut ws = DecodeWorkspace::new();
+        let mut logits = batch::advance(&model, &ragged, &mut states, None, &mut ws).unwrap();
         let mut got: Vec<Vec<u32>> = vec![Vec::new(); prompts.len()];
         for _ in 0..gen_len {
-            let tokens: Vec<u32> = logits
+            let items: Vec<(usize, u32)> = logits
                 .iter()
-                .map(|l| MambaModel::argmax(l) as u32)
+                .enumerate()
+                .map(|(k, l)| (k, MambaModel::argmax(l) as u32))
                 .collect();
-            for (k, &t) in tokens.iter().enumerate() {
+            for &(k, t) in &items {
                 got[k].push(t);
             }
-            logits = model.forward_step_batch(&tokens, &mut states).unwrap();
+            batch::step(&model, &items, None, &mut states, None, &mut ws).unwrap();
+            logits = ws.logits().to_vec();
         }
 
         prop_assert_eq!(got, expected);
