@@ -52,7 +52,6 @@ pub mod htu;
 pub mod mmu;
 pub mod platform;
 pub mod power;
-pub mod prefill;
 pub mod resources;
 pub mod schedule;
 pub mod sim;

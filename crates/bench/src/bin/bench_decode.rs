@@ -39,10 +39,8 @@
 //! the integer-over-fake speedup, the thread sweep, and the engine
 //! instrumentation overhead.
 
-use std::time::Instant;
-
 use lightmamba::report::render_table;
-use lightmamba_bench::engine_obs_overhead;
+use lightmamba_bench::{engine_obs_overhead, time_decode};
 use lightmamba_model::{batch, DecodeWorkspace, MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
@@ -124,36 +122,6 @@ fn bench_config(smoke: bool) -> MambaConfig {
         ngroups: 1,
         vocab_size: if smoke { 1024 } else { 2048 },
     }
-}
-
-/// One timed decode loop; returns tokens per second.
-fn time_decode<F: FnMut(&[(usize, u32)], &mut [ModelState])>(
-    vocab: usize,
-    batch: usize,
-    warmup: usize,
-    steps: usize,
-    states: &mut [ModelState],
-    mut step: F,
-) -> f64 {
-    for st in states.iter_mut() {
-        st.reset();
-    }
-    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
-    let mut tick = |t: usize, states: &mut [ModelState]| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 7 + k * 13) % vocab) as u32;
-        }
-        step(&items, states);
-    };
-    for t in 0..warmup {
-        tick(t, states);
-    }
-    let start = Instant::now();
-    for t in 0..steps {
-        tick(warmup + t, states);
-    }
-    let secs = start.elapsed().as_secs_f64();
-    (batch * steps) as f64 / secs
 }
 
 fn main() {

@@ -4,6 +4,10 @@
 //! LightMamba paper (see DESIGN.md §4 for the index) and prints paper
 //! values next to measured values so the comparison is auditable.
 
+use std::time::Instant;
+
+use lightmamba_model::ModelState;
+
 /// Prints the standard experiment banner.
 pub fn banner(id: &str, title: &str, substitution_note: &str) {
     println!("==========================================================================");
@@ -33,7 +37,6 @@ pub fn engine_obs_overhead(
     use lightmamba_serve::observe::ObsConfig;
     use lightmamba_serve::request::GenRequest;
     use lightmamba_serve::scheduler::Fifo;
-    use std::time::Instant;
 
     let slots = 8usize;
     let run = |with_obs: bool| -> f64 {
@@ -66,6 +69,40 @@ pub fn engine_obs_overhead(
         best
     };
     (run(false), run(true))
+}
+
+/// One timed batched-decode loop — `warmup` untimed steps, then `steps`
+/// timed ones over `batch` sequences fed a fixed token pattern — in
+/// tokens per second. Shared by `bench_decode` and the
+/// `parallel_scaling` pin so the ≥ 2.5× floor and the bench it
+/// headlines measure the same loop.
+pub fn time_decode<F: FnMut(&[(usize, u32)], &mut [ModelState])>(
+    vocab: usize,
+    batch: usize,
+    warmup: usize,
+    steps: usize,
+    states: &mut [ModelState],
+    mut step: F,
+) -> f64 {
+    for st in states.iter_mut() {
+        st.reset();
+    }
+    let mut items: Vec<(usize, u32)> = (0..batch).map(|k| (k, 0u32)).collect();
+    let mut tick = |t: usize, states: &mut [ModelState]| {
+        for (k, item) in items.iter_mut().enumerate() {
+            item.1 = ((t * 7 + k * 13) % vocab) as u32;
+        }
+        step(&items, states);
+    };
+    for t in 0..warmup {
+        tick(t, states);
+    }
+    let start = Instant::now();
+    for t in 0..steps {
+        tick(warmup + t, states);
+    }
+    let secs = start.elapsed().as_secs_f64();
+    (batch * steps) as f64 / secs
 }
 
 #[cfg(test)]

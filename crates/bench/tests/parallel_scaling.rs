@@ -8,8 +8,7 @@
 //! stays green everywhere while `cargo test --release` on a multi-core
 //! box enforces the scaling floor.
 
-use std::time::Instant;
-
+use lightmamba_bench::time_decode;
 use lightmamba_model::{batch, MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
@@ -20,31 +19,6 @@ use rand::SeedableRng;
 const BATCH: usize = 16;
 const WARMUP: usize = 6;
 const STEPS: usize = 24;
-
-fn tok_s<F: FnMut(&[(usize, u32)], &mut [ModelState])>(
-    vocab: usize,
-    states: &mut [ModelState],
-    mut step: F,
-) -> f64 {
-    for st in states.iter_mut() {
-        st.reset();
-    }
-    let mut items: Vec<(usize, u32)> = (0..BATCH).map(|k| (k, 0u32)).collect();
-    let mut tick = |t: usize, states: &mut [ModelState]| {
-        for (k, item) in items.iter_mut().enumerate() {
-            item.1 = ((t * 7 + k * 13) % vocab) as u32;
-        }
-        step(&items, states);
-    };
-    for t in 0..WARMUP {
-        tick(t, states);
-    }
-    let start = Instant::now();
-    for t in 0..STEPS {
-        tick(WARMUP + t, states);
-    }
-    (BATCH * STEPS) as f64 / start.elapsed().as_secs_f64()
-}
 
 #[test]
 fn four_thread_integer_decode_reaches_2_5x() {
@@ -78,7 +52,8 @@ fn four_thread_integer_decode_reaches_2_5x() {
     let mut states: Vec<ModelState> = (0..BATCH).map(|_| q.new_state()).collect();
     let mut ws = QuantWorkspace::new();
     let mut run = |pool: Option<&WorkerPool>| {
-        tok_s(cfg.vocab_size, &mut states, |items, states| {
+        let vocab = cfg.vocab_size;
+        time_decode(vocab, BATCH, WARMUP, STEPS, &mut states, |items, states| {
             batch::step(&q, items, None, states, pool, &mut ws).unwrap();
         })
     };

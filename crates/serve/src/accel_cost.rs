@@ -10,20 +10,20 @@
 //! batched trace shows how far dense continuous batching lifts aggregate
 //! tokens/s before the platform's compute roofline bites.
 //!
-//! Two pricing models live here. [`StepCostModel`] prices a single-model
-//! trace on one simulator. [`MultiplexCostModel`] prices a multi-model
-//! run: each registered backend gets its own simulator (same device
-//! geometry, that backend's [`crate::backend::CostProfile`] precision),
-//! and a step costs the *sum* of its per-model sub-batch costs — each
-//! sub-batch streams its own model's weights once. A W4A4 sub-batch
-//! streams ~4× fewer bytes than an FP16 one, so on a bandwidth-bound
-//! platform the quantized backend's projected tokens/s beats FP at equal
-//! batch.
+//! One pricing model lives here. [`MultiplexCostModel`] gives each
+//! registered backend its own simulator (same device geometry, that
+//! backend's [`crate::backend::CostProfile`] precision), and a step
+//! costs the *sum* of its per-model sub-batch costs — each sub-batch
+//! streams its own model's weights once. A W4A4 sub-batch streams ~4×
+//! fewer bytes than an FP16 one, so on a bandwidth-bound platform the
+//! quantized backend's projected tokens/s beats FP at equal batch. A
+//! single-model engine is the one-entry case: its trace's sub-batch
+//! lanes are its flat lanes, and the run-level latencies are
+//! `per_model[0]`'s.
 //!
 //! Preemption traffic is priced too: every pause writes one sequence's
 //! fixed-size recurrent state off-chip and every resume reads one back,
-//! on the same DMA stream the weights ride
-//! ([`StepCostModel::state_move_seconds`]). The per-move cost is tiny
+//! on the same DMA stream the weights ride. The per-move cost is tiny
 //! next to a weight stream — which is exactly the paper's point: with no
 //! KV cache, preempting a Mamba sequence costs a state slab, not a
 //! cache spill — and the reports carry the aggregate `state_transfer_s`
@@ -41,80 +41,15 @@ use crate::registry::ModelRegistry;
 use crate::request::{Completion, FinishReason};
 use crate::scheduler::TokenBudget;
 
-/// An engine run priced on one accelerator platform.
-#[derive(Debug, Clone)]
-pub struct CostedRun {
-    /// Platform name (from the simulator).
-    pub platform: String,
-    /// Admission policy that produced the trace.
-    pub policy: &'static str,
-    /// Projected wall time of the whole run.
-    pub seconds: f64,
-    /// Aggregate generated (decode-output) tokens/s across all sequences.
-    pub tokens_per_s: f64,
-    /// Aggregate processed tokens/s — prefill consumption plus decode;
-    /// every processed token advances one sequence through all layers,
-    /// so this is the rate comparable to the single-stream figure.
-    pub processed_tokens_per_s: f64,
-    /// Single-stream decode tokens/s of the same simulator (the paper's
-    /// figure, for comparison).
-    pub single_stream_tokens_per_s: f64,
-    /// Speedup of batched serving over single-stream decode
-    /// (processed-token basis).
-    pub speedup_vs_single_stream: f64,
-    /// Time-to-first-token stats in projected seconds (exact, from
-    /// per-request step stamps mapped through the time axis).
-    pub ttft_s: Percentiles,
-    /// End-to-end latency stats in projected seconds.
-    pub e2e_s: Percentiles,
-    /// Inter-token latency stats in projected seconds (per-request mean
-    /// decode-step duration).
-    pub itl_s: Percentiles,
-    /// Mean projected duration of one non-idle engine step.
-    pub mean_step_s: f64,
-    /// Projected seconds spent moving paused sequences' recurrent
-    /// states on and off chip (one fixed-size state per pause and per
-    /// resume, on the same stream the weights ride) — the total price
-    /// of preemption, already included in `seconds`.
-    pub state_transfer_s: f64,
-    /// Projected seconds spent advancing sequences that were later
-    /// cancelled mid-flight — work the client discarded. Already
-    /// included in `seconds` (the device ran those token-advances);
-    /// reported separately so the price of disconnects stays visible.
-    pub wasted_work_s: f64,
-    /// Largest batch any step ran.
-    pub peak_batch: usize,
-    /// Largest batch whose per-layer state fits the platform's URAM
-    /// ([`DecodeSimulator::max_resident_batch`]).
-    pub max_resident_batch: usize,
-    /// Whether every step's resident state fit on-chip. When `false`
-    /// the throughput/latency numbers are optimistic: the modeled
-    /// device cannot actually host `peak_batch` sequences.
-    pub residency_ok: bool,
-}
-
-/// Prices engine traces on one `DecodeSimulator`, memoizing per-batch
-/// step costs (batch sizes repeat constantly in steady state).
+/// One simulator's unit prices, memoizing per-batch step costs (batch
+/// sizes repeat constantly in steady state).
 #[derive(Debug)]
-pub struct StepCostModel {
+struct StepCostModel {
     sim: DecodeSimulator,
     step_seconds: HashMap<usize, f64>,
 }
 
 impl StepCostModel {
-    /// Wraps a simulator.
-    pub fn new(sim: DecodeSimulator) -> Self {
-        StepCostModel {
-            sim,
-            step_seconds: HashMap::new(),
-        }
-    }
-
-    /// The wrapped simulator.
-    pub fn simulator(&self) -> &DecodeSimulator {
-        &self.sim
-    }
-
     /// Projected duration of one engine step performing `tokens`
     /// token-advances. With a prefill chunk of 1 this is the batch size
     /// (one token per resident sequence); chunked-prefill steps carry
@@ -125,7 +60,7 @@ impl StepCostModel {
     /// layer's weights serve its whole chunk). Idle steps (0 tokens)
     /// are free: a real engine blocks on the arrival queue instead of
     /// spinning.
-    pub fn step_seconds(&mut self, tokens: usize) -> f64 {
+    fn step_seconds(&mut self, tokens: usize) -> f64 {
         if tokens == 0 {
             return 0.0;
         }
@@ -144,138 +79,9 @@ impl StepCostModel {
     /// can never drift from the state the engine actually hosts; the
     /// transfer shares the weight stream, hence the platform's DMA
     /// efficiency applies.
-    pub fn state_move_seconds(&self) -> f64 {
+    fn state_move_seconds(&self) -> f64 {
         let bytes = self.sim.layer_state_bytes_per_seq() * self.sim.model().n_layer as f64;
         self.sim.platform().dma_cycles(bytes) / self.sim.platform().freq_hz
-    }
-
-    /// Projected duration of every step of a finished trace, in order —
-    /// the same per-step pricing `cost_run` prefix-sums into its time
-    /// axis (token-advances plus that step's state moves). This is the
-    /// virtual-time lane of the observability export: the engine's
-    /// wall-clock spans say what a step *cost to simulate*, this says
-    /// what it *would cost on the accelerator* (see
-    /// [`crate::observe::EngineObs::chrome_trace_with_virtual`]).
-    pub fn trace_step_seconds(&mut self, trace: &RunTrace) -> Vec<f64> {
-        let move_s = self.state_move_seconds();
-        trace
-            .processed_per_step
-            .iter()
-            .enumerate()
-            .map(|(t, &tokens)| {
-                let moves = trace.state_moves_per_step.get(t).copied().unwrap_or(0);
-                self.step_seconds(tokens) + moves as f64 * move_s
-            })
-            .collect()
-    }
-
-    /// Prices a finished run: maps every engine step to projected
-    /// seconds, prefix-sums into a time axis, and restates each
-    /// completion's latencies exactly on that axis.
-    pub fn cost_run(&mut self, report: &ServeReport, completions: &[Completion]) -> CostedRun {
-        // time_at[t] = projected time when step t starts;
-        // time_at[t + 1] = when it completes. Steps are priced by their
-        // token-advances, so chunked-prefill steps cost their true
-        // work, plus one state transfer per pause/resume that step.
-        let move_s = self.state_move_seconds();
-        let mut time_at = Vec::with_capacity(report.trace.processed_per_step.len() + 1);
-        let mut now = 0.0f64;
-        let mut state_transfer_s = 0.0f64;
-        time_at.push(0.0);
-        for (t, &tokens) in report.trace.processed_per_step.iter().enumerate() {
-            let moves = report
-                .trace
-                .state_moves_per_step
-                .get(t)
-                .copied()
-                .unwrap_or(0);
-            state_transfer_s += moves as f64 * move_s;
-            now += self.step_seconds(tokens) + moves as f64 * move_s;
-            time_at.push(now);
-        }
-        let start_of = |step: u64| -> f64 { time_at[(step as usize).min(time_at.len() - 1)] };
-        let end_of = |step: u64| -> f64 { time_at[(step as usize + 1).min(time_at.len() - 1)] };
-
-        let mut ttft = Vec::new();
-        let mut e2e = Vec::new();
-        let mut itl = Vec::new();
-        for c in completions {
-            // Latency stats describe requests that ran to completion;
-            // deadline evictions and client cancellations never produced
-            // a final token, so their stamps would skew the percentiles.
-            if !matches!(c.finish, FinishReason::MaxTokens | FinishReason::Eos) {
-                continue;
-            }
-            if let Some(first) = c.first_token_step {
-                ttft.push(end_of(first) - start_of(c.arrival_step));
-                let decode_steps = c.finished_step.saturating_sub(first);
-                if decode_steps > 0 && c.tokens.len() > 1 {
-                    itl.push((end_of(c.finished_step) - end_of(first)) / decode_steps as f64);
-                }
-            }
-            e2e.push(end_of(c.finished_step) - start_of(c.arrival_step));
-        }
-
-        let busy_steps = report
-            .trace
-            .batch_per_step
-            .iter()
-            .filter(|&&b| b > 0)
-            .count()
-            .max(1);
-        let single = self.sim.decode_report().tokens_per_s;
-        let tokens_per_s = if now > 0.0 {
-            report.generated_tokens as f64 / now
-        } else {
-            0.0
-        };
-        // Inputs processed = Σ token-advances (decode inputs plus
-        // prefill-chunk consumption) — the rate directly comparable to
-        // the single-stream tokens/s, which also counts one advanced
-        // token per step.
-        let processed: u64 = report
-            .trace
-            .processed_per_step
-            .iter()
-            .map(|&t| t as u64)
-            .sum();
-        let processed_tokens_per_s = if now > 0.0 {
-            processed as f64 / now
-        } else {
-            0.0
-        };
-        let peak_batch = report.trace.peak_batch();
-        let max_resident_batch = self.sim.max_resident_batch();
-        // Cancelled work is priced at the run's mean per-token rate:
-        // those advances rode ordinary steps, so their share of the wall
-        // clock is their share of the processed tokens.
-        let wasted_work_s = if processed > 0 {
-            now * report.wasted_token_advances as f64 / processed as f64
-        } else {
-            0.0
-        };
-        CostedRun {
-            platform: self.sim.platform().name.clone(),
-            policy: report.policy,
-            seconds: now,
-            tokens_per_s,
-            processed_tokens_per_s,
-            single_stream_tokens_per_s: single,
-            speedup_vs_single_stream: if single > 0.0 {
-                processed_tokens_per_s / single
-            } else {
-                0.0
-            },
-            ttft_s: Percentiles::of(&ttft),
-            e2e_s: Percentiles::of(&e2e),
-            itl_s: Percentiles::of(&itl),
-            mean_step_s: now / busy_steps as f64,
-            state_transfer_s,
-            wasted_work_s,
-            peak_batch,
-            max_resident_batch,
-            residency_ok: peak_batch <= max_resident_batch,
-        }
     }
 }
 
@@ -310,21 +116,9 @@ pub fn calibrate_token_budget(
             "token-budget calibration for a zero-slot engine".into(),
         ));
     }
-    if registry.is_empty() {
-        return Err(ServeError::InvalidConfig(
-            "token-budget calibration needs at least one registered model".into(),
-        ));
-    }
+    let mut probes = MultiplexCostModel::for_registry(registry, platform, design_model)?;
     let mut prefill_cap = usize::MAX;
-    for (_, _, backend) in registry.iter() {
-        let cfg = backend
-            .cost_profile()
-            .accelerator_config(platform, design_model);
-        let mut cost = StepCostModel::new(DecodeSimulator::new(
-            platform.clone(),
-            design_model.clone(),
-            cfg,
-        ));
+    for (_, cost) in &mut probes.models {
         let wave = cost.step_seconds(slots);
         // Walk the probe upward from a full decode wave until the knee
         // (or a generous ceiling — the knee provably exists because
@@ -391,7 +185,9 @@ pub struct MultiplexedRun {
     /// Projected seconds spent advancing sequences later cancelled by
     /// their clients, across all models (included in `seconds`).
     pub wasted_work_s: f64,
-    /// Per-model slices, in registry order.
+    /// Per-model slices, in registry order. A single-model run's
+    /// TTFT / end-to-end latencies and single-stream rate are
+    /// `per_model[0]`'s.
     pub per_model: Vec<ModelCost>,
     /// Largest total batch any step ran.
     pub peak_batch: usize,
@@ -403,8 +199,34 @@ pub struct MultiplexedRun {
     pub residency_ok: bool,
 }
 
-/// Prices multiplexed engine traces: one [`StepCostModel`] per
-/// registered backend, a step costing the sum of its sub-batch costs.
+/// One (step, model) cell of a priced trace.
+struct Cell {
+    /// Token-advances the model's sub-batch performed this step.
+    tokens: usize,
+    /// Projected seconds of the sub-batch, its state moves included.
+    seconds: f64,
+    /// The state moves' share of `seconds`.
+    move_s: f64,
+}
+
+/// The shared time axis of a priced run: entry `t` is the projected
+/// time when step `t` starts, so entry `t + 1` is when it completes.
+/// Stamps past the trace clamp to its end.
+struct TimeAxis(Vec<f64>);
+
+impl TimeAxis {
+    fn start_of(&self, step: u64) -> f64 {
+        self.0[(step as usize).min(self.0.len() - 1)]
+    }
+
+    fn end_of(&self, step: u64) -> f64 {
+        self.start_of(step.saturating_add(1))
+    }
+}
+
+/// Prices engine traces: one simulator per registered backend, a step
+/// costing the sum of its per-model sub-batch costs. A single model is
+/// the one-entry case.
 #[derive(Debug)]
 pub struct MultiplexCostModel {
     models: Vec<(String, StepCostModel)>,
@@ -425,7 +247,10 @@ impl MultiplexCostModel {
         Ok(MultiplexCostModel {
             models: models
                 .into_iter()
-                .map(|(name, sim)| (name, StepCostModel::new(sim)))
+                .map(|(name, sim)| {
+                    let step_seconds = HashMap::new();
+                    (name, StepCostModel { sim, step_seconds })
+                })
                 .collect(),
         })
     }
@@ -459,16 +284,11 @@ impl MultiplexCostModel {
         )
     }
 
-    /// Projected duration of every step of a finished multiplexed
-    /// trace, in order — each step the sum of its per-model sub-batch
-    /// costs plus their state moves, the multiplexed counterpart of
-    /// [`StepCostModel::trace_step_seconds`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] when the trace's sub-batch
-    /// shape disagrees with the number of simulators.
-    pub fn trace_step_seconds(&mut self, trace: &RunTrace) -> Result<Vec<f64>, ServeError> {
+    /// The one pricing pass: checks the trace's sub-batch shape against
+    /// the simulators and prices every (step, model) cell, step-major.
+    /// Sub-batches are priced by their token-advances (chunked prefill
+    /// included) plus one state transfer per pause/resume.
+    fn price(&mut self, trace: &RunTrace) -> Result<Vec<Cell>, ServeError> {
         let n_models = self.models.len();
         if trace.sub_processed_per_step.len() != trace.batch_per_step.len()
             || trace
@@ -485,31 +305,47 @@ impl MultiplexCostModel {
             .iter()
             .map(|(_, cost)| cost.state_move_seconds())
             .collect();
-        Ok(trace
-            .sub_processed_per_step
-            .iter()
-            .enumerate()
-            .map(|(t, sub)| {
-                sub.iter()
-                    .enumerate()
-                    .map(|(m, &tokens)| {
-                        let moves = trace
-                            .sub_state_moves_per_step
-                            .get(t)
-                            .and_then(|s| s.get(m))
-                            .copied()
-                            .unwrap_or(0);
-                        self.models[m].1.step_seconds(tokens) + moves as f64 * per_move_s[m]
-                    })
-                    .sum()
-            })
+        let mut cells = Vec::with_capacity(trace.sub_processed_per_step.len() * n_models);
+        for (t, sub) in trace.sub_processed_per_step.iter().enumerate() {
+            let moves = trace.sub_state_moves_per_step.get(t);
+            for (m, (&tokens, (_, cost))) in sub.iter().zip(&mut self.models).enumerate() {
+                let moves = moves.and_then(|s| s.get(m)).copied().unwrap_or(0);
+                let move_s = moves as f64 * per_move_s[m];
+                cells.push(Cell {
+                    tokens,
+                    seconds: cost.step_seconds(tokens) + move_s,
+                    move_s,
+                });
+            }
+        }
+        Ok(cells)
+    }
+
+    /// Projected duration of every step of a finished trace, in order —
+    /// each step the sum of its per-model sub-batch costs plus their
+    /// state moves, the same per-step pricing `cost_run` prefix-sums
+    /// into its time axis. This is the virtual-time lane of the
+    /// observability export: the engine's wall-clock spans say what a
+    /// step *cost to simulate*, this says what it *would cost on the
+    /// accelerator* (see
+    /// [`crate::observe::EngineObs::chrome_trace_with_virtual`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ServeError::InvalidConfig`] when the trace's sub-batch
+    /// shape disagrees with the number of simulators.
+    pub fn trace_step_seconds(&mut self, trace: &RunTrace) -> Result<Vec<f64>, ServeError> {
+        Ok(self
+            .price(trace)?
+            .chunks(self.models.len())
+            .map(|step| step.iter().map(|cell| cell.seconds).sum())
             .collect())
     }
 
-    /// Prices a finished multiplexed run: each step costs the sum of its
-    /// per-model sub-batch costs (sub-batches execute back-to-back on one
-    /// device, each streaming its own model's weights), and every
-    /// completion's latencies are restated on the shared time axis.
+    /// Prices a finished run: each step costs the sum of its per-model
+    /// sub-batch costs (sub-batches execute back-to-back on one device,
+    /// each streaming its own model's weights), and every completion's
+    /// latencies are restated on the shared time axis.
     ///
     /// # Errors
     ///
@@ -521,62 +357,38 @@ impl MultiplexCostModel {
         report: &ServeReport,
         completions: &[Completion],
     ) -> Result<MultiplexedRun, ServeError> {
+        let cells = self.price(&report.trace)?;
         let n_models = self.models.len();
-        if report.trace.sub_processed_per_step.len() != report.trace.batch_per_step.len()
-            || report
-                .trace
-                .sub_processed_per_step
-                .iter()
-                .any(|s| s.len() != n_models)
-        {
-            return Err(ServeError::InvalidConfig(format!(
-                "trace sub-batches do not match {n_models} priced model(s)"
-            )));
-        }
 
-        // Shared time axis: time_at[t] = projected time when step t
-        // starts. Sub-batches are priced by their token-advances
-        // (chunked prefill included) plus one state transfer per
-        // pause/resume, and per-model seconds are attributed as the
-        // sub-batch costs accrue (the state precision is backend-
-        // independent, so every model's move costs the same bytes).
-        let mut time_at = Vec::with_capacity(report.trace.sub_processed_per_step.len() + 1);
+        // Per-model seconds are attributed as the sub-batch costs
+        // accrue (the state precision is backend-independent, so every
+        // model's move costs the same bytes).
+        let mut time_at = Vec::with_capacity(cells.len() / n_models + 1);
         let mut attributed = vec![0.0f64; n_models];
         let mut processed = vec![0u64; n_models];
         let mut state_transfer = vec![0.0f64; n_models];
-        let per_move_s: Vec<f64> = self
-            .models
-            .iter()
-            .map(|(_, cost)| cost.state_move_seconds())
-            .collect();
         let mut now = 0.0f64;
         time_at.push(0.0);
-        for (t, sub) in report.trace.sub_processed_per_step.iter().enumerate() {
-            for (m, &tokens) in sub.iter().enumerate() {
-                let moves = report
-                    .trace
-                    .sub_state_moves_per_step
-                    .get(t)
-                    .and_then(|s| s.get(m))
-                    .copied()
-                    .unwrap_or(0);
-                let move_s = moves as f64 * per_move_s[m];
-                let s = self.models[m].1.step_seconds(tokens) + move_s;
-                attributed[m] += s;
-                state_transfer[m] += move_s;
-                processed[m] += tokens as u64;
-                now += s;
+        for step in cells.chunks(n_models) {
+            for (m, cell) in step.iter().enumerate() {
+                attributed[m] += cell.seconds;
+                state_transfer[m] += cell.move_s;
+                processed[m] += cell.tokens as u64;
+                now += cell.seconds;
             }
             time_at.push(now);
         }
-        let start_of = |step: u64| -> f64 { time_at[(step as usize).min(time_at.len() - 1)] };
-        let end_of = |step: u64| -> f64 { time_at[(step as usize + 1).min(time_at.len() - 1)] };
+        let axis = TimeAxis(time_at);
 
         let per_model: Vec<ModelCost> = self
             .models
             .iter()
             .enumerate()
             .map(|(m, (name, cost))| {
+                // Latency stats describe requests that ran to
+                // completion; deadline evictions and client
+                // cancellations never produced a final token, so their
+                // stamps would skew the percentiles.
                 let mine: Vec<&Completion> = completions
                     .iter()
                     .filter(|c| {
@@ -588,14 +400,13 @@ impl MultiplexCostModel {
                     .iter()
                     .filter_map(|c| {
                         c.first_token_step
-                            .map(|f| end_of(f) - start_of(c.arrival_step))
+                            .map(|f| axis.end_of(f) - axis.start_of(c.arrival_step))
                     })
                     .collect();
                 let e2e: Vec<f64> = mine
                     .iter()
-                    .map(|c| end_of(c.finished_step) - start_of(c.arrival_step))
+                    .map(|c| axis.end_of(c.finished_step) - axis.start_of(c.arrival_step))
                     .collect();
-                let sim = cost.simulator();
                 ModelCost {
                     model: name.clone(),
                     seconds: attributed[m],
@@ -607,8 +418,8 @@ impl MultiplexCostModel {
                     } else {
                         0.0
                     },
-                    single_stream_tokens_per_s: sim.decode_report().tokens_per_s,
-                    weight_stream_bytes_per_step: sim.weight_bytes_per_token(),
+                    single_stream_tokens_per_s: cost.sim.decode_report().tokens_per_s,
+                    weight_stream_bytes_per_step: cost.sim.weight_bytes_per_token(),
                     state_transfer_s: state_transfer[m],
                     ttft_s: Percentiles::of(&ttft),
                     e2e_s: Percentiles::of(&e2e),
@@ -620,7 +431,11 @@ impl MultiplexCostModel {
         // The on-chip state bound is precision-independent (the SSM state
         // is held at INT16 for every backend), so the first simulator
         // speaks for the shared pool.
-        let max_resident_batch = self.models[0].1.simulator().max_resident_batch();
+        let first = &self.models[0].1.sim;
+        let max_resident_batch = first.max_resident_batch();
+        // Cancelled work is priced at the run's mean per-token rate:
+        // those advances rode ordinary steps, so their share of the wall
+        // clock is their share of the processed tokens.
         let total_processed: u64 = processed.iter().sum();
         let wasted_work_s = if total_processed > 0 {
             now * report.wasted_token_advances as f64 / total_processed as f64
@@ -628,7 +443,7 @@ impl MultiplexCostModel {
             0.0
         };
         Ok(MultiplexedRun {
-            platform: self.models[0].1.simulator().platform().name.clone(),
+            platform: first.platform().name.clone(),
             policy: report.policy,
             seconds: now,
             tokens_per_s: if now > 0.0 {
@@ -663,7 +478,27 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn costed_burst(n: u64, slots: usize) -> CostedRun {
+    /// The paper's 2.7B / VCK190 W4A4 design point as a one-entry cost
+    /// model: tiny-model traces are priced on it (the trace *shape* —
+    /// batch sizes per step — is what is being costed).
+    fn w4a4_cost() -> MultiplexCostModel {
+        let platform = Platform::vck190();
+        let big = MambaConfig::preset(lightmamba_model::ModelPreset::B2_7);
+        let cfg = AcceleratorConfig::lightmamba_w4a4(&platform, &big);
+        MultiplexCostModel::new(vec![(
+            "w4a4".into(),
+            DecodeSimulator::new(platform, big, cfg),
+        )])
+        .unwrap()
+    }
+
+    /// Processed-token speedup of a single-model run over its
+    /// simulator's single-stream decode rate.
+    fn speedup_vs_single_stream(run: &MultiplexedRun) -> f64 {
+        run.processed_tokens_per_s / run.per_model[0].single_stream_tokens_per_s
+    }
+
+    fn costed_burst(n: u64, slots: usize) -> MultiplexedRun {
         costed_burst_chunk(n, slots, 1, 6)
     }
 
@@ -672,7 +507,7 @@ mod tests {
         slots: usize,
         prefill_chunk: usize,
         prompt_len: usize,
-    ) -> CostedRun {
+    ) -> MultiplexedRun {
         let model =
             MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap();
         let mut engine = ServeEngine::new(
@@ -693,25 +528,19 @@ mod tests {
         let report = engine.run(&mut Fifo).unwrap();
         assert_eq!(report.completed as u64, n);
 
-        // Price the tiny-model trace on the paper's 2.7B/VCK190 point:
-        // the trace shape (batch sizes per step) is what is being costed.
-        let platform = Platform::vck190();
-        let big = MambaConfig::preset(lightmamba_model::ModelPreset::B2_7);
-        let cfg = AcceleratorConfig::lightmamba_w4a4(&platform, &big);
-        let mut cost = StepCostModel::new(DecodeSimulator::new(platform, big, cfg));
-        cost.cost_run(&report, engine.completions())
+        w4a4_cost().cost_run(&report, engine.completions()).unwrap()
     }
 
     #[test]
     fn batched_run_beats_single_stream_throughput() {
         let run = costed_burst(16, 8);
+        let single = run.per_model[0].single_stream_tokens_per_s;
         assert!(
-            run.processed_tokens_per_s > run.single_stream_tokens_per_s,
-            "batched {} <= single {}",
+            run.processed_tokens_per_s > single,
+            "batched {} <= single {single}",
             run.processed_tokens_per_s,
-            run.single_stream_tokens_per_s
         );
-        assert!(run.speedup_vs_single_stream > 1.0);
+        assert!(speedup_vs_single_stream(&run) > 1.0);
         assert!(run.tokens_per_s < run.processed_tokens_per_s);
     }
 
@@ -724,7 +553,7 @@ mod tests {
         // strictly drops and TTFT improves.
         let flat = costed_burst_chunk(12, 4, 1, 24);
         let chunked = costed_burst_chunk(12, 4, 8, 24);
-        let work = |r: &CostedRun| r.processed_tokens_per_s * r.seconds;
+        let work = |r: &MultiplexedRun| r.processed_tokens_per_s * r.seconds;
         assert!((work(&flat) - work(&chunked)).abs() < 1e-6 * work(&flat));
         assert!(
             chunked.seconds < flat.seconds,
@@ -732,7 +561,7 @@ mod tests {
             chunked.seconds,
             flat.seconds
         );
-        assert!(chunked.ttft_s.p50 < flat.ttft_s.p50);
+        assert!(chunked.per_model[0].ttft_s.p50 < flat.per_model[0].ttft_s.p50);
         assert!(chunked.processed_tokens_per_s > flat.processed_tokens_per_s);
     }
 
@@ -740,10 +569,10 @@ mod tests {
     fn latencies_are_positive_and_ordered() {
         let run = costed_burst(12, 4);
         assert!(run.seconds > 0.0);
-        assert!(run.ttft_s.p50 > 0.0);
-        assert!(run.e2e_s.p50 >= run.ttft_s.p50);
-        assert!(run.e2e_s.p99 >= run.e2e_s.p50);
-        assert!(run.itl_s.p50 > 0.0);
+        let m = &run.per_model[0];
+        assert!(m.ttft_s.p50 > 0.0);
+        assert!(m.e2e_s.p50 >= m.ttft_s.p50);
+        assert!(m.e2e_s.p99 >= m.e2e_s.p50);
     }
 
     #[test]
@@ -777,14 +606,11 @@ mod tests {
         let moves: usize = report.trace.state_moves_per_step.iter().sum();
         assert_eq!(moves, 2, "one pause + one resume");
 
-        let platform = Platform::vck190();
-        let big = MambaConfig::preset(lightmamba_model::ModelPreset::B2_7);
-        let cfg = AcceleratorConfig::lightmamba_w4a4(&platform, &big);
-        let mut cost = StepCostModel::new(DecodeSimulator::new(platform, big, cfg));
-        let run = cost.cost_run(&report, engine.completions());
+        let mut cost = w4a4_cost();
+        let run = cost.cost_run(&report, engine.completions()).unwrap();
         // Each move costs a full 2.7B state transfer at the platform's
         // DMA rate, and the run total carries exactly both moves.
-        let per_move = cost.state_move_seconds();
+        let per_move = cost.models[0].1.state_move_seconds();
         assert!(per_move > 0.0);
         assert!((run.state_transfer_s - 2.0 * per_move).abs() < 1e-12);
         // The transfer is charged inside the run's wall clock: zeroing
@@ -792,15 +618,15 @@ mod tests {
         let mut without = report.clone();
         without
             .trace
-            .state_moves_per_step
+            .sub_state_moves_per_step
             .iter_mut()
-            .for_each(|m| *m = 0);
-        let cheaper = cost.cost_run(&without, engine.completions());
+            .for_each(|m| m[0] = 0);
+        let cheaper = cost.cost_run(&without, engine.completions()).unwrap();
         assert_eq!(cheaper.state_transfer_s, 0.0);
         assert!((run.seconds - cheaper.seconds - 2.0 * per_move).abs() < 1e-12);
         // A state move is far cheaper than a weight-streaming step —
         // the paper's "preemption is nearly free" claim, quantified.
-        assert!(per_move < cost.step_seconds(1) / 10.0);
+        assert!(per_move < cost.models[0].1.step_seconds(1) / 10.0);
     }
 
     #[test]
@@ -840,14 +666,11 @@ mod tests {
         let moves: usize = report.trace.state_moves_per_step.iter().sum();
         assert_eq!(moves, 3, "turn-1 save + turn-2 restore + turn-2 save");
 
-        let platform = Platform::vck190();
-        let big = MambaConfig::preset(lightmamba_model::ModelPreset::B2_7);
-        let cfg = AcceleratorConfig::lightmamba_w4a4(&platform, &big);
-        let mut cost = StepCostModel::new(DecodeSimulator::new(platform, big, cfg));
-        let run = cost.cost_run(&report, engine.completions());
+        let mut cost = w4a4_cost();
+        let run = cost.cost_run(&report, engine.completions()).unwrap();
         // Every session save/restore rides the DMA at the same price as
         // a preemption state move.
-        let per_move = cost.state_move_seconds();
+        let per_move = cost.models[0].1.state_move_seconds();
         assert!((run.state_transfer_s - 3.0 * per_move).abs() < 1e-12);
         // The abandoned request's advances are priced as wasted wall
         // time, proportional to their share of the processed tokens.
@@ -935,8 +758,9 @@ mod tests {
         // must land on the simulator's single-stream figure (prefill
         // steps also stream weights, so aggregate is slightly below).
         let run = costed_burst(3, 1);
-        assert!(run.tokens_per_s <= run.single_stream_tokens_per_s * 1.001);
-        assert!(run.tokens_per_s > run.single_stream_tokens_per_s * 0.4);
+        let single = run.per_model[0].single_stream_tokens_per_s;
+        assert!(run.tokens_per_s <= single * 1.001);
+        assert!(run.tokens_per_s > single * 0.4);
     }
 
     fn multiplexed_run(n: u64, slots: usize) -> MultiplexedRun {
@@ -1105,21 +929,17 @@ mod tests {
         let cold_report = cold_engine.run(&mut policy).unwrap();
         let cold_done = cold_engine.completions()[0].clone();
 
-        let platform = Platform::vck190();
-        let big = MambaConfig::preset(lightmamba_model::ModelPreset::B2_7);
-        let acfg = AcceleratorConfig::lightmamba_w4a4(&platform, &big);
-        let mut cost = StepCostModel::new(DecodeSimulator::new(platform, big, acfg));
-        let hot_s = cost
-            .cost_run(&hot_report, std::slice::from_ref(&hot_done))
-            .ttft_s
-            .p50;
-        let cold_s = cost
-            .cost_run(&cold_report, std::slice::from_ref(&cold_done))
-            .ttft_s
-            .p50;
+        let mut cost = w4a4_cost();
+        let mut ttft_of = |report: &ServeReport, done: &Completion| {
+            let run = cost.cost_run(report, std::slice::from_ref(done)).unwrap();
+            run.per_model[0].ttft_s.p50
+        };
+        let hot_s = ttft_of(&hot_report, &hot_done);
+        let cold_s = ttft_of(&cold_report, &cold_done);
+        let unit = &mut cost.models[0].1;
         // At chunk 1 every step advances one token, so the restore
         // saves k one-token steps and spends exactly one state move.
-        let expected = k as f64 * cost.step_seconds(1) - cost.state_move_seconds();
+        let expected = k as f64 * unit.step_seconds(1) - unit.state_move_seconds();
         assert!(expected > 0.0, "on this platform a restore must be a win");
         assert!(
             (cold_s - hot_s - expected).abs() < 1e-12,
@@ -1179,5 +999,72 @@ mod tests {
         // Error paths: no slots, no backends.
         assert!(calibrate_token_budget(&fp_only, &platform, &big, 0).is_err());
         assert!(calibrate_token_budget(&ModelRegistry::new(), &platform, &big, slots).is_err());
+    }
+
+    #[test]
+    fn single_model_run_equals_the_hand_summed_flat_trace() {
+        use crate::request::Priority;
+        use crate::scheduler::PriorityClasses;
+
+        // A one-model run with chunked prefill and a pause + resume, so
+        // both the token lane and the state-move lane are non-trivial.
+        let model =
+            MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap();
+        let hog = GenRequest::greedy(0, vec![1; 9], 12).with_priority(Priority::Batch);
+        let mut urgent = GenRequest::greedy(1, vec![2; 5], 3).with_priority(Priority::Interactive);
+        urgent.arrival_step = 4;
+        let mut engine = ServeEngine::new(
+            &model,
+            EngineConfig {
+                slots: 1,
+                max_steps: 10_000,
+                prefill_chunk: 4,
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        engine.submit(vec![hog, urgent]).unwrap();
+        let report = engine.run(&mut PriorityClasses::preemptive()).unwrap();
+        assert_eq!(report.preemptions, 1);
+
+        let urgent_done = &engine.completions()[0];
+        assert_eq!(urgent_done.id, 1, "the interactive request finishes first");
+        let mut cost = w4a4_cost();
+        let run = cost.cost_run(&report, engine.completions()).unwrap();
+        let urgent_only = cost
+            .cost_run(&report, std::slice::from_ref(urgent_done))
+            .unwrap();
+        let step_seconds = cost.trace_step_seconds(&report.trace).unwrap();
+
+        // The flat lanes are the N = 1 sub-batch lanes by construction,
+        // so pricing them by hand lands on the same f64s, not nearby.
+        let unit = &mut cost.models[0].1;
+        let trace = &report.trace;
+        let by_hand: Vec<f64> = (0..trace.steps())
+            .map(|t| {
+                unit.step_seconds(trace.processed_per_step[t])
+                    + trace.state_moves_per_step[t] as f64 * unit.state_move_seconds()
+            })
+            .collect();
+        assert_eq!(step_seconds, by_hand);
+        let mut axis = vec![0.0f64];
+        for s in &by_hand {
+            axis.push(axis[axis.len() - 1] + s);
+        }
+        assert_eq!(run.seconds, axis[axis.len() - 1]);
+        assert_eq!(run.state_transfer_s, 2.0 * unit.state_move_seconds());
+        assert_eq!(run.per_model[0].seconds, run.seconds);
+        assert_eq!(run.per_model[0].completed, 2);
+        assert_eq!(
+            urgent_only.per_model[0].ttft_s.p50,
+            axis[urgent_done.first_token_step.unwrap() as usize + 1]
+                - axis[urgent_done.arrival_step as usize]
+        );
+    }
+
+    #[test]
+    fn a_stamp_of_u64_max_clamps_to_the_end_of_the_axis() {
+        assert_eq!(TimeAxis(vec![0.0, 1.0, 3.0]).end_of(u64::MAX), 3.0);
     }
 }

@@ -136,7 +136,7 @@ impl CostProfile {
 /// Because the state never grows with sequence length, this snapshot is
 /// the *entire* cost of preempting a sequence — a few tens of KB moved
 /// once, not a KV cache spilled page by page. The engine keeps paused
-/// sequences in a side queue of these and the cost models price each
+/// sequences in a side queue of these and the cost model prices each
 /// pause/resume as one state transfer on the shared DMA stream.
 #[derive(Debug, Clone)]
 pub struct PausedState {

@@ -19,7 +19,7 @@
 //! is re-offered to admission in that same step. The work already spent
 //! is surfaced in [`crate::metrics::ServeReport`] (`cancellations`,
 //! `wasted_token_advances`, `reclaimed_slot_steps`) and priced by the
-//! cost models as `wasted_work_s`.
+//! cost model as `wasted_work_s`.
 //!
 //! Multi-turn chat rides the same machinery: a request tagged with
 //! [`crate::request::GenRequest::with_session`] retires into a

@@ -100,7 +100,7 @@ pub struct RunTrace {
     pub paused_depth_per_step: Vec<usize>,
     /// State transfers of each step: every pause writes one fixed-size
     /// recurrent state off-chip and every resume reads one back, on the
-    /// same stream the weights ride — so the cost models price each
+    /// same stream the weights ride — so the cost model prices each
     /// move as state bytes of DMA (`preemptions + resumes` that step).
     pub state_moves_per_step: Vec<usize>,
     /// Per-model state transfers of each step (same shape as
@@ -267,7 +267,7 @@ pub struct ServeReport {
     pub cancellations: usize,
     /// Token-advances the engine spent on requests that were later
     /// cancelled — prefill chunks consumed plus decode feeds that never
-    /// reached a client. The cost models convert this into projected
+    /// reached a client. The cost model converts this into projected
     /// wasted seconds.
     pub wasted_token_advances: u64,
     /// Slot-steps handed back by cancellations of *resident* sequences:
@@ -319,7 +319,7 @@ pub struct ServeReport {
     /// Per-priority-class slices, most urgent first (one entry per
     /// class in [`Priority::ALL`], including empty classes).
     pub per_class: Vec<ClassBreakdown>,
-    /// Per-step observations for cost models.
+    /// Per-step observations for the cost model.
     pub trace: RunTrace,
 }
 

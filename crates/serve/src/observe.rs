@@ -21,8 +21,8 @@
 //! Two clocks appear in the exported trace. The *wall-clock* lane is
 //! what the host spent simulating each phase ([`std::time::Instant`]).
 //! The *virtual* lane restates the same steps in accelerator-projected
-//! seconds from the cost models
-//! ([`crate::accel_cost::StepCostModel::trace_step_seconds`]), so a
+//! seconds from the cost model
+//! ([`crate::accel_cost::MultiplexCostModel::trace_step_seconds`]), so a
 //! trace viewer shows host cost and modeled-hardware cost side by side
 //! on one time axis each.
 
@@ -495,9 +495,8 @@ impl EngineObs {
     /// Renders a two-lane Chrome trace: the wall-clock phase spans plus
     /// a virtual-time lane in which step *i* lasts `step_seconds[i]`
     /// accelerator-projected seconds (from
-    /// [`crate::accel_cost::StepCostModel::trace_step_seconds`] or its
-    /// multiplexed counterpart), prefix-summed onto its own axis. Cold
-    /// path.
+    /// [`crate::accel_cost::MultiplexCostModel::trace_step_seconds`]),
+    /// prefix-summed onto its own axis. Cold path.
     pub fn chrome_trace_with_virtual(&self, step_seconds: &[f64]) -> String {
         let mut b = ChromeTraceBuilder::new();
         b.process_name(1, "wall clock (host)");

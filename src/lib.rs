@@ -58,7 +58,7 @@ pub mod prelude {
     pub use lightmamba_obs::{FlightRecorder, MetricsRegistry, SpanRecorder};
     pub use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
     pub use lightmamba_quant::qmodel::{Precision, QuantizedMamba};
-    pub use lightmamba_serve::accel_cost::{MultiplexCostModel, StepCostModel};
+    pub use lightmamba_serve::accel_cost::MultiplexCostModel;
     pub use lightmamba_serve::backend::{
         CostProfile, DecodeBackend, FpBackend, PausedState, W4A4Backend,
     };
