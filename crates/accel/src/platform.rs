@@ -14,7 +14,8 @@ pub struct Platform {
     pub bandwidth_bytes_per_s: f64,
     /// Sustained fraction of peak bandwidth the DMA engine achieves.
     /// LPDDR with small bursts sits near 0.85; HBM with wide bursts near
-    /// 0.9 (calibration constants; see DESIGN.md §3).
+    /// 0.9 (calibration constants of the cycle model; Table IV in
+    /// README.md §"Reproducing the paper" shows where they land it).
     pub dma_efficiency: f64,
     /// DSP slices available.
     pub dsp_total: u64,

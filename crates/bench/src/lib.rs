@@ -1,8 +1,7 @@
-//! Shared helpers for the experiment harnesses.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the
-//! LightMamba paper (see DESIGN.md §4 for the index) and prints paper
-//! values next to measured values so the comparison is auditable.
+//! Shared helpers of the three binaries in `src/bin/`: `repro` (the
+//! paper's tables and figures from `lightmamba::experiments`, checked —
+//! README.md §"Reproducing the paper" is the index), `serve_traffic` (the
+//! serving studies) and `bench_decode` (measured host decode throughput).
 
 use std::time::Instant;
 

@@ -3,34 +3,24 @@
 //! Starting from the FP16 network on VCK190, techniques are layered in
 //! the paper's order; each stage reports decode throughput, an accuracy
 //! proxy (top-1 agreement of the corresponding quantization on a
-//! laptop-scale synthetic model), and URAM usage. Paper values:
-//!
-//! | stage | tokens/s | accuracy | URAM |
-//! |---|---|---|---|
-//! | Original Network       | 2.23 | 60.2 | 228 |
-//! | +4-bit W Quant         | 3.19 | 57.6 | 228 |
-//! | +4-bit A Quant         | 5.32 | 51.6 | 226 |
-//! | +Rotation Quant        | 2.92 | 55.9 | 262 |
-//! | +FHT                   | 5.04 | 55.9 | 246 |
-//! | +Compute Reordering    | 7.21 | 55.9 | 246 |
-//! | +Fine-grained Tiling   | 7.21 | 55.9 | 61  |
+//! laptop-scale synthetic model), and URAM usage. The paper's values sit
+//! next to the checks on these rows, in [`crate::experiments`]' Fig. 10.
 
 use lightmamba_accel::arch::{AcceleratorConfig, HadamardImpl, HwPrecision, PipelineMode};
 use lightmamba_accel::sim::DecodeSimulator;
 use lightmamba_accel::tiling;
 use lightmamba_model::corpus::SyntheticCorpus;
-use lightmamba_model::eval::{compare_models, ReferenceRunner};
 use lightmamba_model::{MambaConfig, MambaModel, ModelPreset};
-use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_quant::pipeline::{Method, QuantSpec};
 use lightmamba_quant::qmodel::Precision;
 use lightmamba_quant::quantizer::QuantScheme;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::codesign::Target;
+use crate::codesign::{fidelity, Target};
 
-/// The seven stages of Fig. 10, in order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The seven stages of Fig. 10, in order (`Ord` is the paper's order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AblationStage {
     /// FP16 network, naive pipeline, no rotation, no tiling.
     Original,
@@ -116,19 +106,6 @@ impl AblationStage {
     }
 }
 
-impl PartialOrd for AblationStage {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for AblationStage {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let idx = |s: &AblationStage| AblationStage::ALL.iter().position(|x| x == s).unwrap();
-        idx(self).cmp(&idx(other))
-    }
-}
-
 /// One row of the ablation output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
@@ -145,8 +122,8 @@ pub struct AblationRow {
 
 fn stage_accuracy(stage: AblationStage, seed: u64) -> f64 {
     // The `small` config at group 32 is the smallest synthetic setting
-    // where the paper's method ordering is statistically stable (see the
-    // method-ordering integration test).
+    // where the paper's method ordering is statistically stable (see
+    // Table III in `crate::experiments`).
     let cfg = MambaConfig::small();
     let mut rng = StdRng::seed_from_u64(seed);
     let reference = MambaModel::synthetic(cfg.clone(), &mut rng).expect("small config is valid");
@@ -154,49 +131,26 @@ fn stage_accuracy(stage: AblationStage, seed: u64) -> f64 {
     let eval = corpus.calibration_set(&mut rng, 6, 24);
     let group = 32usize;
 
-    let agreement = |mut cand: lightmamba_quant::QuantizedMamba, reference: &MambaModel| -> f64 {
-        let mut runner = ReferenceRunner::new(reference.clone());
-        compare_models(&mut runner, &mut cand, &eval)
-            .map(|r| r.agreement as f64)
-            .unwrap_or(0.0)
-    };
-
-    match stage {
-        AblationStage::Original => 1.0,
-        AblationStage::W4Weights => {
-            let spec = QuantSpec {
+    let (method, spec) = match stage {
+        AblationStage::Original => return 1.0,
+        AblationStage::W4Weights => (
+            Method::Rtn,
+            QuantSpec {
                 precision: Precision {
                     weight: Some(QuantScheme::weight_per_group(4, group)),
                     act: None,
                     ssm: None,
                 },
                 group,
-            };
-            let q = quantize_model(&reference, Method::Rtn, &spec, &[]).expect("rtn");
-            agreement(q, &reference)
-        }
-        AblationStage::W4A4 => {
-            let q = quantize_model(
-                &reference,
-                Method::Rtn,
-                &QuantSpec::w4a4_grouped(group),
-                &[],
-            )
-            .expect("rtn");
-            agreement(q, &reference)
-        }
+            },
+        ),
+        AblationStage::W4A4 => (Method::Rtn, QuantSpec::w4a4_grouped(group)),
         // Rotation fixes the accuracy; the later hardware stages reuse it.
-        _ => {
-            let q = quantize_model(
-                &reference,
-                Method::LightMamba,
-                &QuantSpec::w4a4_grouped(group),
-                &[],
-            )
-            .expect("rotation");
-            agreement(q, &reference)
-        }
-    }
+        _ => (Method::LightMamba, QuantSpec::w4a4_grouped(group)),
+    };
+    fidelity(&reference, method, &spec, &[], &eval)
+        .expect("calibration-free quantization of the small model")
+        .agreement as f64
 }
 
 /// Runs the full Fig. 10 ablation (hardware on Mamba2-2.7B/VCK190,

@@ -96,11 +96,6 @@ impl CoDesign {
         CoDesign { target, model }
     }
 
-    /// The hardware target.
-    pub fn target(&self) -> Target {
-        self.target
-    }
-
     /// The model configuration.
     pub fn model(&self) -> &MambaConfig {
         &self.model
@@ -144,10 +139,29 @@ impl CoDesign {
             Target::Vck190W8A8 => QuantSpec::w8a8(),
             _ => QuantSpec::w4a4_grouped(16),
         };
-        let mut quantized = quantize_model(&reference, method, &spec, &calib)?;
-        let mut runner = ReferenceRunner::new(reference);
-        Ok(compare_models(&mut runner, &mut quantized, &eval)?)
+        fidelity(&reference, method, &spec, &calib, &eval)
     }
+}
+
+/// Quantizes `reference` with `method` under `spec` (calibrating on
+/// `calib` where the method needs it) and measures the result against the
+/// FP reference over `eval` — the one quantize → compare recipe behind
+/// Table III, Fig. 10's accuracy proxy and [`CoDesign::fidelity_report`].
+///
+/// # Errors
+///
+/// Propagates quantization and evaluation errors (boxed, since they
+/// cross crate boundaries).
+pub fn fidelity(
+    reference: &MambaModel,
+    method: Method,
+    spec: &QuantSpec,
+    calib: &[Vec<u32>],
+    eval: &[Vec<u32>],
+) -> Result<FidelityReport, Box<dyn std::error::Error>> {
+    let mut quantized = quantize_model(reference, method, spec, calib)?;
+    let mut runner = ReferenceRunner::new(reference.clone());
+    Ok(compare_models(&mut runner, &mut quantized, eval)?)
 }
 
 #[cfg(test)]

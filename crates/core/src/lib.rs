@@ -4,7 +4,8 @@
 //! quantize a Mamba2 model with rotation-assisted PTQ and PoT SSM
 //! quantization ([`lightmamba_quant`]), configure the partially-unfolded
 //! spatial accelerator ([`lightmamba_accel`]), simulate decode, and report
-//! accuracy, throughput, resources and energy together.
+//! accuracy, throughput, resources and energy together. [`experiments`]
+//! is the paper's tables and figures, regenerated and checked.
 //!
 //! # Example
 //!
@@ -20,6 +21,7 @@
 
 pub mod ablation;
 pub mod codesign;
+pub mod experiments;
 pub mod report;
 
 pub use ablation::{run_ablation, AblationRow, AblationStage};

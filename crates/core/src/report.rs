@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment harnesses.
 //!
-//! Every `table*`/`fig*` binary in `lightmamba-bench` prints its result
-//! through this renderer so outputs are uniform and diff-friendly.
+//! Every entry of [`crate::experiments`] renders its result through this
+//! module so outputs are uniform and diff-friendly.
 
 /// Renders a table with a header row, column alignment, and a rule line.
 ///
@@ -49,11 +49,6 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Formats a float with the given number of decimals.
-pub fn fmt(v: f64, decimals: usize) -> String {
-    format!("{v:.decimals$}")
-}
-
 /// Renders an ASCII bar for quick-scan magnitude comparison.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     if max <= 0.0 || value <= 0.0 {
@@ -91,7 +86,6 @@ mod tests {
 
     #[test]
     fn fmt_and_bar() {
-        assert_eq!(fmt(1.23456, 2), "1.23");
         assert_eq!(bar(5.0, 10.0, 10), "#####");
         assert_eq!(bar(20.0, 10.0, 10), "##########");
         assert_eq!(bar(1.0, 0.0, 10), "");

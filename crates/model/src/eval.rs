@@ -1,5 +1,6 @@
 //! Fidelity evaluation of a (possibly quantized) model against the FP32
-//! reference — the substitute for lm-eval-harness (DESIGN.md §1).
+//! reference — the substitute for lm-eval-harness (README.md
+//! §"Reproducing the paper").
 //!
 //! Table III of the paper ranks PTQ methods by WikiText2/LAMBADA perplexity
 //! and zero-shot accuracy. With synthetic weights the absolute task scores

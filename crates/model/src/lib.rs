@@ -12,7 +12,7 @@
 //! activation statistics reproduce the paper's key observation (Fig. 2) —
 //! *scattered* activation outliers that change channels from token to token
 //! — plus a synthetic corpus and fidelity metrics substituting for
-//! lm-eval-harness (see DESIGN.md §1).
+//! lm-eval-harness (see README.md §"Reproducing the paper").
 //!
 //! # Example
 //!

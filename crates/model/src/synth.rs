@@ -1,7 +1,8 @@
 //! Synthetic, structurally faithful Mamba2 weights and activations.
 //!
-//! Pretrained checkpoints are unavailable in this environment (DESIGN.md
-//! §1), so experiments run on synthetic weights engineered to reproduce the
+//! Pretrained checkpoints are unavailable in this environment (README.md
+//! §"Reproducing the paper" lists every substitution), so experiments run
+//! on synthetic weights engineered to reproduce the
 //! *distributional* phenomena the paper studies:
 //!
 //! 1. heavy-tailed weights and activations (LLM-typical kurtosis ≫ 3);

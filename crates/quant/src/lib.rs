@@ -6,7 +6,7 @@
 //!    quantization at per-tensor/channel/token/group granularity, with
 //!    optional power-of-two (PoT) scale constraint for shift-only
 //!    re-quantization on the FPGA.
-//! 2. **Outlier-handling methods** — the baselines RTN ([`rtn`]),
+//! 2. **Outlier-handling methods** — the baselines RTN (no rewrite),
 //!    SmoothQuant ([`smoothquant`]), OutlierSuppression+
 //!    ([`outlier_suppression`]), and the paper's contribution:
 //!    rotation-assisted quantization ([`rotation`]) with the five weight
@@ -22,15 +22,13 @@
 //!
 //! ```
 //! use lightmamba_model::{MambaConfig, MambaModel};
-//! use lightmamba_quant::{PreparedModel, pipeline::{Method, QuantSpec}};
+//! use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! let model = MambaModel::synthetic(MambaConfig::tiny(), &mut rng)?;
-//! let prepared = PreparedModel::from_reference(&model)?;
-//! let spec = QuantSpec::w4a4();
-//! let _quantized = lightmamba_quant::pipeline::quantize(prepared, Method::Rtn, &spec, &[])?;
+//! let _quantized = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4(), &[])?;
 //! # Ok(())
 //! # }
 //! ```
@@ -47,7 +45,6 @@ pub mod pot;
 pub mod qmodel;
 pub mod quantizer;
 pub mod rotation;
-pub mod rtn;
 pub mod simd;
 pub mod smoothquant;
 

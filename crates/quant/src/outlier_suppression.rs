@@ -14,9 +14,9 @@
 
 use lightmamba_tensor::Tensor;
 
-use crate::calib::CalibrationStats;
-use crate::prepared::PreparedModel;
-use crate::{QuantError, Result};
+use crate::calib::{CalibrationStats, ChannelStats};
+use crate::prepared::{scale_rows, PreparedModel};
+use crate::Result;
 
 /// Numerical floor for scale factors.
 const EPS: f32 = 1e-5;
@@ -50,76 +50,42 @@ pub fn shift_scale(min: &[f32], max: &[f32]) -> ShiftScale {
     ShiftScale { shift, scale }
 }
 
-fn scale_rows(t: &mut Tensor, factors: &[f32]) {
-    let (rows, cols) = t.as_matrix_dims().expect("weight is a matrix");
-    debug_assert_eq!(rows, factors.len());
-    let data = t.data_mut();
-    for r in 0..rows {
-        for c in 0..cols {
-            data[r * cols + c] *= factors[r];
+/// Conditions one projection's input from its calibration ranges:
+/// `x' = (x − z)/s` at run time (the caller installs the returned factors),
+/// `W' = diag(s)·W`, and `bias' = z·W` computed on the ORIGINAL weights.
+fn condition(
+    w: &mut Tensor,
+    bias: &mut Option<Vec<f32>>,
+    stats: &ChannelStats,
+) -> Result<ShiftScale> {
+    let ss = shift_scale(&stats.min, &stats.max);
+    let mut folded = w.vecmat(&ss.shift)?;
+    scale_rows(w, &ss.scale);
+    if let Some(existing) = bias.take() {
+        for (f, e) in folded.iter_mut().zip(existing) {
+            *f += e;
         }
     }
+    *bias = Some(folded);
+    Ok(ss)
 }
 
 /// Applies OS+ shifting and scaling to both linear layers of every block.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::InvalidCalibration`] when `stats` does not match
+/// Returns [`crate::QuantError::InvalidCalibration`] when `stats` does not match
 /// the model shape.
 pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats) -> Result<()> {
-    if stats.in_proj.len() != prepared.blocks.len() || stats.out_proj.len() != prepared.blocks.len()
-    {
-        return Err(QuantError::InvalidCalibration(format!(
-            "calibration covers {} layers, model has {}",
-            stats.in_proj.len(),
-            prepared.blocks.len()
-        )));
-    }
+    prepared.check_calibration(stats)?;
     for (l, block) in prepared.blocks.iter_mut().enumerate() {
-        let in_stats = &stats.in_proj[l];
-        let out_stats = &stats.out_proj[l];
-        if in_stats.channels() != prepared.cfg.d_model
-            || out_stats.channels() != prepared.cfg.d_inner()
-        {
-            return Err(QuantError::InvalidCalibration(format!(
-                "layer {l} calibration channel width mismatch"
-            )));
-        }
-        // in_proj: x' = (x − z)/s at run time; W' = diag(s)·W;
-        // bias' = z·W (computed on the ORIGINAL weights).
-        let ss_in = shift_scale(&in_stats.min, &in_stats.max);
-        let bias_in = block.w_in.vecmat(&ss_in.shift)?;
-        scale_rows(&mut block.w_in, &ss_in.scale);
-        block.in_act_shift = Some(ss_in.shift);
-        block.in_act_scale = Some(ss_in.scale);
-        block.w_in_bias = Some(match block.w_in_bias.take() {
-            Some(mut b) => {
-                for (bi, ni) in b.iter_mut().zip(bias_in.iter()) {
-                    *bi += ni;
-                }
-                b
-            }
-            None => bias_in,
-        });
-
-        // out_proj likewise.
-        let ss_out = shift_scale(&out_stats.min, &out_stats.max);
-        let bias_out = block.w_out.vecmat(&ss_out.shift)?;
-        scale_rows(&mut block.w_out, &ss_out.scale);
-        block.out_act_shift = Some(ss_out.shift);
-        block.out_act_scale = Some(ss_out.scale);
-        block.w_out_bias = Some(match block.w_out_bias.take() {
-            Some(mut b) => {
-                for (bi, ni) in b.iter_mut().zip(bias_out.iter()) {
-                    *bi += ni;
-                }
-                b
-            }
-            None => bias_out,
-        });
+        let ss = condition(&mut block.w_in, &mut block.w_in_bias, &stats.in_proj[l])?;
+        block.in_act_shift = Some(ss.shift);
+        block.in_act_scale = Some(ss.scale);
+        let ss = condition(&mut block.w_out, &mut block.w_out_bias, &stats.out_proj[l])?;
+        block.out_act_shift = Some(ss.shift);
+        block.out_act_scale = Some(ss.scale);
     }
-    prepared.log_rewrite("outlier-suppression+: channel-wise shift and scale");
     Ok(())
 }
 

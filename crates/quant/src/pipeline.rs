@@ -11,7 +11,7 @@ use crate::calib;
 use crate::prepared::PreparedModel;
 use crate::qmodel::{Precision, QuantizedMamba};
 use crate::rotation::{self, RotationConfig};
-use crate::{outlier_suppression, rtn, smoothquant, Result};
+use crate::{outlier_suppression, smoothquant, Result};
 
 /// Outlier-handling method (the rows of Tables II and III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,11 +48,6 @@ impl Method {
             Method::LightMamba => "LightMamba",
             Method::LightMambaStar => "LightMamba*",
         }
-    }
-
-    /// Whether this method requires calibration sequences.
-    pub fn needs_calibration(self) -> bool {
-        matches!(self, Method::SmoothQuant | Method::OutlierSuppressionPlus)
     }
 }
 
@@ -118,7 +113,8 @@ pub fn rewrite(
     calibration: &[Vec<u32>],
 ) -> Result<()> {
     match method {
-        Method::Rtn => rtn::apply(prepared),
+        // Round-to-nearest is the no-conditioning baseline: nothing to rewrite.
+        Method::Rtn => Ok(()),
         Method::SmoothQuant => {
             let stats = calib::collect(reference, calibration)?;
             smoothquant::apply(prepared, &stats, 0.5)
@@ -133,46 +129,6 @@ pub fn rewrite(
     }
 }
 
-/// Full pipeline: rewrite a prepared model under `method` and quantize it
-/// under `spec`. For [`Method::LightMambaStar`] the SSM is additionally
-/// quantized with the PoT INT8 scheme at `spec.group` granularity.
-///
-/// # Errors
-///
-/// Propagates rewrite and quantization errors.
-pub fn quantize(
-    mut prepared: PreparedModel,
-    method: Method,
-    spec: &QuantSpec,
-    calibration: &[Vec<u32>],
-) -> Result<QuantizedMamba> {
-    // The rewrite needs the FP reference for calibration; rebuild a
-    // reference view from the prepared model's provenance: calibration
-    // methods are only meaningful before any rewrite, so the caller passes
-    // a freshly prepared model and we reconstruct the reference lazily.
-    // To keep the API honest we require the caller to go through
-    // `quantize_model` for calibration methods.
-    if method.needs_calibration() {
-        return Err(crate::QuantError::InvalidCalibration(format!(
-            "{method} needs the FP reference for calibration; use quantize_model"
-        )));
-    }
-    rewrite_uncalibrated(&mut prepared, method)?;
-    let precision = finalize_precision(method, spec);
-    let _ = calibration;
-    QuantizedMamba::new(prepared, precision)
-}
-
-fn rewrite_uncalibrated(prepared: &mut PreparedModel, method: Method) -> Result<()> {
-    match method {
-        Method::Rtn => rtn::apply(prepared),
-        Method::LightMamba | Method::LightMambaStar => {
-            rotation::apply(prepared, &RotationConfig::default())
-        }
-        _ => unreachable!("calibration methods handled by quantize_model"),
-    }
-}
-
 fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
     if method == Method::LightMambaStar {
         spec.precision.with_ssm_pot(spec.group)
@@ -181,8 +137,10 @@ fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
     }
 }
 
-/// Convenience entry point: prepare, rewrite, and quantize straight from
-/// the FP reference.
+/// The pipeline: prepare the FP reference, rewrite it under `method`, and
+/// quantize it under `spec`. For [`Method::LightMambaStar`] the SSM is
+/// additionally quantized with the PoT INT8 scheme at `spec.group`
+/// granularity.
 ///
 /// # Errors
 ///
@@ -238,18 +196,18 @@ mod tests {
     }
 
     #[test]
-    fn calibration_methods_require_reference_path() {
+    fn rtn_rewrite_is_the_identity() {
         let (model, _) = setup();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let err = quantize(prepared, Method::SmoothQuant, &QuantSpec::w8a8(), &[]);
-        assert!(err.is_err());
+        let mut p = PreparedModel::from_reference(&model).unwrap();
+        let before = p.blocks[0].w_out.clone();
+        rewrite(&mut p, Method::Rtn, &model, &[]).unwrap();
+        assert_eq!(p.blocks[0].w_out, before);
+        assert!(p.blocks[0].in_act_scale.is_none());
     }
 
     #[test]
     fn method_metadata() {
         assert_eq!(Method::ALL.len(), 5);
-        assert!(Method::SmoothQuant.needs_calibration());
-        assert!(!Method::LightMamba.needs_calibration());
         assert_eq!(Method::OutlierSuppressionPlus.to_string(), "OS+");
     }
 

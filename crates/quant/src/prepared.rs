@@ -13,7 +13,8 @@ use lightmamba_model::weights::InProjSplit;
 use lightmamba_model::{MambaConfig, MambaModel};
 use lightmamba_tensor::Tensor;
 
-use crate::Result;
+use crate::calib::CalibrationStats;
+use crate::{QuantError, Result};
 
 /// One block's prepared weights (see module docs).
 #[derive(Debug, Clone)]
@@ -68,8 +69,6 @@ pub struct PreparedModel {
     pub final_norm_gamma: Vec<f32>,
     /// Per-layer prepared blocks.
     pub blocks: Vec<PreparedBlock>,
-    /// Human-readable description of the rewrites applied, in order.
-    pub rewrites: Vec<String>,
 }
 
 impl PreparedModel {
@@ -106,16 +105,12 @@ impl PreparedModel {
                 }
             })
             .collect();
-        // final_norm_gamma is private to the model; reconstruct from the
-        // reference by probing? The model exposes it indirectly — instead we
-        // copy it via the public weights path below.
         Ok(PreparedModel {
             final_norm_gamma: model.final_norm_gamma().to_vec(),
             cfg,
             embedding: model.embedding().clone(),
             lm_head,
             blocks,
-            rewrites: Vec::new(),
         })
     }
 
@@ -124,9 +119,43 @@ impl PreparedModel {
         InProjSplit::new(&self.cfg)
     }
 
-    /// Records a rewrite in the provenance log.
-    pub fn log_rewrite(&mut self, description: impl Into<String>) {
-        self.rewrites.push(description.into());
+    /// Checks that `stats` was collected on a model of this shape — the
+    /// precondition of the calibrated rewrites (SmoothQuant, OS+).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::InvalidCalibration`] when the layer count or a
+    /// layer's channel widths differ.
+    pub(crate) fn check_calibration(&self, stats: &CalibrationStats) -> Result<()> {
+        if stats.in_proj.len() != self.blocks.len() || stats.out_proj.len() != self.blocks.len() {
+            return Err(QuantError::InvalidCalibration(format!(
+                "calibration covers {} layers, model has {}",
+                stats.in_proj.len(),
+                self.blocks.len()
+            )));
+        }
+        for (l, (in_stats, out_stats)) in stats.in_proj.iter().zip(&stats.out_proj).enumerate() {
+            if in_stats.channels() != self.cfg.d_model || out_stats.channels() != self.cfg.d_inner()
+            {
+                return Err(QuantError::InvalidCalibration(format!(
+                    "layer {l} calibration channel width mismatch"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Scales row `r` of the weight matrix `t` by `factors[r]` in place
+/// (`W ← diag(f)·W`), the step every rewrite folds a per-input-channel
+/// factor into a projection with.
+pub(crate) fn scale_rows(t: &mut Tensor, factors: &[f32]) {
+    let (rows, cols) = t.as_matrix_dims().expect("weight is a matrix");
+    debug_assert_eq!(rows, factors.len());
+    for (row, f) in t.data_mut().chunks_exact_mut(cols).zip(factors) {
+        for v in row {
+            *v *= f;
+        }
     }
 }
 
@@ -149,16 +178,5 @@ mod tests {
             &[model.config().d_model, model.config().vocab_size]
         );
         assert!(p.blocks[0].online_hadamard.is_none());
-        assert!(p.rewrites.is_empty());
-    }
-
-    #[test]
-    fn rewrite_log_accumulates() {
-        let model =
-            MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(0)).unwrap();
-        let mut p = PreparedModel::from_reference(&model).unwrap();
-        p.log_rewrite("rotation");
-        p.log_rewrite("pot-ssm");
-        assert_eq!(p.rewrites, vec!["rotation", "pot-ssm"]);
     }
 }

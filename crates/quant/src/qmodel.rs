@@ -50,7 +50,7 @@ use lightmamba_tensor::{activation, norm, Tensor};
 
 use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
 use crate::prepared::{PreparedBlock, PreparedModel};
-use crate::quantizer::{fake_quant, fake_quant_slice, Granularity, QuantScheme, QuantizedTensor};
+use crate::quantizer::{fake_quant_slice, Granularity, QuantScheme, QuantizedTensor};
 use crate::Result;
 
 /// Precision configuration for quantized execution.
@@ -279,7 +279,6 @@ impl QuantizedMamba {
             lm_head,
             final_norm_gamma,
             blocks: prepared_blocks,
-            rewrites: _,
         } = prepared;
 
         let mut blocks = Vec::with_capacity(prepared_blocks.len());
@@ -695,16 +694,6 @@ impl StepModel for QuantizedMamba {
             other => ModelError::InvalidConfig(other.to_string()),
         })
     }
-}
-
-/// Quantizes a single weight tensor and reports the fake-quant result —
-/// convenience used by the error-metric experiments.
-///
-/// # Errors
-///
-/// Propagates scheme validation errors.
-pub fn fake_quant_weight(t: &Tensor, scheme: QuantScheme) -> Result<Tensor> {
-    fake_quant(t, scheme)
 }
 
 #[cfg(test)]

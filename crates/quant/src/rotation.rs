@@ -29,7 +29,7 @@ use rand::SeedableRng;
 use lightmamba_hadamard::{FactoredHadamard, RandomizedHadamard};
 use lightmamba_tensor::Tensor;
 
-use crate::prepared::PreparedModel;
+use crate::prepared::{scale_rows, PreparedModel};
 use crate::Result;
 
 /// Configuration of the rotation pass.
@@ -56,14 +56,6 @@ impl Default for RotationConfig {
     }
 }
 
-/// Scales row `r` of `t` by `gamma[r]` (computes `diag(γ)·W`).
-fn scale_rows(t: &Tensor, gamma: &[f32]) -> Tensor {
-    let (rows, cols) = t.as_matrix_dims().expect("weight is a matrix");
-    debug_assert_eq!(rows, gamma.len());
-    let data = t.data();
-    Tensor::from_fn(&[rows, cols], |idx| data[idx] * gamma[idx / cols])
-}
-
 /// Builds the rotated out_proj weight `H·(diag(γ?)·W_out)·Q`.
 ///
 /// `gate_gamma = Some(γ)` is the fuse-and-rotate variant of Fig. 4b;
@@ -78,10 +70,10 @@ pub fn rotate_out_proj(
     h_dense: &Tensor,
     q_dense: &Tensor,
 ) -> Result<Tensor> {
-    let scaled = match gate_gamma {
-        Some(g) => scale_rows(w_out, g),
-        None => w_out.clone(),
-    };
+    let mut scaled = w_out.clone();
+    if let Some(g) = gate_gamma {
+        scale_rows(&mut scaled, g);
+    }
     Ok(h_dense.matmul(&scaled)?.matmul(q_dense)?)
 }
 
@@ -116,8 +108,8 @@ pub fn apply(prepared: &mut PreparedModel, cfg: &RotationConfig) -> Result<()> {
 
     for block in &mut prepared.blocks {
         // ② Split the pre-norm scale into W_in, then rotate its input side.
-        let scaled_in = scale_rows(&block.w_in, &block.norm_gamma);
-        block.w_in = q_t.matmul(&scaled_in)?;
+        scale_rows(&mut block.w_in, &block.norm_gamma);
+        block.w_in = q_t.matmul(&block.w_in)?;
         block.norm_gamma = vec![1.0; d_model];
 
         // ③/④ Online Hadamard before out_proj; rotate W_out on both sides.
@@ -133,16 +125,10 @@ pub fn apply(prepared: &mut PreparedModel, cfg: &RotationConfig) -> Result<()> {
     }
 
     // ⑤ Split the final norm scale into the LM head and rotate it back.
-    let scaled_head = scale_rows(&prepared.lm_head, &prepared.final_norm_gamma);
-    prepared.lm_head = q_t.matmul(&scaled_head)?;
+    scale_rows(&mut prepared.lm_head, &prepared.final_norm_gamma);
+    prepared.lm_head = q_t.matmul(&prepared.lm_head)?;
     prepared.final_norm_gamma = vec![1.0; d_model];
 
-    prepared.log_rewrite(format!(
-        "rotation-assisted: Q over d_model={d_model}, online HTU {}x{} over d_inner={d_inner}, second norm {}",
-        htu.pot_order(),
-        htu.rem_order(),
-        if cfg.fuse_second_norm { "fused" } else { "unfused" },
-    ));
     Ok(())
 }
 

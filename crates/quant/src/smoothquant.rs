@@ -10,9 +10,11 @@
 //! where possible and otherwise applied at run time via
 //! `in_act_scale`/`out_act_scale`.
 
+use lightmamba_tensor::stats::per_token_absmax;
+
 use crate::calib::CalibrationStats;
-use crate::prepared::PreparedModel;
-use crate::{QuantError, Result};
+use crate::prepared::{scale_rows, PreparedModel};
+use crate::Result;
 
 /// Numerical floor for smoothing factors.
 const EPS: f32 = 1e-5;
@@ -32,59 +34,20 @@ pub fn smoothing_factors(act_absmax: &[f32], weight_absmax: &[f32], alpha: f32) 
         .collect()
 }
 
-/// Per-row absolute maxima of a `(rows, cols)` weight matrix.
-fn row_absmax(t: &lightmamba_tensor::Tensor) -> Vec<f32> {
-    let (rows, _cols) = t.as_matrix_dims().expect("weight is a matrix");
-    (0..rows)
-        .map(|r| {
-            t.row(r)
-                .expect("row in range")
-                .iter()
-                .fold(0.0f32, |m, &v| m.max(v.abs()))
-        })
-        .collect()
-}
-
-/// Scales row `j` of `t` by `factors[j]` in place.
-fn scale_rows(t: &mut lightmamba_tensor::Tensor, factors: &[f32]) {
-    let (rows, cols) = t.as_matrix_dims().expect("weight is a matrix");
-    debug_assert_eq!(rows, factors.len());
-    let data = t.data_mut();
-    for r in 0..rows {
-        for c in 0..cols {
-            data[r * cols + c] *= factors[r];
-        }
-    }
-}
-
 /// Applies SmoothQuant to both linear layers of every block.
 ///
 /// # Errors
 ///
-/// Returns [`QuantError::InvalidCalibration`] when `stats` does not match
+/// Returns [`crate::QuantError::InvalidCalibration`] when `stats` does not match
 /// the model's layer count or channel widths.
 pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats, alpha: f32) -> Result<()> {
-    if stats.in_proj.len() != prepared.blocks.len() || stats.out_proj.len() != prepared.blocks.len()
-    {
-        return Err(QuantError::InvalidCalibration(format!(
-            "calibration covers {} layers, model has {}",
-            stats.in_proj.len(),
-            prepared.blocks.len()
-        )));
-    }
+    prepared.check_calibration(stats)?;
     for (l, block) in prepared.blocks.iter_mut().enumerate() {
         let in_stats = &stats.in_proj[l];
         let out_stats = &stats.out_proj[l];
-        if in_stats.channels() != prepared.cfg.d_model
-            || out_stats.channels() != prepared.cfg.d_inner()
-        {
-            return Err(QuantError::InvalidCalibration(format!(
-                "layer {l} calibration channel width mismatch"
-            )));
-        }
         // in_proj: fold the divide into the pre-norm scale (γ/s) so no
         // run-time op is needed, scale weight rows by s.
-        let s_in = smoothing_factors(&in_stats.absmax, &row_absmax(&block.w_in), alpha);
+        let s_in = smoothing_factors(&in_stats.absmax, &per_token_absmax(&block.w_in), alpha);
         for (g, s) in block.norm_gamma.iter_mut().zip(s_in.iter()) {
             *g /= s;
         }
@@ -92,15 +55,12 @@ pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats, alpha: f32)
 
         // out_proj: the input comes from the gated norm; fold into the
         // gate-norm scale likewise.
-        let s_out = smoothing_factors(&out_stats.absmax, &row_absmax(&block.w_out), alpha);
+        let s_out = smoothing_factors(&out_stats.absmax, &per_token_absmax(&block.w_out), alpha);
         for (g, s) in block.gate_norm_gamma.iter_mut().zip(s_out.iter()) {
             *g /= s;
         }
         scale_rows(&mut block.w_out, &s_out);
     }
-    prepared.log_rewrite(format!(
-        "smoothquant: alpha={alpha}, folded into norm scales"
-    ));
     Ok(())
 }
 

@@ -1,7 +1,8 @@
 //! Deterministic random sampling used for synthetic weights/activations.
 //!
 //! The reproduction substitutes pretrained checkpoints with structurally
-//! faithful synthetic tensors (see DESIGN.md §1), so all randomness must be
+//! faithful synthetic tensors (see README.md §"Reproducing the paper"), so
+//! all randomness must be
 //! seedable and dependency-light. Gaussian samples come from a Box–Muller
 //! transform over `rand`'s uniform source; heavy-tailed samples come from a
 //! Student-t-like mixture that matches the kurtosis regime of LLM

@@ -7,67 +7,33 @@
 //!
 //! Run with: `cargo run --example outlier_study`
 
+use lightmamba_repro::core::experiments::{rotated_quant_error, transformed_quant_error};
 use lightmamba_repro::hadamard::FactoredHadamard;
 use lightmamba_repro::model::synth::{channel_persistence, synthetic_activations, OutlierPattern};
-use lightmamba_repro::quant::quantizer::{fake_quant, QuantScheme};
+use lightmamba_repro::quant::metrics::activation_quant_error;
+use lightmamba_repro::quant::quantizer::QuantScheme;
 use lightmamba_repro::quant::smoothquant::smoothing_factors;
-use lightmamba_repro::tensor::{stats, Tensor};
+use lightmamba_repro::tensor::stats;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const CHANNELS: usize = 1024;
 const TOKENS: usize = 128;
 
-fn quant_error_with_scaling(eval: &Tensor, factors: Option<&[f32]>) -> f32 {
-    let (tokens, channels) = eval.as_matrix_dims().expect("matrix");
-    let mut work = eval.clone();
-    if let Some(s) = factors {
-        let d = work.data_mut();
-        for t in 0..tokens {
-            for c in 0..channels {
-                d[t * channels + c] /= s[c];
-            }
-        }
-    }
-    let mut q = fake_quant(&work, QuantScheme::act_per_group(4, 128)).expect("valid");
-    if let Some(s) = factors {
-        let d = q.data_mut();
-        for t in 0..tokens {
-            for c in 0..channels {
-                d[t * channels + c] *= s[c];
-            }
-        }
-    }
-    stats::sse(eval.data(), q.data()) / tokens as f32
-}
-
-fn rotated_error(eval: &Tensor) -> f32 {
-    let h = FactoredHadamard::new(CHANNELS).expect("constructible");
-    let (tokens, channels) = eval.as_matrix_dims().expect("matrix");
-    let mut total = 0.0;
-    for t in 0..tokens {
-        let mut row = eval.row(t).expect("row").to_vec();
-        h.apply(&mut row);
-        let rt = Tensor::from_vec(row.clone(), &[channels]).expect("length");
-        let q = fake_quant(&rt, QuantScheme::act_per_group(4, 128)).expect("valid");
-        // Orthogonality: error in rotated space equals error in original space.
-        total += stats::sse(&row, q.data());
-    }
-    total / tokens as f32
-}
-
 fn study(name: &str, pattern: OutlierPattern, rng: &mut StdRng) {
     let calib = synthetic_activations(rng, TOKENS, CHANNELS, pattern);
     let eval = synthetic_activations(rng, TOKENS, CHANNELS, pattern);
     let persistence = channel_persistence(&eval, 8);
-    let rtn = quant_error_with_scaling(&eval, None);
+    let scheme = QuantScheme::act_per_group(4, 128);
+    let rtn = activation_quant_error(&eval, scheme).expect("valid scheme");
     let factors = smoothing_factors(
         &stats::per_channel_absmax(&calib),
         &vec![1.0; CHANNELS],
         0.5,
     );
-    let sq = quant_error_with_scaling(&eval, Some(&factors));
-    let rot = rotated_error(&eval);
+    let sq = transformed_quant_error(&eval, &factors, &[0.0; CHANNELS], scheme);
+    let h = FactoredHadamard::new(CHANNELS).expect("constructible");
+    let rot = rotated_quant_error(&eval, &h, scheme);
     println!("{name}:");
     println!("  outlier-channel persistence: {persistence:.3}");
     println!("  4-bit error  RTN {rtn:10.1} | SmoothQuant {sq:10.1} | rotation {rot:10.1}");
