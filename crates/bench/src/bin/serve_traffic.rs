@@ -6,69 +6,37 @@
 //! This is the batched-serving extension of Fig. 9a: where the paper
 //! projects one decode stream (7.21 tokens/s W4A4 on VCK190), this bench
 //! projects a multi-tenant engine sharing each weight stream across all
-//! resident sequences — and, with `--models N`, several named backends
-//! multiplexed on one slot pool, each priced with its own stream width.
+//! resident sequences — and several named backends multiplexed on one
+//! slot pool, each priced with its own stream width.
 //!
-//! Flags:
-//! * `--policy fifo|edf|edf-preempt|priority|priority-preempt|wfq`
-//!   (default `fifo`) — which admission policy headlines the
-//!   deadline-heavy policy study (the comparison table always shows
-//!   every policy on the same trace);
-//! * `--prefill-chunk K` (default 4) — prompt tokens one prefilling
-//!   sequence may consume per engine step;
-//! * `--threads N` (default 1) — worker-pool width the engine hands
-//!   the decode driver (each step's sub-batches are cut into one lane
-//!   per thread);
-//! * `--backend fp|w4a4|both` (default `both`) — single-backend
-//!   comparison runs;
-//! * `--models N` (default 2) — size of the multiplexed registry
-//!   (backends alternate fp/w4a4);
-//! * `--preempt` — also run the preemption study: the preemption-heavy
-//!   scenario (deadline-free hogs camping on slots + tight-deadline
-//!   chat) under non-preemptive vs preemptive EDF and priority, with
-//!   pause/resume priced as state transfers;
-//! * `--sessions` — also run the multi-turn session study: closed-loop
-//!   chat sessions whose follow-up turns resume a parked Mamba state
-//!   (one state-transfer DMA) versus re-prefilling the full
-//!   conversation, with `--cancel-rate R` disconnecting a deterministic
-//!   fraction of the sessions mid-decode;
-//! * `--cancel-rate R` (default 0) — fraction of sessions in the
-//!   session study whose client hangs up mid-first-turn;
-//! * `--chaos` — also run the chaos study: the same deadline-heavy
-//!   traffic with a seeded fault schedule (injected step errors, backend
-//!   panics, latency spikes, restore corruption) fired against both
-//!   backends, under quarantine + bounded-queue shedding versus no
-//!   mitigation on the identical schedule;
-//! * `--prefix-cache` — also run the prefix study: the
-//!   shared-system-prompt scenario (every request opens with one common
-//!   prompt prefix) with the engine's prefix cache on versus off — a
-//!   hit restores the harvested post-prefix state (one state-transfer
-//!   DMA) instead of re-prefilling the shared prefix;
-//! * `--token-budget` — calibrate a [`TokenBudget`] against both
-//!   backends' cycle models ([`calibrate_token_budget`]) and apply it
-//!   to the prefix study's engines, reporting deferrals and budget
-//!   utilization (implies the prefix study runs);
-//! * `--fault-rate R` (default 0.05) — approximate fraction of engine
-//!   steps covered by a fault window in the chaos study;
-//! * `--seed S` (default 7) — seed of the chaos study's fault schedule;
-//! * `--metrics-dump PATH` — write the instrumented headline run's
-//!   Prometheus-style metrics snapshot to `PATH`;
-//! * `--trace-out PATH` — write the instrumented headline run's
-//!   two-lane Chrome trace (host wall clock + accelerator-projected
-//!   virtual time) to `PATH`; open it in `chrome://tracing` or
-//!   Perfetto;
-//! * `--smoke` — run only the policy study (plus any opted-in studies)
-//!   on a reduced horizon (CI).
+//! `serve_traffic [--smoke] [--metrics-dump PATH] [--trace-out PATH]`
+//! runs every study of [`STUDIES`] in one configuration (prefill chunk
+//! [`PREFILL_CHUNK`], one engine thread, an fp + w4a4 pool):
+//! * `policy` — the deadline-heavy mix under every continuous-batching
+//!   admission policy on the same trace;
+//! * `obs` — that trace's FIFO run with the full observability layer on;
+//!   `--metrics-dump PATH` writes its Prometheus-style metrics snapshot
+//!   and `--trace-out PATH` its two-lane Chrome trace (host wall clock +
+//!   accelerator-projected virtual time; open it in `chrome://tracing`
+//!   or Perfetto);
+//! * `preempt` — the preemption-heavy scenario under non-preemptive vs
+//!   preemptive EDF and priority, pause/resume priced as state transfers;
+//! * `sessions` — closed-loop multi-turn chat resuming a parked Mamba
+//!   state versus re-prefilling the conversation, with a
+//!   [`CANCEL_RATE`] share of the sessions hanging up mid-turn;
+//! * `chaos` — the deadline-heavy mix under a seeded fault schedule,
+//!   quarantine + bounded-queue shedding versus no mitigation;
+//! * `prefix` — the shared-system-prompt scenario with the prefix cache
+//!   on versus off, throttled by a calibrated [`TokenBudget`];
+//! * `scenarios`, `slots`, `single`, `multiplex` (full mode only) — the
+//!   scenario sweep, the slot sweep against static batching, each
+//!   backend alone, and [`MODELS`] backends multiplexed on one pool.
 //!
-//! A final `BENCH_JSON` line captures the selected policy's
-//! deadline-hit-rate plus the observability study's bare-vs-
-//! instrumented step-rate overhead, (full mode) the FP-vs-W4A4 serving
-//! gap, (with `--preempt`) the preemption study's hit rates and pause
-//! traffic, (with `--sessions`) the session study's resume-vs-
-//! re-prefill TTFT gap and cancellation waste, (with `--chaos`) the
-//! chaos study's availability and goodput with and without mitigation,
-//! and (with `--prefix-cache` / `--token-budget`) the prefix study's
-//! hit/miss counts, cached-vs-cold TTFT gap, and budget deferrals.
+//! `--smoke` (CI) shortens the horizons and skips the full-only studies.
+//! A final `BENCH_JSON` line carries each study's numbers under its name.
+//! Everything printed is seeded and step-denominated, so two runs print
+//! the same bytes — except the dump sizes `--metrics-dump` /
+//! `--trace-out` report, since the dumps carry wall-clock times.
 
 use lightmamba::report::render_table;
 use lightmamba_accel::arch::AcceleratorConfig;
@@ -95,7 +63,19 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
+use std::process::ExitCode;
+
+/// Prompt tokens one prefilling sequence may consume per engine step.
+const PREFILL_CHUNK: usize = 4;
+/// Backends the multiplex study registers on one pool (fp, w4a4, …).
+const MODELS: usize = 2;
+/// Share of the session study's sessions whose client hangs up
+/// mid-first-turn.
+const CANCEL_RATE: f64 = 0.25;
+/// Approximate share of engine steps a chaos-study fault window covers.
+const FAULT_RATE: f64 = 0.05;
+/// Seed of the chaos study's fault schedule.
+const FAULT_SEED: u64 = 7;
 
 const SLOT_SWEEP: [usize; 4] = [1, 4, 16, 64];
 
@@ -104,124 +84,37 @@ const SLOT_SWEEP: [usize; 4] = [1, 4, 16, 64];
 fn study_policies() -> impl Iterator<Item = &'static str> {
     POLICY_NAMES.into_iter().filter(|n| *n != "static")
 }
-/// The pairs the `--preempt` study compares on the preemption-heavy
+/// The pairs the preemption study compares on the preemption-heavy
 /// scenario.
 const PREEMPT_POLICIES: [&str; 4] = ["edf", "edf-preempt", "priority", "priority-preempt"];
 
+const USAGE: &str = "usage: serve_traffic [--smoke] [--metrics-dump PATH] [--trace-out PATH]";
+
 #[derive(Default)]
 struct Args {
-    policy: String,
-    prefill_chunk: usize,
-    threads: usize,
-    backend: String,
-    models: usize,
-    preempt: bool,
-    sessions: bool,
-    cancel_rate: f64,
-    chaos: bool,
-    prefix_cache: bool,
-    token_budget: bool,
-    fault_rate: f64,
-    seed: u64,
+    smoke: bool,
     metrics_dump: Option<String>,
     trace_out: Option<String>,
-    smoke: bool,
 }
 
-/// One command-line flag: whether a value follows it (a switch's
-/// setter is handed `"true"`) and how it lands in [`Args`]; `set`
-/// returns `false` for a value it cannot parse.
-struct Flag {
-    name: &'static str,
-    takes_value: bool,
-    set: fn(&mut Args, &str) -> bool,
-}
-
-const fn flag(name: &'static str, takes_value: bool, set: fn(&mut Args, &str) -> bool) -> Flag {
-    Flag {
-        name,
-        takes_value,
-        set,
-    }
-}
-
-/// Parses `value` into `slot`; `false` when it does not parse.
-fn put<T: std::str::FromStr>(slot: &mut T, value: &str) -> bool {
-    value.parse().map(|v| *slot = v).is_ok()
-}
-
-/// Every flag the bench accepts, in the order the module docs list them.
-const FLAGS: [Flag; 16] = [
-    flag("--policy", true, |a, v| put(&mut a.policy, v)),
-    flag("--prefill-chunk", true, |a, v| put(&mut a.prefill_chunk, v)),
-    flag("--threads", true, |a, v| put(&mut a.threads, v)),
-    flag("--backend", true, |a, v| put(&mut a.backend, v)),
-    flag("--models", true, |a, v| put(&mut a.models, v)),
-    flag("--preempt", false, |a, v| put(&mut a.preempt, v)),
-    flag("--sessions", false, |a, v| put(&mut a.sessions, v)),
-    flag("--cancel-rate", true, |a, v| put(&mut a.cancel_rate, v)),
-    flag("--chaos", false, |a, v| put(&mut a.chaos, v)),
-    flag("--prefix-cache", false, |a, v| put(&mut a.prefix_cache, v)),
-    flag("--token-budget", false, |a, v| put(&mut a.token_budget, v)),
-    flag("--fault-rate", true, |a, v| put(&mut a.fault_rate, v)),
-    flag("--seed", true, |a, v| put(&mut a.seed, v)),
-    flag("--metrics-dump", true, |a, v| {
-        put(a.metrics_dump.insert(String::new()), v)
-    }),
-    flag("--trace-out", true, |a, v| {
-        put(a.trace_out.insert(String::new()), v)
-    }),
-    flag("--smoke", false, |a, v| put(&mut a.smoke, v)),
-];
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        policy: "fifo".into(),
-        prefill_chunk: 4,
-        threads: 1,
-        backend: "both".into(),
-        models: 2,
-        fault_rate: 0.05,
-        seed: 7,
-        ..Args::default()
-    };
-    let mut argv = std::env::args().skip(1);
+/// Reads the command line (program name excluded); the error names the
+/// argument at fault.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args::default();
+    let mut argv = argv.into_iter();
     while let Some(arg) = argv.next() {
-        let flag = FLAGS
-            .iter()
-            .find(|f| f.name == arg)
-            .unwrap_or_else(|| panic!("unknown argument {arg:?}"));
-        let value = match flag.takes_value {
-            true => argv.next().unwrap_or_else(|| panic!("{arg} needs a value")),
-            false => "true".into(),
+        let path = match arg.as_str() {
+            "--smoke" => {
+                args.smoke = true;
+                continue;
+            }
+            "--metrics-dump" => &mut args.metrics_dump,
+            "--trace-out" => &mut args.trace_out,
+            _ => return Err(format!("unknown argument {arg:?}")),
         };
-        assert!(
-            (flag.set)(&mut args, &value),
-            "{arg}: cannot parse {value:?}"
-        );
+        *path = Some(argv.next().ok_or(format!("{arg} needs a PATH"))?);
     }
-    assert!(
-        ["fp", "w4a4", "both"].contains(&args.backend.as_str()),
-        "--backend must be fp, w4a4, or both"
-    );
-    // policy_by_name's own error already lists every valid name.
-    policy_by_name(&args.policy).unwrap_or_else(|e| panic!("{e}"));
-    assert!(
-        args.policy != "static",
-        "static batching is covered by the slot sweep; pick a continuous-batching policy"
-    );
-    assert!(args.models > 0, "--models must be positive");
-    assert!(args.prefill_chunk > 0, "--prefill-chunk must be positive");
-    assert!(args.threads > 0, "--threads must be positive");
-    assert!(
-        (0.0..1.0).contains(&args.cancel_rate),
-        "--cancel-rate must be in [0, 1)"
-    );
-    assert!(
-        args.fault_rate > 0.0 && args.fault_rate <= 1.0,
-        "--fault-rate must be in (0, 1]"
-    );
-    args
+    Ok(args)
 }
 
 fn make_policy(name: &str) -> Box<dyn Policy> {
@@ -230,7 +123,7 @@ fn make_policy(name: &str) -> Box<dyn Policy> {
         // share split WFQ enforces (policy_by_name's wfq weighs equal).
         return Box::new(WeightedFair::new(vec![2.0, 1.0]));
     }
-    policy_by_name(name).expect("--policy is validated against POLICY_NAMES")
+    policy_by_name(name).expect("study policies are POLICY_NAMES entries")
 }
 
 /// An ordered JSON object under construction; `Display` renders it, so
@@ -335,7 +228,7 @@ fn fp_w4a4() -> Vec<Entry<'static>> {
 }
 
 /// What one engine (and the cost model pricing it) is built from;
-/// everything else comes from the flags.
+/// everything else is the one configuration ([`Ctx::engine`]).
 #[derive(Default)]
 struct Setup<'p> {
     pool: Vec<Entry<'p>>,
@@ -355,8 +248,8 @@ impl<'p> Setup<'p> {
     }
 }
 
-/// Everything the studies share: the flags, the tiny host model in both
-/// precisions, and the design point its traces are priced on.
+/// Everything the studies share: the command line, the tiny host model
+/// in both precisions, and the design point its traces are priced on.
 struct Ctx {
     args: Args,
     model: MambaModel,
@@ -386,7 +279,7 @@ impl Ctx {
     }
 
     /// The one engine + cost-model builder: `setup`'s registry, priced
-    /// on the design point, behind an engine configured from the flags.
+    /// on the design point, behind an engine with the one configuration.
     fn engine(&self, setup: &Setup<'_>) -> (ServeEngine<'_>, MultiplexCostModel) {
         let registry = self.registry(&setup.pool);
         let cost = MultiplexCostModel::for_registry(&registry, &self.platform, &self.big)
@@ -396,8 +289,8 @@ impl Ctx {
             EngineConfig {
                 slots: setup.slots,
                 max_steps: 1_000_000,
-                prefill_chunk: self.args.prefill_chunk,
-                threads: self.args.threads,
+                prefill_chunk: PREFILL_CHUNK,
+                threads: 1,
                 prefix_cache: setup.prefix_cache.then_some(setup.slots),
                 token_budget: setup.token_budget,
             },
@@ -446,36 +339,36 @@ impl Ctx {
     }
 }
 
-/// One study: the `BENCH_JSON` key its fragment lands under, the flags
-/// that switch it on, and the run (printing its tables as it goes). A
-/// study with nothing machine-readable returns an empty object, which
-/// is left out of the summary.
-struct Study {
-    name: &'static str,
-    gate: fn(&Args) -> bool,
-    run: fn(&Ctx) -> Json,
-}
+/// One study: the `BENCH_JSON` key its block lands under and the run
+/// (printing its tables as it goes). A study with nothing
+/// machine-readable returns an empty object, which is left out of the
+/// summary.
+type Study = (&'static str, fn(&Ctx) -> Json);
 
-const fn study(name: &'static str, gate: fn(&Args) -> bool, run: fn(&Ctx) -> Json) -> Study {
-    Study { name, gate, run }
-}
-
-/// Every study, in output order.
+/// Every study, in output order; a smoke run stops after the first
+/// [`SMOKE_STUDIES`].
 const STUDIES: [Study; 10] = [
-    study("policy", |_| true, policy_study),
-    study("obs", |_| true, obs_study),
-    study("preempt", |a| a.preempt, preemption_study),
-    study("sessions", |a| a.sessions, session_study),
-    study("chaos", |a| a.chaos, chaos_study),
-    study("prefix", |a| a.prefix_cache || a.token_budget, prefix_study),
-    study("scenarios", |a| !a.smoke, scenario_sweep),
-    study("slots", |a| !a.smoke, slot_sweep),
-    study("single", |a| !a.smoke, backend_comparison),
-    study("multiplex", |a| !a.smoke, multiplex_study),
+    ("policy", policy_study),
+    ("obs", obs_study),
+    ("preempt", preemption_study),
+    ("sessions", session_study),
+    ("chaos", chaos_study),
+    ("prefix", prefix_study),
+    ("scenarios", scenario_sweep),
+    ("slots", slot_sweep),
+    ("single", backend_comparison),
+    ("multiplex", multiplex_study),
 ];
+const SMOKE_STUDIES: usize = 6;
 
-fn main() {
-    let args = parse_args();
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
     lightmamba_bench::banner(
         "serve_traffic",
         "policy-aware continuous batching across execution backends under synthetic traffic",
@@ -497,12 +390,16 @@ fn main() {
 
     let mut json = Json::default()
         .text("bench", "serve_traffic")
-        .field("models", ctx.args.models)
-        .field("prefill_chunk", ctx.args.prefill_chunk);
-    for study in STUDIES.iter().filter(|s| (s.gate)(&ctx.args)) {
-        let fragment = (study.run)(&ctx);
+        .field("models", MODELS)
+        .field("prefill_chunk", PREFILL_CHUNK);
+    let studies = match ctx.args.smoke {
+        true => &STUDIES[..SMOKE_STUDIES],
+        false => &STUDIES[..],
+    };
+    for (name, run) in studies {
+        let fragment = run(&ctx);
         if !fragment.0.is_empty() {
-            json = json.field(study.name, fragment);
+            json = json.field(name, fragment);
         }
     }
     if !ctx.args.smoke {
@@ -517,21 +414,22 @@ fn main() {
 
     // Machine-readable summary for the BENCH harness.
     println!("BENCH_JSON {json}");
+    ExitCode::SUCCESS
 }
 
 /// Policy study: the deadline-heavy mix under every admission policy on
-/// the same trace and fp+w4a4 registry; `--policy` picks which run
-/// headlines the JSON.
+/// the same trace and fp+w4a4 registry, each policy's numbers under its
+/// name.
 fn policy_study(ctx: &Ctx) -> Json {
     println!();
     println!(
         "policy study: deadline_heavy traffic (0.5 req/step over {} steps, 16 slots, \
-         fp+w4a4 pool, prefill chunk {})",
-        ctx.horizon, ctx.args.prefill_chunk
+         fp+w4a4 pool, prefill chunk {PREFILL_CHUNK})",
+        ctx.horizon
     );
 
     let mut table = Table::default();
-    let mut headline = None;
+    let mut json = Json::default();
     for name in study_policies() {
         let (report, run) = ctx.priced_run(
             &Setup::new(fp_w4a4(), 16),
@@ -551,71 +449,49 @@ fn policy_study(ctx: &Ctx) -> Json {
             ("TTFT p50 (steps)", fixed(report.ttft_steps.p50, 1)),
             ("run (s)", fixed(run.seconds, 1)),
         ]);
-        if name == ctx.args.policy {
-            let hit_rate = report.deadline_hit_rate().unwrap_or(0.0);
-            let worst_ttft = run
-                .per_model
-                .iter()
-                .map(|m| m.ttft_s.p99)
-                .fold(0.0, f64::max);
-            headline = Some(
-                Json::default()
-                    .text("name", name)
-                    .num("deadline_hit_rate", hit_rate, 4)
-                    .field("completed", report.completed)
-                    .field("evicted", report.evicted)
-                    .num("worst_model_ttft_p99_s", worst_ttft, 3),
-            );
-        }
+        let worst_ttft = run
+            .per_model
+            .iter()
+            .map(|m| m.ttft_s.p99)
+            .fold(0.0, f64::max);
+        json = json.field(
+            name,
+            Json::default()
+                .num(
+                    "deadline_hit_rate",
+                    report.deadline_hit_rate().unwrap_or(0.0),
+                    4,
+                )
+                .field("completed", report.completed)
+                .field("evicted", report.evicted)
+                .num("worst_model_ttft_p99_s", worst_ttft, 3),
+        );
     }
     table.print();
-    headline.expect("--policy is validated against POLICY_NAMES")
+    json
 }
 
-/// Observability study: the headline policy's deadline-heavy run twice
-/// on identical traffic — once bare, once with the full observability
-/// layer (metrics registry, per-phase spans, flight recorder) — to
-/// measure the wall-clock overhead instrumentation adds to the engine
-/// loop. The instrumented run's Prometheus-style snapshot and two-lane
-/// Chrome trace (wall + cost-model virtual time) are written to
-/// `--metrics-dump` / `--trace-out` when given.
+/// Observability study: the policy study's FIFO run again with the full
+/// observability layer on (metrics registry, per-phase spans, flight
+/// recorder). Its Prometheus-style snapshot and two-lane Chrome trace
+/// (wall + cost-model virtual time) are written to `--metrics-dump` /
+/// `--trace-out` when given. What the layer costs in wall-clock time is
+/// pinned by `tests/obs_overhead.rs`, not printed here.
 fn obs_study(ctx: &Ctx) -> Json {
-    let args = &ctx.args;
     println!();
     println!(
-        "observability study: {} on deadline_heavy traffic ({} steps), bare vs \
-         instrumented (metrics + spans + flight recorder)",
-        args.policy, ctx.horizon
+        "observability study: fifo on deadline_heavy traffic ({} steps), instrumented \
+         (metrics + spans + flight recorder)",
+        ctx.horizon
     );
 
-    // Wall-clock seconds of one drained run, observability on or off.
-    let timed = |obs: bool| {
-        let (mut engine, cost) = ctx.engine(&Setup::new(fp_w4a4(), 16));
-        engine
-            .submit(ctx.deadline_heavy())
-            .expect("generator output is sorted");
-        if obs {
-            engine.enable_obs(ObsConfig::default());
-        }
-        let mut policy = make_policy(&args.policy);
-        let t0 = Instant::now();
-        let report = engine.run(policy.as_mut()).expect("run drains");
-        let steps_s = report.trace.steps() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-        (report, steps_s, engine.take_obs(), cost)
-    };
-    let (bare_report, bare_steps_s, _, _) = timed(false);
-    let (report, obs_steps_s, obs, mut cost) = timed(true);
-    let obs = obs.expect("obs was enabled");
-
-    assert_eq!(
-        report.completed, bare_report.completed,
-        "instrumentation must not change engine behavior"
-    );
-    let overhead_pct = (bare_steps_s / obs_steps_s - 1.0) * 100.0;
-    println!(
-        "  bare {bare_steps_s:.0} steps/s, instrumented {obs_steps_s:.0} steps/s \
-         ({overhead_pct:+.2}% overhead, single run — see the pinned bench test for best-of-N)"
-    );
+    let (mut engine, mut cost) = ctx.engine(&Setup::new(fp_w4a4(), 16));
+    engine
+        .submit(ctx.deadline_heavy())
+        .expect("generator output is sorted");
+    engine.enable_obs(ObsConfig::default());
+    let report = engine.run(&mut Fifo).expect("run drains");
+    let obs = engine.take_obs().expect("obs was enabled");
     println!(
         "  recorded {} spans ({} dropped), {} step records ({} evicted), {} lifecycle events",
         obs.spans.spans().len(),
@@ -625,12 +501,12 @@ fn obs_study(ctx: &Ctx) -> Json {
         obs.flight.lifecycle().len(),
     );
 
-    if let Some(path) = &args.metrics_dump {
+    if let Some(path) = &ctx.args.metrics_dump {
         let text = obs.exposition();
         std::fs::write(path, &text).expect("--metrics-dump path is writable");
         println!("  wrote metrics snapshot ({} bytes) to {path}", text.len());
     }
-    if let Some(path) = &args.trace_out {
+    if let Some(path) = &ctx.args.trace_out {
         let step_seconds = cost
             .trace_step_seconds(&report.trace)
             .expect("trace matches registry");
@@ -642,15 +518,12 @@ fn obs_study(ctx: &Ctx) -> Json {
 
     Json::default()
         .field("steps", report.trace.steps())
-        .num("bare_steps_per_s", bare_steps_s, 1)
-        .num("instrumented_steps_per_s", obs_steps_s, 1)
-        .num("overhead_pct", overhead_pct, 2)
         .field("spans", obs.spans.spans().len())
         .field("spans_dropped", obs.spans.dropped())
         .field("slo_violations", obs.slo_violations())
 }
 
-/// `--preempt`: the preemption-heavy scenario (deadline-free hogs
+/// Preemption study: the preemption-heavy scenario (deadline-free hogs
 /// camping on slots + tight-deadline chat) under each of
 /// [`PREEMPT_POLICIES`] on the same traffic and fp+w4a4 registry. The
 /// headline is the hit-rate gap between each policy and its preemptive
@@ -660,8 +533,8 @@ fn preemption_study(ctx: &Ctx) -> Json {
     println!();
     println!(
         "preemption study: preemption_heavy traffic (0.6 req/step over {} steps, 8 slots, \
-         fp+w4a4 pool, prefill chunk {})",
-        ctx.horizon, ctx.args.prefill_chunk
+         fp+w4a4 pool, prefill chunk {PREFILL_CHUNK})",
+        ctx.horizon
     );
 
     let mut table = Table::default();
@@ -699,19 +572,18 @@ fn preemption_study(ctx: &Ctx) -> Json {
     json
 }
 
-/// `--chaos`: the deadline-heavy mix with a seeded fault schedule —
+/// Chaos study: the deadline-heavy mix with a seeded fault schedule —
 /// injected step errors, backend panics, latency spikes, and restore
 /// corruption on both backends — run twice on the *identical* schedule:
 /// once with quarantine + bounded-queue shedding, once with the fault
 /// layer containing but never mitigating ([`ResilienceConfig::none`]).
 /// The headline is the availability/goodput gap mitigation buys.
 fn chaos_study(ctx: &Ctx) -> Json {
-    let args = &ctx.args;
     let horizon = ctx.horizon;
     // The schedule outlives the arrival window so faults also land on
     // the drain tail, exactly like a transient that ignores load.
-    let plan_fp = FaultPlan::seeded(args.seed, horizon + 200, args.fault_rate);
-    let plan_w4 = FaultPlan::seeded(args.seed ^ 0x9e37_79b9, horizon + 200, args.fault_rate);
+    let plan_fp = FaultPlan::seeded(FAULT_SEED, horizon + 200, FAULT_RATE);
+    let plan_w4 = FaultPlan::seeded(FAULT_SEED ^ 0x9e37_79b9, horizon + 200, FAULT_RATE);
     let panic_windows = [&plan_fp, &plan_w4]
         .iter()
         .flat_map(|p| p.windows())
@@ -720,11 +592,9 @@ fn chaos_study(ctx: &Ctx) -> Json {
     println!();
     println!(
         "chaos study: deadline_heavy traffic (0.5 req/step over {horizon} steps, 16 slots, \
-         fp+w4a4 pool) under a seeded fault schedule (seed {}, rate {:.2}: {} windows on fp, \
-         {} on w4a4, {panic_windows} of them worker panics) — quarantine+shedding vs no \
-         mitigation on the identical schedule",
-        args.seed,
-        args.fault_rate,
+         fp+w4a4 pool) under a seeded fault schedule (seed {FAULT_SEED}, rate {FAULT_RATE:.2}: \
+         {} windows on fp, {} on w4a4, {panic_windows} of them worker panics) — \
+         quarantine+shedding vs no mitigation on the identical schedule",
         plan_fp.windows().len(),
         plan_w4.windows().len(),
     );
@@ -791,8 +661,8 @@ fn chaos_study(ctx: &Ctx) -> Json {
             .num("availability", r.availability().unwrap_or(1.0), 4)
     };
     Json::default()
-        .field("seed", args.seed)
-        .num("fault_rate", args.fault_rate, 3)
+        .field("seed", FAULT_SEED)
+        .num("fault_rate", FAULT_RATE, 3)
         .field("fault_windows", fault_windows)
         .field("panic_windows", panic_windows)
         .field("mitigated", fragment(&mitigated))
@@ -809,26 +679,24 @@ struct ChatRun {
     prefill_tokens_saved: u64,
 }
 
-/// `--sessions`: multi-turn chat sessions, closed-loop (a session's
+/// Session study: multi-turn chat sessions, closed-loop (a session's
 /// next turn departs only after the prior reply lands). The resume
 /// path parks each turn's final Mamba state in a [`SessionStore`] and
 /// restores it for the follow-up — one fixed-size state transfer — so
 /// a follow-up carries only the user's new message; the re-prefill
-/// baseline replays the whole conversation as prompt every turn. With
-/// `--cancel-rate`, a deterministic prefix of the sessions hangs up
+/// baseline replays the whole conversation as prompt every turn. A
+/// deterministic [`CANCEL_RATE`] prefix of the sessions hangs up
 /// mid-first-turn on both paths, so the cancellation waste is priced
 /// identically.
 fn session_study(ctx: &Ctx) -> Json {
-    let args = &ctx.args;
-    let n = if args.smoke { 8 } else { 24 };
+    let n = if ctx.args.smoke { 8 } else { 24 };
     let turns = 3usize;
-    let doomed = (args.cancel_rate * n as f64).floor() as u64;
+    let doomed = (CANCEL_RATE * n as f64).floor() as u64;
     println!();
     println!(
         "session study: {n} chat sessions x {turns} turns (closed-loop), 8 slots, fp+w4a4 \
-         pool, prefill chunk {}, {doomed} mid-turn disconnects (cancel rate {:.2}) — \
-         parked-state resume vs full-history re-prefill",
-        args.prefill_chunk, args.cancel_rate
+         pool, prefill chunk {PREFILL_CHUNK}, {doomed} mid-turn disconnects (cancel rate \
+         {CANCEL_RATE:.2}) — parked-state resume vs full-history re-prefill"
     );
 
     // Same conversation material for both paths: openers from the
@@ -877,7 +745,7 @@ fn session_study(ctx: &Ctx) -> Json {
     Json::default()
         .field("n", n)
         .field("turns", turns)
-        .num("cancel_rate", args.cancel_rate, 2)
+        .num("cancel_rate", CANCEL_RATE, 2)
         .field("resumes", resume.resumes)
         .field("prefill_tokens_saved", resume.prefill_tokens_saved)
         .num("resume_ttft_mean_steps", resume_ttft.mean, 2)
@@ -992,37 +860,30 @@ fn drive_chat(
 }
 
 /// Prefix study: the shared-system-prompt burst with the prefix cache on
-/// versus off (identical traffic, fp+w4a4 registry), optionally
-/// throttled by a budget calibrated against both backends' cycle
-/// models. Every request carries the same system prompt: with the cache
+/// versus off (identical traffic, fp+w4a4 registry), throttled by a
+/// budget calibrated against both backends' cycle models. Every request carries the same system prompt: with the cache
 /// on the engine prefills it once per model, snapshots the post-prefix
 /// state, and every later bearer restores it (one state-transfer DMA)
 /// instead of re-prefilling.
 fn prefix_study(ctx: &Ctx) -> Json {
-    let args = &ctx.args;
-    let n = if args.smoke { 24 } else { 64 };
+    let n = if ctx.args.smoke { 24 } else { 64 };
     let prefix_len = 24usize;
     let slots = 8usize;
 
     // Calibrate once, against the same registry shape the runs use.
-    let budget = args.token_budget.then(|| {
-        calibrate_token_budget(&ctx.registry(&fp_w4a4()), &ctx.platform, &ctx.big, slots)
-            .expect("probe registry is non-empty")
-    });
+    let budget = calibrate_token_budget(&ctx.registry(&fp_w4a4()), &ctx.platform, &ctx.big, slots)
+        .expect("probe registry is non-empty");
 
     println!();
     println!(
         "prefix study: shared_system_prompt traffic ({n} turns behind one {prefix_len}-token \
-         system prompt), {slots} slots, fp+w4a4 pool, prefill chunk {} — cached-state restore \
-         vs re-prefilling the shared prefix",
-        args.prefill_chunk
+         system prompt), {slots} slots, fp+w4a4 pool, prefill chunk {PREFILL_CHUNK} — \
+         cached-state restore vs re-prefilling the shared prefix"
     );
-    if let Some(b) = budget {
-        println!(
-            "  calibrated token budget: {} prefill token-advances/step, {} resident tokens",
-            b.max_prefill_tokens_per_step, b.max_total_tokens
-        );
-    }
+    println!(
+        "  calibrated token budget: {} prefill token-advances/step, {} resident tokens",
+        budget.max_prefill_tokens_per_step, budget.max_total_tokens
+    );
 
     // Identical traffic for both runs: the generator stamps every
     // request with the same system prompt and the shared-prefix marker;
@@ -1032,7 +893,7 @@ fn prefix_study(ctx: &Ctx) -> Json {
     let drive = |prefix_cache: bool| {
         let setup = Setup {
             prefix_cache,
-            token_budget: budget,
+            token_budget: Some(budget),
             ..Setup::new(fp_w4a4(), slots)
         };
         ctx.priced_run(&setup, requests.clone(), &mut Fifo)
@@ -1083,7 +944,9 @@ fn prefix_study(ctx: &Ctx) -> Json {
         "restoring a cached state must start decode earlier than re-prefilling"
     );
 
-    let mut json = Json::default()
+    let prefill_util = cached.budget_prefill_utilization;
+    let resident_util = cached.budget_resident_utilization;
+    Json::default()
         .field("n", n)
         .field("prefix_len", prefix_len)
         .field("hits", cached.prefix_hits)
@@ -1096,21 +959,19 @@ fn prefix_study(ctx: &Ctx) -> Json {
         .num("cold_ttft_p50_steps", cold.ttft_steps.p50, 2)
         .num("cached_s", cached_run.seconds, 3)
         .num("cold_s", cold_run.seconds, 3)
-        .num("state_transfer_s", cached_run.state_transfer_s, 6);
-    if let Some(b) = budget {
-        let prefill_util = cached.budget_prefill_utilization;
-        let resident_util = cached.budget_resident_utilization;
-        json = json.field(
+        .num("state_transfer_s", cached_run.state_transfer_s, 6)
+        .field(
             "budget",
             Json::default()
-                .field("max_prefill_tokens_per_step", b.max_prefill_tokens_per_step)
-                .field("max_total_tokens", b.max_total_tokens)
+                .field(
+                    "max_prefill_tokens_per_step",
+                    budget.max_prefill_tokens_per_step,
+                )
+                .field("max_total_tokens", budget.max_total_tokens)
                 .field("deferrals", cached.budget_deferrals)
                 .num("prefill_utilization", prefill_util.unwrap_or(0.0), 4)
                 .num("resident_utilization", resident_util.unwrap_or(0.0), 4),
-        );
-    }
-    json
+        )
 }
 
 /// Scenario sweep under FIFO continuous batching at 16 slots, one W4A4
@@ -1185,19 +1046,14 @@ fn slot_sweep(ctx: &Ctx) -> Json {
 }
 
 /// Backend comparison: the same burst served by each backend alone,
-/// each priced with its own weight-stream width (`--backend` picks).
+/// each priced with its own weight-stream width.
 fn backend_comparison(ctx: &Ctx) -> Json {
     println!();
-    let picks: Vec<&str> = match ctx.args.backend.as_str() {
-        "both" => vec!["fp", "w4a4"],
-        one => vec![one],
-    };
     let mut table = Table::default();
     let mut json = Json::default();
-    for pick in picks {
-        let kind = if pick == "fp" { Kind::Fp } else { Kind::W4a4 };
+    for backend in fp_w4a4() {
         let (_, run) = ctx.priced_run(
-            &Setup::new(vec![entry(pick, kind)], 16),
+            &Setup::new(vec![backend], 16),
             ctx.requests(TrafficScenario::burst(64), 7, 1, 1),
             &mut Fifo,
         );
@@ -1225,13 +1081,12 @@ fn backend_comparison(ctx: &Ctx) -> Json {
     json
 }
 
-/// Multiplexed run: `--models N` backends (alternating fp/w4a4) on one
+/// Multiplexed run: [`MODELS`] backends (alternating fp/w4a4) on one
 /// slot pool, symmetric round-robin traffic.
 fn multiplex_study(ctx: &Ctx) -> Json {
-    let models = ctx.args.models;
     println!();
-    println!("multiplex: {models} backends on one 16-slot pool (burst of 64)");
-    let pool = (0..models)
+    println!("multiplex: {MODELS} backends on one 16-slot pool (burst of 64)");
+    let pool = (0..MODELS)
         .map(|k| match k % 2 {
             0 => entry(format!("fp-{k}"), Kind::Fp),
             _ => entry(format!("w4a4-{k}"), Kind::W4a4),
@@ -1239,7 +1094,7 @@ fn multiplex_study(ctx: &Ctx) -> Json {
         .collect();
     let (_, mux) = ctx.priced_run(
         &Setup::new(pool, 16),
-        ctx.requests(TrafficScenario::burst(64), 7, models, 1),
+        ctx.requests(TrafficScenario::burst(64), 7, MODELS, 1),
         &mut Fifo,
     );
     let mut table = Table::default();

@@ -2,17 +2,59 @@
 //! instrumentation (metrics registry + per-phase spans + flight
 //! recorder) must cost at most 5% of decode throughput.
 //!
-//! The workload is the same 8-slot FIFO closed batch `bench_decode`
-//! reports on, best-of-N timed runs on each side so scheduler noise
-//! cancels. The pin only means anything at optimizer settings —
-//! debug builds measure debug_assert and bounds-check overhead, not
-//! the instrumentation — so the assertion is release-only, mirroring
-//! the serving hot-path pins elsewhere in the workspace.
+//! The workload is an 8-slot FIFO closed batch of decode-heavy requests,
+//! best-of-N timed runs on each side so scheduler noise cancels. The pin
+//! only means anything at optimizer settings — debug builds measure
+//! debug_assert and bounds-check overhead, not the instrumentation — so
+//! the assertion is release-only, mirroring the serving hot-path pins
+//! elsewhere in the workspace.
 
-use lightmamba_bench::engine_obs_overhead;
+use std::time::Instant;
+
 use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_serve::engine::{EngineConfig, ServeEngine};
+use lightmamba_serve::observe::ObsConfig;
+use lightmamba_serve::request::GenRequest;
+use lightmamba_serve::scheduler::Fifo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Times the serving engine on a decode-heavy closed batch, bare vs
+/// fully instrumented, best of `reps` runs each. Returns
+/// `(bare_tok_s, instrumented_tok_s)`.
+fn engine_obs_overhead(model: &MambaModel, gen_tokens: usize, reps: usize) -> (f64, f64) {
+    let slots = 8usize;
+    let run = |with_obs: bool| -> f64 {
+        let mut best = 0.0f64;
+        for _ in 0..reps {
+            let mut engine = ServeEngine::new(
+                model,
+                EngineConfig {
+                    slots,
+                    max_steps: 1_000_000,
+                    prefill_chunk: 4,
+                    threads: 1,
+                    ..Default::default()
+                },
+            )
+            .expect("non-zero slots");
+            if with_obs {
+                engine.enable_obs(ObsConfig::default());
+            }
+            let reqs: Vec<GenRequest> = (0..slots)
+                .map(|k| GenRequest::greedy(k as u64, vec![k as u32 + 1, 2], gen_tokens))
+                .collect();
+            engine.submit(reqs).expect("arrivals are sorted");
+            let start = Instant::now();
+            let report = engine.run(&mut Fifo).expect("run drains");
+            let secs = start.elapsed().as_secs_f64().max(1e-9);
+            assert_eq!(report.completed, slots, "closed batch drains");
+            best = best.max((slots * gen_tokens) as f64 / secs);
+        }
+        best
+    };
+    (run(false), run(true))
+}
 
 #[test]
 fn instrumentation_costs_at_most_five_percent() {

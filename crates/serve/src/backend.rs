@@ -20,8 +20,8 @@
 //!   kernel path, so the host really streams ~4× fewer weight bytes per
 //!   step than FP16 (0.5 bytes per weight vs the dequantized path's 4) —
 //!   the headline the paper's Fig. 9a makes for single-stream decode,
-//!   extended to multi-tenant serving and measured on the host by the
-//!   `bench_decode` bin.
+//!   extended to multi-tenant serving and measured on the host by
+//!   `benchmark/` (`serve.backend.{fp,w4a4}.advance_us_b{1,16}`).
 //!
 //! The backend reuses one decode workspace across engine steps, so the
 //! batched forward allocates nothing in steady state (pinned by

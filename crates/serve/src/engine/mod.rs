@@ -444,9 +444,9 @@ impl<'m> ServeEngine<'m> {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for empty prompts, prompt
-    /// tokens outside the target model's vocabulary, or out-of-order
-    /// arrivals, and [`ServeError::UnknownModel`] for a request naming a
+    /// Returns [`ServeError::InvalidConfig`] for empty prompts, requests
+    /// for zero new tokens, prompt tokens outside the target model's
+    /// vocabulary, or out-of-order arrivals, and [`ServeError::UnknownModel`] for a request naming a
     /// model the registry does not hold. A rejected request holds no
     /// slot and records no [`Completion`]; requests ahead of it in the
     /// same call stay submitted.
@@ -1552,6 +1552,32 @@ mod tests {
         assert!(engine
             .submit(vec![GenRequest::greedy(0, vec![], 4)])
             .is_err());
+    }
+
+    #[test]
+    fn zero_token_requests_are_rejected_at_submit() {
+        // A request for no tokens used to be admitted: it held a slot for
+        // a step, was charged a prefill token-advance and retired as
+        // MaxTokens with nothing generated, counted in `completed`.
+        let model = tiny_model();
+        let mut engine = ServeEngine::new(&model, EngineConfig::default()).unwrap();
+        let err = engine
+            .submit(vec![GenRequest::greedy(0, vec![1, 2, 3], 0)])
+            .unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        let snapshot = SessionSnapshot {
+            state: PausedState::new(model.new_state()),
+            pending_token: 1,
+            consumed_tokens: 0,
+        };
+        let turn = GenRequest::greedy(1, vec![4], 0).with_session(9);
+        let err = engine.submit_with_state(turn, snapshot).unwrap_err();
+        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        assert_eq!(engine.pending_resumes(), 0);
+
+        let report = engine.run(&mut Fifo).unwrap();
+        assert_eq!((report.completed, report.steps), (0, 0));
+        assert!(engine.completions().is_empty());
     }
 
     #[test]

@@ -422,6 +422,28 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_token_submission_is_refused_at_the_handle() {
+        let model = tiny_model();
+        let (refused, run) = run_frontend(
+            engine(&model, 2),
+            Box::new(Fifo),
+            FrontendConfig::default(),
+            |handle| {
+                handle
+                    .submit(GenRequest::greedy(0, vec![1, 2, 3], 0))
+                    .map(|stream| stream.id())
+            },
+        )
+        .unwrap();
+        assert!(
+            matches!(refused, Err(ServeError::InvalidConfig(_))),
+            "{refused:?}"
+        );
+        assert_eq!((run.report.completed, run.report.steps), (0, 0));
+        assert!(run.completions.is_empty(), "the refusal records nothing");
+    }
+
+    #[test]
     fn streamed_tokens_match_the_completion_record() {
         let model = tiny_model();
         let (client, run) = run_frontend(

@@ -142,8 +142,9 @@ impl FrontendHandle {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::InvalidConfig`] for an empty prompt or a
-    /// prompt token outside the target model's vocabulary (or a
+    /// Returns [`ServeError::InvalidConfig`] for an empty prompt, a
+    /// request for zero new tokens or a prompt token outside the target
+    /// model's vocabulary (or a
     /// frontend whose engine thread has already shut down) and
     /// [`ServeError::UnknownModel`] for an out-of-range model id — the
     /// same intake validation the engine applies, run here so the

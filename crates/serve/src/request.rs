@@ -57,7 +57,7 @@ pub struct GenRequest {
     pub priority: Priority,
     /// Prompt token ids (must be non-empty).
     pub prompt: Vec<u32>,
-    /// Number of tokens to generate after the prompt.
+    /// Number of tokens to generate after the prompt (≥ 1).
     pub max_new_tokens: usize,
     /// Decoding strategy.
     pub sampler: Sampler,
@@ -153,13 +153,20 @@ impl GenRequest {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for an empty prompt or an
-    /// out-of-vocabulary prompt token, [`ServeError::UnknownModel`] for
-    /// a model id the registry does not hold.
+    /// [`ServeError::InvalidConfig`] for an empty prompt, a request for
+    /// zero new tokens or an out-of-vocabulary prompt token,
+    /// [`ServeError::UnknownModel`] for a model id the registry does not
+    /// hold.
     pub(crate) fn validate(&self, vocab_sizes: &[usize]) -> Result<(), ServeError> {
         if self.prompt.is_empty() {
             return Err(ServeError::InvalidConfig(format!(
                 "request {} has an empty prompt",
+                self.id
+            )));
+        }
+        if self.max_new_tokens == 0 {
+            return Err(ServeError::InvalidConfig(format!(
+                "request {} asks for zero new tokens",
                 self.id
             )));
         }

@@ -1237,7 +1237,7 @@ fn edf_strictly_beats_fifo_on_the_deadline_heavy_scenario() {
 }
 
 /// The preemption acceptance pin: on the preemption-heavy scenario (the
-/// exact workload `serve_traffic --preempt` runs, shortened), EDF with
+/// exact workload `serve_traffic`'s preemption study runs, shortened), EDF with
 /// pause/resume strictly beats non-preemptive EDF on deadline hit rate
 /// — reordering the queue cannot save a tight deadline while
 /// deadline-free hogs camp on every slot; pausing one can — with

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Runs a bench command, echoes its output, and writes the JSON of its
-# `BENCH_JSON ` line to a file — what every CI bench cell archives.
+# `BENCH_JSON ` line to a file — what CI's bench-smoke job archives.
 # Fails if the command fails or prints no such line.
 #
 #   scripts/bench-json.sh <out.json> -- <cmd…>
