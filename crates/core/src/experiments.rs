@@ -1,18 +1,19 @@
-//! The paper's tables and figures, each said once.
+//! The paper's tables and figures and the serving studies, each said once.
 //!
 //! Every result of the LightMamba paper that this repository reproduces
 //! (Tables I–IV, Fig. 2 / 3 / 4b / 6 / 7 / 9a / 9b / 10) is one
-//! [`Experiment`] in [`EXPERIMENTS`]. Its `run` regenerates the table or
-//! figure at a fixed size and seed — with the substitution its `note`
-//! names, since no checkpoint and no board are available here — and
-//! returns an [`Outcome`]: the text to print and the [`Check`]s that make
-//! the output a reproduction (who wins, by roughly what factor, inside
-//! which window around the paper's number). The paper's values are typed
-//! here and nowhere else, next to the code compared with them.
+//! [`Experiment`] in [`EXPERIMENTS`], followed by the nine `serve-*` rows
+//! of its serving extension (`serving.rs`). Its `run` regenerates the
+//! table or figure at a fixed size and seed — with the substitution its
+//! `note` names, since no checkpoint and no board are available here —
+//! and returns an [`Outcome`]: the text to print and the [`Check`]s that
+//! make the output a reproduction (who wins, by roughly what factor,
+//! inside which window around the paper's number). The paper's values
+//! are typed here and nowhere else, next to the code compared with them.
 //!
-//! `lightmamba_bench`'s `repro` binary prints the outcomes and exits
-//! non-zero on a failed check; `tests/experiment_shapes.rs` asserts the
-//! same checks, so every threshold lives in exactly one place. README.md
+//! The facade's `repro` binary prints the outcomes and exits non-zero on
+//! a failed check; `tests/experiment_shapes.rs` asserts the same checks,
+//! so every threshold lives in exactly one place. README.md
 //! §"Reproducing the paper" is the index.
 
 use std::fmt;
@@ -43,6 +44,8 @@ use rand::SeedableRng;
 use crate::ablation::run_ablation;
 use crate::codesign::{fidelity, CoDesign, Target};
 use crate::report::{bar, render_table};
+
+mod serving;
 
 /// One claim of the paper, tested against what an experiment measured.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +106,12 @@ impl fmt::Display for Outcome {
     }
 }
 
-/// One table or figure of the paper.
+/// One table or figure of the paper, or one serving study.
 #[derive(Debug, Clone, Copy)]
 pub struct Experiment {
-    /// The id `repro` selects it by (`table2`, `fig9a`, …).
+    /// The id `repro` selects it by (`table2`, `fig9a`, `serve-policy`, …).
     pub id: &'static str,
-    /// What the paper's table or figure shows.
+    /// What the paper's table or figure, or the serving study, shows.
     pub title: &'static str,
     /// The substitution made for what is unavailable here (empty when the
     /// experiment is the paper's own analytical model).
@@ -117,8 +120,9 @@ pub struct Experiment {
     pub run: fn() -> Outcome,
 }
 
-/// Every reproduced table and figure, in the paper's order.
-pub static EXPERIMENTS: [Experiment; 12] = [
+/// Every reproduced table and figure, in the paper's order, then the
+/// serving studies.
+pub static EXPERIMENTS: [Experiment; 21] = [
     Experiment {
         id: "table1",
         title: "qualitative comparison between accelerator paradigms",
@@ -190,6 +194,60 @@ pub static EXPERIMENTS: [Experiment; 12] = [
         title: "technique ablation on VCK190 / Mamba2-2.7B",
         note: "accuracy proxy = top-1 agreement of the stage's quantization on the scaled-down synthetic model",
         run: fig10,
+    },
+    Experiment {
+        id: "serve-policy",
+        title: "admission policies on deadline_heavy traffic (0.5 req/step over 150 steps, 16 slots, fp+w4a4 pool)",
+        note: serving::NOTE,
+        run: serving::policy,
+    },
+    Experiment {
+        id: "serve-preempt",
+        title: "plain vs preemptive EDF and priority on preemption_heavy traffic (0.6 req/step over 150 steps, 8 slots, fp+w4a4 pool)",
+        note: serving::NOTE,
+        run: serving::preempt,
+    },
+    Experiment {
+        id: "serve-sessions",
+        title: "8 chat sessions x 3 turns (closed-loop), 8 slots, fp+w4a4 pool, 2 mid-turn disconnects (cancel rate 0.25): parked-state resume vs full-history re-prefill",
+        note: serving::NOTE,
+        run: serving::sessions,
+    },
+    Experiment {
+        id: "serve-chaos",
+        title: "deadline_heavy traffic (0.5 req/step over 150 steps, 16 slots, fp+w4a4 pool) under a seeded fault schedule (seed 7, rate 0.05): quarantine+shedding vs no mitigation on the identical schedule",
+        note: serving::NOTE,
+        run: serving::chaos,
+    },
+    Experiment {
+        id: "serve-prefix",
+        title: "shared_system_prompt traffic (24 turns behind one 24-token system prompt), 8 slots, fp+w4a4 pool: cached-state restore vs re-prefilling the shared prefix",
+        note: serving::NOTE,
+        run: serving::prefix,
+    },
+    Experiment {
+        id: "serve-scenarios",
+        title: "traffic scenarios over 600 steps under FIFO continuous batching, 16 slots, one W4A4 backend",
+        note: serving::NOTE,
+        run: serving::scenarios,
+    },
+    Experiment {
+        id: "serve-slots",
+        title: "slot sweep on a burst of 64: FIFO vs static batching, one W4A4 backend, URAM residency",
+        note: serving::NOTE,
+        run: serving::slots,
+    },
+    Experiment {
+        id: "serve-backends",
+        title: "a burst of 64 on each backend alone (16 slots), each priced with its own weight-stream width",
+        note: serving::NOTE,
+        run: serving::backends,
+    },
+    Experiment {
+        id: "serve-multiplex",
+        title: "2 backends on one 16-slot pool (burst of 64)",
+        note: serving::NOTE,
+        run: serving::multiplex,
     },
 ];
 

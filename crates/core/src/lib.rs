@@ -5,7 +5,9 @@
 //! quantization ([`lightmamba_quant`]), configure the partially-unfolded
 //! spatial accelerator ([`lightmamba_accel`]), simulate decode, and report
 //! accuracy, throughput, resources and energy together. [`experiments`]
-//! is the paper's tables and figures, regenerated and checked.
+//! is the paper's tables and figures and the serving studies
+//! ([`lightmamba_serve`] on the paper's design points), regenerated and
+//! checked.
 //!
 //! # Example
 //!

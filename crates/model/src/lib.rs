@@ -44,7 +44,6 @@ pub mod eval;
 pub mod sampler;
 pub mod ssm;
 pub mod synth;
-pub mod transformer;
 pub mod weights;
 
 pub use batch::{DecodeKernels, DecodeWorkspace, LayerBatch, ParDecodeWorkspace, Workspace};

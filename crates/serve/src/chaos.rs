@@ -4,7 +4,7 @@
 //! A [`FaultPlan`] is a reproducible schedule of fault windows over
 //! engine *virtual time* (steps), generated from a seed — the same seed
 //! always yields the same windows, so every chaos test and the
-//! chaos study of `serve_traffic` replay exactly. A [`ChaosBackend`]
+//! `serve-chaos` experiment of `repro` replay exactly. A [`ChaosBackend`]
 //! wraps any [`DecodeBackend`] and fires the plan against it: inside a
 //! window the wrapped backend's batched advance (the trait's one
 //! execution method, so the decode-step and prefill conveniences built

@@ -67,7 +67,7 @@
 //!   [`chaos::FaultPlan`] drives a [`chaos::ChaosBackend`] wrapper that
 //!   injects step errors, panics, latency spikes, and restore
 //!   corruption on a reproducible schedule, so every resilience test
-//!   and `serve_traffic`'s chaos study replay exactly;
+//!   and the `serve-chaos` experiment of `repro` replay exactly;
 //! * [`frontend`] — the async streaming serving frontend: clients
 //!   submit through a cloneable handle and read per-token
 //!   [`frontend::StreamEvent`]s, dropping a stream cancels its request

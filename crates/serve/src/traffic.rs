@@ -221,7 +221,7 @@ impl TrafficScenario {
     /// the queue while every slot stays camped — so the gap between
     /// [`crate::scheduler::Edf::preemptive`] and plain EDF on
     /// `deadline_hit_rate()` is the scenario's headline (pinned by
-    /// test, shown by `serve_traffic`'s preemption study).
+    /// test, checked by `repro serve-preempt`).
     pub fn preemption_heavy(arrivals_per_step: f64) -> Self {
         TrafficScenario {
             name: "preemption_heavy",
@@ -253,7 +253,7 @@ impl TrafficScenario {
     /// tail. Without the cache every request re-prefills the system
     /// prompt; with it the first request harvests one snapshot and the
     /// rest restore it for the price of a single state move each
-    /// (pinned by test, shown by `serve_traffic`'s prefix study).
+    /// (pinned by test, checked by `repro serve-prefix`).
     ///
     /// Greedy sampling keeps the cache-on/cache-off comparison
     /// bit-identical on outputs, so the study isolates timing.

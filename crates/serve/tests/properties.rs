@@ -1171,7 +1171,7 @@ proptest! {
 }
 
 /// The bench acceptance pin: on the deadline-heavy scenario (the exact
-/// workload `serve_traffic`'s policy study runs, shortened), EDF's
+/// workload the `serve-policy` experiment runs, shortened), EDF's
 /// deadline-hit-rate strictly beats FIFO's, under chunked prefill, with
 /// outputs still bit-identical between the two runs.
 #[test]
@@ -1237,7 +1237,7 @@ fn edf_strictly_beats_fifo_on_the_deadline_heavy_scenario() {
 }
 
 /// The preemption acceptance pin: on the preemption-heavy scenario (the
-/// exact workload `serve_traffic`'s preemption study runs, shortened), EDF with
+/// exact workload the `serve-preempt` experiment runs, shortened), EDF with
 /// pause/resume strictly beats non-preemptive EDF on deadline hit rate
 /// — reordering the queue cannot save a tight deadline while
 /// deadline-free hogs camp on every slot; pausing one can — with

@@ -1,9 +1,11 @@
-//! Regenerates the paper's tables and figures and checks them.
+//! Regenerates the paper's tables and figures and the serving studies,
+//! and checks them.
 //!
 //! `repro [id…]` runs the named entries of
-//! [`lightmamba::experiments::EXPERIMENTS`] (all twelve when none is
-//! named), prints each outcome, and exits non-zero when a check fails.
-//! There are no flags: every experiment runs at one fixed size and seed.
+//! [`lightmamba::experiments::EXPERIMENTS`] (all of them when none is
+//! named: the twelve paper results, then the nine `serve-*` studies),
+//! prints each outcome, and exits non-zero when a check fails. There are
+//! no flags: every experiment runs at one fixed size and seed.
 
 use std::process::ExitCode;
 
@@ -41,10 +43,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let rule = "=".repeat(74);
     let outcomes: Vec<Outcome> = selected
         .into_iter()
         .map(|e| {
-            lightmamba_bench::banner(e.id, e.title, e.note);
+            println!("{rule}\nLightMamba reproduction — {}: {}", e.id, e.title);
+            if !e.note.is_empty() {
+                println!("note: {}", e.note);
+            }
+            println!("{rule}");
             let outcome = (e.run)();
             println!("{outcome}");
             outcome
@@ -76,10 +83,10 @@ mod tests {
 
     #[test]
     fn an_unknown_id_is_a_usage_error_listing_the_ids() {
-        let picked = select(&["fig9a".into(), "table2".into()]).unwrap();
+        let picked = select(&["fig9a".into(), "serve-chaos".into(), "table2".into()]).unwrap();
         assert_eq!(
             picked.iter().map(|e| e.id).collect::<Vec<_>>(),
-            ["fig9a", "table2"]
+            ["fig9a", "serve-chaos", "table2"]
         );
         assert_eq!(select(&[]).unwrap().len(), EXPERIMENTS.len());
 
@@ -87,7 +94,9 @@ mod tests {
         assert!(err.starts_with("unknown experiment `--smoke`"), "{err}");
         assert!(
             err.ends_with(
-                "ids: table1 table2 table3 table4 fig2 fig3 fig4b fig6 fig7 fig9a fig9b fig10"
+                "ids: table1 table2 table3 table4 fig2 fig3 fig4b fig6 fig7 fig9a fig9b fig10 \
+                 serve-policy serve-preempt serve-sessions serve-chaos serve-prefix \
+                 serve-scenarios serve-slots serve-backends serve-multiplex"
             ),
             "{err}"
         );

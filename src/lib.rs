@@ -8,7 +8,8 @@
 //! * [`model`] — the Mamba2 inference substrate;
 //! * [`quant`] — the LightMamba PTQ stack and its baselines;
 //! * [`accel`] — the FPGA accelerator cycle/resource/power models;
-//! * [`core`] — the co-design pipeline and Fig. 10 ablation;
+//! * [`core`] — the co-design pipeline, the Fig. 10 ablation, and the
+//!   checked experiment table the `repro` binary runs;
 //! * [`serve`] — the continuous-batching serving engine with
 //!   accelerator-costed throughput projection, plus the streaming
 //!   frontend (per-token streams, cancellation, multi-turn sessions);

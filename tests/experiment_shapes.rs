@@ -1,8 +1,9 @@
 //! The reproduction contract: every table and figure of the paper that
-//! `lightmamba::experiments` regenerates must pass its own checks (who
-//! wins, by roughly what factor, inside which window around the paper's
-//! number) — the checks `repro` prints, at the sizes it prints them.
-//! README.md §"Reproducing the paper" lists what each one holds.
+//! `lightmamba::experiments` regenerates, and every serving study after
+//! them, must pass its own checks (who wins, by roughly what factor,
+//! inside which window around the paper's number) — the checks `repro`
+//! prints, at the sizes it prints them. README.md §"Reproducing the
+//! paper" lists what each one holds.
 
 use lightmamba_repro::core::experiments::EXPERIMENTS;
 
@@ -46,18 +47,46 @@ experiment_tests! {
     fig9a_shape_flat_vs_decaying => "fig9a",
     fig9b_shape_small_models_gain_more => "fig9b",
     fig10_shape_ablation_ordering => "fig10",
+    serve_policy_edf_beats_fifo_on_deadlines => "serve-policy",
+    serve_preempt_pausing_rescues_deadlines_nearly_free => "serve-preempt",
+    serve_sessions_resume_beats_re_prefill => "serve-sessions",
+    serve_chaos_mitigation_never_loses_goodput => "serve-chaos",
+    serve_prefix_cache_skips_the_shared_prefix => "serve-prefix",
+    serve_scenarios_batching_beats_one_stream => "serve-scenarios",
+    serve_slots_continuous_beats_static_within_the_uram_bound => "serve-slots",
+    serve_backends_w4a4_out_serves_fp => "serve-backends",
+    serve_multiplex_w4a4_keeps_up_with_fp_on_one_pool => "serve-multiplex",
 }
 
-/// The table is exactly the paper's twelve results, each id once, and
-/// every one of them has a test above.
+/// The table is exactly the paper's twelve results, then the nine
+/// serving studies, each id once, and every one of them has a test above.
 #[test]
-fn the_table_is_the_twelve_results_and_each_is_tested() {
+fn the_table_is_the_paper_then_the_serving_studies_and_each_is_tested() {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     assert_eq!(
         ids,
         [
-            "table1", "table2", "table3", "table4", "fig2", "fig3", "fig4b", "fig6", "fig7",
-            "fig9a", "fig9b", "fig10"
+            "table1",
+            "table2",
+            "table3",
+            "table4",
+            "fig2",
+            "fig3",
+            "fig4b",
+            "fig6",
+            "fig7",
+            "fig9a",
+            "fig9b",
+            "fig10",
+            "serve-policy",
+            "serve-preempt",
+            "serve-sessions",
+            "serve-chaos",
+            "serve-prefix",
+            "serve-scenarios",
+            "serve-slots",
+            "serve-backends",
+            "serve-multiplex",
         ]
     );
     assert_eq!(ids, TESTED);
