@@ -135,37 +135,48 @@ impl ObsSlot {
     }
 }
 
-/// Run-wide tallies, read back by the accessors and
-/// [`ServeEngine::report`].
+/// The engine's run-wide tally — the one place a count is incremented.
+/// [`ServeEngine::report`] reads it, and the observability layer renders
+/// it as its `engine_*_total` counters.
 #[derive(Debug, Default)]
-struct Totals {
-    prefill_tokens: u64,
-    decode_tokens: u64,
+pub(crate) struct Totals {
+    pub(crate) prefill_tokens: u64,
+    pub(crate) decode_tokens: u64,
+    /// Fresh requests seated in a slot (session restores included).
+    pub(crate) admissions: u64,
     /// Pause / resume events.
-    preemptions: u64,
-    resumes: u64,
-    /// Requests evicted by client cancellation.
-    cancellations: usize,
+    pub(crate) preemptions: u64,
+    pub(crate) resumes: u64,
+    /// Requests that left the engine, by finish reason: completed
+    /// (max-tokens or EOS), evicted on deadline, cancelled by their
+    /// client, retired by backend faults, shed at arrival.
+    pub(crate) completed: usize,
+    pub(crate) evicted: usize,
+    pub(crate) cancellations: usize,
+    pub(crate) failed: usize,
+    pub(crate) rejected: usize,
     /// Token-advances spent on requests that were later cancelled.
-    wasted_advances: u64,
+    pub(crate) wasted_advances: u64,
     /// Minimum remaining service (steps) of cancelled residents at the
     /// moment their slot was reclaimed.
-    reclaimed_slot_steps: u64,
-    /// Requests retired as `Failed` by backend faults.
-    failed: usize,
-    /// Arrivals shed as `Rejected`.
-    rejected: usize,
+    pub(crate) reclaimed_slot_steps: u64,
     /// Backend faults contained (error returns plus caught panics).
-    backend_faults: u64,
+    pub(crate) backend_faults: u64,
     /// Quarantine entries (first faults and half-open re-faults) and
     /// recoveries (half-open canary survived).
-    quarantine_entries: u64,
-    quarantine_recoveries: u64,
+    pub(crate) quarantine_entries: u64,
+    pub(crate) quarantine_recoveries: u64,
     /// Admissions the token budget deferred.
-    budget_deferrals: u64,
-    /// Peak resident-token footprint (Σ `prompt + max_new` over
-    /// slot-holders).
-    peak_resident_tokens: usize,
+    pub(crate) budget_deferrals: u64,
+    /// Session turns whose final state was parked, and admissions that
+    /// restored one.
+    pub(crate) session_parks: u64,
+    pub(crate) session_restores: u64,
+    /// Worker shards the sub-batches ran on (1 per sub-batch when
+    /// sequential).
+    pub(crate) par_shards: u64,
+    /// Fixed-size states moved on the shared stream, per model.
+    pub(crate) state_moves: Vec<u64>,
 }
 
 /// Engine limits.
@@ -345,7 +356,10 @@ impl<'m> ServeEngine<'m> {
             clock: 0,
             completions: Vec::new(),
             trace: RunTrace::default(),
-            totals: Totals::default(),
+            totals: Totals {
+                state_moves: vec![0; n_models],
+                ..Totals::default()
+            },
             processed_per_model: vec![0; n_models],
             resume_latency: Vec::new(),
             cancels: HashSet::new(),
@@ -400,31 +414,6 @@ impl<'m> ServeEngine<'m> {
         } else {
             self.cfg.prefill_chunk
         }
-    }
-
-    /// Requests retired as [`crate::request::FinishReason::Failed`] by backend faults.
-    pub fn failed_count(&self) -> usize {
-        self.totals.failed
-    }
-
-    /// Arrivals shed as [`crate::request::FinishReason::Rejected`] by overload
-    /// protection.
-    pub fn rejected_count(&self) -> usize {
-        self.totals.rejected
-    }
-
-    /// Backend faults contained so far (error returns plus caught
-    /// panics, one per model per step at most).
-    pub fn backend_fault_count(&self) -> u64 {
-        self.totals.backend_faults
-    }
-
-    /// Quarantine transitions so far: `(entries, recoveries)`.
-    pub fn quarantine_transitions(&self) -> (u64, u64) {
-        (
-            self.totals.quarantine_entries,
-            self.totals.quarantine_recoveries,
-        )
     }
 
     /// The registry of backends this engine multiplexes.
@@ -529,20 +518,12 @@ impl<'m> ServeEngine<'m> {
     /// series registered from this engine's registry), per-step phase
     /// spans, and the flight recorder. Off by default — a disabled
     /// engine pays one branch per hook. Enabling mid-run starts the
-    /// wall-clock epoch at the call, replacing any prior layer.
+    /// wall-clock epoch at the call, replacing any prior layer; the
+    /// `_total` counters read the engine's run-wide tally, so they count
+    /// from the engine's first step either way.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         let names: Vec<&str> = self.registry.iter().map(|(_, name, _)| name).collect();
         self.obs = ObsSlot(Some(Box::new(EngineObs::new(cfg, &names))));
-    }
-
-    /// The observability layer, when enabled.
-    pub fn obs(&self) -> Option<&EngineObs> {
-        self.obs.0.as_deref()
-    }
-
-    /// Mutable access to the observability layer, when enabled.
-    pub fn obs_mut(&mut self) -> Option<&mut EngineObs> {
-        self.obs.0.as_deref_mut()
     }
 
     /// Detaches and returns the observability layer (the engine keeps
@@ -580,18 +561,6 @@ impl<'m> ServeEngine<'m> {
     /// occupancy for tests and reports.
     pub fn prefix_cache(&self) -> Option<&PrefixCache> {
         self.prefix.as_ref()
-    }
-
-    /// Admissions deferred by the token budget across the run
-    /// ([`EngineConfig::token_budget`]); 0 with no budget set.
-    pub fn budget_deferrals(&self) -> u64 {
-        self.totals.budget_deferrals
-    }
-
-    /// Peak resident-token footprint (Σ `prompt + max_new` over
-    /// slot-holders at the post-admission point) observed so far.
-    pub fn peak_resident_tokens(&self) -> usize {
-        self.totals.peak_resident_tokens
     }
 
     /// Slot-pool capacity.
@@ -1463,16 +1432,7 @@ mod tests {
         assert_eq!(report.per_model.len(), 2);
         assert_eq!(report.per_model[0].completed, 4);
         assert_eq!(report.per_model[1].completed, 4);
-        // Sub-batches are recorded per model and sum to the step batch;
-        // per-model processed tokens sum to the step's token-advances.
-        for (sub, &total) in report
-            .trace
-            .sub_batches_per_step
-            .iter()
-            .zip(&report.trace.batch_per_step)
-        {
-            assert_eq!(sub.iter().sum::<usize>(), total);
-        }
+        // Per-model processed tokens sum to the step's token-advances.
         for (sub, &total) in report
             .trace
             .sub_processed_per_step
@@ -1638,7 +1598,6 @@ mod tests {
         assert_eq!(report.evicted, 0, "a cancel is not a deadline eviction");
         assert!(report.wasted_token_advances >= 3);
         assert!(report.reclaimed_slot_steps > 0);
-        assert_eq!(report.trace.cancellations_per_step.iter().sum::<usize>(), 1);
         assert!(hog.deadline_hit().is_none());
     }
 
@@ -1972,7 +1931,10 @@ mod tests {
         // waiting requests then complete bit-identically.
         assert_eq!(report.failed, 2);
         assert_eq!(report.completed, 2);
-        assert_eq!(engine.quarantine_transitions(), (1, 1));
+        assert_eq!(
+            (report.quarantine_entries, report.quarantine_recoveries),
+            (1, 1)
+        );
         assert_eq!(engine.backend_health(0), Some(BackendHealth::Healthy));
         for c in engine.completions() {
             if matches!(c.finish, FinishReason::MaxTokens | FinishReason::Eos) {
@@ -2057,7 +2019,7 @@ mod tests {
         let kept = GenRequest::greedy(101, vec![1], 2).with_priority(Priority::Interactive);
         engine.submit(vec![shed, kept]).unwrap();
         engine.step(&mut Fifo).unwrap();
-        assert_eq!(engine.rejected_count(), 1);
+        assert_eq!(engine.report(&Fifo).rejected, 1);
         assert!(engine
             .completions()
             .iter()
@@ -2066,6 +2028,66 @@ mod tests {
         let report = engine.run(&mut Fifo).unwrap();
         assert_eq!(report.completed, 11, "everything admitted still finishes");
         assert_eq!(report.rejected, 1);
+    }
+
+    #[test]
+    fn rung_three_reroutes_only_prompts_the_cheap_model_can_embed() {
+        use crate::backend::{FpBackend, W4A4Backend};
+        use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+        // Same state shape, half the vocabulary: registration accepts
+        // the W4A4 model, and it is the registry's cheapest.
+        let fp = tiny_model();
+        let narrow = MambaConfig {
+            vocab_size: 128,
+            ..MambaConfig::tiny()
+        };
+        let small = MambaModel::synthetic(narrow, &mut StdRng::seed_from_u64(4)).unwrap();
+        let q = quantize_model(&small, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
+        let mut reg = ModelRegistry::new();
+        reg.register("fp", Box::new(FpBackend::new(&fp))).unwrap();
+        reg.register("w4a4", Box::new(W4A4Backend::new(q))).unwrap();
+        let mut engine = ServeEngine::with_registry(
+            reg,
+            EngineConfig {
+                slots: 2,
+                max_steps: 1_000,
+                prefill_chunk: 4,
+                threads: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        // Walk the ladder to rung 3 by hand (no degradation config is
+        // set, so the controller stays there).
+        let dcfg = DegradationConfig {
+            queue_slo: 0,
+            breach_steps: 1,
+            recover_steps: 1,
+        };
+        for _ in 0..3 {
+            engine.degradation.observe(1, &dcfg);
+        }
+        assert_eq!(engine.degradation_level(), 3);
+        // Request 0's prompt only the FP model can embed; request 1's
+        // fits both and would share the W4A4 sub-batch with it.
+        engine
+            .submit(vec![
+                GenRequest::greedy(0, vec![200, 130, 250], 3),
+                GenRequest::greedy(1, vec![1, 2, 3], 3),
+            ])
+            .unwrap();
+        let report = engine.run(&mut Fifo).unwrap();
+        assert_eq!((report.failed, report.backend_faults), (0, 0));
+        assert_eq!(report.completed, 2);
+        // Request 0 stays on the model that can embed it; request 1 is
+        // still rerouted.
+        let mut placed: Vec<(u64, usize)> = engine
+            .completions()
+            .iter()
+            .map(|c| (c.id, c.model))
+            .collect();
+        placed.sort_unstable();
+        assert_eq!(placed, [(0, 0), (1, 1)]);
     }
 
     #[test]
@@ -2470,7 +2492,6 @@ mod tests {
                 .map(|&d| d as u64)
                 .sum::<u64>()
         );
-        assert!(engine.peak_resident_tokens() <= 30);
         let prefill_util = report.budget_prefill_utilization.unwrap();
         assert!(prefill_util > 0.0 && prefill_util <= 1.0);
         let resident_util = report.budget_resident_utilization.unwrap();
@@ -2669,7 +2690,7 @@ mod tests {
         // the configured one the second is deferred (4 + 4 > 4) — while
         // the step itself still feeds the degraded chunk.
         assert_eq!(engine.active_count(), 1);
-        assert_eq!(engine.budget_deferrals(), 1);
+        assert_eq!(engine.report(&Fifo).budget_deferrals, 1);
         assert_eq!(engine.trace.prefill_per_step, [2]);
     }
 

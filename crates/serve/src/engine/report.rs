@@ -91,8 +91,8 @@ impl ServeEngine<'_> {
         let budget = self.cfg.token_budget;
         ServeReport {
             policy: policy.name(),
-            completed: all.completed,
-            evicted: all.evicted,
+            completed: self.totals.completed,
+            evicted: self.totals.evicted,
             failed: self.totals.failed,
             rejected: self.totals.rejected,
             backend_faults: self.totals.backend_faults,
@@ -128,8 +128,10 @@ impl ServeEngine<'_> {
                     fed as f64 / (steps * b.max_prefill_tokens_per_step as u64) as f64
                 }
             }),
-            budget_resident_utilization: budget
-                .map(|b| self.totals.peak_resident_tokens as f64 / b.max_total_tokens as f64),
+            budget_resident_utilization: budget.map(|b| {
+                let peak = self.trace.resident_tokens_per_step.iter().max();
+                peak.copied().unwrap_or(0) as f64 / b.max_total_tokens as f64
+            }),
             prefix_hits: self.prefix.as_ref().map_or(0, PrefixCache::hits),
             prefix_misses: self.prefix.as_ref().map_or(0, PrefixCache::misses),
             per_model,

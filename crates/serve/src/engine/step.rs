@@ -10,16 +10,18 @@ use lightmamba_obs::recorder::{FaultKind, LifecyclePhase, StepRecord};
 use super::seq::{unadmitted, ActiveSeq, PausedSeq, Progress};
 use super::{ServeEngine, SessionSnapshot, StepEvent};
 use crate::backend::DecodeBackend;
+use crate::observe::Tally;
 use crate::registry::{ModelId, ModelRegistry};
 use crate::request::{Completion, FinishReason, GenRequest, Priority};
 use crate::resilience::{BackendHealth, HealthTracker};
 use crate::scheduler::{AdmissionCtx, Policy, SeqView, TokenBudget};
 
 /// Everything one step accumulates between its phases: the scratch the
-/// phases hand each other and the counters [`ServeEngine::close`] folds
-/// into [`crate::metrics::RunTrace`] and the observability layer's
-/// [`StepRecord`]. Built fresh each step; per-model vectors are indexed
-/// by [`ModelId`] and sized by the phase that first writes them.
+/// phases hand each other and the per-step counts [`ServeEngine::close`]
+/// folds into the run tally, [`crate::metrics::RunTrace`] and the
+/// observability layer's [`StepRecord`]. Built fresh each step;
+/// per-model vectors are indexed by [`ModelId`] and sized by the phase
+/// that first writes them.
 #[derive(Default)]
 pub(super) struct StepCtx {
     /// Span category of the step's phase spans ([`Policy::name`]).
@@ -48,11 +50,8 @@ pub(super) struct StepCtx {
     sub_state_moves: Vec<usize>,
     /// Residents entering the advance.
     total_batch: usize,
-    /// Sequences / token-advances of each model's clean sub-batch.
-    sub_batches: Vec<usize>,
+    /// Token-advances of each model's clean sub-batch.
     sub_processed: Vec<usize>,
-    /// Worker shards the step's sub-batches ran on.
-    shards: u64,
     /// Logits per resident, index-aligned with `active`.
     step_logits: Vec<Option<Vec<f32>>>,
     /// At most one fault per model per step; `true` marks a caught
@@ -200,15 +199,17 @@ impl ServeEngine<'_> {
         self.obs.with(|o| o.spans.end());
     }
 
-    /// The one way out of the engine: bumps the finish reason's counter
+    /// The one way out of the engine: bumps the finish reason's count
     /// and records the completion.
     fn record(&mut self, c: Completion) {
-        match c.finish {
-            FinishReason::Cancelled => self.totals.cancellations += 1,
-            FinishReason::Failed => self.totals.failed += 1,
-            FinishReason::Rejected => self.totals.rejected += 1,
-            FinishReason::MaxTokens | FinishReason::Eos | FinishReason::DeadlineExceeded => {}
-        }
+        let t = &mut self.totals;
+        *match c.finish {
+            FinishReason::MaxTokens | FinishReason::Eos => &mut t.completed,
+            FinishReason::DeadlineExceeded => &mut t.evicted,
+            FinishReason::Cancelled => &mut t.cancellations,
+            FinishReason::Failed => &mut t.failed,
+            FinishReason::Rejected => &mut t.rejected,
+        } += 1;
         self.completions.push(c);
     }
 
@@ -298,7 +299,9 @@ impl ServeEngine<'_> {
     /// shed request retires as `Rejected` with a retry hint scaled to
     /// queue pressure; it never holds a slot and does no model work.
     /// From rung 3, degradable (non-Interactive, non-session) arrivals
-    /// are rerouted to the registry's cheapest backend.
+    /// are rerouted to the registry's cheapest backend — those whose
+    /// prompt fits its vocabulary: a token it cannot embed would fault
+    /// its whole sub-batch.
     pub(super) fn arrivals(&mut self) {
         let level = self.degradation.level();
         let reroute_to = (level >= 3)
@@ -329,7 +332,10 @@ impl ServeEngine<'_> {
             // Session resumes stay on their model: their saved state
             // embodies that model's decode history.
             if let Some(cheap) = reroute_to {
-                if r.priority != Priority::Interactive && !self.resume_states.contains_key(&r.id) {
+                let vocab = self.vocab_sizes[cheap];
+                let fits = r.prompt.iter().all(|&t| (t as usize) < vocab);
+                let resume = self.resume_states.contains_key(&r.id);
+                if fits && !resume && r.priority != Priority::Interactive {
                     r.model = cheap;
                 }
             }
@@ -516,8 +522,6 @@ impl ServeEngine<'_> {
         // [`TokenBudget::max_total_tokens`] bounds, recorded whether or
         // not a budget is set so utilization is always reportable.
         ctx.resident_tokens = self.resident_load().footprint;
-        self.totals.peak_resident_tokens =
-            self.totals.peak_resident_tokens.max(ctx.resident_tokens);
     }
 
     /// Seats the surviving picks, each in a freshly allocated slot.
@@ -559,19 +563,19 @@ impl ServeEngine<'_> {
         if let Some(prior) = self.resume_states.remove(&req.id) {
             backend.restore_state(&prior, &mut self.pool.states_mut()[slot]);
             ctx.sub_state_moves[req.model] += 1;
-            self.obs.with(|o| o.session_restore());
+            self.totals.session_restores += 1;
         } else if let (Some(cache), Some(k)) = (self.prefix.as_mut(), prefix) {
+            // The lookup counts its own hit or miss.
             if let Some(snap) = cache.lookup(req.model, &req.prompt[..k]) {
                 backend.restore_state(snap, &mut self.pool.states_mut()[slot]);
                 ctx.sub_state_moves[req.model] += 1;
                 pos = k;
-                self.obs.with(|o| o.prefix_hit());
             } else {
                 harvest = Some(k);
-                self.obs.with(|o| o.prefix_miss());
             }
         }
         ctx.admitted += 1;
+        self.totals.admissions += 1;
         self.obs
             .with(|o| o.lifecycle(req.id, self.clock, LifecyclePhase::Admitted));
         if self.events_enabled {
@@ -616,7 +620,6 @@ impl ServeEngine<'_> {
     pub(super) fn advance(&mut self, ctx: &mut StepCtx) {
         let n_models = self.registry.len();
         ctx.total_batch = self.active.len();
-        ctx.sub_batches = vec![0; n_models];
         ctx.sub_processed = vec![0; n_models];
         ctx.step_logits = vec![None; ctx.total_batch];
         ctx.faulted = vec![None; n_models];
@@ -656,13 +659,12 @@ impl ServeEngine<'_> {
                     continue;
                 }
             };
-            ctx.sub_batches[mid] = idxs.len();
             ctx.sub_processed[mid] = fed;
             self.processed_per_model[mid] += fed as u64;
             // Worker shards this sub-batch ran on: the pool never uses
             // more shards than sequences (mirrors the backend's
             // contiguous shard plan); 1 on the sequential path.
-            ctx.shards += backend.pool_threads().min(idxs.len()) as u64;
+            self.totals.par_shards += backend.pool_threads().min(idxs.len()) as u64;
             for (&i, (slot, logits)) in idxs.iter().zip(results) {
                 debug_assert_eq!(self.active[i].slot, slot);
                 ctx.step_logits[i] = Some(logits);
@@ -675,8 +677,6 @@ impl ServeEngine<'_> {
                     .with(|o| o.fault_event(self.clock, mid as u32, FaultKind::Recovered));
             }
         }
-        let threads = self.worker_threads();
-        self.obs.with(|o| o.pool_activity(threads, ctx.shards));
         self.contain_faults(ctx);
     }
 
@@ -814,6 +814,7 @@ impl ServeEngine<'_> {
                 };
                 self.session_snapshots.push((sid, snapshot));
                 ctx.sub_state_moves[run.req.model] += 1;
+                self.totals.session_parks += 1;
             }
             self.vacate(seq, finish);
         }
@@ -836,26 +837,32 @@ impl ServeEngine<'_> {
     ///
     /// In the trace, `batch_per_step` is residency (what URAM bounds);
     /// `processed_per_step` is token-advances (what the weight stream is
-    /// shared across, hence what a step costs); `tokens_per_step`
-    /// counts sampled outputs; `state_moves_per_step` is pause/resume
-    /// traffic (each move is one fixed-size state on the shared memory
-    /// stream).
+    /// shared across, hence what a step costs); `state_moves_per_step`
+    /// is pause/resume traffic (each move is one fixed-size state on the
+    /// shared memory stream).
     pub(super) fn close(&mut self, ctx: StepCtx) {
         let processed: usize = ctx.sub_processed.iter().sum();
         let state_moves: usize = ctx.sub_state_moves.iter().sum();
-        let left = &self.completions[ctx.completions_at_entry..];
-        let cancelled = left
-            .iter()
-            .filter(|c| c.finish == FinishReason::Cancelled)
-            .count();
-        self.totals.prefill_tokens += ctx.prefill_tokens as u64;
-        self.totals.decode_tokens += ctx.decode_tokens as u64;
+        let totals = &mut self.totals;
+        totals.prefill_tokens += ctx.prefill_tokens as u64;
+        totals.decode_tokens += ctx.decode_tokens as u64;
+        for (total, &moves) in totals.state_moves.iter_mut().zip(&ctx.sub_state_moves) {
+            *total += moves as u64;
+        }
         self.budget_deferred_last_step = ctx.budget_deferred;
 
-        // End the step span with the step's headline numbers, then fold
-        // the step — its record, the requests that left the engine, its
-        // session parks, its per-model work — into metrics and the
-        // flight recorder. All of it is allocation-free in steady state.
+        // End the step span with the step's headline numbers, then bring
+        // the metrics up to the run tally and fold the step — its
+        // record, the requests that left the engine, its session parks —
+        // into histograms and the flight recorder. All of it is
+        // allocation-free in steady state.
+        let tally = Tally {
+            steps: self.clock + 1,
+            threads: self.worker_threads(),
+            totals: &self.totals,
+            prefix: self.prefix.as_ref(),
+            processed_per_model: &self.processed_per_model,
+        };
         self.obs.with(|o| {
             o.spans.end_with([
                 ("batch", ctx.total_batch as f64),
@@ -881,27 +888,19 @@ impl ServeEngine<'_> {
             };
             o.close_step(
                 rec,
+                &tally,
                 &self.completions[ctx.completions_at_entry..],
                 &self.session_snapshots[ctx.snapshots_at_entry..],
-                &ctx.sub_processed,
-                &ctx.sub_state_moves,
+                ctx.budget_deferred,
             );
-            o.budget_deferred(ctx.budget_deferred);
         });
 
         let trace = &mut self.trace;
         trace.batch_per_step.push(ctx.total_batch);
         trace.processed_per_step.push(processed);
-        trace.sub_batches_per_step.push(ctx.sub_batches);
         trace.sub_processed_per_step.push(ctx.sub_processed);
-        trace.tokens_per_step.push(ctx.decode_tokens);
-        trace.queue_depth_per_step.push(self.waiting.len());
-        trace.preemptions_per_step.push(ctx.preempted);
-        trace.resumes_per_step.push(ctx.resumed);
-        trace.paused_depth_per_step.push(self.paused.len());
         trace.state_moves_per_step.push(state_moves);
         trace.sub_state_moves_per_step.push(ctx.sub_state_moves);
-        trace.cancellations_per_step.push(cancelled);
         trace.prefill_per_step.push(ctx.prefill_tokens);
         trace.resident_tokens_per_step.push(ctx.resident_tokens);
         trace

@@ -100,12 +100,6 @@ pub struct FrontendRun {
     pub session_misses: u64,
     /// Sessions the store evicted under LRU pressure.
     pub session_evictions: u64,
-    /// Admissions that restored a cached shared-prefix state (see
-    /// [`crate::prefix::PrefixCache`]); 0 with the cache off.
-    pub prefix_hits: u64,
-    /// Shared-prefix admissions that found no cached state; 0 with the
-    /// cache off.
-    pub prefix_misses: u64,
     /// The observability state accumulated by the engine thread, when
     /// [`FrontendConfig::obs`] was set (or the caller enabled it on the
     /// engine before handing it over): render with
@@ -316,17 +310,13 @@ fn engine_loop(
         }
     }
 
-    let report = engine.report(policy);
-    let (prefix_hits, prefix_misses) = (report.prefix_hits, report.prefix_misses);
     Ok(FrontendRun {
-        report,
+        report: engine.report(policy),
         completions: engine.completions().to_vec(),
         sessions_stored: st.store.len(),
         session_resumes: st.session_resumes,
         session_misses: st.session_misses,
         session_evictions: st.store.evictions(),
-        prefix_hits,
-        prefix_misses,
         obs: engine.take_obs(),
     })
 }

@@ -45,10 +45,10 @@
 //!   transfer on the same stream;
 //! * [`observe`] — the engine-side observability layer over
 //!   `lightmamba_obs`: pre-registered engine metrics with
-//!   Prometheus-style exposition, per-step phase spans exportable as a
-//!   two-lane Chrome trace (host wall clock + accelerator-projected
-//!   virtual time), and a flight recorder of recent steps and request
-//!   lifecycle timelines with optional SLO capture;
+//!   Prometheus-style exposition (the counters read the engine's run
+//!   tally), per-step phase spans exportable as a two-lane Chrome trace
+//!   (host wall clock + accelerator-projected virtual time), and a
+//!   flight recorder of recent steps and request lifecycle timelines;
 //! * [`prefix`] — the shared-prefix state cache: because a whole
 //!   prompt prefix compresses into one fixed-size state, requests
 //!   carrying the same system prompt restore a cached post-prefix

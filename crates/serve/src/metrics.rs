@@ -3,16 +3,21 @@
 //! All raw timestamps are in *engine steps* (one batched model step).
 //! Steps map to wall time only through a cost model — engine-side
 //! metrics stay hardware-free, and `crate::accel_cost` converts a run's
-//! trace to projected seconds on a concrete accelerator. With chunked
-//! prefill a step is no longer one token per resident sequence, so the
-//! trace distinguishes *residency* (`batch_per_step`, what the slot
-//! pool and URAM bound care about) from *work* (`processed_per_step`,
-//! token-advances, what the cost model prices). Preemptive policies add
-//! a third kind of traffic: every pause/resume moves one fixed-size
-//! recurrent state across the memory stream
-//! (`state_moves_per_step`), and the run-level counters
-//! (`ServeReport::preemptions`, `resumes`, `resume_latency_steps`)
-//! summarize how often and for how long sequences were benched.
+//! trace to projected seconds on a concrete accelerator.
+//!
+//! [`RunTrace`] keeps only the per-step series something prices or
+//! bounds. With chunked prefill a step is no longer one token per
+//! resident sequence, so it distinguishes *residency*
+//! (`batch_per_step`, what the slot pool and URAM bound care about)
+//! from *work* (`processed_per_step` and its per-model split, what the
+//! cost model prices). Preemption, sessions and the prefix cache add a
+//! third kind of traffic: every pause, resume, park or restore moves one
+//! fixed-size recurrent state across the memory stream
+//! (`state_moves_per_step`, also split per model). The token budget's
+//! caps are checked against `prefill_per_step` and
+//! `resident_tokens_per_step`. Run-level counts (preemptions, resumes,
+//! cancellations, faults, …) are fields of [`ServeReport`], read from the
+//! engine's one tally.
 
 use lightmamba_obs::percentile::{nearest_rank, sort_samples};
 
@@ -75,43 +80,21 @@ pub struct RunTrace {
     /// by this (the weight stream is shared across all of a step's
     /// token-advances).
     pub processed_per_step: Vec<usize>,
-    /// Per-model sub-batch *sequence counts* of each executed step,
-    /// indexed by [`crate::registry::ModelId`] (every inner vec has one
-    /// entry per registered model; they sum to the step's
-    /// `batch_per_step` entry).
-    pub sub_batches_per_step: Vec<Vec<usize>>,
-    /// Per-model *token-advances* of each executed step (same shape as
-    /// `sub_batches_per_step`, summing to `processed_per_step`). The
-    /// multiplex cost model prices each sub-batch's tokens with that
-    /// backend's own weight stream.
+    /// Per-model *token-advances* of each executed step, indexed by
+    /// [`crate::registry::ModelId`] (every inner vec has one entry per
+    /// registered model; they sum to the step's `processed_per_step`
+    /// entry). The multiplex cost model prices each sub-batch's tokens
+    /// with that backend's own weight stream.
     pub sub_processed_per_step: Vec<Vec<usize>>,
-    /// Decode tokens *sampled* by each step (the boundary step that
-    /// consumes the final prompt chunk also samples, so this can exceed
-    /// the step's decode-input count).
-    pub tokens_per_step: Vec<usize>,
-    /// Waiting-queue depth after admissions, per step.
-    pub queue_depth_per_step: Vec<usize>,
-    /// Resident sequences preempted (paused out of their slot) by each
-    /// step.
-    pub preemptions_per_step: Vec<usize>,
-    /// Paused sequences resumed into a slot by each step.
-    pub resumes_per_step: Vec<usize>,
-    /// Paused-queue depth after admissions, per step.
-    pub paused_depth_per_step: Vec<usize>,
     /// State transfers of each step: every pause writes one fixed-size
     /// recurrent state off-chip and every resume reads one back, on the
     /// same stream the weights ride — so the cost model prices each
     /// move as state bytes of DMA (`preemptions + resumes` that step).
     pub state_moves_per_step: Vec<usize>,
     /// Per-model state transfers of each step (same shape as
-    /// `sub_batches_per_step`, summing to `state_moves_per_step`); the
+    /// `sub_processed_per_step`, summing to `state_moves_per_step`); the
     /// multiplex cost model attributes each move to its model.
     pub sub_state_moves_per_step: Vec<Vec<usize>>,
-    /// Requests evicted by each step because their client cancelled (or
-    /// dropped its stream). Cancellations are processed at the top of
-    /// the step, so a slot freed here is offered to admission in the
-    /// same step.
-    pub cancellations_per_step: Vec<usize>,
     /// Prompt (prefill) tokens fed by each step — the subset of
     /// `processed_per_step` that [`crate::scheduler::TokenBudget`]'s
     /// per-step prefill cap bounds (the budget proptests assert every
@@ -324,15 +307,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Decode tokens per engine step — the hardware-free throughput.
-    pub fn tokens_per_step(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.generated_tokens as f64 / self.steps as f64
-        }
-    }
-
     /// Fraction of deadline-carrying requests that completed within
     /// their budget (`None` when the run had no deadline traffic) — the
     /// metric deadline-aware policies compete on.
@@ -390,8 +364,6 @@ mod tests {
         let t = RunTrace {
             batch_per_step: vec![0, 2, 4, 0, 6],
             processed_per_step: vec![0, 5, 7, 0, 6],
-            tokens_per_step: vec![0, 2, 4, 0, 6],
-            queue_depth_per_step: vec![5, 3, 1, 0, 0],
             ..Default::default()
         };
         assert_eq!(t.steps(), 5);

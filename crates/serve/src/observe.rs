@@ -8,15 +8,19 @@
 //! — `None` (the default) costs one branch per hook, and
 //! [`crate::engine::ServeEngine::enable_obs`] turns the whole layer on.
 //!
+//! The `engine_*_total` counters count nothing themselves. Each is one
+//! row of a table naming the engine tally it renders — the same counts
+//! [`crate::engine::ServeEngine::report`] reads — and the step close
+//! brings every row up to that tally, so the exposition and the report
+//! cannot disagree.
+//!
 //! Everything the engine calls per step is allocation-free after
 //! construction: counters and gauges are index-addressed, histograms
 //! scan fixed buckets, spans and flight-recorder entries land in
 //! pre-allocated bounded storage. The allocating operations —
 //! [`EngineObs::exposition`], the Chrome-trace renderers, and
 //! [`EngineObs::flight_dump`] — are explicit cold paths a caller invokes
-//! after (or outside) the serving loop. The one exception is deliberate:
-//! an SLO violation captures a flight-recorder dump at the moment of the
-//! breach, because a violated SLO is precisely not steady state.
+//! after (or outside) the serving loop.
 //!
 //! Two clocks appear in the exported trace. The *wall-clock* lane is
 //! what the host spent simulating each phase ([`std::time::Instant`]).
@@ -30,12 +34,13 @@ use lightmamba_obs::recorder::{FaultKind, FlightRecorder, LifecyclePhase, StepRe
 use lightmamba_obs::registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use lightmamba_obs::trace::{ChromeTraceBuilder, SpanRecorder};
 
-use crate::engine::SessionSnapshot;
+use crate::engine::{SessionSnapshot, Totals};
+use crate::prefix::PrefixCache;
 use crate::request::{Completion, FinishReason};
 
-/// Capacity and SLO knobs of an [`EngineObs`]. The defaults suit the
-/// bench harnesses: ~1.5k steps of spans, 512 steps of flight record,
-/// 4k lifecycle events, no SLOs.
+/// Capacity knobs of an [`EngineObs`]. The defaults suit the bench
+/// harnesses: ~1.5k steps of spans, 512 steps of flight record, 4k
+/// lifecycle events.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
     /// Maximum spans retained (≈10 per step; beyond this, spans are
@@ -45,12 +50,6 @@ pub struct ObsConfig {
     pub step_records: usize,
     /// Lifecycle events the flight recorder retains.
     pub lifecycle_events: usize,
-    /// Optional TTFT SLO in engine steps: a completion whose TTFT
-    /// exceeds it counts as a violation and snapshots the flight
-    /// recorder.
-    pub slo_ttft_steps: Option<u64>,
-    /// Optional end-to-end SLO in engine steps, same semantics.
-    pub slo_e2e_steps: Option<u64>,
 }
 
 impl Default for ObsConfig {
@@ -59,37 +58,145 @@ impl Default for ObsConfig {
             span_capacity: 16_384,
             step_records: 512,
             lifecycle_events: 4_096,
-            slo_ttft_steps: None,
-            slo_e2e_steps: None,
         }
     }
 }
+
+/// The engine's run-wide counts at a step's close, and its worker-pool
+/// width: everything the `engine_*_total` series and the pool gauge
+/// read.
+pub(crate) struct Tally<'a> {
+    /// Steps executed, the closing one included.
+    pub(crate) steps: u64,
+    pub(crate) threads: usize,
+    pub(crate) totals: &'a Totals,
+    pub(crate) prefix: Option<&'a PrefixCache>,
+    /// Token-advances per model, indexed by [`crate::registry::ModelId`].
+    pub(crate) processed_per_model: &'a [u64],
+}
+
+/// Reads one count of the engine's tally.
+type Read = fn(&Tally<'_>) -> u64;
+
+/// Every unlabeled `engine_*_total` series: name, help text, and the
+/// tally count it renders, in exposition order.
+const COUNTERS: [(&str, &str, Read); 21] = [
+    ("engine_steps_total", "Engine steps executed.", |t| t.steps),
+    (
+        "engine_decode_tokens_total",
+        "Decode tokens sampled.",
+        |t| t.totals.decode_tokens,
+    ),
+    (
+        "engine_prefill_tokens_total",
+        "Prompt tokens consumed by chunked prefill.",
+        |t| t.totals.prefill_tokens,
+    ),
+    (
+        "engine_admissions_total",
+        "Requests admitted from the waiting queue (session resumes included).",
+        |t| t.totals.admissions,
+    ),
+    (
+        "engine_preemptions_total",
+        "Residents paused out of their slot by the policy.",
+        |t| t.totals.preemptions,
+    ),
+    (
+        "engine_resumes_total",
+        "Paused sequences restored into a slot.",
+        |t| t.totals.resumes,
+    ),
+    (
+        "engine_cancellations_total",
+        "Requests evicted by client cancellation.",
+        |t| t.totals.cancellations as u64,
+    ),
+    (
+        "engine_expiries_total",
+        "Requests evicted on deadline (doomed evictions included).",
+        |t| t.totals.evicted as u64,
+    ),
+    (
+        "engine_completions_total",
+        "Requests completed normally (max-tokens or EOS).",
+        |t| t.totals.completed as u64,
+    ),
+    (
+        "engine_state_moves_total",
+        "Fixed-size recurrent states moved (pause/resume/park/restore).",
+        |t| t.totals.state_moves.iter().sum(),
+    ),
+    (
+        "engine_session_parks_total",
+        "Session turns whose final state was parked for the next turn.",
+        |t| t.totals.session_parks,
+    ),
+    (
+        "engine_session_restores_total",
+        "Admissions that restored a parked session state.",
+        |t| t.totals.session_restores,
+    ),
+    (
+        "engine_requests_failed_total",
+        "Requests retired by backend faults (contained errors/panics).",
+        |t| t.totals.failed as u64,
+    ),
+    (
+        "engine_requests_rejected_total",
+        "Arrivals shed by overload protection.",
+        |t| t.totals.rejected as u64,
+    ),
+    (
+        "engine_backend_faults_total",
+        "Backend faults contained (error returns plus caught panics).",
+        |t| t.totals.backend_faults,
+    ),
+    (
+        "engine_quarantine_entered_total",
+        "Backend quarantine entries (first faults and half-open re-faults).",
+        |t| t.totals.quarantine_entries,
+    ),
+    (
+        "engine_quarantine_recovered_total",
+        "Backend quarantine recoveries (half-open canary survived).",
+        |t| t.totals.quarantine_recoveries,
+    ),
+    (
+        "engine_par_shards_total",
+        "Worker shards sub-batches were split across (1 per sub-batch when sequential).",
+        |t| t.totals.par_shards,
+    ),
+    (
+        "engine_prefix_hits_total",
+        "Admissions that restored a cached shared-prefix state.",
+        |t| t.prefix.map_or(0, PrefixCache::hits),
+    ),
+    (
+        "engine_prefix_misses_total",
+        "Shared-prefix admissions that found no cached state (harvested one).",
+        |t| t.prefix.map_or(0, PrefixCache::misses),
+    ),
+    (
+        "engine_budget_deferrals_total",
+        "Admissions deferred by the token budget (kept queued).",
+        |t| t.totals.budget_deferrals,
+    ),
+];
 
 /// Pre-registered metric ids — resolved once at
 /// [`EngineObs::new`], index-addressed ever after.
 #[derive(Debug)]
 struct Ids {
-    steps: CounterId,
-    decode_tokens: CounterId,
-    prefill_tokens: CounterId,
-    admissions: CounterId,
-    preemptions: CounterId,
-    resumes: CounterId,
-    cancellations: CounterId,
-    expiries: CounterId,
-    completions: CounterId,
-    state_moves: CounterId,
-    session_parks: CounterId,
-    session_restores: CounterId,
-    slo_violations: CounterId,
-    requests_failed: CounterId,
-    requests_rejected: CounterId,
-    backend_faults: CounterId,
-    quarantine_entered: CounterId,
-    quarantine_recovered: CounterId,
+    /// One per [`COUNTERS`] row, same order.
+    counters: [CounterId; COUNTERS.len()],
+    /// Per-model token-advance counters, indexed by
+    /// [`crate::registry::ModelId`].
+    model_tokens: Vec<CounterId>,
+    /// Per-model state-move counters, same index.
+    model_state_moves: Vec<CounterId>,
     degradation_level: GaugeId,
     pool_threads: GaugeId,
-    par_shards: CounterId,
     queue_depth: GaugeId,
     paused_depth: GaugeId,
     active_seqs: GaugeId,
@@ -99,20 +206,17 @@ struct Ids {
     ttft_steps: HistogramId,
     e2e_steps: HistogramId,
     queue_steps: HistogramId,
-    prefix_hits: CounterId,
-    prefix_misses: CounterId,
-    budget_deferrals: CounterId,
     budget_deferred: HistogramId,
-    /// Per-model token-advance counters, indexed by
-    /// [`crate::registry::ModelId`].
-    model_tokens: Vec<CounterId>,
-    /// Per-model state-move counters, same index.
-    model_state_moves: Vec<CounterId>,
+}
+
+/// Moves counter `id` up to `now`. Counters and the tally they read are
+/// both monotone, so the difference is never negative.
+fn sync(m: &mut MetricsRegistry, id: CounterId, now: u64) {
+    m.add(id, now - m.counter_value(id));
 }
 
 /// The observability state of one engine run. Obtain via
 /// [`crate::engine::ServeEngine::enable_obs`] /
-/// [`crate::engine::ServeEngine::obs`] /
 /// [`crate::engine::ServeEngine::take_obs`].
 #[derive(Debug)]
 pub struct EngineObs {
@@ -124,13 +228,6 @@ pub struct EngineObs {
     /// Recent steps and request lifecycle transitions.
     pub flight: FlightRecorder,
     ids: Ids,
-    slo_ttft_steps: Option<u64>,
-    slo_e2e_steps: Option<u64>,
-    slo_violations: u64,
-    /// Flight-recorder snapshot captured at the *first* SLO violation
-    /// (later breaches only count — the interesting state is the one
-    /// that produced the first miss).
-    slo_dump: Option<String>,
 }
 
 impl EngineObs {
@@ -139,73 +236,25 @@ impl EngineObs {
     /// each gets labeled per-model token and state-move counters.
     pub fn new(cfg: ObsConfig, model_names: &[&str]) -> Self {
         let mut m = MetricsRegistry::new();
+        let counters = COUNTERS.map(|(name, help, _)| m.counter(name, help));
+        let mut per_model = |name: &str, help: &str| -> Vec<CounterId> {
+            model_names
+                .iter()
+                .map(|model| m.counter_labeled(name, &format!("model=\"{model}\""), help))
+                .collect()
+        };
+        let model_tokens = per_model(
+            "engine_model_tokens_total",
+            "Token-advances processed, per backend.",
+        );
+        let model_state_moves = per_model(
+            "engine_model_state_moves_total",
+            "State moves attributed to a backend.",
+        );
         let ids = Ids {
-            steps: m.counter("engine_steps_total", "Engine steps executed."),
-            decode_tokens: m.counter("engine_decode_tokens_total", "Decode tokens sampled."),
-            prefill_tokens: m.counter(
-                "engine_prefill_tokens_total",
-                "Prompt tokens consumed by chunked prefill.",
-            ),
-            admissions: m.counter(
-                "engine_admissions_total",
-                "Requests admitted from the waiting queue (session resumes included).",
-            ),
-            preemptions: m.counter(
-                "engine_preemptions_total",
-                "Residents paused out of their slot by the policy.",
-            ),
-            resumes: m.counter(
-                "engine_resumes_total",
-                "Paused sequences restored into a slot.",
-            ),
-            cancellations: m.counter(
-                "engine_cancellations_total",
-                "Requests evicted by client cancellation.",
-            ),
-            expiries: m.counter(
-                "engine_expiries_total",
-                "Requests evicted on deadline (doomed evictions included).",
-            ),
-            completions: m.counter(
-                "engine_completions_total",
-                "Requests completed normally (max-tokens or EOS).",
-            ),
-            state_moves: m.counter(
-                "engine_state_moves_total",
-                "Fixed-size recurrent states moved (pause/resume/park/restore).",
-            ),
-            session_parks: m.counter(
-                "engine_session_parks_total",
-                "Session turns whose final state was parked for the next turn.",
-            ),
-            session_restores: m.counter(
-                "engine_session_restores_total",
-                "Admissions that restored a parked session state.",
-            ),
-            slo_violations: m.counter(
-                "engine_slo_violations_total",
-                "Completions that breached a configured TTFT/e2e SLO.",
-            ),
-            requests_failed: m.counter(
-                "engine_requests_failed_total",
-                "Requests retired by backend faults (contained errors/panics).",
-            ),
-            requests_rejected: m.counter(
-                "engine_requests_rejected_total",
-                "Arrivals shed by overload protection.",
-            ),
-            backend_faults: m.counter(
-                "engine_backend_faults_total",
-                "Backend faults contained (error returns plus caught panics).",
-            ),
-            quarantine_entered: m.counter(
-                "engine_quarantine_entered_total",
-                "Backend quarantine entries (first faults and half-open re-faults).",
-            ),
-            quarantine_recovered: m.counter(
-                "engine_quarantine_recovered_total",
-                "Backend quarantine recoveries (half-open canary survived).",
-            ),
+            counters,
+            model_tokens,
+            model_state_moves,
             degradation_level: m.gauge(
                 "engine_degradation_level",
                 "Current rung of the overload degradation ladder (0 = nominal).",
@@ -213,10 +262,6 @@ impl EngineObs {
             pool_threads: m.gauge(
                 "engine_pool_threads",
                 "Worker threads executing batched model steps (1 = sequential).",
-            ),
-            par_shards: m.counter(
-                "engine_par_shards_total",
-                "Worker shards sub-batches were split across (1 per sub-batch when sequential).",
             ),
             queue_depth: m.gauge("engine_queue_depth", "Waiting requests at step close."),
             paused_depth: m.gauge("engine_paused_depth", "Paused sequences at step close."),
@@ -252,53 +297,17 @@ impl EngineObs {
                 "Queueing delay of completions (engine steps).",
                 &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0],
             ),
-            prefix_hits: m.counter(
-                "engine_prefix_hits_total",
-                "Admissions that restored a cached shared-prefix state.",
-            ),
-            prefix_misses: m.counter(
-                "engine_prefix_misses_total",
-                "Shared-prefix admissions that found no cached state (harvested one).",
-            ),
-            budget_deferrals: m.counter(
-                "engine_budget_deferrals_total",
-                "Admissions deferred by the token budget (kept queued).",
-            ),
             budget_deferred: m.histogram(
                 "engine_budget_deferred",
                 "Admissions deferred by the token budget, per step.",
                 &[0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0],
             ),
-            model_tokens: model_names
-                .iter()
-                .map(|name| {
-                    m.counter_labeled(
-                        "engine_model_tokens_total",
-                        &format!("model=\"{name}\""),
-                        "Token-advances processed, per backend.",
-                    )
-                })
-                .collect(),
-            model_state_moves: model_names
-                .iter()
-                .map(|name| {
-                    m.counter_labeled(
-                        "engine_model_state_moves_total",
-                        &format!("model=\"{name}\""),
-                        "State moves attributed to a backend.",
-                    )
-                })
-                .collect(),
         };
         EngineObs {
             metrics: m,
             spans: SpanRecorder::with_capacity(cfg.span_capacity),
             flight: FlightRecorder::new(cfg.step_records, cfg.lifecycle_events),
             ids,
-            slo_ttft_steps: cfg.slo_ttft_steps,
-            slo_e2e_steps: cfg.slo_e2e_steps,
-            slo_violations: 0,
-            slo_dump: None,
         }
     }
 
@@ -308,46 +317,11 @@ impl EngineObs {
         self.flight.record_lifecycle(id, step, phase);
     }
 
-    /// Counts an admission that restored a parked session state.
-    #[inline]
-    pub(crate) fn session_restore(&mut self) {
-        self.metrics.inc(self.ids.session_restores);
-    }
-
-    /// Counts an admission that restored a cached shared-prefix state.
-    #[inline]
-    pub(crate) fn prefix_hit(&mut self) {
-        self.metrics.inc(self.ids.prefix_hits);
-    }
-
-    /// Counts a shared-prefix admission that missed the cache (and will
-    /// harvest a snapshot at its prefix boundary).
-    #[inline]
-    pub(crate) fn prefix_miss(&mut self) {
-        self.metrics.inc(self.ids.prefix_misses);
-    }
-
-    /// Folds one step's token-budget deferrals into the counter and the
-    /// per-step histogram (hot path, allocation-free).
-    #[inline]
-    pub(crate) fn budget_deferred(&mut self, n: u64) {
-        self.metrics.add(self.ids.budget_deferrals, n);
-        self.metrics.observe(self.ids.budget_deferred, n as f64);
-    }
-
-    /// Records one fault-domain transition: counts it and lands it in
-    /// the flight recorder's fault ring (hot path, allocation-free —
-    /// fault steps are rare but should never themselves allocate).
+    /// Lands one fault-domain transition in the flight recorder's fault
+    /// ring (hot path, allocation-free — fault steps are rare but should
+    /// never themselves allocate).
     #[inline]
     pub(crate) fn fault_event(&mut self, step: u64, model: u32, kind: FaultKind) {
-        match kind {
-            FaultKind::BackendError | FaultKind::BackendPanic => {
-                self.metrics.inc(self.ids.backend_faults);
-            }
-            FaultKind::Quarantined => self.metrics.inc(self.ids.quarantine_entered),
-            FaultKind::Recovered => self.metrics.inc(self.ids.quarantine_recovered),
-            FaultKind::HalfOpen => {}
-        }
         self.flight.record_fault(step, model, kind);
     }
 
@@ -357,121 +331,72 @@ impl EngineObs {
         self.metrics.set(self.ids.degradation_level, level as f64);
     }
 
-    /// Records one step's parallel-execution activity: the pool width
-    /// and how many worker shards this step's sub-batches split across
-    /// (hot path, allocation-free).
-    #[inline]
-    pub(crate) fn pool_activity(&mut self, threads: usize, shards: u64) {
-        self.metrics.set(self.ids.pool_threads, threads as f64);
-        self.metrics.add(self.ids.par_shards, shards);
-    }
-
-    /// Closes one engine step: folds the step's record, the requests
-    /// that left the engine this step, its session parks, and its
-    /// per-model work into counters, histograms, and the flight
-    /// recorder. `rec.cancelled`/`rec.expired` are derived here from the
-    /// completion delta. Allocation-free except on an SLO breach.
+    /// Closes one engine step: brings every counter up to the engine's
+    /// `tally` — the one place a counter changes — then folds the step's
+    /// record, the requests that left the engine this step, its session
+    /// parks and its token-budget deferrals into gauges, histograms and
+    /// the flight recorder. `rec.cancelled`/`rec.expired` are derived
+    /// here from the completion delta. Allocation-free.
     pub(crate) fn close_step(
         &mut self,
         mut rec: StepRecord,
+        tally: &Tally<'_>,
         finished: &[Completion],
         parks: &[(u64, SessionSnapshot)],
-        sub_processed: &[usize],
-        sub_state_moves: &[usize],
+        budget_deferred: u64,
     ) {
-        let m = &mut self.metrics;
-        m.inc(self.ids.steps);
-        m.add(self.ids.decode_tokens, rec.decode_tokens as u64);
-        m.add(self.ids.prefill_tokens, rec.prefill_tokens as u64);
-        m.add(self.ids.admissions, rec.admitted as u64);
-        m.add(self.ids.preemptions, rec.preempted as u64);
-        m.add(self.ids.resumes, rec.resumed as u64);
-        m.add(self.ids.state_moves, rec.state_moves as u64);
-        m.set(self.ids.queue_depth, rec.queue_depth as f64);
-        m.set(self.ids.paused_depth, rec.paused_depth as f64);
-        m.set(self.ids.active_seqs, rec.batch as f64);
-        m.set(self.ids.free_slots, rec.free_slots as f64);
-        m.observe(self.ids.step_wall_us, rec.wall_ns as f64 / 1e3);
-        m.observe(self.ids.step_batch, rec.batch as f64);
-        for (mid, &tokens) in sub_processed.iter().enumerate() {
-            if let Some(&id) = self.ids.model_tokens.get(mid) {
-                m.add(id, tokens as u64);
-            }
+        let (m, ids) = (&mut self.metrics, &self.ids);
+        for (&id, (_, _, read)) in ids.counters.iter().zip(&COUNTERS) {
+            sync(m, id, read(tally));
         }
-        for (mid, &moves) in sub_state_moves.iter().enumerate() {
-            if let Some(&id) = self.ids.model_state_moves.get(mid) {
-                m.add(id, moves as u64);
-            }
+        for (&id, &n) in ids.model_tokens.iter().zip(tally.processed_per_model) {
+            sync(m, id, n);
         }
+        for (&id, &n) in ids.model_state_moves.iter().zip(&tally.totals.state_moves) {
+            sync(m, id, n);
+        }
+        m.set(ids.pool_threads, tally.threads as f64);
+        m.set(ids.queue_depth, rec.queue_depth as f64);
+        m.set(ids.paused_depth, rec.paused_depth as f64);
+        m.set(ids.active_seqs, rec.batch as f64);
+        m.set(ids.free_slots, rec.free_slots as f64);
+        m.observe(ids.step_wall_us, rec.wall_ns as f64 / 1e3);
+        m.observe(ids.step_batch, rec.batch as f64);
+        m.observe(ids.budget_deferred, budget_deferred as f64);
 
-        let mut violated = false;
         for c in finished {
             let phase = match c.finish {
                 FinishReason::MaxTokens | FinishReason::Eos => LifecyclePhase::Done,
-                FinishReason::Cancelled => LifecyclePhase::Cancelled,
-                FinishReason::DeadlineExceeded => LifecyclePhase::Expired,
+                FinishReason::Cancelled => {
+                    rec.cancelled += 1;
+                    LifecyclePhase::Cancelled
+                }
+                FinishReason::DeadlineExceeded => {
+                    rec.expired += 1;
+                    LifecyclePhase::Expired
+                }
                 FinishReason::Failed => LifecyclePhase::Failed,
                 FinishReason::Rejected => LifecyclePhase::Rejected,
             };
-            match phase {
-                LifecyclePhase::Done => m.inc(self.ids.completions),
-                LifecyclePhase::Cancelled => {
-                    rec.cancelled += 1;
-                    m.inc(self.ids.cancellations);
-                }
-                LifecyclePhase::Expired => {
-                    rec.expired += 1;
-                    m.inc(self.ids.expiries);
-                }
-                LifecyclePhase::Failed => m.inc(self.ids.requests_failed),
-                LifecyclePhase::Rejected => m.inc(self.ids.requests_rejected),
-                _ => unreachable!("finish reasons map to terminal phases"),
-            }
             self.flight.record_lifecycle(c.id, rec.step, phase);
             if phase != LifecyclePhase::Done {
                 continue;
             }
-            let ttft = c.ttft_steps();
-            let e2e = c.e2e_steps();
-            if let Some(t) = ttft {
-                m.observe(self.ids.ttft_steps, t as f64);
+            if let Some(t) = c.ttft_steps() {
+                m.observe(ids.ttft_steps, t as f64);
             }
-            if let Some(e) = e2e {
-                m.observe(self.ids.e2e_steps, e as f64);
+            if let Some(e) = c.e2e_steps() {
+                m.observe(ids.e2e_steps, e as f64);
             }
             if let Some(q) = c.queue_steps() {
-                m.observe(self.ids.queue_steps, q as f64);
-            }
-            let ttft_miss = matches!((self.slo_ttft_steps, ttft), (Some(slo), Some(t)) if t > slo);
-            let e2e_miss = matches!((self.slo_e2e_steps, e2e), (Some(slo), Some(e)) if e > slo);
-            if ttft_miss || e2e_miss {
-                m.inc(self.ids.slo_violations);
-                self.slo_violations += 1;
-                violated = true;
+                m.observe(ids.queue_steps, q as f64);
             }
         }
         for &(sid, _) in parks {
-            m.inc(self.ids.session_parks);
             self.flight
                 .record_lifecycle(sid, rec.step, LifecyclePhase::Parked);
         }
         self.flight.record_step(rec);
-        // Snapshot *after* recording the step, so the dump shows the
-        // offending step itself; first breach only.
-        if violated && self.slo_dump.is_none() {
-            self.slo_dump = Some(self.flight.dump());
-        }
-    }
-
-    /// Completions that breached a configured SLO so far.
-    pub fn slo_violations(&self) -> u64 {
-        self.slo_violations
-    }
-
-    /// The flight-recorder dump captured at the first SLO violation, if
-    /// any (taking it resets the capture, arming the next breach).
-    pub fn take_slo_dump(&mut self) -> Option<String> {
-        self.slo_dump.take()
     }
 
     /// Renders the Prometheus-style text exposition snapshot (cold

@@ -4,12 +4,15 @@
 //! over the `Debug` of every `Completion` (in `completions()` order),
 //! every `StepEvent` (in `take_events()` order), the phase spans (name,
 //! category, step, depth, args — no wall-clock fields) and the final
-//! `ServeReport`, trace included.
+//! `ServeReport`, trace included. `finish` also checks that every
+//! exposition counter with a `ServeReport` twin reads the report's value.
 //!
 //! The constants were recorded on the commit *before* `step()` was
-//! decomposed into a phase pipeline; a refactor of the engine must leave
-//! them bit-equal at 1 and 4 worker threads. A deliberate behaviour
-//! change re-records them and says so in CHANGES.md.
+//! decomposed into a phase pipeline, and re-recorded once when
+//! `RunTrace` lost seven unread per-step vectors (which changes the
+//! report's `Debug`, not the behaviour). A refactor of the engine must
+//! leave them bit-equal at 1 and 4 worker threads. A deliberate
+//! behaviour change re-records them and says so in CHANGES.md.
 
 use std::fmt::Debug;
 
@@ -28,8 +31,8 @@ use lightmamba_serve::scheduler::{Edf, Policy, PriorityClasses, TokenBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const PRIORITY_CHAOS_GOLDEN: u64 = 0x829a_a352_63ac_9e9e;
-const EDF_BUDGET_GOLDEN: u64 = 0xbff9_13f9_2075_ca6d;
+const PRIORITY_CHAOS_GOLDEN: u64 = 0x0d9f_bc85_1444_3cfe;
+const EDF_BUDGET_GOLDEN: u64 = 0x371f_966d_e22e_629f;
 
 /// FNV-1a (64-bit) over the `Debug` rendering of each pushed item.
 struct Fold(u64);
@@ -159,6 +162,40 @@ fn finish(mut engine: ServeEngine<'_>, policy: &dyn Policy, mut fold: Fold) -> T
     }
     let report = engine.report(policy);
     fold.push(&report);
+    // Every exposition counter with a report twin reads the report's
+    // value: both render the engine's one tally.
+    let r = &report;
+    let per_model = r.per_model.iter().map(|m| {
+        let series = format!("engine_model_tokens_total{{model=\"{}\"}}", m.name);
+        (series, m.processed_tokens)
+    });
+    let twins = [
+        ("engine_steps_total", r.steps),
+        ("engine_completions_total", r.completed as u64),
+        ("engine_expiries_total", r.evicted as u64),
+        ("engine_cancellations_total", r.cancellations as u64),
+        ("engine_requests_failed_total", r.failed as u64),
+        ("engine_requests_rejected_total", r.rejected as u64),
+        ("engine_backend_faults_total", r.backend_faults),
+        ("engine_quarantine_entered_total", r.quarantine_entries),
+        ("engine_quarantine_recovered_total", r.quarantine_recoveries),
+        ("engine_preemptions_total", r.preemptions),
+        ("engine_resumes_total", r.resumes),
+        ("engine_prefill_tokens_total", r.prefill_tokens),
+        ("engine_decode_tokens_total", r.generated_tokens),
+        ("engine_prefix_hits_total", r.prefix_hits),
+        ("engine_prefix_misses_total", r.prefix_misses),
+        ("engine_budget_deferrals_total", r.budget_deferrals),
+    ];
+    let text = obs.exposition();
+    for (series, value) in twins
+        .into_iter()
+        .map(|(name, v)| (name.to_string(), v))
+        .chain(per_model)
+    {
+        let line = format!("{series} {value}");
+        assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+    }
     assert_eq!(engine.free_slots(), engine.capacity());
     assert_eq!(engine.paused_count(), 0);
     assert_eq!(engine.pending_resumes(), 0);

@@ -317,12 +317,12 @@ proptest! {
             report.per_model.iter().map(|m| m.completed).sum::<usize>(),
             n
         );
-        // Sub-batch traces partition each step's batch.
+        // Sub-batch traces partition each step's token-advances.
         for (sub, &total) in report
             .trace
-            .sub_batches_per_step
+            .sub_processed_per_step
             .iter()
-            .zip(&report.trace.batch_per_step)
+            .zip(&report.trace.processed_per_step)
         {
             prop_assert_eq!(sub.len(), 2);
             prop_assert_eq!(sub.iter().sum::<usize>(), total);
@@ -895,14 +895,6 @@ proptest! {
         prop_assert_eq!(report.completed + report.cancellations + report.evicted, n);
         for (sub, &total) in report
             .trace
-            .sub_batches_per_step
-            .iter()
-            .zip(&report.trace.batch_per_step)
-        {
-            prop_assert_eq!(sub.iter().sum::<usize>(), total);
-        }
-        for (sub, &total) in report
-            .trace
             .sub_processed_per_step
             .iter()
             .zip(&report.trace.processed_per_step)
@@ -1143,7 +1135,6 @@ proptest! {
                     name, t, resident, total_cap
                 );
             }
-            prop_assert!(engine.peak_resident_tokens() <= total_cap);
             prop_assert_eq!(
                 report.budget_deferrals,
                 report

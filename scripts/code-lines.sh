@@ -3,7 +3,7 @@
 # module (`#[cfg(test)]` at column 0), minus blank and `//` lines.
 # The size figures in ROADMAP.md and CHANGES.md are regenerated by this.
 #
-#   scripts/code-lines.sh                     # every crates/*/src, totals only
+#   scripts/code-lines.sh                     # every crates/*/src and src, totals only
 #   scripts/code-lines.sh -v crates/serve/src # per file as well
 set -eu
 cd "$(dirname "$0")/.."
@@ -17,7 +17,7 @@ if [ "${1:-}" = "-v" ]; then
     verbose=1
     shift
 fi
-[ $# -gt 0 ] || set -- crates/*/src
+[ $# -gt 0 ] || set -- crates/*/src src
 
 for dir in "$@"; do
     total=0
