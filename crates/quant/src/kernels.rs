@@ -346,7 +346,8 @@ impl ActQuant {
 
     /// Quantizes `x` under a per-group scheme (2–8 bits), reusing the
     /// internal buffers. Codes and scales match [`QuantizedTensor`] on
-    /// the same vector bit-for-bit (same absmax → scale → round-clamp).
+    /// the same vector bit-for-bit: the same absmax → scale, and a
+    /// branch-free rounding that gives its round-then-clamp code.
     ///
     /// # Errors
     ///
@@ -369,7 +370,7 @@ impl ActQuant {
             let absmax = chunk.iter().fold(0.0f32, |m, v| m.max(v.abs()));
             let scale = scheme.scale_for(absmax);
             for (c, &v) in codes.iter_mut().zip(chunk.iter()) {
-                *c = (v / scale).round().clamp(-qmax, qmax) as i8;
+                *c = round_code(v / scale, qmax) as i8;
             }
             self.scales.push(scale);
         }
@@ -398,6 +399,22 @@ impl ActQuant {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+}
+
+/// `q.round().clamp(-qmax, qmax)` as an integer, for the integer `qmax`
+/// of a 2–8-bit scheme, without `f32::round` (a `roundf` call per
+/// element on baseline x86-64), so the quantize loop vectorises.
+/// Clamping first cannot change the code: `round` is monotone and maps
+/// `±qmax` to itself. After the clamp, `q − trunc(q)` is exact and
+/// rounding half away from zero adds ±1 when that fraction reaches
+/// ±0.5. NaN stays NaN through the clamp and truncates to 0, as
+/// `NaN as i8` does.
+#[inline]
+fn round_code(q: f32, qmax: f32) -> i32 {
+    let q = q.clamp(-qmax, qmax);
+    let t = q as i32;
+    let f = q - t as f32;
+    t + i32::from(f >= 0.5) - i32::from(f <= -0.5)
 }
 
 fn check_gemv(w: &PackedW4, act: &ActQuant, out: &[f32]) -> Result<()> {
@@ -824,6 +841,34 @@ mod tests {
         act.quantize(&x[..10], scheme).unwrap();
         assert_eq!(act.len(), 10);
         assert_eq!(act.scales().len(), 1);
+    }
+
+    #[test]
+    fn round_code_is_round_then_clamp() {
+        let near = |v: f32| {
+            let b = v.to_bits();
+            [b.wrapping_sub(1), b, b + 1].map(f32::from_bits)
+        };
+        for bits in 2..=8u8 {
+            let qmax = QuantScheme::act_per_group(bits, 1).qmax() as f32;
+            // Every quarter step over ±(qmax + 2), and the floats on both
+            // sides of each, so every tie and ±(qmax ± ½) is hit.
+            let edge = 4 * (qmax as i32 + 2);
+            let quarters = (-edge..=edge).map(|k| k as f32 / 4.0);
+            let specials = [
+                0.0,
+                -0.0,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                f32::NAN,
+                1e30,
+                -1e30,
+            ];
+            for q in quarters.flat_map(near).chain(specials) {
+                let want = q.round().clamp(-qmax, qmax) as i8;
+                assert_eq!(round_code(q, qmax) as i8, want, "q {q} qmax {qmax}");
+            }
+        }
     }
 
     #[test]

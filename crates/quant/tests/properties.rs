@@ -124,3 +124,58 @@ proptest! {
         prop_assert!(q4.storage_bits() < q8.storage_bits());
     }
 }
+
+/// A vector of `len` in groups of `group` (the last one ragged). Each
+/// group is all zeros, uniform noise, or a lattice: one element at
+/// `±qmax·2^e` and the rest at random multiples of `2^e / 2` in
+/// `±qmax`, so the scale is exactly `2^e` (plain or PoT) and every
+/// element lands on an integer or a tie after scaling, `±(qmax − ½)`
+/// included. (`|v / scale| ≤ qmax` always holds for the quantizer's
+/// own scale, so `qmax + ½` cannot occur.)
+fn act_vector(seed: u64, len: usize, group: usize, qmax: i32) -> Vec<f32> {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut x = Vec::with_capacity(len);
+    while x.len() < len {
+        let n = group.min(len - x.len());
+        match rng.gen_range(0..3) {
+            0 => x.extend(std::iter::repeat(0.0f32).take(n)),
+            1 => x.extend((0..n).map(|_| rng.gen_range(-50.0f32..50.0))),
+            _ => {
+                let step = 2f32.powi(rng.gen_range(-8..8)) / 2.0;
+                let peak = rng.gen_range(0..n);
+                x.extend((0..n).map(|i| {
+                    let halves = if i == peak {
+                        2 * qmax * if rng.gen_bool(0.5) { 1 } else { -1 }
+                    } else {
+                        rng.gen_range(-2 * qmax..2 * qmax + 1)
+                    };
+                    halves as f32 * step
+                }));
+            }
+        }
+    }
+    x
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn act_quant_matches_quantized_tensor_bitwise(
+        seed in 0u64..1_000_000,
+        bits in 2u8..=8,
+        group in 1usize..13,
+        len in 1usize..64,
+        pot_scale in any::<bool>(),
+    ) {
+        let scheme = QuantScheme { bits, granularity: Granularity::PerGroup(group), pot_scale };
+        let x = act_vector(seed, len, group, scheme.qmax());
+        let mut act = ActQuant::new();
+        act.quantize(&x, scheme).unwrap();
+        let reference = QuantizedTensor::quantize(&Tensor::from_vec(x, &[len]).unwrap(), scheme).unwrap();
+        prop_assert_eq!(act.codes(), reference.codes());
+        let bits_of = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits_of(act.scales()), bits_of(reference.scales()));
+    }
+}
