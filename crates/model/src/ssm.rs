@@ -24,23 +24,24 @@
 //! # Forms
 //!
 //! The head step — update a head's `(headdim × d_state)` slab and read
-//! `y` out of it — has two forms, selected per call by a runtime CPU
-//! check ([`active_isa`] names the one that runs):
+//! `y` out of it — has two forms, selected by the workspace's one runtime
+//! CPU check, [`lightmamba_tensor::isa::detect`] ([`active_isa`] names
+//! the one that runs):
 //!
-//! * **scalar** — always compiled: row by row, `s ← Ā·s + (Δ·x_p)·B[n]`
-//!   and `acc += s·C[n]` for `n` ascending. This loop *defines* the
-//!   float order of the recurrence (every batched ≡ sequential pin, the
-//!   serve golden digests and the benchmark's exact lane rest on it) and
-//!   is the only form without the `simd` cargo feature or without AVX2.
-//! * **AVX2** (`x86_64`, behind the `simd` feature, which
-//!   `lightmamba_quant/simd` turns on) — eight *rows* `p..p+8` share the
-//!   lanes of one accumulator, not eight state indices `n`. Per block
-//!   of 8 rows × 8 columns it forms the updated state and the `s·C`
-//!   products row-major (contiguous loads and stores, the same `mul`,
-//!   `mul`, `add`, `mul` per element), transposes the 8×8 products in
-//!   registers, and adds the eight column vectors into the accumulator
-//!   in ascending `n`. Lane `r` therefore performs exactly row `p+r`'s
-//!   scalar chain `((0 + s₀c₀) + s₁c₁) + …`: nothing is reassociated,
+//! * **scalar** — row by row, `s ← Ā·s + (Δ·x_p)·B[n]` and
+//!   `acc += s·C[n]` for `n` ascending. This loop *defines* the float
+//!   order of the recurrence (every batched ≡ sequential pin, the serve
+//!   golden digests and the benchmark's exact lane rest on it) and is
+//!   the only form on a host without AVX2.
+//! * **AVX2** (compiled on every `x86_64` build) — eight *rows*
+//!   `p..p+8` share the lanes of one accumulator, not eight state
+//!   indices `n`. Per block of 8 rows × 8 columns it forms the updated
+//!   state and the `s·C` products row-major (contiguous loads and
+//!   stores, the same `mul`, `mul`, `add`, `mul` per element),
+//!   transposes the 8×8 products in registers, and adds the eight column
+//!   vectors into the accumulator in ascending `n`. Lane `r` therefore
+//!   performs exactly row `p+r`'s scalar chain
+//!   `((0 + s₀c₀) + s₁c₁) + …`: nothing is reassociated,
 //!   so outputs and state are bit-identical to the scalar form
 //!   (`tests/properties.rs` pins it on a ragged grid; NaN payloads are
 //!   the one thing operand order may change). `d_state % 8` columns and
@@ -52,7 +53,14 @@
 //! every recorded digest. Nothing here is compiled with the `fma`
 //! target feature, and Rust never contracts `a * b + c` on its own.
 
+use lightmamba_tensor::isa::{detect, Isa};
+
 use crate::{MambaConfig, ModelError, Result};
+
+/// Name of the form [`ssm_step_into`] dispatches to on this host
+/// ("avx2" or "scalar"): the workspace's one detector,
+/// [`lightmamba_tensor::isa`].
+pub use lightmamba_tensor::isa::active_isa;
 
 /// Dimensions needed by the SSM kernel, extracted from a [`MambaConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,38 +118,6 @@ pub fn head_coeffs(dt_raw: f32, dt_bias: f32, a_log: f32) -> HeadCoeffs {
     HeadCoeffs { dt, decay }
 }
 
-/// Which form of the head step runs (module docs, "Forms").
-#[derive(Clone, Copy)]
-enum Lanes {
-    /// The portable scalar loop (the bit-exactness oracle).
-    Scalar,
-    /// Eight rows per 256-bit register (x86_64, runtime-detected).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx2,
-}
-
-/// The best form this host can run: an AVX2 CPUID check (cached by
-/// `std`) under the `simd` feature on x86_64, scalar everywhere else.
-fn detect() -> Lanes {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Lanes::Avx2;
-        }
-    }
-    Lanes::Scalar
-}
-
-/// Name of the form [`ssm_step_into`] dispatches to on this host
-/// ("avx2" or "scalar"), so tests and benches can record what ran.
-pub fn active_isa() -> &'static str {
-    match detect() {
-        Lanes::Scalar => "scalar",
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Lanes::Avx2 => "avx2",
-    }
-}
-
 /// Advances the recurrence for a single head in place; the caller reads
 /// `y` out of `y_head`.
 ///
@@ -152,12 +128,12 @@ pub fn active_isa() -> &'static str {
 ///
 /// Unless `state.len() == x_head.len() · b.len()`,
 /// `y_head.len() == x_head.len()` and `c.len() == b.len()`.
-/// [`step_lanes`] validates the whole layer's lengths once, so these
+/// [`step_isa`] validates the whole layer's lengths once, so these
 /// only fire on a bug in this module — but the AVX2 form indexes by
 /// raw pointer, so they are real `assert!`s, not debug ones.
 #[allow(clippy::too_many_arguments)]
 fn ssm_head_step(
-    lanes: Lanes,
+    isa: Isa,
     state: &mut [f32],
     y_head: &mut [f32],
     x_head: &[f32],
@@ -169,12 +145,12 @@ fn ssm_head_step(
     assert_eq!(state.len(), x_head.len() * b.len());
     assert_eq!(y_head.len(), x_head.len());
     assert_eq!(c.len(), b.len());
-    match lanes {
-        Lanes::Scalar => head_step_scalar(state, y_head, x_head, b, c, coeffs, d_skip),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `Lanes::Avx2` only comes from `detect`, which verified
+    match isa {
+        Isa::Scalar => head_step_scalar(state, y_head, x_head, b, c, coeffs, d_skip),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
         // AVX2; the length contract is asserted just above.
-        Lanes::Avx2 => unsafe { avx2::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
+        Isa::Avx2 => unsafe { avx2::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
     }
 }
 
@@ -216,7 +192,7 @@ fn row_step_scalar(
     acc
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
@@ -401,7 +377,7 @@ pub fn ssm_step_into(
     state: &mut [f32],
     y: &mut [f32],
 ) -> Result<()> {
-    step_lanes(
+    step_isa(
         detect(),
         dims,
         x,
@@ -418,7 +394,7 @@ pub fn ssm_step_into(
 
 /// [`ssm_step_into`] forced onto the scalar head step — the oracle the
 /// dispatch is tested bit-identical against, and the form every host
-/// runs without the `simd` feature.
+/// without AVX2 runs.
 ///
 /// # Errors
 ///
@@ -436,8 +412,8 @@ pub fn ssm_step_into_scalar(
     state: &mut [f32],
     y: &mut [f32],
 ) -> Result<()> {
-    step_lanes(
-        Lanes::Scalar,
+    step_isa(
+        Isa::Scalar,
         dims,
         x,
         b,
@@ -452,8 +428,8 @@ pub fn ssm_step_into_scalar(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn step_lanes(
-    lanes: Lanes,
+fn step_isa(
+    isa: Isa,
     dims: SsmDims,
     x: &[f32],
     b: &[f32],
@@ -493,7 +469,7 @@ fn step_lanes(
         let g = h / heads_per_group;
         let coeffs = head_coeffs(dt_raw[h], dt_bias[h], a_log[h]);
         ssm_head_step(
-            lanes,
+            isa,
             &mut state[h * p * n..(h + 1) * p * n],
             &mut y[h * p..(h + 1) * p],
             &x[h * p..(h + 1) * p],

@@ -153,10 +153,9 @@ fn grid_values(len: usize, scale: f32, profile: usize, rng: &mut StdRng) -> Vec<
         .collect()
 }
 
-/// The dispatched SSM step (AVX2 under `--features lightmamba_quant/simd`
-/// on a capable host) against the scalar oracle, bit for bit on outputs
-/// *and* carried state, over shapes that hit every ragged edge of the
-/// 8-row × 8-column blocking.
+/// The dispatched SSM step (AVX2 on a capable x86_64 host) against the
+/// scalar oracle, bit for bit on outputs *and* carried state, over
+/// shapes that hit every ragged edge of the 8-row × 8-column blocking.
 #[test]
 fn dispatched_ssm_step_is_bit_identical_to_scalar() {
     use std::io::Write;

@@ -69,40 +69,12 @@
 //! [`ActQuant`] scratch and outputs land in caller buffers, which is what
 //! keeps the serving hot path allocation-free.
 
+use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::Tensor;
 
 use crate::quantizer::{Granularity, QuantScheme, QuantizedTensor};
-use crate::simd::{code_pair, flush_pairs, mac_tile, Block, CodePair, Lanes, KBLOCK, TILE};
+use crate::simd::{code_pair, flush_pairs, mac_tile, Block, CodePair, KBLOCK, TILE};
 use crate::{QuantError, Result};
-
-/// Packs signed 4-bit codes two-per-byte (even index → low nibble, odd
-/// index → high nibble; a trailing odd element leaves the high nibble 0).
-pub fn pack_nibbles(codes: &[i8]) -> Vec<u8> {
-    let mut out = vec![0u8; codes.len().div_ceil(2)];
-    for (i, &c) in codes.iter().enumerate() {
-        let nib = (c as u8) & 0x0F;
-        if i & 1 == 0 {
-            out[i / 2] |= nib;
-        } else {
-            out[i / 2] |= nib << 4;
-        }
-    }
-    out
-}
-
-/// Unpacks `n` signed 4-bit codes from [`pack_nibbles`] output into a
-/// caller buffer of length `n` (allocation-free inverse).
-pub fn unpack_nibbles_into(packed: &[u8], n: usize, out: &mut [i8]) {
-    debug_assert!(out.len() >= n && packed.len() >= n.div_ceil(2));
-    for (i, o) in out.iter_mut().enumerate().take(n) {
-        let b = packed[i / 2];
-        *o = if i & 1 == 0 {
-            ((b << 4) as i8) >> 4
-        } else {
-            (b as i8) >> 4
-        };
-    }
-}
 
 /// A weight matrix in packed 4-bit form for integer GEMM.
 ///
@@ -488,9 +460,9 @@ impl GemvScratch {
 /// performs. This is the one-activation case of [`gemm_packed`]: same
 /// kernel, same loop, `scratch` allocation-free once warm.
 ///
-/// The integer sweep runs on the instruction set reported by
-/// [`crate::simd::detect`] (AVX2 under the `simd` feature, scalar
-/// otherwise); results are bit-identical either way — see
+/// The integer sweep runs on the instruction set
+/// [`lightmamba_tensor::isa::detect`] picks (AVX2 on a capable `x86_64`
+/// host, scalar otherwise); results are bit-identical either way — see
 /// [`crate::simd`] for the argument and [`gemv_packed_scalar`] for the
 /// pinned-scalar entry point.
 ///
@@ -509,13 +481,13 @@ pub fn gemv_packed(
         scratch,
         &mut [out],
         |o| &mut o[..],
-        crate::simd::detect(),
+        detect(),
     )
 }
 
 /// [`gemv_packed`] forced onto the scalar micro-kernel — the oracle the
 /// SIMD dispatch is proptested bit-identical against, and the kernel
-/// every host runs without the `simd` feature.
+/// every host without AVX2 runs.
 ///
 /// # Errors
 ///
@@ -532,7 +504,7 @@ pub fn gemv_packed_scalar(
         scratch,
         &mut [out],
         |o| &mut o[..],
-        Lanes::Scalar,
+        Isa::Scalar,
     )
 }
 
@@ -586,7 +558,7 @@ pub fn gemm_packed(
     scratch: &mut GemvScratch,
     outs: &mut [Vec<f32>],
 ) -> Result<()> {
-    gemm_packed_lanes(w, acts, scratch, outs, crate::simd::detect())
+    gemm_packed_isa(w, acts, scratch, outs, detect())
 }
 
 /// [`gemm_packed`] forced onto the scalar micro-kernel — the oracle the
@@ -601,20 +573,20 @@ pub fn gemm_packed_scalar(
     scratch: &mut GemvScratch,
     outs: &mut [Vec<f32>],
 ) -> Result<()> {
-    gemm_packed_lanes(w, acts, scratch, outs, Lanes::Scalar)
+    gemm_packed_isa(w, acts, scratch, outs, Isa::Scalar)
 }
 
-fn gemm_packed_lanes(
+fn gemm_packed_isa(
     w: &PackedW4,
     acts: &[ActQuant],
     scratch: &mut GemvScratch,
     outs: &mut [Vec<f32>],
-    lanes: Lanes,
+    isa: Isa,
 ) -> Result<()> {
     for out in outs.iter_mut() {
         out.resize(w.out_features, 0.0);
     }
-    gemm_rows(w, acts, scratch, outs, |o| &mut o[..], lanes)
+    gemm_rows(w, acts, scratch, outs, |o| &mut o[..], isa)
 }
 
 /// [`gemm_packed`] writing into one `out_features`-long slice of each
@@ -631,7 +603,7 @@ pub(crate) fn gemm_packed_into<T>(
     rows: &mut [T],
     out_of: impl for<'a> Fn(&'a mut T) -> &'a mut [f32],
 ) -> Result<()> {
-    gemm_rows(w, acts, scratch, rows, out_of, crate::simd::detect())
+    gemm_rows(w, acts, scratch, rows, out_of, detect())
 }
 
 /// The one GEMM loop: tile-outer, then [`KBLOCK`] activations at a time,
@@ -647,7 +619,7 @@ fn gemm_rows<T>(
     scratch: &mut GemvScratch,
     rows: &mut [T],
     out_of: impl for<'a> Fn(&'a mut T) -> &'a mut [f32],
-    lanes: Lanes,
+    isa: Isa,
 ) -> Result<()> {
     if acts.len() != rows.len() {
         return Err(QuantError::InvalidScheme(format!(
@@ -685,7 +657,7 @@ fn gemm_rows<T>(
                             &[]
                         }
                     });
-                    mac_tile(lanes, &blocks[lo..hi], &codes[..kb], acc);
+                    mac_tile(isa, &blocks[lo..hi], &codes[..kb], acc);
                     lo = hi;
                 }
                 let wscales = &w.scales_t[g * w.out_features..][o0..o1];
@@ -718,24 +690,6 @@ mod tests {
 
     fn w4(group: usize) -> QuantScheme {
         QuantScheme::weight_per_group(4, group)
-    }
-
-    #[test]
-    fn pack_unpack_roundtrips_all_nibble_values() {
-        // Every signed 4-bit value in every byte position.
-        let codes: Vec<i8> = (-8..=7).chain((-8..=7).rev()).collect();
-        let packed = pack_nibbles(&codes);
-        assert_eq!(packed.len(), codes.len() / 2);
-        let mut out = vec![0i8; codes.len()];
-        unpack_nibbles_into(&packed, codes.len(), &mut out);
-        assert_eq!(out, codes);
-        // Odd length: trailing low nibble only.
-        let odd = [3i8, -5, 7];
-        let packed = pack_nibbles(&odd);
-        assert_eq!(packed.len(), 2);
-        let mut out = [0i8; 3];
-        unpack_nibbles_into(&packed, 3, &mut out);
-        assert_eq!(out, odd);
     }
 
     #[test]

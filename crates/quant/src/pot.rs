@@ -24,8 +24,27 @@ pub fn round_scale_up(s: f32) -> f32 {
     if s <= 0.0 || !s.is_finite() {
         return 1.0;
     }
-    2f32.powi(s.log2().ceil() as i32)
+    // Straight from the bits: `log2` rounds the exponent of a float just
+    // above `2^k` down to `k`, and `2f32.powi(k)` is `1 / 2^-k`, which
+    // is 0 once `2^-k` overflows (k ≤ −128). A subnormal power of two is
+    // a single mantissa bit; a normal one has an empty mantissa.
+    let bits = s.to_bits();
+    let up = if bits <= MANTISSA {
+        bits.next_power_of_two()
+    } else if bits & MANTISSA == 0 {
+        bits
+    } else {
+        ((bits >> 23) + 1) << 23
+    };
+    // Above 2¹²⁷ the next power of two is not a finite f32.
+    f32::from_bits(up.min(MAX_POT_BITS))
 }
+
+/// The mantissa field of an f32.
+const MANTISSA: u32 = (1 << 23) - 1;
+
+/// Bits of 2¹²⁷, the largest finite power of two.
+const MAX_POT_BITS: u32 = 254 << 23;
 
 /// The exponent `k` of a PoT scale `s = 2^k`.
 ///
@@ -99,6 +118,41 @@ mod tests {
             assert!(round_scale_up(s) >= s);
             assert!(round_scale_up(s) < 2.0 * s);
         }
+        // Every power of two, subnormal ones included, and the floats on
+        // both sides of each: a power of two at least `s` and below `2s`
+        // (2¹²⁷ is the largest there is, so above it the result is `≤ s`).
+        let is_exact_pot = |r: f32| {
+            let b = r.to_bits();
+            let pot_bits = if b <= MANTISSA {
+                b.is_power_of_two()
+            } else {
+                b & MANTISSA == 0
+            };
+            r > 0.0 && r.is_finite() && pot_bits
+        };
+        for k in -149..=127 {
+            let p = f32::from_bits(if k < -126 {
+                1 << (k + 149)
+            } else {
+                ((k + 127) as u32) << 23
+            });
+            let b = p.to_bits();
+            for s in [b - 1, b, b + 1]
+                .map(f32::from_bits)
+                .into_iter()
+                .filter(|&s| s > 0.0)
+            {
+                let r = round_scale_up(s);
+                assert!(is_exact_pot(r), "{s:e} -> {r:e} is not a power of two");
+                if k == 127 && s > p {
+                    assert_eq!(r, p, "{s:e}");
+                } else {
+                    assert!(r >= s && r < 2.0 * s, "{s:e} -> {r:e}");
+                }
+                assert_eq!(2f64.powi(exponent(r)), r as f64, "{s:e}");
+            }
+        }
+        assert_eq!(round_scale_up(f32::MAX), f32::from_bits(MAX_POT_BITS));
     }
 
     #[test]

@@ -45,19 +45,22 @@
 //!
 //! # Forms
 //!
-//! * **scalar** — always compiled; the same i16-then-widen sums as
-//!   16-lane loops a baseline compiler vectorizes. It is the oracle
-//!   tier-1 runs (in debug builds its i16 adds trap on overflow, so the
+//! * **scalar** — the same i16-then-widen sums as 16-lane loops a
+//!   baseline compiler vectorizes. It is the oracle the tests compare
+//!   against (in debug builds its i16 adds trap on overflow, so the
 //!   bound above is checked on every test run) and the kernel of every
-//!   host without the `simd` feature or without AVX2.
-//! * **AVX2** (`x86_64`, behind the `simd` cargo feature), as above.
+//!   host without AVX2.
+//! * **AVX2** (compiled on every `x86_64` build), as above.
 //!
-//! Both forms compute the same integers, and every float operation
-//! stays in the caller, so dispatched and scalar results are
-//! bit-identical (pinned in `tests/kernel_props.rs`).
+//! [`lightmamba_tensor::isa::detect`] picks the form once per process.
+//! Both compute the same integers, and every float operation stays in
+//! the caller, so dispatched and scalar results are bit-identical
+//! (pinned in `tests/kernel_props.rs`).
 //!
 //! There is no NEON form: the build image has no `aarch64` target to
 //! compile-check one against, so `aarch64` runs the scalar form.
+
+use lightmamba_tensor::isa::Isa;
 
 /// Outputs per weight tile.
 pub(crate) const TILE: usize = 32;
@@ -88,45 +91,10 @@ pub(crate) fn flush_pairs(act_qmax: i32) -> usize {
     (i16::MAX as usize / (2 * 15 * act_qmax.max(1) as usize)).max(1)
 }
 
-/// Which instruction set the micro-kernel runs with.
-///
-/// Produced by [`detect`]; the scalar variant is always available and is
-/// the reference the other is tested against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lanes {
-    /// The portable scalar form (the bit-exactness oracle).
-    Scalar,
-    /// The 256-bit AVX2 form (x86_64, runtime-detected).
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    Avx2,
-}
-
-/// Detects the best available instruction set once (cached) — an AVX2
-/// CPUID check under the `simd` feature on x86_64, [`Lanes::Scalar`]
-/// everywhere else.
-pub fn detect() -> Lanes {
-    static ACTIVE: std::sync::OnceLock<Lanes> = std::sync::OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                return Lanes::Avx2;
-            }
-        }
-        Lanes::Scalar
-    })
-}
-
-/// Human-readable name of the detected instruction set ("avx2" or
-/// "scalar") — surfaced by the bench bins so archived results record
-/// what actually ran.
-pub fn active_isa() -> &'static str {
-    match detect() {
-        Lanes::Scalar => "scalar",
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        Lanes::Avx2 => "avx2",
-    }
-}
+/// Name of the instruction set the micro-kernel runs with on this host
+/// ("avx2" or "scalar"): the workspace's one detector,
+/// [`lightmamba_tensor::isa`].
+pub use lightmamba_tensor::isa::active_isa;
 
 /// The micro-kernel: for each activation `k`, adds
 /// `Σ_p blocks[p] · acts[k][p]` (the unsigned-weight dot products of
@@ -139,20 +107,15 @@ pub fn active_isa() -> &'static str {
 /// `blocks.len() ≤ flush_pairs(qmaxₐ)` so the AVX2 lanes cannot
 /// overflow (that one is an arithmetic contract, not a memory one).
 #[inline]
-pub(crate) fn mac_tile(
-    lanes: Lanes,
-    blocks: &[Block],
-    acts: &[&[CodePair]],
-    acc: &mut [[i32; TILE]],
-) {
+pub(crate) fn mac_tile(isa: Isa, blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE]]) {
     assert!(acts.len() == acc.len() && acts.len() <= KBLOCK);
     assert!(acts.iter().all(|a| a.len() == blocks.len()));
-    match lanes {
-        Lanes::Scalar => mac_tile_scalar(blocks, acts, acc),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `Lanes::Avx2` only comes from `detect`, which verified
+    match isa {
+        Isa::Scalar => mac_tile_scalar(blocks, acts, acc),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
         // AVX2; the length contract is asserted just above.
-        Lanes::Avx2 => unsafe {
+        Isa::Avx2 => unsafe {
             match acts.len() {
                 1 => avx2::mac_tile::<1>(blocks, acts, acc),
                 2 => avx2::mac_tile::<2>(blocks, acts, acc),
@@ -199,7 +162,7 @@ fn mac_tile_scalar(blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
@@ -266,14 +229,19 @@ mod avx2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightmamba_tensor::isa::detect;
 
     #[test]
     fn detect_is_stable_and_named() {
         assert_eq!(detect(), detect());
         let isa = active_isa();
         assert!(["scalar", "avx2"].contains(&isa), "unknown {isa}");
-        if cfg!(not(feature = "simd")) {
-            assert_eq!(detect(), Lanes::Scalar);
+        // The GEMM and the SSM scan share one decision, and an AVX2 host
+        // runs the AVX2 forms in the default build.
+        assert_eq!(lightmamba_model::ssm::active_isa(), isa);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(isa, "avx2");
         }
     }
 
@@ -339,10 +307,10 @@ mod tests {
                 let acts: Vec<&[CodePair]> = codes.iter().map(|c| &c[..]).collect();
                 let mut want = vec![[3i32; TILE]; k];
                 mac_tile_naive(&blocks, &acts, &mut want);
-                for lanes in [Lanes::Scalar, detect()] {
+                for isa in [Isa::Scalar, detect()] {
                     let mut got = vec![[3i32; TILE]; k];
-                    mac_tile(lanes, &blocks, &acts, &mut got);
-                    assert_eq!(got, want, "{lanes:?} qmax {qmax} k {k}");
+                    mac_tile(isa, &blocks, &acts, &mut got);
+                    assert_eq!(got, want, "{isa:?} qmax {qmax} k {k}");
                 }
             }
         }

@@ -1,16 +1,15 @@
-//! Property tests for the packed integer W4A4 kernels: lossless nibble
-//! packing, agreement between the integer GEMV and the fake-quant
-//! reference oracle (bit-exact under PoT scales), GEMM ≡ GEMV at every
-//! K-block remainder, dispatched ≡ scalar, the shapes that stress the
-//! tiled layout's padding and the i16 flush bound, and full-model
-//! integer-vs-oracle decode agreement. Run with and without
-//! `--features simd`.
+//! Property tests for the packed integer W4A4 kernels: agreement
+//! between the integer GEMV and the fake-quant reference oracle
+//! (bit-exact under PoT scales), GEMM ≡ GEMV at every K-block
+//! remainder, dispatched ≡ scalar (AVX2 against scalar on an AVX2
+//! host), the shapes that stress the tiled layout's padding and the i16
+//! flush bound, and full-model integer-vs-oracle decode agreement.
 
 use lightmamba_model::MambaConfig;
 use lightmamba_model::MambaModel;
 use lightmamba_quant::kernels::{
-    gemm_packed, gemm_packed_scalar, gemv_packed, gemv_packed_scalar, gemv_reference, pack_nibbles,
-    unpack_nibbles_into, ActQuant, GemvScratch, PackedW4,
+    gemm_packed, gemm_packed_scalar, gemv_packed, gemv_packed_scalar, gemv_reference, ActQuant,
+    GemvScratch, PackedW4,
 };
 use lightmamba_quant::qmodel::{ExecMode, Precision};
 use lightmamba_quant::{Granularity, PreparedModel, QuantScheme, QuantizedMamba};
@@ -43,18 +42,6 @@ fn random_problem(
     let mut act = ActQuant::new();
     act.quantize(&x, per_group(abits, group, pot)).unwrap();
     (p, act)
-}
-
-/// Every possible byte holds two nibbles that survive a pack round trip
-/// (exhaustive, so the proptest below only has to cover lengths).
-#[test]
-fn every_byte_pattern_roundtrips() {
-    for b in 0u8..=255 {
-        let mut pair = [0i8; 2];
-        unpack_nibbles_into(&[b], 2, &mut pair);
-        assert!((-8..=7).contains(&pair[0]) && (-8..=7).contains(&pair[1]));
-        assert_eq!(pack_nibbles(&pair), vec![b], "byte {b:#04x}");
-    }
 }
 
 /// The shapes the tiled layout has to pad or split, on hand-built
@@ -149,17 +136,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn packed_nibble_roundtrip_is_lossless(
-        codes in proptest::collection::vec(-8i8..8, 0..200),
-    ) {
-        let packed = pack_nibbles(&codes);
-        prop_assert_eq!(packed.len(), codes.len().div_ceil(2));
-        let mut out = vec![0i8; codes.len()];
-        unpack_nibbles_into(&packed, codes.len(), &mut out);
-        prop_assert_eq!(out, codes);
-    }
-
-    #[test]
     fn integer_gemv_agrees_with_fake_quant_reference(
         seed in 0u64..10_000,
         inf in 1usize..96,
@@ -211,12 +187,11 @@ proptest! {
         group in 1usize..48,
         pot in any::<bool>(),
     ) {
-        // The runtime-dispatched entry point (AVX2 when built with
-        // `--features simd` on capable hardware, scalar otherwise) against
-        // the always-scalar oracle. Only the integer micro-kernel is
-        // vectorized — the `−8·Σq` correction and the f32 rescale are
-        // shared code — so agreement is bit-exact for *any* scale mode,
-        // not just PoT.
+        // The runtime-dispatched entry point (AVX2 on a capable x86_64
+        // host, scalar otherwise) against the always-scalar oracle. Only
+        // the integer micro-kernel is vectorized — the `−8·Σq`
+        // correction and the f32 rescale are shared code — so agreement
+        // is bit-exact for *any* scale mode, not just PoT.
         let (p, act) = random_problem(seed, inf, outf, group, 4, 4, pot);
         let mut s1 = GemvScratch::new();
         let mut s2 = GemvScratch::new();

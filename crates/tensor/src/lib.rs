@@ -27,6 +27,7 @@ mod tensor;
 
 pub mod activation;
 pub mod conv;
+pub mod isa;
 pub mod norm;
 pub mod ops;
 pub mod rng;
