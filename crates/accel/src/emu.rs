@@ -54,21 +54,6 @@ impl SsmOp {
             SsmOp::YZ => "y⊙z",
         }
     }
-
-    /// Elements this operator processes per decode step per head, given
-    /// `(headdim, d_state)`.
-    pub fn elements_per_head(self, headdim: usize, d_state: usize) -> usize {
-        match self {
-            // Scalar per head.
-            SsmOp::DeltaA => 1,
-            // Along the state dimension.
-            SsmOp::DeltaB => d_state,
-            // Full (p × n) slab.
-            SsmOp::BX | SsmOp::AH | SsmOp::HC => headdim * d_state,
-            // Along the channel dimension.
-            SsmOp::XD | SsmOp::YZ => headdim,
-        }
-    }
 }
 
 /// Resource cost of one EMU lane.
@@ -114,15 +99,6 @@ pub fn emu_cycles(elements: usize, lanes: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn element_counts_follow_shapes() {
-        let (p, n) = (64, 128);
-        assert_eq!(SsmOp::DeltaA.elements_per_head(p, n), 1);
-        assert_eq!(SsmOp::DeltaB.elements_per_head(p, n), 128);
-        assert_eq!(SsmOp::BX.elements_per_head(p, n), 8192);
-        assert_eq!(SsmOp::XD.elements_per_head(p, n), 64);
-    }
 
     #[test]
     fn pot_removes_requant_dsp() {

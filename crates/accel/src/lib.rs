@@ -18,8 +18,6 @@
 //! * [`batch`] — batch-aware step costing for multi-sequence serving
 //!   (one shared weight stream per step, compute scaled per resident
 //!   sequence) with the URAM bound on residency;
-//! * [`fifo`] — FIFO occupancy simulation for the SSMU's operator chain
-//!   (the paper's minimum-depth balancing);
 //! * [`resources`], [`power`] — LUT/FF/DSP/BRAM/URAM and power/energy
 //!   reports calibrated against Table IV;
 //! * [`gpu`], [`baselines`] — the RTX 2070/4090 roofline baselines and the
@@ -46,7 +44,6 @@ pub mod baselines;
 pub mod batch;
 pub mod emu;
 pub mod events;
-pub mod fifo;
 pub mod gpu;
 pub mod htu;
 pub mod mmu;

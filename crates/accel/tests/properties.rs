@@ -4,7 +4,6 @@
 use lightmamba_accel::arch::{
     AcceleratorConfig, HadamardImpl, HwPrecision, PipelineMode, TileConfig,
 };
-use lightmamba_accel::fifo;
 use lightmamba_accel::platform::Platform;
 use lightmamba_accel::resources;
 use lightmamba_accel::schedule::schedule_block;
@@ -114,20 +113,5 @@ proptest! {
             prop_assert!(r.cycles_per_token + 1e-6 >= r.compute_cycles.max(r.dma_cycles));
             prop_assert!(r.cycles_per_token <= r.compute_cycles + r.dma_cycles + 1e-6);
         }
-    }
-
-    #[test]
-    fn fifo_depth_never_exceeds_total(total in 1usize..4096, pr in 1usize..32, cr in 1usize..32, delay in 0u64..32) {
-        let a = fifo::simulate_fifo(total, pr, cr, delay);
-        prop_assert!(a.min_depth <= total);
-        prop_assert_eq!(a.transferred, total);
-        prop_assert!(a.cycles >= (total / pr.max(1)) as u64);
-    }
-
-    #[test]
-    fn fifo_depth_monotone_in_delay(total in 16usize..1024, rate in 1usize..16, d in 0u64..16) {
-        let a = fifo::simulate_fifo(total, rate, rate, d);
-        let b = fifo::simulate_fifo(total, rate, rate, d + 4);
-        prop_assert!(b.min_depth >= a.min_depth);
     }
 }

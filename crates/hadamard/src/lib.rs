@@ -37,8 +37,6 @@ mod fht;
 mod matrix;
 mod random;
 
-pub mod pipeline;
-
 pub use error::HadamardError;
 pub use factored::FactoredHadamard;
 pub use fht::{fwht, fwht_normalized, is_power_of_two};

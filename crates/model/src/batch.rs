@@ -749,4 +749,77 @@ mod tests {
             assert_eq!(states, before);
         }
     }
+
+    /// The token whose embedding panics in [`PanicsOnSentinel`].
+    const SENTINEL: u32 = 77;
+
+    /// The FP model, except that embedding [`SENTINEL`] panics: a fault
+    /// raised inside one lane of a pooled step.
+    struct PanicsOnSentinel<'m>(&'m MambaModel);
+
+    impl DecodeKernels for PanicsOnSentinel<'_> {
+        type Scratch = BlockScratch;
+        type Error = ModelError;
+
+        fn config(&self) -> &MambaConfig {
+            DecodeKernels::config(self.0)
+        }
+
+        fn embed(&self, token: u32, x: &mut Vec<f32>) -> Result<()> {
+            if token == SENTINEL {
+                panic!("sentinel token embedded");
+            }
+            DecodeKernels::embed(self.0, token, x)
+        }
+
+        fn layer_step(
+            &self,
+            layer: usize,
+            xs: &mut [Vec<f32>],
+            states: &mut LayerBatch<'_>,
+            scratch: &mut BlockScratch,
+        ) -> Result<()> {
+            DecodeKernels::layer_step(self.0, layer, xs, states, scratch)
+        }
+
+        fn finish(
+            &self,
+            xs: &mut [Vec<f32>],
+            logits: &mut [Vec<f32>],
+            scratch: &mut BlockScratch,
+        ) -> Result<()> {
+            DecodeKernels::finish(self.0, xs, logits, scratch)
+        }
+    }
+
+    #[test]
+    fn lane_panic_reaches_the_caller_and_the_pool_serves_on() {
+        let m = tiny_model();
+        let faulty = PanicsOnSentinel(&m);
+        let pool = WorkerPool::new(4);
+        let n = 8;
+        let mut items: Vec<(usize, u32)> = (0..n).map(|k| (k, k as u32 * 9 + 1)).collect();
+        items[5].1 = SENTINEL;
+        let mut states: Vec<_> = (0..n).map(|_| m.new_state()).collect();
+        let mut ws = DecodeWorkspace::new();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            step(&faulty, &items, None, &mut states, Some(&pool), &mut ws)
+        }));
+        let payload = caught.expect_err("the lane's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"sentinel token embedded"),
+            "the task's own payload, not a re-formatted one"
+        );
+
+        // The same pool then runs a clean step, bit-equal to no pool.
+        let clean: Vec<(usize, u32)> = (0..n).map(|k| (k, k as u32 * 9 + 2)).collect();
+        let run = |pool: Option<&WorkerPool>| {
+            let mut states: Vec<_> = (0..n).map(|_| m.new_state()).collect();
+            let mut ws = DecodeWorkspace::new();
+            step(&faulty, &clean, None, &mut states, pool, &mut ws).unwrap();
+            ws.into_logits()
+        };
+        assert_eq!(run(Some(&pool)), run(None));
+    }
 }
