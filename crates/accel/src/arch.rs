@@ -1,15 +1,13 @@
 //! Accelerator configuration: the geometry of Fig. 5 plus the technique
 //! knobs swept by the ablation of Fig. 10.
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_model::MambaConfig;
 
 use crate::platform::Platform;
 use crate::{AccelError, Result};
 
 /// Numeric precision the datapath is built for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HwPrecision {
     /// FP16 weights and activations (the "Original Network" ablation row).
     Fp16,
@@ -71,7 +69,7 @@ impl std::fmt::Display for HwPrecision {
 
 /// How the online Hadamard rotation is executed (ablation rows
 /// "+Rotation Quant" vs "+FHT").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HadamardImpl {
     /// No rotation in hardware.
     None,
@@ -84,7 +82,7 @@ pub enum HadamardImpl {
 }
 
 /// Pipeline schedule across the input projection and the SSM (Fig. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PipelineMode {
     /// Sequential: in_proj fully drains before the SSM starts (Fig. 6a).
     Naive,
@@ -97,7 +95,7 @@ pub enum PipelineMode {
 }
 
 /// Fine-grained tile shape over (head, state) dimensions (Fig. 7b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileConfig {
     /// Tile extent along the per-head channel dimension `p`.
     pub pp: usize,
@@ -106,7 +104,7 @@ pub struct TileConfig {
 }
 
 /// Full accelerator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Datapath precision.
     pub precision: HwPrecision,

@@ -7,10 +7,8 @@
 //! Fig. 9a. The paper "simulated their performance based on the
 //! parameters in each paper"; these analytic models do the same.
 
-use serde::{Deserialize, Serialize};
-
 /// An analytic Transformer-accelerator baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerAccelBaseline {
     /// Name as shown in Fig. 9a.
     pub name: String,
@@ -89,7 +87,7 @@ impl TransformerAccelBaseline {
 }
 
 /// One row of the paper's Table I (qualitative paradigm comparison).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParadigmRow {
     /// Work the row describes.
     pub work: &'static str,

@@ -11,8 +11,6 @@
 //! per-layer state footprint (conv window + SSM state), never a growing
 //! KV cache, which is what `lightmamba_serve` builds its slot pool on.
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_model::LayerState;
 
 use crate::sim::DecodeSimulator;
@@ -25,7 +23,7 @@ const STATE_BITS: f64 = 16.0;
 
 /// Decode performance of one engine step that advances `batch` resident
 /// sequences by one token each.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchDecodeReport {
     /// Number of sequences advanced per step.
     pub batch: usize,

@@ -8,11 +8,9 @@
 //! PoT scales. Element-wise ops have no reduction to amortize this over,
 //! which is why the paper's Fig. 3 shows re-quantization dominating.
 
-use serde::{Deserialize, Serialize};
-
 /// The seven element-wise operators of the SSM dataflow (Fig. 3's x-axis
 /// plus the exp/softplus special functions kept in LUT form).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SsmOp {
     /// `Δ ⊙ A` (per-head decay pre-product).
     DeltaA,
@@ -57,7 +55,7 @@ impl SsmOp {
 }
 
 /// Resource cost of one EMU lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EmuLaneCost {
     /// DSP48s per lane.
     pub dsp: u64,

@@ -6,14 +6,12 @@
 //! which is why the paper's Fig. 9b shows the FPGA's energy advantage
 //! *growing* as models shrink.
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_model::MambaConfig;
 
 use crate::platform::GpuDevice;
 
 /// GPU decode performance/energy report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuReport {
     /// Decode throughput.
     pub tokens_per_s: f64,

@@ -58,11 +58,6 @@ impl MmuModel {
     pub fn ff_count(&self) -> u64 {
         self.lut_count() * 5 / 4
     }
-
-    /// Peak MACs per cycle.
-    pub fn macs_per_cycle(&self) -> u64 {
-        (self.din * self.dout) as u64
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
 //! Hardware platforms: the two FPGAs of the paper plus the GPU baselines
 //! (Table IV's platform rows).
 
-use serde::{Deserialize, Serialize};
-
 /// An FPGA platform with its memory system and resource budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     /// Human-readable name.
     pub name: String,
@@ -73,7 +71,7 @@ impl Platform {
 }
 
 /// A GPU baseline device (decode modelled by `gpu::GpuModel`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuDevice {
     /// Human-readable name.
     pub name: String,

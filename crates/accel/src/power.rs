@@ -7,8 +7,6 @@
 //! longer DMA phase leaves the datapath idle more of the time — exactly
 //! the activity-scaling the model captures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::platform::Platform;
 use crate::resources::ResourceReport;
 use crate::sim::DecodeReport;
@@ -27,7 +25,7 @@ const DRAM_PJ_PER_BYTE: f64 = 60.0;
 const STATIC_SCALE: f64 = 0.75;
 
 /// Power/energy report for a decode workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReport {
     /// Average power during decode, in watts.
     pub avg_power_w: f64,

@@ -9,8 +9,6 @@
 //! 912 BRAM / 61 URAM; U280: 297k / 394k / 1164 / 912 / 61) and are
 //! asserted to stay within ±20% of them by the tests below.
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_model::MambaConfig;
 
 use crate::arch::AcceleratorConfig;
@@ -23,7 +21,7 @@ use crate::tiling;
 use crate::{AccelError, Result};
 
 /// FPGA resource utilization of a full LightMamba instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceReport {
     /// Look-up tables.
     pub lut: u64,

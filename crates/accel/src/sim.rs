@@ -8,8 +8,6 @@
 //! 12 GB/s LPDDR the DMA term dominates (the paper's 7.21 tokens/s W4A4);
 //! on U280's HBM compute dominates (93 tokens/s).
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_model::MambaConfig;
 
 use crate::arch::AcceleratorConfig;
@@ -29,7 +27,7 @@ fn scale_overhead(weight_bits: u32) -> f64 {
 }
 
 /// Decode performance report of one platform/model/configuration triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodeReport {
     /// Sustained decode throughput.
     pub tokens_per_s: f64,

@@ -98,12 +98,6 @@ impl MambaBlock {
         &self.weights
     }
 
-    /// Mutable access to the block's weights (used by the quantizer's
-    /// fusion passes, which rewrite projections in place).
-    pub fn weights_mut(&mut self) -> &mut BlockWeights {
-        &mut self.weights
-    }
-
     /// The configuration the block was built for.
     pub fn config(&self) -> &MambaConfig {
         &self.cfg

@@ -1,12 +1,10 @@
 //! Mamba2 model hyper-parameters and the published model-family presets.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ModelError, Result};
 
 /// Named members of the Mamba2 model family evaluated in the paper
 /// (Fig. 9b sweeps 130M → 2.7B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelPreset {
     /// Mamba2-130M: d_model 768, 24 layers.
     M130,
@@ -54,7 +52,7 @@ impl std::fmt::Display for ModelPreset {
 /// expand · d_model`, `nheads = d_inner / headdim`, the input projection
 /// emits `(z, x, B, C, Δ)` with total width `2·d_inner + 2·ngroups·d_state
 /// + nheads`, and conv1d covers the `(x, B, C)` slice.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MambaConfig {
     /// Residual-stream (embedding) width.
     pub d_model: usize,

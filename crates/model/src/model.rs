@@ -89,11 +89,6 @@ impl MambaModel {
         &self.blocks
     }
 
-    /// Mutable block access (used by the quantizer's fusion passes).
-    pub fn blocks_mut(&mut self) -> &mut [MambaBlock] {
-        &mut self.blocks
-    }
-
     /// The tied embedding / LM-head matrix `(vocab, d_model)`.
     pub fn embedding(&self) -> &lightmamba_tensor::Tensor {
         &self.embedding

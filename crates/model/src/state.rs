@@ -6,15 +6,13 @@
 //! paper's Fig. 9a and it is also why the whole state fits on-chip in the
 //! accelerator (Sec. V-C budgets its URAM).
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_tensor::conv::ConvState;
 
 use crate::ssm::SsmDims;
 use crate::MambaConfig;
 
 /// Recurrent state of one Mamba block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerState {
     /// Sliding window of the causal conv1d over `(x, B, C)`.
     pub conv: ConvState,
@@ -59,7 +57,7 @@ impl LayerState {
 }
 
 /// Recurrent state of the full model (one [`LayerState`] per block).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelState {
     /// Per-layer states, index-aligned with the model's blocks.
     pub layers: Vec<LayerState>,

@@ -6,14 +6,12 @@
 //! * the input projection's output columns are ordered `z | x | B | C | Δ`;
 //! * conv weights are `(conv_dim, d_conv)` with taps oldest→newest.
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_tensor::Tensor;
 
 use crate::{MambaConfig, ModelError, Result};
 
 /// Weights of one Mamba block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockWeights {
     /// Pre-norm scale `γ`, length `d_model`.
     pub norm_gamma: Vec<f32>,
@@ -72,7 +70,7 @@ impl BlockWeights {
 }
 
 /// Full model weights (embedding is tied to the LM head).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelWeights {
     /// Token embedding `(vocab_size, d_model)`; also the LM head.
     pub embedding: Tensor,

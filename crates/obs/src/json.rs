@@ -1,6 +1,6 @@
 //! A minimal JSON parser and string escaper.
 //!
-//! The workspace's offline `serde` shim carries marker traits only, so
+//! The workspace builds offline with no serialization crate, so
 //! every JSON document in the repo — Prometheus-adjacent exposition,
 //! Chrome trace events, `BENCH_JSON` lines — is hand-written. That is
 //! fine for emitters, but tests asserting "the emitted trace is valid

@@ -29,9 +29,9 @@
 //!   with explicit empty-input handling (callers decide what an empty
 //!   sample set means instead of silently reading a zero).
 //! * [`json`] — a minimal recursive-descent JSON parser and string
-//!   escaper. The workspace's `serde` shim carries marker traits only,
-//!   so exposition and trace emitters hand-write their JSON and the
-//!   test suite needs a real parser to validate it.
+//!   escaper. The workspace has no serialization crate, so exposition
+//!   and trace emitters hand-write their JSON and the test suite needs
+//!   a real parser to validate it.
 //!
 //! The serving engine threads these together (see
 //! `lightmamba_serve::observe`): a [`registry::MetricsRegistry`] of

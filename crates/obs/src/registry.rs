@@ -138,13 +138,6 @@ impl MetricsRegistry {
         GaugeId(self.gauges.len() - 1)
     }
 
-    /// Registers a labeled gauge series.
-    pub fn gauge_labeled(&mut self, name: &str, labels: &str, help: &str) -> GaugeId {
-        let meta = self.meta(name, labels, help);
-        self.gauges.push((meta, 0.0));
-        GaugeId(self.gauges.len() - 1)
-    }
-
     /// Registers a histogram with the given ascending finite bucket
     /// upper bounds (an implicit `+Inf` overflow bucket is added).
     pub fn histogram(&mut self, name: &str, help: &str, bounds: &[f64]) -> HistogramId {

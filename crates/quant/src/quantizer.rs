@@ -6,14 +6,12 @@
 //! * **W4A4** — per-group (size 128) weights *and* activations;
 //! * **SSM** — INT8 per-group with PoT scales ([`crate::pot`]).
 
-use serde::{Deserialize, Serialize};
-
 use lightmamba_tensor::Tensor;
 
 use crate::{pot, QuantError, Result};
 
 /// Scale granularity of a quantizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Granularity {
     /// One scale for the whole tensor.
     PerTensor,
@@ -26,7 +24,7 @@ pub enum Granularity {
 }
 
 /// A symmetric integer quantization scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuantScheme {
     /// Bit width (2–8 supported).
     pub bits: u8,
@@ -124,7 +122,7 @@ impl QuantScheme {
 ///
 /// Codes are stored row-major like the source tensor; `scales` has one
 /// entry per quantization block in block order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTensor {
     codes: Vec<i8>,
     scales: Vec<f32>,

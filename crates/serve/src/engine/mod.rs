@@ -65,7 +65,7 @@ use crate::observe::{EngineObs, ObsConfig};
 use crate::prefix::PrefixCache;
 use crate::registry::{same_state_shape, ModelRegistry};
 use crate::request::{Completion, GenRequest, RequestId};
-use crate::resilience::{BackendHealth, DegradationController, HealthTracker, ResilienceConfig};
+use crate::resilience::{BackendHealth, HealthTracker, ResilienceConfig};
 use crate::scheduler::{Policy, TokenBudget};
 use crate::slots::SlotPool;
 use seq::{ActiveSeq, PausedSeq};
@@ -279,9 +279,6 @@ pub struct ServeEngine<'m> {
     /// refreshed in place each step so the hot path stays
     /// allocation-free.
     quarantine_mask: Vec<bool>,
-    /// Sustained-overload ladder walker (inert unless
-    /// [`ResilienceConfig::degradation`] is set).
-    degradation: DegradationController,
     /// The shared-prefix state cache, when enabled
     /// ([`EngineConfig::prefix_cache`]).
     prefix: Option<PrefixCache>,
@@ -371,49 +368,24 @@ impl<'m> ServeEngine<'m> {
             resilience: ResilienceConfig::default(),
             health: HealthTracker::new(n_models),
             quarantine_mask: vec![false; n_models],
-            degradation: DegradationController::default(),
             prefix: cfg.prefix_cache.map(PrefixCache::new),
             budget_deferred_last_step: 0,
         })
     }
 
-    /// Replaces the fault-tolerance configuration (quarantine shape,
-    /// bounded admission queue, degradation ladder). The default
-    /// [`ResilienceConfig`] is inert until a fault occurs, so an engine
-    /// that never calls this behaves bit-identically to one predating
-    /// the fault layer; [`ResilienceConfig::none`] is the no-mitigation
-    /// baseline the chaos study compares against.
+    /// Replaces the fault-tolerance configuration (quarantine on/off,
+    /// bounded admission queue). The default [`ResilienceConfig`] is
+    /// inert until a fault occurs, so an engine that never calls this
+    /// behaves bit-identically to one predating the fault layer;
+    /// [`ResilienceConfig::none`] is the no-mitigation baseline the
+    /// chaos study compares against.
     pub fn set_resilience(&mut self, cfg: ResilienceConfig) {
         self.resilience = cfg;
-    }
-
-    /// The current fault-tolerance configuration.
-    pub fn resilience(&self) -> &ResilienceConfig {
-        &self.resilience
     }
 
     /// Quarantine state of model `id` (`None` for an unknown id).
     pub fn backend_health(&self, id: usize) -> Option<BackendHealth> {
         (id < self.registry.len()).then(|| self.health.get(id))
-    }
-
-    /// Current rung of the degradation ladder (0 = nominal; see
-    /// [`crate::resilience`] for the ladder).
-    pub fn degradation_level(&self) -> u8 {
-        self.degradation.level()
-    }
-
-    /// Prompt tokens one prefilling sequence may consume per step right
-    /// now: [`EngineConfig::prefill_chunk`], halved (never below 1)
-    /// while the degradation ladder is at level ≥ 1. Chunked prefill is
-    /// exact, so shrinking the chunk mid-run never changes outputs —
-    /// only how work interleaves.
-    pub fn effective_prefill_chunk(&self) -> usize {
-        if self.degradation.level() >= 1 {
-            (self.cfg.prefill_chunk / 2).max(1)
-        } else {
-            self.cfg.prefill_chunk
-        }
     }
 
     /// The registry of backends this engine multiplexes.
@@ -612,9 +584,8 @@ impl<'m> ServeEngine<'m> {
     /// resumes compete for the freed slots, under the quarantine and
     /// token-budget gates) → batched model advance (chunked prefill +
     /// decode, one fault domain per backend) → sampling and prefix
-    /// harvest → retirement → degradation ladder → trace and
-    /// observability close. ARCHITECTURE.md tabulates what each phase
-    /// reads and writes.
+    /// harvest → retirement → trace and observability close.
+    /// ARCHITECTURE.md tabulates what each phase reads and writes.
     ///
     /// # Errors
     ///
@@ -635,7 +606,6 @@ impl<'m> ServeEngine<'m> {
         self.phase("advance", &mut ctx, Self::advance);
         self.phase("sample", &mut ctx, Self::sample);
         self.phase("retire", &mut ctx, Self::retire);
-        self.degrade();
         self.close(ctx);
         Ok(())
     }
@@ -1818,7 +1788,6 @@ mod tests {
     // ---- fault tolerance -------------------------------------------------
 
     use crate::chaos::{ChaosBackend, FaultKind as ChaosFault, FaultPlan, FaultWindow};
-    use crate::resilience::DegradationConfig;
 
     fn chaos_registry<'m>(model: &'m MambaModel, plan: FaultPlan) -> ModelRegistry<'m> {
         use crate::backend::FpBackend;
@@ -1978,116 +1947,6 @@ mod tests {
                 assert!(c.retry_after_steps.is_none());
             }
         }
-    }
-
-    #[test]
-    fn sustained_overload_walks_the_degradation_ladder() {
-        let model = tiny_model();
-        let mut engine = ServeEngine::new(
-            &model,
-            EngineConfig {
-                slots: 1,
-                max_steps: 10_000,
-                prefill_chunk: 4,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        engine.set_resilience(ResilienceConfig {
-            degradation: Some(DegradationConfig {
-                queue_slo: 2,
-                breach_steps: 2,
-                recover_steps: 2,
-            }),
-            ..ResilienceConfig::default()
-        });
-        // One slot, ten long requests: the queue sits far over the SLO.
-        engine.submit(burst_requests(10, 1, 40)).unwrap();
-        assert_eq!(engine.degradation_level(), 0);
-        assert_eq!(engine.effective_prefill_chunk(), 4);
-        for _ in 0..4 {
-            engine.step(&mut Fifo).unwrap();
-        }
-        // Two breached steps per rung: level 2 after four steps.
-        assert_eq!(engine.degradation_level(), 2);
-        assert_eq!(engine.effective_prefill_chunk(), 2, "L1 halves the chunk");
-
-        // At level 2, Batch-class arrivals are shed; Interactive ones
-        // still get in.
-        let shed = GenRequest::greedy(100, vec![1], 2).with_priority(Priority::Batch);
-        let kept = GenRequest::greedy(101, vec![1], 2).with_priority(Priority::Interactive);
-        engine.submit(vec![shed, kept]).unwrap();
-        engine.step(&mut Fifo).unwrap();
-        assert_eq!(engine.report(&Fifo).rejected, 1);
-        assert!(engine
-            .completions()
-            .iter()
-            .any(|c| c.id == 100 && c.finish == FinishReason::Rejected));
-
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.completed, 11, "everything admitted still finishes");
-        assert_eq!(report.rejected, 1);
-    }
-
-    #[test]
-    fn rung_three_reroutes_only_prompts_the_cheap_model_can_embed() {
-        use crate::backend::{FpBackend, W4A4Backend};
-        use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
-        // Same state shape, half the vocabulary: registration accepts
-        // the W4A4 model, and it is the registry's cheapest.
-        let fp = tiny_model();
-        let narrow = MambaConfig {
-            vocab_size: 128,
-            ..MambaConfig::tiny()
-        };
-        let small = MambaModel::synthetic(narrow, &mut StdRng::seed_from_u64(4)).unwrap();
-        let q = quantize_model(&small, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
-        let mut reg = ModelRegistry::new();
-        reg.register("fp", Box::new(FpBackend::new(&fp))).unwrap();
-        reg.register("w4a4", Box::new(W4A4Backend::new(q))).unwrap();
-        let mut engine = ServeEngine::with_registry(
-            reg,
-            EngineConfig {
-                slots: 2,
-                max_steps: 1_000,
-                prefill_chunk: 4,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Walk the ladder to rung 3 by hand (no degradation config is
-        // set, so the controller stays there).
-        let dcfg = DegradationConfig {
-            queue_slo: 0,
-            breach_steps: 1,
-            recover_steps: 1,
-        };
-        for _ in 0..3 {
-            engine.degradation.observe(1, &dcfg);
-        }
-        assert_eq!(engine.degradation_level(), 3);
-        // Request 0's prompt only the FP model can embed; request 1's
-        // fits both and would share the W4A4 sub-batch with it.
-        engine
-            .submit(vec![
-                GenRequest::greedy(0, vec![200, 130, 250], 3),
-                GenRequest::greedy(1, vec![1, 2, 3], 3),
-            ])
-            .unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!((report.failed, report.backend_faults), (0, 0));
-        assert_eq!(report.completed, 2);
-        // Request 0 stays on the model that can embed it; request 1 is
-        // still rerouted.
-        let mut placed: Vec<(u64, usize)> = engine
-            .completions()
-            .iter()
-            .map(|c| (c.id, c.model))
-            .collect();
-        placed.sort_unstable();
-        assert_eq!(placed, [(0, 0), (1, 1)]);
     }
 
     #[test]
@@ -2661,43 +2520,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_accounting_uses_the_configured_chunk_under_degradation() {
-        let model = tiny_model();
-        let mut engine = ServeEngine::new(
-            &model,
-            EngineConfig {
-                slots: 2,
-                max_steps: 1_000,
-                prefill_chunk: 4,
-                threads: 1,
-                token_budget: Some(TokenBudget::new(4, 100).unwrap()),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // Walk the ladder to rung 1 by hand (the controller stays inert
-        // afterwards: no degradation config is set on the engine).
-        let dcfg = DegradationConfig {
-            queue_slo: 0,
-            breach_steps: 1,
-            recover_steps: 1,
-        };
-        assert_eq!(engine.degradation.observe(1, &dcfg), Some(1));
-        assert_eq!(engine.effective_prefill_chunk(), 2);
-        engine.submit(burst_requests(2, 4, 2)).unwrap();
-        engine.step(&mut Fifo).unwrap();
-        // Charged at the degraded chunk both would fit (2 + 2 <= 4); at
-        // the configured one the second is deferred (4 + 4 > 4) — while
-        // the step itself still feeds the degraded chunk.
-        assert_eq!(engine.active_count(), 1);
-        assert_eq!(engine.report(&Fifo).budget_deferrals, 1);
-        assert_eq!(engine.trace.prefill_per_step, [2]);
-    }
-
-    #[test]
     fn quarantine_gate_drops_quarantined_picks_and_admits_one_canary_per_model() {
         use super::step::quarantine_gate;
-        let cfg = ResilienceConfig::default();
+        use crate::resilience::BACKOFF_BASE;
         let mut health = HealthTracker::new(3);
         let models = [0usize, 1, 2, 2, 0, 1, 1];
         let gate = |health: &HealthTracker| {
@@ -2706,14 +2531,14 @@ mod tests {
             picks
         };
         assert_eq!(gate(&health).len(), models.len(), "healthy passes all");
-        health.on_fault(1, 0, &cfg);
-        health.on_fault(2, 1, &cfg);
+        health.on_fault(1, 0);
+        health.on_fault(2, 1);
         assert_eq!(gate(&health), [0, 4], "quarantined models admit nothing");
         // Model 1's backoff elapses first: exactly one canary, the
         // policy's first pick for it; model 2 is still shut.
-        health.tick(cfg.backoff_base, |_, _| {});
+        health.tick(BACKOFF_BASE, |_, _| {});
         assert_eq!(gate(&health), [0, 1, 4]);
-        health.tick(cfg.backoff_base + 1, |_, _| {});
+        health.tick(BACKOFF_BASE + 1, |_, _| {});
         assert_eq!(gate(&health), [0, 1, 2, 4], "one canary per model");
     }
 

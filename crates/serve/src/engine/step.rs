@@ -12,7 +12,7 @@ use super::{ServeEngine, SessionSnapshot, StepEvent};
 use crate::backend::DecodeBackend;
 use crate::observe::Tally;
 use crate::registry::{ModelId, ModelRegistry};
-use crate::request::{Completion, FinishReason, GenRequest, Priority};
+use crate::request::{Completion, FinishReason, GenRequest};
 use crate::resilience::{BackendHealth, HealthTracker};
 use crate::scheduler::{AdmissionCtx, Policy, SeqView, TokenBudget};
 
@@ -30,9 +30,6 @@ pub(super) struct StepCtx {
     wall_start: Option<Instant>,
     completions_at_entry: usize,
     snapshots_at_entry: usize,
-    /// Prefill chunk in force this step (the degradation ladder may
-    /// have halved the configured one).
-    chunk: usize,
     /// Residents per model, kept current through preemption.
     active_per_model: Vec<usize>,
     /// Scheduling views the policy sees (batch order / oldest pause
@@ -80,13 +77,11 @@ pub(super) struct Load {
 }
 
 impl Load {
-    /// The load of `req` at prompt position `pos`. `full_chunk` is the
-    /// *configured* prefill chunk, not the degradation ladder's
-    /// effective one, so a ladder recovering mid-run can never
-    /// invalidate an admission the budget already granted.
-    pub(super) fn of(req: &GenRequest, pos: usize, full_chunk: usize) -> Self {
+    /// The load of `req` at prompt position `pos` under a prefill chunk
+    /// of `chunk` tokens.
+    pub(super) fn of(req: &GenRequest, pos: usize, chunk: usize) -> Self {
         Load {
-            feed: req.prompt.len().saturating_sub(pos).min(full_chunk),
+            feed: req.prompt.len().saturating_sub(pos).min(chunk),
             footprint: req.prompt.len() + req.max_new_tokens,
         }
     }
@@ -180,7 +175,6 @@ impl ServeEngine<'_> {
             wall_start: self.obs.0.is_some().then(Instant::now),
             completions_at_entry: self.completions.len(),
             snapshots_at_entry: self.session_snapshots.len(),
-            chunk: self.effective_prefill_chunk(),
             ..StepCtx::default()
         };
         self.obs.with(|o| o.spans.begin("step", cat, self.clock));
@@ -294,30 +288,21 @@ impl ServeEngine<'_> {
 
     /// Arrivals whose time has come join the waiting queue — unless
     /// overload protection sheds them: with a bounded queue, arrivals
-    /// beyond `queue_limit` are turned away, and from rung 2 of the
-    /// degradation ladder Batch-priority arrivals are shed outright. A
-    /// shed request retires as `Rejected` with a retry hint scaled to
-    /// queue pressure; it never holds a slot and does no model work.
-    /// From rung 3, degradable (non-Interactive, non-session) arrivals
-    /// are rerouted to the registry's cheapest backend — those whose
-    /// prompt fits its vocabulary: a token it cannot embed would fault
-    /// its whole sub-batch.
+    /// beyond `queue_limit` are turned away. A shed request retires as
+    /// `Rejected` with a retry hint scaled to queue pressure; it never
+    /// holds a slot and does no model work.
     pub(super) fn arrivals(&mut self) {
-        let level = self.degradation.level();
-        let reroute_to = (level >= 3)
-            .then(|| self.registry.cheapest_model())
-            .flatten();
         while self
             .pending
             .front()
             .is_some_and(|r| r.arrival_step <= self.clock)
         {
-            let mut r = self.pending.pop_front().expect("front checked");
+            let r = self.pending.pop_front().expect("front checked");
             let over_limit = self
                 .resilience
                 .queue_limit
                 .is_some_and(|lim| self.waiting.len() >= lim);
-            if over_limit || (level >= 2 && r.priority == Priority::Batch) {
+            if over_limit {
                 // Hint: the steps the backlog ahead needs to drain at
                 // one slot-pool wave per step — crude, but
                 // deterministic and monotone in pressure. Token-budget
@@ -328,16 +313,6 @@ impl ServeEngine<'_> {
                     .saturating_add(self.budget_deferred_last_step);
                 self.turn_away(&r, FinishReason::Rejected, Some(hint));
                 continue;
-            }
-            // Session resumes stay on their model: their saved state
-            // embodies that model's decode history.
-            if let Some(cheap) = reroute_to {
-                let vocab = self.vocab_sizes[cheap];
-                let fits = r.prompt.iter().all(|&t| (t as usize) < vocab);
-                let resume = self.resume_states.contains_key(&r.id);
-                if fits && !resume && r.priority != Priority::Interactive {
-                    r.model = cheap;
-                }
             }
             self.obs
                 .with(|o| o.lifecycle(r.id, self.clock, LifecyclePhase::Queued));
@@ -429,7 +404,7 @@ impl ServeEngine<'_> {
             free_slots: self.pool.free_count(),
             active: self.active.len(),
             active_per_model: &ctx.active_per_model,
-            prefill_chunk: ctx.chunk,
+            prefill_chunk: self.cfg.prefill_chunk,
             quarantined: &self.quarantine_mask,
         }
     }
@@ -468,9 +443,9 @@ impl ServeEngine<'_> {
     /// prefilling sequence's next chunk, every slot-holder's worst-case
     /// footprint.
     fn resident_load(&self) -> Load {
-        let full_chunk = self.cfg.prefill_chunk;
+        let chunk = self.cfg.prefill_chunk;
         self.active.iter().fold(Load::default(), |sum, s| {
-            let load = Load::of(&s.run.req, s.run.pos, full_chunk);
+            let load = Load::of(&s.run.req, s.run.pos, chunk);
             Load {
                 feed: sum.feed + load.feed,
                 footprint: sum.footprint + load.footprint,
@@ -509,10 +484,10 @@ impl ServeEngine<'_> {
             // prefix-cache hit would feed less, but the gate runs
             // before the lookup, so it charges the worst case (the
             // invariant stays an upper bound).
-            let full_chunk = self.cfg.prefill_chunk;
+            let chunk = self.cfg.prefill_chunk;
             ctx.budget_deferred = budget_gate(budget, self.resident_load(), &mut picks, |i| {
                 let (req, pos) = self.candidate(i);
-                Load::of(req, pos, full_chunk)
+                Load::of(req, pos, chunk)
             });
         }
         self.totals.budget_deferrals += ctx.budget_deferred;
@@ -618,7 +593,7 @@ impl ServeEngine<'_> {
     /// sub-batch this step — every other domain's results land normally
     /// and the engine survives.
     pub(super) fn advance(&mut self, ctx: &mut StepCtx) {
-        let n_models = self.registry.len();
+        let (n_models, chunk) = (self.registry.len(), self.cfg.prefill_chunk);
         ctx.total_batch = self.active.len();
         ctx.sub_processed = vec![0; n_models];
         ctx.step_logits = vec![None; ctx.total_batch];
@@ -632,7 +607,7 @@ impl ServeEngine<'_> {
             }
             let items: Vec<(usize, &[u32])> = idxs
                 .iter()
-                .map(|&i| (self.active[i].slot, self.active[i].feed(ctx.chunk)))
+                .map(|&i| (self.active[i].slot, self.active[i].feed(chunk)))
                 .collect();
             let fed: usize = items.iter().map(|(_, toks)| toks.len()).sum();
             self.obs
@@ -712,7 +687,7 @@ impl ServeEngine<'_> {
             self.obs.with(|o| o.fault_event(clock, mid as u32, kind));
             if self.resilience.quarantine {
                 self.totals.quarantine_entries += 1;
-                self.health.on_fault(mid, clock, &self.resilience);
+                self.health.on_fault(mid, clock);
                 self.obs
                     .with(|o| o.fault_event(clock, mid as u32, FaultKind::Quarantined));
             }
@@ -737,7 +712,7 @@ impl ServeEngine<'_> {
             let logits = logits.as_ref().expect("every active sequence stepped");
             // Mirrors `feed` exactly (both derive from `feed_len`),
             // including the clip at a pending harvest boundary.
-            let fed = seq.feed_len(ctx.chunk);
+            let fed = seq.feed_len(self.cfg.prefill_chunk);
             let run = &mut seq.run;
             if run.pos < run.req.prompt.len() {
                 ctx.prefill_tokens += fed;
@@ -817,18 +792,6 @@ impl ServeEngine<'_> {
                 self.totals.session_parks += 1;
             }
             self.vacate(seq, finish);
-        }
-    }
-
-    /// Graceful degradation: fold this step's closing queue depth into
-    /// the breach/recovery counters and walk the ladder on a sustained
-    /// breach (or sustained recovery). Inert unless configured.
-    pub(super) fn degrade(&mut self) {
-        let Some(cfg) = self.resilience.degradation else {
-            return;
-        };
-        if let Some(level) = self.degradation.observe(self.waiting.len(), &cfg) {
-            self.obs.with(|o| o.degradation(level));
         }
     }
 

@@ -23,19 +23,18 @@
 //!
 //! Multi-turn chat rides the same machinery: a request tagged with
 //! [`crate::request::GenRequest::with_session`] retires into a
-//! [`crate::engine::SessionSnapshot`] that the frontend parks in a
-//! capacity-bounded
-//! LRU [`SessionStore`]. The session's next turn consumes the snapshot
+//! [`crate::engine::SessionSnapshot`] that the frontend parks in an LRU
+//! [`SessionStore`] of the 64 most recently used sessions. The
+//! session's next turn consumes the snapshot
 //! ([`ServeEngine::submit_with_state`]): one fixed-size state restore —
 //! priced as a single state-transfer DMA — replaces re-prefilling the
 //! whole conversation, which is the serving payoff of Mamba2's
 //! constant-size state (no KV cache to rebuild or spill).
 //!
-//! Backpressure: each stream's channel holds
-//! [`FrontendConfig::stream_capacity`] undelivered events, and the
-//! engine thread *blocks* on a full stream rather than dropping tokens.
-//! A client that neither reads nor drops its stream therefore stalls
-//! the whole engine — drop the stream to disconnect cleanly.
+//! Backpressure: each stream's channel holds 16 undelivered events, and
+//! the engine thread *blocks* on a full stream rather than dropping
+//! tokens. A client that neither reads nor drops its stream therefore
+//! stalls the whole engine — drop the stream to disconnect cleanly.
 
 mod session;
 mod stream;
@@ -54,15 +53,9 @@ use crate::request::{Completion, FinishReason, RequestId};
 use crate::scheduler::Policy;
 use stream::ClientMsg;
 
-/// Limits of one [`run_frontend`] call.
-#[derive(Debug, Clone, Copy)]
+/// Options of one [`run_frontend`] call.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FrontendConfig {
-    /// Undelivered events each [`TokenStream`] buffers before the
-    /// engine thread blocks on it (must be at least 1).
-    pub stream_capacity: usize,
-    /// Most recently used session states the [`SessionStore`] parks
-    /// between turns; older sessions fall back to re-prefilling.
-    pub session_capacity: usize,
     /// When set, the engine thread runs with observability enabled
     /// ([`ServeEngine::enable_obs`]) and the finished [`EngineObs`] —
     /// metrics, spans, flight recorder — comes back in
@@ -70,15 +63,10 @@ pub struct FrontendConfig {
     pub obs: Option<ObsConfig>,
 }
 
-impl Default for FrontendConfig {
-    fn default() -> Self {
-        FrontendConfig {
-            stream_capacity: 16,
-            session_capacity: 64,
-            obs: None,
-        }
-    }
-}
+/// Most recently used session states the engine thread's
+/// [`SessionStore`] parks between turns; older sessions fall back to
+/// re-prefilling.
+const SESSION_CAPACITY: usize = 64;
 
 /// What a finished [`run_frontend`] call observed, alongside the
 /// client closure's own return value.
@@ -124,9 +112,9 @@ pub struct FrontendRun {
 ///
 /// # Errors
 ///
-/// Returns [`ServeError::InvalidConfig`] for a zero `stream_capacity`.
-/// Backend faults are not errors here: the engine contains them per
-/// model and the affected streams end in [`StreamEvent::Failed`]; bad
+/// Returns the first [`ServeError`] the engine thread's intake or step
+/// hits. Backend faults are not errors here: the engine contains them
+/// per model and the affected streams end in [`StreamEvent::Failed`]; bad
 /// submissions are refused by [`FrontendHandle::submit`] before they
 /// reach the engine thread. Panics in `client` propagate after the
 /// engine thread is shut down; panics on the engine thread propagate
@@ -176,17 +164,8 @@ pub fn run_frontend<R>(
     cfg: FrontendConfig,
     client: impl FnOnce(FrontendHandle) -> R,
 ) -> Result<(R, FrontendRun), ServeError> {
-    if cfg.stream_capacity == 0 {
-        return Err(ServeError::InvalidConfig(
-            "stream_capacity must be at least 1".into(),
-        ));
-    }
     let (intake_tx, intake_rx) = channel::<ClientMsg>();
-    let handle = FrontendHandle::new(
-        intake_tx,
-        engine.registry().vocab_sizes(),
-        cfg.stream_capacity,
-    );
+    let handle = FrontendHandle::new(intake_tx, engine.registry().vocab_sizes());
     engine.enable_events();
     if let Some(obs_cfg) = cfg.obs {
         engine.enable_obs(obs_cfg);
@@ -194,7 +173,7 @@ pub fn run_frontend<R>(
 
     std::thread::scope(|scope| {
         let engine_thread =
-            scope.spawn(move || engine_loop(&mut engine, policy.as_mut(), cfg, &intake_rx));
+            scope.spawn(move || engine_loop(&mut engine, policy.as_mut(), &intake_rx));
         let client_result =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| client(handle)));
         // The client closure owned the last intake sender (or its
@@ -222,12 +201,11 @@ struct Intake {
 fn engine_loop(
     engine: &mut ServeEngine<'_>,
     policy: &mut dyn Policy,
-    cfg: FrontendConfig,
     intake: &Receiver<ClientMsg>,
 ) -> Result<FrontendRun, ServeError> {
     let max_steps = engine.config().max_steps;
     let mut st = Intake {
-        store: SessionStore::new(cfg.session_capacity),
+        store: SessionStore::new(SESSION_CAPACITY),
         streams: HashMap::new(),
         session_resumes: 0,
         session_misses: 0,
@@ -653,7 +631,6 @@ mod tests {
         let model = tiny_model();
         let cfg = FrontendConfig {
             obs: Some(crate::observe::ObsConfig::default()),
-            ..FrontendConfig::default()
         };
         let (done, run) = run_frontend(engine(&model, 2), Box::new(Fifo), cfg, |handle| {
             let req = GenRequest::greedy(0, vec![5, 6, 7], 4).with_session(7);
@@ -831,15 +808,5 @@ mod tests {
         }
         assert_eq!(run.report.rejected, 1);
         assert_eq!(run.report.completed, 0);
-    }
-
-    #[test]
-    fn zero_stream_capacity_is_rejected() {
-        let model = tiny_model();
-        let cfg = FrontendConfig {
-            stream_capacity: 0,
-            ..FrontendConfig::default()
-        };
-        assert!(run_frontend(engine(&model, 1), Box::new(Fifo), cfg, |_| ()).is_err());
     }
 }

@@ -60,8 +60,8 @@ pub enum StreamEvent {
         step: Option<u64>,
     },
     /// Terminal: the request was shed at admission under overload
-    /// (queue over [`crate::resilience::ResilienceConfig::queue_limit`]
-    /// or its class degraded away) — it never held a slot.
+    /// (queue over [`crate::resilience::ResilienceConfig::queue_limit`])
+    /// — it never held a slot.
     Rejected {
         /// The shed step.
         step: u64,
@@ -97,6 +97,10 @@ pub(crate) enum ClientMsg {
     Cancel(RequestId),
 }
 
+/// Undelivered events each [`TokenStream`] buffers before the engine
+/// thread blocks on it.
+const STREAM_CAPACITY: usize = 16;
+
 /// Cloneable client handle to a running serving frontend
 /// ([`crate::frontend::run_frontend`]). Each [`FrontendHandle::submit`]
 /// returns a private [`TokenStream`]; clones share one intake queue and
@@ -108,29 +112,22 @@ pub struct FrontendHandle {
     next_id: Arc<AtomicU64>,
     /// Vocabulary size per registered model (intake validation).
     vocab_sizes: Arc<[usize]>,
-    stream_capacity: usize,
 }
 
 impl std::fmt::Debug for FrontendHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrontendHandle")
             .field("n_models", &self.vocab_sizes.len())
-            .field("stream_capacity", &self.stream_capacity)
             .finish()
     }
 }
 
 impl FrontendHandle {
-    pub(crate) fn new(
-        intake: Sender<ClientMsg>,
-        vocab_sizes: Vec<usize>,
-        stream_capacity: usize,
-    ) -> Self {
+    pub(crate) fn new(intake: Sender<ClientMsg>, vocab_sizes: Vec<usize>) -> Self {
         FrontendHandle {
             intake,
             next_id: Arc::new(AtomicU64::new(0)),
             vocab_sizes: vocab_sizes.into(),
-            stream_capacity,
         }
     }
 
@@ -153,7 +150,7 @@ impl FrontendHandle {
         req.validate(&self.vocab_sizes)?;
         req.id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let id = req.id;
-        let (events, rx) = sync_channel(self.stream_capacity);
+        let (events, rx) = sync_channel(STREAM_CAPACITY);
         self.intake
             .send(ClientMsg::Submit { req, events })
             .map_err(|_| {

@@ -59,10 +59,8 @@
 //!   domain whose errors and panics the engine contains (the domain's
 //!   requests retire as [`request::FinishReason::Failed`], nothing else
 //!   is touched); faulting backends enter a deterministic
-//!   exponential-backoff quarantine with a half-open canary probe,
-//!   overload is shed at admission from a bounded queue, and a
-//!   degradation controller walks a documented ladder under sustained
-//!   SLO breach;
+//!   exponential-backoff quarantine with a half-open canary probe, and
+//!   overload is shed at admission from a bounded queue;
 //! * [`chaos`] — the deterministic fault-injection harness: a seeded
 //!   [`chaos::FaultPlan`] drives a [`chaos::ChaosBackend`] wrapper that
 //!   injects step errors, panics, latency spikes, and restore

@@ -38,29 +38,28 @@ use crate::engine::{SessionSnapshot, Totals};
 use crate::prefix::PrefixCache;
 use crate::request::{Completion, FinishReason};
 
-/// Capacity knobs of an [`EngineObs`]. The defaults suit the bench
-/// harnesses: ~1.5k steps of spans, 512 steps of flight record, 4k
-/// lifecycle events.
+/// Capacity knob of an [`EngineObs`]. The default suits the bench
+/// harnesses: ~1.5k steps of spans. The flight recorder always keeps
+/// the last 512 step records and 4k lifecycle events.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
     /// Maximum spans retained (≈10 per step; beyond this, spans are
     /// counted as dropped, not stored).
     pub span_capacity: usize,
-    /// Step records the flight recorder retains.
-    pub step_records: usize,
-    /// Lifecycle events the flight recorder retains.
-    pub lifecycle_events: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             span_capacity: 16_384,
-            step_records: 512,
-            lifecycle_events: 4_096,
         }
     }
 }
+
+/// Step records the flight recorder retains.
+const STEP_RECORDS: usize = 512;
+/// Lifecycle events the flight recorder retains.
+const LIFECYCLE_EVENTS: usize = 4_096;
 
 /// The engine's run-wide counts at a step's close, and its worker-pool
 /// width: everything the `engine_*_total` series and the pool gauge
@@ -195,7 +194,6 @@ struct Ids {
     model_tokens: Vec<CounterId>,
     /// Per-model state-move counters, same index.
     model_state_moves: Vec<CounterId>,
-    degradation_level: GaugeId,
     pool_threads: GaugeId,
     queue_depth: GaugeId,
     paused_depth: GaugeId,
@@ -255,10 +253,6 @@ impl EngineObs {
             counters,
             model_tokens,
             model_state_moves,
-            degradation_level: m.gauge(
-                "engine_degradation_level",
-                "Current rung of the overload degradation ladder (0 = nominal).",
-            ),
             pool_threads: m.gauge(
                 "engine_pool_threads",
                 "Worker threads executing batched model steps (1 = sequential).",
@@ -306,7 +300,7 @@ impl EngineObs {
         EngineObs {
             metrics: m,
             spans: SpanRecorder::with_capacity(cfg.span_capacity),
-            flight: FlightRecorder::new(cfg.step_records, cfg.lifecycle_events),
+            flight: FlightRecorder::new(STEP_RECORDS, LIFECYCLE_EVENTS),
             ids,
         }
     }
@@ -323,12 +317,6 @@ impl EngineObs {
     #[inline]
     pub(crate) fn fault_event(&mut self, step: u64, model: u32, kind: FaultKind) {
         self.flight.record_fault(step, model, kind);
-    }
-
-    /// Publishes the degradation ladder's current rung.
-    #[inline]
-    pub(crate) fn degradation(&mut self, level: u8) {
-        self.metrics.set(self.ids.degradation_level, level as f64);
     }
 
     /// Closes one engine step: brings every counter up to the engine's

@@ -159,27 +159,6 @@ impl<'m> ModelRegistry<'m> {
             .map(|(id, e)| (id, e.name.as_str(), e.backend.as_ref()))
     }
 
-    /// The registered model with the narrowest weight stream (lowest
-    /// [`crate::backend::CostProfile::weight_bits`]) — e.g. the W4A4
-    /// backend in an FP + W4A4 registry. The engine's degradation
-    /// controller routes degradable requests here under sustained
-    /// overload. Ties resolve to the earliest registration; `None` on
-    /// an empty registry.
-    pub fn cheapest_model(&self) -> Option<ModelId> {
-        self.entries
-            .iter()
-            .enumerate()
-            .map(|(id, e)| (id, e.backend.cost_profile().weight_bits))
-            .fold(
-                None,
-                |best: Option<(ModelId, f64)>, (id, bits)| match best {
-                    Some((_, b)) if b <= bits => best,
-                    _ => Some((id, bits)),
-                },
-            )
-            .map(|(id, _)| id)
-    }
-
     /// Vocabulary size of each registered model, indexed by [`ModelId`]
     /// — what request intake validates prompt tokens against.
     pub(crate) fn vocab_sizes(&self) -> Vec<usize> {
@@ -233,18 +212,6 @@ mod tests {
         assert_eq!(reg.id_of("w4a4").unwrap(), 1);
         assert_eq!(reg.name_of(0), Some("fp"));
         assert_eq!(reg.get(1).unwrap().name(), "w4a4");
-    }
-
-    #[test]
-    fn cheapest_model_picks_the_narrowest_weight_stream() {
-        let model = tiny_model();
-        let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
-        let mut reg = ModelRegistry::new();
-        reg.register("fp", Box::new(FpBackend::new(&model)))
-            .unwrap();
-        let w4 = reg.register("w4a4", Box::new(W4A4Backend::new(q))).unwrap();
-        assert_eq!(reg.cheapest_model(), Some(w4));
-        assert_eq!(ModelRegistry::new().cheapest_model(), None);
     }
 
     #[test]

@@ -254,9 +254,8 @@ pub enum FinishReason {
     /// re-zeroed on reuse, so torn state cannot leak). The request
     /// counts as neither completed nor deadline-evicted.
     Failed,
-    /// Shed at admission by overload protection (bounded queue or the
-    /// degradation ladder) — the request never held a slot and did no
-    /// work. [`Completion::retry_after_steps`] carries the engine's
+    /// Shed at admission by overload protection (the bounded queue) —
+    /// the request never held a slot and did no work. [`Completion::retry_after_steps`] carries the engine's
     /// back-off hint.
     Rejected,
 }

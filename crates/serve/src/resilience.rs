@@ -1,5 +1,5 @@
-//! Fault-domain health tracking, overload shedding, and graceful
-//! degradation for the serving engine.
+//! Fault-domain health tracking and overload shedding for the serving
+//! engine.
 //!
 //! Each registered backend is one *fault domain*: an error return or a
 //! caught panic from its batched advance fails only the requests that
@@ -11,31 +11,17 @@
 //!   state machine. A fault moves a backend `Healthy →
 //!   Quarantined { until, level }`; the quarantine window is a
 //!   deterministic exponential backoff in engine steps
-//!   (`backoff_base << level`, capped at `backoff_max`). When the
-//!   window elapses the backend opens *half-way*: exactly one canary
-//!   request is admitted to probe it. A clean advance readmits the
-//!   backend (`HalfOpen → Healthy`); another fault deepens the
-//!   quarantine (`HalfOpen → Quarantined { level + 1 }`). Everything is
-//!   keyed to the engine's virtual clock, so the whole machine is
-//!   deterministic and replayable.
+//!   (`BACKOFF_BASE << level`, saturating at `BACKOFF_MAX`: 4, 8, …,
+//!   64 steps). When the window elapses the backend opens *half-way*:
+//!   exactly one canary request is admitted to probe it. A clean
+//!   advance readmits the backend (`HalfOpen → Healthy`); another fault
+//!   deepens the quarantine (`HalfOpen → Quarantined { level + 1 }`).
+//!   Everything is keyed to the engine's virtual clock, so the whole
+//!   machine is deterministic and replayable.
 //! * [`ResilienceConfig`] — the engine's fault-tolerance knobs:
-//!   quarantine on/off, backoff shape, the bounded admission queue, and
-//!   the optional degradation controller. The default keeps fault-free
-//!   runs bit-identical to an engine without the fault layer: no queue
-//!   bound, no degradation, quarantine armed but inert until a fault.
-//! * `DegradationController` — graceful degradation under sustained
-//!   overload. It watches the waiting-queue depth against
-//!   [`DegradationConfig::queue_slo`] each step and walks a documented
-//!   ladder after [`DegradationConfig::breach_steps`] consecutive
-//!   breaches (stepping back up after
-//!   [`DegradationConfig::recover_steps`] clear steps):
-//!
-//!   | level | action |
-//!   |-------|--------|
-//!   | 0 | nominal service |
-//!   | 1 | halve the prefill chunk (never below 1) — smaller step quanta, fairer interleave; outputs stay bit-identical because chunked prefill is exact |
-//!   | 2 | additionally shed [`crate::request::Priority::Batch`] arrivals ([`crate::request::FinishReason::Rejected`]) |
-//!   | 3 | additionally route non-[`crate::request::Priority::Interactive`] arrivals to the registry's cheapest backend ([`crate::registry::ModelRegistry::cheapest_model`], e.g. W4A4) |
+//!   quarantine on/off and the bounded admission queue. The default
+//!   keeps fault-free runs bit-identical to an engine without the fault
+//!   layer: no queue bound, quarantine armed but inert until a fault.
 
 use crate::registry::ModelId;
 
@@ -63,10 +49,9 @@ pub enum BackendHealth {
 
 /// Fault-tolerance knobs of [`crate::engine::ServeEngine`], set via
 /// [`crate::engine::ServeEngine::set_resilience`]. The default is
-/// *inert on the fault-free path*: quarantine arms only after a fault,
-/// the queue is unbounded, degradation is off — so an engine with the
-/// default config produces bit-identical outputs to one predating the
-/// fault layer.
+/// *inert on the fault-free path*: quarantine arms only after a fault
+/// and the queue is unbounded — so an engine with the default config
+/// produces bit-identical outputs to one predating the fault layer.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilienceConfig {
     /// Whether a faulting backend is quarantined. With `false` the
@@ -75,29 +60,19 @@ pub struct ResilienceConfig {
     /// faulty backend — the no-mitigation baseline the chaos study
     /// compares against.
     pub quarantine: bool,
-    /// Quarantine window of the first fault, in engine steps; each
-    /// consecutive fault doubles it.
-    pub backoff_base: u64,
-    /// Upper bound on the quarantine window.
-    pub backoff_max: u64,
     /// Bounded admission queue: an arrival finding this many requests
     /// already waiting is shed with
     /// [`crate::request::FinishReason::Rejected`] and a
     /// [`crate::request::Completion::retry_after_steps`] hint. `None`
     /// (the default) never sheds.
     pub queue_limit: Option<usize>,
-    /// Graceful-degradation controller; `None` (the default) is off.
-    pub degradation: Option<DegradationConfig>,
 }
 
 impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             quarantine: true,
-            backoff_base: 4,
-            backoff_max: 64,
             queue_limit: None,
-            degradation: None,
         }
     }
 }
@@ -111,36 +86,15 @@ impl ResilienceConfig {
         ResilienceConfig {
             quarantine: false,
             queue_limit: None,
-            degradation: None,
-            ..ResilienceConfig::default()
         }
     }
 }
 
-/// Knobs of the degradation controller (see the module docs for the
-/// ladder the controller walks).
-#[derive(Debug, Clone, Copy)]
-pub struct DegradationConfig {
-    /// Waiting-queue depth above which a step counts as an SLO breach.
-    pub queue_slo: usize,
-    /// Consecutive breached steps before stepping *down* one level.
-    pub breach_steps: u64,
-    /// Consecutive clear steps before stepping back *up* one level.
-    pub recover_steps: u64,
-}
-
-impl Default for DegradationConfig {
-    fn default() -> Self {
-        DegradationConfig {
-            queue_slo: 32,
-            breach_steps: 8,
-            recover_steps: 16,
-        }
-    }
-}
-
-/// Deepest rung of the degradation ladder.
-pub const MAX_DEGRADATION_LEVEL: u8 = 3;
+/// Quarantine window of the first fault, in engine steps; each
+/// consecutive fault doubles it.
+pub(crate) const BACKOFF_BASE: u64 = 4;
+/// Upper bound on the quarantine window.
+pub(crate) const BACKOFF_MAX: u64 = 64;
 
 /// Per-model quarantine state machine (engine-internal; exposed
 /// read-only through [`crate::engine::ServeEngine::backend_health`]).
@@ -168,18 +122,18 @@ impl HealthTracker {
         self.unhealthy > 0
     }
 
-    fn backoff(cfg: &ResilienceConfig, level: u32) -> u64 {
-        cfg.backoff_base
-            .checked_shl(level)
-            .unwrap_or(cfg.backoff_max)
-            .min(cfg.backoff_max)
-            .max(1)
+    /// `BACKOFF_BASE << level`, saturating at `BACKOFF_MAX` for every
+    /// level. The shift is clamped first: past `log2(BACKOFF_MAX)` the
+    /// window is already at the cap, and a clamped shift cannot push
+    /// bits off the top (an unclamped `4 << 62` wraps to 0).
+    fn backoff(level: u32) -> u64 {
+        (BACKOFF_BASE << level.min(BACKOFF_MAX.ilog2())).min(BACKOFF_MAX)
     }
 
     /// Records a fault on `mid` at `clock`: a healthy or half-open
     /// backend enters (or deepens) quarantine. Returns the level
     /// entered.
-    pub(crate) fn on_fault(&mut self, mid: ModelId, clock: u64, cfg: &ResilienceConfig) -> u32 {
+    pub(crate) fn on_fault(&mut self, mid: ModelId, clock: u64) -> u32 {
         let level = match self.health[mid] {
             BackendHealth::Healthy => {
                 self.unhealthy += 1;
@@ -191,7 +145,7 @@ impl HealthTracker {
             BackendHealth::Quarantined { level, .. } => level + 1,
         };
         self.health[mid] = BackendHealth::Quarantined {
-            until: clock + Self::backoff(cfg, level),
+            until: clock + Self::backoff(level),
             level,
         };
         level
@@ -237,64 +191,22 @@ impl HealthTracker {
     }
 }
 
-/// Sustained-overload controller walking the degradation ladder (see
-/// the module docs). Engine-internal; the current rung is exposed via
-/// [`crate::engine::ServeEngine::degradation_level`].
-#[derive(Debug, Default)]
-pub(crate) struct DegradationController {
-    level: u8,
-    breach_run: u64,
-    clear_run: u64,
-}
-
-impl DegradationController {
-    pub(crate) fn level(&self) -> u8 {
-        self.level
-    }
-
-    /// Folds one step's queue depth into the breach/recovery counters;
-    /// returns `Some(new_level)` when the rung changed this step.
-    pub(crate) fn observe(&mut self, queue_depth: usize, cfg: &DegradationConfig) -> Option<u8> {
-        if queue_depth > cfg.queue_slo {
-            self.clear_run = 0;
-            self.breach_run += 1;
-            if self.breach_run >= cfg.breach_steps.max(1) && self.level < MAX_DEGRADATION_LEVEL {
-                self.breach_run = 0;
-                self.level += 1;
-                return Some(self.level);
-            }
-        } else {
-            self.breach_run = 0;
-            if self.level > 0 {
-                self.clear_run += 1;
-                if self.clear_run >= cfg.recover_steps.max(1) {
-                    self.clear_run = 0;
-                    self.level -= 1;
-                    return Some(self.level);
-                }
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fault_enters_quarantine_with_exponential_backoff() {
-        let cfg = ResilienceConfig::default();
         let mut t = HealthTracker::new(2);
         assert_eq!(t.get(0), BackendHealth::Healthy);
         assert!(!t.any_unhealthy());
 
-        let level = t.on_fault(0, 10, &cfg);
+        let level = t.on_fault(0, 10);
         assert_eq!(level, 0);
         assert_eq!(
             t.get(0),
             BackendHealth::Quarantined {
-                until: 10 + cfg.backoff_base,
+                until: 10 + BACKOFF_BASE,
                 level: 0
             }
         );
@@ -305,33 +217,32 @@ mod tests {
 
     #[test]
     fn half_open_fault_deepens_and_clean_advance_recovers() {
-        let cfg = ResilienceConfig::default();
         let mut t = HealthTracker::new(1);
-        t.on_fault(0, 0, &cfg);
+        t.on_fault(0, 0);
 
         // Before the window: no transition.
         let mut opened = Vec::new();
-        t.tick(cfg.backoff_base - 1, |m, l| opened.push((m, l)));
+        t.tick(BACKOFF_BASE - 1, |m, l| opened.push((m, l)));
         assert!(opened.is_empty());
 
         // Window elapsed: half-open.
-        t.tick(cfg.backoff_base, |m, l| opened.push((m, l)));
+        t.tick(BACKOFF_BASE, |m, l| opened.push((m, l)));
         assert_eq!(opened, vec![(0, 0)]);
         assert!(matches!(t.get(0), BackendHealth::HalfOpen { level: 0 }));
 
         // The canary faults: quarantine deepens, backoff doubles.
-        let level = t.on_fault(0, cfg.backoff_base, &cfg);
+        let level = t.on_fault(0, BACKOFF_BASE);
         assert_eq!(level, 1);
         assert_eq!(
             t.get(0),
             BackendHealth::Quarantined {
-                until: cfg.backoff_base + cfg.backoff_base * 2,
+                until: BACKOFF_BASE + BACKOFF_BASE * 2,
                 level: 1
             }
         );
 
         // Next window elapses, the canary survives: healthy again.
-        t.tick(cfg.backoff_base * 3, |_, _| {});
+        t.tick(BACKOFF_BASE * 3, |_, _| {});
         assert!(t.on_clean_advance(0));
         assert_eq!(t.get(0), BackendHealth::Healthy);
         assert!(!t.any_unhealthy());
@@ -341,81 +252,27 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_and_never_zero() {
-        let cfg = ResilienceConfig {
-            backoff_base: 4,
-            backoff_max: 64,
-            ..ResilienceConfig::default()
-        };
-        assert_eq!(HealthTracker::backoff(&cfg, 0), 4);
-        assert_eq!(HealthTracker::backoff(&cfg, 3), 32);
-        assert_eq!(HealthTracker::backoff(&cfg, 4), 64);
-        assert_eq!(HealthTracker::backoff(&cfg, 60), 64);
-        // Shift overflow saturates to the cap instead of wrapping.
-        assert_eq!(HealthTracker::backoff(&cfg, u32::MAX), 64);
-        let degenerate = ResilienceConfig {
-            backoff_base: 0,
-            backoff_max: 0,
-            ..ResilienceConfig::default()
-        };
-        assert_eq!(HealthTracker::backoff(&degenerate, 0), 1);
+        assert_eq!(HealthTracker::backoff(0), 4);
+        assert_eq!(HealthTracker::backoff(3), 32);
+        assert_eq!(HealthTracker::backoff(4), 64);
+        assert_eq!(HealthTracker::backoff(60), 64);
+        // Depths whose shift pushes bits off the top saturate at the
+        // cap instead of wrapping to a 1-step window.
+        for level in [61, 62, 63, 64, u32::MAX] {
+            assert_eq!(HealthTracker::backoff(level), 64, "level {level}");
+        }
     }
 
     #[test]
     fn admission_mask_blocks_quarantined_but_not_half_open() {
-        let cfg = ResilienceConfig::default();
         let mut t = HealthTracker::new(3);
-        t.on_fault(1, 0, &cfg);
-        t.on_fault(2, 0, &cfg);
-        t.tick(cfg.backoff_base, |_, _| {});
-        t.on_fault(2, cfg.backoff_base, &cfg); // 2 back under quarantine
-        t.tick(cfg.backoff_base, |_, _| {}); // re-open 1? already open
+        t.on_fault(1, 0);
+        t.on_fault(2, 0);
+        t.tick(BACKOFF_BASE, |_, _| {});
+        t.on_fault(2, BACKOFF_BASE); // 2 back under quarantine
+        t.tick(BACKOFF_BASE, |_, _| {}); // re-open 1? already open
         let mut mask = [false; 3];
         t.fill_mask(&mut mask);
         assert_eq!(mask, [false, false, true]);
-    }
-
-    #[test]
-    fn degradation_walks_the_ladder_both_ways() {
-        let cfg = DegradationConfig {
-            queue_slo: 4,
-            breach_steps: 2,
-            recover_steps: 3,
-        };
-        let mut d = DegradationController::default();
-        assert_eq!(d.level(), 0);
-
-        // Two breached steps step down one rung.
-        assert_eq!(d.observe(10, &cfg), None);
-        assert_eq!(d.observe(10, &cfg), Some(1));
-        // A clear step resets the breach run...
-        assert_eq!(d.observe(0, &cfg), None);
-        assert_eq!(d.observe(10, &cfg), None);
-        // ...and a breach resets the clear run.
-        assert_eq!(d.observe(10, &cfg), Some(2));
-
-        // Three consecutive clear steps recover one rung at a time.
-        assert_eq!(d.observe(0, &cfg), None);
-        assert_eq!(d.observe(0, &cfg), None);
-        assert_eq!(d.observe(0, &cfg), Some(1));
-        assert_eq!(d.observe(0, &cfg), None);
-        assert_eq!(d.observe(0, &cfg), None);
-        assert_eq!(d.observe(0, &cfg), Some(0));
-        // At the floor, clear steps are a no-op.
-        assert_eq!(d.observe(0, &cfg), None);
-    }
-
-    #[test]
-    fn degradation_saturates_at_the_deepest_rung() {
-        let cfg = DegradationConfig {
-            queue_slo: 0,
-            breach_steps: 1,
-            recover_steps: 1,
-        };
-        let mut d = DegradationController::default();
-        assert_eq!(d.observe(1, &cfg), Some(1));
-        assert_eq!(d.observe(1, &cfg), Some(2));
-        assert_eq!(d.observe(1, &cfg), Some(3));
-        assert_eq!(d.observe(1, &cfg), None);
-        assert_eq!(d.level(), MAX_DEGRADATION_LEVEL);
     }
 }

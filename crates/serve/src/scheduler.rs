@@ -287,10 +287,6 @@ pub fn policy_by_name(name: &str) -> Result<Box<dyn Policy>, ServeError> {
 ///   everything holding a slot of `prompt.len() + max_new_tokens`
 ///   (the worst-case tokens a sequence processes before retiring).
 ///
-/// Both checks use the *configured* prefill chunk, not the
-/// degradation-ladder's effective chunk, so a recovering ladder can
-/// never retroactively break an admission the budget already granted.
-///
 /// Liveness valve: when nothing is resident the engine admits the
 /// policy's first pick even if it alone exceeds a cap — an oversized
 /// request runs solo instead of starving, so every queued request

@@ -10,9 +10,14 @@
 //! The constants were recorded on the commit *before* `step()` was
 //! decomposed into a phase pipeline, and re-recorded once when
 //! `RunTrace` lost seven unread per-step vectors (which changes the
-//! report's `Debug`, not the behaviour). A refactor of the engine must
-//! leave them bit-equal at 1 and 4 worker threads. A deliberate
-//! behaviour change re-records them and says so in CHANGES.md.
+//! report's `Debug`, not the behaviour). `PRIORITY_CHAOS_GOLDEN` was
+//! re-recorded once more when the degradation ladder and the backoff
+//! knobs were removed: scenario 1 had enabled the ladder and a 2..8
+//! step backoff, and now runs with the fixed 4..64 step backoff and no
+//! ladder — the value the engine before that removal produced for the
+//! same settings. A refactor of the engine must leave them bit-equal
+//! at 1 and 4 worker threads. A deliberate behaviour change re-records
+//! them and says so in CHANGES.md.
 
 use std::fmt::Debug;
 
@@ -26,12 +31,12 @@ use lightmamba_serve::metrics::ServeReport;
 use lightmamba_serve::observe::ObsConfig;
 use lightmamba_serve::registry::ModelRegistry;
 use lightmamba_serve::request::{Completion, FinishReason, GenRequest, Priority};
-use lightmamba_serve::resilience::{DegradationConfig, ResilienceConfig};
+use lightmamba_serve::resilience::ResilienceConfig;
 use lightmamba_serve::scheduler::{Edf, Policy, PriorityClasses, TokenBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const PRIORITY_CHAOS_GOLDEN: u64 = 0x0d9f_bc85_1444_3cfe;
+const PRIORITY_CHAOS_GOLDEN: u64 = 0xead9_0682_07a0_f649;
 const EDF_BUDGET_GOLDEN: u64 = 0x371f_966d_e22e_629f;
 
 /// FNV-1a (64-bit) over the `Debug` rendering of each pushed item.
@@ -208,10 +213,10 @@ fn finish(mut engine: ServeEngine<'_>, policy: &dyn Policy, mut fold: Fold) -> T
 
 /// Scenario 1 — preemptive priority classes over chaos-wrapped FP and
 /// W4A4 backends: fault windows (error, panic, restore corruption) with
-/// quarantine + canary recovery, a bounded queue that sheds, the
-/// degradation ladder, cancels landing on pending / waiting / resident /
-/// paused requests, deadlines lapsing queued / resident / paused, and a
-/// shared prefix that misses, harvests across a preemption, then hits.
+/// quarantine + canary recovery, a bounded queue that sheds, cancels
+/// landing on pending / waiting / resident / paused requests, deadlines
+/// lapsing queued / resident / paused, and a shared prefix that misses,
+/// harvests across a preemption, then hits.
 fn priority_chaos(threads: usize) -> Transcript {
     let model = tiny_model();
     let window = |start, len, kind| FaultWindow { start, len, kind };
@@ -236,14 +241,7 @@ fn priority_chaos(threads: usize) -> Transcript {
     )
     .unwrap();
     engine.set_resilience(ResilienceConfig {
-        backoff_base: 2,
-        backoff_max: 8,
         queue_limit: Some(5),
-        degradation: Some(DegradationConfig {
-            queue_slo: 1,
-            breach_steps: 2,
-            recover_steps: 3,
-        }),
         ..ResilienceConfig::default()
     });
     engine.enable_events();
@@ -267,7 +265,7 @@ fn priority_chaos(threads: usize) -> Transcript {
         gen(req(6, 0, 3, A, 2), 4),
         gen(req(7, 1, 3, None, 4), 3).with_deadline(2),
     ];
-    // A burst that overflows the bounded queue and trips the ladder.
+    // A burst that overflows the bounded queue.
     requests.extend((8..18).map(|id| gen(req(id, (id % 2) as usize, 8, None, 5), 6)));
     // Traffic across the fault windows and quarantine recoveries.
     requests.extend((18..34).map(|id| {
@@ -291,7 +289,7 @@ fn priority_chaos(threads: usize) -> Transcript {
     requests.push(gen(req(35, 1, 60, B, 2), 3).with_session(7));
     // Never arrives: cancelled while still pending.
     requests.push(gen(req(36, 0, 500, None, 2), 2));
-    // Arrives at ladder rung 3: rerouted to the cheapest backend.
+    // Arrives one step before the fp backend's first fault window.
     requests.push(gen(req(38, 0, 15, None, 4), 5));
     // Restores prefix A inside the corruption window.
     requests.push(gen(req(37, 0, 44, A, 2), 3));

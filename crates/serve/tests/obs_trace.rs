@@ -143,20 +143,17 @@ fn chrome_trace_parses_and_phase_spans_nest_within_steps() {
 
 #[test]
 fn flight_recorder_stays_bounded_and_metrics_match_the_report() {
-    let cfg = ObsConfig {
-        step_records: 16,
-        lifecycle_events: 64,
-        ..ObsConfig::default()
-    };
-    let (report, obs) = churny_run(cfg);
+    let (report, obs) = churny_run(ObsConfig::default());
 
-    // The ring held its bound and evicted exactly the overflow.
-    assert_eq!(obs.flight.steps().capacity(), 16);
-    assert!(obs.flight.steps().len() <= 16);
+    // The engine's fixed bounds: 512 step records, 4096 lifecycle
+    // events. The ring held its bound and evicted exactly the overflow.
+    assert_eq!(obs.flight.steps().capacity(), 512);
+    assert!(obs.flight.steps().len() <= 512);
     let total = report.trace.steps() as u64;
-    assert!(total > 16, "run long enough to wrap the ring");
-    assert_eq!(obs.flight.steps().evicted(), total - 16);
-    assert!(obs.flight.lifecycle().len() <= 64);
+    assert!(total > 512, "run long enough to wrap the ring");
+    assert_eq!(obs.flight.steps().evicted(), total - 512);
+    assert_eq!(obs.flight.lifecycle().capacity(), 4_096);
+    assert!(obs.flight.lifecycle().len() <= 4_096);
 
     // Retained step records are the newest ones, in step order.
     let recorded: Vec<u64> = obs.flight.steps().iter().map(|r| r.step).collect();
@@ -183,5 +180,5 @@ fn flight_recorder_stays_bounded_and_metrics_match_the_report() {
     }
     // The flight dump is renderable and names its own bounds.
     let dump = obs.flight_dump();
-    assert!(dump.contains("16 steps retained"), "{dump}");
+    assert!(dump.contains("512 steps retained"), "{dump}");
 }

@@ -5,8 +5,6 @@
 //! During autoregressive decode the convolution degenerates to a sliding
 //! window per channel, which [`ConvState`] maintains.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, Tensor, TensorError};
 
 /// Rolling per-channel window for decode-time causal conv1d.
@@ -27,7 +25,7 @@ use crate::{Result, Tensor, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvState {
     channels: usize,
     kernel: usize,

@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::TensorError;
 
 /// The extent of each dimension of a [`Tensor`](crate::Tensor), row-major.
@@ -13,7 +11,7 @@ use crate::TensorError;
 /// assert_eq!(s.volume(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

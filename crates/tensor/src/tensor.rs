@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, Shape, TensorError};
 
 /// A dense, row-major `f32` tensor.
@@ -20,7 +18,7 @@ use crate::{Result, Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
@@ -105,11 +103,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Errors
@@ -164,22 +157,6 @@ impl Tensor {
         Ok(&self.data[i * cols..(i + 1) * cols])
     }
 
-    /// Mutable borrow of row `i` of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Tensor::row`].
-    pub fn row_mut(&mut self, i: usize) -> Result<&mut [f32]> {
-        let (rows, cols) = self.as_matrix_dims()?;
-        if i >= rows {
-            return Err(TensorError::IndexOutOfBounds {
-                index: i,
-                len: rows,
-            });
-        }
-        Ok(&mut self.data[i * cols..(i + 1) * cols])
-    }
-
     /// Interprets the tensor as a matrix and returns `(rows, cols)`.
     ///
     /// # Errors
@@ -200,13 +177,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().copied().map(f).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

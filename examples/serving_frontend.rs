@@ -97,7 +97,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let frontend_cfg = FrontendConfig {
         obs: (metrics_dump.is_some() || trace_out.is_some()).then(ObsConfig::default),
-        ..FrontendConfig::default()
     };
     let ((), run) = run_frontend(engine, policy, frontend_cfg, |handle| {
         // Population 1: plain streaming clients, one thread each,
