@@ -1,15 +1,14 @@
-//! Batch-aware decode costing for multi-sequence serving.
+//! On-chip residency for multi-sequence serving.
 //!
-//! The paper's decode model (see [`crate::sim`]) is single-stream: every
-//! token streams the full weight set, so on a bandwidth-bound platform the
-//! DMA term dominates and compute sits mostly idle. Serving many sequences
-//! at once amortizes exactly that term — one weight pass feeds a matvec
-//! *per resident sequence*, so per-layer cost becomes
-//! `max(batch · compute, dma)` and aggregate throughput rises until the
-//! accelerator crosses from memory-bound to compute-bound. Mamba2 makes
-//! the resident set cheap to host: each extra sequence costs a fixed
-//! per-layer state footprint (conv window + SSM state), never a growing
-//! KV cache, which is what `lightmamba_serve` builds its slot pool on.
+//! The decode formula ([`DecodeSimulator::batch_report`]) prices a step
+//! of `batch` resident sequences as `max(batch · compute, dma)` per
+//! layer: one weight pass feeds a matvec *per resident sequence*, so
+//! batching amortizes exactly the DMA term that dominates the paper's
+//! single-stream decode. What bounds the batch is on-chip state. Mamba2
+//! makes the resident set cheap to host: each extra sequence costs a
+//! fixed per-layer state footprint (conv window + SSM state), never a
+//! growing KV cache, which is what `lightmamba_serve` builds its slot
+//! pool on.
 
 use lightmamba_model::LayerState;
 
@@ -20,33 +19,6 @@ use crate::tiling::URAM_BYTES;
 /// `h_state` buffer uses (the SSM state is kept wider than the W4A4
 /// activations).
 const STATE_BITS: f64 = 16.0;
-
-/// Decode performance of one engine step that advances `batch` resident
-/// sequences by one token each.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchDecodeReport {
-    /// Number of sequences advanced per step.
-    pub batch: usize,
-    /// Aggregate decode throughput across the batch.
-    pub tokens_per_s: f64,
-    /// Per-sequence decode throughput (`tokens_per_s / batch`).
-    pub tokens_per_s_per_seq: f64,
-    /// Cycles of one engine step (all resident sequences, one token each).
-    pub cycles_per_step: f64,
-    /// Compute-only cycles per step.
-    pub compute_cycles: f64,
-    /// DMA-only cycles per step (independent of `batch`: weights are
-    /// streamed once and shared).
-    pub dma_cycles: f64,
-    /// Whether the DMA is still the bottleneck at this batch size.
-    pub memory_bound: bool,
-    /// On-chip bytes of per-layer recurrent state across the batch
-    /// (INT16 state elements).
-    pub layer_state_bytes: f64,
-    /// Whether `batch` is within [`DecodeSimulator::max_resident_batch`]
-    /// (URAM net of the design's compute buffers).
-    pub state_fits_on_chip: bool,
-}
 
 impl DecodeSimulator {
     /// Per-layer recurrent state bytes of one resident sequence at the
@@ -73,57 +45,6 @@ impl DecodeSimulator {
         }
         1 + ((total - buffers).max(0.0) / per_seq).floor() as usize
     }
-
-    /// Decode report for an engine step advancing `batch` sequences.
-    ///
-    /// Weights are streamed once per step and shared across the batch
-    /// (double-buffered against compute, as in the single-stream model);
-    /// compute scales linearly with the number of resident sequences.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `batch` is zero.
-    pub fn batch_report(&self, batch: usize) -> BatchDecodeReport {
-        assert!(batch > 0, "batch must be at least 1");
-        let n_layer = self.model().n_layer as f64;
-        let b = batch as f64;
-
-        // Same per-layer and head terms as `decode_report`: compute
-        // scales with batch, the shared weight stream does not.
-        let layer_compute = self.layer_schedule().makespan as f64;
-        let head_compute = self.lm_head_cycles() as f64;
-        let layer_dma = self.layer_dma_cycles();
-        let head_dma = self.head_dma_cycles();
-
-        let cycles =
-            n_layer * (b * layer_compute).max(layer_dma) + (b * head_compute).max(head_dma);
-        let compute_cycles = b * (n_layer * layer_compute + head_compute);
-        let dma_cycles = n_layer * layer_dma + head_dma;
-        let tokens_per_s = b * self.platform().freq_hz / cycles;
-
-        let layer_state_bytes = b * self.layer_state_bytes_per_seq();
-
-        BatchDecodeReport {
-            batch,
-            tokens_per_s,
-            tokens_per_s_per_seq: tokens_per_s / b,
-            cycles_per_step: cycles,
-            compute_cycles,
-            dma_cycles,
-            memory_bound: layer_dma > b * layer_compute,
-            layer_state_bytes,
-            state_fits_on_chip: batch <= self.max_resident_batch(),
-        }
-    }
-
-    /// Aggregate throughput as a function of batch size — the serving
-    /// analogue of Fig. 9a's flat single-stream curve.
-    pub fn throughput_vs_batch(&self, batches: &[usize]) -> Vec<(usize, f64)> {
-        batches
-            .iter()
-            .map(|&b| (b, self.batch_report(b).tokens_per_s))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -138,16 +59,6 @@ mod tests {
         let model = MambaConfig::preset(ModelPreset::B2_7);
         let cfg = AcceleratorConfig::lightmamba_w4a4(&platform, &model);
         DecodeSimulator::new(platform, model, cfg)
-    }
-
-    #[test]
-    fn batch_of_one_matches_single_stream_report() {
-        let sim = vck190_w4a4();
-        let single = sim.decode_report();
-        let b1 = sim.batch_report(1);
-        assert!((b1.tokens_per_s - single.tokens_per_s).abs() / single.tokens_per_s < 1e-9);
-        assert!((b1.cycles_per_step - single.cycles_per_token).abs() < 1.0);
-        assert_eq!(b1.memory_bound, single.memory_bound);
     }
 
     #[test]
@@ -175,14 +86,16 @@ mod tests {
         // Past the roofline knee, per-sequence throughput decays while
         // aggregate throughput saturates.
         let b1 = sim.batch_report(1);
-        assert!(big.tokens_per_s_per_seq < b1.tokens_per_s);
+        assert!(big.tokens_per_s / 4096.0 < b1.tokens_per_s);
     }
 
     #[test]
     fn aggregate_throughput_is_monotone_in_batch() {
         let sim = vck190_w4a4();
-        let pts = sim.throughput_vs_batch(&[1, 2, 4, 8, 16, 32, 64, 128]);
-        assert!(pts.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-9), "{pts:?}");
+        let pts: Vec<f64> = [1, 2, 4, 8, 16, 32, 64, 128]
+            .map(|b| sim.batch_report(b).tokens_per_s)
+            .to_vec();
+        assert!(pts.windows(2).all(|w| w[1] >= w[0] - 1e-9), "{pts:?}");
     }
 
     #[test]
@@ -202,10 +115,14 @@ mod tests {
         let sim = vck190_w4a4();
         let max = sim.max_resident_batch();
         assert!(max >= 1);
-        let at_max = sim.batch_report(max);
-        assert!(at_max.state_fits_on_chip);
-        let beyond = sim.batch_report(max + 1);
-        assert!(!beyond.state_fits_on_chip);
+        // The bound is the largest batch whose extra sequences' state
+        // fits the URAM left after the compute buffers.
+        let total = sim.platform().uram_total as f64 * URAM_BYTES;
+        let buffers =
+            crate::resources::estimate(sim.model(), sim.config()).uram as f64 * URAM_BYTES;
+        let per_seq = sim.layer_state_bytes_per_seq();
+        assert!((max - 1) as f64 * per_seq <= total - buffers);
+        assert!(max as f64 * per_seq > total - buffers);
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   reordered, fine tiled) computed at head/tile granularity;
 //! * [`tiling`] — on-chip buffer sizing and the 4× URAM reduction of
 //!   Fig. 7;
-//! * [`sim`] — decode-token latency combining compute makespan with the
-//!   DMA weight-streaming model (double-buffered);
-//! * [`batch`] — batch-aware step costing for multi-sequence serving
-//!   (one shared weight stream per step, compute scaled per resident
-//!   sequence) with the URAM bound on residency;
+//! * [`sim`] — the one decode-step formula: compute makespan scaled per
+//!   resident sequence against one shared, double-buffered weight stream
+//!   (single-stream decode is its batch-1 step);
+//! * [`batch`] — the URAM bound on how many sequences' state a batched
+//!   step can keep resident;
 //! * [`resources`], [`power`] — LUT/FF/DSP/BRAM/URAM and power/energy
 //!   reports calibrated against Table IV;
 //! * [`gpu`], [`baselines`] — the RTX 2070/4090 roofline baselines and the

@@ -36,12 +36,6 @@ impl MmuModel {
         (k.div_ceil(self.din) as u64) * (n.div_ceil(self.dout) as u64)
     }
 
-    /// Cycles for the column range `[n0, n1)` of a `(K → N)` product —
-    /// the unit of work the computation-reordering schedule dispatches.
-    pub fn matvec_cycles_cols(&self, k: usize, n0: usize, n1: usize) -> u64 {
-        self.matvec_cycles(k, n1.saturating_sub(n0))
-    }
-
     /// DSP48 count: `din·dout / macs_per_dsp`.
     pub fn dsp_count(&self) -> u64 {
         let macs = (self.din * self.dout) as f64;
@@ -75,16 +69,11 @@ mod tests {
 
     #[test]
     fn column_range_work() {
+        // A column split of one product costs exactly the whole.
         let m = MmuModel::new(8, 16, HwPrecision::W4A4);
-        assert_eq!(m.matvec_cycles_cols(64, 0, 16), 8);
-        assert_eq!(m.matvec_cycles_cols(64, 16, 32), 8);
-        assert_eq!(m.matvec_cycles_cols(64, 0, 0), 0);
-        // Splitting columns never does less work than the whole.
-        let whole = m.matvec_cycles(64, 32);
-        assert_eq!(
-            m.matvec_cycles_cols(64, 0, 16) + m.matvec_cycles_cols(64, 16, 32),
-            whole
-        );
+        assert_eq!(m.matvec_cycles(64, 16), 8);
+        assert_eq!(m.matvec_cycles(64, 0), 0);
+        assert_eq!(2 * m.matvec_cycles(64, 16), m.matvec_cycles(64, 32));
     }
 
     #[test]

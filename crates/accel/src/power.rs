@@ -44,7 +44,7 @@ pub fn estimate(
 ) -> PowerReport {
     // Datapath activity: fraction of the token period the compute engines
     // are actually switching (compute cycles over total cycles).
-    let activity = (decode.compute_cycles / decode.cycles_per_token).clamp(0.0, 1.0);
+    let activity = (decode.compute_cycles / decode.cycles_per_step).clamp(0.0, 1.0);
     let datapath_w = (resources.dsp as f64 * DSP_W
         + resources.lut as f64 * LUT_W
         + resources.bram as f64 * BRAM_W

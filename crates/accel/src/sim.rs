@@ -1,12 +1,18 @@
-//! Decode-token simulation: compute makespan vs DMA weight streaming.
+//! Decode-step simulation: compute makespan vs DMA weight streaming.
 //!
 //! Autoregressive decode of a bandwidth-resident model streams every
-//! weight once per token. With double-buffered weight tiles the DMA
+//! weight once per step. With double-buffered weight tiles the DMA
 //! overlaps compute, so each layer costs
-//! `max(compute_makespan, dma_cycles)`; the LM head (tied embedding, by
-//! far the widest single matrix) is handled the same way. On VCK190's
-//! 12 GB/s LPDDR the DMA term dominates (the paper's 7.21 tokens/s W4A4);
-//! on U280's HBM compute dominates (93 tokens/s).
+//! `max(batch · compute_makespan, dma_cycles)`; the LM head (tied
+//! embedding, by far the widest single matrix) is handled the same way.
+//! [`DecodeSimulator::batch_report`] is the one formula; the paper's
+//! single-stream decode is its batch-1 step
+//! ([`DecodeSimulator::decode_report`]). On VCK190's 12 GB/s LPDDR the
+//! DMA term dominates at batch 1 (the paper's 7.21 tokens/s W4A4); on
+//! U280's HBM compute dominates (93 tokens/s). Serving many sequences at
+//! once amortizes the shared weight stream until the step crosses from
+//! memory-bound to compute-bound; [`crate::batch`] bounds how many
+//! sequences' state fits on-chip.
 
 use lightmamba_model::MambaConfig;
 
@@ -26,22 +32,25 @@ fn scale_overhead(weight_bits: u32) -> f64 {
     }
 }
 
-/// Decode performance report of one platform/model/configuration triple.
+/// Decode performance of one engine step that advances `batch` resident
+/// sequences by one token each; at batch 1 a step is one token of the
+/// paper's single-stream decode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodeReport {
-    /// Sustained decode throughput.
+    /// Sustained decode throughput across the batch.
     pub tokens_per_s: f64,
-    /// Total cycles per decoded token.
-    pub cycles_per_token: f64,
-    /// Compute-only cycles per token (no DMA stalls).
+    /// Total cycles of one step.
+    pub cycles_per_step: f64,
+    /// Compute-only cycles per step (no DMA stalls).
     pub compute_cycles: f64,
-    /// DMA-only cycles per token.
+    /// DMA-only cycles per step (independent of the batch: weights are
+    /// streamed once and shared).
     pub dma_cycles: f64,
     /// Whether the DMA (memory bandwidth) is the bottleneck.
     pub memory_bound: bool,
     /// MMU+SSMU utilization of the per-layer schedule.
     pub utilization: f64,
-    /// Weight traffic per token in bytes.
+    /// Weight traffic per step in bytes.
     pub weight_bytes: f64,
 }
 
@@ -113,24 +122,40 @@ impl DecodeSimulator {
         self.platform.dma_cycles(head_weights)
     }
 
-    /// Full decode report for one token.
+    /// Decode report for one token of single-stream decode: the batch-1
+    /// engine step.
     pub fn decode_report(&self) -> DecodeReport {
+        self.batch_report(1)
+    }
+
+    /// Decode report for an engine step advancing `batch` sequences.
+    ///
+    /// Weights are streamed once per step and shared across the batch
+    /// (double-buffered against compute); compute scales linearly with
+    /// the number of resident sequences, so each layer costs
+    /// `max(batch · compute, dma)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `batch` is zero.
+    pub fn batch_report(&self, batch: usize) -> DecodeReport {
+        assert!(batch > 0, "batch must be at least 1");
         let layer = self.layer_schedule();
         let n_layer = self.model.n_layer as f64;
-        let layer_dma = self.layer_dma_cycles();
-        let head_dma = self.head_dma_cycles();
+        let b = batch as f64;
         let layer_compute = layer.makespan as f64;
         let head_compute = self.lm_head_cycles() as f64;
+        let layer_dma = self.layer_dma_cycles();
+        let head_dma = self.head_dma_cycles();
 
-        let cycles = n_layer * layer_compute.max(layer_dma) + head_compute.max(head_dma);
-        let compute_cycles = n_layer * layer_compute + head_compute;
-        let dma_cycles = n_layer * layer_dma + head_dma;
+        let cycles =
+            n_layer * (b * layer_compute).max(layer_dma) + (b * head_compute).max(head_dma);
         DecodeReport {
-            tokens_per_s: self.platform.freq_hz / cycles,
-            cycles_per_token: cycles,
-            compute_cycles,
-            dma_cycles,
-            memory_bound: layer_dma > layer_compute,
+            tokens_per_s: b * self.platform.freq_hz / cycles,
+            cycles_per_step: cycles,
+            compute_cycles: b * (n_layer * layer_compute + head_compute),
+            dma_cycles: n_layer * layer_dma + head_dma,
+            memory_bound: layer_dma > b * layer_compute,
             utilization: layer.utilization(),
             weight_bytes: self.weight_bytes_per_token(),
         }

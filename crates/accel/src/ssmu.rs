@@ -7,7 +7,7 @@
 //! and `h⊙C` — at `emu_parallelism` elements per cycle. A head therefore
 //! drains in `headdim·d_state / parallelism` cycles plus a pipeline fill.
 
-use crate::arch::{AcceleratorConfig, TileConfig};
+use crate::arch::AcceleratorConfig;
 use crate::emu::{self, SsmOp};
 
 /// Cycle/resource model of the SSMU.
@@ -42,11 +42,6 @@ impl SsmuModel {
     /// element count over the lane width.
     pub fn head_cycles(&self) -> u64 {
         emu::emu_cycles(self.headdim * self.d_state, self.parallelism)
-    }
-
-    /// Cycles to process one fine-grained tile of `tile.pp × tile.np`.
-    pub fn tile_cycles(&self, tile: TileConfig) -> u64 {
-        emu::emu_cycles(tile.pp * tile.np, self.parallelism)
     }
 
     /// Cycles for all `nheads` heads processed back-to-back through the
@@ -138,9 +133,10 @@ mod tests {
     #[test]
     fn tiling_divides_head_work() {
         let m = model_2p7b();
-        let tile = TileConfig { pp: 16, np: 32 };
+        // A 16 × 32 tile of the 64 × 128 head slab.
+        let per_tile = emu::emu_cycles(16 * 32, m.parallelism);
         let tiles_per_head = ((64 / 16) * (128 / 32)) as u64;
-        assert_eq!(m.tile_cycles(tile) * tiles_per_head, m.head_cycles());
+        assert_eq!(per_tile * tiles_per_head, m.head_cycles());
     }
 
     #[test]

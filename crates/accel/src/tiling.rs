@@ -14,9 +14,6 @@ use crate::arch::{AcceleratorConfig, TileConfig};
 /// Bytes one URAM block stores (288 Kb = 36 KB on UltraScale+/Versal).
 pub const URAM_BYTES: f64 = 36_864.0;
 
-/// Bytes one BRAM36 block stores (36 Kb = 4.5 KB).
-pub const BRAM_BYTES: f64 = 4_608.0;
-
 /// On-chip buffer inventory of the SSMU path, in bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BufferReport {

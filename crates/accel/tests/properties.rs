@@ -107,11 +107,11 @@ proptest! {
         for platform in [Platform::vck190(), Platform::u280()] {
             let freq = platform.freq_hz;
             let r = DecodeSimulator::new(platform, m.clone(), cfg.clone()).decode_report();
-            prop_assert!((freq / r.cycles_per_token - r.tokens_per_s).abs() / r.tokens_per_s < 1e-9);
+            prop_assert!((freq / r.cycles_per_step - r.tokens_per_s).abs() / r.tokens_per_s < 1e-9);
             // Overlap: total cycles at least the max of compute/dma parts,
             // at most their sum.
-            prop_assert!(r.cycles_per_token + 1e-6 >= r.compute_cycles.max(r.dma_cycles));
-            prop_assert!(r.cycles_per_token <= r.compute_cycles + r.dma_cycles + 1e-6);
+            prop_assert!(r.cycles_per_step + 1e-6 >= r.compute_cycles.max(r.dma_cycles));
+            prop_assert!(r.cycles_per_step <= r.compute_cycles + r.dma_cycles + 1e-6);
         }
     }
 }

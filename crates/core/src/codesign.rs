@@ -1,18 +1,15 @@
 //! The end-to-end co-design: pick a hardware target and a model, get the
-//! combined hardware report (and, on laptop-scale models, the quantization
-//! fidelity report).
+//! combined hardware report; [`fidelity`] is the quantize → compare
+//! recipe the algorithm-side experiments share.
 
 use lightmamba_accel::arch::AcceleratorConfig;
 use lightmamba_accel::platform::Platform;
 use lightmamba_accel::power::{self, PowerReport};
 use lightmamba_accel::resources::{self, ResourceReport};
 use lightmamba_accel::sim::{DecodeReport, DecodeSimulator};
-use lightmamba_model::corpus::SyntheticCorpus;
 use lightmamba_model::eval::{compare_models, FidelityReport, ReferenceRunner};
 use lightmamba_model::{MambaConfig, MambaModel, ModelPreset};
 use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// The three hardware design points of Table IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,38 +112,12 @@ impl CoDesign {
             power,
         }
     }
-
-    /// Runs the algorithm side on a laptop-scale synthetic model: quantize
-    /// with `method` under this target's precision and measure fidelity
-    /// against the FP reference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantization and evaluation errors (boxed, since they
-    /// cross crate boundaries).
-    pub fn fidelity_report(
-        &self,
-        method: Method,
-        seed: u64,
-    ) -> Result<FidelityReport, Box<dyn std::error::Error>> {
-        let small = MambaConfig::tiny();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let reference = MambaModel::synthetic(small.clone(), &mut rng)?;
-        let corpus = SyntheticCorpus::for_vocab(small.vocab_size);
-        let calib = corpus.calibration_set(&mut rng, 4, 12);
-        let eval = corpus.calibration_set(&mut rng, 4, 16);
-        let spec = match self.target {
-            Target::Vck190W8A8 => QuantSpec::w8a8(),
-            _ => QuantSpec::w4a4_grouped(16),
-        };
-        fidelity(&reference, method, &spec, &calib, &eval)
-    }
 }
 
 /// Quantizes `reference` with `method` under `spec` (calibrating on
 /// `calib` where the method needs it) and measures the result against the
 /// FP reference over `eval` — the one quantize → compare recipe behind
-/// Table III, Fig. 10's accuracy proxy and [`CoDesign::fidelity_report`].
+/// Table III and Fig. 10's accuracy proxy.
 ///
 /// # Errors
 ///
@@ -198,8 +169,18 @@ mod tests {
 
     #[test]
     fn fidelity_report_runs_for_rotation_method() {
-        let d = CoDesign::new(Target::Vck190W4A4, ModelPreset::B2_7);
-        let rep = d.fidelity_report(Method::LightMamba, 7).unwrap();
+        use lightmamba_model::corpus::SyntheticCorpus;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let small = MambaConfig::tiny();
+        let mut rng = StdRng::seed_from_u64(7);
+        let reference = MambaModel::synthetic(small.clone(), &mut rng).unwrap();
+        let corpus = SyntheticCorpus::for_vocab(small.vocab_size);
+        let calib = corpus.calibration_set(&mut rng, 4, 12);
+        let eval = corpus.calibration_set(&mut rng, 4, 16);
+        let spec = QuantSpec::w4a4_grouped(16);
+        let rep = fidelity(&reference, Method::LightMamba, &spec, &calib, &eval).unwrap();
         assert!(rep.mean_kl.is_finite());
         assert!(rep.agreement > 0.0);
     }

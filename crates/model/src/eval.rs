@@ -125,27 +125,6 @@ pub fn compare_models(
     })
 }
 
-/// Negative log-likelihood perplexity of a model on token streams
-/// (self-perplexity; used to sanity-check the synthetic corpus/model pair).
-///
-/// # Errors
-///
-/// Propagates step errors from the model.
-pub fn self_perplexity(model: &mut dyn StepModel, sequences: &[Vec<u32>]) -> Result<f64> {
-    let mut nll = 0.0f64;
-    let mut count = 0usize;
-    for seq in sequences {
-        model.reset();
-        for w in seq.windows(2) {
-            let logits = model.step(w[0])?;
-            let logp = lightmamba_tensor::activation::log_softmax(&logits);
-            nll -= logp[w[1] as usize] as f64;
-            count += 1;
-        }
-    }
-    Ok((nll / count.max(1) as f64).exp())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,13 +183,5 @@ mod tests {
             kls.push(rep.mean_kl);
         }
         assert!(kls[0] < kls[1] && kls[1] < kls[2], "kls {kls:?}");
-    }
-
-    #[test]
-    fn self_perplexity_is_bounded_by_vocab() {
-        let mut a = tiny_runner(4);
-        let ppl = self_perplexity(&mut a, &sequences()).unwrap();
-        assert!(ppl > 1.0);
-        assert!(ppl < 10_000.0, "ppl {ppl}");
     }
 }

@@ -62,14 +62,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    /// The bool, if this is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
@@ -336,7 +328,7 @@ mod tests {
                 .and_then(JsonValue::as_f64),
             Some(0.0)
         );
-        assert_eq!(events[1].get("ok").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(events[1].get("ok"), Some(&JsonValue::Bool(true)));
         assert_eq!(events[1].get("note"), Some(&JsonValue::Null));
         assert_eq!(doc.get("n").and_then(JsonValue::as_f64), Some(-2000.0));
     }
@@ -361,7 +353,7 @@ mod tests {
     #[test]
     fn parses_scalars() {
         assert_eq!(parse("42").unwrap().as_f64(), Some(42.0));
-        assert_eq!(parse("true").unwrap().as_bool(), Some(true));
+        assert_eq!(parse("true").unwrap(), JsonValue::Bool(true));
         assert_eq!(parse("  null ").unwrap(), JsonValue::Null);
         assert_eq!(parse("1.25e2").unwrap().as_f64(), Some(125.0));
     }

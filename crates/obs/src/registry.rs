@@ -12,8 +12,9 @@
 //! `String`), and it is a cold-path snapshot operation.
 //!
 //! Labels are baked at registration time: a labeled series is its own
-//! id with a preformatted `key="value"` fragment, which is exactly how
-//! the engine registers one token counter per backend in its registry.
+//! id with a `key="value"` fragment formatted once, the value escaped as
+//! the text format requires, which is exactly how the engine registers
+//! one token counter per backend in its registry.
 //! Series sharing a base name share one `# HELP`/`# TYPE` header, as
 //! the exposition format requires.
 
@@ -123,10 +124,25 @@ impl MetricsRegistry {
         CounterId(self.counters.len() - 1)
     }
 
-    /// Registers a labeled counter series (`name{labels}`); `labels` is
-    /// a preformatted `key="value"` fragment.
-    pub fn counter_labeled(&mut self, name: &str, labels: &str, help: &str) -> CounterId {
-        let meta = self.meta(name, labels, help);
+    /// Registers a labeled counter series (`name{key="value"}`). `value`
+    /// is raw: `\`, `"` and newline are escaped here.
+    pub fn counter_labeled(
+        &mut self,
+        name: &str,
+        (key, value): (&str, &str),
+        help: &str,
+    ) -> CounterId {
+        let mut labels = format!("{key}=\"");
+        for c in value.chars() {
+            match c {
+                '\\' => labels.push_str("\\\\"),
+                '"' => labels.push_str("\\\""),
+                '\n' => labels.push_str("\\n"),
+                c => labels.push(c),
+            }
+        }
+        labels.push('"');
+        let meta = self.meta(name, &labels, help);
         self.counters.push((meta, 0));
         CounterId(self.counters.len() - 1)
     }
@@ -321,14 +337,23 @@ mod tests {
     #[test]
     fn labeled_series_share_one_header() {
         let mut m = MetricsRegistry::new();
-        let fp = m.counter_labeled("model_tokens_total", "model=\"fp\"", "Per-model tokens.");
-        let q = m.counter_labeled("model_tokens_total", "model=\"w4a4\"", "Per-model tokens.");
+        let fp = m.counter_labeled("model_tokens_total", ("model", "fp"), "Per-model tokens.");
+        let q = m.counter_labeled("model_tokens_total", ("model", "w4a4"), "Per-model tokens.");
         m.add(fp, 3);
         m.add(q, 9);
         let text = m.expose();
         assert_eq!(text.matches("# TYPE model_tokens_total counter").count(), 1);
         assert!(text.contains("model_tokens_total{model=\"fp\"} 3\n"));
         assert!(text.contains("model_tokens_total{model=\"w4a4\"} 9\n"));
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let mut m = MetricsRegistry::new();
+        m.counter_labeled("x_total", ("model", "a\"b\\c\nd"), "X.");
+        assert!(m
+            .expose()
+            .contains("x_total{model=\"a\\\"b\\\\c\\nd\"} 0\n"));
     }
 
     #[test]

@@ -33,18 +33,6 @@ pub fn activation_quant_error(acts: &Tensor, scheme: QuantScheme) -> Result<f32>
     Ok(total / tokens.max(1) as f32)
 }
 
-/// Relative error `‖t − q(t)‖ / ‖t‖` (scale-free comparison across layers).
-///
-/// # Errors
-///
-/// Propagates scheme validation errors.
-pub fn relative_quant_error(t: &Tensor, scheme: QuantScheme) -> Result<f32> {
-    let dq = fake_quant(t, scheme)?;
-    let num = sse(t.data(), dq.data()).sqrt();
-    let den = t.frobenius_norm().max(1e-12);
-    Ok(num / den)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,15 +75,6 @@ mod tests {
         let total = quant_error(&t, QuantScheme::act_per_token(4)).unwrap();
         let per_tok = activation_quant_error(&t, QuantScheme::act_per_token(4)).unwrap();
         assert!((per_tok - total / 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn relative_error_is_scale_free() {
-        let t = spiky();
-        let big = t.scale(1000.0);
-        let a = relative_quant_error(&t, QuantScheme::act_per_token(4)).unwrap();
-        let b = relative_quant_error(&big, QuantScheme::act_per_token(4)).unwrap();
-        assert!((a - b).abs() < 1e-3, "{a} vs {b}");
     }
 
     #[test]

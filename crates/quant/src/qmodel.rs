@@ -101,12 +101,6 @@ impl Precision {
         self
     }
 
-    /// Mean weight bits per parameter implied by this precision (16 when
-    /// weights stay FP) — used by the bandwidth model.
-    pub fn weight_bits(&self) -> f64 {
-        self.weight.map_or(16.0, |s| s.bits as f64)
-    }
-
     /// Whether this precision supports the packed-integer execution
     /// path: per-group weights of ≤ 4 bits and per-group activations
     /// with the same group size (the W4A4 recipe shape).
@@ -220,9 +214,6 @@ pub struct QuantizedMamba {
     /// the bits of the representation actually held: packed nibble bytes
     /// plus FP16 scales.
     weight_storage_bits: usize,
-    /// Parameters passing through weight quantization (the denominator
-    /// of [`QuantizedMamba::mean_weight_bits`]).
-    weight_params: usize,
 }
 
 impl QuantizedMamba {
@@ -250,11 +241,9 @@ impl QuantizedMamba {
         }
         let packable = precision.is_packable();
         let mut storage_bits = 0usize;
-        let mut weight_params = 0usize;
         // Quantizes one linear weight, moving it when it stays FP.
         // Returns the dequantized oracle tensor plus the packed form.
         let mut quant_weight = |t: Tensor| -> Result<(Tensor, Option<PackedW4>)> {
-            weight_params += t.len();
             match precision.weight {
                 Some(scheme) if packable => {
                     let packed = PackedW4::quantize(&t, scheme)?;
@@ -345,7 +334,6 @@ impl QuantizedMamba {
             cfg,
             state,
             weight_storage_bits: storage_bits,
-            weight_params,
         })
     }
 
@@ -394,19 +382,6 @@ impl QuantizedMamba {
     /// path, the packed nibble bytes actually held).
     pub fn weight_storage_bits(&self) -> usize {
         self.weight_storage_bits
-    }
-
-    /// Mean *stored* bits per quantized weight parameter, scales
-    /// included — e.g. ~5.0 for 4-bit group-16, ~4.125 for the paper's
-    /// group-128 recipe, 16.0 for FP weights. This is the honest
-    /// weight-stream width per parameter for bandwidth models, derived
-    /// from the packed representation when one exists.
-    pub fn mean_weight_bits(&self) -> f64 {
-        if self.weight_params == 0 {
-            16.0
-        } else {
-            self.weight_storage_bits as f64 / self.weight_params as f64
-        }
     }
 
     /// Fresh zeroed decode state shaped for this model — the external
@@ -784,9 +759,6 @@ mod tests {
         )
         .unwrap();
         assert!(p4.weight_storage_bits() < p8.weight_storage_bits());
-        // Packed group-16: 4-bit codes + one FP16 scale per 16 ≈ 5 b/param.
-        let wb = p4.mean_weight_bits();
-        assert!((4.9..5.2).contains(&wb), "packed bits/param {wb}");
     }
 
     #[test]

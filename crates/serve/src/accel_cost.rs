@@ -12,7 +12,7 @@
 //!
 //! One pricing model lives here. [`MultiplexCostModel`] gives each
 //! registered backend its own simulator (same device geometry, that
-//! backend's [`crate::backend::CostProfile`] precision), and a step
+//! backend's [`HwPrecision`]), and a step
 //! costs the *sum* of its per-model sub-batch costs — each sub-batch
 //! streams its own model's weights once. A W4A4 sub-batch streams ~4×
 //! fewer bytes than an FP16 one, so on a bandwidth-bound platform the
@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 
+use lightmamba_accel::arch::{AcceleratorConfig, HwPrecision};
 use lightmamba_accel::platform::Platform;
 use lightmamba_accel::sim::DecodeSimulator;
 use lightmamba_model::MambaConfig;
@@ -257,8 +258,8 @@ impl MultiplexCostModel {
 
     /// Builds one simulator per registered backend: the same `platform`
     /// and `design_model` checkpoint for all, each with that backend's
-    /// [`crate::backend::CostProfile`] precision — so backends differ
-    /// only in weight-stream width and MAC packing.
+    /// [`DecodeBackend::hw_precision`](crate::backend::DecodeBackend::hw_precision)
+    /// — so backends differ only in weight-stream width and MAC packing.
     ///
     /// # Errors
     ///
@@ -272,9 +273,7 @@ impl MultiplexCostModel {
             registry
                 .iter()
                 .map(|(_, name, backend)| {
-                    let cfg = backend
-                        .cost_profile()
-                        .accelerator_config(platform, design_model);
+                    let cfg = accelerator_config(platform, design_model, backend.hw_precision());
                     (
                         name.to_string(),
                         DecodeSimulator::new(platform.clone(), design_model.clone(), cfg),
@@ -466,15 +465,32 @@ impl MultiplexCostModel {
     }
 }
 
+/// Accelerator configuration pricing a backend of datapath `precision`
+/// on `platform` for the `design_model` checkpoint: the paper's VCK190
+/// W4A4 datapath geometry with `precision` swapped in, so FP and
+/// quantized backends are compared on the *same device* and differ only
+/// in stream width and per-DSP MAC packing.
+fn accelerator_config(
+    platform: &Platform,
+    design_model: &MambaConfig,
+    precision: HwPrecision,
+) -> AcceleratorConfig {
+    let mut cfg = AcceleratorConfig::lightmamba_w4a4(platform, design_model);
+    cfg.precision = precision;
+    if precision == HwPrecision::Fp16 {
+        // No integer re-quantization stage exists on the FP path.
+        cfg.pot_requant = false;
+    }
+    cfg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, ServeEngine};
     use crate::request::GenRequest;
     use crate::scheduler::Fifo;
-    use lightmamba_accel::arch::AcceleratorConfig;
-    use lightmamba_accel::platform::Platform;
-    use lightmamba_model::{MambaConfig, MambaModel};
+    use lightmamba_model::MambaModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1066,5 +1082,18 @@ mod tests {
     #[test]
     fn a_stamp_of_u64_max_clamps_to_the_end_of_the_axis() {
         assert_eq!(TimeAxis(vec![0.0, 1.0, 3.0]).end_of(u64::MAX), 3.0);
+    }
+
+    #[test]
+    fn accelerator_config_swaps_precision_only() {
+        let platform = Platform::vck190();
+        let model = MambaConfig::tiny();
+        let w4 = accelerator_config(&platform, &model, HwPrecision::W4A4);
+        let fp = accelerator_config(&platform, &model, HwPrecision::Fp16);
+        assert_eq!(w4.precision, HwPrecision::W4A4);
+        assert_eq!(fp.precision, HwPrecision::Fp16);
+        assert!(!fp.pot_requant);
+        assert_eq!(w4.mmu_din, fp.mmu_din);
+        assert_eq!(w4.tiling, fp.tiling);
     }
 }

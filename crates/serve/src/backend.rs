@@ -2,14 +2,15 @@
 //!
 //! The engine (PR 1) drove the FP reference [`MambaModel`] directly; this
 //! module is the seam that lets it drive *any* model with the Mamba2
-//! decode contract. A [`DecodeBackend`] provides exactly what one engine
-//! step needs — state allocation, batched ragged prefill, and an indexed
-//! batched decode step — plus a [`CostProfile`] so the accelerator cost
-//! model can price each backend's steps with its own weight-stream bytes.
+//! decode contract. A [`DecodeBackend`] provides exactly what the engine
+//! calls — state allocation, one batched ragged advance that serves
+//! prefill chunks and decode steps alike, pause/resume snapshots — plus
+//! the [`HwPrecision`] its arithmetic maps to, the one input the
+//! accelerator cost model prices a backend's steps by.
 //! One implementation ships, [`ModelBackend`], generic over any
 //! [`ServedModel`] — a model with the decode driver's kernels
-//! ([`lightmamba_model::DecodeKernels`]) plus a report name and a cost
-//! profile — and it is known under two names:
+//! ([`lightmamba_model::DecodeKernels`]) plus a report name and a
+//! datapath precision — and it is known under two names:
 //!
 //! * [`FpBackend`] — the FP16 reference path over a borrowed
 //!   [`MambaModel`];
@@ -43,91 +44,20 @@
 //! [`crate::registry::ModelRegistry`]. To serve another model type,
 //! implement [`ServedModel`] for it; to add a backend that is not a
 //! host model at all (say a GPU path), implement [`DecodeBackend`] —
-//! one required execution method — and register it. The engine,
+//! one execution method and a precision — and register it. The engine,
 //! scheduler, and cost model need no changes either way.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
-use lightmamba_accel::arch::{AcceleratorConfig, HwPrecision};
-use lightmamba_accel::platform::Platform;
+use lightmamba_accel::arch::HwPrecision;
 use lightmamba_model::batch::{self, DecodeKernels, Workspace};
-use lightmamba_model::{MambaConfig, MambaModel, ModelError, ModelState};
+use lightmamba_model::{MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
 use lightmamba_quant::QuantizedMamba;
 
 use crate::error::ServeError;
-
-/// How one backend's engine steps map onto accelerator hardware.
-///
-/// The decode cost model (`lightmamba_accel::batch`) prices a step as
-/// `max(batch · compute, weight-stream DMA)` per layer; both terms depend
-/// on the datapath precision, so this profile is all the cost model needs
-/// to price a backend's sub-batches. Those same per-step prices feed the
-/// *virtual-time* lane of the observability trace
-/// ([`crate::observe::EngineObs::chrome_trace_with_virtual`]): the wall
-/// lane shows what the host simulation spent, the virtual lane shows
-/// what the modeled accelerator would have.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostProfile {
-    /// Datapath precision the backend's arithmetic maps to.
-    pub precision: HwPrecision,
-    /// Mean stored bits per weight parameter (quantization scales
-    /// included) — the weight-stream traffic per parameter per step.
-    pub weight_bits: f64,
-}
-
-impl CostProfile {
-    /// FP16 execution (the reference model's pricing).
-    pub fn fp16() -> Self {
-        CostProfile {
-            precision: HwPrecision::Fp16,
-            weight_bits: 16.0,
-        }
-    }
-
-    /// The paper's W4A4 recipe (group-128 scale overhead ≈ 3%).
-    pub fn w4a4() -> Self {
-        CostProfile {
-            precision: HwPrecision::W4A4,
-            weight_bits: 4.0 * (1.0 + 16.0 / (128.0 * 4.0)),
-        }
-    }
-
-    /// The paper's W8A8 recipe.
-    pub fn w8a8() -> Self {
-        CostProfile {
-            precision: HwPrecision::W8A8,
-            weight_bits: 8.0 * (1.0 + 16.0 / (128.0 * 8.0)),
-        }
-    }
-
-    /// Weight-stream bytes per engine step for a `params`-parameter
-    /// design-point model (streamed once per step, shared by the batch).
-    pub fn weight_stream_bytes(&self, params: u64) -> f64 {
-        params as f64 * self.weight_bits / 8.0
-    }
-
-    /// Accelerator configuration pricing this backend on `platform` for
-    /// the `design_model` checkpoint: the paper's VCK190/U280 datapath
-    /// geometry with this profile's precision swapped in, so FP and
-    /// quantized backends are compared on the *same device* and differ
-    /// only in stream width and per-DSP MAC packing.
-    pub fn accelerator_config(
-        &self,
-        platform: &Platform,
-        model: &MambaConfig,
-    ) -> AcceleratorConfig {
-        let mut cfg = AcceleratorConfig::lightmamba_w4a4(platform, model);
-        cfg.precision = self.precision;
-        if self.precision == HwPrecision::Fp16 {
-            // No integer re-quantization stage exists on the FP path.
-            cfg.pot_requant = false;
-        }
-        cfg
-    }
-}
 
 /// The complete resident footprint of one paused sequence: Mamba2's
 /// fixed-size recurrent state (per-layer conv windows plus SSM hidden
@@ -167,9 +97,9 @@ impl PausedState {
 /// The contract mirrors the engine's step loop: every resident sequence
 /// owns one fixed-size [`ModelState`] slot, and one engine step advances
 /// a chosen subset of slots by one or more tokens each
-/// ([`DecodeBackend::advance_batch_indexed`] — the one execution method
-/// an implementation must supply; a decode step and a whole-prompt
-/// prefill are provided special cases of it). Implementations must keep
+/// ([`DecodeBackend::advance_batch_indexed`] — the one execution method;
+/// a decode step is its one-token case, a prefill chunk its multi-token
+/// case). Implementations must keep
 /// batched decode bit-identical to their sequential decode so request
 /// outputs are independent of batch composition — the invariant all
 /// engine equivalence tests pin.
@@ -195,21 +125,21 @@ impl PausedState {
 /// let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(1))?;
 /// let backend = FpBackend::new(&model);
 /// let mut states = vec![backend.new_state()];
-/// backend.prefill_batch(&[&[1, 2, 3][..]], &mut states)?;
+/// backend.advance_batch_indexed(&[(0, &[1, 2, 3])], &mut states)?;
 ///
 /// // Preempt: snapshot the state, let another sequence rewind the slot.
 /// let paused = backend.save_state(&states[0]);
-/// backend.reset_state(&mut states[0]);
-/// backend.prefill_batch(&[&[9, 9][..]], &mut states)?;
+/// states[0].reset();
+/// backend.advance_batch_indexed(&[(0, &[9, 9])], &mut states)?;
 ///
 /// // Resume: restore the snapshot and continue where we left off.
 /// backend.restore_state(&paused, &mut states[0]);
-/// let resumed = backend.forward_step_batch_indexed(&[(0, 4)], &mut states)?;
+/// let resumed = backend.advance_batch_indexed(&[(0, &[4])], &mut states)?;
 ///
 /// // Reference: the same decode with no preemption in between.
 /// let mut uninterrupted = vec![backend.new_state()];
-/// backend.prefill_batch(&[&[1, 2, 3][..]], &mut uninterrupted)?;
-/// let expect = backend.forward_step_batch_indexed(&[(0, 4)], &mut uninterrupted)?;
+/// backend.advance_batch_indexed(&[(0, &[1, 2, 3])], &mut uninterrupted)?;
+/// let expect = backend.advance_batch_indexed(&[(0, &[4])], &mut uninterrupted)?;
 /// assert_eq!(resumed, expect);
 /// # Ok(())
 /// # }
@@ -228,11 +158,6 @@ pub trait DecodeBackend: Send {
 
     /// Fresh zeroed decode state shaped for this backend's model.
     fn new_state(&self) -> ModelState;
-
-    /// Resets a state for a new sequence (slot reuse).
-    fn reset_state(&self, state: &mut ModelState) {
-        state.reset();
-    }
 
     /// Snapshots a resident sequence's state for preemption. The
     /// default clones the fixed-size [`ModelState`] — already the right
@@ -271,46 +196,6 @@ pub trait DecodeBackend: Send {
         states: &mut [ModelState],
     ) -> Result<Vec<(usize, Vec<f32>)>, ServeError>;
 
-    /// One batched decode step: `items[k] = (state_index, token)` —
-    /// [`DecodeBackend::advance_batch_indexed`] with one token per item.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`DecodeBackend::advance_batch_indexed`].
-    fn forward_step_batch_indexed(
-        &self,
-        items: &[(usize, u32)],
-        states: &mut [ModelState],
-    ) -> Result<Vec<(usize, Vec<f32>)>, ServeError> {
-        let single = items
-            .iter()
-            .map(|(slot, t)| (*slot, std::slice::from_ref(t)));
-        self.advance_batch_indexed(&single.collect::<Vec<_>>(), states)
-    }
-
-    /// Batched ragged prefill: consumes `prompts[k]` into `states[k]`
-    /// and returns each sequence's logits after its final prompt token —
-    /// [`DecodeBackend::advance_batch_indexed`] with prompt `k` paired
-    /// to state `k`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects mismatched slice lengths, plus the conditions of
-    /// [`DecodeBackend::advance_batch_indexed`].
-    fn prefill_batch(
-        &self,
-        prompts: &[&[u32]],
-        states: &mut [ModelState],
-    ) -> Result<Vec<Vec<f32>>, ServeError> {
-        if prompts.len() != states.len() {
-            let (p, s) = (prompts.len(), states.len());
-            return Err(ModelError::InvalidConfig(format!("{p} prompts for {s} states")).into());
-        }
-        let items: Vec<(usize, &[u32])> = prompts.iter().copied().enumerate().collect();
-        let advanced = self.advance_batch_indexed(&items, states)?;
-        Ok(advanced.into_iter().map(|(_, logits)| logits).collect())
-    }
-
     /// Attaches a shared worker pool for multi-core engine steps. The
     /// default ignores it — a backend opts into parallel execution by
     /// storing the pool and handing it to the decode driver
@@ -345,45 +230,40 @@ pub trait DecodeBackend: Send {
     /// cold path; allocating here is fine.
     fn reset_after_fault(&self) {}
 
-    /// Pricing profile for the accelerator cost model.
-    fn cost_profile(&self) -> CostProfile;
+    /// Datapath precision the backend's arithmetic maps to — the one
+    /// input the accelerator cost model
+    /// ([`crate::accel_cost::MultiplexCostModel::for_registry`]) prices a
+    /// backend's steps by.
+    fn hw_precision(&self) -> HwPrecision;
 }
 
 /// What [`ModelBackend`] needs of a model beyond its decode kernels:
-/// how reports name it and how the cost model prices it.
+/// how reports name it and which datapath prices it.
 pub trait ServedModel: DecodeKernels {
-    /// Short report name (`"fp"`, `"w4a4"`, …) and pricing profile.
-    fn served_as(&self) -> (String, CostProfile);
+    /// Short report name (`"fp"`, `"w4a4"`, …) and datapath precision.
+    fn served_as(&self) -> (String, HwPrecision);
 }
 
 impl ServedModel for MambaModel {
-    fn served_as(&self) -> (String, CostProfile) {
-        ("fp".to_string(), CostProfile::fp16())
+    fn served_as(&self) -> (String, HwPrecision) {
+        ("fp".to_string(), HwPrecision::Fp16)
     }
 }
 
-/// Any [`lightmamba_quant::qmodel::Precision`] is served; name and
-/// profile are derived from the model: `weight_bits` is its actual mean
-/// stored bits per parameter ([`QuantizedMamba::mean_weight_bits`] — for
-/// the packed path, the packed nibble bytes plus scales actually held),
-/// and the datapath maps to the narrowest [`HwPrecision`] that hosts the
-/// declared widths (≤4-bit weights on the W4A4/W4A16 path, 5–8-bit on
-/// W8A8, FP weights on FP16).
+/// Any [`lightmamba_quant::qmodel::Precision`] is served; the name is
+/// derived from the declared widths, and the datapath maps to the
+/// narrowest [`HwPrecision`] that hosts them (≤4-bit weights on the
+/// W4A4/W4A16 path, 5–8-bit on W8A8, FP weights on FP16).
 impl ServedModel for QuantizedMamba {
-    fn served_as(&self) -> (String, CostProfile) {
+    fn served_as(&self) -> (String, HwPrecision) {
         let precision = self.precision();
         let act_bits = precision.act.map_or(16, |s| s.bits);
-        let (name, hw) = match precision.weight.map(|s| s.bits) {
+        match precision.weight.map(|s| s.bits) {
             None => ("quant-fp".to_string(), HwPrecision::Fp16),
             Some(w) if w <= 4 && act_bits <= 4 => (format!("w{w}a{act_bits}"), HwPrecision::W4A4),
             Some(w) if w <= 4 => (format!("w{w}a{act_bits}"), HwPrecision::W4A16),
             Some(w) => (format!("w{w}a{act_bits}"), HwPrecision::W8A8),
-        };
-        let profile = CostProfile {
-            precision: hw,
-            weight_bits: self.mean_weight_bits(),
-        };
-        (name, profile)
+        }
     }
 }
 
@@ -403,7 +283,7 @@ impl ServedModel for QuantizedMamba {
 pub struct ModelBackend<M: ServedModel, B = M> {
     model: B,
     name: String,
-    profile: CostProfile,
+    precision: HwPrecision,
     ws: RefCell<Workspace<M::Scratch>>,
     pool: Option<Arc<WorkerPool>>,
 }
@@ -421,13 +301,13 @@ pub type FpBackend<'m> = ModelBackend<MambaModel, &'m MambaModel>;
 pub type W4A4Backend = ModelBackend<QuantizedMamba>;
 
 impl<M: ServedModel, B: Borrow<M>> ModelBackend<M, B> {
-    /// Wraps a model, taking its report name and cost profile.
+    /// Wraps a model, taking its report name and datapath precision.
     pub fn new(model: B) -> Self {
-        let (name, profile) = model.borrow().served_as();
+        let (name, precision) = model.borrow().served_as();
         ModelBackend {
             model,
             name,
-            profile,
+            precision,
             ws: RefCell::new(Workspace::new()),
             pool: None,
         }
@@ -484,14 +364,15 @@ where
         *self.ws.borrow_mut() = Workspace::new();
     }
 
-    fn cost_profile(&self) -> CostProfile {
-        self.profile
+    fn hw_precision(&self) -> HwPrecision {
+        self.precision
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lightmamba_model::ModelError;
     use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -506,13 +387,15 @@ mod tests {
         let backend = FpBackend::new(&model);
         assert_eq!(backend.name(), "fp");
         let mut states = vec![backend.new_state(), backend.new_state()];
-        let prompts: [&[u32]; 2] = [&[1, 2, 3], &[9]];
-        let batched = backend.prefill_batch(&prompts, &mut states).unwrap();
+        let prompts: [(usize, &[u32]); 2] = [(0, &[1, 2, 3]), (1, &[9])];
+        let batched = backend
+            .advance_batch_indexed(&prompts, &mut states)
+            .unwrap();
         let mut direct = model.new_state();
         let expect = model.prefill(&[1, 2, 3], &mut direct).unwrap();
-        assert_eq!(batched[0], expect);
+        assert_eq!(batched[0].1, expect);
         let out = backend
-            .forward_step_batch_indexed(&[(0, 4)], &mut states)
+            .advance_batch_indexed(&[(0, &[4])], &mut states)
             .unwrap();
         assert_eq!(out[0].0, 0);
         assert_eq!(out[0].1, model.forward_step(4, &mut direct).unwrap());
@@ -577,7 +460,7 @@ mod tests {
                 let mut last = Vec::new();
                 for &t in *chunk {
                     last = backend
-                        .forward_step_batch_indexed(&[(k, t)], &mut stepped)
+                        .advance_batch_indexed(&[(k, &[t])], &mut stepped)
                         .unwrap();
                 }
                 assert_eq!(out[k], last[0], "{} sequence {k}", backend.name());
@@ -598,24 +481,24 @@ mod tests {
         for backend in [&fp as &dyn DecodeBackend, &w4 as &dyn DecodeBackend] {
             let mut states = vec![backend.new_state()];
             backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut states)
+                .advance_batch_indexed(&[(0, &[3, 1, 4])], &mut states)
                 .unwrap();
             let paused = backend.save_state(&states[0]);
-            backend.reset_state(&mut states[0]);
+            states[0].reset();
             backend
-                .prefill_batch(&[&[200, 200, 200, 200][..]], &mut states)
+                .advance_batch_indexed(&[(0, &[200, 200, 200, 200])], &mut states)
                 .unwrap();
             backend.restore_state(&paused, &mut states[0]);
             let resumed = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut states)
+                .advance_batch_indexed(&[(0, &[7])], &mut states)
                 .unwrap();
 
             let mut reference = vec![backend.new_state()];
             backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut reference)
+                .advance_batch_indexed(&[(0, &[3, 1, 4])], &mut reference)
                 .unwrap();
             let expect = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut reference)
+                .advance_batch_indexed(&[(0, &[7])], &mut reference)
                 .unwrap();
             assert_eq!(resumed, expect, "{} diverged after resume", backend.name());
         }
@@ -642,16 +525,20 @@ mod tests {
             [(&fp_pooled, &fp_seq), (&w4_pooled, &w4_seq)];
         for (pooled, seq) in pairs {
             let prompts: Vec<Vec<u32>> = (0..5).map(|k| vec![1 + k, 2 + k, 3]).collect();
-            let prompt_refs: Vec<&[u32]> = prompts.iter().map(|p| &p[..]).collect();
+            let prompt_items: Vec<(usize, &[u32])> =
+                prompts.iter().map(|p| &p[..]).enumerate().collect();
             let mut sp = vec![pooled.new_state(); 5];
             let mut ss = vec![seq.new_state(); 5];
-            let pre_p = pooled.prefill_batch(&prompt_refs, &mut sp).unwrap();
-            let pre_s = seq.prefill_batch(&prompt_refs, &mut ss).unwrap();
+            let pre_p = pooled
+                .advance_batch_indexed(&prompt_items, &mut sp)
+                .unwrap();
+            let pre_s = seq.advance_batch_indexed(&prompt_items, &mut ss).unwrap();
             assert_eq!(pre_p, pre_s, "{} prefill diverged", pooled.name());
             for t in 0..4u32 {
-                let items: Vec<(usize, u32)> = (0..5).map(|k| (k, 10 + t)).collect();
-                let out_p = pooled.forward_step_batch_indexed(&items, &mut sp).unwrap();
-                let out_s = seq.forward_step_batch_indexed(&items, &mut ss).unwrap();
+                let token = [10 + t];
+                let items: Vec<(usize, &[u32])> = (0..5).map(|k| (k, &token[..])).collect();
+                let out_p = pooled.advance_batch_indexed(&items, &mut sp).unwrap();
+                let out_s = seq.advance_batch_indexed(&items, &mut ss).unwrap();
                 assert_eq!(out_p, out_s, "{} step {t} diverged", pooled.name());
             }
             for (a, b) in sp.iter().zip(&ss) {
@@ -673,19 +560,19 @@ mod tests {
         for backend in [&fp as &dyn DecodeBackend, &w4 as &dyn DecodeBackend] {
             let mut states = vec![backend.new_state()];
             backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut states)
+                .advance_batch_indexed(&[(0, &[3, 1, 4])], &mut states)
                 .unwrap();
             backend.reset_after_fault();
             let after = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut states)
+                .advance_batch_indexed(&[(0, &[7])], &mut states)
                 .unwrap();
 
             let mut reference = vec![backend.new_state()];
             backend
-                .prefill_batch(&[&[3, 1, 4][..]], &mut reference)
+                .advance_batch_indexed(&[(0, &[3, 1, 4])], &mut reference)
                 .unwrap();
             let expect = backend
-                .forward_step_batch_indexed(&[(0, 7)], &mut reference)
+                .advance_batch_indexed(&[(0, &[7])], &mut reference)
                 .unwrap();
             assert_eq!(after, expect, "{} diverged after reset", backend.name());
         }
@@ -762,16 +649,8 @@ mod tests {
         let q4 = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
         let b4 = W4A4Backend::new(q4);
         assert_eq!(b4.name(), "w4a4");
-        assert_eq!(b4.cost_profile().precision, HwPrecision::W4A4);
-        // weight_bits is the model's *actual* stored width: 4-bit codes
-        // plus one 16-bit scale per group of 16 ≈ 5 bits/param, so the
-        // stream is ~3.2× narrower than FP16's — not the idealized 4×.
-        let wb = b4.cost_profile().weight_bits;
-        assert!((4.5..5.5).contains(&wb), "stored bits/param {wb}");
-        let params = 1_000_000u64;
-        let ratio = CostProfile::fp16().weight_stream_bytes(params)
-            / b4.cost_profile().weight_stream_bytes(params);
-        assert!((2.9..4.1).contains(&ratio), "stream ratio {ratio}");
+        assert_eq!(b4.hw_precision(), HwPrecision::W4A4);
+        assert_eq!(FpBackend::new(&model).hw_precision(), HwPrecision::Fp16);
     }
 
     #[test]
@@ -790,18 +669,15 @@ mod tests {
             let prepared = PreparedModel::from_reference(&model).unwrap();
             W4A4Backend::new(QuantizedMamba::new(prepared, precision).unwrap())
         };
-        // A 2-bit model rides the 4-bit datapath with its own (narrower)
-        // stream width — it must not silently price as FP16.
+        // A 2-bit model rides the 4-bit datapath — it must not silently
+        // price as FP16.
         let b2 = build(2, 4);
         assert_eq!(b2.name(), "w2a4");
-        assert_eq!(b2.cost_profile().precision, HwPrecision::W4A4);
-        assert!(b2.cost_profile().weight_bits < 4.0);
+        assert_eq!(b2.hw_precision(), HwPrecision::W4A4);
         // 5–8-bit weights host on the W8A8 path.
         let b6 = build(6, 8);
         assert_eq!(b6.name(), "w6a8");
-        assert_eq!(b6.cost_profile().precision, HwPrecision::W8A8);
-        let wb = b6.cost_profile().weight_bits;
-        assert!((6.0..8.0).contains(&wb), "stored bits/param {wb}");
+        assert_eq!(b6.hw_precision(), HwPrecision::W8A8);
     }
 
     #[test]
@@ -815,18 +691,5 @@ mod tests {
         assert_eq!(sf.layers.len(), sq.layers.len());
         assert_eq!(sf.layers[0].h.len(), sq.layers[0].h.len());
         assert_eq!(sf.layers[0].conv.channels(), sq.layers[0].conv.channels());
-    }
-
-    #[test]
-    fn accelerator_config_swaps_precision_only() {
-        let platform = Platform::vck190();
-        let model = MambaConfig::tiny();
-        let w4 = CostProfile::w4a4().accelerator_config(&platform, &model);
-        let fp = CostProfile::fp16().accelerator_config(&platform, &model);
-        assert_eq!(w4.precision, HwPrecision::W4A4);
-        assert_eq!(fp.precision, HwPrecision::Fp16);
-        assert!(!fp.pot_requant);
-        assert_eq!(w4.mmu_din, fp.mmu_din);
-        assert_eq!(w4.tiling, fp.tiling);
     }
 }

@@ -7,11 +7,11 @@
 //! `serve-chaos` experiment of `repro` replay exactly. A [`ChaosBackend`]
 //! wraps any [`DecodeBackend`] and fires the plan against it: inside a
 //! window the wrapped backend's batched advance (the trait's one
-//! execution method, so the decode-step and prefill conveniences built
-//! on it fault too) returns an error, panics, records a latency spike,
-//! or poisons the next state restore —
-//! outside the windows (and always at fault rate 0) the wrapper is a
-//! transparent delegate, which is what keeps fault-free runs
+//! execution method) returns an error, panics, records a latency spike,
+//! or poisons the next state restore. An injected panic unwinds without
+//! calling the panic hook, so a fault the engine contains prints
+//! nothing. Outside the windows (and always at fault rate 0) the wrapper
+//! is a transparent delegate, which is what keeps fault-free runs
 //! bit-identical with the chaos layer compiled in.
 //!
 //! The schedule is keyed to the engine clock through the
@@ -27,9 +27,10 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use lightmamba_accel::arch::HwPrecision;
 use lightmamba_model::{MambaConfig, ModelState};
 
-use crate::backend::{CostProfile, DecodeBackend, PausedState};
+use crate::backend::{DecodeBackend, PausedState};
 use crate::error::ServeError;
 
 /// What a fault window does to the wrapped backend.
@@ -223,10 +224,6 @@ impl DecodeBackend for ChaosBackend<'_> {
         self.inner.new_state()
     }
 
-    fn reset_state(&self, state: &mut ModelState) {
-        self.inner.reset_state(state);
-    }
-
     fn save_state(&self, state: &ModelState) -> PausedState {
         self.inner.save_state(state)
     }
@@ -259,7 +256,11 @@ impl DecodeBackend for ChaosBackend<'_> {
                 }
                 FaultKind::Panic => {
                     self.injected.set(self.injected.get() + 1);
-                    panic!("chaos: injected backend panic at step {clock}");
+                    // An unwind without the panic hook: the engine
+                    // contains the fault, so nothing is printed for it.
+                    std::panic::resume_unwind(Box::new(format!(
+                        "chaos: injected backend panic at step {clock}"
+                    )));
                 }
                 FaultKind::LatencySpike => {
                     self.spikes.set(self.spikes.get() + 1);
@@ -291,8 +292,8 @@ impl DecodeBackend for ChaosBackend<'_> {
         self.inner.reset_after_fault();
     }
 
-    fn cost_profile(&self) -> CostProfile {
-        self.inner.cost_profile()
+    fn hw_precision(&self) -> HwPrecision {
+        self.inner.hw_precision()
     }
 }
 
@@ -367,19 +368,17 @@ mod tests {
             .advance_batch_indexed(&[(0, toks)], &mut states)
             .unwrap_err();
         assert!(matches!(err, ServeError::BackendFault { ref model, .. } if model == "fp"));
-        // Every entry point faults inside the window, not only the one
-        // the engine calls: a one-token decode step goes the same way.
+        // Every advance inside the window faults, and advances nothing.
         let before = states.clone();
+        b.on_step(6);
         let err = b
-            .forward_step_batch_indexed(&[(0, 1)], &mut states)
+            .advance_batch_indexed(&[(0, &[1, 2])], &mut states)
             .unwrap_err();
         assert!(matches!(err, ServeError::BackendFault { .. }), "{err:?}");
-        assert!(b.prefill_batch(&[toks], &mut states).is_err());
         assert_eq!(states, before, "a faulted step advances nothing");
         b.on_step(7);
         assert!(b.advance_batch_indexed(&[(0, toks)], &mut states).is_ok());
-        assert!(b.forward_step_batch_indexed(&[(0, 1)], &mut states).is_ok());
-        assert_eq!(b.injected(), 3);
+        assert_eq!(b.injected(), 2);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! * [`slots`] — the fixed pool of per-sequence recurrent states;
 //! * [`backend`] — pluggable execution backends ([`backend::DecodeBackend`]):
 //!   one generic [`backend::ModelBackend`] serving the FP reference and
-//!   the W4A4 quantized model, each with a
-//!   [`backend::CostProfile`] for accelerator pricing, plus the
-//!   pause/resume primitives ([`backend::PausedState`]) preemptive
+//!   the W4A4 quantized model, each naming the datapath precision
+//!   (`HwPrecision`) it is priced at, plus the pause/resume primitives ([`backend::PausedState`]) preemptive
 //!   scheduling is built on;
 //! * [`registry`] — named backends multiplexed over one slot pool;
 //! * [`scheduler`] — admission and preemption policies
@@ -40,8 +39,8 @@
 //!   preemption/resume counters and resume-latency percentiles;
 //! * [`accel_cost`] — projects a run onto VCK190/U280 seconds via
 //!   `lightmamba_accel`'s batch-aware cycle model, pricing each step's
-//!   token-advances (chunked prefill included) with that backend's
-//!   weight-stream bytes, and each pause/resume as one fixed-size state
+//!   token-advances (chunked prefill included) at that backend's
+//!   datapath precision, and each pause/resume as one fixed-size state
 //!   transfer on the same stream;
 //! * [`observe`] — the engine-side observability layer over
 //!   `lightmamba_obs`: pre-registered engine metrics with

@@ -238,7 +238,7 @@ impl EngineObs {
         let mut per_model = |name: &str, help: &str| -> Vec<CounterId> {
             model_names
                 .iter()
-                .map(|model| m.counter_labeled(name, &format!("model=\"{model}\""), help))
+                .map(|model| m.counter_labeled(name, ("model", model), help))
                 .collect()
         };
         let model_tokens = per_model(

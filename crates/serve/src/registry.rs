@@ -132,24 +132,6 @@ impl<'m> ModelRegistry<'m> {
         self.entries.get(id).map(|e| e.backend.as_ref())
     }
 
-    /// The name registered under `id`, if any.
-    pub fn name_of(&self, id: ModelId) -> Option<&str> {
-        self.entries.get(id).map(|e| e.name.as_str())
-    }
-
-    /// Resolves a model name to its id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownModel`] when no backend is registered
-    /// under `name`.
-    pub fn id_of(&self, name: &str) -> Result<ModelId, ServeError> {
-        self.entries
-            .iter()
-            .position(|e| e.name == name)
-            .ok_or_else(|| ServeError::UnknownModel(name.to_string()))
-    }
-
     /// Iterates `(id, name, backend)` in registration order — the order
     /// sub-batches execute within one engine step.
     pub fn iter(&self) -> impl Iterator<Item = (ModelId, &str, &dyn DecodeBackend)> {
@@ -209,8 +191,8 @@ mod tests {
         let w4 = reg.register("w4a4", Box::new(W4A4Backend::new(q))).unwrap();
         assert_eq!((fp, w4), (0, 1));
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.id_of("w4a4").unwrap(), 1);
-        assert_eq!(reg.name_of(0), Some("fp"));
+        let names: Vec<&str> = reg.iter().map(|(_, name, _)| name).collect();
+        assert_eq!(names, ["fp", "w4a4"]);
         assert_eq!(reg.get(1).unwrap().name(), "w4a4");
     }
 
@@ -218,8 +200,7 @@ mod tests {
     fn unknown_model_name_is_rejected() {
         let model = tiny_model();
         let reg = ModelRegistry::single(&model);
-        let err = reg.id_of("nonexistent").unwrap_err();
-        assert!(matches!(err, ServeError::UnknownModel(ref n) if n == "nonexistent"));
+        assert!(reg.get(1).is_none());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! re-page, so the engine's preemptive policies treat pause/resume as an
 //! ordinary scheduling move rather than a last resort.
 
-use lightmamba_model::{MambaModel, ModelState};
+use lightmamba_model::ModelState;
 
 /// A fixed pool of `ModelState`s with O(1) slot alloc/free (allocation
 /// zeroes the fixed-size state; no heap traffic after construction).
@@ -45,11 +45,6 @@ impl SlotPool {
         }
     }
 
-    /// Convenience: a pool shaped for one reference model.
-    pub fn for_model(model: &MambaModel, capacity: usize) -> Self {
-        SlotPool::new(&model.new_state(), capacity)
-    }
-
     /// Total slots.
     pub fn capacity(&self) -> usize {
         self.states.len()
@@ -58,11 +53,6 @@ impl SlotPool {
     /// Currently free slots.
     pub fn free_count(&self) -> usize {
         self.free.len()
-    }
-
-    /// Currently occupied slots.
-    pub fn in_use_count(&self) -> usize {
-        self.capacity() - self.free_count()
     }
 
     /// Claims a slot, resetting its state for a fresh sequence. Returns
@@ -121,13 +111,9 @@ impl SlotPool {
 mod tests {
     use super::*;
     use lightmamba_model::MambaConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn pool(capacity: usize) -> SlotPool {
-        let model =
-            MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(1)).unwrap();
-        SlotPool::for_model(&model, capacity)
+        SlotPool::new(&ModelState::new(&MambaConfig::tiny()), capacity)
     }
 
     #[test]
@@ -137,12 +123,12 @@ mod tests {
         let a = p.alloc().unwrap();
         let b = p.alloc().unwrap();
         assert_ne!(a, b);
-        assert_eq!(p.in_use_count(), 2);
+        assert_eq!(p.free_count(), 2);
         p.release(a);
         assert_eq!(p.free_count(), 3);
         let c = p.alloc().unwrap();
         assert_eq!(c, a, "LIFO reuse of the freed slot");
-        assert_eq!(p.free_count() + p.in_use_count(), p.capacity());
+        assert_eq!(p.free_count(), p.capacity() - 2);
     }
 
     #[test]

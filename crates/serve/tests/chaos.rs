@@ -8,8 +8,7 @@
 
 use std::collections::HashMap;
 
-use lightmamba_model::{MambaConfig, MambaModel};
-use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_model::MambaModel;
 use lightmamba_quant::QuantizedMamba;
 use lightmamba_serve::backend::{FpBackend, W4A4Backend};
 use lightmamba_serve::chaos::{ChaosBackend, FaultPlan};
@@ -17,89 +16,19 @@ use lightmamba_serve::engine::{EngineConfig, ServeEngine};
 use lightmamba_serve::registry::ModelRegistry;
 use lightmamba_serve::request::{FinishReason, GenRequest};
 use lightmamba_serve::resilience::ResilienceConfig;
-use lightmamba_serve::scheduler::Policy;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn tiny_model() -> MambaModel {
-    MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
-}
+mod common;
+use common::{churn_schedule, tiny_model, tiny_w4a4, workload, ChurnFifo};
 
-fn tiny_w4a4(model: &MambaModel) -> QuantizedMamba {
-    quantize_model(model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap()
-}
-
-/// Random request workloads: (arrival gap, prompt len, gen len, seed).
-fn workload() -> impl Strategy<Value = Vec<(u64, Vec<u32>, usize, u64)>> {
-    proptest::collection::vec(
-        (
-            0u64..4,
-            proptest::collection::vec(0u32..256, 1..6),
-            1usize..6,
-            0u64..1_000_000,
-        ),
-        1..14,
-    )
-}
-
+/// The shared workload, its requests alternating between the two
+/// registered models.
 fn build_requests(spec: &[(u64, Vec<u32>, usize, u64)]) -> Vec<GenRequest> {
-    let mut arrival = 0u64;
-    spec.iter()
-        .enumerate()
-        .map(|(id, (gap, prompt, gen_len, seed))| {
-            arrival += gap;
-            let mut r = GenRequest::greedy(id as u64, prompt.clone(), *gen_len);
-            r.arrival_step = arrival;
-            r.seed = *seed;
-            r.model = id % 2;
-            r
-        })
-        .collect()
-}
-
-/// FIFO admission plus an arbitrary preemption schedule (same churn
-/// driver the non-chaos property suite uses).
-struct ChurnFifo {
-    schedule: Vec<(usize, usize)>,
-    step: usize,
-}
-
-impl ChurnFifo {
-    fn new(schedule: Vec<(usize, usize)>) -> Self {
-        ChurnFifo {
-            schedule: if schedule.is_empty() {
-                vec![(0, 0)]
-            } else {
-                schedule
-            },
-            step: 0,
-        }
+    let mut requests = common::build_requests(spec);
+    for r in &mut requests {
+        r.model = r.id as usize % 2;
     }
-}
-
-impl Policy for ChurnFifo {
-    fn select(&mut self, ctx: &lightmamba_serve::scheduler::AdmissionCtx<'_>) -> Vec<usize> {
-        (0..ctx.n_candidates().min(ctx.free_slots)).collect()
-    }
-
-    fn preempt(&mut self, ctx: &lightmamba_serve::scheduler::AdmissionCtx<'_>) -> Vec<usize> {
-        let (count, offset) = self.schedule[self.step % self.schedule.len()];
-        self.step += 1;
-        let n = ctx.residents.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        (0..count.min(n)).map(|k| (offset + k) % n).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "churn-fifo"
-    }
-}
-
-fn churn_schedule() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    proptest::collection::vec((0usize..4, 0usize..8), 1..12)
+    requests
 }
 
 /// Two chaos-wrapped backends (FP and W4A4) firing independent seeded

@@ -53,7 +53,7 @@ fn prefix_cache_lookup_and_restore_allocate_nothing() {
     // in the cache. This side may allocate (it clones the state).
     let mut state = backend.new_state();
     backend
-        .prefill_batch(&[prefix.as_slice()], std::slice::from_mut(&mut state))
+        .advance_batch_indexed(&[(0, prefix.as_slice())], std::slice::from_mut(&mut state))
         .unwrap();
     let mut cache = PrefixCache::new(4);
     cache.insert(0, &prefix, backend.save_state(&state));

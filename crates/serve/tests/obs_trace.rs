@@ -182,3 +182,19 @@ fn flight_recorder_stays_bounded_and_metrics_match_the_report() {
     let dump = obs.flight_dump();
     assert!(dump.contains("512 steps retained"), "{dump}");
 }
+
+#[test]
+fn model_label_values_are_escaped_in_the_exposition() {
+    let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
+    let mut registry = ModelRegistry::new();
+    registry
+        .register("fp \"q\"\\x", Box::new(FpBackend::new(&model)))
+        .unwrap();
+    let mut engine = ServeEngine::with_registry(registry, EngineConfig::default()).unwrap();
+    engine.enable_obs(ObsConfig::default());
+    let text = engine.take_obs().unwrap().exposition();
+    assert!(
+        text.contains("engine_model_tokens_total{model=\"fp \\\"q\\\"\\\\x\"} 0\n"),
+        "{text}"
+    );
+}

@@ -10,9 +10,7 @@
 //! preemption churn, and session resume.
 
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::{batch, DecodeWorkspace, MambaConfig, MambaModel};
-use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
-use lightmamba_quant::QuantizedMamba;
+use lightmamba_model::{batch, DecodeWorkspace, MambaModel};
 use lightmamba_serve::backend::{DecodeBackend, FpBackend, W4A4Backend};
 use lightmamba_serve::engine::{EngineConfig, ServeEngine};
 use lightmamba_serve::frontend::SessionStore;
@@ -26,88 +24,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn tiny_model() -> MambaModel {
-    MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
-}
-
-fn tiny_w4a4(model: &MambaModel) -> QuantizedMamba {
-    quantize_model(model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap()
-}
-
-/// Random request workloads: (arrival gap, prompt len, gen len, seed).
-fn workload() -> impl Strategy<Value = Vec<(u64, Vec<u32>, usize, u64)>> {
-    proptest::collection::vec(
-        (
-            0u64..4,
-            proptest::collection::vec(0u32..256, 1..6),
-            1usize..6,
-            0u64..1_000_000,
-        ),
-        1..14,
-    )
-}
-
-fn build_requests(spec: &[(u64, Vec<u32>, usize, u64)]) -> Vec<GenRequest> {
-    let mut arrival = 0u64;
-    spec.iter()
-        .enumerate()
-        .map(|(id, (gap, prompt, gen_len, seed))| {
-            arrival += gap;
-            let mut r = GenRequest::greedy(id as u64, prompt.clone(), *gen_len);
-            r.arrival_step = arrival;
-            r.seed = *seed;
-            r
-        })
-        .collect()
-}
-
-/// FIFO admission plus an arbitrary preemption schedule: each step
-/// pauses `count` residents starting at a rotating `offset` (both taken
-/// from the proptest-generated schedule, cycled). Used to pin that *no*
-/// pause/resume interleaving can change outputs or leak slots.
-struct ChurnFifo {
-    schedule: Vec<(usize, usize)>,
-    step: usize,
-}
-
-impl ChurnFifo {
-    fn new(schedule: Vec<(usize, usize)>) -> Self {
-        ChurnFifo {
-            schedule: if schedule.is_empty() {
-                vec![(0, 0)]
-            } else {
-                schedule
-            },
-            step: 0,
-        }
-    }
-}
-
-impl Policy for ChurnFifo {
-    fn select(&mut self, ctx: &lightmamba_serve::scheduler::AdmissionCtx<'_>) -> Vec<usize> {
-        (0..ctx.n_candidates().min(ctx.free_slots)).collect()
-    }
-
-    fn preempt(&mut self, ctx: &lightmamba_serve::scheduler::AdmissionCtx<'_>) -> Vec<usize> {
-        let (count, offset) = self.schedule[self.step % self.schedule.len()];
-        self.step += 1;
-        let n = ctx.residents.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        (0..count.min(n)).map(|k| (offset + k) % n).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "churn-fifo"
-    }
-}
-
-/// Arbitrary preemption schedules: up to 3 victims per step at a
-/// rotating offset, with calm and stormy steps interleaved.
-fn churn_schedule() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    proptest::collection::vec((0usize..4, 0usize..8), 1..12)
-}
+mod common;
+use common::{build_requests, churn_schedule, tiny_model, tiny_w4a4, workload, ChurnFifo};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -250,24 +168,24 @@ proptest! {
 
         // Batched decode through the backend trait over external states.
         let mut states: Vec<_> = prompts.iter().map(|_| backend.new_state()).collect();
-        let slices: Vec<&[u32]> = prompts.iter().map(|p| p.as_slice()).collect();
-        let mut logits = backend.prefill_batch(&slices, &mut states).unwrap();
+        let slices: Vec<(usize, &[u32])> =
+            prompts.iter().map(|p| p.as_slice()).enumerate().collect();
+        let mut logits = backend.advance_batch_indexed(&slices, &mut states).unwrap();
         let mut got: Vec<Vec<u32>> = vec![Vec::new(); prompts.len()];
         for _ in 0..gen_len {
-            let items: Vec<(usize, u32)> = logits
+            let next: Vec<u32> = logits
                 .iter()
-                .enumerate()
-                .map(|(k, l)| (k, MambaModel::argmax(l) as u32))
+                .map(|(_, l)| MambaModel::argmax(l) as u32)
                 .collect();
-            for &(k, t) in &items {
+            for (k, &t) in next.iter().enumerate() {
                 got[k].push(t);
             }
-            logits = backend
-                .forward_step_batch_indexed(&items, &mut states)
-                .unwrap()
-                .into_iter()
-                .map(|(_, l)| l)
+            let items: Vec<(usize, &[u32])> = next
+                .iter()
+                .enumerate()
+                .map(|(k, t)| (k, std::slice::from_ref(t)))
                 .collect();
+            logits = backend.advance_batch_indexed(&items, &mut states).unwrap();
         }
 
         prop_assert_eq!(got, expected);

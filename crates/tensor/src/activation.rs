@@ -141,13 +141,6 @@ pub fn silu_slice(xs: &mut [f32]) {
     }
 }
 
-/// Applies [`softplus`] to every element of a slice in place.
-pub fn softplus_slice(xs: &mut [f32]) {
-    for x in xs {
-        *x = softplus(*x);
-    }
-}
-
 /// Numerically stable softmax over a slice, returning a new vector.
 ///
 /// Used by the LM-head evaluation to turn logits into next-token
@@ -338,9 +331,6 @@ mod tests {
         silu_slice(&mut xs);
         assert_eq!(xs[0], 0.0);
         assert!((xs[1] - silu(1.0)).abs() < 1e-7);
-        let mut ys = [0.0f32];
-        softplus_slice(&mut ys);
-        assert!((ys[0] - std::f32::consts::LN_2).abs() < 1e-6);
     }
 
     #[test]

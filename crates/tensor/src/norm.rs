@@ -1,12 +1,12 @@
-//! RMS normalization, including the scale-split form required by the
-//! rotation-assisted quantization algorithm.
+//! RMS normalization, plain and gated.
 //!
 //! The paper's fusion ② (Fig. 4a) relies on the identity
 //! `RMSNorm_γ(x) = RMSNorm(x) ⊙ γ`: the *unscaled* RMSNorm commutes with an
 //! orthogonal rotation of the residual stream, so the per-channel scale `γ`
 //! must be split out and folded into the downstream projection weights
-//! before the rotation can be fused. [`rms_norm`] applies the scaled form,
-//! [`rms_norm_unscaled`] the split form.
+//! before the rotation can be fused. The rotation folds `γ` into the
+//! weights itself, so only the scaled forms are kept here; the unscaled
+//! norm is [`rms_norm`] with a unit `γ`.
 
 /// Root-mean-square of a slice with numerical floor `eps`.
 pub fn rms(xs: &[f32], eps: f32) -> f32 {
@@ -31,18 +31,6 @@ pub fn rms_norm(xs: &mut [f32], gamma: &[f32], eps: f32) {
     }
 }
 
-/// Unscaled RMSNorm: `y_i = x_i / rms(x)`, in place.
-///
-/// This is the rotation-commuting half of the scale-split identity used by
-/// fusion ② of the rotation-assisted quantization algorithm.
-pub fn rms_norm_unscaled(xs: &mut [f32], eps: f32) {
-    let r = rms(xs, eps);
-    let inv = 1.0 / r;
-    for x in xs.iter_mut() {
-        *x *= inv;
-    }
-}
-
 /// Gated RMSNorm used by Mamba2 before the output projection:
 /// `y = RMSNorm(x ⊙ silu(z)) ⊙ gamma`, in place on `xs`.
 ///
@@ -57,24 +45,14 @@ pub fn gated_rms_norm(xs: &mut [f32], z: &[f32], gamma: &[f32], eps: f32) {
     rms_norm(xs, gamma, eps);
 }
 
-/// Gated RMSNorm with the scale split out (fusion ③/④ pathway): applies the
-/// SiLU gate and unscaled normalization only, leaving `gamma` to be folded
-/// into the output-projection weight by the caller.
-///
-/// # Panics
-///
-/// Panics when slice lengths disagree.
-pub fn gated_rms_norm_unscaled(xs: &mut [f32], z: &[f32], eps: f32) {
-    assert_eq!(xs.len(), z.len(), "gated rmsnorm gate length mismatch");
-    for (x, &zi) in xs.iter_mut().zip(z.iter()) {
-        *x *= crate::activation::silu(zi);
-    }
-    rms_norm_unscaled(xs, eps);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The unscaled norm: [`rms_norm`] with a unit scale.
+    fn rms_norm_unit(xs: &mut [f32], eps: f32) {
+        rms_norm(xs, &vec![1.0; xs.len()], eps);
+    }
 
     #[test]
     fn rms_of_unit_vector() {
@@ -94,7 +72,7 @@ mod tests {
         let mut a = orig;
         rms_norm(&mut a, &gamma, 1e-6);
         let mut b = orig;
-        rms_norm_unscaled(&mut b, 1e-6);
+        rms_norm_unit(&mut b, 1e-6);
         for ((ai, bi), gi) in a.iter().zip(b.iter()).zip(gamma.iter()) {
             assert!((ai - bi * gi).abs() < 1e-6);
         }
@@ -103,7 +81,7 @@ mod tests {
     #[test]
     fn unscaled_norm_output_has_unit_rms() {
         let mut xs = [3.0f32, -4.0, 12.0, 0.5];
-        rms_norm_unscaled(&mut xs, 0.0);
+        rms_norm_unit(&mut xs, 0.0);
         assert!((rms(&xs, 0.0) - 1.0).abs() < 1e-5);
     }
 
@@ -111,8 +89,8 @@ mod tests {
     fn norm_is_scale_invariant() {
         let mut a = [1.0f32, 2.0, 3.0];
         let mut b = [10.0f32, 20.0, 30.0];
-        rms_norm_unscaled(&mut a, 0.0);
-        rms_norm_unscaled(&mut b, 0.0);
+        rms_norm_unit(&mut a, 0.0);
+        rms_norm_unit(&mut b, 0.0);
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-6);
         }
@@ -142,7 +120,7 @@ mod tests {
         let mut scaled = orig;
         gated_rms_norm(&mut scaled, &z, &gamma, 1e-6);
         let mut split = orig;
-        gated_rms_norm_unscaled(&mut split, &z, 1e-6);
+        gated_rms_norm(&mut split, &z, &[1.0; 4], 1e-6);
         for (s, (u, g)) in scaled.iter().zip(split.iter().zip(gamma.iter())) {
             assert!((s - u * g).abs() < 1e-6);
         }

@@ -194,23 +194,9 @@ impl Tensor {
         self.zip_with(rhs, |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product — the `⊙` of the paper's Eq. 1a.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul_elem(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.zip_with(rhs, |a, b| a * b)
-    }
-
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|v| v * s)
-    }
-
-    /// Frobenius (L2) norm over all elements.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data().iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 }
 
@@ -245,18 +231,6 @@ pub fn outer_accumulate(out: &mut [f32], a: &[f32], b: &[f32], scale: f32) {
         for (o, &bv) in row.iter_mut().zip(b.iter()) {
             *o += s * bv;
         }
-    }
-}
-
-/// In-place AXPY: `y[i] += alpha * x[i]`.
-///
-/// # Panics
-///
-/// Panics when the slices have different lengths.
-pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    assert_eq!(y.len(), x.len(), "axpy length mismatch");
-    for (yo, &xv) in y.iter_mut().zip(x.iter()) {
-        *yo += alpha * xv;
     }
 }
 
@@ -322,14 +296,7 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 5.0], &[2]).unwrap();
         assert_eq!(a.add(&b).unwrap().data(), &[4.0, 7.0]);
         assert_eq!(a.sub(&b).unwrap().data(), &[-2.0, -3.0]);
-        assert_eq!(a.mul_elem(&b).unwrap().data(), &[3.0, 10.0]);
         assert_eq!(a.scale(2.0).data(), &[2.0, 4.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_matches_manual() {
-        let a = Tensor::from_vec(vec![3.0, 4.0], &[2]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-6);
     }
 
     #[test]
@@ -338,9 +305,6 @@ mod tests {
         let mut out = vec![0.0; 4];
         outer_accumulate(&mut out, &[1.0, 2.0], &[3.0, 4.0], 1.0);
         assert_eq!(out, vec![3.0, 4.0, 6.0, 8.0]);
-        let mut y = vec![1.0, 1.0];
-        axpy(&mut y, 2.0, &[1.0, 3.0]);
-        assert_eq!(y, vec![3.0, 7.0]);
     }
 
     #[test]

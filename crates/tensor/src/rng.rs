@@ -10,8 +10,6 @@
 
 use rand::Rng;
 
-use crate::Tensor;
-
 /// Draws one standard-normal sample via the Box–Muller transform.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
     // Guard u1 away from 0 so ln(u1) is finite.
@@ -36,18 +34,6 @@ pub fn heavy_tailed<R: Rng + ?Sized>(rng: &mut R, tail_prob: f64, tail_scale: f3
         tail_scale * standard_normal(rng)
     } else {
         standard_normal(rng)
-    }
-}
-
-impl Tensor {
-    /// Creates a tensor of i.i.d. normal samples.
-    pub fn randn<R: Rng + ?Sized>(rng: &mut R, dims: &[usize], mean: f32, std: f32) -> Self {
-        Tensor::from_fn(dims, |_| normal(rng, mean, std))
-    }
-
-    /// Creates a tensor of i.i.d. uniform samples in `[lo, hi)`.
-    pub fn rand_uniform<R: Rng + ?Sized>(rng: &mut R, dims: &[usize], lo: f32, hi: f32) -> Self {
-        Tensor::from_fn(dims, |_| rng.gen_range(lo..hi))
     }
 }
 
@@ -94,15 +80,12 @@ mod tests {
 
     #[test]
     fn seeded_generation_is_deterministic() {
-        let a = Tensor::randn(&mut StdRng::seed_from_u64(42), &[8], 0.0, 1.0);
-        let b = Tensor::randn(&mut StdRng::seed_from_u64(42), &[8], 0.0, 1.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let t = Tensor::rand_uniform(&mut rng, &[1000], -2.0, 3.0);
-        assert!(t.data().iter().all(|&v| (-2.0..3.0).contains(&v)));
+        let draw = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..8)
+                .map(|_| normal(&mut rng, 0.0, 1.0))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(draw(42), draw(42));
     }
 }

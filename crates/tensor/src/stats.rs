@@ -40,23 +40,6 @@ pub fn kurtosis(xs: &[f32]) -> f32 {
     m4 / (var * var)
 }
 
-/// Mean squared error between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics when the slices have different lengths.
-pub fn mse(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "mse length mismatch");
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| (x - y) * (x - y))
-        .sum::<f32>()
-        / a.len() as f32
-}
-
 /// Sum of squared errors between two equal-length slices — the
 /// "quantization error" metric of the paper's Table II and Fig. 4b.
 ///
@@ -205,9 +188,8 @@ mod tests {
     fn mse_and_sse() {
         let a = [1.0f32, 2.0];
         let b = [2.0f32, 4.0];
-        assert!((mse(&a, &b) - 2.5).abs() < 1e-6);
         assert!((sse(&a, &b) - 5.0).abs() < 1e-6);
-        assert_eq!(mse(&[], &[]), 0.0);
+        assert_eq!(sse(&[], &[]), 0.0);
     }
 
     #[test]

@@ -123,23 +123,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Reinterprets the buffer under a new shape of equal volume.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::LengthMismatch`] when the volumes differ.
-    pub fn reshape(mut self, dims: &[usize]) -> Result<Self> {
-        let shape = Shape::new(dims);
-        if shape.volume() != self.data.len() {
-            return Err(TensorError::LengthMismatch {
-                expected: shape.volume(),
-                actual: self.data.len(),
-            });
-        }
-        self.shape = shape;
-        Ok(self)
-    }
-
     /// Borrow of row `i` of a rank-2 tensor.
     ///
     /// # Errors
@@ -235,14 +218,6 @@ mod tests {
         t.set(&[1, 1], 7.0).unwrap();
         assert_eq!(t.get(&[1, 1]).unwrap(), 7.0);
         assert_eq!(t.get(&[0, 0]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
-        let r = t.clone().reshape(&[4]).unwrap();
-        assert_eq!(r.data(), t.data());
-        assert!(t.reshape(&[3]).is_err());
     }
 
     #[test]

@@ -60,9 +60,7 @@ pub mod prelude {
     pub use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
     pub use lightmamba_quant::qmodel::{Precision, QuantizedMamba};
     pub use lightmamba_serve::accel_cost::MultiplexCostModel;
-    pub use lightmamba_serve::backend::{
-        CostProfile, DecodeBackend, FpBackend, PausedState, W4A4Backend,
-    };
+    pub use lightmamba_serve::backend::{DecodeBackend, FpBackend, PausedState, W4A4Backend};
     pub use lightmamba_serve::engine::{EngineConfig, ServeEngine, SessionSnapshot, StepEvent};
     pub use lightmamba_serve::frontend::{
         run_frontend, FrontendConfig, FrontendHandle, FrontendRun, SessionStore, StreamEvent,

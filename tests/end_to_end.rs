@@ -66,7 +66,7 @@ fn full_codesign_pipeline_produces_consistent_reports() {
         let hw = design.hardware_report();
         // Internal consistency: throughput = freq / cycles.
         let freq = target.platform().freq_hz;
-        let implied = freq / hw.decode.cycles_per_token;
+        let implied = freq / hw.decode.cycles_per_step;
         assert!((implied - hw.decode.tokens_per_s).abs() / implied < 1e-9);
         // Energy identity.
         let p = hw.power;
