@@ -24,7 +24,6 @@ use lightmamba_serve::accel_cost::{calibrate_token_budget, MultiplexCostModel, M
 use lightmamba_serve::backend::{DecodeBackend, FpBackend, W4A4Backend};
 use lightmamba_serve::chaos::{ChaosBackend, FaultKind, FaultPlan};
 use lightmamba_serve::engine::{EngineConfig, ServeEngine};
-use lightmamba_serve::frontend::SessionStore;
 use lightmamba_serve::metrics::{Percentiles, ServeReport};
 use lightmamba_serve::registry::ModelRegistry;
 use lightmamba_serve::request::{FinishReason, GenRequest};
@@ -371,19 +370,20 @@ struct ChatRun {
     report: ServeReport,
     run: MultiplexedRun,
     follow_up_ttft_steps: Percentiles,
-    resumes: usize,
-    misses: usize,
+    /// Session-tagged follow-ups that found no parked state.
+    cold_turns: usize,
     prefill_tokens_saved: u64,
 }
 
 /// Multi-turn chat sessions, closed-loop (a session's next turn departs
-/// only after the prior reply lands). The resume path parks each turn's
-/// final Mamba state in a [`SessionStore`] and restores it for the
-/// follow-up — one fixed-size state transfer — so a follow-up carries
-/// only the user's new message; the re-prefill baseline replays the
-/// whole conversation as prompt every turn. A deterministic
-/// [`CANCEL_RATE`] share of the sessions hangs up mid-first-turn on both
-/// paths, so the cancellation waste is priced identically.
+/// only after the prior reply lands). On the resume path every turn is
+/// session-tagged, so the engine parks each turn's final Mamba state and
+/// restores it for the follow-up — one fixed-size state transfer — and a
+/// follow-up carries only the user's new message; the re-prefill
+/// baseline replays the whole conversation as prompt every turn. A
+/// deterministic [`CANCEL_RATE`] share of the sessions hangs up
+/// mid-first-turn on both paths, so the cancellation waste is priced
+/// identically.
 pub(super) fn sessions() -> Outcome {
     const SESSIONS: usize = 8;
     const TURNS: usize = 3;
@@ -435,7 +435,7 @@ pub(super) fn sessions() -> Outcome {
     );
     out.line(format!(
         "  resume skipped {} prefill token-advances across {} resumes ({} cold turns)",
-        resume.prefill_tokens_saved, resume.resumes, resume.misses
+        resume.prefill_tokens_saved, resume.report.session_restores, resume.cold_turns
     ));
     let (ttft, base_ttft) = (
         &resume.follow_up_ttft_steps,
@@ -466,10 +466,10 @@ pub(super) fn sessions() -> Outcome {
 
 /// Drives one closed-loop chat run: openers up front, each follow-up
 /// turn (one per entry of a session's `follow_ups`) submitted only once
-/// the prior turn's reply completes. On the resume path follow-ups
-/// restore the parked state from the session store; on the baseline
-/// they re-prefill the full history. Sessions `0..doomed` are cancelled
-/// a few steps in — the client hung up.
+/// the prior turn's reply completes. On the resume path follow-ups are
+/// session-tagged and resume the state the engine parked; on the
+/// baseline they re-prefill the full history. Sessions `0..doomed` are
+/// cancelled a few steps in — the client hung up.
 fn drive_chat(
     ctx: &Ctx,
     resume: bool,
@@ -478,7 +478,6 @@ fn drive_chat(
     doomed: u64,
 ) -> ChatRun {
     const CANCEL_AT: u64 = 4;
-    let n = openers.len();
     let (mut engine, mut cost) = ctx.engine(&Setup::new(vec![FP, W4A4], 8));
 
     // Opener ids are 0..n (session id == opener id); follow-up turns
@@ -489,14 +488,17 @@ fn drive_chat(
     }
     engine.submit(submit).expect("openers arrive together");
 
-    let mut store = SessionStore::new(n);
     let mut policy = Fifo;
     let mut history: Vec<Vec<u32>> = openers.iter().map(|r| r.prompt.clone()).collect();
-    let mut turn_of: HashMap<u64, (usize, usize)> =
-        (0..n).map(|sid| (sid as u64, (sid, 0))).collect();
+    // Each id's session, turn, and prompt length as the engine feeds it.
+    let mut turn_of: HashMap<u64, (usize, usize, usize)> = openers
+        .iter()
+        .enumerate()
+        .map(|(sid, r)| (sid as u64, (sid, 0, r.prompt.len())))
+        .collect();
     let mut cursor = 0usize;
     let mut follow_ttfts: Vec<f64> = Vec::new();
-    let (mut resumes, mut misses) = (0usize, 0usize);
+    let mut session_follow_ups = 0usize;
     let mut prefill_tokens_saved = 0u64;
     let mut cancels_sent = false;
 
@@ -508,14 +510,10 @@ fn drive_chat(
             cancels_sent = true;
         }
         engine.step(&mut policy).expect("step succeeds");
-        // Only session-tagged requests (the resume path) leave snapshots.
-        for (sid, snap) in engine.take_session_snapshots() {
-            store.insert(sid, snap);
-        }
         while cursor < engine.completions().len() {
             let c = engine.completions()[cursor].clone();
             cursor += 1;
-            let (sid, turn) = turn_of[&c.id];
+            let (sid, turn, fed) = turn_of[&c.id];
             follow_ttfts.extend(c.ttft_steps().filter(|_| turn > 0).map(|t| t as f64));
             if !matches!(c.finish, FinishReason::MaxTokens | FinishReason::Eos) {
                 continue; // disconnected session: no further turns
@@ -525,26 +523,21 @@ fn drive_chat(
                 continue;
             };
             let id = turn_of.len() as u64;
-            turn_of.insert(id, (sid, turn + 1));
             let mut req = GenRequest::greedy(id, fprompt.clone(), gen).on_model(sid % 2);
             req.arrival_step = engine.clock();
-            req.session = resume.then_some(sid as u64);
-            let parked = if resume { store.take(sid as u64) } else { None };
-            if let Some(snap) = parked {
-                prefill_tokens_saved += snap.consumed_tokens as u64;
-                resumes += 1;
-                engine
-                    .submit_with_state(req, snap)
-                    .expect("snapshot matches its backend");
+            if resume {
+                // The parked state holds this turn's prompt and all but
+                // its last (pending) token, which the resume prepends.
+                req.session = Some(sid as u64);
+                session_follow_ups += 1;
+                prefill_tokens_saved += (fed + c.tokens.len() - 1) as u64;
             } else {
-                // Baseline, or a cold turn on the resume path:
-                // re-prefill the full conversation.
-                misses += resume as usize;
                 req.prompt = [history[sid].as_slice(), fprompt.as_slice()].concat();
-                engine
-                    .submit(vec![req])
-                    .expect("arrival stamps are monotone");
             }
+            turn_of.insert(id, (sid, turn + 1, req.prompt.len() + usize::from(resume)));
+            engine
+                .submit(vec![req])
+                .expect("arrival stamps are monotone");
             history[sid].extend_from_slice(&fprompt);
         }
     }
@@ -554,11 +547,10 @@ fn drive_chat(
         .cost_run(&report, engine.completions())
         .expect("trace matches registry");
     ChatRun {
+        cold_turns: session_follow_ups - report.session_restores as usize,
         report,
         run,
         follow_up_ttft_steps: Percentiles::of(&follow_ttfts),
-        resumes,
-        misses,
         prefill_tokens_saved,
     }
 }

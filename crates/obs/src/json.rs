@@ -84,13 +84,20 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps a hostile document from
+/// overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document. Errors carry the byte offset and a
-/// short description; trailing non-whitespace after the document is an
-/// error.
+/// short description; trailing non-whitespace after the document, and
+/// arrays or objects nested more than 128 deep, are errors.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -102,8 +109,11 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -146,8 +156,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -159,6 +169,24 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = f(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -242,9 +270,13 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(format!("bad \\u escape at byte {}", self.pos));
+                            }
+                            let hex = std::str::from_utf8(hex).expect("ascii hex digits");
+                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                             // Surrogate pairs are not needed for the
                             // workspace's own output; map them to the
                             // replacement character rather than failing.
@@ -262,11 +294,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // byte-level continuation handling is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar. The cursor only ever
+                    // steps over ASCII bytes or whole scalars, so it sits
+                    // on a char boundary of the input.
+                    let c = self.src[self.pos..].chars().next().expect("peeked a byte");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -348,6 +379,43 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{} extra").is_err(), "trailing content");
         assert!(parse("").is_err(), "empty input");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let deeper = format!("[{deepest}]");
+        assert!(parse(&deeper).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(parse(r#""\u00e9x""#).unwrap().as_str(), Some("éx"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u04""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn multibyte_text_survives_string_parsing() {
+        let doc = parse("[\"π ≈ 3\", \"日本\", \"🦀\"]").unwrap();
+        let strs: Vec<_> = doc
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        assert_eq!(strs, ["π ≈ 3", "日本", "🦀"]);
     }
 
     #[test]

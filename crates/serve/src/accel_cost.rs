@@ -660,8 +660,8 @@ mod tests {
             },
         )
         .unwrap();
-        // One chat turn that completes into a session snapshot, one
-        // long request the client abandons mid-decode.
+        // One chat turn that parks its session state, one long
+        // request the client abandons mid-decode.
         let keep = GenRequest::greedy(0, vec![1; 4], 6).with_session(7);
         let doomed = GenRequest::greedy(1, vec![2; 4], 32);
         engine.submit(vec![keep, doomed]).unwrap();
@@ -671,12 +671,11 @@ mod tests {
         }
         engine.cancel(1);
         engine.run(&mut policy).unwrap();
-        let (sid, snap) = engine.take_session_snapshots().pop().unwrap();
-        assert_eq!(sid, 7);
         let mut turn2 = GenRequest::greedy(2, vec![3; 3], 4).with_session(7);
         turn2.arrival_step = engine.clock();
-        engine.submit_with_state(turn2, snap).unwrap();
+        engine.submit(vec![turn2]).unwrap();
         let report = engine.run(&mut policy).unwrap();
+        assert_eq!(report.session_restores, 1);
         assert_eq!(report.cancellations, 1);
         assert!(report.wasted_token_advances > 0);
         let moves: usize = report.trace.state_moves_per_step.iter().sum();

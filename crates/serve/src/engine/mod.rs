@@ -45,6 +45,15 @@
 //! admission policy, prefill chunking, batch composition, and which
 //! other models are multiplexed — the engine's equivalence tests pin
 //! batched-vs-sequential outputs bit-for-bit.
+//!
+//! Multi-turn sessions use the same fixed-size state: a finished
+//! session-tagged turn ([`GenRequest::session`]) parks its final state
+//! in an LRU of the 64 most recently used sessions, and
+//! [`ServeEngine::submit`] resumes the session's next turn from it —
+//! one state-transfer move instead of re-prefilling the whole
+//! conversation. A session evicted between turns starts its next turn
+//! cold, from an empty state: a throughput cost, never a correctness
+//! one.
 
 #![deny(clippy::too_many_lines)]
 
@@ -60,38 +69,32 @@ use lightmamba_pool::WorkerPool;
 
 use crate::backend::PausedState;
 use crate::error::ServeError;
+use crate::lru::Lru;
 use crate::metrics::{RunTrace, ServeReport};
 use crate::observe::{EngineObs, ObsConfig};
 use crate::prefix::PrefixCache;
-use crate::registry::{same_state_shape, ModelRegistry};
+use crate::registry::ModelRegistry;
 use crate::request::{Completion, GenRequest, RequestId};
 use crate::resilience::{BackendHealth, HealthTracker, ResilienceConfig};
 use crate::scheduler::{Policy, TokenBudget};
 use crate::slots::SlotPool;
 use seq::{ActiveSeq, PausedSeq};
 
-/// The continuation record of a finished session turn: the final
-/// fixed-size recurrent state plus the one token that was sampled but
-/// never fed back through the model. The engine saves one at retirement
-/// for every session-tagged request ([`GenRequest::session`]; drain via
-/// [`ServeEngine::take_session_snapshots`]) and
-/// [`ServeEngine::submit_with_state`] consumes one to serve the
-/// session's next turn — a single state-transfer DMA instead of
-/// re-prefilling the whole conversation, the serving payoff of Mamba's
-/// constant-size state.
-#[derive(Debug, Clone)]
-pub struct SessionSnapshot {
+/// Most recently used session states the engine parks between turns.
+const SESSION_CAPACITY: usize = 64;
+
+/// The continuation record of a finished session turn, parked at
+/// retirement and taken by the session's next [`ServeEngine::submit`].
+#[derive(Debug)]
+struct SessionSnapshot {
     /// The final decode state, having consumed the turn's prompt plus
     /// all generated tokens except the last.
-    pub state: PausedState,
+    state: PausedState,
     /// The turn's final sampled token. It was never fed through the
     /// model (sampling it retired the sequence), so the resume prepends
     /// it to the next turn's prompt — that is what makes the resumed
     /// decode bit-identical to re-prefilling the full history.
-    pub pending_token: u32,
-    /// Token-advances baked into the state (prompt plus generated minus
-    /// the pending token) — the re-prefill work a resume avoids.
-    pub consumed_tokens: usize,
+    pending_token: u32,
 }
 
 /// One live notification recorded during a step when event recording is
@@ -258,11 +261,11 @@ pub struct ServeEngine<'m> {
     /// top of the next step.
     cancels: HashSet<RequestId>,
     /// Saved states of submitted session resumes, restored into the
-    /// slot at admission ([`ServeEngine::submit_with_state`]).
+    /// slot at admission.
     resume_states: HashMap<RequestId, PausedState>,
-    /// Session snapshots saved at retirement, awaiting
-    /// [`ServeEngine::take_session_snapshots`].
-    session_snapshots: Vec<(u64, SessionSnapshot)>,
+    /// Session states parked at retirement, by session id, awaiting the
+    /// session's next turn.
+    sessions: Lru<u64, SessionSnapshot>,
     /// Whether steps record [`StepEvent`]s.
     events_enabled: bool,
     /// Events recorded since [`ServeEngine::take_events`].
@@ -361,7 +364,7 @@ impl<'m> ServeEngine<'m> {
             resume_latency: Vec::new(),
             cancels: HashSet::new(),
             resume_states: HashMap::new(),
-            session_snapshots: Vec::new(),
+            sessions: Lru::new(SESSION_CAPACITY),
             events_enabled: false,
             events: Vec::new(),
             obs: ObsSlot(None),
@@ -403,16 +406,24 @@ impl<'m> ServeEngine<'m> {
     /// `arrival_step`. Must be sorted by arrival step (generators
     /// produce them that way).
     ///
+    /// A request whose session has a parked state resumes it: the
+    /// state's pending token is prepended to the prompt (it was sampled
+    /// last turn but never fed through the model), and on admission the
+    /// state is restored into the claimed slot — one state-transfer move
+    /// in the trace, priced like a preemption resume. A pending token
+    /// outside the target model's vocabulary drops the parked state and
+    /// the turn starts cold.
+    ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] for empty prompts, requests
     /// for zero new tokens, prompt tokens outside the target model's
     /// vocabulary, or out-of-order arrivals, and [`ServeError::UnknownModel`] for a request naming a
     /// model the registry does not hold. A rejected request holds no
-    /// slot and records no [`Completion`]; requests ahead of it in the
-    /// same call stay submitted.
+    /// slot, records no [`Completion`] and leaves its session parked;
+    /// requests ahead of it in the same call stay submitted.
     pub fn submit(&mut self, requests: Vec<GenRequest>) -> Result<(), ServeError> {
-        for r in requests {
+        for mut r in requests {
             r.validate(&self.vocab_sizes)?;
             if let Some(back) = self.pending.back() {
                 if r.arrival_step < back.arrival_step {
@@ -421,40 +432,15 @@ impl<'m> ServeEngine<'m> {
                     ));
                 }
             }
+            let parked = r.session.and_then(|sid| self.sessions.take(&sid));
+            if let Some(snap) =
+                parked.filter(|s| (s.pending_token as usize) < self.vocab_sizes[r.model])
+            {
+                r.prompt.insert(0, snap.pending_token);
+                self.resume_states.insert(r.id, snap.state);
+            }
             self.pending.push_back(r);
         }
-        Ok(())
-    }
-
-    /// Submits one request that *resumes* a stored session snapshot
-    /// instead of starting from a zeroed state. The snapshot's pending
-    /// token is prepended to the prompt (it was sampled last turn but
-    /// never fed through the model), and on admission the saved state
-    /// is restored into the claimed slot — one state-transfer move in
-    /// the trace, priced like a preemption resume, in place of
-    /// re-prefilling the whole conversation.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ServeEngine::submit`] rejects, plus
-    /// [`ServeError::InvalidConfig`] for a snapshot whose state shape
-    /// does not fit this engine's slot pool.
-    pub fn submit_with_state(
-        &mut self,
-        mut req: GenRequest,
-        snapshot: SessionSnapshot,
-    ) -> Result<(), ServeError> {
-        if !same_state_shape(snapshot.state.state(), &self.registry.new_state()) {
-            return Err(ServeError::InvalidConfig(format!(
-                "request {} resumes a session state whose shape does not fit this engine's \
-                 slot pool",
-                req.id
-            )));
-        }
-        req.prompt.insert(0, snapshot.pending_token);
-        let id = req.id;
-        self.submit(vec![req])?;
-        self.resume_states.insert(id, snapshot.state);
         Ok(())
     }
 
@@ -478,12 +464,6 @@ impl<'m> ServeEngine<'m> {
     /// Drains the [`StepEvent`]s recorded since the last call.
     pub fn take_events(&mut self) -> Vec<StepEvent> {
         std::mem::take(&mut self.events)
-    }
-
-    /// Drains the `(session id, snapshot)` pairs saved by retirements
-    /// of session-tagged requests since the last call.
-    pub fn take_session_snapshots(&mut self) -> Vec<(u64, SessionSnapshot)> {
-        std::mem::take(&mut self.session_snapshots)
     }
 
     /// Turns on the observability layer: engine metrics (per-model
@@ -1495,15 +1475,17 @@ mod tests {
             .submit(vec![GenRequest::greedy(0, vec![1, 2, 3], 0)])
             .unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        // A rejected session turn leaves its parked state where it was.
         let snapshot = SessionSnapshot {
             state: PausedState::new(model.new_state()),
             pending_token: 1,
-            consumed_tokens: 0,
         };
+        engine.sessions.insert(9, snapshot);
         let turn = GenRequest::greedy(1, vec![4], 0).with_session(9);
-        let err = engine.submit_with_state(turn, snapshot).unwrap_err();
+        let err = engine.submit(vec![turn]).unwrap_err();
         assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         assert_eq!(engine.pending_resumes(), 0);
+        assert!(engine.sessions.get(&9).is_some());
 
         let report = engine.run(&mut Fifo).unwrap();
         assert_eq!((report.completed, report.steps), (0, 0));
@@ -1631,7 +1613,7 @@ mod tests {
             ..Default::default()
         };
 
-        // Turn 1 completes into a snapshot; turn 2 resumes it.
+        // Turn 1 parks its state; turn 2 resumes it.
         let mut engine = ServeEngine::new(&model, cfg).unwrap();
         engine
             .submit(vec![GenRequest::greedy(0, p1.clone(), 8).with_session(1)])
@@ -1639,21 +1621,13 @@ mod tests {
         let mut policy = Fifo;
         engine.run(&mut policy).unwrap();
         let turn1 = engine.completions()[0].clone();
-        let (sid, snap) = engine
-            .take_session_snapshots()
-            .pop()
-            .expect("turn 1 parked its state");
-        assert_eq!(sid, 1);
-        assert_eq!(
-            snap.consumed_tokens,
-            p1.len() + 8 - 1,
-            "everything but the pending token is baked into the state"
-        );
-        assert_eq!(snap.pending_token, *turn1.tokens.last().unwrap());
+        let parked = engine.sessions.get(&1).expect("turn 1 parked its state");
+        assert_eq!(parked.pending_token, *turn1.tokens.last().unwrap());
         let mut turn2 = GenRequest::greedy(1, p2.clone(), 6).with_session(1);
         turn2.arrival_step = engine.clock();
-        engine.submit_with_state(turn2, snap).unwrap();
-        engine.run(&mut policy).unwrap();
+        engine.submit(vec![turn2]).unwrap();
+        assert_eq!(engine.pending_resumes(), 1);
+        assert_eq!(engine.run(&mut policy).unwrap().session_restores, 1);
         let resumed = engine
             .completions()
             .iter()
@@ -1686,7 +1660,7 @@ mod tests {
         assert_eq!(
             reprefill_ttft - resumed_ttft,
             (p1.len() + 8 - 1) as u64,
-            "the saved prefill is exactly the snapshot's consumed tokens"
+            "the saved prefill is everything but turn 1's pending token"
         );
     }
 
@@ -1710,15 +1684,14 @@ mod tests {
         let mut policy = Fifo;
         engine.run(&mut policy).unwrap();
         let turn1_finished = engine.completions()[0].finished_step;
-        let (_, snap) = engine.take_session_snapshots().pop().unwrap();
         // The user reads the reply and types: the next turn arrives
         // long after the first finished. Its stamps must all be its
         // own — inheriting turn 1's would make TTFT/queue look 100
         // steps long (or trip the checked_sub debug audits).
         let mut turn2 = GenRequest::greedy(1, vec![5, 6, 7], 4).with_session(9);
         turn2.arrival_step = turn1_finished + 100;
-        engine.submit_with_state(turn2, snap).unwrap();
-        engine.run(&mut policy).unwrap();
+        engine.submit(vec![turn2]).unwrap();
+        assert_eq!(engine.run(&mut policy).unwrap().session_restores, 1);
         let c2 = engine
             .completions()
             .iter()
@@ -1740,49 +1713,73 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_session_state_is_rejected_at_submit() {
+    fn an_undrained_engine_parks_at_most_64_sessions() {
+        // Nobody collects parked states: 70 single-turn sessions leave
+        // the 64 latest to retire parked, the 6 earliest evicted.
         let model = tiny_model();
-        let mut engine = ServeEngine::new(
-            &model,
-            EngineConfig {
-                slots: 1,
-                max_steps: 10_000,
-                prefill_chunk: 1,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        engine
-            .submit(vec![GenRequest::greedy(0, vec![1, 2], 3).with_session(4)])
-            .unwrap();
-        engine.run(&mut Fifo).unwrap();
-        let (_, snap) = engine.take_session_snapshots().pop().unwrap();
-
-        // A differently-shaped engine must refuse the snapshot.
-        let mut other_cfg = MambaConfig::tiny();
-        other_cfg.d_model *= 2;
-        let other = MambaModel::synthetic(other_cfg, &mut StdRng::seed_from_u64(1)).unwrap();
-        let mut wrong = ServeEngine::new(
-            &other,
-            EngineConfig {
-                slots: 1,
-                max_steps: 10_000,
-                prefill_chunk: 1,
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let err = wrong
-            .submit_with_state(GenRequest::greedy(1, vec![3], 2).with_session(4), snap)
-            .unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err:?}");
-        assert_eq!(
-            wrong.pending_resumes(),
-            0,
-            "rejected resume leaves no state"
+        let cfg = EngineConfig {
+            slots: 4,
+            max_steps: 100_000,
+            prefill_chunk: 2,
+            ..Default::default()
+        };
+        let mut engine = ServeEngine::new(&model, cfg).unwrap();
+        let n = SESSION_CAPACITY as u64 + 6;
+        let p1 = |sid: u64| vec![(sid % 50) as u32 + 1, (sid % 7) as u32 + 60, 3];
+        let turn1 = (0..n).map(|sid| GenRequest::greedy(sid, p1(sid), 3).with_session(sid));
+        engine.submit(turn1.collect()).unwrap();
+        let mut policy = Fifo;
+        while engine.has_work() {
+            engine.step(&mut policy).unwrap();
+            assert!(engine.sessions.len() <= SESSION_CAPACITY);
+        }
+        assert_eq!(engine.sessions.len(), SESSION_CAPACITY);
+        assert_eq!(engine.sessions.evictions(), n - SESSION_CAPACITY as u64);
+        let turn1: Vec<Completion> = engine.completions().to_vec();
+        let parked = |sid: u64| engine.sessions.get(&sid).is_some();
+        let last_evicted = turn1
+            .iter()
+            .filter(|c| !parked(c.id))
+            .map(|c| c.finished_step);
+        let first_parked = turn1
+            .iter()
+            .filter(|c| parked(c.id))
+            .map(|c| c.finished_step);
+        assert!(
+            last_evicted.max() <= first_parked.min(),
+            "LRU keeps the newest"
         );
+        let resumable: Vec<bool> = (0..n).map(parked).collect();
+
+        // Turn 2 of every session: parked ones resume, evicted ones
+        // start cold from their own prompt.
+        let p2 = vec![9, 8, 7];
+        let turn2 = (0..n).map(|sid| {
+            let mut r = GenRequest::greedy(n + sid, p2.clone(), 3).with_session(sid);
+            r.arrival_step = engine.clock();
+            r
+        });
+        engine.submit(turn2.collect()).unwrap();
+        assert_eq!(engine.pending_resumes(), SESSION_CAPACITY);
+        let report = engine.run(&mut policy).unwrap();
+        assert_eq!(report.session_restores, SESSION_CAPACITY as u64);
+        assert_eq!(engine.pending_resumes(), 0);
+        assert!(engine.sessions.len() <= SESSION_CAPACITY);
+        for (c1, resumed) in turn1.iter().zip(resumable) {
+            let sid = c1.id;
+            let c2 = engine.completions().iter().find(|c| c.id == n + sid);
+            let prompt = if resumed {
+                [p1(sid), c1.tokens.clone(), p2.clone()].concat()
+            } else {
+                p2.clone()
+            };
+            let reference = sequential_reference(&model, &GenRequest::greedy(0, prompt, 3));
+            assert_eq!(
+                c2.unwrap().tokens,
+                reference,
+                "session {sid}, resumed: {resumed}"
+            );
+        }
     }
 
     // ---- fault tolerance -------------------------------------------------
@@ -2448,20 +2445,20 @@ mod tests {
             let err = engine.submit(vec![bad]).unwrap_err();
             assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
         }
-        // The token a session resume prepends is checked the same way,
-        // and a rejected resume parks no state.
+        // A parked session whose pending token the model cannot take
+        // is a miss: the turn starts cold, nothing prepended.
         let snapshot = SessionSnapshot {
             state: PausedState::new(model.new_state()),
             pending_token: vocab,
-            consumed_tokens: 0,
         };
-        let turn = GenRequest::greedy(3, vec![4], 2).with_session(9);
-        let err = engine.submit_with_state(turn, snapshot).unwrap_err();
-        assert!(matches!(err, ServeError::InvalidConfig(_)), "{err}");
+        engine.sessions.insert(9, snapshot);
+        let cold = GenRequest::greedy(3, vec![4], 2);
+        engine.submit(vec![cold.clone().with_session(9)]).unwrap();
         assert_eq!(engine.pending_resumes(), 0);
 
         let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.completed, 2, "the co-resident requests finish");
+        assert_eq!(report.completed, 3, "the co-resident requests finish");
+        assert_eq!(report.session_restores, 0);
         assert_eq!(
             (
                 report.backend_faults,
@@ -2470,10 +2467,10 @@ mod tests {
             ),
             (0, 0, 0)
         );
-        assert_eq!(engine.completions().len(), 2, "rejections record nothing");
+        assert_eq!(engine.completions().len(), 3, "rejections record nothing");
         for c in engine.completions() {
-            let req = if c.id == good.id { &good } else { &edge };
-            assert_eq!(c.tokens, sequential_reference(&model, req));
+            let req = [&good, &edge, &cold].into_iter().find(|r| r.id == c.id);
+            assert_eq!(c.tokens, sequential_reference(&model, req.unwrap()));
         }
         assert_eq!(engine.free_slots(), engine.capacity());
     }

@@ -134,6 +134,7 @@ impl ServeEngine<'_> {
             }),
             prefix_hits: self.prefix.as_ref().map_or(0, PrefixCache::hits),
             prefix_misses: self.prefix.as_ref().map_or(0, PrefixCache::misses),
+            session_restores: self.totals.session_restores,
             per_model,
             per_class,
             trace: self.trace.clone(),

@@ -29,7 +29,8 @@ pub(super) struct StepCtx {
     /// Wall-clock start; taken only when observability is on.
     wall_start: Option<Instant>,
     completions_at_entry: usize,
-    snapshots_at_entry: usize,
+    /// Sessions parked this step, in retirement order.
+    parked: Vec<u64>,
     /// Residents per model, kept current through preemption.
     active_per_model: Vec<usize>,
     /// Scheduling views the policy sees (batch order / oldest pause
@@ -174,7 +175,6 @@ impl ServeEngine<'_> {
             cat,
             wall_start: self.obs.0.is_some().then(Instant::now),
             completions_at_entry: self.completions.len(),
-            snapshots_at_entry: self.session_snapshots.len(),
             ..StepCtx::default()
         };
         self.obs.with(|o| o.spans.begin("step", cat, self.clock));
@@ -768,7 +768,7 @@ impl ServeEngine<'_> {
     }
 
     /// Retires finished sequences (deadline expiry is handled pre-step).
-    /// Session turns keep their final state for the next turn — one
+    /// Session turns park their final state for the next turn — one
     /// state save on the shared stream, counted with the step's other
     /// state moves. The last sampled token rides along: it was never
     /// fed through the model, so the resume feeds it first (see
@@ -785,9 +785,9 @@ impl ServeEngine<'_> {
                         .generated
                         .last()
                         .expect("finished implies a sampled token"),
-                    consumed_tokens: run.pos,
                 };
-                self.session_snapshots.push((sid, snapshot));
+                self.sessions.insert(sid, snapshot);
+                ctx.parked.push(sid);
                 ctx.sub_state_moves[run.req.model] += 1;
                 self.totals.session_parks += 1;
             }
@@ -853,7 +853,7 @@ impl ServeEngine<'_> {
                 rec,
                 &tally,
                 &self.completions[ctx.completions_at_entry..],
-                &self.session_snapshots[ctx.snapshots_at_entry..],
+                &ctx.parked,
                 ctx.budget_deferred,
             );
         });

@@ -21,25 +21,23 @@
 //! `wasted_token_advances`, `reclaimed_slot_steps`) and priced by the
 //! cost model as `wasted_work_s`.
 //!
-//! Multi-turn chat rides the same machinery: a request tagged with
-//! [`crate::request::GenRequest::with_session`] retires into a
-//! [`crate::engine::SessionSnapshot`] that the frontend parks in an LRU
-//! [`SessionStore`] of the 64 most recently used sessions. The
-//! session's next turn consumes the snapshot
-//! ([`ServeEngine::submit_with_state`]): one fixed-size state restore —
-//! priced as a single state-transfer DMA — replaces re-prefilling the
+//! Multi-turn chat rides the same machinery: each turn is a request
+//! tagged with [`crate::request::GenRequest::with_session`], and the
+//! engine parks a finished turn's state and resumes the session's next
+//! turn from it ([`ServeEngine::submit`]): one fixed-size state restore
+//! — priced as a single state-transfer DMA — replaces re-prefilling the
 //! whole conversation, which is the serving payoff of Mamba2's
-//! constant-size state (no KV cache to rebuild or spill).
+//! constant-size state (no KV cache to rebuild or spill). A turn whose
+//! session is not parked is served from an empty state with only its
+//! own prompt.
 //!
 //! Backpressure: each stream's channel holds 16 undelivered events, and
 //! the engine thread *blocks* on a full stream rather than dropping
 //! tokens. A client that neither reads nor drops its stream therefore
 //! stalls the whole engine — drop the stream to disconnect cleanly.
 
-mod session;
 mod stream;
 
-pub use session::SessionStore;
 pub use stream::{FrontendHandle, StreamEvent, TokenStream};
 
 use std::collections::HashMap;
@@ -63,11 +61,6 @@ pub struct FrontendConfig {
     pub obs: Option<ObsConfig>,
 }
 
-/// Most recently used session states the engine thread's
-/// [`SessionStore`] parks between turns; older sessions fall back to
-/// re-prefilling.
-const SESSION_CAPACITY: usize = 64;
-
 /// What a finished [`run_frontend`] call observed, alongside the
 /// client closure's own return value.
 #[derive(Debug)]
@@ -77,17 +70,6 @@ pub struct FrontendRun {
     pub report: ServeReport,
     /// Every completion record, including cancelled and expired ones.
     pub completions: Vec<Completion>,
-    /// Session states still parked when the frontend shut down.
-    pub sessions_stored: usize,
-    /// Turns that resumed a parked session state (one state-transfer
-    /// DMA each instead of a full-history re-prefill).
-    pub session_resumes: u64,
-    /// Session-tagged turns whose state was not parked (first turns,
-    /// and sessions evicted by LRU pressure) — served from an empty
-    /// state.
-    pub session_misses: u64,
-    /// Sessions the store evicted under LRU pressure.
-    pub session_evictions: u64,
     /// The observability state accumulated by the engine thread, when
     /// [`FrontendConfig::obs`] was set (or the caller enabled it on the
     /// engine before handing it over): render with
@@ -189,13 +171,8 @@ pub fn run_frontend<R>(
     })
 }
 
-/// What the engine thread keeps between client messages.
-struct Intake {
-    store: SessionStore,
-    streams: HashMap<RequestId, SyncSender<StreamEvent>>,
-    session_resumes: u64,
-    session_misses: u64,
-}
+/// The open streams the engine thread fans events out to.
+type Streams = HashMap<RequestId, SyncSender<StreamEvent>>;
 
 /// The engine thread: drain intake, step, fan events out to streams.
 fn engine_loop(
@@ -204,12 +181,7 @@ fn engine_loop(
     intake: &Receiver<ClientMsg>,
 ) -> Result<FrontendRun, ServeError> {
     let max_steps = engine.config().max_steps;
-    let mut st = Intake {
-        store: SessionStore::new(SESSION_CAPACITY),
-        streams: HashMap::new(),
-        session_resumes: 0,
-        session_misses: 0,
-    };
+    let mut streams = Streams::new();
     let mut delivered = 0usize; // cursor into engine.completions()
     let mut closed = false;
 
@@ -217,7 +189,7 @@ fn engine_loop(
         // Drain every queued client message without blocking…
         loop {
             match intake.try_recv() {
-                Ok(msg) => st.handle(engine, msg)?,
+                Ok(msg) => handle(engine, &mut streams, msg)?,
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     closed = true;
@@ -233,7 +205,7 @@ fn engine_loop(
             }
             match intake.recv() {
                 Ok(msg) => {
-                    st.handle(engine, msg)?;
+                    handle(engine, &mut streams, msg)?;
                     continue; // drain any burst before stepping
                 }
                 Err(_) => break,
@@ -250,12 +222,12 @@ fn engine_loop(
                 StepEvent::Started { id, step } => (id, StreamEvent::Started { step }),
                 StepEvent::Token { id, token, step } => (id, StreamEvent::Token { token, step }),
             };
-            if let Some(tx) = st.streams.get(&id) {
+            if let Some(tx) = streams.get(&id) {
                 // A full stream blocks here (documented backpressure);
                 // a closed one means the client disconnected between
                 // our send and its Drop-cancel reaching the intake.
                 if tx.send(out).is_err() {
-                    st.streams.remove(&id);
+                    streams.remove(&id);
                     engine.cancel(id);
                 }
             }
@@ -278,57 +250,41 @@ fn engine_loop(
                 },
                 _ => StreamEvent::Done(Box::new(c.clone())),
             };
-            if let Some(tx) = st.streams.remove(&c.id) {
+            if let Some(tx) = streams.remove(&c.id) {
                 let _ = tx.send(out);
             }
         }
         delivered = completions.len();
-        for (sid, snap) in engine.take_session_snapshots() {
-            st.store.insert(sid, snap);
-        }
     }
 
     Ok(FrontendRun {
         report: engine.report(policy),
         completions: engine.completions().to_vec(),
-        sessions_stored: st.store.len(),
-        session_resumes: st.session_resumes,
-        session_misses: st.session_misses,
-        session_evictions: st.store.evictions(),
         obs: engine.take_obs(),
     })
 }
 
-impl Intake {
-    /// Applies one client message: stamp, resume-or-submit, or cancel.
-    fn handle(&mut self, engine: &mut ServeEngine<'_>, msg: ClientMsg) -> Result<(), ServeError> {
-        match msg {
-            ClientMsg::Submit { mut req, events } => {
-                req.arrival_step = engine.clock();
-                let id = req.id;
-                // The stream is freshly created and capacity >= 1, so
-                // the Queued event can never block.
-                let _ = events.send(StreamEvent::Queued {
-                    step: req.arrival_step,
-                });
-                let parked = req.session.and_then(|sid| self.store.take(sid));
-                // A parked state the turn's model cannot take (its
-                // pending token is outside that model's vocabulary) is
-                // a miss like any other: the turn re-prefills.
-                let resumed =
-                    parked.is_some_and(|snap| engine.submit_with_state(req.clone(), snap).is_ok());
-                if resumed {
-                    self.session_resumes += 1;
-                } else {
-                    self.session_misses += u64::from(req.session.is_some());
-                    engine.submit(vec![req])?;
-                }
-                self.streams.insert(id, events);
-            }
-            ClientMsg::Cancel(id) => engine.cancel(id),
+/// Applies one client message: stamp and submit, or cancel.
+fn handle(
+    engine: &mut ServeEngine<'_>,
+    streams: &mut Streams,
+    msg: ClientMsg,
+) -> Result<(), ServeError> {
+    match msg {
+        ClientMsg::Submit { mut req, events } => {
+            req.arrival_step = engine.clock();
+            // The stream is freshly created and capacity >= 1, so the
+            // Queued event can never block.
+            let _ = events.send(StreamEvent::Queued {
+                step: req.arrival_step,
+            });
+            let id = req.id;
+            engine.submit(vec![req])?;
+            streams.insert(id, events);
         }
-        Ok(())
+        ClientMsg::Cancel(id) => engine.cancel(id),
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -573,10 +529,10 @@ mod tests {
         .unwrap();
         assert_eq!(turns.len(), 3);
         assert_eq!(run.report.completed, 3);
-        assert_eq!(run.session_misses, 1, "first turn starts cold");
-        assert_eq!(run.session_resumes, 2, "later turns restore the state");
-        assert_eq!(run.sessions_stored, 1, "the session is parked again");
-        assert_eq!(run.session_evictions, 0);
+        assert_eq!(
+            run.report.session_restores, 2,
+            "the first turn starts cold, later turns restore the state"
+        );
         // Each resume is one state restore + one save in the trace.
         let moves: usize = run.report.trace.state_moves_per_step.iter().sum();
         assert_eq!(moves, 2 * 2 + 1, "3 saves + 2 restores");
@@ -588,7 +544,7 @@ mod tests {
         use crate::registry::ModelRegistry;
         // Same state shape, smaller vocabulary: the first turn's pending
         // token is out of range for the second turn's model, so the
-        // resume is refused at engine intake — which must cost the
+        // engine drops the parked state at intake — which must cost the
         // session its shortcut, not every client its engine thread.
         let big = tiny_model();
         let narrow = MambaConfig {
@@ -621,8 +577,8 @@ mod tests {
         .unwrap();
         let pending = *first.expect("turn 1 completes").tokens.last().unwrap();
         assert!(pending >= 64, "turn 1 must park an out-of-range token");
-        assert_eq!(second.expect("turn 2 re-prefills").tokens.len(), 3);
-        assert_eq!((run.session_resumes, run.session_misses), (0, 2));
+        assert_eq!(second.expect("turn 2 starts cold").tokens.len(), 3);
+        assert_eq!(run.report.session_restores, 0);
         assert_eq!(run.report.completed, 2);
     }
 

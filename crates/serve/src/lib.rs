@@ -33,7 +33,12 @@
 //! * [`engine`] — the virtual-time serving loop (chunked prefill
 //!   interleaved with decode, policy-ordered admission, doomed-request
 //!   eviction, policy-driven pause/resume of resident sequences,
-//!   join/evict per step, one sub-batch per model per step);
+//!   join/evict per step, one sub-batch per model per step). A finished
+//!   turn of a multi-turn session ([`request::GenRequest::with_session`])
+//!   parks its fixed-size state in the engine's LRU of the 64 most
+//!   recently used sessions, and the session's next
+//!   [`engine::ServeEngine::submit`] resumes it with one state transfer
+//!   instead of re-prefilling the whole history;
 //! * [`metrics`] — TTFT / e2e / queueing percentiles, occupancy, traces,
 //!   per-model and per-priority-class breakdowns, deadline-hit-rate,
 //!   preemption/resume counters and resume-latency percentiles;
@@ -68,10 +73,8 @@
 //! * [`frontend`] — the async streaming serving frontend: clients
 //!   submit through a cloneable handle and read per-token
 //!   [`frontend::StreamEvent`]s, dropping a stream cancels its request
-//!   mid-decode, and completed turns park their fixed-size state in a
-//!   capacity-bounded [`frontend::SessionStore`] so the next turn of a
-//!   chat resumes with one state transfer instead of re-prefilling the
-//!   whole history.
+//!   mid-decode, and a chat's turns are session-tagged requests like
+//!   any other, resumed by the engine.
 //!
 //! # Example
 //!
@@ -107,6 +110,7 @@ pub mod backend;
 pub mod chaos;
 pub mod engine;
 pub mod frontend;
+mod lru;
 pub mod metrics;
 pub mod observe;
 pub mod prefix;

@@ -296,6 +296,9 @@ pub struct ServeReport {
     /// prefills and harvests it for its successors). 0 with the cache
     /// off.
     pub prefix_misses: u64,
+    /// Admissions that resumed a parked session state (each one skipped
+    /// re-prefilling the session's history for one state move).
+    pub session_restores: u64,
     /// Per-model slices, indexed by registry id (one entry per
     /// registered model, including models that served no request).
     pub per_model: Vec<ModelBreakdown>,

@@ -34,7 +34,7 @@ use lightmamba_obs::recorder::{FaultKind, FlightRecorder, LifecyclePhase, StepRe
 use lightmamba_obs::registry::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use lightmamba_obs::trace::{ChromeTraceBuilder, SpanRecorder};
 
-use crate::engine::{SessionSnapshot, Totals};
+use crate::engine::Totals;
 use crate::prefix::PrefixCache;
 use crate::request::{Completion, FinishReason};
 
@@ -330,7 +330,7 @@ impl EngineObs {
         mut rec: StepRecord,
         tally: &Tally<'_>,
         finished: &[Completion],
-        parks: &[(u64, SessionSnapshot)],
+        parks: &[u64],
         budget_deferred: u64,
     ) {
         let (m, ids) = (&mut self.metrics, &self.ids);
@@ -380,7 +380,7 @@ impl EngineObs {
                 m.observe(ids.queue_steps, q as f64);
             }
         }
-        for &(sid, _) in parks {
+        for &sid in parks {
             self.flight
                 .record_lifecycle(sid, rec.step, LifecyclePhase::Parked);
         }

@@ -18,15 +18,13 @@
 //! Entries are keyed by `(model, FNV-1a hash of the prefix tokens)`
 //! and verified against the stored token run on lookup, so a hash
 //! collision degrades to a miss, never a wrong state. Eviction is the
-//! same tick-LRU as the session store
-//! ([`crate::frontend::SessionStore`]): bounded footprint is
-//! `capacity` state slabs, full stop.
+//! same tick-LRU as the engine's parked session states: bounded
+//! footprint is `capacity` state slabs, full stop.
 //!
 //! [`DecodeBackend::restore_state`]: crate::backend::DecodeBackend::restore_state
 
-use std::collections::HashMap;
-
 use crate::backend::PausedState;
+use crate::lru::Lru;
 
 /// FNV-1a over the prefix tokens' little-endian bytes. Deterministic
 /// across runs and platforms (unlike `DefaultHasher`), so cache keys —
@@ -45,7 +43,6 @@ pub fn hash_prefix(tokens: &[u32]) -> u64 {
 
 #[derive(Debug)]
 struct Entry {
-    tick: u64,
     /// The exact token run this entry's state summarizes — compared on
     /// lookup so a hash collision is a miss, not a wrong restore.
     prefix: Vec<u32>,
@@ -58,12 +55,9 @@ struct Entry {
 /// it on.
 #[derive(Debug)]
 pub struct PrefixCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<(usize, u64), Entry>,
+    entries: Lru<(usize, u64), Entry>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl PrefixCache {
@@ -73,35 +67,26 @@ impl PrefixCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "prefix cache capacity must be > 0");
         PrefixCache {
-            capacity,
-            tick: 0,
-            entries: HashMap::new(),
+            entries: Lru::new(capacity),
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
     /// Looks up the snapshot for `prefix` under `model`, refreshing its
     /// recency and counting the hit/miss. Allocation-free: one hash,
-    /// one probe, one slice compare. Returns a borrow — the caller
+    /// two probes, one slice compare. Returns a borrow — the caller
     /// copies it into a slot ([`lightmamba_model::ModelState::copy_from`])
     /// rather than consuming it, so one entry serves any number of
     /// requests.
     pub fn lookup(&mut self, model: usize, prefix: &[u32]) -> Option<&PausedState> {
-        self.tick += 1;
         let key = (model, hash_prefix(prefix));
-        match self.entries.get_mut(&key) {
-            Some(entry) if entry.prefix == prefix => {
-                entry.tick = self.tick;
-                self.hits += 1;
-                Some(&entry.state)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+        if !self.entries.get(&key).is_some_and(|e| e.prefix == prefix) {
+            self.misses += 1;
+            return None;
         }
+        self.hits += 1;
+        self.entries.touch(&key).map(|e| &e.state)
     }
 
     /// Whether a snapshot for `prefix` under `model` is cached, without
@@ -118,25 +103,11 @@ impl PrefixCache {
     /// exceed its capacity, the least-recently-touched entry is
     /// evicted.
     pub fn insert(&mut self, model: usize, prefix: &[u32], state: PausedState) {
-        self.tick += 1;
-        self.entries.insert(
-            (model, hash_prefix(prefix)),
-            Entry {
-                tick: self.tick,
-                prefix: prefix.to_vec(),
-                state,
-            },
-        );
-        while self.entries.len() > self.capacity {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.tick)
-                .map(|(&k, _)| k)
-                .expect("len > capacity >= 1 implies non-empty");
-            self.entries.remove(&oldest);
-            self.evictions += 1;
-        }
+        let entry = Entry {
+            prefix: prefix.to_vec(),
+            state,
+        };
+        self.entries.insert((model, hash_prefix(prefix)), entry);
     }
 
     /// Cached snapshots right now (always `<= capacity`).
@@ -146,12 +117,12 @@ impl PrefixCache {
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// The configured bound.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.capacity()
     }
 
     /// Lookups that restored a snapshot.
@@ -166,7 +137,7 @@ impl PrefixCache {
 
     /// Entries evicted by LRU pressure so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.entries.evictions()
     }
 }
 

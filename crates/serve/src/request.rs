@@ -73,12 +73,12 @@ pub struct GenRequest {
     /// Optional stop token ending generation early.
     pub eos_token: Option<u32>,
     /// Optional multi-turn session this request belongs to. On normal
-    /// completion (max-tokens or EOS) the engine snapshots the
-    /// sequence's final fixed-size state
-    /// ([`crate::engine::SessionSnapshot`]) so the session's next turn
-    /// can resume from it instead of re-prefilling the whole
-    /// conversation — the serving payoff of Mamba's constant-size
-    /// state. `None` (the default) opts out.
+    /// completion (max-tokens or EOS) the engine parks the sequence's
+    /// final fixed-size state under this id, and the session's next
+    /// turn, submitted with the same id, resumes from it instead of
+    /// re-prefilling the whole conversation
+    /// ([`crate::engine::ServeEngine::submit`]) — the serving payoff of
+    /// Mamba's constant-size state. `None` (the default) opts out.
     pub session: Option<u64>,
     /// Number of leading prompt tokens that form a *shared* prefix (a
     /// system prompt) other requests also carry. When the engine's

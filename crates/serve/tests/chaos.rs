@@ -122,7 +122,6 @@ proptest! {
                 engine.capacity()
             );
             prop_assert!(engine.active_count() <= slots);
-            let _ = engine.take_session_snapshots();
         }
         // The engine survived the whole schedule and drained: the
         // fault horizon (400) and the deepest quarantine backoff (64)

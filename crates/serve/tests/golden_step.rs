@@ -15,7 +15,9 @@
 //! knobs were removed: scenario 1 had enabled the ladder and a 2..8
 //! step backoff, and now runs with the fixed 4..64 step backoff and no
 //! ladder — the value the engine before that removal produced for the
-//! same settings. A refactor of the engine must leave them bit-equal
+//! same settings. Both were re-recorded once more when `ServeReport`
+//! gained `session_restores` (its `Debug` changed; with that field left
+//! out, both digests equal the earlier values). A refactor of the engine must leave them bit-equal
 //! at 1 and 4 worker threads. A deliberate behaviour change re-records
 //! them and says so in CHANGES.md.
 
@@ -36,8 +38,8 @@ use lightmamba_serve::scheduler::{Edf, Policy, PriorityClasses, TokenBudget};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const PRIORITY_CHAOS_GOLDEN: u64 = 0xead9_0682_07a0_f649;
-const EDF_BUDGET_GOLDEN: u64 = 0x371f_966d_e22e_629f;
+const PRIORITY_CHAOS_GOLDEN: u64 = 0x2992_9b8e_1602_3f3b;
+const EDF_BUDGET_GOLDEN: u64 = 0x1a82_3b8e_69b6_05b0;
 
 /// FNV-1a (64-bit) over the `Debug` rendering of each pushed item.
 struct Fold(u64);
@@ -190,6 +192,7 @@ fn finish(mut engine: ServeEngine<'_>, policy: &dyn Policy, mut fold: Fold) -> T
         ("engine_decode_tokens_total", r.generated_tokens),
         ("engine_prefix_hits_total", r.prefix_hits),
         ("engine_prefix_misses_total", r.prefix_misses),
+        ("engine_session_restores_total", r.session_restores),
         ("engine_budget_deferrals_total", r.budget_deferrals),
     ];
     let text = obs.exposition();
@@ -306,8 +309,8 @@ fn priority_chaos(threads: usize) -> Transcript {
 /// Scenario 2 — preemptive EDF with doomed eviction under a tight token
 /// budget: admissions deferred, the liveness valve run by an oversized
 /// request, doomed evictions of waiting and of paused requests, then a
-/// second session turn resumed through `submit_with_state` (one kept,
-/// one cancelled before it restores).
+/// second session turn resumed from the engine's parked states (one
+/// kept, one cancelled before it restores).
 fn edf_budget(threads: usize) -> Transcript {
     let model = tiny_model();
     let registry = two_model_registry(
@@ -357,6 +360,8 @@ fn edf_budget(threads: usize) -> Transcript {
     ];
     // Request 8's third greedy token: it retires on EOS, not length.
     turn1[8].eos_token = Some(131);
+    let prompt_len = |id: u64| turn1.iter().find(|r| r.id == id).unwrap().prompt.len();
+    let session_turns = [(100, 0, prompt_len(0)), (101, 7, prompt_len(7))];
     engine.submit(turn1).unwrap();
 
     let mut policy = Edf::preemptive();
@@ -365,15 +370,17 @@ fn edf_budget(threads: usize) -> Transcript {
 
     // Turn 2: both parked sessions come back; 101's resume is cancelled
     // before admission, so its saved state must be dropped, not leaked.
-    let mut snaps = engine.take_session_snapshots();
-    snaps.sort_by_key(|(sid, _)| *sid);
-    for (sid, snap) in &snaps {
-        fold.push(&(sid, snap.pending_token, snap.consumed_tokens));
+    // Each parked state holds its turn's prompt and all but the last
+    // (pending) generated token.
+    for (sid, id, prompt_len) in session_turns {
+        let c = engine.completions().iter().find(|c| c.id == id).unwrap();
+        let pending_token = *c.tokens.last().unwrap();
+        fold.push(&(sid, pending_token, prompt_len + c.tokens.len() - 1));
     }
     let now = engine.clock();
-    for (i, (sid, snap)) in snaps.into_iter().enumerate() {
+    for (i, (sid, ..)) in session_turns.into_iter().enumerate() {
         let turn = gen(req(50 + i as u64, (sid - 100) as usize, now, None, 3), 4).with_session(sid);
-        engine.submit_with_state(turn, snap).unwrap();
+        engine.submit(vec![turn]).unwrap();
     }
     assert_eq!(engine.pending_resumes(), 2);
     engine.submit(vec![gen(req(52, 0, now, P, 2), 3)]).unwrap();

@@ -1,11 +1,11 @@
 //! Regression pins for the prefix cache and token budget living
-//! alongside the session store: both LRU bounds stay exact under
-//! engine traffic, and no state — slot, paused snapshot, pending
-//! resume, cached prefix, or parked session — leaks across a drain.
+//! alongside parked sessions: the prefix cache's LRU bound stays exact
+//! under engine traffic, a session resume takes precedence over the
+//! prefix cache, and no state — slot, paused snapshot, pending resume
+//! or cached prefix — leaks across a drain.
 
 use lightmamba_model::{MambaConfig, MambaModel};
 use lightmamba_serve::engine::{EngineConfig, ServeEngine};
-use lightmamba_serve::frontend::SessionStore;
 use lightmamba_serve::request::GenRequest;
 use lightmamba_serve::scheduler::{Fifo, TokenBudget};
 use rand::rngs::StdRng;
@@ -108,33 +108,22 @@ fn prefix_cache_sessions_and_budget_interact_without_leaking_state() {
     let report = engine.run(&mut policy).unwrap();
     assert_eq!(report.completed, 5);
 
-    // Park every finished turn in a 2-session store: its LRU bound is
-    // exact under the same pressure.
-    let mut store = SessionStore::new(2);
-    let snaps = engine.take_session_snapshots();
-    assert_eq!(snaps.len(), 5, "every session turn parked a snapshot");
-    for (sid, snap) in snaps {
-        store.insert(sid, snap);
-        assert!(store.len() <= store.capacity());
-    }
-    assert_eq!(store.len(), 2, "the session LRU bound is exact");
-    assert_eq!(store.evictions(), 3);
-
-    // Turn 2: resume the two surviving sessions. The resume path must
-    // take precedence over the prefix cache (the parked state already
-    // contains the whole history), so the cache counters stay put.
+    // Turn 2: resume two of the parked sessions with prompts that
+    // carry a cached shared prefix. The resume must take precedence
+    // over the prefix cache (the parked state already contains the
+    // whole history), so the cache counters stay put.
     let cache_before = {
         let c = engine.prefix_cache().unwrap();
         (c.hits(), c.misses(), c.len())
     };
     for (i, sid) in [3u64, 4u64].into_iter().enumerate() {
-        let snap = store.take(sid).expect("survivor parked");
-        let mut r = GenRequest::greedy(100 + i as u64, vec![9, 8, 7], 3).with_session(sid);
+        let mut r = bearer(100 + i as u64, 240 + (sid % 3) as u32, 5, 3).with_session(sid);
         r.arrival_step = engine.clock();
-        engine.submit_with_state(r, snap).unwrap();
+        engine.submit(vec![r]).unwrap();
     }
-    engine.run(&mut policy).unwrap();
-    assert_eq!(store.len(), 0, "take() releases the store's copy");
+    assert_eq!(engine.pending_resumes(), 2);
+    let resumed = engine.run(&mut policy).unwrap();
+    assert_eq!(resumed.session_restores, 2);
     {
         let c = engine.prefix_cache().unwrap();
         assert_eq!(

@@ -13,9 +13,8 @@ use lightmamba_model::eval::StepModel;
 use lightmamba_model::{batch, DecodeWorkspace, MambaModel};
 use lightmamba_serve::backend::{DecodeBackend, FpBackend, W4A4Backend};
 use lightmamba_serve::engine::{EngineConfig, ServeEngine};
-use lightmamba_serve::frontend::SessionStore;
 use lightmamba_serve::registry::ModelRegistry;
-use lightmamba_serve::request::GenRequest;
+use lightmamba_serve::request::{FinishReason, GenRequest};
 use lightmamba_serve::scheduler::{
     Edf, Fifo, Policy, PriorityClasses, StaticBatching, WeightedFair,
 };
@@ -562,15 +561,11 @@ proptest! {
                 .unwrap();
             engine.run(&mut Fifo).unwrap();
             let turn1_tokens = engine.completions()[0].tokens.clone();
-            let (_, snap) = engine
-                .take_session_snapshots()
-                .pop()
-                .expect("finished session turn parks a snapshot");
-            prop_assert_eq!(snap.consumed_tokens, p1.len() + gen1 - 1);
             let mut turn2 = GenRequest::greedy(1, p2.clone(), gen2).with_session(1);
             turn2.arrival_step = engine.clock();
-            engine.submit_with_state(turn2, snap).unwrap();
-            engine.run(&mut Fifo).unwrap();
+            engine.submit(vec![turn2]).unwrap();
+            let report = engine.run(&mut Fifo).unwrap();
+            prop_assert_eq!(report.session_restores, 1);
             let resumed = engine
                 .completions()
                 .iter()
@@ -607,9 +602,8 @@ proptest! {
     ) {
         // Arbitrary interleavings of client cancellation, preemption
         // churn, and session retirement/resume: slots are conserved at
-        // every step boundary, every request retires exactly once, no
-        // paused or resume state survives the drain, and the session
-        // store never exceeds its LRU capacity.
+        // every step boundary, every request retires exactly once, and
+        // no paused or resume state survives the drain.
         let model = tiny_model();
         let q = tiny_w4a4(&model);
         let mut reg = ModelRegistry::new();
@@ -631,8 +625,6 @@ proptest! {
         ).unwrap();
         engine.submit(requests).unwrap();
         let mut policy = ChurnFifo::new(schedule);
-        let mut store = SessionStore::new(2);
-        let mut seen_sessions = Vec::new();
         let mut steps = 0u64;
         let mut next_cancel = 0usize;
         while engine.has_work() && steps < 200_000 {
@@ -649,13 +641,6 @@ proptest! {
                 engine.capacity()
             );
             prop_assert!(engine.active_count() <= slots);
-            for (sid, snap) in engine.take_session_snapshots() {
-                if !seen_sessions.contains(&sid) {
-                    seen_sessions.push(sid);
-                }
-                store.insert(sid, snap);
-            }
-            prop_assert!(store.len() <= store.capacity(), "LRU bound violated");
         }
         prop_assert_eq!(engine.free_slots(), engine.capacity());
         prop_assert_eq!(engine.paused_count(), 0);
@@ -671,21 +656,27 @@ proptest! {
             report.completed
         );
 
-        // Turn 2: resume every still-parked session, then cancel every
-        // other resume before it is admitted — cancelled resume states
-        // must be released, not leaked.
-        let mut next_id = n as u64;
+        // Turn 2: every session whose turn finished parked its state;
+        // resume them all, then cancel every other resume before it is
+        // admitted — cancelled resume states must be released, not
+        // leaked.
+        let parked: Vec<u64> = engine
+            .completions()
+            .iter()
+            .filter(|c| c.id % 3 == 0)
+            .filter(|c| matches!(c.finish, FinishReason::MaxTokens | FinishReason::Eos))
+            .map(|c| c.id / 3)
+            .collect();
         let mut resumed_ids = Vec::new();
-        for &sid in &seen_sessions {
-            if let Some(snap) = store.take(sid) {
-                let mut r = GenRequest::greedy(next_id, vec![7, 8], 2).with_session(sid);
-                r.model = ((sid * 3) % 2) as usize;
-                r.arrival_step = engine.clock();
-                engine.submit_with_state(r, snap).unwrap();
-                resumed_ids.push(next_id);
-                next_id += 1;
-            }
+        for (k, &sid) in parked.iter().enumerate() {
+            let id = (n + k) as u64;
+            let mut r = GenRequest::greedy(id, vec![7, 8], 2).with_session(sid);
+            r.model = ((sid * 3) % 2) as usize;
+            r.arrival_step = engine.clock();
+            engine.submit(vec![r]).unwrap();
+            resumed_ids.push(id);
         }
+        prop_assert_eq!(engine.pending_resumes(), resumed_ids.len());
         for (k, &id) in resumed_ids.iter().enumerate() {
             if k % 2 == 0 {
                 engine.cancel(id);
@@ -958,7 +949,6 @@ proptest! {
                 }
                 engine.step(&mut policy).unwrap();
                 steps += 1;
-                engine.take_session_snapshots();
             }
             let mut done: Vec<_> = engine
                 .completions()
@@ -981,8 +971,7 @@ proptest! {
         //    that ran to completion in both runs is bit-identical.
         let cached = run(&marked, Some(4), 1);
         prop_assert_eq!(cached.len(), n, "every request still retires exactly once");
-        use lightmamba_serve::request::FinishReason;
-        let finished = |f: lightmamba_serve::request::FinishReason| {
+        let finished = |f: FinishReason| {
             matches!(f, FinishReason::MaxTokens | FinishReason::Eos)
         };
         for ((id_a, fin_a, toks_a), (id_b, fin_b, toks_b)) in baseline.iter().zip(&cached) {

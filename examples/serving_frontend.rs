@@ -16,10 +16,10 @@
 //! handles: plain streaming clients that read to completion, an
 //! impatient client that drops its stream after a few tokens (the
 //! engine reclaims the slot within one step), and chat sessions whose
-//! turns resume from the session store — each resume is one fixed-size
-//! state transfer instead of re-prefilling the whole conversation,
-//! which is exactly what Mamba2's constant-size state buys a serving
-//! stack. The run is then priced on the paper's VCK190 design point so
+//! turns resume from the engine's parked states — each resume is one
+//! fixed-size state transfer instead of re-prefilling the whole
+//! conversation, which is exactly what Mamba2's constant-size state
+//! buys a serving stack. The run is then priced on the paper's VCK190 design point so
 //! the cancelled work and session state traffic show up in projected
 //! seconds.
 
@@ -192,8 +192,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.report.reclaimed_slot_steps,
     );
     println!(
-        "sessions: {} resumes, {} cold turns, {} still parked, {} LRU evictions",
-        run.session_resumes, run.session_misses, run.sessions_stored, run.session_evictions,
+        "sessions: {} turns resumed a parked state",
+        run.report.session_restores
     );
 
     let priced = cost.cost_run(&run.report, &run.completions)?;
@@ -219,7 +219,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.report.cancellations >= 1,
         "the disconnect must register"
     );
-    assert_eq!(run.session_resumes, 4, "two sessions x two follow-up turns");
+    assert_eq!(
+        run.report.session_restores, 4,
+        "two sessions x two follow-up turns"
+    );
     assert!(priced.wasted_work_s > 0.0);
     println!("OK");
     Ok(())

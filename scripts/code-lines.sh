@@ -5,6 +5,8 @@
 #
 #   scripts/code-lines.sh                     # every crates/*/src and src, totals only
 #   scripts/code-lines.sh -v crates/serve/src # per file as well
+#
+# The last line sums every directory counted.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -19,6 +21,7 @@ if [ "${1:-}" = "-v" ]; then
 fi
 [ $# -gt 0 ] || set -- crates/*/src src
 
+grand=0
 for dir in "$@"; do
     total=0
     for file in $(find "$dir" -name '*.rs' | sort); do
@@ -27,4 +30,6 @@ for dir in "$@"; do
         [ "$verbose" = 0 ] || printf '%6d  %s\n' "$n" "$file"
     done
     printf '%6d  %s (total)\n' "$total" "$dir"
+    grand=$((grand + total))
 done
+printf '%6d  all of the above (total)\n' "$grand"

@@ -61,10 +61,9 @@ pub mod prelude {
     pub use lightmamba_quant::qmodel::{Precision, QuantizedMamba};
     pub use lightmamba_serve::accel_cost::MultiplexCostModel;
     pub use lightmamba_serve::backend::{DecodeBackend, FpBackend, PausedState, W4A4Backend};
-    pub use lightmamba_serve::engine::{EngineConfig, ServeEngine, SessionSnapshot, StepEvent};
+    pub use lightmamba_serve::engine::{EngineConfig, ServeEngine, StepEvent};
     pub use lightmamba_serve::frontend::{
-        run_frontend, FrontendConfig, FrontendHandle, FrontendRun, SessionStore, StreamEvent,
-        TokenStream,
+        run_frontend, FrontendConfig, FrontendHandle, FrontendRun, StreamEvent, TokenStream,
     };
     pub use lightmamba_serve::observe::{EngineObs, ObsConfig};
     pub use lightmamba_serve::registry::{ModelId, ModelRegistry};
