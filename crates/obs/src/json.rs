@@ -108,6 +108,15 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     Ok(value)
 }
 
+/// The value of exactly four hex digits (`from_str_radix` alone would
+/// also take a sign).
+fn hex4(digits: &[u8]) -> Option<u32> {
+    if digits.len() != 4 || !digits.iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    u32::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()
+}
+
 struct Parser<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -270,18 +279,23 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone would also take a sign.
-                            if !hex.iter().all(u8::is_ascii_hexdigit) {
-                                return Err(format!("bad \\u escape at byte {}", self.pos));
-                            }
-                            let hex = std::str::from_utf8(hex).expect("ascii hex digits");
-                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
-                            // Surrogate pairs are not needed for the
-                            // workspace's own output; map them to the
-                            // replacement character rather than failing.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let mut code = hex4(hex)
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low
+                            // one is one code point; a lone or reversed
+                            // surrogate maps to the replacement character.
+                            let low = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 7)
+                                .filter(|next| next.starts_with(b"\\u"))
+                                .and_then(|next| hex4(&next[2..]))
+                                .filter(|low| (0xdc00..0xe000).contains(low));
+                            if let (0xd800..=0xdbff, Some(low)) = (code, low) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                self.pos += 6;
+                            }
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => {
                             return Err(format!(
@@ -404,6 +418,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn surrogate_pair_escapes_decode_to_one_code_point() {
+        let s = |doc: &str| parse(doc).unwrap().as_str().unwrap().to_owned();
+        assert_eq!(s(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(s(r#""a\uD834\uDD1Eb""#), "a𝄞b");
+        // Lone, reversed or split surrogates stay U+FFFD.
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert_eq!(s(r#""\ud83dx\ude00""#), "\u{fffd}x\u{fffd}");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert!(parse(r#""\ud83d\u12""#).is_err());
     }
 
     #[test]

@@ -106,10 +106,12 @@ impl QuantScheme {
         Ok(())
     }
 
-    /// Scale for a block with the given absolute maximum.
+    /// Scale for a block with the given absolute maximum. A block whose
+    /// scale would not be positive — all zeros, or so small that
+    /// `absmax / qmax` underflows — gets scale 1 (its codes round to 0).
     pub fn scale_for(&self, absmax: f32) -> f32 {
-        let qmax = self.qmax() as f32;
-        let raw = if absmax > 0.0 { absmax / qmax } else { 1.0 };
+        let raw = absmax / self.qmax() as f32;
+        let raw = if raw > 0.0 { raw } else { 1.0 };
         if self.pot_scale {
             pot::round_scale_up(raw)
         } else {
@@ -442,6 +444,28 @@ mod tests {
         let q = QuantizedTensor::quantize(&t, QuantScheme::weight_per_group(4, 128)).unwrap();
         // 256 codes × 4 bits + 2 scales × 16 bits.
         assert_eq!(q.storage_bits(), 256 * 4 + 2 * 16);
+    }
+
+    #[test]
+    fn a_denormal_block_quantizes_to_zero_not_nan() {
+        // 2^-149 / qmax underflows to a zero scale, and 0 / 0 is NaN.
+        let tiny = f32::from_bits(1);
+        let block = [0.0, tiny, 0.0, -tiny];
+        for scheme in [
+            QuantScheme::act_per_group(4, 4),
+            QuantScheme::act_per_token(8),
+        ] {
+            let mut xs = block;
+            fake_quant_slice(&mut xs, scheme).unwrap();
+            assert_eq!(xs, [0.0; 4], "{scheme:?}");
+            let t = Tensor::from_vec(block.to_vec(), &[1, 4]).unwrap();
+            let q = QuantizedTensor::quantize(&t, scheme).unwrap();
+            assert_eq!(q.scales(), [1.0], "{scheme:?}");
+        }
+        // Every representable scale is kept as computed.
+        let s = QuantScheme::act_per_token(8);
+        assert_eq!(s.scale_for(127.0), 1.0);
+        assert_eq!(s.scale_for(tiny * 127.0), tiny);
     }
 
     #[test]

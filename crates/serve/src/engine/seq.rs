@@ -9,6 +9,11 @@ use crate::backend::PausedState;
 use crate::request::{Completion, FinishReason, GenRequest};
 use crate::scheduler::SeqView;
 
+/// Sampled tokens a fresh sequence reserves room for up front; a longer
+/// generation grows its buffer as it goes (a huge `max_new_tokens` is a
+/// bound, not an allocation request).
+const RESERVED_TOKENS: usize = 4096;
+
 /// Generation progress of one admitted request: every piece of state
 /// needed to continue it bit-identically — prompt position, sampled
 /// tokens, and the request's private RNG (moved, never reseeded, so the
@@ -43,7 +48,7 @@ impl Progress {
     pub(super) fn admit(req: GenRequest, pos: usize, harvest: Option<usize>, clock: u64) -> Self {
         Progress {
             pos,
-            generated: Vec::with_capacity(req.max_new_tokens),
+            generated: Vec::with_capacity(req.max_new_tokens.min(RESERVED_TOKENS)),
             rng: StdRng::seed_from_u64(req.seed),
             admitted_step: clock,
             first_token_step: None,

@@ -78,12 +78,21 @@ pub(super) struct Load {
 }
 
 impl Load {
+    /// `self` plus `other`, saturating: a request may name any
+    /// `max_new_tokens`.
+    fn plus(self, other: Load) -> Load {
+        Load {
+            feed: self.feed.saturating_add(other.feed),
+            footprint: self.footprint.saturating_add(other.footprint),
+        }
+    }
+
     /// The load of `req` at prompt position `pos` under a prefill chunk
     /// of `chunk` tokens.
     pub(super) fn of(req: &GenRequest, pos: usize, chunk: usize) -> Self {
         Load {
             feed: req.prompt.len().saturating_sub(pos).min(chunk),
-            footprint: req.prompt.len() + req.max_new_tokens,
+            footprint: req.prompt.len().saturating_add(req.max_new_tokens),
         }
     }
 }
@@ -153,11 +162,11 @@ pub(super) fn budget_gate(
     picks.retain(|&i| {
         let pick = load_of(i);
         let valve = run == Load::default();
-        let fits = run.feed + pick.feed <= budget.max_prefill_tokens_per_step
-            && run.footprint + pick.footprint <= budget.max_total_tokens;
+        let next = run.plus(pick);
+        let fits = next.feed <= budget.max_prefill_tokens_per_step
+            && next.footprint <= budget.max_total_tokens;
         if fits || valve {
-            run.feed += pick.feed;
-            run.footprint += pick.footprint;
+            run = next;
         } else {
             deferred += 1;
         }
@@ -227,7 +236,9 @@ impl ServeEngine<'_> {
     fn vacate(&mut self, seq: ActiveSeq, finish: FinishReason) {
         self.pool.release(seq.slot);
         if finish == FinishReason::Cancelled {
-            self.totals.reclaimed_slot_steps += seq.run.remaining_steps(self.cfg.prefill_chunk);
+            let owed = seq.run.remaining_steps(self.cfg.prefill_chunk);
+            self.totals.reclaimed_slot_steps =
+                self.totals.reclaimed_slot_steps.saturating_add(owed);
         }
         self.leave(seq.run, finish, None);
     }
@@ -371,7 +382,8 @@ impl ServeEngine<'_> {
                     || r.min_steps_to_complete(chunk),
                     |run| run.remaining_steps(chunk),
                 );
-                r.absolute_deadline().is_some_and(|abs| clock + owed > abs)
+                r.absolute_deadline()
+                    .is_some_and(|abs| clock.saturating_add(owed) > abs)
             },
         );
     }
@@ -445,11 +457,7 @@ impl ServeEngine<'_> {
     fn resident_load(&self) -> Load {
         let chunk = self.cfg.prefill_chunk;
         self.active.iter().fold(Load::default(), |sum, s| {
-            let load = Load::of(&s.run.req, s.run.pos, chunk);
-            Load {
-                feed: sum.feed + load.feed,
-                footprint: sum.footprint + load.footprint,
-            }
+            sum.plus(Load::of(&s.run.req, s.run.pos, chunk))
         })
     }
 

@@ -221,7 +221,7 @@ impl GenRequest {
         if remaining_prompt > 0 {
             // The step consuming the final prompt chunk also samples
             // the first token, hence the `- 1`.
-            remaining_prompt.div_ceil(chunk) as u64 + decode_needed.max(1) - 1
+            (remaining_prompt.div_ceil(chunk) as u64).saturating_add(decode_needed.max(1) - 1)
         } else {
             // Mid-decode: one token per step, at least one more step
             // (an unfinished sequence always owes its next sample).

@@ -439,7 +439,7 @@ impl Policy for Edf {
         for (p, c) in order.iter().filter_map(|&i| ctx.candidate(i)).enumerate() {
             let urgent = c
                 .absolute_deadline
-                .is_some_and(|abs| ctx.clock + c.remaining_steps >= abs);
+                .is_some_and(|abs| ctx.clock.saturating_add(c.remaining_steps) >= abs);
             if !urgent {
                 continue;
             }

@@ -19,7 +19,7 @@ use lightmamba_serve::resilience::ResilienceConfig;
 use proptest::prelude::*;
 
 mod common;
-use common::{churn_schedule, tiny_model, tiny_w4a4, workload, ChurnFifo};
+use common::{cfg, churn_schedule, tiny_model, tiny_w4a4, workload, ChurnFifo};
 
 /// The shared workload, its requests alternating between the two
 /// registered models.
@@ -95,9 +95,7 @@ proptest! {
         let n = requests.len();
         let mut engine = ServeEngine::with_registry(
             chaos_registry(&model, &q, fault_seed, rate),
-            EngineConfig { slots, max_steps: 200_000, prefill_chunk: 2, threads,
-..Default::default()
-},
+            EngineConfig { threads, ..cfg(slots, 2) },
         ).unwrap();
         engine.set_resilience(ResilienceConfig {
             queue_limit,
@@ -177,9 +175,7 @@ proptest! {
         let run = |plan_rate: f64| {
             let mut engine = ServeEngine::with_registry(
                 chaos_registry(&model, &q, fault_seed, plan_rate),
-                EngineConfig { slots, max_steps: 200_000, prefill_chunk: 2, threads: 1 ,
-..Default::default()
-},
+                cfg(slots, 2),
             ).unwrap();
             engine.set_resilience(ResilienceConfig::default());
             engine.submit(requests.clone()).unwrap();
@@ -222,9 +218,7 @@ proptest! {
         let run = |threads: usize| {
             let mut engine = ServeEngine::with_registry(
                 chaos_registry(&model, &q, fault_seed, rate),
-                EngineConfig { slots, max_steps: 200_000, prefill_chunk: 2, threads,
-..Default::default()
-},
+                EngineConfig { threads, ..cfg(slots, 2) },
             ).unwrap();
             engine.set_resilience(ResilienceConfig::default());
             engine.submit(requests.clone()).unwrap();

@@ -1,10 +1,16 @@
-//! Fixtures shared by the serve crate's property and chaos suites: the
-//! tiny FP / W4A4 model pair, random request workloads, and a FIFO
-//! policy driven by an arbitrary preemption schedule.
+//! Fixtures shared by the serve crate's integration suites: the tiny FP
+//! / W4A4 model pair, random request workloads, a FIFO policy driven by
+//! an arbitrary preemption schedule, and the reference engine the
+//! differential suite checks against. Each suite uses a subset.
+
+#![allow(dead_code)]
+
+pub mod reference;
 
 use lightmamba_model::{MambaConfig, MambaModel};
 use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
 use lightmamba_quant::QuantizedMamba;
+use lightmamba_serve::engine::EngineConfig;
 use lightmamba_serve::request::GenRequest;
 use lightmamba_serve::scheduler::{AdmissionCtx, Policy};
 use proptest::prelude::*;
@@ -17,6 +23,15 @@ pub fn tiny_model() -> MambaModel {
 
 pub fn tiny_w4a4(model: &MambaModel) -> QuantizedMamba {
     quantize_model(model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap()
+}
+
+/// `slots` slots and a prefill chunk of `chunk`, otherwise defaults.
+pub fn cfg(slots: usize, chunk: usize) -> EngineConfig {
+    EngineConfig {
+        slots,
+        prefill_chunk: chunk,
+        ..Default::default()
+    }
 }
 
 /// Random request workloads: (arrival gap, prompt len, gen len, seed).

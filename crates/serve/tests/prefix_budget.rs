@@ -4,16 +4,12 @@
 //! prefix cache, and no state — slot, paused snapshot, pending resume
 //! or cached prefix — leaks across a drain.
 
-use lightmamba_model::{MambaConfig, MambaModel};
 use lightmamba_serve::engine::{EngineConfig, ServeEngine};
 use lightmamba_serve::request::GenRequest;
 use lightmamba_serve::scheduler::{Fifo, TokenBudget};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-fn tiny_model() -> MambaModel {
-    MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(9)).unwrap()
-}
+mod common;
+use common::{cfg, tiny_model};
 
 /// A request whose prompt is `prefix ++ [id-specific tail]`, marked for
 /// prefix caching.
@@ -29,12 +25,8 @@ fn prefix_cache_lru_bound_is_exact_under_eviction_pressure() {
     let mut engine = ServeEngine::new(
         &model,
         EngineConfig {
-            slots: 2,
-            max_steps: 100_000,
-            prefill_chunk: 2,
-            threads: 1,
             prefix_cache: Some(2),
-            ..Default::default()
+            ..cfg(2, 2)
         },
     )
     .unwrap();
@@ -88,12 +80,9 @@ fn prefix_cache_sessions_and_budget_interact_without_leaking_state() {
     let mut engine = ServeEngine::new(
         &model,
         EngineConfig {
-            slots: 3,
-            max_steps: 100_000,
-            prefill_chunk: 2,
-            threads: 1,
             prefix_cache: Some(2),
             token_budget: Some(TokenBudget::new(8, 40).unwrap()),
+            ..cfg(3, 2)
         },
     )
     .unwrap();

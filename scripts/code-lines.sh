@@ -6,7 +6,10 @@
 #   scripts/code-lines.sh                     # every crates/*/src and src, totals only
 #   scripts/code-lines.sh -v crates/serve/src # per file as well
 #
-# The last line sums every directory counted.
+# The last code line sums every directory counted. With no directory
+# given, test lines per crate follow: every line of each `src` file from
+# its test module to the end, plus every line under the crate's
+# `tests/`, printed as `module lines + tests/ lines`.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -14,12 +17,21 @@ count() {
     awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^\s*//' | grep -vc '^\s*$' || true
 }
 
+# Every line from the test module to the end of the file.
+test_lines() {
+    awk '/^#\[cfg\(test\)\]/{t=1} t{n++} END{print n+0}' "$1"
+}
+
 verbose=0
 if [ "${1:-}" = "-v" ]; then
     verbose=1
     shift
 fi
-[ $# -gt 0 ] || set -- crates/*/src src
+defaults=0
+if [ $# -eq 0 ]; then
+    defaults=1
+    set -- crates/*/src src
+fi
 
 grand=0
 for dir in "$@"; do
@@ -33,3 +45,23 @@ for dir in "$@"; do
     grand=$((grand + total))
 done
 printf '%6d  all of the above (total)\n' "$grand"
+
+[ "$defaults" = 1 ] || exit 0
+all_mod=0
+all_tests=0
+for crate in crates/*/; do
+    crate=${crate%/}
+    [ -d "$crate/src" ] || continue
+    mod=0
+    for file in $(find "$crate/src" -name '*.rs' | sort); do
+        mod=$((mod + $(test_lines "$file")))
+    done
+    tests=0
+    if [ -d "$crate/tests" ]; then
+        tests=$(find "$crate/tests" -name '*.rs' -exec cat {} + | wc -l)
+    fi
+    printf '%6d + %-5d  %s test lines\n' "$mod" "$tests" "$crate"
+    all_mod=$((all_mod + mod))
+    all_tests=$((all_tests + tests))
+done
+printf '%6d + %-5d  all crates test lines (total)\n' "$all_mod" "$all_tests"
