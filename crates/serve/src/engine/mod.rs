@@ -718,25 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_admission_order_holds() {
-        let model = tiny_model();
-        let reqs = burst_requests(9, 2, 3);
-        let mut engine = ServeEngine::new(&model, cfg(2, 1)).unwrap();
-        engine.submit(reqs).unwrap();
-        engine.run(&mut Fifo).unwrap();
-        let mut admissions: Vec<(u64, u64)> = engine
-            .completions()
-            .iter()
-            .map(|c| (c.admitted_step.expect("completed implies admitted"), c.id))
-            .collect();
-        admissions.sort();
-        let ids: Vec<u64> = admissions.iter().map(|&(_, id)| id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort();
-        assert_eq!(ids, sorted, "later requests admitted before earlier ones");
-    }
-
-    #[test]
     fn priority_classes_jump_the_queue() {
         let model = tiny_model();
         // One slot, a burst: FIFO would admit in id order; the priority
@@ -804,43 +785,6 @@ mod tests {
             fifo.deadline_total
         );
         assert!(edf.deadline_hit_rate() > fifo.deadline_hit_rate());
-    }
-
-    #[test]
-    fn doomed_requests_are_evicted_before_admission() {
-        let model = tiny_model();
-        // Needs 2 prefill + 9 decode steps but only has a 5-step budget:
-        // under EDF it must be dropped at arrival, not at expiry, and
-        // never occupy the (free!) slot.
-        let doomed = GenRequest::greedy(0, vec![1; 2], 10).with_deadline(5);
-        let mut engine = ServeEngine::new(&model, cfg(2, 1)).unwrap();
-        engine.submit(vec![doomed.clone()]).unwrap();
-        let report = engine.run(&mut Edf::default()).unwrap();
-        assert_eq!(report.evicted, 1);
-        let c = &engine.completions()[0];
-        assert_eq!(c.finish, FinishReason::DeadlineExceeded);
-        assert_eq!(c.admitted_step, None);
-        assert_eq!(c.finished_step, 0, "evicted at arrival, not at expiry");
-        // FIFO admits it and burns 5 steps discovering the miss.
-        let mut engine = ServeEngine::new(&model, cfg(2, 1)).unwrap();
-        engine.submit(vec![doomed]).unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.evicted, 1);
-        assert_eq!(engine.completions()[0].admitted_step, Some(0));
-        assert_eq!(engine.completions()[0].finished_step, 5);
-    }
-
-    #[test]
-    fn a_feasible_deadline_survives_doomed_eviction() {
-        let model = tiny_model();
-        // 2 prefill + 2 decode steps in a 10-step budget: feasible, and
-        // EDF must serve it to completion.
-        let req = GenRequest::greedy(0, vec![1; 2], 3).with_deadline(10);
-        let mut engine = ServeEngine::new(&model, EngineConfig::default()).unwrap();
-        engine.submit(vec![req]).unwrap();
-        let report = engine.run(&mut Edf::default()).unwrap();
-        assert_eq!(report.completed, 1);
-        assert_eq!(report.deadline_hits, 1);
     }
 
     #[test]
@@ -1017,68 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_eviction_frees_the_slot() {
-        let model = tiny_model();
-        let mut hog = GenRequest::greedy(0, vec![1; 4], 500);
-        hog.deadline_steps = Some(10);
-        let quick = GenRequest::greedy(1, vec![2; 2], 2);
-        let mut engine = ServeEngine::new(&model, cfg(1, 1)).unwrap();
-        engine.submit(vec![hog, quick]).unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.evicted, 1);
-        assert_eq!(report.completed, 1);
-        let evicted = &engine.completions()[0];
-        assert_eq!(evicted.id, 0);
-        assert_eq!(evicted.finish, FinishReason::DeadlineExceeded);
-    }
-
-    #[test]
-    fn queued_expiry_is_evicted_without_burning_a_slot_or_step() {
-        let model = tiny_model();
-        // One hog holds the only slot far past the quick request's
-        // deadline; the quick request must expire in the queue, never
-        // occupying the slot or joining a batched step.
-        let hog = GenRequest::greedy(0, vec![1; 4], 40);
-        let mut quick = GenRequest::greedy(1, vec![2; 2], 2);
-        quick.deadline_steps = Some(5);
-        let mut engine = ServeEngine::new(&model, cfg(1, 1)).unwrap();
-        engine.submit(vec![hog, quick]).unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.evicted, 1);
-        assert_eq!(report.completed, 1);
-        let evicted = engine
-            .completions()
-            .iter()
-            .find(|c| c.id == 1)
-            .expect("quick request recorded");
-        assert_eq!(evicted.finish, FinishReason::DeadlineExceeded);
-        assert!(evicted.tokens.is_empty());
-        assert_eq!(evicted.first_token_step, None);
-        assert_eq!(evicted.finished_step, 5);
-        // Every executed step ran batch 1 (the hog alone): the expired
-        // request never inflated a batch.
-        assert!(report.trace.batch_per_step.iter().all(|&b| b <= 1));
-    }
-
-    #[test]
-    fn eos_token_stops_generation_early() {
-        let model = tiny_model();
-        // Find the greedy first token, then make it the EOS.
-        let mut state = model.new_state();
-        let logits = model.prefill(&[5, 6], &mut state).unwrap();
-        let eos = MambaModel::argmax(&logits) as u32;
-        let mut req = GenRequest::greedy(0, vec![5, 6], 50);
-        req.eos_token = Some(eos);
-        let mut engine = ServeEngine::new(&model, EngineConfig::default()).unwrap();
-        engine.submit(vec![req]).unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.completed, 1);
-        let c = &engine.completions()[0];
-        assert_eq!(c.finish, FinishReason::Eos);
-        assert_eq!(c.tokens, vec![eos]);
-    }
-
-    #[test]
     fn step_budget_stops_the_run() {
         let model = tiny_model();
         let mut engine = ServeEngine::new(
@@ -1093,43 +975,6 @@ mod tests {
         let report = engine.run(&mut Fifo).unwrap();
         assert_eq!(report.steps, 5);
         assert!(engine.has_work());
-    }
-
-    #[test]
-    fn a_request_for_usize_max_tokens_steps_and_cancels_without_overflow() {
-        // `max_new_tokens` is a bound, not a size: such a request admits,
-        // steps and cancels like any other, and the engine serves on.
-        let model = tiny_model();
-        let budget = TokenBudget::new(8, 64).unwrap();
-        let runs: [(Box<dyn Policy>, Option<TokenBudget>); 2] = [
-            (Box::new(Fifo), None),
-            (Box::new(Edf::preemptive()), Some(budget)),
-        ];
-        for (mut policy, token_budget) in runs {
-            let config = EngineConfig {
-                token_budget,
-                ..cfg(2, 1)
-            };
-            let mut engine = ServeEngine::new(&model, config).unwrap();
-            let huge = GenRequest::greedy(0, vec![1, 2], usize::MAX);
-            engine.submit(vec![huge]).unwrap();
-            for _ in 0..4 {
-                engine.step(policy.as_mut()).unwrap();
-            }
-            engine.cancel(0);
-            let mut normal = GenRequest::greedy(1, vec![3, 4], 3).with_deadline(20);
-            normal.arrival_step = engine.clock();
-            engine.submit(vec![normal]).unwrap();
-            let report = engine.run(policy.as_mut()).unwrap();
-            assert_eq!((report.cancellations, report.completed), (1, 1));
-            assert_eq!(engine.completions()[0].tokens.len(), 3, "{}", policy.name());
-        }
-        // With a deadline it can never meet, it is doomed on arrival.
-        let mut engine = ServeEngine::new(&model, EngineConfig::default()).unwrap();
-        let hopeless = GenRequest::greedy(0, vec![1, 2], usize::MAX).with_deadline(100);
-        engine.submit(vec![hopeless]).unwrap();
-        assert_eq!(engine.run(&mut Edf::preemptive()).unwrap().evicted, 1);
-        assert_eq!(engine.completions()[0].admitted_step, None);
     }
 
     #[test]
@@ -1230,43 +1075,6 @@ mod tests {
         assert!(report.wasted_token_advances >= 3);
         assert!(report.reclaimed_slot_steps > 0);
         assert!(hog.deadline_hit().is_none());
-    }
-
-    #[test]
-    fn cancelling_unadmitted_and_paused_requests_also_retires_them() {
-        let model = tiny_model();
-        let mut engine = ServeEngine::new(&model, cfg(1, 1)).unwrap();
-        // A batch hog that the preemptive policy will pause, an urgent
-        // arrival to force the pause, and a waiter that never gets in
-        // before its cancel.
-        let hog = GenRequest::greedy(0, vec![1; 3], 30).with_priority(Priority::Batch);
-        let mut urgent = GenRequest::greedy(1, vec![2; 2], 20).with_priority(Priority::Interactive);
-        urgent.arrival_step = 5;
-        let waiter = GenRequest::greedy(2, vec![3; 2], 4).with_priority(Priority::Batch);
-        engine.submit(vec![hog, waiter, urgent]).unwrap();
-        let mut policy = PriorityClasses::preemptive();
-        for _ in 0..8 {
-            engine.step(&mut policy).unwrap();
-        }
-        assert_eq!(engine.paused_count(), 1, "the hog was preempted");
-        engine.cancel(0); // paused
-        engine.cancel(2); // waiting, never admitted
-        engine.step(&mut policy).unwrap();
-        let by_id = |id: u64| {
-            engine
-                .completions()
-                .iter()
-                .find(|c| c.id == id)
-                .cloned()
-                .unwrap_or_else(|| panic!("request {id} retired"))
-        };
-        assert_eq!(by_id(0).finish, FinishReason::Cancelled);
-        assert_eq!(by_id(2).finish, FinishReason::Cancelled);
-        assert!(by_id(2).tokens.is_empty(), "never admitted, no tokens");
-        assert_eq!(engine.paused_count(), 0, "paused state is released");
-        let report = engine.run(&mut policy).unwrap();
-        assert_eq!(report.cancellations, 2);
-        assert_eq!(report.completed, 1, "only the urgent request finished");
     }
 
     #[test]
@@ -1543,42 +1351,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_runs_are_bit_identical_with_the_chaos_layer_armed() {
-        let model = tiny_model();
-        let reqs = burst_requests(5, 3, 4);
-
-        let mut plain = ServeEngine::new(&model, cfg(2, 2)).unwrap();
-        plain.submit(reqs.clone()).unwrap();
-        let plain_report = plain.run(&mut Fifo).unwrap();
-
-        // Same engine, but every call routed through a ChaosBackend
-        // with an empty plan and the resilience layer armed.
-        let mut wrapped =
-            ServeEngine::with_registry(chaos_registry(&model, FaultPlan::none()), cfg(2, 2))
-                .unwrap();
-        wrapped.set_resilience(ResilienceConfig::default());
-        wrapped.submit(reqs).unwrap();
-        let wrapped_report = wrapped.run(&mut Fifo).unwrap();
-
-        assert_eq!(plain_report.completed, wrapped_report.completed);
-        assert_eq!(wrapped_report.backend_faults, 0);
-        let tokens = |e: &ServeEngine<'_>| {
-            let mut v: Vec<(RequestId, Vec<u32>)> = e
-                .completions()
-                .iter()
-                .map(|c| (c.id, c.tokens.clone()))
-                .collect();
-            v.sort_by_key(|(id, _)| *id);
-            v
-        };
-        assert_eq!(
-            tokens(&plain),
-            tokens(&wrapped),
-            "outputs are bit-identical"
-        );
-    }
-
-    #[test]
     fn quarantine_strictly_beats_no_mitigation_on_the_same_fault_schedule() {
         let model = tiny_model();
         let plan = FaultPlan::seeded(7, 300, 0.25);
@@ -1729,44 +1501,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_markers_are_inert_with_the_cache_off_and_exact_with_it_on() {
-        let model = tiny_model();
-        let plain = burst_requests(6, 8, 5);
-        let marked: Vec<GenRequest> = plain
-            .iter()
-            .cloned()
-            .map(|r| r.with_shared_prefix(4))
-            .collect();
-        let run = |reqs: Vec<GenRequest>, cache: Option<usize>| {
-            let mut engine = ServeEngine::new(
-                &model,
-                EngineConfig {
-                    prefix_cache: cache,
-                    ..cfg(3, 2)
-                },
-            )
-            .unwrap();
-            engine.submit(reqs).unwrap();
-            let report = engine.run(&mut Fifo).unwrap();
-            let mut out: Vec<(u64, Vec<u32>)> = engine
-                .completions()
-                .iter()
-                .map(|c| (c.id, c.tokens.clone()))
-                .collect();
-            out.sort();
-            (report.steps, out)
-        };
-        // With the cache off, shared-prefix markers change nothing:
-        // same outputs, same step count, token for token.
-        let baseline = run(plain, None);
-        assert_eq!(run(marked.clone(), None), baseline);
-        // With the cache on, outputs stay bit-identical — harvests and
-        // restores never alter what a request generates.
-        let (_, out_on) = run(marked, Some(8));
-        assert_eq!(out_on, baseline.1);
-    }
-
-    #[test]
     fn out_of_range_prefix_markers_never_touch_the_cache() {
         let model = tiny_model();
         let mut engine = ServeEngine::new(
@@ -1869,63 +1603,6 @@ mod tests {
         assert!(prefill_util > 0.0 && prefill_util <= 1.0);
         let resident_util = report.budget_resident_utilization.unwrap();
         assert!(resident_util > 0.0 && resident_util <= 1.0);
-    }
-
-    #[test]
-    fn budget_valve_admits_an_oversized_request_alone() {
-        let model = tiny_model();
-        // Footprint 10+4 = 14 > 8 and first chunk 4 > 2: no cap ever
-        // fits this request, so without the liveness valve it would
-        // wait forever.
-        let budget = TokenBudget::new(2, 8).unwrap();
-        let mut engine = ServeEngine::new(
-            &model,
-            EngineConfig {
-                token_budget: Some(budget),
-                ..cfg(2, 4)
-            },
-        )
-        .unwrap();
-        engine
-            .submit(vec![GenRequest::greedy(0, vec![3; 10], 4)])
-            .unwrap();
-        let report = engine.run(&mut Fifo).unwrap();
-        assert_eq!(report.completed, 1);
-        assert_eq!(engine.completions()[0].tokens.len(), 4);
-    }
-
-    #[test]
-    fn token_budget_is_inert_when_generous() {
-        // A budget wide enough for the whole workload admits exactly
-        // what the unbudgeted engine admits: same outputs, same steps,
-        // zero deferrals.
-        let model = tiny_model();
-        let reqs = burst_requests(6, 5, 4);
-        let run = |budget: Option<TokenBudget>| {
-            let mut engine = ServeEngine::new(
-                &model,
-                EngineConfig {
-                    token_budget: budget,
-                    ..cfg(3, 2)
-                },
-            )
-            .unwrap();
-            engine.submit(reqs.clone()).unwrap();
-            let report = engine.run(&mut Fifo).unwrap();
-            let mut out: Vec<(u64, Vec<u32>)> = engine
-                .completions()
-                .iter()
-                .map(|c| (c.id, c.tokens.clone()))
-                .collect();
-            out.sort();
-            (report.steps, report.budget_deferrals, out)
-        };
-        let (steps_off, _, out_off) = run(None);
-        let generous = TokenBudget::new(10_000, 100_000).unwrap();
-        let (steps_on, deferrals, out_on) = run(Some(generous));
-        assert_eq!(deferrals, 0);
-        assert_eq!(steps_on, steps_off);
-        assert_eq!(out_on, out_off);
     }
 
     #[test]

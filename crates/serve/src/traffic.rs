@@ -220,8 +220,8 @@ impl TrafficScenario {
     /// tight deadlines once hogs are resident — EDF can only reorder
     /// the queue while every slot stays camped — so the gap between
     /// [`crate::scheduler::Edf::preemptive`] and plain EDF on
-    /// `deadline_hit_rate()` is the scenario's headline (pinned by
-    /// test, checked by `repro serve-preempt`).
+    /// `deadline_hit_rate()` is the scenario's headline (checked by
+    /// `repro serve-preempt`).
     pub fn preemption_heavy(arrivals_per_step: f64) -> Self {
         TrafficScenario {
             name: "preemption_heavy",
@@ -297,14 +297,38 @@ impl TrafficGenerator {
     ///
     /// # Panics
     ///
-    /// Panics when the scenario has no profiles or a zero vocabulary —
-    /// both unserviceable configurations.
+    /// Panics when the scenario has no profiles or a zero vocabulary,
+    /// when a profile's length or deadline range is empty or its weight
+    /// is negative or not finite, when the weights sum to zero, or when
+    /// the Poisson rate is negative or not finite — all unserviceable
+    /// configurations.
     pub fn new(scenario: TrafficScenario, vocab_size: usize, seed: u64) -> Self {
+        let name = scenario.name;
         assert!(
             !scenario.profiles.is_empty(),
-            "traffic scenario {:?} needs at least one profile",
-            scenario.name
+            "traffic scenario {name:?} needs at least one profile"
         );
+        for (weight, p) in &scenario.profiles {
+            let deadline_empty = p.deadline_steps.as_ref().is_some_and(|d| d.is_empty());
+            assert!(
+                !(p.prompt_len.is_empty() || p.gen_len.is_empty() || deadline_empty),
+                "traffic scenario {name:?}: profile {:?} has an empty range",
+                p.name
+            );
+            assert!(
+                weight.is_finite() && *weight >= 0.0,
+                "traffic scenario {name:?}: profile {:?} has weight {weight}",
+                p.name
+            );
+        }
+        let total: f64 = scenario.profiles.iter().map(|(w, _)| w).sum();
+        assert!(total > 0.0, "traffic scenario {name:?}: weights sum to 0");
+        if let ArrivalProcess::Poisson(rate) = scenario.arrivals {
+            assert!(
+                rate.is_finite() && rate >= 0.0,
+                "traffic scenario {name:?}: Poisson rate {rate}"
+            );
+        }
         assert!(vocab_size > 0, "vocab_size must be non-zero");
         let mut rng = StdRng::seed_from_u64(seed);
         // Drawn before any request so scenarios without a shared prefix
@@ -563,6 +587,59 @@ mod tests {
         // Scenarios without a prefix never tag requests.
         let mut plain = TrafficGenerator::new(TrafficScenario::burst(4), 256, 17);
         assert!(plain.generate(1).iter().all(|r| r.shared_prefix.is_none()));
+    }
+
+    /// `new` over the chat scenario with `edit` applied.
+    fn build(edit: impl FnOnce(&mut TrafficScenario)) -> TrafficGenerator {
+        let mut scenario = TrafficScenario::chat(0.5);
+        edit(&mut scenario);
+        TrafficGenerator::new(scenario, 256, 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario \"chat\": profile \"chat\" has an empty range")]
+    fn an_empty_length_range_is_rejected_at_construction() {
+        build(|s| s.profiles[0].1.gen_len = 8..8);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile \"chat\" has an empty range")]
+    fn an_empty_deadline_range_is_rejected_at_construction() {
+        build(|s| s.profiles[0].1.deadline_steps = Some(40..40));
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario \"chat\": profile \"chat\" has weight NaN")]
+    fn a_nan_weight_is_rejected_at_construction() {
+        build(|s| s.profiles[0].0 = f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "profile \"code\" has weight -1")]
+    fn a_negative_weight_is_rejected_at_construction() {
+        // Before the check, the mixture silently never drew "code".
+        build(|s| {
+            s.profiles
+                .insert(0, (-1.0, TrafficProfile::code_completion()))
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario \"chat\": weights sum to 0")]
+    fn all_zero_weights_are_rejected_at_construction() {
+        build(|s| s.profiles[0].0 = 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario \"chat\": Poisson rate -0.5")]
+    fn a_negative_poisson_rate_is_rejected_at_construction() {
+        build(|s| s.arrivals = ArrivalProcess::Poisson(-0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "scenario \"chat\": Poisson rate inf")]
+    fn an_infinite_poisson_rate_is_rejected_at_construction() {
+        build(|s| s.arrivals = ArrivalProcess::Poisson(f64::INFINITY));
     }
 
     #[test]

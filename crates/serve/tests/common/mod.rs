@@ -63,7 +63,7 @@ pub fn build_requests(spec: &[(u64, Vec<u32>, usize, u64)]) -> Vec<GenRequest> {
 
 /// FIFO admission plus an arbitrary preemption schedule: each step
 /// pauses `count` residents starting at a rotating `offset` (both taken
-/// from the proptest-generated schedule, cycled). Used to pin that *no*
+/// from the generated schedule, cycled). Used to pin that *no*
 /// pause/resume interleaving can change outputs or leak slots.
 pub struct ChurnFifo {
     schedule: Vec<(usize, usize)>,
@@ -101,10 +101,4 @@ impl Policy for ChurnFifo {
     fn name(&self) -> &'static str {
         "churn-fifo"
     }
-}
-
-/// Arbitrary preemption schedules: up to 3 victims per step at a
-/// rotating offset, with calm and stormy steps interleaved.
-pub fn churn_schedule() -> impl Strategy<Value = Vec<(usize, usize)>> {
-    proptest::collection::vec((0usize..4, 0usize..8), 1..12)
 }

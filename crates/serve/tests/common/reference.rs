@@ -133,10 +133,11 @@ impl Seq {
 }
 
 /// What a request at prompt position `pos` commits against a token
-/// budget: (its next feed, its footprint).
+/// budget: (its next feed, its footprint). Footprints saturate, like
+/// the engine's: a request may ask for `usize::MAX` tokens.
 fn load(req: &GenRequest, pos: usize, chunk: usize) -> (usize, usize) {
     let feed = req.prompt.len().saturating_sub(pos).min(chunk);
-    (feed, req.prompt.len() + req.max_new_tokens)
+    (feed, req.prompt.len().saturating_add(req.max_new_tokens))
 }
 
 fn unadmitted(req: &GenRequest, clock: u64, finish: FinishReason, hint: Option<u64>) -> Completion {
@@ -218,11 +219,12 @@ impl<'m> RefEngine<'m> {
         }
     }
 
-    /// The tokens `req` generates decoded alone, start to finish.
-    pub fn decode(&self, req: &GenRequest) -> Vec<u32> {
+    /// The tokens `req` generates decoded alone, until it finishes or
+    /// has generated `limit` tokens.
+    pub fn decode(&self, req: &GenRequest, limit: usize) -> Vec<u32> {
         let model = self.models[req.model];
         let mut seq = Seq::admit(req.clone(), model, 0);
-        while seq.finished().is_none() {
+        while seq.finished().is_none() && seq.generated.len() < limit {
             seq.advance(model, usize::MAX, 0);
         }
         seq.generated
@@ -393,21 +395,23 @@ impl<'m> RefEngine<'m> {
         picks.truncate(self.free);
         let mut deferred = 0;
         if let Some(budget) = self.cfg.token_budget {
+            let plus =
+                |run: (usize, usize), (feed, total)| (run.0 + feed, run.1.saturating_add(total));
             let mut run = (0, 0);
             for s in &self.active {
-                let (feed, total) = load(&s.req, s.pos, chunk);
-                run = (run.0 + feed, run.1 + total);
+                run = plus(run, load(&s.req, s.pos, chunk));
             }
             picks.retain(|&i| {
-                let (feed, total) = match i.checked_sub(n_waiting) {
+                let pick = match i.checked_sub(n_waiting) {
                     None => load(&self.waiting[i], 0, chunk),
                     Some(p) => load(&self.paused[p].req, self.paused[p].pos, chunk),
                 };
+                let next = plus(run, pick);
                 let valve = run == (0, 0);
-                let fits = run.0 + feed <= budget.max_prefill_tokens_per_step
-                    && run.1 + total <= budget.max_total_tokens;
+                let fits = next.0 <= budget.max_prefill_tokens_per_step
+                    && next.1 <= budget.max_total_tokens;
                 if fits || valve {
-                    run = (run.0 + feed, run.1 + total);
+                    run = next;
                 } else {
                     deferred += 1;
                 }

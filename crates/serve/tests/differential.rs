@@ -7,19 +7,24 @@
 //! policy (every `POLICY_NAMES` entry plus `ChurnFifo`'s arbitrary
 //! preemption schedules), slots, prefill chunk, token budget, shared-
 //! prefix markers and prefix cache, session turns over up to three
-//! waves, a cancel schedule, a chaos plan with an optional queue
+//! waves (now and then a first wave of more session turns than the
+//! engine parks, so later waves resume a mix of parked and evicted
+//! sessions), a cancel schedule, a chaos plan with an optional queue
 //! limit, and 1 or 4 worker threads. Requests include the degenerate
 //! ones: deadline 0, out-of-range prefix markers, EOS at the first
-//! token.
+//! token, and `usize::MAX` new tokens under a deadline.
 //!
 //! Always, for every scenario:
 //! - every request leaves exactly once, the report's counts equal the
-//!   completions' finish-reason and preemption tallies, and each step's
-//!   per-model trace rows partition its totals;
+//!   completions' finish-reason, preemption and budget-deferral
+//!   tallies, each step's per-model trace rows partition its totals,
+//!   and only a bounded queue sheds, each shed request with a retry
+//!   hint and no tokens;
 //! - every completion not retired `Failed` carries the tokens of the
 //!   reference's sequential decode (all of them when it finished, a
 //!   prefix when it was cut short); for a session turn that is the
-//!   decode of the session's full history;
+//!   decode of the session's full history, or of its own prompt alone
+//!   when the session's state was evicted from the 64 parked ones;
 //! - slots are conserved at every step, and nothing stays resident,
 //!   paused or pending once the engine drains;
 //! - the token budget's caps hold on every step but the liveness
@@ -29,7 +34,7 @@
 //! and no fault fires, the engine's completions — finish reasons and
 //! every step stamp, in retirement order — also equal the reference's.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::OnceLock;
 
 use lightmamba_model::sampler::Sampler;
@@ -49,6 +54,9 @@ use rand::{Rng, SeedableRng};
 mod common;
 use common::reference::{RefEngine, RefModel};
 use common::{tiny_model, tiny_w4a4, ChurnFifo};
+
+/// Sessions the engine keeps parked, least recently parked evicted.
+const SESSIONS: usize = 64;
 
 /// The models a scenario registers, in model-id order.
 #[derive(Clone, Copy)]
@@ -124,11 +132,25 @@ fn generate(models: Models, threads: usize, seed: u64, reference: &RefEngine<'_>
         .map(|_| rng.gen_range(0..256))
         .collect();
     let (marked, sessions) = (rng.gen_bool(0.5), rng.gen_bool(0.4));
+    // Overflow the parked sessions: a first wave of a few more session
+    // turns than the engine parks, so that the later waves' turns (all
+    // session turns) resume the oldest-parked sessions around the
+    // eviction boundary.
+    let overflow = sessions && rng.gen_bool(0.08);
+    if overflow {
+        (case.queue_limit, case.faults) = (None, None);
+    }
     let mut id = 0;
-    for _ in 0..rng.gen_range(1..4) {
+    for w in 0..rng.gen_range(1 + usize::from(overflow)..4) {
         let mut wave = Vec::new();
         let (mut arrival, mut next_session) = (0, 0);
-        for _ in 0..rng.gen_range(1..9) {
+        let big = overflow && w == 0;
+        let n = if big {
+            SESSIONS + rng.gen_range(2..6)
+        } else {
+            rng.gen_range(1..9)
+        };
+        for _ in 0..n {
             arrival += rng.gen_range(0..4);
             let prompt = (0..rng.gen_range(1..7))
                 .map(|_| rng.gen_range(0..256))
@@ -152,7 +174,15 @@ fn generate(models: Models, threads: usize, seed: u64, reference: &RefEngine<'_>
                 1 | 2 => Some(rng.gen_range(2..30)),
                 _ => None,
             };
-            if sessions && rng.gen_bool(0.5) {
+            if big {
+                // No deadline: bar a cancel, every turn of the
+                // overflowing wave finishes and parks.
+                r.deadline_steps = None;
+            } else if rng.gen_bool(0.05) {
+                r.max_new_tokens = usize::MAX;
+                r.deadline_steps = Some(rng.gen_range(0..30));
+            }
+            if sessions && (overflow || rng.gen_bool(0.5)) {
                 // One turn per session per wave, always on one model.
                 r.session = Some(next_session);
                 r.model = next_session as usize % case.n_models();
@@ -167,13 +197,7 @@ fn generate(models: Models, threads: usize, seed: u64, reference: &RefEngine<'_>
                 r.shared_prefix = Some([0, len, len + 2][rng.gen_range(0..3)]);
             }
             r.eos_token = match rng.gen_range(0..10) {
-                0 if r.session.is_none() => {
-                    let first = GenRequest {
-                        max_new_tokens: 1,
-                        ..r.clone()
-                    };
-                    Some(reference.decode(&first)[0])
-                }
+                0 if r.session.is_none() => Some(reference.decode(&r, 1)[0]),
                 1 => Some(rng.gen_range(0..256)),
                 _ => None,
             };
@@ -244,9 +268,10 @@ fn check(models: Models, seed: u64, threads: usize) -> Result<(), TestCaseError>
 
     // Each request as the reference sees it: a session turn that
     // resumes carries the session's whole history in its prompt (the
-    // reference ignores the session tag).
+    // reference ignores the session tag). `parked` models the engine's
+    // session LRU: histories in park order, the oldest evicted.
     let mut effective: HashMap<RequestId, GenRequest> = HashMap::new();
-    let mut history: HashMap<u64, Vec<u32>> = HashMap::new();
+    let mut parked: VecDeque<(u64, Vec<u32>)> = VecDeque::new();
     let mut resumed = false;
     for wave in &case.waves {
         let (start, retired) = (engine.clock(), engine.completions().len());
@@ -255,7 +280,10 @@ fn check(models: Models, seed: u64, threads: usize) -> Result<(), TestCaseError>
             let mut r = r.clone();
             r.arrival_step += start;
             let mut eff = r.clone();
-            if let Some(past) = r.session.and_then(|sid| history.remove(&sid)) {
+            let at = r
+                .session
+                .and_then(|sid| parked.iter().position(|p| p.0 == sid));
+            if let Some((_, past)) = at.and_then(|at| parked.remove(at)) {
                 eff.prompt = [past, r.prompt.clone()].concat();
                 resumed = true;
             }
@@ -290,7 +318,10 @@ fn check(models: Models, seed: u64, threads: usize) -> Result<(), TestCaseError>
         for c in &engine.completions()[retired..] {
             let turn = &effective[&c.id];
             if let (Some(sid), true) = (turn.session, finished(c)) {
-                history.insert(sid, [turn.prompt.clone(), c.tokens.clone()].concat());
+                parked.push_back((sid, [turn.prompt.clone(), c.tokens.clone()].concat()));
+                if parked.len() > SESSIONS {
+                    parked.pop_front();
+                }
             }
         }
     }
@@ -309,13 +340,21 @@ fn check(models: Models, seed: u64, threads: usize) -> Result<(), TestCaseError>
         (of(MaxTokens) + of(Eos), of(DeadlineExceeded), of(Cancelled))
     );
     prop_assert_eq!((report.failed, report.rejected), (of(Failed), of(Rejected)));
+    prop_assert!(case.queue_limit.is_some() || report.rejected == 0);
+    for c in done {
+        let shed = c.finish == Rejected;
+        prop_assert_eq!(c.retry_after_steps.is_some(), shed, "request {}", c.id);
+        prop_assert!(!shed || c.tokens.is_empty());
+    }
     let per_model: usize = report.per_model.iter().map(|m| m.completed).sum();
     prop_assert_eq!(per_model, report.completed);
     let paused: u64 = done.iter().map(|c| u64::from(c.preemptions)).sum();
     prop_assert_eq!(report.preemptions, paused);
     prop_assert!(report.resumes <= report.preemptions);
-    // Each step's per-model trace rows partition its totals.
     let t = &report.trace;
+    let deferred: usize = t.budget_deferred_per_step.iter().sum();
+    prop_assert_eq!(report.budget_deferrals, deferred as u64);
+    // Each step's per-model trace rows partition its totals.
     for (sub, &total) in t.sub_processed_per_step.iter().zip(&t.processed_per_step) {
         prop_assert_eq!(
             (sub.len(), sub.iter().sum::<usize>()),
@@ -347,8 +386,12 @@ fn check(models: Models, seed: u64, threads: usize) -> Result<(), TestCaseError>
         }
     }
 
-    let exact =
-        !resumed && report.backend_faults == 0 && report.prefix_hits + report.prefix_misses == 0;
+    // Without a chaos plan nothing faults; with the cache off, prefix
+    // markers are inert.
+    let lookups = report.prefix_hits + report.prefix_misses;
+    prop_assert!(case.faults.is_some() || report.backend_faults == 0);
+    prop_assert!(case.cfg.prefix_cache.is_some() || lookups == 0);
+    let exact = !resumed && report.backend_faults == 0 && lookups == 0;
     if exact {
         // Same retirements, reasons, stamps and tokens, in order.
         prop_assert_eq!(done.len(), reference.completions().len());
@@ -357,10 +400,9 @@ fn check(models: Models, seed: u64, threads: usize) -> Result<(), TestCaseError>
         }
     } else {
         for c in done.iter().filter(|c| c.finish != FinishReason::Failed) {
-            let mut want = reference.decode(&effective[&c.id]);
-            if !finished(c) {
-                want.truncate(c.tokens.len());
-            }
+            // One token past a finish shows a late stop.
+            let limit = c.tokens.len() + usize::from(finished(c));
+            let want = reference.decode(&effective[&c.id], limit);
             prop_assert_eq!(&c.tokens, &want, "request {} diverged", c.id);
         }
     }

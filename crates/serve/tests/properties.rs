@@ -1,22 +1,22 @@
 //! Property-based pins of the serving policies' quality: EDF never hits
-//! fewer deadlines than FIFO on equal-length jobs and strictly beats it
-//! on the deadline-heavy scenario, preemptive EDF strictly beats plain
-//! EDF on the preemption-heavy one, WFQ slot shares converge to their
-//! weights (also under preemption churn and cancellation), and every
-//! policy keeps token-budget caps without starving a request. Outputs,
-//! slot conservation and the step stamps every policy must produce are
+//! fewer deadlines than FIFO on equal-length jobs, and WFQ slot shares
+//! converge to their weights (also under preemption churn and
+//! cancellation). That EDF and preemptive EDF strictly win on the
+//! deadline- and preemption-heavy scenarios is checked by `repro
+//! serve-policy` / `serve-preempt` (asserted by the workspace's
+//! `tests/experiment_shapes.rs`); outputs, slot conservation, token-
+//! budget caps and the step stamps every policy must produce are
 //! checked against the reference engine in `differential.rs`.
 
-use lightmamba_serve::backend::{FpBackend, W4A4Backend};
+use lightmamba_serve::backend::FpBackend;
 use lightmamba_serve::engine::{EngineConfig, ServeEngine};
 use lightmamba_serve::registry::ModelRegistry;
 use lightmamba_serve::request::GenRequest;
 use lightmamba_serve::scheduler::{Edf, Fifo, Policy, WeightedFair};
-use lightmamba_serve::traffic::{TrafficGenerator, TrafficScenario};
 use proptest::prelude::*;
 
 mod common;
-use common::{build_requests, cfg, tiny_model, tiny_w4a4, workload};
+use common::{build_requests, cfg, tiny_model, workload};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -197,137 +197,4 @@ proptest! {
         );
     }
 
-    #[test]
-    fn token_budget_caps_hold_and_no_request_starves_under_every_policy(
-        spec in workload(),
-        slots in 1usize..5,
-        prefill_cap in 5usize..24,
-        total_cap in 12usize..60,
-        chunk in 1usize..5,
-    ) {
-        // For every admission policy and an arbitrary budget at least as
-        // wide as one request (the valve covers narrower ones): no step
-        // ever feeds more prefill tokens than the cap, no step ever
-        // holds more resident footprint than the total cap, the deferral
-        // counters reconcile, and every request still completes —
-        // deferral is backpressure, never starvation.
-        use lightmamba_serve::scheduler::{policy_by_name, TokenBudget, POLICY_NAMES};
-        let model = tiny_model();
-        let requests = build_requests(&spec);
-        let n = requests.len();
-        let budget = TokenBudget::new(prefill_cap, total_cap).unwrap();
-        for name in POLICY_NAMES {
-            let mut policy = policy_by_name(name).unwrap();
-            let mut engine = ServeEngine::new(
-                &model,
-                EngineConfig {
-                    token_budget: Some(budget),
-                    ..cfg(slots, chunk)
-                },
-            ).unwrap();
-            engine.submit(requests.clone()).unwrap();
-            let report = engine.run(policy.as_mut()).unwrap();
-
-            prop_assert_eq!(report.completed, n, "{}: a request starved", name);
-            for (t, &fed) in report.trace.prefill_per_step.iter().enumerate() {
-                prop_assert!(
-                    fed <= prefill_cap,
-                    "{}: step {} fed {} prefill tokens past the {} cap",
-                    name, t, fed, prefill_cap
-                );
-            }
-            for (t, &resident) in report.trace.resident_tokens_per_step.iter().enumerate() {
-                prop_assert!(
-                    resident <= total_cap,
-                    "{}: step {} held {} resident tokens past the {} cap",
-                    name, t, resident, total_cap
-                );
-            }
-            prop_assert_eq!(
-                report.budget_deferrals,
-                report
-                    .trace
-                    .budget_deferred_per_step
-                    .iter()
-                    .map(|&d| d as u64)
-                    .sum::<u64>()
-            );
-        }
-    }
-}
-
-/// The bench acceptance pin: on the deadline-heavy scenario (the exact
-/// workload the `serve-policy` experiment runs, shortened), EDF's
-/// deadline-hit-rate strictly beats FIFO's, under chunked prefill.
-#[test]
-fn edf_strictly_beats_fifo_on_the_deadline_heavy_scenario() {
-    let model = tiny_model();
-    let q = tiny_w4a4(&model);
-    let run = |policy: &mut dyn Policy| {
-        let mut reg = ModelRegistry::new();
-        reg.register("fp", Box::new(FpBackend::new(&model)))
-            .unwrap();
-        reg.register("w4a4", Box::new(W4A4Backend::new(q.clone())))
-            .unwrap();
-        let mut traffic = TrafficGenerator::new(
-            TrafficScenario::deadline_heavy(0.5),
-            model.config().vocab_size,
-            7,
-        )
-        .with_models(2);
-        let mut engine = ServeEngine::with_registry(reg, cfg(16, 4)).unwrap();
-        engine.submit(traffic.generate(150)).unwrap();
-        engine.run(policy).unwrap()
-    };
-    let fifo = run(&mut Fifo);
-    let edf = run(&mut Edf::default());
-    assert_eq!(fifo.deadline_total, edf.deadline_total);
-    assert!(fifo.deadline_total > 0);
-    assert!(
-        edf.deadline_hit_rate() > fifo.deadline_hit_rate(),
-        "edf {:?} must strictly beat fifo {:?}",
-        edf.deadline_hit_rate(),
-        fifo.deadline_hit_rate()
-    );
-}
-
-/// The preemption acceptance pin: on the preemption-heavy scenario (the
-/// exact workload the `serve-preempt` experiment runs, shortened), EDF with
-/// pause/resume strictly beats non-preemptive EDF on deadline hit rate
-/// — reordering the queue cannot save a tight deadline while
-/// deadline-free hogs camp on every slot; pausing one can.
-#[test]
-fn preemptive_edf_strictly_beats_plain_edf_on_the_preemption_heavy_scenario() {
-    let model = tiny_model();
-    let q = tiny_w4a4(&model);
-    let run = |policy: &mut dyn Policy| {
-        let mut reg = ModelRegistry::new();
-        reg.register("fp", Box::new(FpBackend::new(&model)))
-            .unwrap();
-        reg.register("w4a4", Box::new(W4A4Backend::new(q.clone())))
-            .unwrap();
-        let mut traffic = TrafficGenerator::new(
-            TrafficScenario::preemption_heavy(0.6),
-            model.config().vocab_size,
-            7,
-        )
-        .with_models(2);
-        let mut engine = ServeEngine::with_registry(reg, cfg(8, 4)).unwrap();
-        engine.submit(traffic.generate(200)).unwrap();
-        engine.run(policy).unwrap()
-    };
-    let plain = run(&mut Edf::default());
-    let pre = run(&mut Edf::preemptive());
-    assert_eq!(plain.deadline_total, pre.deadline_total);
-    assert!(plain.deadline_total > 0);
-    assert_eq!(plain.preemptions, 0, "plain EDF must never pause anyone");
-    assert!(pre.preemptions > 0, "the scenario must actually preempt");
-    assert!(
-        pre.deadline_hit_rate() > plain.deadline_hit_rate(),
-        "preemptive {:?} must strictly beat plain {:?} ({} preemptions, resume p50 {:.1})",
-        pre.deadline_hit_rate(),
-        plain.deadline_hit_rate(),
-        pre.preemptions,
-        pre.resume_latency_steps.p50,
-    );
 }
