@@ -60,10 +60,14 @@ impl FactoredHadamard {
     /// # Errors
     ///
     /// Returns [`HadamardError::UnsupportedOrder`] when `pot` is not a
-    /// power of two or `rem` has no construction.
+    /// power of two, or `rem` has no construction or exceeds
+    /// [`HadamardMatrix::MAX_APPLY_ORDER`].
     pub fn with_factors(pot: usize, rem: usize) -> Result<Self> {
         if !fht::is_power_of_two(pot) {
             return Err(HadamardError::UnsupportedOrder(pot));
+        }
+        if rem > HadamardMatrix::MAX_APPLY_ORDER {
+            return Err(HadamardError::UnsupportedOrder(rem));
         }
         let rem = if rem <= 1 {
             None
@@ -94,33 +98,26 @@ impl FactoredHadamard {
         self.rem.as_ref().map_or(1, HadamardMatrix::order)
     }
 
-    /// Applies the orthonormal transform in place.
+    /// Applies the orthonormal transform in place, allocating nothing.
     ///
     /// # Panics
     ///
     /// Panics when `x.len()` differs from [`FactoredHadamard::len`].
+    #[inline(always)]
     pub fn apply(&self, x: &mut [f32]) {
         let n = self.len();
         assert_eq!(x.len(), n, "factored hadamard length mismatch");
         match &self.rem {
             None => fht::fwht_normalized(x),
             Some(h) => {
-                let m = h.order();
                 // x viewed as (pot, m) row-major. H = H_pot ⊗ H_m acts as:
-                // rows through H_m, columns through FHT_pot.
-                for row in x.chunks_mut(m) {
-                    h.apply(row, true).expect("row length equals rem order");
-                }
-                let mut col = vec![0.0f32; self.pot];
-                for j in 0..m {
-                    for (i, c) in col.iter_mut().enumerate() {
-                        *c = x[i * m + j];
-                    }
-                    fht::fwht_normalized(&mut col);
-                    for (i, &c) in col.iter().enumerate() {
-                        x[i * m + j] = c;
-                    }
-                }
+                // rows through H_m, columns through FHT_pot — whose
+                // butterflies pair whole rows, so the columns are
+                // transformed where they lie.
+                let m = h.order();
+                h.apply_rows(x, true);
+                let scale = 1.0 / (self.pot as f32).sqrt();
+                fht::stages(x, m, 1, Some(scale));
             }
         }
     }

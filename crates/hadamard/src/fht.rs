@@ -5,6 +5,25 @@
 //! `n/2` add/subtract pairs, which is what the hardware's Butterfly Core +
 //! FIFO pipeline implements; the cycle model in `lightmamba-accel::htu`
 //! charges latency per stage accordingly.
+//!
+//! # Schedule
+//!
+//! Stage `h` pairs element `i` with `i + h` (`i & h == 0`) and writes
+//! `(a + b, a − b)`. Any schedule that feeds each butterfly the outputs of
+//! the same two butterflies of the stage before computes the same bits,
+//! so the network is run in the order that is cheapest to stream:
+//!
+//! * stages 1, 2 and 4 never leave an aligned block of 8 elements, so all
+//!   three run per block while it sits in registers;
+//! * every later stage pairs two contiguous runs of `h ≥ 8` elements,
+//!   which vectorises as it stands;
+//! * the orthonormal form's `1/√n` multiplies each output of the last
+//!   stage as it is stored, the `s · scale` a separate pass would do.
+//!
+//! [`FactoredHadamard`](crate::FactoredHadamard) runs its column
+//! transform through the same stages with rows of `m` elements in place
+//! of single ones — every butterfly then pairs two contiguous rows, so
+//! no column is ever gathered.
 
 /// Whether `n` is a (positive) power of two.
 pub fn is_power_of_two(n: usize) -> bool {
@@ -27,24 +46,9 @@ pub fn is_power_of_two(n: usize) -> bool {
 /// lightmamba_hadamard::fwht(&mut x);
 /// assert_eq!(x, vec![1.0, 1.0, 1.0, 1.0]);
 /// ```
+#[inline(always)]
 pub fn fwht(x: &mut [f32]) {
-    let n = x.len();
-    assert!(
-        is_power_of_two(n),
-        "fwht requires a power-of-two length, got {n}"
-    );
-    let mut h = 1;
-    while h < n {
-        for block in x.chunks_mut(2 * h) {
-            let (lo, hi) = block.split_at_mut(h);
-            for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
-                let (s, d) = (*a + *b, *a - *b);
-                *a = s;
-                *b = d;
-            }
-        }
-        h *= 2;
-    }
+    transform(x, None);
 }
 
 /// In-place orthonormal fast Walsh–Hadamard transform (`H_n / √n`).
@@ -55,11 +59,84 @@ pub fn fwht(x: &mut [f32]) {
 /// # Panics
 ///
 /// Panics when `x.len()` is not a power of two.
+#[inline(always)]
 pub fn fwht_normalized(x: &mut [f32]) {
-    fwht(x);
     let scale = 1.0 / (x.len() as f32).sqrt();
-    for v in x.iter_mut() {
-        *v *= scale;
+    transform(x, Some(scale));
+}
+
+/// The transform of `x` (module docs, "Schedule"), each output of the
+/// last stage multiplied by `scale` when one is given.
+#[inline(always)]
+fn transform(x: &mut [f32], scale: Option<f32>) {
+    let n = x.len();
+    assert!(
+        is_power_of_two(n),
+        "fwht requires a power-of-two length, got {n}"
+    );
+    if n >= 8 {
+        for block in x.chunks_exact_mut(8) {
+            let block: &mut [f32; 8] = block.try_into().expect("chunks of 8");
+            stages_in_8(block);
+        }
+        stages(x, 1, 8, scale);
+    } else {
+        // Fewer than 8 elements: the same network, stage by stage.
+        stages(x, 1, 1, scale);
+    }
+}
+
+/// Stages 1, 2 and 4 of one aligned block of 8, in registers.
+#[inline(always)]
+fn stages_in_8(v: &mut [f32; 8]) {
+    let mut r = *v;
+    for h in [1, 2, 4] {
+        for i in (0..8).filter(|i| i & h == 0) {
+            let (a, b) = (r[i], r[i + h]);
+            r[i] = a + b;
+            r[i + h] = a - b;
+        }
+    }
+    *v = r;
+}
+
+/// The butterfly stages `h = from, 2·from, …` below `x.len() / m`, over
+/// `x` viewed as rows of `m` elements: stage `h` pairs row `i` with row
+/// `i + h`, element by element. With `scale`, each output of the last
+/// stage is multiplied by it as it is stored — or, when no stage is
+/// left to run, in a pass of its own.
+#[inline(always)]
+pub(crate) fn stages(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
+    let rows = x.len() / m;
+    let mut h = from;
+    if h >= rows {
+        if let Some(scale) = scale {
+            x.iter_mut().for_each(|v| *v *= scale);
+        }
+        return;
+    }
+    while h < rows {
+        let last = 2 * h == rows;
+        for block in x.chunks_exact_mut(2 * h * m) {
+            let (lo, hi) = block.split_at_mut(h * m);
+            match scale.filter(|_| last) {
+                Some(scale) => {
+                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                        let (s, d) = (*a + *b, *a - *b);
+                        *a = s * scale;
+                        *b = d * scale;
+                    }
+                }
+                None => {
+                    for (a, b) in lo.iter_mut().zip(hi.iter_mut()) {
+                        let (s, d) = (*a + *b, *a - *b);
+                        *a = s;
+                        *b = d;
+                    }
+                }
+            }
+        }
+        h *= 2;
     }
 }
 

@@ -168,13 +168,21 @@ impl HadamardMatrix {
         Tensor::from_fn(&[n, n], |idx| self.signs[idx] as f32 * scale)
     }
 
+    /// Largest order [`HadamardMatrix::apply`] transforms: its output
+    /// row lives in a stack buffer of this many floats, so the transform
+    /// allocates nothing. Larger matrices still build, for
+    /// [`HadamardMatrix::to_tensor`].
+    pub const MAX_APPLY_ORDER: usize = 256;
+
     /// Applies the (optionally orthonormal) transform to a vector in place:
     /// `x ← H·x`, the operation the 40-point HTU performs per block.
     ///
     /// # Errors
     ///
     /// Returns [`HadamardError::LengthMismatch`] when `x.len()` differs
-    /// from the order.
+    /// from the order, and [`HadamardError::UnsupportedOrder`] above
+    /// [`HadamardMatrix::MAX_APPLY_ORDER`].
+    #[inline(always)]
     pub fn apply(&self, x: &mut [f32], normalized: bool) -> Result<()> {
         let n = self.order;
         if x.len() != n {
@@ -183,26 +191,45 @@ impl HadamardMatrix {
                 len: x.len(),
             });
         }
+        if n > Self::MAX_APPLY_ORDER {
+            return Err(HadamardError::UnsupportedOrder(n));
+        }
+        self.apply_rows(x, normalized);
+        Ok(())
+    }
+
+    /// `x ← H·x` for every consecutive row of [`HadamardMatrix::order`]
+    /// elements of `x`: each output is its signed row sum in ascending
+    /// column order, times the scale, gathered in one stack buffer and
+    /// copied back.
+    ///
+    /// # Panics
+    ///
+    /// Panics above [`HadamardMatrix::MAX_APPLY_ORDER`]; callers check.
+    #[inline(always)]
+    pub(crate) fn apply_rows(&self, x: &mut [f32], normalized: bool) {
+        let n = self.order;
         let scale = if normalized {
             1.0 / (n as f32).sqrt()
         } else {
             1.0
         };
-        let mut out = vec![0.0f32; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.signs[i * n..(i + 1) * n];
-            let mut acc = 0.0f32;
-            for (&s, &v) in row.iter().zip(x.iter()) {
-                if s == 1 {
-                    acc += v;
-                } else {
-                    acc -= v;
+        let mut buf = [0.0f32; Self::MAX_APPLY_ORDER];
+        let out = &mut buf[..n];
+        for x in x.chunks_exact_mut(n) {
+            for (o, row) in out.iter_mut().zip(self.signs.chunks_exact(n)) {
+                let mut acc = 0.0f32;
+                for (&s, &v) in row.iter().zip(x.iter()) {
+                    if s == 1 {
+                        acc += v;
+                    } else {
+                        acc -= v;
+                    }
                 }
+                *o = acc * scale;
             }
-            *o = acc * scale;
+            x.copy_from_slice(out);
         }
-        x.copy_from_slice(&out);
-        Ok(())
     }
 }
 
@@ -287,6 +314,18 @@ mod tests {
         for n in [768usize, 1024, 1536, 2048, 2560, 3072, 4096, 5120] {
             assert!(HadamardMatrix::new(n).is_ok(), "order {n} should build");
         }
+    }
+
+    #[test]
+    fn apply_stops_at_its_stack_buffer() {
+        let n = 2 * HadamardMatrix::MAX_APPLY_ORDER;
+        let h = HadamardMatrix::new(n).unwrap();
+        let mut x = vec![1.0f32; n];
+        assert_eq!(
+            h.apply(&mut x, true),
+            Err(HadamardError::UnsupportedOrder(n))
+        );
+        assert!(crate::FactoredHadamard::with_factors(2, n).is_err());
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! One Mamba2 block: pre-norm, input projection, conv1d, SSM, gated norm,
 //! output projection, residual add.
 
-use lightmamba_tensor::{activation, norm};
+use lightmamba_tensor::conv::tap_major;
+#[cfg(target_arch = "x86_64")]
+use lightmamba_tensor::isa::{detect, Isa};
+use lightmamba_tensor::{norm, Tensor};
 
 use crate::ssm::{ssm_step_into, SsmDims};
 use crate::state::LayerState;
@@ -25,7 +28,11 @@ pub struct BlockScratch {
     pub normed: Vec<f32>,
     /// Input-projection output `z | x | B | C | Δ` (`d_in_proj`).
     pub proj: Vec<f32>,
-    /// Concatenated `(x, B, C)` conv input (`conv_dim`).
+    /// Concatenated `(x, B, C)` conv input (`conv_dim`), for callers that
+    /// drive the unfused [`ConvState::step_into`] themselves; the block's
+    /// own step reads `x | B | C` in place from `proj`.
+    ///
+    /// [`ConvState::step_into`]: lightmamba_tensor::conv::ConvState::step_into
     pub conv_in: Vec<f32>,
     /// Conv output, SiLU'd in place (`conv_dim`).
     pub conv_out: Vec<f32>,
@@ -72,6 +79,9 @@ pub struct MambaBlock {
     split: InProjSplit,
     dims: SsmDims,
     weights: BlockWeights,
+    /// `weights.conv_weight` tap-major, `(d_conv, conv_dim)`: the layout
+    /// the fused conv + SiLU step streams.
+    conv_taps: Tensor,
 }
 
 impl MambaBlock {
@@ -85,11 +95,13 @@ impl MambaBlock {
         weights.validate(&cfg)?;
         let split = InProjSplit::new(&cfg);
         let dims = SsmDims::new(&cfg);
+        let conv_taps = tap_major(weights.conv_weight.clone())?;
         Ok(MambaBlock {
             cfg,
             split,
             dims,
             weights,
+            conv_taps,
         })
     }
 
@@ -136,7 +148,44 @@ impl MambaBlock {
     /// gated norm → out-proj → residual add, with optional activation
     /// taps (only the taps allocate, so the hot path stays
     /// allocation-free when `capture` is `None`).
+    ///
+    /// On an AVX2 host ([`lightmamba_tensor::isa::detect`]) the same
+    /// source runs compiled for AVX2. Without FMA nothing can contract or
+    /// reassociate, so both copies compute the same bits.
     fn step_core(
+        &self,
+        x: &mut [f32],
+        state: &mut LayerState,
+        scratch: &mut BlockScratch,
+        capture: Option<&mut BlockCapture>,
+    ) -> Result<()> {
+        #[cfg(target_arch = "x86_64")]
+        if detect() == Isa::Avx2 {
+            // SAFETY: `detect` returned `Avx2` only after checking the CPU.
+            return unsafe { self.step_core_avx2(x, state, scratch, capture) };
+        }
+        self.step_body(x, state, scratch, capture)
+    }
+
+    /// [`MambaBlock::step_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn step_core_avx2(
+        &self,
+        x: &mut [f32],
+        state: &mut LayerState,
+        scratch: &mut BlockScratch,
+        capture: Option<&mut BlockCapture>,
+    ) -> Result<()> {
+        self.step_body(x, state, scratch, capture)
+    }
+
+    #[inline(always)]
+    fn step_body(
         &self,
         x: &mut [f32],
         state: &mut LayerState,
@@ -157,19 +206,15 @@ impl MambaBlock {
         w.w_in.vecmat_into(&scratch.normed, &mut scratch.proj)?;
         let s = &self.split;
 
-        // Causal conv over (x, B, C), then SiLU on the conv output.
+        // Causal conv over (x, B, C), read in place, SiLU as it stores.
         let di = self.cfg.d_inner();
         let g = self.cfg.ngroups * self.cfg.d_state;
-        scratch.conv_in[0..di].copy_from_slice(&scratch.proj[s.x.0..s.x.1]);
-        scratch.conv_in[di..di + g].copy_from_slice(&scratch.proj[s.b.0..s.b.1]);
-        scratch.conv_in[di + g..di + 2 * g].copy_from_slice(&scratch.proj[s.c.0..s.c.1]);
-        state.conv.step_into(
-            &scratch.conv_in,
-            &w.conv_weight,
+        state.conv.step_silu_into(
+            &scratch.proj[s.xbc().0..s.xbc().1],
+            &self.conv_taps,
             &w.conv_bias,
             &mut scratch.conv_out,
         )?;
-        activation::silu_slice(&mut scratch.conv_out);
 
         // SSM recurrence.
         ssm_step_into(

@@ -21,9 +21,19 @@
 //! verifies this numerically, which is why the quantizer rotates only the
 //! linear layers and quantizes the SSM with the PoT scheme instead.
 //!
+//! # State layout
+//!
+//! The hidden state `h[h,p,n]` is *stored* `(nheads, d_state, headdim)`:
+//! for each head, `d_state` rows of `headdim` channels, so the `headdim`
+//! rows `p` that share one `B[n]` and one `C[n]` lie side by side. The
+//! math above still indexes `[h][p][n]`; [`state_to_logical`] and
+//! [`state_from_logical`] convert between the two orders for code that
+//! needs the logical one (LightMamba*'s PoT groups, which run over
+//! `[h][p][n]`).
+//!
 //! # Forms
 //!
-//! The head step — update a head's `(headdim × d_state)` slab and read
+//! The head step — update a head's `(d_state × headdim)` slab and read
 //! `y` out of it — has two forms, selected by the workspace's one runtime
 //! CPU check, [`lightmamba_tensor::isa::detect`] ([`active_isa`] names
 //! the one that runs):
@@ -33,19 +43,17 @@
 //!   order of the recurrence (every batched ≡ sequential pin, the serve
 //!   golden digests and the benchmark's exact lane rest on it) and is
 //!   the only form on a host without AVX2.
-//! * **AVX2** (compiled on every `x86_64` build) — eight *rows*
-//!   `p..p+8` share the lanes of one accumulator, not eight state
-//!   indices `n`. Per block of 8 rows × 8 columns it forms the updated
-//!   state and the `s·C` products row-major (contiguous loads and
-//!   stores, the same `mul`, `mul`, `add`, `mul` per element),
-//!   transposes the 8×8 products in registers, and adds the eight column
-//!   vectors into the accumulator in ascending `n`. Lane `r` therefore
-//!   performs exactly row `p+r`'s scalar chain
-//!   `((0 + s₀c₀) + s₁c₁) + …`: nothing is reassociated,
-//!   so outputs and state are bit-identical to the scalar form
-//!   (`tests/properties.rs` pins it on a ragged grid; NaN payloads are
-//!   the one thing operand order may change). `d_state % 8` columns and
-//!   `headdim % 8` rows fall through to the scalar loop.
+//! * **AVX2** (compiled on every `x86_64` build) — lane `r` of a
+//!   register is row `p + r`. For `n` ascending it loads the state's
+//!   `[n][p..]` run contiguously, forms `Ā·s + (Δ·x)·B[n]` with separate
+//!   `mul`, `mul`, `add`, stores it back and adds `s·C[n]` into that
+//!   row's accumulator: exactly the scalar chain
+//!   `((0 + s₀c₀) + s₁c₁) + …` per lane, nothing reassociated, no
+//!   transpose. 32 rows run at once in four accumulators, then 8 in
+//!   one; the last `headdim % 8` rows run the scalar loop. Outputs and
+//!   state are bit-identical to the scalar form (`tests/properties.rs`
+//!   pins it on a ragged grid; NaN payloads are the one thing operand
+//!   order may change).
 //!
 //! Separate multiply and add are load-bearing: an FMA rounds
 //! `Ā·s + (Δ·x)·B` and `acc + s·C` once instead of twice, which would
@@ -102,6 +110,51 @@ impl SsmDims {
     }
 }
 
+/// Copies a stored `(nheads, d_state, headdim)` state into `logical` in
+/// the `(nheads, headdim, d_state)` order of the recurrence's math
+/// (module docs, "State layout").
+///
+/// # Panics
+///
+/// Unless both slices are [`SsmDims::state_len`] long.
+pub fn state_to_logical(dims: SsmDims, state: &[f32], logical: &mut [f32]) {
+    let (p, n) = (dims.headdim, dims.d_state);
+    assert_eq!(state.len(), dims.state_len(), "stored state length");
+    assert_eq!(logical.len(), dims.state_len(), "logical state length");
+    for (head, out) in state
+        .chunks_exact(p * n)
+        .zip(logical.chunks_exact_mut(p * n))
+    {
+        for (j, row) in head.chunks_exact(p).enumerate() {
+            for (i, &v) in row.iter().enumerate() {
+                out[i * n + j] = v;
+            }
+        }
+    }
+}
+
+/// The inverse of [`state_to_logical`]: writes a `(nheads, headdim,
+/// d_state)` state into the stored `(nheads, d_state, headdim)` order.
+///
+/// # Panics
+///
+/// Unless both slices are [`SsmDims::state_len`] long.
+pub fn state_from_logical(dims: SsmDims, logical: &[f32], state: &mut [f32]) {
+    let (p, n) = (dims.headdim, dims.d_state);
+    assert_eq!(state.len(), dims.state_len(), "stored state length");
+    assert_eq!(logical.len(), dims.state_len(), "logical state length");
+    for (head, src) in state
+        .chunks_exact_mut(p * n)
+        .zip(logical.chunks_exact(p * n))
+    {
+        for (j, row) in head.chunks_exact_mut(p).enumerate() {
+            for (i, v) in row.iter_mut().enumerate() {
+                *v = src[i * n + j];
+            }
+        }
+    }
+}
+
 /// Per-head scalar coefficients computed from `Δ` before the recurrence.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeadCoeffs {
@@ -121,7 +174,7 @@ pub fn head_coeffs(dt_raw: f32, dt_bias: f32, a_log: f32) -> HeadCoeffs {
 /// Advances the recurrence for a single head in place; the caller reads
 /// `y` out of `y_head`.
 ///
-/// `state` is the head's `(headdim × d_state)` slab, `x_head` its
+/// `state` is the head's `(d_state × headdim)` slab, `x_head` its
 /// `headdim` inputs, `b`/`c` the group's `d_state` vectors.
 ///
 /// # Panics
@@ -146,7 +199,7 @@ fn ssm_head_step(
     assert_eq!(y_head.len(), x_head.len());
     assert_eq!(c.len(), b.len());
     match isa {
-        Isa::Scalar => head_step_scalar(state, y_head, x_head, b, c, coeffs, d_skip),
+        Isa::Scalar => rows_scalar(0, state, y_head, x_head, b, c, coeffs, d_skip),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
         // AVX2; the length contract is asserted just above.
@@ -154,9 +207,11 @@ fn ssm_head_step(
     }
 }
 
-/// The scalar head step (module docs, "Forms"): row by row, each row's
-/// `d_state` products added in ascending `n`.
-fn head_step_scalar(
+/// The scalar head step (module docs, "Forms") for rows `from..`: row by
+/// row, each row's `d_state` products added in ascending `n`.
+#[allow(clippy::too_many_arguments)]
+fn rows_scalar(
+    from: usize,
     state: &mut [f32],
     y_head: &mut [f32],
     x_head: &[f32],
@@ -165,57 +220,37 @@ fn head_step_scalar(
     coeffs: HeadCoeffs,
     d_skip: f32,
 ) {
-    let n = b.len();
-    for (p, (&xv, yv)) in x_head.iter().zip(y_head.iter_mut()).enumerate() {
-        let dtx = coeffs.dt * xv;
-        let acc = row_step_scalar(&mut state[p * n..(p + 1) * n], b, c, coeffs.decay, dtx, 0.0);
-        *yv = acc + d_skip * xv;
+    let p_len = x_head.len();
+    for p in from..p_len {
+        let (xv, dtx) = (x_head[p], coeffs.dt * x_head[p]);
+        let mut acc = 0.0f32;
+        for (s, (&bn, &cn)) in state[p..].iter_mut().step_by(p_len).zip(b.iter().zip(c)) {
+            *s = coeffs.decay * *s + dtx * bn;
+            acc += *s * cn;
+        }
+        y_head[p] = acc + d_skip * xv;
     }
-}
-
-/// Updates one state row (or the tail of one) against the matching
-/// `b`/`c` columns and returns `acc` plus the row's `s·c` products,
-/// added one at a time in ascending column order.
-#[inline(always)]
-fn row_step_scalar(
-    row: &mut [f32],
-    b: &[f32],
-    c: &[f32],
-    decay: f32,
-    dtx: f32,
-    mut acc: f32,
-) -> f32 {
-    for ((s, &bn), &cn) in row.iter_mut().zip(b.iter()).zip(c.iter()) {
-        *s = decay * *s + dtx * bn;
-        acc += *s * cn;
-    }
-    acc
 }
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use std::arch::x86_64::*;
 
-    use super::{head_step_scalar, row_step_scalar, HeadCoeffs};
+    use super::{rows_scalar, HeadCoeffs};
 
-    /// Rows per register, and state columns per block.
+    /// Rows per register.
     const W: usize = 8;
 
-    /// AVX2 head step (module docs, "Forms"): for each block of 8 rows
-    /// × 8 state columns, update the state and form the `s·c` products
-    /// row-major with separate `mul`/`add`, transpose the 8×8 products
-    /// in registers, and add the eight column vectors — ascending `n` —
-    /// into one accumulator whose lane `r` is row `p + r`'s running
-    /// sum. Columns past the last full block and rows past the last
-    /// full group run the scalar loop, continuing the same sums.
+    /// AVX2 head step (module docs, "Forms"): rows in runs of 32 (four
+    /// accumulators), then 8 (one), then the scalar loop for the rest.
     ///
     /// # Safety
     ///
     /// * The CPU must support AVX2.
     /// * `state.len() == x_head.len() · b.len()`,
     ///   `y_head.len() == x_head.len()` and `c.len() == b.len()` — the
-    ///   loads and stores below index `state`, `b` and `c` by raw
-    ///   pointer from those lengths.
+    ///   loads and stores below index `state`, `x_head` and `y_head` by
+    ///   raw pointer from those lengths.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn head_step(
         state: &mut [f32],
@@ -226,103 +261,76 @@ mod avx2 {
         coeffs: HeadCoeffs,
         d_skip: f32,
     ) {
-        let n = b.len();
-        let cols = n - n % W;
-        let rows = x_head.len() - x_head.len() % W;
-        let decay = _mm256_set1_ps(coeffs.decay);
-        for p in (0..rows).step_by(W) {
-            let mut dtx = [0.0f32; W];
-            for (d, &xv) in dtx.iter_mut().zip(&x_head[p..p + W]) {
-                *d = coeffs.dt * xv;
-            }
-            let mut acc = _mm256_setzero_ps();
-            for j in (0..cols).step_by(W) {
-                // SAFETY: `j + W ≤ cols ≤ n == b.len() == c.len()`.
-                let (bv, cv) = unsafe {
-                    (
-                        _mm256_loadu_ps(b.as_ptr().add(j)),
-                        _mm256_loadu_ps(c.as_ptr().add(j)),
-                    )
-                };
-                let mut prod = [_mm256_setzero_ps(); W];
-                for (r, prod) in prod.iter_mut().enumerate() {
-                    // SAFETY: row `p + r < rows ≤ x_head.len()` and
-                    // `j + W ≤ n`, so the 8 floats at `(p + r)·n + j`
-                    // lie inside `state` (`x_head.len() · n` long).
-                    unsafe {
-                        let at = state.as_mut_ptr().add((p + r) * n + j);
-                        let s = _mm256_add_ps(
-                            _mm256_mul_ps(decay, _mm256_loadu_ps(at)),
-                            _mm256_mul_ps(_mm256_set1_ps(dtx[r]), bv),
-                        );
-                        _mm256_storeu_ps(at, s);
-                        *prod = _mm256_mul_ps(s, cv);
-                    }
-                }
-                for col in transpose(prod) {
-                    acc = _mm256_add_ps(acc, col);
-                }
-            }
-            let mut sums = [0.0f32; W];
-            // SAFETY: `sums` is 8 writable floats; the store is unaligned.
-            unsafe { _mm256_storeu_ps(sums.as_mut_ptr(), acc) };
-            for (r, &sum) in sums.iter().enumerate() {
-                let row = p + r;
-                let acc = row_step_scalar(
-                    &mut state[row * n + cols..(row + 1) * n],
-                    &b[cols..],
-                    &c[cols..],
-                    coeffs.decay,
-                    dtx[r],
-                    sum,
-                );
-                y_head[row] = acc + d_skip * x_head[row];
-            }
+        let p_len = x_head.len();
+        let mut p = 0;
+        while p + 4 * W <= p_len {
+            // SAFETY: AVX2 is the caller's contract; rows `p..p + 32`
+            // exist, and the slice lengths are as documented.
+            unsafe { rows::<4>(p, state, y_head, x_head, b, c, coeffs, d_skip) };
+            p += 4 * W;
         }
-        head_step_scalar(
-            &mut state[rows * n..],
-            &mut y_head[rows..],
-            &x_head[rows..],
-            b,
-            c,
-            coeffs,
-            d_skip,
-        );
+        while p + W <= p_len {
+            // SAFETY: as above, for rows `p..p + 8`.
+            unsafe { rows::<1>(p, state, y_head, x_head, b, c, coeffs, d_skip) };
+            p += W;
+        }
+        rows_scalar(p, state, y_head, x_head, b, c, coeffs, d_skip);
     }
 
-    /// In-register 8×8 transpose: lane `r` of output `k` is lane `k` of
-    /// input `r`.
+    /// Rows `p..p + 8·R` of one head: `R` registers of rows, one
+    /// accumulator each, the state streamed one `[n][p..]` run per `n`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2, `p + 8·R ≤ x_head.len()`, and the slice lengths of
+    /// [`head_step`].
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn transpose(m: [__m256; W]) -> [__m256; W] {
-        // Interleave row pairs, then pair the pairs, within 128-bit halves…
-        let t0 = _mm256_unpacklo_ps(m[0], m[1]);
-        let t1 = _mm256_unpackhi_ps(m[0], m[1]);
-        let t2 = _mm256_unpacklo_ps(m[2], m[3]);
-        let t3 = _mm256_unpackhi_ps(m[2], m[3]);
-        let t4 = _mm256_unpacklo_ps(m[4], m[5]);
-        let t5 = _mm256_unpackhi_ps(m[4], m[5]);
-        let t6 = _mm256_unpacklo_ps(m[6], m[7]);
-        let t7 = _mm256_unpackhi_ps(m[6], m[7]);
-        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
-        let u1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
-        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
-        let u3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
-        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
-        let u5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
-        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
-        let u7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
-        // …then swap the halves across.
-        [
-            _mm256_permute2f128_ps::<0x20>(u0, u4),
-            _mm256_permute2f128_ps::<0x20>(u1, u5),
-            _mm256_permute2f128_ps::<0x20>(u2, u6),
-            _mm256_permute2f128_ps::<0x20>(u3, u7),
-            _mm256_permute2f128_ps::<0x31>(u0, u4),
-            _mm256_permute2f128_ps::<0x31>(u1, u5),
-            _mm256_permute2f128_ps::<0x31>(u2, u6),
-            _mm256_permute2f128_ps::<0x31>(u3, u7),
-        ]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows<const R: usize>(
+        p: usize,
+        state: &mut [f32],
+        y_head: &mut [f32],
+        x_head: &[f32],
+        b: &[f32],
+        c: &[f32],
+        coeffs: HeadCoeffs,
+        d_skip: f32,
+    ) {
+        let p_len = x_head.len();
+        let decay = _mm256_set1_ps(coeffs.decay);
+        let dt = _mm256_set1_ps(coeffs.dt);
+        let mut xv = [_mm256_setzero_ps(); R];
+        let mut dtx = [_mm256_setzero_ps(); R];
+        let mut acc = [_mm256_setzero_ps(); R];
+        for r in 0..R {
+            // SAFETY: `p + 8·R ≤ x_head.len()`.
+            xv[r] = unsafe { _mm256_loadu_ps(x_head.as_ptr().add(p + r * W)) };
+            dtx[r] = _mm256_mul_ps(dt, xv[r]);
+        }
+        for (j, (&bn, &cn)) in b.iter().zip(c).enumerate() {
+            let (bv, cv) = (_mm256_set1_ps(bn), _mm256_set1_ps(cn));
+            for r in 0..R {
+                // SAFETY: `j < b.len()` and `p + 8·R ≤ p_len`, so the 8
+                // floats at `j·p_len + p + 8r` lie inside `state`
+                // (`b.len() · p_len` long).
+                unsafe {
+                    let at = state.as_mut_ptr().add(j * p_len + p + r * W);
+                    let s = _mm256_add_ps(
+                        _mm256_mul_ps(decay, _mm256_loadu_ps(at)),
+                        _mm256_mul_ps(dtx[r], bv),
+                    );
+                    _mm256_storeu_ps(at, s);
+                    acc[r] = _mm256_add_ps(acc[r], _mm256_mul_ps(s, cv));
+                }
+            }
+        }
+        let d = _mm256_set1_ps(d_skip);
+        for r in 0..R {
+            let y = _mm256_add_ps(acc[r], _mm256_mul_ps(d, xv[r]));
+            // SAFETY: `p + 8·R ≤ y_head.len()`.
+            unsafe { _mm256_storeu_ps(y_head.as_mut_ptr().add(p + r * W), y) };
+        }
     }
 }
 
@@ -332,7 +340,8 @@ mod avx2 {
 /// * `b`, `c` — `ngroups · d_state` projections
 /// * `dt_raw` — `nheads` raw timesteps from the input projection
 /// * `a_log`, `dt_bias`, `d_skip` — per-head parameters
-/// * `state` — flattened `(nheads, headdim, d_state)` hidden state
+/// * `state` — flattened hidden state, stored `(nheads, d_state,
+///   headdim)` (module docs, "State layout")
 ///
 /// Returns the `d_inner` outputs `y`.
 ///

@@ -16,7 +16,10 @@ use crate::MambaConfig;
 pub struct LayerState {
     /// Sliding window of the causal conv1d over `(x, B, C)`.
     pub conv: ConvState,
-    /// Flattened `(nheads, headdim, d_state)` SSM hidden state.
+    /// Flattened SSM hidden state, stored `(nheads, d_state, headdim)`:
+    /// per head, one row of `headdim` channels per state index, the order
+    /// the scan streams ([`crate::ssm`], "State layout"). Its logical
+    /// `[h][p][n]` view is [`crate::ssm::state_to_logical`].
     pub h: Vec<f32>,
 }
 

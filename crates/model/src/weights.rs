@@ -144,6 +144,12 @@ impl InProjSplit {
         InProjSplit { z, x, b, c, dt }
     }
 
+    /// `[x_start, c_end)` — the conv input `x | B | C`, one contiguous
+    /// run of the projection.
+    pub fn xbc(&self) -> (usize, usize) {
+        (self.x.0, self.c.1)
+    }
+
     /// Total width (must equal `cfg.d_in_proj()`).
     pub fn width(&self) -> usize {
         self.dt.1

@@ -155,22 +155,23 @@ fn grid_values(len: usize, scale: f32, profile: usize, rng: &mut StdRng) -> Vec<
 
 /// The dispatched SSM step (AVX2 on a capable x86_64 host) against the
 /// scalar oracle, bit for bit on outputs *and* carried state, over
-/// shapes that hit every ragged edge of the 8-row × 8-column blocking.
+/// shapes that hit every ragged edge of the 32- and 8-row blocking.
 #[test]
 fn dispatched_ssm_step_is_bit_identical_to_scalar() {
-    use std::io::Write;
     const STEPS: usize = 4;
     const NHEADS: usize = 4;
-    // Straight to stderr: the harness only captures the print macros, so
-    // a scalar-vs-scalar pass is visible in a plain `cargo test` log.
-    writeln!(
-        std::io::stderr(),
+    // Captured, so `-- --nocapture` shows it. A write straight to stderr
+    // lands in the middle of the harness's "test <name> ... ok" line of
+    // whichever test finishes at that moment, and a log parser then loses
+    // that test.
+    eprintln!(
         "dispatched_ssm_step_is_bit_identical_to_scalar: comparing {} against scalar",
         active_isa()
-    )
-    .unwrap();
+    );
     let mut rng = StdRng::seed_from_u64(14);
-    for headdim in [1usize, 7, 8, 9, 16, 61, 64] {
+    // Rows run 32 at a time (four accumulators), then 8 (one), then one
+    // by one: 24, 40 and 96 mix the three, 32 is one run of four.
+    for headdim in [1usize, 7, 8, 9, 16, 24, 32, 40, 61, 64, 96] {
         for d_state in [1usize, 5, 8, 13, 64, 67, 128] {
             for ngroups in [1usize, 2] {
                 for profile in 0..3 {

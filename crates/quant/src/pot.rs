@@ -20,6 +20,7 @@ pub fn is_pot(s: f32) -> bool {
 ///
 /// Returns 1.0 for non-positive input, matching the quantizer's degenerate
 /// all-zero block behaviour.
+#[inline(always)]
 pub fn round_scale_up(s: f32) -> f32 {
     if s <= 0.0 || !s.is_finite() {
         return 1.0;

@@ -43,10 +43,13 @@ use std::sync::Arc;
 
 use lightmamba_model::batch::{self, DecodeKernels, Workspace};
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::ssm::{ssm_step_into, SsmDims};
+use lightmamba_model::ssm::{ssm_step_into, state_from_logical, state_to_logical, SsmDims};
 use lightmamba_model::weights::InProjSplit;
 use lightmamba_model::{BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState};
-use lightmamba_tensor::{activation, norm, Tensor};
+use lightmamba_tensor::conv::tap_major;
+#[cfg(target_arch = "x86_64")]
+use lightmamba_tensor::isa::{detect, Isa};
+use lightmamba_tensor::{norm, Tensor};
 
 use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
 use crate::prepared::{PreparedBlock, PreparedModel};
@@ -136,6 +139,8 @@ struct QBlock {
     w_in_bias: Option<Vec<f32>>,
     in_act_scale: Option<Vec<f32>>,
     in_act_shift: Option<Vec<f32>>,
+    /// Conv weights tap-major, `(d_conv, conv_dim)`, re-laid in the
+    /// prepared tensor's own buffer.
     conv_weight: Tensor,
     conv_bias: Vec<f32>,
     a_log: Vec<f32>,
@@ -175,6 +180,10 @@ pub struct QuantScratch {
     blocks: Vec<BlockScratch>,
     acts: Vec<ActQuant>,
     gemm: GemvScratch,
+    /// One layer's SSM state in the logical `[h][p][n]` order, where
+    /// `LightMamba*`'s PoT groups run (grown only when the precision
+    /// quantizes the SSM).
+    logical_state: Vec<f32>,
 }
 
 impl QuantScratch {
@@ -299,7 +308,7 @@ impl QuantizedMamba {
                 w_in_bias,
                 in_act_scale,
                 in_act_shift,
-                conv_weight,
+                conv_weight: tap_major(conv_weight)?,
                 conv_bias,
                 a_log,
                 dt_bias,
@@ -399,6 +408,7 @@ impl QuantizedMamba {
     /// Quantizes a projection's input for the active execution mode:
     /// integer codes into `act` on the hot path, quantize→dequantize in
     /// place on the oracle path.
+    #[inline(always)]
     fn quantize_act(&self, v: &mut [f32], act: &mut ActQuant) -> Result<()> {
         match (self.precision.act, self.integer()) {
             (Some(scheme), true) => act.quantize(v, scheme),
@@ -410,6 +420,7 @@ impl QuantizedMamba {
     /// One sequence, up to the input projection: pre-norm of the
     /// residual stream `x` into `s.normed`, the method's activation
     /// conditioning, activation quantization.
+    #[inline(always)]
     fn pre_in_proj(
         &self,
         block: &QBlock,
@@ -433,16 +444,19 @@ impl QuantizedMamba {
     }
 
     /// One sequence, between the projections: from `scratch.proj` (the
-    /// input projection's output) through conv, SiLU, the SSM
+    /// input projection's output) through conv + SiLU, the SSM
     /// recurrence on `lstate`, gated norm, online rotation and the
     /// method's conditioning to the quantized out_proj input in
-    /// `scratch.y` / `act`.
+    /// `scratch.y` / `act`. `logical` holds the SSM state in its logical
+    /// order while `LightMamba*` quantizes it.
+    #[inline(always)]
     fn mix(
         &self,
         block: &QBlock,
         scratch: &mut BlockScratch,
         lstate: &mut LayerState,
         act: &mut ActQuant,
+        logical: &mut Vec<f32>,
     ) -> Result<()> {
         let ssm_scheme = self.precision.ssm;
         let di = self.cfg.d_inner();
@@ -454,17 +468,13 @@ impl QuantizedMamba {
         }
         let s = &self.split;
 
-        // Causal conv over (x, B, C), then SiLU on the conv output.
-        scratch.conv_in[0..di].copy_from_slice(&scratch.proj[s.x.0..s.x.1]);
-        scratch.conv_in[di..di + g].copy_from_slice(&scratch.proj[s.b.0..s.b.1]);
-        scratch.conv_in[di + g..di + 2 * g].copy_from_slice(&scratch.proj[s.c.0..s.c.1]);
-        lstate.conv.step_into(
-            &scratch.conv_in,
+        // Causal conv over (x, B, C), read in place, SiLU as it stores.
+        lstate.conv.step_silu_into(
+            &scratch.proj[s.xbc().0..s.xbc().1],
             &block.conv_weight,
             &block.conv_bias,
             &mut scratch.conv_out,
         )?;
-        activation::silu_slice(&mut scratch.conv_out);
 
         // SSM quantization (LightMamba*): quantize the element-wise
         // chain's operands and re-quantize state and output, modelling
@@ -488,7 +498,7 @@ impl QuantizedMamba {
             &mut scratch.y,
         )?;
         if let Some(sq) = ssm_scheme {
-            fake_quant_slice(&mut lstate.h, sq)?;
+            fake_quant_state(self.dims, &mut lstate.h, sq, logical)?;
             fake_quant_slice(&mut scratch.y, sq)?;
         }
 
@@ -577,8 +587,79 @@ impl DecodeKernels for QuantizedMamba {
     /// per sequence whatever touches only that sequence, and one GEMM
     /// across the lane for each projection. A lane of one runs the same
     /// code, so per-sequence arithmetic — and therefore every logit and
-    /// state bit — does not depend on the batch.
+    /// state bit — does not depend on the batch. On an AVX2 host the
+    /// phases run compiled for AVX2 (same source, same bits: nothing
+    /// contracts or reassociates without FMA).
     fn layer_step(
+        &self,
+        layer: usize,
+        xs: &mut [Vec<f32>],
+        lstates: &mut LayerBatch<'_>,
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        #[cfg(target_arch = "x86_64")]
+        if detect() == Isa::Avx2 {
+            // SAFETY: `detect` returned `Avx2` only after checking the CPU.
+            return unsafe { self.layer_step_avx2(layer, xs, lstates, scratch) };
+        }
+        self.layer_step_body(layer, xs, lstates, scratch)
+    }
+
+    /// Final norm + optional activation quantization + LM head for the
+    /// residual streams whose logits are wanted, one GEMM for all of
+    /// them, writing into reusable logits buffers. Compiled for AVX2 on
+    /// an AVX2 host, as [`DecodeKernels::layer_step`] is.
+    fn finish(
+        &self,
+        xs: &mut [Vec<f32>],
+        logits: &mut [Vec<f32>],
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        #[cfg(target_arch = "x86_64")]
+        if detect() == Isa::Avx2 {
+            // SAFETY: `detect` returned `Avx2` only after checking the CPU.
+            return unsafe { self.finish_avx2(xs, logits, scratch) };
+        }
+        self.finish_body(xs, logits, scratch)
+    }
+}
+
+impl QuantizedMamba {
+    /// [`QuantizedMamba::layer_step_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn layer_step_avx2(
+        &self,
+        layer: usize,
+        xs: &mut [Vec<f32>],
+        lstates: &mut LayerBatch<'_>,
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        self.layer_step_body(layer, xs, lstates, scratch)
+    }
+
+    /// [`QuantizedMamba::finish_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn finish_avx2(
+        &self,
+        xs: &mut [Vec<f32>],
+        logits: &mut [Vec<f32>],
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        self.finish_body(xs, logits, scratch)
+    }
+
+    #[inline(always)]
+    fn layer_step_body(
         &self,
         layer: usize,
         xs: &mut [Vec<f32>],
@@ -588,7 +669,12 @@ impl DecodeKernels for QuantizedMamba {
         let block = &self.weights.blocks[layer];
         let n = xs.len();
         scratch.prepare(n, &self.cfg);
-        let QuantScratch { blocks, acts, gemm } = scratch;
+        let QuantScratch {
+            blocks,
+            acts,
+            gemm,
+            logical_state,
+        } = scratch;
         let (blocks, acts) = (&mut blocks[..n], &mut acts[..n]);
 
         for ((x, s), act) in xs.iter().zip(blocks.iter_mut()).zip(acts.iter_mut()) {
@@ -603,7 +689,7 @@ impl DecodeKernels for QuantizedMamba {
             }
         }
         for (k, (s, act)) in blocks.iter_mut().zip(acts.iter_mut()).enumerate() {
-            self.mix(block, s, lstates.state_mut(k), act)?;
+            self.mix(block, s, lstates.state_mut(k), act, logical_state)?;
         }
         match (&block.w_out_packed, self.integer()) {
             (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.out)?,
@@ -626,10 +712,8 @@ impl DecodeKernels for QuantizedMamba {
         Ok(())
     }
 
-    /// Final norm + optional activation quantization + LM head for the
-    /// residual streams whose logits are wanted, one GEMM for all of
-    /// them, writing into reusable logits buffers.
-    fn finish(
+    #[inline(always)]
+    fn finish_body(
         &self,
         xs: &mut [Vec<f32>],
         logits: &mut [Vec<f32>],
@@ -655,6 +739,27 @@ impl DecodeKernels for QuantizedMamba {
         }
         Ok(())
     }
+}
+
+/// `LightMamba*`'s PoT re-quantization of a layer's SSM state: the
+/// groups of `scheme` run over the logical `[h][p][n]` order, as
+/// [`fake_quant_slice`] on that view sees them, whatever order the state
+/// is stored in. `logical` is the reusable view buffer.
+///
+/// # Errors
+///
+/// Propagates [`fake_quant_slice`]'s scheme errors.
+fn fake_quant_state(
+    dims: SsmDims,
+    state: &mut [f32],
+    scheme: QuantScheme,
+    logical: &mut Vec<f32>,
+) -> Result<()> {
+    logical.resize(dims.state_len(), 0.0);
+    state_to_logical(dims, state, logical);
+    fake_quant_slice(logical, scheme)?;
+    state_from_logical(dims, logical, state);
+    Ok(())
 }
 
 impl StepModel for QuantizedMamba {
@@ -743,6 +848,41 @@ mod tests {
         let rep = compare_models(&mut r, &mut with_ssm, &seqs).unwrap();
         // INT8 PoT SSM should stay usable (paper: LightMamba* W8A8 ≈ FP16).
         assert!(rep.mean_kl < 0.5, "SSM-quantized KL {}", rep.mean_kl);
+    }
+
+    #[test]
+    fn state_quantization_sees_the_logical_groups() {
+        // LightMamba*'s PoT groups run over `[h][p][n]`; the state is
+        // stored `[h][n][p]`. Groups of 16 straddle rows of 5 and heads
+        // of 15, and each logical group has its own magnitude, so any
+        // other grouping moves some scale.
+        use lightmamba_model::ssm::{state_from_logical, state_to_logical};
+        let dims = SsmDims {
+            nheads: 3,
+            headdim: 3,
+            d_state: 5,
+            ngroups: 1,
+        };
+        let scheme = QuantScheme::ssm_pot(16);
+        let mut rng = StdRng::seed_from_u64(36);
+        let logical: Vec<f32> = (0..dims.state_len())
+            .map(|i| rand::Rng::gen_range(&mut rng, -1.0f32..1.0) * (1 << (4 * (i / 16))) as f32)
+            .collect();
+        let mut stored = vec![0.0; dims.state_len()];
+        state_from_logical(dims, &logical, &mut stored);
+        let mut buf = Vec::new();
+        fake_quant_state(dims, &mut stored, scheme, &mut buf).unwrap();
+        let mut want = logical.clone();
+        fake_quant_slice(&mut want, scheme).unwrap();
+        let mut got = vec![0.0; dims.state_len()];
+        state_to_logical(dims, &stored, &mut got);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
+        // Quantizing the stored order directly would not be the same.
+        let mut direct = vec![0.0; dims.state_len()];
+        state_from_logical(dims, &logical, &mut direct);
+        fake_quant_slice(&mut direct, scheme).unwrap();
+        assert_ne!(bits(&direct), bits(&stored));
     }
 
     #[test]

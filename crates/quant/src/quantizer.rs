@@ -81,6 +81,7 @@ impl QuantScheme {
     }
 
     /// Largest representable integer level (e.g. 7 for 4-bit symmetric).
+    #[inline(always)]
     pub fn qmax(&self) -> i32 {
         (1i32 << (self.bits - 1)) - 1
     }
@@ -109,6 +110,7 @@ impl QuantScheme {
     /// Scale for a block with the given absolute maximum. A block whose
     /// scale would not be positive — all zeros, or so small that
     /// `absmax / qmax` underflows — gets scale 1 (its codes round to 0).
+    #[inline(always)]
     pub fn scale_for(&self, absmax: f32) -> f32 {
         let raw = absmax / self.qmax() as f32;
         let raw = if raw > 0.0 { raw } else { 1.0 };

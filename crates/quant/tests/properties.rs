@@ -165,12 +165,24 @@ proptest! {
     fn act_quant_matches_quantized_tensor_bitwise(
         seed in 0u64..1_000_000,
         bits in 2u8..=8,
-        group in 1usize..13,
-        len in 1usize..64,
+        group in prop::sample::select(vec![1usize, 2, 3, 5, 7, 8, 9, 12, 16, 17, 31, 128]),
+        len in 1usize..300,
         pot_scale in any::<bool>(),
+        specials in 0usize..3,
     ) {
+        use rand::{Rng, SeedableRng};
         let scheme = QuantScheme { bits, granularity: Granularity::PerGroup(group), pot_scale };
-        let x = act_vector(seed, len, group, scheme.qmax());
+        let mut x = act_vector(seed, len, group, scheme.qmax());
+        // NaN (which absmax skips and which codes to 0), then ±∞ too
+        // (an infinite absmax), one value in eight.
+        const SPECIALS: [f32; 3] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let pool = &SPECIALS[..[0, 1, 3][specials]];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5bec);
+        for v in x.iter_mut() {
+            if !pool.is_empty() && rng.gen_range(0..8) == 0 {
+                *v = pool[rng.gen_range(0..pool.len())];
+            }
+        }
         let mut act = ActQuant::new();
         act.quantize(&x, scheme).unwrap();
         let reference = QuantizedTensor::quantize(&Tensor::from_vec(x, &[len]).unwrap(), scheme).unwrap();

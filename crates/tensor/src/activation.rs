@@ -68,7 +68,7 @@ const EXP_P: [f32; 6] = [
 /// assert_eq!(exp(f32::NEG_INFINITY), 0.0);
 /// assert!((exp(1.0) - std::f32::consts::E).abs() <= f32::EPSILON * 3.0);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn exp(x: f32) -> f32 {
     let xc = x.clamp(EXP_LO, EXP_HI);
     let t = xc * std::f32::consts::LOG2_E + ROUND_MAGIC;
@@ -101,7 +101,7 @@ pub fn exp(x: f32) -> f32 {
 /// let y = lightmamba_tensor::activation::sigmoid(0.0);
 /// assert!((y - 0.5).abs() < 1e-6);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn sigmoid(x: f32) -> f32 {
     1.0 / (1.0 + exp(-x))
 }
@@ -111,7 +111,7 @@ pub fn sigmoid(x: f32) -> f32 {
 /// `silu(±0.0) = ±0.0` and `silu(+∞) = +∞`. Below `−`[`EXP_HI`] the
 /// sigmoid is exactly `+0.0` and the result is `−0.0`, which is also
 /// `silu(−∞)` (not `−∞·0 = NaN`). NaN maps to NaN.
-#[inline]
+#[inline(always)]
 pub fn silu(x: f32) -> f32 {
     if x < -EXP_HI {
         -0.0
@@ -135,6 +135,7 @@ pub fn softplus(x: f32) -> f32 {
 }
 
 /// Applies [`silu`] to every element of a slice in place.
+#[inline(always)]
 pub fn silu_slice(xs: &mut [f32]) {
     for x in xs {
         *x = silu(*x);

@@ -4,7 +4,24 @@
 //! the concatenated `(x, B, C)` stream right after the input projection.
 //! During autoregressive decode the convolution degenerates to a sliding
 //! window per channel, which [`ConvState`] maintains.
+//!
+//! The window is stored **tap-major** — `[kernel][channels]`, oldest tap
+//! first — so a decode step is a handful of contiguous passes over
+//! channels: shift one tap row down, add its products. Two steps share
+//! that window:
+//!
+//! * [`ConvState::step_into`] takes the checkpoint's `(channels, kernel)`
+//!   weights and returns the raw convolution;
+//! * [`ConvState::step_silu_into`] is the decode hot path: it takes the
+//!   weights tap-major too ([`tap_major`]) and applies SiLU as it stores,
+//!   so the block's conv and activation are one pass.
+//!
+//! Both sum each channel as bias, then taps oldest → newest, one `mul`
+//! and one `add` per tap — the order of [`causal_conv1d`] — so the fused
+//! step is [`ConvState::step_into`] followed by
+//! [`crate::activation::silu_slice`], bit for bit.
 
+use crate::activation::silu;
 use crate::{Result, Tensor, TensorError};
 
 /// Rolling per-channel window for decode-time causal conv1d.
@@ -29,7 +46,8 @@ use crate::{Result, Tensor, TensorError};
 pub struct ConvState {
     channels: usize,
     kernel: usize,
-    /// `channels × kernel` ring of past inputs, oldest first.
+    /// `kernel × channels` past inputs, tap-major: row `k` holds every
+    /// channel's sample `kernel − 1 − k` steps back (oldest row first).
     window: Vec<f32>,
 }
 
@@ -109,13 +127,7 @@ impl ConvState {
         bias: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        if input.len() != self.channels || bias.len() != self.channels || out.len() != self.channels
-        {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![self.channels],
-                right: vec![input.len(), bias.len(), out.len()],
-            });
-        }
+        let newest = self.check_step(input, bias, out)?;
         let (wc, wk) = weight.as_matrix_dims()?;
         if wc != self.channels || wk != self.kernel {
             return Err(TensorError::ShapeMismatch {
@@ -123,32 +135,118 @@ impl ConvState {
                 right: vec![wc, wk],
             });
         }
-        let Some(newest) = self.kernel.checked_sub(1) else {
-            return Err(TensorError::InvalidArgument(
-                "conv kernel width must be at least 1".into(),
-            ));
-        };
-        // One pass per channel: each tap reads the sample that is about
-        // to move into its slot, so shift and MAC share the loop. Taps
-        // run oldest→newest — the sums of shift-then-dot, and of
-        // `causal_conv1d`, bit for bit.
-        let windows = self.window.chunks_exact_mut(self.kernel);
-        let taps = weight.data().chunks_exact(self.kernel);
-        for (((win, taps), (&x, &bias)), out) in windows
-            .zip(taps)
-            .zip(input.iter().zip(bias))
-            .zip(out.iter_mut())
-        {
-            let mut acc = bias;
-            for k in 0..newest {
-                win[k] = win[k + 1];
-                acc += taps[k] * win[k];
+        // Taps oldest → newest: each pass moves one tap row down and adds
+        // its products, so every channel sums bias, then its taps in order
+        // — the sums of `causal_conv1d`, bit for bit.
+        let (w, kernel) = (weight.data(), self.kernel);
+        out.copy_from_slice(bias);
+        for k in 0..newest {
+            let row = self.shift_row(k);
+            for (c, (o, &v)) in out.iter_mut().zip(row.iter()).enumerate() {
+                *o += w[c * kernel + k] * v;
             }
-            win[newest] = x;
-            *out = acc + taps[newest] * x;
+        }
+        self.newest_row().copy_from_slice(input);
+        for (c, (o, &x)) in out.iter_mut().zip(input).enumerate() {
+            *o += w[c * kernel + newest] * x;
         }
         Ok(())
     }
+
+    /// [`ConvState::step_into`] followed by SiLU, in one pass: pushes
+    /// one sample per channel and writes `silu(conv)` for the current
+    /// position. `taps` is the weight tap-major, `(kernel, channels)`,
+    /// as [`tap_major`] lays it out; the sums are [`ConvState::step_into`]'s
+    /// and the activation is [`crate::activation::silu`], so the output
+    /// is that of the two unfused calls, bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ConvState::step_into`], with the weight shape
+    /// checked as `(kernel, channels)`.
+    #[inline(always)]
+    pub fn step_silu_into(
+        &mut self,
+        input: &[f32],
+        taps: &Tensor,
+        bias: &[f32],
+        out: &mut [f32],
+    ) -> Result<()> {
+        let newest = self.check_step(input, bias, out)?;
+        let (wk, wc) = taps.as_matrix_dims()?;
+        if wc != self.channels || wk != self.kernel {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![self.kernel, self.channels],
+                right: vec![wk, wc],
+            });
+        }
+        let mut rows = taps.data().chunks_exact(self.channels);
+        out.copy_from_slice(bias);
+        for (k, t) in rows.by_ref().take(newest).enumerate() {
+            let row = self.shift_row(k);
+            for ((o, &t), &v) in out.iter_mut().zip(t).zip(row.iter()) {
+                *o += t * v;
+            }
+        }
+        let t = rows.next().expect("kernel ≥ 1 tap rows");
+        self.newest_row().copy_from_slice(input);
+        for ((o, &t), &x) in out.iter_mut().zip(t).zip(input) {
+            *o = silu(*o + t * x);
+        }
+        Ok(())
+    }
+
+    /// Validates one step's buffers against this state and returns the
+    /// index of the newest tap.
+    #[inline(always)]
+    fn check_step(&self, input: &[f32], bias: &[f32], out: &[f32]) -> Result<usize> {
+        if input.len() != self.channels || bias.len() != self.channels || out.len() != self.channels
+        {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![self.channels],
+                right: vec![input.len(), bias.len(), out.len()],
+            });
+        }
+        self.kernel.checked_sub(1).ok_or_else(|| {
+            TensorError::InvalidArgument("conv kernel width must be at least 1".into())
+        })
+    }
+
+    /// Moves tap row `k + 1` into row `k` and returns row `k`.
+    #[inline(always)]
+    fn shift_row(&mut self, k: usize) -> &[f32] {
+        let ch = self.channels;
+        let (lo, hi) = self.window.split_at_mut((k + 1) * ch);
+        let row = &mut lo[k * ch..];
+        row.copy_from_slice(&hi[..ch]);
+        row
+    }
+
+    /// The newest tap row.
+    #[inline(always)]
+    fn newest_row(&mut self) -> &mut [f32] {
+        let from = (self.kernel - 1) * self.channels;
+        &mut self.window[from..]
+    }
+}
+
+/// Re-lays `(channels, kernel)` conv weights tap-major, `(kernel,
+/// channels)`, in their own buffer — the weight layout
+/// [`ConvState::step_silu_into`] streams.
+///
+/// # Errors
+///
+/// Returns [`TensorError::RankMismatch`] when `weight` is not a matrix.
+pub fn tap_major(weight: Tensor) -> Result<Tensor> {
+    let (channels, kernel) = weight.as_matrix_dims()?;
+    let src = weight.data().to_vec();
+    let mut data = weight.into_data();
+    for (c, taps) in src.chunks_exact(kernel).enumerate() {
+        for (k, &t) in taps.iter().enumerate() {
+            data[k * channels + c] = t;
+        }
+    }
+    Tensor::from_vec(data, &[kernel, channels])
 }
 
 /// Full-sequence depthwise causal conv1d (prefill path).

@@ -7,6 +7,16 @@
 //! run, so one host runs one instruction set everywhere. The scalar
 //! forms are the only ones on other targets (`aarch64` included) and the
 //! bit-exactness oracles the vector forms are tested against.
+//!
+//! [`detect`] also picks between the two compilations of each block's
+//! per-sequence phases (`MambaBlock`'s step, `QuantizedMamba`'s layer
+//! step and finish): the same source built once for the baseline and
+//! once under `#[target_feature(enable = "avx2")]`. Without FMA a float
+//! operation can neither contract nor reassociate, so both copies
+//! compute the same bits. The element-wise kernels those phases call —
+//! this crate's norms, [`crate::activation::silu`] and the fused conv
+//! step, the Hadamard transforms, `ActQuant` — are `#[inline(always)]`:
+//! only code inlined into the AVX2 copy is compiled for AVX2.
 
 /// The instruction set a dispatching kernel runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

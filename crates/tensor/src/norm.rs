@@ -9,6 +9,7 @@
 //! norm is [`rms_norm`] with a unit `γ`.
 
 /// Root-mean-square of a slice with numerical floor `eps`.
+#[inline(always)]
 pub fn rms(xs: &[f32], eps: f32) -> f32 {
     if xs.is_empty() {
         return eps.sqrt();
@@ -22,6 +23,7 @@ pub fn rms(xs: &[f32], eps: f32) -> f32 {
 /// # Panics
 ///
 /// Panics when `xs.len() != gamma.len()`.
+#[inline(always)]
 pub fn rms_norm(xs: &mut [f32], gamma: &[f32], eps: f32) {
     assert_eq!(xs.len(), gamma.len(), "rmsnorm scale length mismatch");
     let r = rms(xs, eps);
@@ -37,6 +39,7 @@ pub fn rms_norm(xs: &mut [f32], gamma: &[f32], eps: f32) {
 /// # Panics
 ///
 /// Panics when slice lengths disagree.
+#[inline(always)]
 pub fn gated_rms_norm(xs: &mut [f32], z: &[f32], gamma: &[f32], eps: f32) {
     assert_eq!(xs.len(), z.len(), "gated rmsnorm gate length mismatch");
     for (x, &zi) in xs.iter_mut().zip(z.iter()) {

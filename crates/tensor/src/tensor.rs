@@ -103,6 +103,11 @@ impl Tensor {
         &mut self.data
     }
 
+    /// The underlying row-major buffer, moved out.
+    pub fn into_data(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Element at a multi-dimensional index.
     ///
     /// # Errors

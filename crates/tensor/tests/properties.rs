@@ -143,3 +143,55 @@ fn conv_step_into_matches_rotate_then_dot_and_full_conv_bitwise() {
         }
     }
 }
+
+/// Bit pattern with every NaN folded onto one: which NaN payload
+/// survives an operation depends on operand order, not on the value.
+fn bits_nan_folded(v: f32) -> u32 {
+    if v.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        v.to_bits()
+    }
+}
+
+#[test]
+fn fused_conv_silu_matches_step_into_then_silu_bitwise() {
+    use lightmamba_tensor::conv::{tap_major, ConvState};
+    use rand::{Rng, SeedableRng};
+    const STEPS: usize = 10;
+    const SPECIALS: [f32; 5] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+    for kernel in 1..=5usize {
+        for channels in [1usize, 3, 640] {
+            let mut draw = |scale: f32| {
+                if rng.gen_range(0..8) == 0 {
+                    SPECIALS[rng.gen_range(0..SPECIALS.len())]
+                } else {
+                    rng.gen_range(-scale..scale)
+                }
+            };
+            let weight = Tensor::from_fn(&[channels, kernel], |_| draw(1.0));
+            let bias: Vec<f32> = (0..channels).map(|_| draw(0.5)).collect();
+            let input = Tensor::from_fn(&[STEPS, channels], |_| draw(3.0));
+            let taps = tap_major(weight.clone()).unwrap();
+
+            let mut fused = ConvState::new(channels, kernel);
+            let mut unfused = ConvState::new(channels, kernel);
+            let mut got = vec![0.0f32; channels];
+            let mut want = vec![0.0f32; channels];
+            for t in 0..STEPS {
+                let x = input.row(t).unwrap();
+                fused.step_silu_into(x, &taps, &bias, &mut got).unwrap();
+                unfused.step_into(x, &weight, &bias, &mut want).unwrap();
+                activation::silu_slice(&mut want);
+                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        bits_nan_folded(*g),
+                        bits_nan_folded(*w),
+                        "kernel {kernel} channels {channels} t {t} c {c}: {g:e} vs {w:e}"
+                    );
+                }
+            }
+        }
+    }
+}
