@@ -1,43 +1,50 @@
-//! The decode driver: one batched step, on one thread or many.
+//! The decode driver: one batched advance, on one thread or many.
 //!
-//! Mamba2 sequences share no cross-sequence state, so a batched step is
-//! semantically just N independent [`MambaModel::forward_step`] calls.
-//! The driver reorders the loops — *layer outer* — and hands each layer
-//! a whole sub-batch at once, so an execution path can run a layer as
-//! phases over all resident sequences (the quantized model runs one GEMM
-//! per linear layer; the FP model simply loops the sequences). Either
-//! way each block's weights are touched once per step no matter how many
-//! sequences are resident: the software analogue of the accelerator's
-//! shared weight stream (`lightmamba_accel::batch`) and the hot path
-//! `lightmamba_serve`'s continuous batcher drives.
+//! Mamba2 sequences share no cross-sequence state, so a batched advance
+//! is semantically just N independent runs of
+//! [`MambaModel::forward_step`], one per fed token. The driver reorders
+//! the loops — *layer outer* — and hands each layer every fed token at
+//! once, as *rows*: each `(item, position)` is one row, ordered by item
+//! and then by ascending position. An execution path can then run a
+//! layer as phases over all rows (the quantized model runs one GEMM per
+//! linear layer; the FP model simply loops the rows). Either way each
+//! block's weights are touched once per advance, however many sequences
+//! are resident and however many tokens each is fed: the software
+//! analogue of the accelerator's shared weight stream
+//! (`lightmamba_accel::batch`) and the hot path `lightmamba_serve`'s
+//! continuous batcher drives. Only conv and the SSM scan carry state
+//! from one position to the next, and a kernel runs that per-row work in
+//! row order, so a prefill chunk is exact.
 //!
 //! There is one of everything, shared by every execution path with the
 //! Mamba2 decode contract (the FP model here, the quantized model in
 //! `lightmamba_quant`) so the guarantees cannot drift between them:
 //!
-//! * [`DecodeKernels`] — what a model supplies: embed, one layer over a
-//!   sub-batch, final norm + LM head, and its kernel scratch type.
-//! * [`Workspace`] — every temporary of a step (validation bitmap, lane
-//!   ranges, per-lane residual streams and kernel scratch, logits), so
-//!   decode performs **zero heap allocations** once warm (pinned by
-//!   counting-allocator tests).
-//! * [`step`] / [`advance`] — one decode step, and the ragged
-//!   multi-token advance built on it (batched prefill, a prefill chunk).
-//!   Both validate the whole batch before touching any state.
+//! * [`DecodeKernels`] — what a model supplies: embed, one layer over
+//!   rows, final norm + LM head, and its kernel scratch type.
+//! * [`Workspace`] — every temporary of an advance (validation bitmap,
+//!   the rows, lane ranges, per-lane residual streams and kernel
+//!   scratch, logits), so a decode step performs **zero heap
+//!   allocations** once warm, and a warm [`advance`] only the vectors it
+//!   returns (pinned by counting-allocator tests).
+//! * [`advance`] / [`step`] — a ragged multi-token advance (batched
+//!   prefill, a prefill chunk, decode), and its one-token-per-item case.
+//!   Both validate the whole batch before touching any state, and only
+//!   each item's last row pays for the final norm and LM head.
 //!
 //! # Lanes
 //!
 //! A validated batch is cut into at most `pool.threads()` contiguous
-//! *lanes* of items (sizes differ by at most one), and the one step loop
-//! runs once per lane, each on its own thread with its own buffers.
-//! Without a pool — or with a single item — that is one lane, run on the
-//! caller's thread: the sequential step is not a second code path, it is
-//! the one-lane cut.
+//! *lanes* of whole items (item counts differ by at most one; a lane owns
+//! every row of its items, so no sequence is ever split across threads),
+//! and the one lane loop runs once per lane, each on its own thread with
+//! its own buffers. Without a pool — or with a single item — that is one
+//! lane, run on the caller's thread: the sequential advance is not a
+//! second code path, it is the one-lane cut.
 //!
 //! Per-sequence arithmetic is performed in exactly the order of the
-//! single-stream path, sequences never interact, and a lane boundary
-//! only splits the *iteration* (never a sequence). Logits and states are
-//! therefore **bit-identical for any lane count**, however the OS
+//! single-stream path and sequences never interact. Logits and states
+//! are therefore **bit-identical for any lane count**, however the OS
 //! schedules the workers — pinned here, and by proptests in
 //! `lightmamba_serve`.
 
@@ -50,9 +57,9 @@ use crate::state::{LayerState, ModelState};
 use crate::{MambaConfig, MambaModel, ModelError, Result};
 
 /// The kernels of one execution path, as the decode driver calls them.
-/// A model is `Sync` because every lane of a pooled step reads it.
+/// A model is `Sync` because every lane of a pooled advance reads it.
 pub trait DecodeKernels: Sync {
-    /// Per-lane kernel scratch, reused across steps.
+    /// Per-lane kernel scratch, reused across advances.
     type Scratch: Default + Send;
     /// The path's error type; validation errors convert into it.
     type Error: From<ModelError> + Send;
@@ -68,9 +75,12 @@ pub trait DecodeKernels: Sync {
     /// Whatever the kernel raises.
     fn embed(&self, token: u32, x: &mut Vec<f32>) -> std::result::Result<(), Self::Error>;
 
-    /// Advances every sequence of a lane through block `layer` in place
-    /// — `xs[k]` with `states.state_mut(k)` — free to batch across
-    /// sequences whatever does not depend on their recurrent state.
+    /// Advances every row of a lane through block `layer` in place —
+    /// `xs[k]` with `states.state_mut(k)`. A row is one fed token of one
+    /// sequence; one sequence's rows are consecutive and in position
+    /// order, so a kernel must run its per-row recurrent work (whatever
+    /// reads or writes the state) in row order. It is free to batch
+    /// across rows whatever does not touch the state.
     ///
     /// # Errors
     ///
@@ -97,9 +107,9 @@ pub trait DecodeKernels: Sync {
     ) -> std::result::Result<(), Self::Error>;
 }
 
-/// A raw view of `&mut [ModelState]` through which the lanes of one step
-/// reach *disjoint* states from several threads — which the borrow
-/// checker cannot express.
+/// A raw view of `&mut [ModelState]` through which the lanes of one
+/// advance reach *disjoint* states from several threads — which the
+/// borrow checker cannot express.
 struct StateView<'a> {
     base: *mut ModelState,
     len: usize,
@@ -119,7 +129,7 @@ unsafe impl Sync for StateView<'_> {}
 
 impl<'a> StateView<'a> {
     /// Wraps a state slice; the exclusive borrow is held for the view's
-    /// lifetime, so nothing outside the step can race it.
+    /// lifetime, so nothing outside the advance can race it.
     ///
     /// # Safety
     ///
@@ -135,23 +145,23 @@ impl<'a> StateView<'a> {
     }
 }
 
-/// One layer's recurrent states for the sequences of a lane, handed to
-/// [`DecodeKernels::layer_step`]: item `k`'s [`LayerState`] for the
+/// One layer's recurrent states for the rows of a lane, handed to
+/// [`DecodeKernels::layer_step`]: row `k`'s item's [`LayerState`] for the
 /// layer being run, one exclusive borrow at a time.
 pub struct LayerBatch<'a> {
     states: &'a StateView<'a>,
-    items: &'a [(usize, u32)],
+    rows: &'a [(usize, u32)],
     layer: usize,
 }
 
 impl LayerBatch<'_> {
-    /// The state of lane item `k` at this layer.
+    /// The state of lane row `k`'s item at this layer.
     ///
     /// # Panics
     ///
-    /// If `k` is not an item index of the lane.
+    /// If `k` is not a row index of the lane.
     pub fn state_mut(&mut self, k: usize) -> &mut LayerState {
-        let slot = self.items[k].0;
+        let slot = self.rows[k].0;
         debug_assert!(slot < self.states.len, "state slot {slot} out of bounds");
         // SAFETY: the contract of `StateView::new` — `slot` is in bounds
         // and this lane is its only user; `&mut self` keeps the borrows
@@ -161,30 +171,36 @@ impl LayerBatch<'_> {
     }
 }
 
-/// One lane's buffers: its item range in the latest step, a residual
-/// stream and a logits buffer per item, and the kernel scratch.
+/// One lane's buffers: its row range in the latest advance, a residual
+/// stream per row, a logits buffer per item, and the kernel scratch.
 #[derive(Debug, Clone, Default)]
 struct Lane<S> {
     range: (usize, usize),
     xs: Vec<Vec<f32>>,
     logits: Vec<Vec<f32>>,
-    /// Logits the latest step left in `logits[..produced]`.
+    /// Logits the latest advance left in `logits[..produced]`.
     produced: usize,
     scratch: S,
 }
 
-/// Every temporary of a decode step. One workspace serves any batch size
+/// Every temporary of an advance. One workspace serves any batch shape
 /// and any lane count, pooled or not: buffers grow to the largest shape
 /// seen and are never shrunk, so a steady-state decode loop performs
 /// zero heap allocations after its first steps.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace<S> {
     seen: Vec<bool>,
+    /// The latest advance's rows, `(state_index, token)`, item by item
+    /// and each item's tokens in order.
+    rows: Vec<(usize, u32)>,
+    /// Per row, whether it is its item's last (the one that pays for
+    /// logits).
+    last: Vec<bool>,
     lanes: Vec<Lane<S>>,
-    /// Lanes the latest step used (`lanes` may be longer).
+    /// Lanes the latest advance used (`lanes` may be longer).
     used: usize,
     logits: Vec<Vec<f32>>,
-    /// Logits the latest step produced (`logits` may be longer).
+    /// Logits the latest advance produced (`logits` may be longer).
     produced: usize,
 }
 
@@ -195,14 +211,13 @@ pub type DecodeWorkspace = Workspace<BlockScratch>;
 pub type ParDecodeWorkspace = DecodeWorkspace;
 
 impl<S: Default> Workspace<S> {
-    /// An empty workspace; it warms up on the first step.
+    /// An empty workspace; it warms up on the first advance.
     pub fn new() -> Self {
         Workspace::default()
     }
 
-    /// Logits of the latest step: one per item whose logits were asked
-    /// for (every item, for a plain decode step), in that step's `items`
-    /// order whatever the lane count.
+    /// Logits of the latest advance: one per item, after its last token,
+    /// in that advance's `items` order whatever the lane count.
     pub fn logits(&self) -> &[Vec<f32>] {
         &self.logits[..self.produced]
     }
@@ -213,21 +228,26 @@ impl<S: Default> Workspace<S> {
         self.logits
     }
 
-    /// Cuts `items` item indices into `min(threads, items)` balanced
-    /// contiguous lanes (sizes differ by at most one).
-    fn plan(&mut self, items: usize, threads: usize) {
+    /// Cuts the rows into `min(threads, items)` contiguous lanes of
+    /// whole items, item counts differing by at most one.
+    fn plan(&mut self, threads: usize) {
+        let items = self.last.iter().filter(|&&last| last).count();
         self.used = threads.min(items);
         if self.lanes.len() < self.used {
             self.lanes.resize_with(self.used, Lane::default);
         }
         let (base, rem) = (items / self.used.max(1), items % self.used.max(1));
+        let mut ends = (1..=self.last.len()).filter(|&r| self.last[r - 1]);
         let mut lo = 0;
         for (k, lane) in self.lanes[..self.used].iter_mut().enumerate() {
-            let hi = lo + base + usize::from(k < rem);
+            let take = base + usize::from(k < rem);
+            let hi = ends
+                .nth(take - 1)
+                .expect("`used <= items`: a lane has an item");
             lane.range = (lo, hi);
             lo = hi;
         }
-        debug_assert_eq!(lo, items);
+        debug_assert_eq!(lo, self.rows.len());
     }
 }
 
@@ -287,80 +307,79 @@ fn validate<'t>(
     Ok(())
 }
 
-/// The one step loop, over one lane: embed every token, run each layer
-/// over the whole lane, then turn the wanted residual streams into
-/// logits.
+/// The one lane loop: embed every row, run each layer over all of the
+/// lane's rows, then turn each item's last residual stream into logits.
 fn run_lane<M: DecodeKernels>(
     model: &M,
-    items: &[(usize, u32)],
-    want: Option<&[bool]>,
+    rows: &[(usize, u32)],
+    last: &[bool],
     states: &StateView<'_>,
     lane: &mut Lane<M::Scratch>,
 ) -> std::result::Result<(), M::Error> {
     let (lo, hi) = lane.range;
-    let (items, want) = (&items[lo..hi], want.map(|w| &w[lo..hi]));
-    let n = items.len();
+    let (rows, last) = (&rows[lo..hi], &last[lo..hi]);
+    let n = rows.len();
     if lane.xs.len() < n {
         lane.xs.resize_with(n, Vec::new);
         lane.logits.resize_with(n, Vec::new);
     }
-    for (x, &(_, token)) in lane.xs.iter_mut().zip(items) {
+    for (x, &(_, token)) in lane.xs.iter_mut().zip(rows) {
         model.embed(token, x)?;
     }
     for layer in 0..model.config().n_layer {
         let mut lstates = LayerBatch {
             states,
-            items,
+            rows,
             layer,
         };
         model.layer_step(layer, &mut lane.xs[..n], &mut lstates, &mut lane.scratch)?;
     }
-    // Gather the wanted residual streams at the front (the buffers are
-    // interchangeable; the next step re-embeds into all of them).
-    let mut wanted = n;
-    if let Some(want) = want {
-        wanted = 0;
-        for k in (0..n).filter(|&k| want[k]) {
-            lane.xs.swap(wanted, k);
-            wanted += 1;
-        }
+    // Gather each item's last residual stream at the front (the buffers
+    // are interchangeable; the next advance re-embeds into all of them).
+    let mut items = 0;
+    for k in (0..n).filter(|&k| last[k]) {
+        lane.xs.swap(items, k);
+        items += 1;
     }
     model.finish(
-        &mut lane.xs[..wanted],
-        &mut lane.logits[..wanted],
+        &mut lane.xs[..items],
+        &mut lane.logits[..items],
         &mut lane.scratch,
     )?;
-    lane.produced = wanted;
+    lane.produced = items;
     Ok(())
 }
 
-/// One step over an already validated batch: plans the lanes, runs them
-/// (on the pool when there is one and more than one lane, otherwise
-/// right here) and gathers their logits in `items` order.
-fn run_step<M: DecodeKernels>(
+/// Validates `items`, lays their tokens out as rows, plans the lanes,
+/// runs them (on the pool when there is one and more than one lane,
+/// otherwise right here) and gathers their logits in `items` order.
+fn feed<'t, M: DecodeKernels>(
     model: &M,
-    items: &[(usize, u32)],
-    want: Option<&[bool]>,
+    items: impl Iterator<Item = (usize, &'t [u32])> + Clone,
     states: &mut [ModelState],
     pool: Option<&WorkerPool>,
     ws: &mut Workspace<M::Scratch>,
 ) -> std::result::Result<(), M::Error> {
-    assert!(
-        want.map_or(true, |w| w.len() == items.len()),
-        "one flag per item"
-    );
-    ws.plan(items.len(), pool.map_or(1, WorkerPool::threads));
+    validate(model.config(), items.clone(), states, &mut ws.seen)?;
+    ws.rows.clear();
+    ws.last.clear();
+    for (slot, tokens) in items {
+        ws.rows.extend(tokens.iter().map(|&token| (slot, token)));
+        ws.last
+            .extend((1..=tokens.len()).map(|i| i == tokens.len()));
+    }
+    ws.plan(pool.map_or(1, WorkerPool::threads));
     ws.produced = 0;
     let lanes = &mut ws.lanes[..ws.used];
-    // SAFETY: both callers ran `validate` over these slots first, so
-    // they are in bounds and duplicate-free (and the states are shaped
-    // for the model, the tokens in range), and `plan` just cut `items`
-    // into disjoint contiguous lanes — so the `LayerBatch`es the lanes
-    // build below never share a slot.
+    // SAFETY: `validate` just checked these slots, so they are in bounds
+    // and no item repeats one (and the states are shaped for the model,
+    // the tokens in range), and `plan` cut the rows into disjoint lanes
+    // of whole items — so the `LayerBatch`es of two lanes never share a
+    // slot.
     let view = unsafe { StateView::new(states) };
     let first_err: Mutex<Option<(usize, M::Error)>> = Mutex::new(None);
     let run = |k: usize, lane: &mut Lane<M::Scratch>| {
-        if let Err(e) = run_lane(model, items, want, &view, lane) {
+        if let Err(e) = run_lane(model, &ws.rows, &ws.last, &view, lane) {
             // Keep the lowest lane's error, so what is reported does not
             // depend on thread scheduling (MSRV 1.75: no `is_none_or`).
             let mut first = first_err.lock().unwrap_or_else(PoisonError::into_inner);
@@ -382,8 +401,9 @@ fn run_step<M: DecodeKernels>(
     }
     // Lanes are contiguous, so chaining them restores batch order;
     // swapping (not copying) keeps every buffer's capacity in play.
-    if ws.logits.len() < items.len() {
-        ws.logits.resize_with(items.len(), Vec::new);
+    let items = lanes.iter().map(|lane| lane.produced).sum();
+    if ws.logits.len() < items {
+        ws.logits.resize_with(items, Vec::new);
     }
     for lane in lanes {
         for logits in &mut lane.logits[..lane.produced] {
@@ -394,59 +414,32 @@ fn run_step<M: DecodeKernels>(
     Ok(())
 }
 
-/// One decode step for a batch: `items[k] = (state_index, token)`
-/// advances `states[state_index]` by `token`. Indices select which
-/// resident sequences participate — what a continuous batcher needs when
-/// sequences join and leave mid-flight; states not named are untouched.
-/// Logits land in [`Workspace::logits`], in `items` order: one per item,
-/// or with `want` one per item whose flag is set (the final norm and LM
-/// head run only for those).
+/// A ragged multi-token advance — batched prefill, a prefill chunk, or
+/// (one token each) a decode step. Each `items[k] = (state_index,
+/// tokens)` feeds `tokens` into `states[state_index]`; the result is
+/// each item's logits after its *final* token, in `items` order. Indices
+/// select which resident sequences participate — what a continuous
+/// batcher needs when sequences join and leave mid-flight; states not
+/// named are untouched.
 ///
-/// With a `pool` the batch runs as up to `pool.threads()` lanes, one per
-/// thread; without one (or with one item) as a single lane on the
-/// caller's thread. Outputs are bit-identical either way.
+/// Every token is one row, and each layer runs once over all rows, so a
+/// linear layer's weights are streamed once per advance; only each
+/// item's last row pays for the final norm and LM head. With a `pool`
+/// the items run as up to `pool.threads()` lanes, one per thread;
+/// without one (or with one item) as a single lane on the caller's
+/// thread. Outputs are bit-identical either way, and bit-identical to
+/// feeding each sequence one token at a time. Once warm, only the
+/// returned vectors allocate.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::StateMismatch`] when an index is out of bounds
-/// or repeated or a state is shaped for another config, and
-/// [`ModelError::TokenOutOfRange`] for invalid tokens — describing the
-/// first offending item, with no state advanced. Kernel errors are
-/// propagated (the lowest lane's, when several fail).
-///
-/// # Panics
-///
-/// If `want` is given and is not as long as `items`.
-pub fn step<M: DecodeKernels>(
-    model: &M,
-    items: &[(usize, u32)],
-    want: Option<&[bool]>,
-    states: &mut [ModelState],
-    pool: Option<&WorkerPool>,
-    ws: &mut Workspace<M::Scratch>,
-) -> std::result::Result<(), M::Error> {
-    let tokens = items
-        .iter()
-        .map(|(slot, t)| (*slot, std::slice::from_ref(t)));
-    validate(model.config(), tokens, states, &mut ws.seen)?;
-    run_step(model, items, want, states, pool, ws)
-}
-
-/// A ragged multi-token advance — batched prefill, a prefill chunk, or
-/// (one token each) a decode step. Each `items[k] = (state_index,
-/// tokens)` feeds `tokens` into `states[state_index]`; the result is
-/// each item's logits after its *final* token, in `items` order. The
-/// recurrence is sequential per token, so this runs one step per token
-/// position over the items that still have a token there, and only the
-/// items at their final position pay for the final norm and LM head.
-/// Only the returned logits (and two small index vectors) allocate.
-///
-/// # Errors
-///
-/// The conditions of [`step`], plus [`ModelError::InvalidConfig`] for an
-/// item without tokens — all checked for every item and **every token**
-/// before the first position runs, so a rejected advance leaves every
-/// state untouched.
+/// or repeated or a state is shaped for another config,
+/// [`ModelError::InvalidConfig`] for an item without tokens and
+/// [`ModelError::TokenOutOfRange`] for an invalid token — describing the
+/// first offending item, checked for every item and **every token**
+/// before any state advances. Kernel errors are propagated (the lowest
+/// lane's, when several fail).
 pub fn advance<M: DecodeKernels>(
     model: &M,
     items: &[(usize, &[u32])],
@@ -454,28 +447,28 @@ pub fn advance<M: DecodeKernels>(
     pool: Option<&WorkerPool>,
     ws: &mut Workspace<M::Scratch>,
 ) -> std::result::Result<Vec<Vec<f32>>, M::Error> {
-    validate(model.config(), items.iter().copied(), states, &mut ws.seen)?;
-    let max_len = items.iter().map(|(_, t)| t.len()).max().unwrap_or(0);
-    let mut finals: Vec<Vec<f32>> = vec![Vec::new(); items.len()];
-    let mut step_items: Vec<(usize, u32)> = Vec::with_capacity(items.len());
-    let mut want: Vec<bool> = Vec::with_capacity(items.len());
-    for pos in 0..max_len {
-        step_items.clear();
-        want.clear();
-        for &(slot, toks) in items {
-            if let Some(&token) = toks.get(pos) {
-                step_items.push((slot, token));
-                want.push(pos + 1 == toks.len());
-            }
-        }
-        run_step(model, &step_items, Some(&want), states, pool, ws)?;
-        let done = items.iter().zip(&mut finals);
-        let done = done.filter(|((_, toks), _)| pos + 1 == toks.len());
-        for ((_, last), logits) in done.zip(ws.logits()) {
-            last.clone_from(logits);
-        }
-    }
-    Ok(finals)
+    feed(model, items.iter().copied(), states, pool, ws)?;
+    Ok(ws.logits().to_vec())
+}
+
+/// [`advance`] with one token per item, `items[k] = (state_index,
+/// token)`: one decode step. Logits land in [`Workspace::logits`], so a
+/// warm step allocates nothing.
+///
+/// # Errors
+///
+/// The conditions of [`advance`].
+pub fn step<M: DecodeKernels>(
+    model: &M,
+    items: &[(usize, u32)],
+    states: &mut [ModelState],
+    pool: Option<&WorkerPool>,
+    ws: &mut Workspace<M::Scratch>,
+) -> std::result::Result<(), M::Error> {
+    let items = items
+        .iter()
+        .map(|(slot, t)| (*slot, std::slice::from_ref(t)));
+    feed(model, items, states, pool, ws)
 }
 
 impl DecodeKernels for MambaModel {
@@ -492,7 +485,7 @@ impl DecodeKernels for MambaModel {
         Ok(())
     }
 
-    /// Loops the lane's sequences through
+    /// Loops the lane's rows through
     /// [`MambaBlock::forward_step_into`](crate::MambaBlock::forward_step_into),
     /// so FP arithmetic and loop order are those of sequential decode.
     fn layer_step(
@@ -536,7 +529,7 @@ impl MambaModel {
         states: &mut [ModelState],
         ws: &mut DecodeWorkspace,
     ) -> Result<()> {
-        step(self, items, None, states, None, ws)
+        step(self, items, states, None, ws)
     }
 
     /// [`step`] over this model across `pool`, logits for every item.
@@ -551,7 +544,7 @@ impl MambaModel {
         pool: &WorkerPool,
         ws: &mut ParDecodeWorkspace,
     ) -> Result<()> {
-        step(self, items, None, states, Some(pool), ws)
+        step(self, items, states, Some(pool), ws)
     }
 }
 
@@ -575,74 +568,103 @@ mod tests {
 
     #[test]
     fn shard_plan_is_balanced_and_contiguous() {
+        // Items of one to four rows: lanes cover the rows in order, each
+        // holds whole items only (no lane splits a sequence across
+        // threads), and their item counts differ by at most one.
         let mut ws = DecodeWorkspace::new();
         for items in 0..40 {
+            ws.last.clear();
+            for k in 0..items {
+                let len = 1 + (k * 7) % 4;
+                ws.last.extend((1..=len).map(|i| i == len));
+            }
+            ws.rows.resize(ws.last.len(), (0, 0));
             for threads in 1..9 {
-                ws.plan(items, threads);
+                ws.plan(threads);
                 let ranges: Vec<_> = ws.lanes[..ws.used].iter().map(|l| l.range).collect();
                 assert_eq!(ranges.len(), threads.min(items));
                 let mut lo = 0;
+                let mut counts = Vec::new();
                 for &(a, b) in &ranges {
                     assert_eq!(a, lo, "ranges are contiguous from zero");
                     assert!(b > a, "no empty lane");
+                    assert!(ws.last[b - 1], "a lane ends on an item's last row");
+                    counts.push(ws.last[a..b].iter().filter(|&&l| l).count());
                     lo = b;
                 }
-                assert_eq!(lo, items, "ranges cover all items");
-                let sizes = ranges.iter().map(|&(a, b)| b - a);
-                if let (Some(min), Some(max)) = (sizes.clone().min(), sizes.max()) {
+                assert_eq!(lo, ws.rows.len(), "ranges cover all rows");
+                if let (Some(min), Some(max)) = (counts.iter().min(), counts.iter().max()) {
                     assert!(max - min <= 1, "balanced to within one item");
                 }
             }
         }
     }
 
+    /// The sequences the engine-shaped waves run over.
+    const SLOTS: usize = 16;
+
+    /// Engine-shaped waves of `(slot, tokens)` items over [`SLOTS`]
+    /// sequences: a 16 × 4 first wave, 15 decoders beside one 4-token
+    /// chunk, a one-token wave, a 1-token item before a 5-token one
+    /// (slots out of order), then 1..=4 tokens over seven items.
+    fn waves() -> Vec<Vec<(usize, Vec<u32>)>> {
+        let shapes: [Vec<(usize, usize)>; 5] = [
+            (0..SLOTS).map(|s| (s, 4)).collect(),
+            (0..SLOTS)
+                .map(|s| (s, if s == 5 { 4 } else { 1 }))
+                .collect(),
+            (0..SLOTS).map(|s| (s, 1)).collect(),
+            vec![(9, 1), (2, 5), (14, 1)],
+            (0..7).map(|k| (2 * k, 1 + (k * 5) % 4)).collect(),
+        ];
+        let token = |w: usize, s: usize, i: usize| ((w * 53 + s * 31 + i * 7 + 3) % 256) as u32;
+        (shapes.iter().enumerate())
+            .map(|(w, shape)| {
+                let tokens = |&(s, len)| (s, (0..len).map(|i| token(w, s, i)).collect());
+                shape.iter().map(tokens).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_step_matches_sequential_bitwise() {
-        // Ragged prefill (`advance`), a decode `step`, then a `step`
-        // with a ragged `want` — under every lane cut, including more
-        // threads than items — against one sequence at a time through
-        // `MambaModel::forward_step`. Logits and states, bit for bit.
+        // Engine-shaped waves — one-token and multi-token items mixed in
+        // one `advance`; an all-one-token wave through `step` — under
+        // every lane cut, including more threads than items, against one
+        // sequence at a time through `MambaModel::forward_step`. Logits
+        // and states, bit for bit.
         let m = tiny_model();
-        let n = 7;
-        let prompts: Vec<Vec<u32>> = (0..n as u32)
-            .map(|k| {
-                (0..1 + (k * 5) % 4)
-                    .map(|i| (k * 31 + i * 7) % 256)
-                    .collect()
-            })
-            .collect();
-        let next = |k: usize, round: u32| (k as u32 * 13 + 3 + round * 29) % 256;
-        let want: Vec<bool> = (0..n).map(|k| k % 3 != 1).collect();
-
-        let mut oracle_states = Vec::new();
-        let mut oracle = [Vec::new(), Vec::new(), Vec::new()];
-        for (k, prompt) in prompts.iter().enumerate() {
-            let mut state = m.new_state();
-            let mut last = Vec::new();
-            for &t in prompt {
-                last = m.forward_step(t, &mut state).unwrap();
+        let waves = waves();
+        let mut oracle_states: Vec<_> = (0..SLOTS).map(|_| m.new_state()).collect();
+        let mut oracle = Vec::new();
+        for wave in &waves {
+            let mut finals = Vec::new();
+            for (slot, tokens) in wave {
+                let mut last = Vec::new();
+                for &t in tokens {
+                    last = m.forward_step(t, &mut oracle_states[*slot]).unwrap();
+                }
+                finals.push(last);
             }
-            oracle[0].push(last);
-            oracle[1].push(m.forward_step(next(k, 0), &mut state).unwrap());
-            let ragged = m.forward_step(next(k, 1), &mut state).unwrap();
-            if want[k] {
-                oracle[2].push(ragged);
-            }
-            oracle_states.push(state);
+            oracle.push(finals);
         }
 
-        let ragged: Vec<(usize, &[u32])> = prompts.iter().map(|p| &p[..]).enumerate().collect();
-        let decode = |round| -> Vec<(usize, u32)> { (0..n).map(|k| (k, next(k, round))).collect() };
         for pool in pools() {
             let (pool, label) = (pool.as_ref(), format!("pool {pool:?}"));
-            let mut states: Vec<_> = (0..n).map(|_| m.new_state()).collect();
+            let mut states: Vec<_> = (0..SLOTS).map(|_| m.new_state()).collect();
             let mut ws = DecodeWorkspace::new();
-            let prefill = advance(&m, &ragged, &mut states, pool, &mut ws).unwrap();
-            assert_eq!(prefill, oracle[0], "{label}: prefill");
-            step(&m, &decode(0), None, &mut states, pool, &mut ws).unwrap();
-            assert_eq!(ws.logits(), &oracle[1][..], "{label}: decode");
-            step(&m, &decode(1), Some(&want), &mut states, pool, &mut ws).unwrap();
-            assert_eq!(ws.logits(), &oracle[2][..], "{label}: ragged want");
+            for (w, (wave, want)) in waves.iter().zip(&oracle).enumerate() {
+                let got = if wave.iter().all(|(_, tokens)| tokens.len() == 1) {
+                    let single: Vec<(usize, u32)> = wave.iter().map(|(s, t)| (*s, t[0])).collect();
+                    step(&m, &single, &mut states, pool, &mut ws).unwrap();
+                    ws.logits().to_vec()
+                } else {
+                    let items: Vec<(usize, &[u32])> =
+                        wave.iter().map(|(s, t)| (*s, &t[..])).collect();
+                    advance(&m, &items, &mut states, pool, &mut ws).unwrap()
+                };
+                assert_eq!(&got, want, "{label}: wave {w}");
+            }
             assert_eq!(states, oracle_states, "{label}: states");
         }
     }
@@ -653,7 +675,7 @@ mod tests {
         let mut states: Vec<_> = (0..3).map(|_| m.new_state()).collect();
         let untouched = states[1].clone();
         let mut ws = DecodeWorkspace::new();
-        step(&m, &[(2, 4), (0, 9)], None, &mut states, None, &mut ws).unwrap();
+        step(&m, &[(2, 4), (0, 9)], &mut states, None, &mut ws).unwrap();
         assert_eq!(ws.logits().len(), 2);
         assert_eq!(
             ws.logits()[0],
@@ -682,7 +704,7 @@ mod tests {
             let err = advance(m, items, states, pool.as_ref(), &mut ws).unwrap_err();
             assert!(expected(&err), "advance, pool {pool:?}: {err:?}");
             if let Some(single) = &single {
-                let err = step(m, single, None, states, pool.as_ref(), &mut ws).unwrap_err();
+                let err = step(m, single, states, pool.as_ref(), &mut ws).unwrap_err();
                 assert!(expected(&err), "step, pool {pool:?}: {err:?}");
             }
             assert_eq!(states, &before[..], "states must be untouched on error");
@@ -740,9 +762,9 @@ mod tests {
         let before = states.clone();
         for pool in [None, Some(WorkerPool::new(2))] {
             let mut ws = DecodeWorkspace::new();
-            step(&m, &[(0, 1)], None, &mut states, pool.as_ref(), &mut ws).unwrap();
+            step(&m, &[(0, 1)], &mut states, pool.as_ref(), &mut ws).unwrap();
             states.clone_from(&before);
-            step(&m, &[], None, &mut states, pool.as_ref(), &mut ws).unwrap();
+            step(&m, &[], &mut states, pool.as_ref(), &mut ws).unwrap();
             assert!(ws.logits().is_empty(), "no stale logits from the last step");
             let finals = advance(&m, &[], &mut states, pool.as_ref(), &mut ws).unwrap();
             assert!(finals.is_empty());
@@ -803,7 +825,7 @@ mod tests {
         let mut states: Vec<_> = (0..n).map(|_| m.new_state()).collect();
         let mut ws = DecodeWorkspace::new();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            step(&faulty, &items, None, &mut states, Some(&pool), &mut ws)
+            step(&faulty, &items, &mut states, Some(&pool), &mut ws)
         }));
         let payload = caught.expect_err("the lane's panic reaches the caller");
         assert_eq!(
@@ -817,7 +839,7 @@ mod tests {
         let run = |pool: Option<&WorkerPool>| {
             let mut states: Vec<_> = (0..n).map(|_| m.new_state()).collect();
             let mut ws = DecodeWorkspace::new();
-            step(&faulty, &clean, None, &mut states, pool, &mut ws).unwrap();
+            step(&faulty, &clean, &mut states, pool, &mut ws).unwrap();
             ws.into_logits()
         };
         assert_eq!(run(Some(&pool)), run(None));

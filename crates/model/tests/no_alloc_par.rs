@@ -59,7 +59,7 @@ fn steady_state_parallel_decode_allocates_nothing() {
             for (k, item) in items.iter_mut().enumerate() {
                 item.1 = ((t * 11 + k * 5) % 256) as u32;
             }
-            batch::step(&model, &items, None, states, pool, ws).unwrap();
+            batch::step(&model, &items, states, pool, ws).unwrap();
             assert_eq!(ws.logits().len(), batch);
         };
 

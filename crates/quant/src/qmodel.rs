@@ -28,12 +28,14 @@
 //! serving registries) duplicates no weight memory, and construction
 //! *moves* the prepared tensors instead of cloning them.
 //!
-//! A step runs each block as phases over the sub-batch — norm +
-//! activation quantization for every sequence → in_proj GEMM → conv /
-//! SiLU / SSM / gated norm / Hadamard / activation quantization per
-//! sequence → out_proj GEMM + residual — and the LM head as one more
-//! GEMM. Per sequence the arithmetic is that of a batch of one, so
-//! logits and states are bit-identical at every batch size.
+//! An advance runs each block as phases over its rows, one row per fed
+//! token (so a prefill chunk shares each weight stream across its
+//! positions as a batch does) — norm + activation quantization for
+//! every row → in_proj GEMM → conv / SiLU / SSM / gated norm / Hadamard
+//! / activation quantization per row, in row order → out_proj GEMM +
+//! residual — and the LM head as one more GEMM over each item's last
+//! row. Per row the arithmetic is that of a batch of one, so logits and
+//! states are bit-identical at every batch size and chunk length.
 //!
 //! The SSM stays on the fake-quant path in both modes (the paper
 //! executes it on the SSMU's INT8 PoT datapath, not the MMU), so
@@ -167,14 +169,13 @@ struct SharedWeights {
     blocks: Vec<QBlock>,
 }
 
-/// Kernel scratch of the quantized decode step, one per lane: per
-/// resident sequence the shared FP block buffers
-/// ([`lightmamba_model::BlockScratch`] — one `prepare` keeps the shapes
-/// in sync with the FP path) and its activation codes, plus the GEMM's
-/// own scratch. The LM head reuses the codes and the GEMM scratch once
-/// the last block is done with them. Grows to the largest lane seen;
-/// every temporary of a step lives here, so steady-state decode
-/// allocates nothing.
+/// Kernel scratch of the quantized decode driver, one per lane: per row
+/// the shared FP block buffers ([`lightmamba_model::BlockScratch`] — one
+/// `prepare` keeps the shapes in sync with the FP path) and its
+/// activation codes, plus the GEMM's own scratch. The LM head reuses the
+/// codes and the GEMM scratch once the last block is done with them.
+/// Grows to the largest row count seen; every temporary of an advance
+/// lives here, so steady-state decode allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct QuantScratch {
     blocks: Vec<BlockScratch>,
@@ -187,7 +188,7 @@ pub struct QuantScratch {
 }
 
 impl QuantScratch {
-    /// Sizes the per-sequence scratch for a lane of `n`.
+    /// Sizes the per-row scratch for a lane of `n` rows.
     fn prepare(&mut self, n: usize, cfg: &MambaConfig) {
         if self.blocks.len() < n {
             self.blocks.resize_with(n, BlockScratch::default);
@@ -555,7 +556,7 @@ impl QuantizedMamba {
         states: &mut [ModelState],
         ws: &mut QuantWorkspace,
     ) -> Result<()> {
-        batch::step(self, items, None, states, None, ws)
+        batch::step(self, items, states, None, ws)
     }
 
     fn step_inner(&mut self, token: u32) -> Result<Vec<f32>> {
@@ -583,13 +584,14 @@ impl DecodeKernels for QuantizedMamba {
         Ok(())
     }
 
-    /// Advances every sequence of a lane through one block, as phases:
-    /// per sequence whatever touches only that sequence, and one GEMM
-    /// across the lane for each projection. A lane of one runs the same
-    /// code, so per-sequence arithmetic — and therefore every logit and
-    /// state bit — does not depend on the batch. On an AVX2 host the
-    /// phases run compiled for AVX2 (same source, same bits: nothing
-    /// contracts or reassociates without FMA).
+    /// Advances every row of a lane through one block, as phases: per
+    /// row, in row order, whatever touches the row's sequence state, and
+    /// one GEMM across the lane's rows for each projection. A lane of one
+    /// row runs the same code, so per-row arithmetic — and therefore
+    /// every logit and state bit — does not depend on the batch or the
+    /// chunk length. On an AVX2 host the phases run compiled for AVX2
+    /// (same source, same bits: nothing contracts or reassociates
+    /// without FMA).
     fn layer_step(
         &self,
         layer: usize,
@@ -605,9 +607,9 @@ impl DecodeKernels for QuantizedMamba {
         self.layer_step_body(layer, xs, lstates, scratch)
     }
 
-    /// Final norm + optional activation quantization + LM head for the
-    /// residual streams whose logits are wanted, one GEMM for all of
-    /// them, writing into reusable logits buffers. Compiled for AVX2 on
+    /// Final norm + optional activation quantization + LM head for each
+    /// item's last row, one GEMM for all of them, writing into reusable
+    /// logits buffers. Compiled for AVX2 on
     /// an AVX2 host, as [`DecodeKernels::layer_step`] is.
     fn finish(
         &self,
@@ -966,8 +968,7 @@ mod tests {
                 let err = batch::advance(&q, &items, &mut states, pool, &mut ws).unwrap_err();
                 assert!(expected(&err), "{row}, advance, pool {pool:?}: {err:?}");
                 if let Some(single) = &single {
-                    let err =
-                        batch::step(&q, single, None, &mut states, pool, &mut ws).unwrap_err();
+                    let err = batch::step(&q, single, &mut states, pool, &mut ws).unwrap_err();
                     assert!(expected(&err), "{row}, step, pool {pool:?}: {err:?}");
                 }
                 assert_eq!(states, before, "{row}: states must be untouched on error");
@@ -983,14 +984,41 @@ mod tests {
         reject("late bad token", own(), late, out_of_range);
     }
 
+    /// The sequences the engine-shaped waves run over.
+    const SLOTS: usize = 16;
+
+    /// Engine-shaped waves of `(slot, tokens)` items over [`SLOTS`]
+    /// sequences: a 16 × 4 first wave, 15 decoders beside one 4-token
+    /// chunk, a one-token wave, a 1-token item before a 5-token one
+    /// (slots out of order), then 1..=4 tokens over seven items.
+    fn waves() -> Vec<Vec<(usize, Vec<u32>)>> {
+        let shapes: [Vec<(usize, usize)>; 5] = [
+            (0..SLOTS).map(|s| (s, 4)).collect(),
+            (0..SLOTS)
+                .map(|s| (s, if s == 5 { 4 } else { 1 }))
+                .collect(),
+            (0..SLOTS).map(|s| (s, 1)).collect(),
+            vec![(9, 1), (2, 5), (14, 1)],
+            (0..7).map(|k| (2 * k, 1 + (k * 5) % 4)).collect(),
+        ];
+        let token = |w: usize, s: usize, i: usize| ((w * 53 + s * 31 + i * 7 + 3) % 256) as u32;
+        (shapes.iter().enumerate())
+            .map(|(w, shape)| {
+                let tokens = |&(s, len)| (s, (0..len).map(|i| token(w, s, i)).collect());
+                shape.iter().map(tokens).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn phase_batched_steps_match_sequential_at_every_batch_size() {
-        // Ragged prefill (`advance`), a decode `step`, then a `step`
-        // with a ragged `want` — batches of 1..=9 (every K-block
-        // remainder), both execution modes, every lane cut (no pool;
-        // pools of 1, 3, 4 and 16 threads, so also more threads than
-        // items) — against one sequence at a time through
-        // `forward_step_with`. Logits and states, bit for bit.
+        // Both execution modes, every lane cut (no pool; pools of 1, 3,
+        // 4 and 16 threads, so also more threads than items), against
+        // one sequence at a time through `forward_step_with`, logits and
+        // states bit for bit: a ragged prefill (`advance`) and a decode
+        // `step` at batches 1..=9 (every K-block remainder), then the
+        // engine-shaped waves, one-token and multi-token items mixed in
+        // one `advance` (an all-one-token wave through `step`).
         let model = reference();
         let prepared = PreparedModel::from_reference(&model).unwrap();
         let q_int = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
@@ -1002,13 +1030,13 @@ mod tests {
                     .collect()
             })
             .collect();
-        let next = |k: usize, round: u32| (k as u32 * 13 + 3 + round * 29) % 256;
-        let wanted = |k: usize| k % 3 != 1;
+        let next = |k: usize| (k as u32 * 13 + 3) % 256;
+        let waves = waves();
         let mut pools = vec![None];
         pools.extend([1, 3, 4, 16].map(|t| Some(WorkerPool::new(t))));
         for q in [&q_int, &q_fake] {
             let mut want_states = Vec::new();
-            let mut want_logits = [Vec::new(), Vec::new(), Vec::new()];
+            let mut want_logits = [Vec::new(), Vec::new()];
             for (k, prompt) in prompts.iter().enumerate() {
                 let mut state = q.new_state();
                 let mut last = Vec::new();
@@ -1016,36 +1044,54 @@ mod tests {
                     last = q.forward_step_with(t, &mut state).unwrap();
                 }
                 want_logits[0].push(last);
-                for round in 0..2 {
-                    let logits = q.forward_step_with(next(k, round), &mut state).unwrap();
-                    want_logits[1 + round as usize].push(logits);
-                }
+                want_logits[1].push(q.forward_step_with(next(k), &mut state).unwrap());
                 want_states.push(state);
             }
-            for n in 1..=prompts.len() {
-                let ragged: Vec<(usize, &[u32])> =
-                    prompts[..n].iter().map(|p| &p[..]).enumerate().collect();
-                let decode =
-                    |round| -> Vec<(usize, u32)> { (0..n).map(|k| (k, next(k, round))).collect() };
-                let want: Vec<bool> = (0..n).map(wanted).collect();
-                let want_ragged: Vec<&Vec<f32>> = (0..n)
-                    .filter(|&k| wanted(k))
-                    .map(|k| &want_logits[2][k])
-                    .collect();
-                for pool in &pools {
-                    let pool = pool.as_ref();
+            let mut wave_states: Vec<_> = (0..SLOTS).map(|_| q.new_state()).collect();
+            let mut wave_logits = Vec::new();
+            for wave in &waves {
+                let mut finals = Vec::new();
+                for (slot, tokens) in wave {
+                    let mut last = Vec::new();
+                    for &t in tokens {
+                        last = q.forward_step_with(t, &mut wave_states[*slot]).unwrap();
+                    }
+                    finals.push(last);
+                }
+                wave_logits.push(finals);
+            }
+            for pool in &pools {
+                let pool = pool.as_ref();
+                for n in 1..=prompts.len() {
+                    let ragged: Vec<(usize, &[u32])> =
+                        prompts[..n].iter().map(|p| &p[..]).enumerate().collect();
+                    let decode: Vec<(usize, u32)> = (0..n).map(|k| (k, next(k))).collect();
                     let label = format!("{:?} batch {n} pool {pool:?}", q.exec_mode());
                     let mut states: Vec<ModelState> = (0..n).map(|_| q.new_state()).collect();
                     let mut ws = QuantWorkspace::new();
                     let prefill = batch::advance(q, &ragged, &mut states, pool, &mut ws).unwrap();
                     assert_eq!(prefill, want_logits[0][..n], "{label}: prefill");
-                    batch::step(q, &decode(0), None, &mut states, pool, &mut ws).unwrap();
+                    batch::step(q, &decode, &mut states, pool, &mut ws).unwrap();
                     assert_eq!(ws.logits(), &want_logits[1][..n], "{label}: decode");
-                    batch::step(q, &decode(1), Some(&want), &mut states, pool, &mut ws).unwrap();
-                    let got: Vec<&Vec<f32>> = ws.logits().iter().collect();
-                    assert_eq!(got, want_ragged, "{label}: ragged want");
                     assert_eq!(states, want_states[..n], "{label}: states");
                 }
+                let label = format!("{:?} pool {pool:?}", q.exec_mode());
+                let mut states: Vec<_> = (0..SLOTS).map(|_| q.new_state()).collect();
+                let mut ws = QuantWorkspace::new();
+                for (w, (wave, want)) in waves.iter().zip(&wave_logits).enumerate() {
+                    let got = if wave.iter().all(|(_, tokens)| tokens.len() == 1) {
+                        let single: Vec<(usize, u32)> =
+                            wave.iter().map(|(s, t)| (*s, t[0])).collect();
+                        batch::step(q, &single, &mut states, pool, &mut ws).unwrap();
+                        ws.logits().to_vec()
+                    } else {
+                        let items: Vec<(usize, &[u32])> =
+                            wave.iter().map(|(s, t)| (*s, &t[..])).collect();
+                        batch::advance(q, &items, &mut states, pool, &mut ws).unwrap()
+                    };
+                    assert_eq!(&got, want, "{label}: wave {w}");
+                }
+                assert_eq!(states, wave_states, "{label}: wave states");
             }
         }
     }

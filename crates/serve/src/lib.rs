@@ -6,10 +6,10 @@
 //! Fig. 9a). This crate builds the serving layer that insight makes
 //! cheap: every resident sequence costs one statically-sized slot
 //! ([`slots::SlotPool`]), so admission control is slot counting, and the
-//! batched step ([`lightmamba_model::batch::step`], reached through
-//! [`backend::DecodeBackend::advance_batch_indexed`])
-//! shares each layer's weights across all resident sequences — the
-//! software analogue of the accelerator's shared weight stream.
+//! batched advance ([`lightmamba_model::batch::advance`], reached
+//! through [`backend::DecodeBackend::advance_batch_indexed`]) shares each
+//! layer's weights across every token fed to every resident sequence —
+//! the software analogue of the accelerator's shared weight stream.
 //!
 //! * [`request`] — generation requests (priority classes, deadlines)
 //!   and completion records;

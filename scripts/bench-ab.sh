@@ -13,16 +13,18 @@
 # list, default 7) and every workload BENCHMARK.json lists, PAIRS pairs
 # (default 10) of `--workload W --seed S --seconds SECONDS --trace 0` run
 # back to back (SECONDS defaults to BENCHMARK.json's run_seconds), the
-# side that runs first alternating from pair to pair.
+# side that runs first alternating from pair to pair. After the pairs,
+# each side runs once more per seed and workload with `--trace 1`.
 #
 # Writes BENCH_<pr>.json at the repository root, <pr> being one more than
 # the highest "PR <n>" entry of the parent's CHANGES.md. Per seed,
 # workload and BENCHMARK.json end-to-end metric it holds every run, each
 # side's median and quartiles, the pairs the change won, and the
 # change/parent ratio of the medians; per seed and workload each side's
-# runs that were not `correct` and failed operations; and both commit
-# ids, the host (nproc, CPU model, active ISA), the pair count, the
-# seconds and the seeds. Needs jq.
+# runs that were not `correct`, its failed operations, and (under
+# `traced.{parent,change}`) the per-layer metrics of its traced run; and
+# both commit ids, the host (nproc, CPU model, active ISA), the pair
+# count, the seconds and the seeds. Needs jq.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 5 ]; then
@@ -89,11 +91,26 @@ for seed in ${seeds//,/ }; do
     done
   done
 done
+traced="$work/traced.jsonl"
+: >"$traced"
+for seed in ${seeds//,/ }; do
+  for workload in $(jq -r '.workloads[].name' "$spec"); do
+    for side in parent change; do
+      echo "bench-ab: seed $seed $workload traced $side" >&2
+      "$work/$side-target/release/lightmamba_benchmark" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 1 | tail -n1 |
+        jq -c --arg w "$workload" --arg s "$side" --argjson seed "$seed" \
+          '{seed: $seed, workload: $w, side: $s, metrics: (.metrics | map_values(.value))}' \
+          >>"$traced"
+    done
+  done
+done
 result="$work/change/benchmark/out/result-$(jq -r '.workloads[-1].name' "$spec").json"
 
 jq -s \
   --slurpfile spec "$spec" \
   --slurpfile host "$result" \
+  --slurpfile traced "$traced" \
   --arg parent "$parent_commit" --arg change "$change_commit" \
   --argjson pairs "$pairs" --argjson seconds "$seconds" \
   --argjson seeds "[${seeds}]" '
@@ -122,6 +139,7 @@ jq -s \
               parent: ($wr | map(select(.side == "parent") | .failed) | add),
               change: ($wr | map(select(.side == "change") | .failed) | add)
             },
+            traced: ($traced | map(select(.workload == $w and .seed == $seed) | {(.side): .metrics}) | add),
             metrics: [
               $spec[0].end_to_end[] as $m
               | [range(0; $pairs)] as $ps

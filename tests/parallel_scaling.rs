@@ -84,7 +84,7 @@ fn four_thread_integer_decode_reaches_2_5x() {
     let mut ws = QuantWorkspace::new();
     let mut run = |pool: Option<&WorkerPool>| {
         time_decode(cfg.vocab_size, &mut states, |items, states| {
-            batch::step(&q, items, None, states, pool, &mut ws).unwrap();
+            batch::step(&q, items, states, pool, &mut ws).unwrap();
         })
     };
     let seq = run(None);
