@@ -91,7 +91,7 @@ fn block_work(model: &MambaConfig, cfg: &AcceleratorConfig) -> BlockWork {
 pub fn htu_model(model: &MambaConfig, cfg: &AcceleratorConfig) -> HtuModel {
     let di = model.d_inner();
     let mut pot = 1usize;
-    while pot * 2 <= 128 && di % (pot * 2) == 0 {
+    while pot * 2 <= 128 && di.is_multiple_of(pot * 2) {
         pot *= 2;
     }
     let rem = di / pot;

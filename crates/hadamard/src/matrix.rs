@@ -58,7 +58,7 @@ impl HadamardMatrix {
             19 => 20,
             _ => return Err(HadamardError::UnsupportedOrder(order)),
         };
-        if order % base != 0 || !fht::is_power_of_two(order / base) {
+        if !order.is_multiple_of(base) || !fht::is_power_of_two(order / base) {
             return Err(HadamardError::UnsupportedOrder(order));
         }
         let paley = Self::paley(base - 1)?;
@@ -239,7 +239,7 @@ fn is_prime(n: usize) -> bool {
     }
     let mut d = 2;
     while d * d <= n {
-        if n % d == 0 {
+        if n.is_multiple_of(d) {
             return false;
         }
         d += 1;

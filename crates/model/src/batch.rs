@@ -381,9 +381,9 @@ fn feed<'t, M: DecodeKernels>(
     let run = |k: usize, lane: &mut Lane<M::Scratch>| {
         if let Err(e) = run_lane(model, &ws.rows, &ws.last, &view, lane) {
             // Keep the lowest lane's error, so what is reported does not
-            // depend on thread scheduling (MSRV 1.75: no `is_none_or`).
+            // depend on thread scheduling.
             let mut first = first_err.lock().unwrap_or_else(PoisonError::into_inner);
-            if !matches!(first.as_ref(), Some(&(j, _)) if j < k) {
+            if first.as_ref().is_none_or(|&(j, _)| j >= k) {
                 *first = Some((k, e));
             }
         }

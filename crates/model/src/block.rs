@@ -3,7 +3,7 @@
 
 use lightmamba_tensor::conv::tap_major;
 #[cfg(target_arch = "x86_64")]
-use lightmamba_tensor::isa::{detect, Isa};
+use lightmamba_tensor::isa::detect;
 use lightmamba_tensor::{norm, Tensor};
 
 use crate::ssm::{ssm_step_into, SsmDims};
@@ -149,8 +149,9 @@ impl MambaBlock {
     /// taps (only the taps allocate, so the hot path stays
     /// allocation-free when `capture` is `None`).
     ///
-    /// On an AVX2 host ([`lightmamba_tensor::isa::detect`]) the same
-    /// source runs compiled for AVX2. Without FMA nothing can contract or
+    /// On an AVX2 host, AVX-512 ones included
+    /// ([`lightmamba_tensor::isa::Isa::has_avx2`]), the same source runs
+    /// compiled for AVX2. Without FMA nothing can contract or
     /// reassociate, so both copies compute the same bits.
     fn step_core(
         &self,
@@ -160,8 +161,8 @@ impl MambaBlock {
         capture: Option<&mut BlockCapture>,
     ) -> Result<()> {
         #[cfg(target_arch = "x86_64")]
-        if detect() == Isa::Avx2 {
-            // SAFETY: `detect` returned `Avx2` only after checking the CPU.
+        if detect().has_avx2() {
+            // SAFETY: `detect` returns a vector tier only after checking AVX2.
             return unsafe { self.step_core_avx2(x, state, scratch, capture) };
         }
         self.step_body(x, state, scratch, capture)

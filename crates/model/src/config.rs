@@ -146,14 +146,14 @@ impl MambaConfig {
                 "all dimensions must be non-zero".into(),
             ));
         }
-        if self.d_inner() % self.headdim != 0 {
+        if !self.d_inner().is_multiple_of(self.headdim) {
             return Err(ModelError::InvalidConfig(format!(
                 "headdim {} must divide d_inner {}",
                 self.headdim,
                 self.d_inner()
             )));
         }
-        if self.nheads() % self.ngroups != 0 {
+        if !self.nheads().is_multiple_of(self.ngroups) {
             return Err(ModelError::InvalidConfig(format!(
                 "ngroups {} must divide nheads {}",
                 self.ngroups,

@@ -34,9 +34,9 @@
 //! # Forms
 //!
 //! The head step — update a head's `(d_state × headdim)` slab and read
-//! `y` out of it — has two forms, selected by the workspace's one runtime
-//! CPU check, [`lightmamba_tensor::isa::detect`] ([`active_isa`] names
-//! the one that runs):
+//! `y` out of it — has three forms, selected by the workspace's one
+//! runtime CPU check, [`lightmamba_tensor::isa::detect`] ([`active_isa`]
+//! names the one that runs):
 //!
 //! * **scalar** — row by row, `s ← Ā·s + (Δ·x_p)·B[n]` and
 //!   `acc += s·C[n]` for `n` ascending. This loop *defines* the float
@@ -50,10 +50,16 @@
 //!   row's accumulator: exactly the scalar chain
 //!   `((0 + s₀c₀) + s₁c₁) + …` per lane, nothing reassociated, no
 //!   transpose. 32 rows run at once in four accumulators, then 8 in
-//!   one; the last `headdim % 8` rows run the scalar loop. Outputs and
-//!   state are bit-identical to the scalar form (`tests/properties.rs`
-//!   pins it on a ragged grid; NaN payloads are the one thing operand
-//!   order may change).
+//!   one; the last `headdim % 8` rows run the scalar loop.
+//! * **AVX-512** (compiled on every `x86_64` build, run on hosts with
+//!   AVX512F, AVX512BW and AVX512-VNNI — the GEMM's tier) — the AVX2
+//!   form at 16 lanes: 64 rows in four accumulators, then 16 in one,
+//!   then the scalar loop for the last `headdim % 16` rows.
+//!
+//! Outputs and state are bit-identical across the forms (the in-crate
+//! tests pin each form this host has on every blocking edge, and
+//! `tests/properties.rs` the dispatched one on a ragged grid; NaN
+//! payloads are the one thing operand order may change).
 //!
 //! Separate multiply and add are load-bearing: an FMA rounds
 //! `Ā·s + (Δ·x)·B` and `acc + s·C` once instead of twice, which would
@@ -66,7 +72,7 @@ use lightmamba_tensor::isa::{detect, Isa};
 use crate::{MambaConfig, ModelError, Result};
 
 /// Name of the form [`ssm_step_into`] dispatches to on this host
-/// ("avx2" or "scalar"): the workspace's one detector,
+/// ("avx512", "avx2" or "scalar"): the workspace's one detector,
 /// [`lightmamba_tensor::isa`].
 pub use lightmamba_tensor::isa::active_isa;
 
@@ -204,6 +210,10 @@ fn ssm_head_step(
         // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
         // AVX2; the length contract is asserted just above.
         Isa::Avx2 => unsafe { avx2::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
+        // AVX512F; the length contract is asserted just above.
+        Isa::Avx512 => unsafe { avx512::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
     }
 }
 
@@ -334,6 +344,107 @@ mod avx2 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::{rows_scalar, HeadCoeffs};
+
+    /// Rows per register.
+    const W: usize = 16;
+
+    /// AVX-512 head step (module docs, "Forms"): rows in runs of 64
+    /// (four accumulators), then 16 (one), then the scalar loop for the
+    /// rest.
+    ///
+    /// # Safety
+    ///
+    /// * The CPU must support AVX512F.
+    /// * The slice lengths of [`super::avx2::head_step`], for the same
+    ///   reason.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn head_step(
+        state: &mut [f32],
+        y_head: &mut [f32],
+        x_head: &[f32],
+        b: &[f32],
+        c: &[f32],
+        coeffs: HeadCoeffs,
+        d_skip: f32,
+    ) {
+        let p_len = x_head.len();
+        let mut p = 0;
+        while p + 4 * W <= p_len {
+            // SAFETY: AVX512F is the caller's contract; rows `p..p + 64`
+            // exist, and the slice lengths are as documented.
+            unsafe { rows::<4>(p, state, y_head, x_head, b, c, coeffs, d_skip) };
+            p += 4 * W;
+        }
+        while p + W <= p_len {
+            // SAFETY: as above, for rows `p..p + 16`.
+            unsafe { rows::<1>(p, state, y_head, x_head, b, c, coeffs, d_skip) };
+            p += W;
+        }
+        rows_scalar(p, state, y_head, x_head, b, c, coeffs, d_skip);
+    }
+
+    /// Rows `p..p + 16·R` of one head, as the AVX2 form's `rows` does
+    /// for 8.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, `p + 16·R ≤ x_head.len()`, and the slice lengths of
+    /// [`head_step`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn rows<const R: usize>(
+        p: usize,
+        state: &mut [f32],
+        y_head: &mut [f32],
+        x_head: &[f32],
+        b: &[f32],
+        c: &[f32],
+        coeffs: HeadCoeffs,
+        d_skip: f32,
+    ) {
+        let p_len = x_head.len();
+        let decay = _mm512_set1_ps(coeffs.decay);
+        let dt = _mm512_set1_ps(coeffs.dt);
+        let mut xv = [_mm512_setzero_ps(); R];
+        let mut dtx = [_mm512_setzero_ps(); R];
+        let mut acc = [_mm512_setzero_ps(); R];
+        for r in 0..R {
+            // SAFETY: `p + 16·R ≤ x_head.len()`.
+            xv[r] = unsafe { _mm512_loadu_ps(x_head.as_ptr().add(p + r * W)) };
+            dtx[r] = _mm512_mul_ps(dt, xv[r]);
+        }
+        for (j, (&bn, &cn)) in b.iter().zip(c).enumerate() {
+            let (bv, cv) = (_mm512_set1_ps(bn), _mm512_set1_ps(cn));
+            for r in 0..R {
+                // SAFETY: `j < b.len()` and `p + 16·R ≤ p_len`, so the 16
+                // floats at `j·p_len + p + 16r` lie inside `state`
+                // (`b.len() · p_len` long).
+                unsafe {
+                    let at = state.as_mut_ptr().add(j * p_len + p + r * W);
+                    let s = _mm512_add_ps(
+                        _mm512_mul_ps(decay, _mm512_loadu_ps(at)),
+                        _mm512_mul_ps(dtx[r], bv),
+                    );
+                    _mm512_storeu_ps(at, s);
+                    acc[r] = _mm512_add_ps(acc[r], _mm512_mul_ps(s, cv));
+                }
+            }
+        }
+        let d = _mm512_set1_ps(d_skip);
+        for r in 0..R {
+            let y = _mm512_add_ps(acc[r], _mm512_mul_ps(d, xv[r]));
+            // SAFETY: `p + 16·R ≤ y_head.len()`.
+            unsafe { _mm512_storeu_ps(y_head.as_mut_ptr().add(p + r * W), y) };
+        }
+    }
+}
+
 /// One full decode step of the SSM layer.
 ///
 /// * `x` — `d_inner` inputs (heads × headdim)
@@ -452,7 +563,7 @@ fn step_isa(
 ) -> Result<()> {
     // `dims` is caller-built (every field is `pub`): the head→group map
     // below divides by `ngroups` and slices `b`/`c` by the quotient.
-    if dims.ngroups == 0 || dims.nheads % dims.ngroups != 0 {
+    if dims.ngroups == 0 || !dims.nheads.is_multiple_of(dims.ngroups) {
         return Err(ModelError::StateMismatch(format!(
             "ssm_step needs nheads divisible by a non-zero ngroups, got {dims:?}"
         )));
@@ -628,6 +739,39 @@ mod tests {
                 matches!(bad, Err(ModelError::StateMismatch(_))),
                 "{dims:?}: {bad:?}"
             );
+        }
+    }
+
+    #[test]
+    fn every_head_step_form_matches_rows_scalar() {
+        // Each form this host has against the scalar rows, bit for bit on
+        // outputs and carried state, over head widths that hit every
+        // edge of the 64/16-row (AVX-512) and 32/8-row (AVX2) blocking.
+        let mut seed = 0x2545_f491u32;
+        let mut next = move || {
+            seed = seed.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            (seed >> 8) as f32 / (1u32 << 23) as f32 - 1.0
+        };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for isa in Isa::supported() {
+            for headdim in [1, 7, 8, 15, 16, 17, 24, 32, 40, 48, 61, 64, 65, 96, 128] {
+                for d_state in [1, 5, 16] {
+                    let x: Vec<f32> = (0..headdim).map(|_| 2.0 * next()).collect();
+                    let b: Vec<f32> = (0..d_state).map(|_| next()).collect();
+                    let c: Vec<f32> = (0..d_state).map(|_| next()).collect();
+                    let coeffs = head_coeffs(next(), 0.1, next());
+                    let mut state: Vec<f32> = (0..headdim * d_state).map(|_| next()).collect();
+                    let mut state_ref = state.clone();
+                    let (mut y, mut y_ref) = (vec![0.0; headdim], vec![0.0; headdim]);
+                    for _ in 0..2 {
+                        ssm_head_step(isa, &mut state, &mut y, &x, &b, &c, coeffs, 0.7);
+                        rows_scalar(0, &mut state_ref, &mut y_ref, &x, &b, &c, coeffs, 0.7);
+                    }
+                    let at = format!("{isa:?} headdim {headdim} d_state {d_state}");
+                    assert_eq!(bits(&y), bits(&y_ref), "y, {at}");
+                    assert_eq!(bits(&state), bits(&state_ref), "state, {at}");
+                }
+            }
         }
     }
 

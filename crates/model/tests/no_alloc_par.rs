@@ -86,7 +86,12 @@ fn steady_state_parallel_decode_allocates_nothing() {
     let mut twin_states = states.clone();
     let mut twin_ws = DecodeWorkspace::new();
     let mut alternate = |t: usize| {
-        step(t, &mut states, (t % 2 == 0).then_some(&pool), &mut ws);
+        step(
+            t,
+            &mut states,
+            t.is_multiple_of(2).then_some(&pool),
+            &mut ws,
+        );
         step(t, &mut twin_states, None, &mut twin_ws);
         assert_eq!(ws.logits(), twin_ws.logits(), "step {t} diverged");
     };

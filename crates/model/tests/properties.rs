@@ -153,9 +153,9 @@ fn grid_values(len: usize, scale: f32, profile: usize, rng: &mut StdRng) -> Vec<
         .collect()
 }
 
-/// The dispatched SSM step (AVX2 on a capable x86_64 host) against the
-/// scalar oracle, bit for bit on outputs *and* carried state, over
-/// shapes that hit every ragged edge of the 32- and 8-row blocking.
+/// The dispatched SSM step (AVX-512 or AVX2 on a capable x86_64 host)
+/// against the scalar oracle, bit for bit on outputs *and* carried
+/// state, over shapes that hit every ragged edge of the row blocking.
 #[test]
 fn dispatched_ssm_step_is_bit_identical_to_scalar() {
     const STEPS: usize = 4;
@@ -169,8 +169,10 @@ fn dispatched_ssm_step_is_bit_identical_to_scalar() {
         active_isa()
     );
     let mut rng = StdRng::seed_from_u64(14);
-    // Rows run 32 at a time (four accumulators), then 8 (one), then one
-    // by one: 24, 40 and 96 mix the three, 32 is one run of four.
+    // AVX2 rows run 32 at a time (four accumulators), then 8 (one), then
+    // one by one: 24, 40 and 96 mix the three, 32 is one run of four.
+    // AVX-512 runs 64, then 16: 96 mixes both, 16 and 64 are one run
+    // each (the in-crate `ssm` tests pin each form on more widths).
     for headdim in [1usize, 7, 8, 9, 16, 24, 32, 40, 61, 64, 96] {
         for d_state in [1usize, 5, 8, 13, 64, 67, 128] {
             for ngroups in [1usize, 2] {

@@ -8,34 +8,37 @@
 //! case) computes `i8 activations × u4 weights → integer accumulate →
 //! one f32 rescale per group`, the arithmetic of the paper's MMU.
 //!
-//! # Layout: output-stationary tiles, reduction-interleaved
+//! # Layout: output-stationary tiles, reduction-interleaved by quads
 //!
 //! ```text
 //!  PackedW4.blocks, tile-major:
 //!
-//!  tile 0 (outputs 0..32)         tile 1 (outputs 32..64)       …
+//!  tile 0 (outputs 0..32)          tile 1 (outputs 32..64)       …
 //!  ┌────────┬────────┬─────┬────────┐┌────────┬────────┬───
-//!  │pair 0  │pair 1  │  …  │pair P-1││pair 0  │pair 1  │ …
-//!  │in 0,1  │in 2,3  │     │        ││in 0,1  │in 2,3  │
+//!  │quad 0  │quad 1  │  …  │quad Q-1││quad 0  │quad 1  │ …
+//!  │in 0..4 │in 4..8 │     │        ││in 0..4 │in 4..8 │
 //!  └────────┴────────┴─────┴────────┘└────────┴────────┴───
-//!   32 B: 32 outputs × 2 inputs, nibbles `code + 8`   (crate::simd)
+//!   64 B: 32 outputs × 4 inputs, nibbles `code + 8`   (crate::simd)
 //!
-//!  group g owns pairs g·⌈group/2⌉ ..: a group of odd length ends in a
-//!  pair whose second input does not exist (weight nibble = code 0,
-//!  activation code = 0); so does an odd `in_features`. Outputs past
-//!  `out_features` in the last tile are code 0 and are never read back.
+//!  group g owns quads g·⌈group/4⌉ ..: a group whose length is not a
+//!  multiple of 4 ends in a quad whose last inputs do not exist (weight
+//!  nibble = code 0, activation code = 0); so does a ragged
+//!  `in_features`. Outputs past `out_features` in the last tile are
+//!  code 0 and are never read back.
 //! ```
 //!
-//! A tile's 32 integer accumulators stay put (in registers, in the AVX2
-//! form) while that tile's blocks stream past once, and up to four
-//! activations share each block as it passes — weights are fetched once
-//! and reused by everything resident, the paper's dataflow. The
-//! micro-kernel and its overflow bound live in [`crate::simd`].
+//! A tile's 32 integer accumulators stay put (in registers, in the
+//! vector forms) while that tile's blocks stream past once, and up to
+//! four activations share each block as it passes — weights are fetched
+//! once and reused by everything resident, the paper's dataflow. The
+//! scalar, AVX2 and AVX-512 forms all read this one layout; the
+//! micro-kernel and its overflow bounds live in [`crate::simd`].
 //!
 //! # Why `+8`, and why outputs do not move
 //!
 //! The weight nibble is stored unsigned (`code + 8 ∈ [0, 15]`) because
-//! the AVX2 multiply-add wants one unsigned operand. The kernel thus
+//! the byte multiply-adds of AVX2 and AVX-512 VNNI want one unsigned
+//! operand. The kernel thus
 //! accumulates `Σ (c+8)·q` and the sweep subtracts `8·Σq` (per
 //! activation and group, computed once) — both exact integers, so the
 //! group's reduction `ia = Σ c·q` is the same integer any other
@@ -73,7 +76,9 @@ use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::Tensor;
 
 use crate::quantizer::{Granularity, QuantScheme, QuantizedTensor};
-use crate::simd::{code_pair, flush_pairs, mac_tile, Block, CodePair, KBLOCK, TILE};
+use crate::simd::{
+    code_quad, flush_quads, sweep, Act, Block, CodeQuad, Weights, KBLOCK, QUAD, TILE,
+};
 use crate::{QuantError, Result};
 
 /// A weight matrix in packed 4-bit form for integer GEMM.
@@ -86,13 +91,13 @@ use crate::{QuantError, Result};
 ///
 /// Physical storage is the **tiled, reduction-interleaved** layout the
 /// micro-kernel consumes (module docs): `out_features.div_ceil(32)`
-/// tiles, each a contiguous run of one 32-byte block per input pair.
+/// tiles, each a contiguous run of one 64-byte block per input quad.
 /// Scales are held twice: output-major ([`PackedW4::scales`], the grid
 /// order the quantizer produces) and group-major (`scales_t`, the order
 /// the rescale consumes).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedW4 {
-    /// `tiles × pairs` blocks, tile-major.
+    /// `tiles × quads` blocks, tile-major.
     blocks: Vec<Block>,
     /// One scale per `(output, group)` block, `groups_per_row` per
     /// output — the [`QuantizedTensor`] grid order.
@@ -101,18 +106,18 @@ pub struct PackedW4 {
     scales_t: Vec<f32>,
     group: usize,
     groups_per_row: usize,
-    /// Input pairs of a full group (`group.div_ceil(2)`): every group
-    /// starts on a pair boundary, so an odd group ends in a half-empty
-    /// pair.
-    pairs_per_group: usize,
-    /// Input pairs of one tile (the last group may be ragged).
-    pairs: usize,
+    /// Input quads of a full group (`group.div_ceil(4)`): every group
+    /// starts on a quad boundary, so a group of `4n + r` inputs ends in a
+    /// quad with `4 − r` padding inputs.
+    quads_per_group: usize,
+    /// Input quads of one tile (the last group may be ragged).
+    quads: usize,
     in_features: usize,
     out_features: usize,
 }
 
-/// Nibble of a padding position (`code 0`): inputs past the end of an
-/// odd group and outputs past the last tile's real ones.
+/// Nibble of a padding position (`code 0`): inputs past the end of a
+/// group's last quad and outputs past the last tile's real ones.
 const PAD: u8 = 0x88;
 
 impl PackedW4 {
@@ -159,7 +164,9 @@ impl PackedW4 {
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidScheme`] for a zero dimension or
-    /// group, a code outside `[-8, 7]`, or slices of the wrong length.
+    /// group, an `in_features` whose integer dot products could overflow
+    /// i32 (`in_features · 15 · 127 ≥ 2³¹`, see [`crate::simd`]), a code
+    /// outside `[-8, 7]`, or slices of the wrong length.
     pub fn from_codes(
         codes: &[i8],
         scales: &[f32],
@@ -170,6 +177,11 @@ impl PackedW4 {
         if in_features == 0 || out_features == 0 || group == 0 {
             return Err(QuantError::InvalidScheme(format!(
                 "packed weight needs non-zero dimensions, got {in_features}×{out_features} group {group}"
+            )));
+        }
+        if in_features.saturating_mul(15 * 127) > i32::MAX as usize {
+            return Err(QuantError::InvalidScheme(format!(
+                "{in_features} inputs could overflow the kernel's i32 accumulators"
             )));
         }
         let groups_per_row = in_features.div_ceil(group);
@@ -188,9 +200,9 @@ impl PackedW4 {
                 "code {c} does not fit a signed nibble"
             )));
         }
-        let pairs_per_group = group.div_ceil(2);
+        let quads_per_group = group.div_ceil(QUAD);
         let last_group = in_features - (groups_per_row - 1) * group;
-        let pairs = (groups_per_row - 1) * pairs_per_group + last_group.div_ceil(2);
+        let quads = (groups_per_row - 1) * quads_per_group + last_group.div_ceil(QUAD);
         let mut scales_t = vec![0.0f32; groups_per_row * out_features];
         for o in 0..out_features {
             for g in 0..groups_per_row {
@@ -198,13 +210,13 @@ impl PackedW4 {
             }
         }
         let mut packed = PackedW4 {
-            blocks: vec![Block([PAD; TILE]); out_features.div_ceil(TILE) * pairs],
+            blocks: vec![Block([PAD; TILE * QUAD / 2]); out_features.div_ceil(TILE) * quads],
             scales: scales.to_vec(),
             scales_t,
             group,
             groups_per_row,
-            pairs_per_group,
-            pairs,
+            quads_per_group,
+            quads,
             in_features,
             out_features,
         };
@@ -224,11 +236,11 @@ impl PackedW4 {
     #[inline]
     fn locate(&self, i: usize, o: usize) -> (usize, usize, u32) {
         let (g, r) = (i / self.group, i % self.group);
-        let pair = g * self.pairs_per_group + r / 2;
+        let quad = g * self.quads_per_group + r / QUAD;
         let (tile, lane) = (o / TILE, o % TILE);
         (
-            tile * self.pairs + pair,
-            2 * (lane % (TILE / 2)) + (r & 1),
+            tile * self.quads + quad,
+            QUAD * (lane % (TILE / 2)) + r % QUAD,
             if lane < TILE / 2 { 0 } else { 4 },
         )
     }
@@ -266,7 +278,7 @@ impl PackedW4 {
     /// Storage footprint in bits of the weight stream an accelerator
     /// fetches: one nibble per parameter (an odd output width rounds
     /// each input's row up to a whole byte) plus FP16 scales. The host
-    /// layout's tile and pair padding is not part of that stream and is
+    /// layout's tile and quad padding is not part of that stream and is
     /// not counted.
     pub fn storage_bits(&self) -> usize {
         self.in_features * self.out_features.div_ceil(2) * 8 + self.scales.len() * 16
@@ -306,7 +318,7 @@ pub struct ActQuant {
     group: usize,
     len: usize,
     /// Largest code magnitude of the latest scheme (sets how many input
-    /// pairs the micro-kernel may accumulate in i16, see [`crate::simd`]).
+    /// quads the micro-kernel may accumulate in i16, see [`crate::simd`]).
     qmax: i32,
 }
 
@@ -439,13 +451,13 @@ fn check_gemv(w: &PackedW4, act: &ActQuant, out: &[f32]) -> Result<()> {
 }
 
 /// Reusable scratch of [`gemv_packed`] / [`gemm_packed`]: every
-/// activation's codes re-laid as the code pairs the micro-kernel
-/// broadcasts (each group padded to a whole pair with a zero code), and
+/// activation's codes re-laid as the code quads the micro-kernel
+/// broadcasts (each group padded to a whole quad with zero codes), and
 /// `Σq` per `(activation, group)` for the `−8·Σq` correction. Grows to
 /// the largest batch seen, then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GemvScratch {
-    pairs: Vec<CodePair>,
+    quads: Vec<CodeQuad>,
     qsum: Vec<i32>,
 }
 
@@ -458,20 +470,20 @@ impl GemvScratch {
     /// Lays `acts` out for a sweep over `w`; returns the largest code
     /// magnitude any of their schemes allows.
     fn load(&mut self, w: &PackedW4, acts: &[ActQuant]) -> i32 {
-        self.pairs.clear();
-        self.pairs.resize(acts.len() * w.pairs, 0);
+        self.quads.clear();
+        self.quads.resize(acts.len() * w.quads, 0);
         self.qsum.clear();
         let mut qmax = 1;
-        for (act, pairs) in acts.iter().zip(self.pairs.chunks_exact_mut(w.pairs)) {
+        for (act, quads) in acts.iter().zip(self.quads.chunks_exact_mut(w.quads)) {
             qmax = qmax.max(act.qmax);
-            for (codes, pairs) in act
+            for (codes, quads) in act
                 .codes()
                 .chunks(w.group)
-                .zip(pairs.chunks_mut(w.pairs_per_group))
+                .zip(quads.chunks_mut(w.quads_per_group))
             {
                 self.qsum.push(codes.iter().map(|&q| q as i32).sum());
-                for (q, pair) in codes.chunks(2).zip(pairs) {
-                    *pair = code_pair(q[0], q.get(1).copied().unwrap_or(0));
+                for (q, quad) in codes.chunks(QUAD).zip(quads) {
+                    *quad = code_quad(std::array::from_fn(|t| q.get(t).copied().unwrap_or(0)));
                 }
             }
         }
@@ -486,8 +498,9 @@ impl GemvScratch {
 /// kernel, same loop, `scratch` allocation-free once warm.
 ///
 /// The integer sweep runs on the instruction set
-/// [`lightmamba_tensor::isa::detect`] picks (AVX2 on a capable `x86_64`
-/// host, scalar otherwise); results are bit-identical either way — see
+/// [`lightmamba_tensor::isa::detect`] picks (AVX-512 VNNI or AVX2 on a
+/// capable `x86_64` host, scalar otherwise); results are bit-identical
+/// whichever runs — see
 /// [`crate::simd`] for the argument and [`gemv_packed_scalar`] for the
 /// pinned-scalar entry point.
 ///
@@ -631,13 +644,19 @@ pub(crate) fn gemm_packed_into<T>(
     gemm_rows(w, acts, scratch, rows, out_of, detect())
 }
 
-/// The one GEMM loop: tile-outer, then [`KBLOCK`] activations at a time,
-/// then groups ascending. Per `(tile, activation block, group)` the
-/// micro-kernel leaves `Σ (c+8)·q` in i32; the correction and the f32
-/// rescale happen here, in the order every earlier kernel used
-/// (`out += ia as f32 * (wsc * asc)`, one group after the other), which
-/// is what keeps outputs bit-identical across kernels, batch sizes and
-/// instruction sets.
+/// Bytes of weights one sweep takes for every [`KBLOCK`] of a larger
+/// batch before moving on: small enough that they stay L1-hot from one
+/// activation block to the next.
+const L1_SWEEP_BYTES: usize = 16 << 10;
+
+/// The one GEMM loop: runs of tiles, then [`KBLOCK`] activations at a
+/// time. Per `(tiles, activation block)` the micro-kernel's `sweep` walks
+/// each tile's groups ascending, leaves `Σ (c+8)·q` in i32, and applies
+/// the correction and the f32 rescale in the order every earlier kernel
+/// used (`out += ia as f32 * (wsc * asc)`, one group after the other),
+/// which is what keeps outputs bit-identical across kernels, batch sizes
+/// and instruction sets. A batch of one block sweeps every tile in one
+/// call.
 fn gemm_rows<T>(
     w: &PackedW4,
     acts: &[ActQuant],
@@ -658,46 +677,36 @@ fn gemm_rows<T>(
         check_gemv(w, act, out)?;
         out.fill(0.0);
     }
-    let run = flush_pairs(scratch.load(w, acts));
+    let run = flush_quads(scratch.load(w, acts));
     let groups = w.groups_per_row;
-    let mut acc = [[0i32; TILE]; KBLOCK];
-    for (tile, blocks) in w.blocks.chunks_exact(w.pairs).enumerate() {
-        let o0 = tile * TILE;
-        let o1 = (o0 + TILE).min(w.out_features);
+    let weights = Weights {
+        blocks: &w.blocks,
+        quads: w.quads,
+        quads_per_group: w.quads_per_group,
+        groups,
+        scales: &w.scales_t,
+        out_features: w.out_features,
+    };
+    let tiles = w.out_features.div_ceil(TILE);
+    let step = if acts.len() <= KBLOCK {
+        tiles
+    } else {
+        (L1_SWEEP_BYTES / (w.quads * std::mem::size_of::<Block>())).max(1)
+    };
+    for t0 in (0..tiles).step_by(step) {
         for k0 in (0..acts.len()).step_by(KBLOCK) {
             let kb = KBLOCK.min(acts.len() - k0);
-            for g in 0..groups {
-                let p0 = g * w.pairs_per_group;
-                let p1 = (p0 + w.pairs_per_group).min(w.pairs);
-                let acc = &mut acc[..kb];
-                acc.fill([0; TILE]);
-                let mut lo = p0;
-                while lo < p1 {
-                    let hi = (lo + run).min(p1);
-                    let codes: [&[CodePair]; KBLOCK] = std::array::from_fn(|kk| {
-                        let base = (k0 + kk) * w.pairs;
-                        if kk < kb {
-                            &scratch.pairs[base + lo..base + hi]
-                        } else {
-                            &[]
-                        }
-                    });
-                    mac_tile(isa, &blocks[lo..hi], &codes[..kb], acc);
-                    lo = hi;
-                }
-                let wscales = &w.scales_t[g * w.out_features..][o0..o1];
-                for (kk, acc) in acc.iter().enumerate() {
-                    let k = k0 + kk;
-                    let asc = acts[k].scales()[g];
-                    let bias = 8 * scratch.qsum[k * groups + g];
-                    let out = &mut out_of(&mut rows[k])[o0..o1];
-                    // With PoT scales every operation here is exact
-                    // (module docs).
-                    for ((out_v, &ia), &wsc) in out.iter_mut().zip(acc).zip(wscales) {
-                        *out_v += (ia - bias) as f32 * (wsc * asc);
-                    }
-                }
+            let mut lanes: [Act<'_>; KBLOCK] = Default::default();
+            for ((lane, row), k) in lanes.iter_mut().zip(&mut rows[k0..k0 + kb]).zip(k0..) {
+                *lane = Act {
+                    codes: &scratch.quads[k * w.quads..][..w.quads],
+                    qsum: &scratch.qsum[k * groups..][..groups],
+                    scales: acts[k].scales(),
+                    out: out_of(row),
+                };
             }
+            let sweep_tiles = t0..(t0 + step).min(tiles);
+            sweep(isa, &weights, sweep_tiles, &mut lanes[..kb], run);
         }
     }
     Ok(())
@@ -802,6 +811,40 @@ mod tests {
             let mut siacc = GemvScratch::new();
             gemv_packed(&p, a, &mut siacc, &mut single).unwrap();
             assert_eq!(out, &single);
+        }
+    }
+
+    #[test]
+    fn every_form_matches_scalar_on_groups_of_any_length() {
+        // Groups that end part-way through a quad (padding inputs in the
+        // last quad of every group), a ragged last group and last tile,
+        // every K-block remainder and both activation widths, through
+        // each form this host has.
+        let mut rng = StdRng::seed_from_u64(8);
+        for group in [1usize, 2, 3, 5, 7, 9] {
+            let (inf, outf) = (4 * group + 3, 37);
+            let p = PackedW4::quantize(&random_weight(&mut rng, inf, outf), w4(group)).unwrap();
+            for bits in [4u8, 8] {
+                let acts: Vec<ActQuant> = (0..5)
+                    .map(|_| {
+                        let x: Vec<f32> = (0..inf).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                        let mut a = ActQuant::new();
+                        a.quantize(&x, QuantScheme::act_per_group(bits, group))
+                            .unwrap();
+                        a
+                    })
+                    .collect();
+                let mut scratch = GemvScratch::new();
+                let mut want = vec![Vec::new(); acts.len()];
+                gemm_packed_scalar(&p, &acts, &mut scratch, &mut want).unwrap();
+                for isa in Isa::supported() {
+                    for batch in 1..=acts.len() {
+                        let mut got = vec![Vec::new(); batch];
+                        gemm_packed_isa(&p, &acts[..batch], &mut scratch, &mut got, isa).unwrap();
+                        assert_eq!(got, want[..batch], "{isa:?} group {group} a{bits} b{batch}");
+                    }
+                }
+            }
         }
     }
 

@@ -50,7 +50,7 @@ use lightmamba_model::weights::InProjSplit;
 use lightmamba_model::{BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState};
 use lightmamba_tensor::conv::tap_major;
 #[cfg(target_arch = "x86_64")]
-use lightmamba_tensor::isa::{detect, Isa};
+use lightmamba_tensor::isa::detect;
 use lightmamba_tensor::{norm, Tensor};
 
 use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
@@ -589,9 +589,9 @@ impl DecodeKernels for QuantizedMamba {
     /// one GEMM across the lane's rows for each projection. A lane of one
     /// row runs the same code, so per-row arithmetic — and therefore
     /// every logit and state bit — does not depend on the batch or the
-    /// chunk length. On an AVX2 host the phases run compiled for AVX2
-    /// (same source, same bits: nothing contracts or reassociates
-    /// without FMA).
+    /// chunk length. On an AVX2 host, AVX-512 ones included, the phases
+    /// run compiled for AVX2 (same source, same bits: nothing contracts
+    /// or reassociates without FMA).
     fn layer_step(
         &self,
         layer: usize,
@@ -600,8 +600,8 @@ impl DecodeKernels for QuantizedMamba {
         scratch: &mut QuantScratch,
     ) -> Result<()> {
         #[cfg(target_arch = "x86_64")]
-        if detect() == Isa::Avx2 {
-            // SAFETY: `detect` returned `Avx2` only after checking the CPU.
+        if detect().has_avx2() {
+            // SAFETY: `detect` returns a vector tier only after checking AVX2.
             return unsafe { self.layer_step_avx2(layer, xs, lstates, scratch) };
         }
         self.layer_step_body(layer, xs, lstates, scratch)
@@ -618,8 +618,8 @@ impl DecodeKernels for QuantizedMamba {
         scratch: &mut QuantScratch,
     ) -> Result<()> {
         #[cfg(target_arch = "x86_64")]
-        if detect() == Isa::Avx2 {
-            // SAFETY: `detect` returned `Avx2` only after checking the CPU.
+        if detect().has_avx2() {
+            // SAFETY: `detect` returns a vector tier only after checking AVX2.
             return unsafe { self.finish_avx2(xs, logits, scratch) };
         }
         self.finish_body(xs, logits, scratch)

@@ -1,61 +1,89 @@
 //! The output-stationary W4A4 micro-kernel and its instruction-set
 //! dispatch.
 //!
-//! [`crate::kernels::gemm_packed`] walks a packed weight tile by tile;
-//! everything it does per tile funnels into one function, `mac_tile`:
-//! *for up to four activations at once, add the integer dot products of
-//! a run of input pairs into a tile's 32 accumulators*. The accumulators
-//! stay where they are for the whole run (registers, in the AVX2 form)
-//! while the weights stream past once and are shared by every activation
-//! of the block — the dataflow of the paper's MMU.
+//! [`crate::kernels::gemm_packed`] hands a packed weight to one
+//! function, `sweep`: *for up to four activations at once and for each
+//! tile of a run of tiles, add the rescaled integer dot products of every
+//! group of the tile's input quads into its 32 outputs*. The accumulators
+//! stay where they are for the whole group and the outputs for the whole
+//! tile (registers, in the vector forms) while the weights stream past
+//! once and are shared by every activation of the block — the dataflow of
+//! the paper's MMU. A batch of more than four sweeps a few tiles at a
+//! time for each block of four, so those tiles stay L1-hot between
+//! blocks.
 //!
 //! # The block the kernel consumes
 //!
-//! One block is 32 bytes: the 64 weights of one 32-output tile × one
-//! input pair `(i, i+1)`, each stored as the unsigned nibble
-//! `code + 8 ∈ [0, 15]`. For `j = 0..16`:
+//! One block is 64 bytes: the 128 weights of one 32-output tile × one
+//! input quad `i..i+4`, each stored as the unsigned nibble
+//! `code + 8 ∈ [0, 15]`. For `j = 0..16` and `t = 0..4`:
 //!
 //! ```text
-//!              byte 2j                          byte 2j+1
-//!   ┌────────────────┬─────────────┐  ┌──────────────────┬───────────────┐
-//!   │ hi  w[i][16+j] │ lo  w[i][j] │  │ hi  w[i+1][16+j] │ lo  w[i+1][j] │
-//!   └────────────────┴─────────────┘  └──────────────────┴───────────────┘
+//!                        byte 4j+t
+//!   ┌────────────────────┬──────────────────┐
+//!   │ hi  w[i+t][16+j]   │ lo  w[i+t][j]    │
+//!   └────────────────────┴──────────────────┘
+//!
+//!   bytes 4j..4j+4: the quad's four inputs of output j (lo) / 16+j (hi)
 //! ```
 //!
-//! Masking the low nibbles of a block therefore yields, for outputs
-//! `0..16` of the tile, the byte pairs `(w[i][j], w[i+1][j])`, and
-//! shifting yields the same for outputs `16..32` — exactly the operand
-//! shape of `maddubs_epi16(weights_u8, activation_pair_i8)`, whose i16
-//! lane `j` is `w[i][j]·a[i] + w[i+1][j]·a[i+1]`. An AVX2 step is
-//! load → `and` / `srli`+`and` → `maddubs` → `add_epi16`.
+//! Masking the low nibbles of a block yields, per 32-bit lane `j`, the
+//! four bytes `w[i..i+4][j]`; shifting yields the same for output
+//! `16 + j`. Against a broadcast quad of activation codes
+//! `[q₀, q₁, q₂, q₃]` that is the operand shape of both instruction
+//! sets' byte dot products:
 //!
-//! Weights enter unsigned because `maddubs` wants one unsigned operand;
-//! the caller removes the bias exactly afterwards (`Σ(c+8)·q − 8·Σq`).
+//! * **AVX-512 VNNI** — `dpbusd(acc, weights_u8, quad_i8)` adds
+//!   `Σₜ w[i+t][j]·qₜ` into i32 lane `j`: 64 multiply-accumulates per
+//!   instruction, straight into the accumulator. A step is load →
+//!   `and` / `srli`+`and` → per activation one broadcast and two
+//!   `dpbusd`.
+//! * **AVX2** — a block is two 32-byte halves of 16 outputs (`0..8` and
+//!   `16..24`, then `8..16` and `24..32`). Three or four activations run
+//!   the halves one pass after the other, so their accumulators fit the
+//!   16 registers; one or two take both in one pass.
+//!   `maddubs(weights_u8, quad_i8)` leaves `w[i][j]·q₀ + w[i+1][j]·q₁`
+//!   and `w[i+2][j]·q₂ + w[i+3][j]·q₃` in two i16 lanes, added up in i16;
+//!   the flush folds the two with `madd_epi16(acc, 1)` into i32. A step
+//!   is load → `and` / `srli`+`and` → per activation one broadcast, two
+//!   `maddubs` and two adds per 64 multiply-accumulates.
 //!
-//! # Why i16 accumulators are exact
+//! Weights enter unsigned because both instructions want one unsigned
+//! operand; the caller removes the bias exactly afterwards
+//! (`Σ(c+8)·q − 8·Σq`). Groups are padded to whole quads with code 0
+//! (nibble 8) against activation code 0, which adds nothing.
 //!
-//! A `maddubs` pair sum is at most `2·15·127 = 3810`, far from
-//! saturation, and a lane that has absorbed `n` inputs holds at most
-//! `n·15·qmaxₐ`. `flush_pairs` turns `n·15·qmaxₐ ≤ i16::MAX` into the
-//! number of input pairs one `mac_tile` call may take; the caller never
-//! passes more, and each call widens its i16 lanes into the caller's i32
-//! accumulators before returning — the same kernel whether a group fits
-//! in one call or not. W4A4 at group 128 reaches 13 440: one call per
-//! group. 8-bit activations flush every 8 pairs (16 inputs).
+//! # Why the accumulators are exact
+//!
+//! A `dpbusd` lane gains at most `4·15·127` per quad in i32, and
+//! `PackedW4` rejects widths that break `in_features · 15 · 127 < 2³¹`,
+//! so a whole group accumulates in i32 with no flush at all.
+//!
+//! An AVX2 i16 lane gains at most `2·15·qmaxₐ` per quad (`maddubs`
+//! itself never saturates: `2·15·127 = 3810`). `flush_quads` turns
+//! `n·2·15·qmaxₐ ≤ i16::MAX` into the number of quads one i16 run may
+//! take; the sweep never passes more, and each run widens its i16 lanes
+//! into i32 before the next starts. W4A4 at group 128 (32 quads) fits
+//! one run; 8-bit activations flush every 8 quads (32 inputs).
 //!
 //! # Forms
 //!
-//! * **scalar** — the same i16-then-widen sums as 16-lane loops a
+//! * **scalar** — the AVX2 form's i16-then-widen sums as 32-lane loops a
 //!   baseline compiler vectorizes. It is the oracle the tests compare
 //!   against (in debug builds its i16 adds trap on overflow, so the
-//!   bound above is checked on every test run) and the kernel of every
+//!   flush bound is checked on every test run) and the kernel of every
 //!   host without AVX2.
-//! * **AVX2** (compiled on every `x86_64` build), as above.
+//! * **AVX2** and **AVX-512** (both compiled on every `x86_64` build),
+//!   as above. Both rescale in registers and keep a tile's outputs there
+//!   across its groups, touching the last tile's weight scales and
+//!   outputs through masked loads and stores, and both prefetch the
+//!   weight stream a few blocks ahead.
 //!
 //! [`lightmamba_tensor::isa::detect`] picks the form once per process.
-//! Both compute the same integers, and every float operation stays in
-//! the caller, so dispatched and scalar results are bit-identical
-//! (pinned in `tests/kernel_props.rs`).
+//! All compute the same integers and then the same float operations per
+//! output — `out += (ia − 8·Σq) as f32 * (wsc * asc)`, groups ascending,
+//! multiply then add, no FMA — so dispatched and scalar results are
+//! bit-identical (pinned in `tests/kernel_props.rs`).
 //!
 //! There is no NEON form: the build image has no `aarch64` target to
 //! compile-check one against, so `aarch64` runs the scalar form.
@@ -65,99 +93,224 @@ use lightmamba_tensor::isa::Isa;
 /// Outputs per weight tile.
 pub(crate) const TILE: usize = 32;
 
+/// Inputs per block.
+pub(crate) const QUAD: usize = 4;
+
 /// Activations that share one pass over a tile's weights.
 pub(crate) const KBLOCK: usize = 4;
 
-/// One tile × one input pair of packed weights (module docs).
+/// How far ahead of the block in hand the vector forms prefetch: weights
+/// stream from L2 faster than the hardware prefetchers fetch them on
+/// their own.
+#[cfg(target_arch = "x86_64")]
+const PREFETCH_BYTES: usize = 512;
+
+/// One tile × one input quad of packed weights (module docs), aligned so
+/// a block is one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Block(pub(crate) [u8; TILE]);
+#[repr(C, align(64))]
+pub(crate) struct Block(pub(crate) [u8; TILE * QUAD / 2]);
 
-/// One activation's codes for an input pair `(i, i+1)`: the two i8
-/// codes, twice over (`[q₀, q₁, q₀, q₁]`, little-endian), so the AVX2
-/// form broadcasts a pair with a plain 32-bit load.
-pub(crate) type CodePair = i32;
+/// One activation's codes for an input quad `i..i+4`, little-endian, so
+/// the vector forms broadcast a quad with a plain 32-bit load.
+pub(crate) type CodeQuad = i32;
 
-/// Packs two activation codes into a [`CodePair`].
+/// Packs four activation codes into a [`CodeQuad`].
 #[inline]
-pub(crate) fn code_pair(q0: i8, q1: i8) -> CodePair {
-    i32::from_le_bytes([q0 as u8, q1 as u8, q0 as u8, q1 as u8])
+pub(crate) fn code_quad(q: [i8; QUAD]) -> CodeQuad {
+    i32::from_le_bytes(q.map(|q| q as u8))
 }
 
-/// Largest number of input pairs one [`mac_tile`] call may accumulate
-/// for activation codes bounded by `act_qmax`: the i16 lanes hold
-/// `2·pairs·15·qmaxₐ`, which must not exceed `i16::MAX`.
+/// Largest number of input quads one i16 run may accumulate for
+/// activation codes bounded by `act_qmax`: an i16 lane holds
+/// `2·quads·15·qmaxₐ`, which must not exceed `i16::MAX`.
 #[inline]
-pub(crate) fn flush_pairs(act_qmax: i32) -> usize {
+pub(crate) fn flush_quads(act_qmax: i32) -> usize {
     (i16::MAX as usize / (2 * 15 * act_qmax.max(1) as usize)).max(1)
 }
 
 /// Name of the instruction set the micro-kernel runs with on this host
-/// ("avx2" or "scalar"): the workspace's one detector,
+/// ("avx512", "avx2" or "scalar"): the workspace's one detector,
 /// [`lightmamba_tensor::isa`].
 pub use lightmamba_tensor::isa::active_isa;
 
-/// The micro-kernel: for each activation `k`, adds
-/// `Σ_p blocks[p] · acts[k][p]` (the unsigned-weight dot products of
-/// `blocks.len()` input pairs, per tile output) into `acc[k]`.
-///
-/// # Panics
-///
-/// Unless `acts.len() == acc.len() ≤ KBLOCK` and every `acts[k]` holds
-/// one [`CodePair`] per block. The caller additionally keeps
-/// `blocks.len() ≤ flush_pairs(qmaxₐ)` so the AVX2 lanes cannot
-/// overflow (that one is an arithmetic contract, not a memory one).
-#[inline]
-pub(crate) fn mac_tile(isa: Isa, blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE]]) {
-    assert!(acts.len() == acc.len() && acts.len() <= KBLOCK);
-    assert!(acts.iter().all(|a| a.len() == blocks.len()));
-    match isa {
-        Isa::Scalar => mac_tile_scalar(blocks, acts, acc),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
-        // AVX2; the length contract is asserted just above.
-        Isa::Avx2 => unsafe {
-            match acts.len() {
-                1 => avx2::mac_tile::<1>(blocks, acts, acc),
-                2 => avx2::mac_tile::<2>(blocks, acts, acc),
-                3 => avx2::mac_tile::<3>(blocks, acts, acc),
-                4 => avx2::mac_tile::<4>(blocks, acts, acc),
-                _ => {}
-            }
-        },
+/// A packed weight, as [`sweep`] reads it: `out_features.div_ceil(TILE)`
+/// tiles of `quads` blocks each.
+pub(crate) struct Weights<'a> {
+    /// Every tile's blocks, one per input quad, group after group.
+    pub(crate) blocks: &'a [Block],
+    /// Blocks per tile.
+    pub(crate) quads: usize,
+    /// Quads of a full group (the last group may have fewer).
+    pub(crate) quads_per_group: usize,
+    /// Groups per tile, `quads.div_ceil(quads_per_group)`.
+    pub(crate) groups: usize,
+    /// Group `g`'s scale of output `o` is `scales[g · out_features + o]`.
+    pub(crate) scales: &'a [f32],
+    /// Output width.
+    pub(crate) out_features: usize,
+}
+
+/// One tile of a [`Weights`].
+struct Tile<'a> {
+    blocks: &'a [Block],
+    /// The tile's first output.
+    o0: usize,
+    /// Real outputs of the tile (`≤ TILE`; the last tile may be short).
+    width: usize,
+}
+
+impl Weights<'_> {
+    fn tile(&self, t: usize) -> Tile<'_> {
+        let o0 = t * TILE;
+        Tile {
+            blocks: &self.blocks[t * self.quads..][..self.quads],
+            o0,
+            width: TILE.min(self.out_features - o0),
+        }
+    }
+
+    /// Group `g`'s quads within a tile.
+    fn quads(&self, g: usize) -> std::ops::Range<usize> {
+        let q0 = g * self.quads_per_group;
+        q0..(q0 + self.quads_per_group).min(self.quads)
     }
 }
 
-/// Scalar [`mac_tile`]: the same sums in the same i16-then-widen shape,
-/// written as 16-lane loops over `u16` words so a baseline compiler
-/// vectorizes them. Debug builds trap on i16 overflow, so every tier-1
-/// run also checks the caller's [`flush_pairs`] bound.
-fn mac_tile_scalar(blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE]]) {
-    const HALF: usize = TILE / 2;
-    let mut lo = [[0i16; HALF]; KBLOCK];
-    let mut hi = [[0i16; HALF]; KBLOCK];
-    for (p, Block(bytes)) in blocks.iter().enumerate() {
-        // One word per output lane: nibbles, low to high, are
-        // (in 0, out j), (in 0, out 16+j), (in 1, out j), (in 1, out 16+j).
-        let mut w = [[0i16; HALF]; 4];
-        for (j, pair) in bytes.chunks_exact(2).enumerate() {
-            let word = u16::from_le_bytes([pair[0], pair[1]]);
-            for (n, w) in w.iter_mut().enumerate() {
-                w[j] = ((word >> (4 * n)) & 0x0F) as i16;
+/// One activation's share of a [`sweep`].
+#[derive(Default)]
+pub(crate) struct Act<'a> {
+    /// One [`CodeQuad`] per block of a tile.
+    pub(crate) codes: &'a [CodeQuad],
+    /// `Σq` per group.
+    pub(crate) qsum: &'a [i32],
+    /// The activation scale per group.
+    pub(crate) scales: &'a [f32],
+    /// `out_features` outputs; the sweep adds into those of its tiles.
+    pub(crate) out: &'a mut [f32],
+}
+
+/// The kernel: for each tile of `tiles`, each activation `a` and each
+/// group `g` ascending, `a.out[o] += (ia − 8·Σq) as f32 * (wsc * asc)`,
+/// where `ia` is the unsigned-weight dot product of the group's quads for
+/// output `o`. `run` is [`flush_quads`] of the largest activation code:
+/// the i16 forms' flush length (the AVX-512 form needs none).
+///
+/// # Panics
+///
+/// Unless `1 ≤ acts.len() ≤ KBLOCK`, `run > 0`, `w` holds the blocks of
+/// `tiles`, its groups cover a tile and its scales every group's
+/// outputs, and every activation holds one code per quad, one `Σq` and
+/// scale per group and `out_features` outputs — the vector forms index by
+/// raw pointer from these.
+#[inline]
+pub(crate) fn sweep(
+    isa: Isa,
+    w: &Weights<'_>,
+    tiles: std::ops::Range<usize>,
+    acts: &mut [Act<'_>],
+    run: usize,
+) {
+    assert!(!acts.is_empty() && acts.len() <= KBLOCK && run > 0);
+    assert!(tiles.end <= w.out_features.div_ceil(TILE) && tiles.end * w.quads <= w.blocks.len());
+    assert!(w.groups * w.quads_per_group >= w.quads && w.scales.len() >= w.groups * w.out_features);
+    assert!(acts.iter().all(|a| a.codes.len() == w.quads
+        && a.qsum.len() >= w.groups
+        && a.scales.len() >= w.groups
+        && a.out.len() == w.out_features));
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
+        // the features; the length contract is asserted just above.
+        // Fewer activations leave vector registers free for independent
+        // accumulator sets, which hide `dpbusd`'s latency.
+        Isa::Avx512 => unsafe {
+            match acts.len() {
+                1 => avx512::sweep::<1, 4>(w, tiles, acts),
+                2 => avx512::sweep::<2, 2>(w, tiles, acts),
+                3 => avx512::sweep::<3, 1>(w, tiles, acts),
+                _ => avx512::sweep::<4, 1>(w, tiles, acts),
             }
-        }
-        for ((a, lo), hi) in acts.iter().zip(&mut lo).zip(&mut hi) {
-            let [q0, q1, ..] = a[p].to_le_bytes();
-            let (q0, q1) = (q0 as i8 as i16, q1 as i8 as i16);
-            for j in 0..HALF {
-                lo[j] += w[0][j] * q0 + w[2][j] * q1;
-                hi[j] += w[1][j] * q0 + w[3][j] * q1;
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
+        // AVX2; the length contract is asserted just above. Up to two
+        // activations keep both halves of a block in registers and take
+        // one pass; more take one pass per half.
+        Isa::Avx2 => unsafe {
+            match acts.len() {
+                1 => avx2::sweep::<1, 2>(w, tiles, acts, run),
+                2 => avx2::sweep::<2, 2>(w, tiles, acts, run),
+                3 => avx2::sweep::<3, 1>(w, tiles, acts, run),
+                _ => avx2::sweep::<4, 1>(w, tiles, acts, run),
+            }
+        },
+        Isa::Scalar => {
+            for t in tiles {
+                sweep_scalar(w, &w.tile(t), acts, run);
             }
         }
     }
-    for ((acc, lo), hi) in acc.iter_mut().zip(&lo).zip(&hi) {
-        for j in 0..HALF {
-            acc[j] += lo[j] as i32;
-            acc[HALF + j] += hi[j] as i32;
+}
+
+/// Scalar [`sweep`] of one tile: per group, runs of at most `run` quads
+/// through [`mac_tile_scalar`], then the rescale per output.
+fn sweep_scalar(w: &Weights<'_>, tile: &Tile<'_>, acts: &mut [Act<'_>], run: usize) {
+    let mut acc = [[0i32; TILE]; KBLOCK];
+    let acc = &mut acc[..acts.len()];
+    let outs = tile.o0..tile.o0 + tile.width;
+    for g in 0..w.groups {
+        let quads = w.quads(g);
+        acc.fill([0; TILE]);
+        let mut lo = quads.start;
+        while lo < quads.end {
+            let hi = (lo + run).min(quads.end);
+            mac_tile_scalar(&tile.blocks[lo..hi], acts, lo, acc);
+            lo = hi;
+        }
+        let wscales = &w.scales[g * w.out_features..][outs.clone()];
+        for (a, acc) in acts.iter_mut().zip(acc.iter()) {
+            let (asc, bias) = (a.scales[g], 8 * a.qsum[g]);
+            // With PoT scales every operation here is exact (see
+            // `crate::kernels`).
+            for ((out, &ia), &wsc) in a.out[outs.clone()].iter_mut().zip(acc).zip(wscales) {
+                *out += (ia - bias) as f32 * (wsc * asc);
+            }
+        }
+    }
+}
+
+/// The scalar micro-kernel: for each activation `k`, adds the
+/// unsigned-weight dot products of `blocks` (a tile's quads from
+/// `first` on) with `acts[k]`'s codes into `acc[k]`, in the AVX2 form's
+/// i16-then-widen shape — per output, inputs `(0, 1)` and `(2, 3)` of
+/// each quad in two i16 lanes — written as 32-lane loops a baseline
+/// compiler vectorizes. Debug builds trap on i16 overflow, so every
+/// tier-1 run also checks the caller's [`flush_quads`] bound.
+fn mac_tile_scalar(blocks: &[Block], acts: &[Act<'_>], first: usize, acc: &mut [[i32; TILE]]) {
+    const HALF: usize = TILE / 2;
+    let mut s01 = [[0i16; TILE]; KBLOCK];
+    let mut s23 = [[0i16; TILE]; KBLOCK];
+    for (p, Block(bytes)) in blocks.iter().enumerate() {
+        // w[t][o]: input t of the quad, output o.
+        let mut w = [[0i16; TILE]; QUAD];
+        for (j, quad) in bytes.chunks_exact(QUAD).enumerate() {
+            for (w, &b) in w.iter_mut().zip(quad) {
+                w[j] = (b & 0x0F) as i16;
+                w[HALF + j] = (b >> 4) as i16;
+            }
+        }
+        for ((a, s01), s23) in acts.iter().zip(&mut s01).zip(&mut s23) {
+            let q = a.codes[first + p].to_le_bytes().map(|q| q as i8 as i16);
+            for o in 0..TILE {
+                s01[o] += w[0][o] * q[0] + w[1][o] * q[1];
+                s23[o] += w[2][o] * q[2] + w[3][o] * q[3];
+            }
+        }
+    }
+    for ((acc, s01), s23) in acc.iter_mut().zip(&s01).zip(&s23) {
+        for o in 0..TILE {
+            acc[o] += s01[o] as i32 + s23[o] as i32;
         }
     }
 }
@@ -166,60 +319,266 @@ fn mac_tile_scalar(blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE
 mod avx2 {
     use std::arch::x86_64::*;
 
-    use super::{Block, CodePair, TILE};
+    use super::{Act, Weights, PREFETCH_BYTES, TILE};
 
-    /// AVX2 [`mac_tile`](super::mac_tile) for exactly `K` activations:
-    /// `2·K` i16 accumulator registers live across the whole run, each
-    /// block is loaded and split into its two nibble planes once, and
-    /// every activation pays one broadcast, two `maddubs` and two adds
-    /// per block. The i16 lanes are widened into `acc` on the way out.
+    /// AVX2 [`sweep`](super::sweep) for exactly `K` activations, `H`
+    /// 32-byte halves of every block per pass over a tile (16 outputs
+    /// each; two passes when `H == 1`). In a pass, `2·H·K` i16
+    /// accumulator registers live across a run of at most `run` quads;
+    /// each half-block is loaded and split into its two nibble planes
+    /// once, and every activation pays one broadcast per block, and two
+    /// `maddubs` and two adds per half-block. A flush folds each i16 pair
+    /// into i32 with `madd_epi16(acc, 1)`. At the end of a group the
+    /// rescale runs in registers in the scalar order, and the outputs are
+    /// read once and written once per pass, masked on a short last tile.
     ///
     /// # Safety
     ///
     /// * The CPU must support AVX2.
-    /// * `acts.len() == acc.len() == K` and every `acts[k]` is at least
-    ///   `blocks.len()` long — the loads below index by block.
+    /// * The length contract of [`sweep`](super::sweep), which it
+    ///   asserts, with `acts.len() == K`, `H` 1 or 2.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mac_tile<const K: usize>(
-        blocks: &[Block],
-        acts: &[&[CodePair]],
-        acc: &mut [[i32; TILE]],
+    pub(super) unsafe fn sweep<const K: usize, const H: usize>(
+        w: &Weights<'_>,
+        tiles: std::ops::Range<usize>,
+        acts: &mut [Act<'_>],
+        run: usize,
     ) {
-        debug_assert!(acts.len() == K && acc.len() == K);
+        debug_assert!(acts.len() == K && (H == 1 || H == 2) && run > 0);
         let nib = _mm256_set1_epi8(0x0F);
-        let mut lo = [_mm256_setzero_si256(); K];
-        let mut hi = [_mm256_setzero_si256(); K];
-        for (p, block) in blocks.iter().enumerate() {
-            // SAFETY: `Block` is 32 readable bytes; the load is unaligned.
-            let v = unsafe { _mm256_loadu_si256(block.0.as_ptr() as *const __m256i) };
-            let w_lo = _mm256_and_si256(v, nib);
-            // A 16-bit shift drags bits across byte lanes; the mask
-            // removes them.
-            let w_hi = _mm256_and_si256(_mm256_srli_epi16::<4>(v), nib);
-            for k in 0..K {
-                // SAFETY: `p < blocks.len() ≤ acts[k].len()` per the
-                // function contract.
-                let q = _mm256_set1_epi32(unsafe { *acts.get_unchecked(k).get_unchecked(p) });
-                lo[k] = _mm256_add_epi16(lo[k], _mm256_maddubs_epi16(w_lo, q));
-                hi[k] = _mm256_add_epi16(hi[k], _mm256_maddubs_epi16(w_hi, q));
+        let ones = _mm256_set1_epi16(1);
+        let iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for t in tiles {
+            let tile = w.tile(t);
+            // Only the last tile can be short; the others skip the masks.
+            let full = tile.width == TILE;
+            for pass in 0..2 / H {
+                // Plane `e` of the pass is the low (`e` even) or high
+                // nibble plane of half `pass·H + e/2`: its lane j is the
+                // tile's output `at(e) + j`.
+                let at = |e: usize| 8 * (pass * H + e / 2) + TILE / 2 * (e % 2);
+                let mask: [__m256i; 4] = std::array::from_fn(|e| {
+                    _mm256_cmpgt_epi32(_mm256_set1_epi32(tile.width as i32 - at(e) as i32), iota)
+                });
+                // SAFETY (both): `ptr` is a row's output `o0` (of `out` or
+                // of a group's scales), and only lanes below `width` are
+                // touched.
+                let load = |ptr: *const f32, e: usize| unsafe {
+                    if full {
+                        _mm256_loadu_ps(ptr.add(at(e)))
+                    } else {
+                        _mm256_maskload_ps(ptr.wrapping_add(at(e)), mask[e])
+                    }
+                };
+                let store = |ptr: *mut f32, e: usize, v: __m256| unsafe {
+                    if full {
+                        _mm256_storeu_ps(ptr.add(at(e)), v)
+                    } else {
+                        _mm256_maskstore_ps(ptr.wrapping_add(at(e)), mask[e], v)
+                    }
+                };
+                let mut out = [[_mm256_setzero_ps(); 4]; K];
+                for (k, out) in out.iter_mut().enumerate() {
+                    // SAFETY: `k < K`; `o0 < out_features`.
+                    let ptr = unsafe { acts.get_unchecked(k).out.as_ptr().add(tile.o0) };
+                    for (e, out) in out.iter_mut().enumerate().take(2 * H) {
+                        *out = load(ptr, e);
+                    }
+                }
+                for g in 0..w.groups {
+                    let quads = w.quads(g);
+                    let mut ia = [[_mm256_setzero_si256(); 4]; K];
+                    let mut lo = quads.start;
+                    while lo < quads.end {
+                        let hi = (lo + run).min(quads.end);
+                        let mut sums = [[_mm256_setzero_si256(); 4]; K];
+                        for p in lo..hi {
+                            // SAFETY: `p < quads`, the tile's length.
+                            let block = unsafe { tile.blocks.get_unchecked(p) }.0.as_ptr();
+                            _mm_prefetch::<_MM_HINT_T0>(block.wrapping_add(PREFETCH_BYTES).cast());
+                            let mut wv = [_mm256_setzero_si256(); 4];
+                            for h in 0..H {
+                                // SAFETY: half `pass·H + h < 2` of a block
+                                // of 64 bytes aligned to 64: 32 bytes
+                                // aligned to 32.
+                                let v = unsafe {
+                                    _mm256_load_si256(block.add(32 * (pass * H + h)).cast())
+                                };
+                                wv[2 * h] = _mm256_and_si256(v, nib);
+                                // A 16-bit shift drags bits across byte
+                                // lanes; the mask removes them.
+                                wv[2 * h + 1] = _mm256_and_si256(_mm256_srli_epi16::<4>(v), nib);
+                            }
+                            for (k, sums) in sums.iter_mut().enumerate() {
+                                // SAFETY: every `codes` is `quads` long.
+                                let q = _mm256_set1_epi32(unsafe {
+                                    *acts.get_unchecked(k).codes.get_unchecked(p)
+                                });
+                                for e in 0..2 * H {
+                                    let prod = _mm256_maddubs_epi16(wv[e], q);
+                                    sums[e] = _mm256_add_epi16(sums[e], prod);
+                                }
+                            }
+                        }
+                        for (ia, sums) in ia.iter_mut().zip(&sums) {
+                            for e in 0..2 * H {
+                                ia[e] = _mm256_add_epi32(ia[e], _mm256_madd_epi16(sums[e], ones));
+                            }
+                        }
+                        lo = hi;
+                    }
+                    // SAFETY: `scales` holds `groups · out_features`.
+                    let ws_row = unsafe { w.scales.as_ptr().add(g * w.out_features + tile.o0) };
+                    let mut ws = [_mm256_setzero_ps(); 4];
+                    for (e, ws) in ws.iter_mut().enumerate().take(2 * H) {
+                        *ws = load(ws_row, e);
+                    }
+                    for (k, (out, ia)) in out.iter_mut().zip(&ia).enumerate() {
+                        // SAFETY: `g < groups ≤ qsum.len(), scales.len()`.
+                        let (qsum, asc) = unsafe {
+                            let a = acts.get_unchecked(k);
+                            (*a.qsum.get_unchecked(g), *a.scales.get_unchecked(g))
+                        };
+                        let (bias, asc) = (_mm256_set1_epi32(8 * qsum), _mm256_set1_ps(asc));
+                        for e in 0..2 * H {
+                            // `out += (ia − bias) as f32 * (wsc * asc)`,
+                            // lane by lane.
+                            let term = _mm256_mul_ps(
+                                _mm256_cvtepi32_ps(_mm256_sub_epi32(ia[e], bias)),
+                                _mm256_mul_ps(ws[e], asc),
+                            );
+                            out[e] = _mm256_add_ps(out[e], term);
+                        }
+                    }
+                }
+                for (k, out) in out.iter().enumerate() {
+                    // SAFETY: as for the loads above.
+                    let ptr = unsafe { acts.get_unchecked_mut(k).out.as_mut_ptr().add(tile.o0) };
+                    for (e, &out) in out.iter().enumerate().take(2 * H) {
+                        store(ptr, e, out);
+                    }
+                }
             }
         }
-        for k in 0..K {
-            // SAFETY: `k < K == acc.len()` per the function contract.
-            let out = unsafe { acc.get_unchecked_mut(k) }.as_mut_ptr() as *mut __m256i;
-            let quarters = [
-                _mm256_castsi256_si128(lo[k]),
-                _mm256_extracti128_si256::<1>(lo[k]),
-                _mm256_castsi256_si128(hi[k]),
-                _mm256_extracti128_si256::<1>(hi[k]),
-            ];
-            for (j, q) in quarters.into_iter().enumerate() {
-                // SAFETY: `acc[k]` is 32 i32 = four unaligned 256-bit
-                // slots; `j < 4`.
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::{Act, Weights, PREFETCH_BYTES};
+
+    /// AVX-512 [`sweep`](super::sweep) for exactly `K` activations, with
+    /// `S` independent accumulator sets (quad `p` feeds set `p % S`, and
+    /// the sets are added before the rescale — integer adds, so the order
+    /// cannot show). Per group each quad is loaded and split into its
+    /// nibble planes once, and every activation pays one broadcast and
+    /// two `dpbusd`. The i32 lanes need no flush (module docs). The
+    /// rescale runs in registers in the scalar order, and a tile's
+    /// outputs are read once and written once, masked to its width.
+    ///
+    /// # Safety
+    ///
+    /// * The CPU must support AVX512F, AVX512BW and AVX512-VNNI.
+    /// * The length contract of [`sweep`](super::sweep), which it
+    ///   asserts, with `acts.len() == K`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(super) unsafe fn sweep<const K: usize, const S: usize>(
+        w: &Weights<'_>,
+        tiles: std::ops::Range<usize>,
+        acts: &mut [Act<'_>],
+    ) {
+        debug_assert!(acts.len() == K);
+        let nib = _mm512_set1_epi8(0x0F);
+        let lanes = |n: usize| (((1u32 << n.min(16)) - 1) & 0xFFFF) as __mmask16;
+        for t in tiles {
+            let tile = w.tile(t);
+            let (m_lo, m_hi) = (lanes(tile.width), lanes(tile.width.saturating_sub(16)));
+            let mut out_lo = [_mm512_setzero_ps(); K];
+            let mut out_hi = [_mm512_setzero_ps(); K];
+            for k in 0..K {
+                // SAFETY: `out` is `out_features` long and `o0` one of
+                // them; only lanes below `width` are read, and the high
+                // pointer is only formed when it has any.
                 unsafe {
-                    let slot = out.add(j);
-                    let sum = _mm256_add_epi32(_mm256_loadu_si256(slot), _mm256_cvtepi16_epi32(q));
-                    _mm256_storeu_si256(slot, sum);
+                    let out = acts.get_unchecked(k).out.as_ptr().add(tile.o0);
+                    out_lo[k] = _mm512_maskz_loadu_ps(m_lo, out);
+                    if m_hi != 0 {
+                        out_hi[k] = _mm512_maskz_loadu_ps(m_hi, out.add(16));
+                    }
+                }
+            }
+            for g in 0..w.groups {
+                let quads = w.quads(g);
+                let mut acc_lo = [[_mm512_setzero_si512(); K]; S];
+                let mut acc_hi = [[_mm512_setzero_si512(); K]; S];
+                let mut p = quads.start;
+                while p < quads.end {
+                    for s in 0..S.min(quads.end - p) {
+                        // SAFETY: `p + s < quads.end ≤ blocks.len()`; a
+                        // block is 64 bytes aligned to 64.
+                        let block = unsafe { tile.blocks.as_ptr().add(p + s) }.cast::<i8>();
+                        _mm_prefetch::<_MM_HINT_T0>(block.wrapping_add(PREFETCH_BYTES));
+                        let v = unsafe { _mm512_load_si512(block.cast()) };
+                        let w_lo = _mm512_and_si512(v, nib);
+                        let w_hi = _mm512_and_si512(_mm512_srli_epi16::<4>(v), nib);
+                        for k in 0..K {
+                            // SAFETY: every `codes` is `quads` long.
+                            let q = _mm512_set1_epi32(unsafe {
+                                *acts.get_unchecked(k).codes.get_unchecked(p + s)
+                            });
+                            acc_lo[s][k] = _mm512_dpbusd_epi32(acc_lo[s][k], w_lo, q);
+                            acc_hi[s][k] = _mm512_dpbusd_epi32(acc_hi[s][k], w_hi, q);
+                        }
+                    }
+                    p += S;
+                }
+                // SAFETY: `scales` holds `groups · out_features`; only
+                // lanes below `width` are read.
+                let (ws_lo, ws_hi) = unsafe {
+                    let ws = w.scales.as_ptr().add(g * w.out_features + tile.o0);
+                    let hi = if m_hi != 0 {
+                        _mm512_maskz_loadu_ps(m_hi, ws.add(16))
+                    } else {
+                        _mm512_setzero_ps()
+                    };
+                    (_mm512_maskz_loadu_ps(m_lo, ws), hi)
+                };
+                for k in 0..K {
+                    // SAFETY: `g < groups ≤ qsum.len(), scales.len()`.
+                    let (qsum, asc) = unsafe {
+                        let a = acts.get_unchecked(k);
+                        (*a.qsum.get_unchecked(g), *a.scales.get_unchecked(g))
+                    };
+                    let (bias, asc) = (_mm512_set1_epi32(8 * qsum), _mm512_set1_ps(asc));
+                    let (mut ia_lo, mut ia_hi) = (acc_lo[0][k], acc_hi[0][k]);
+                    for s in 1..S {
+                        ia_lo = _mm512_add_epi32(ia_lo, acc_lo[s][k]);
+                        ia_hi = _mm512_add_epi32(ia_hi, acc_hi[s][k]);
+                    }
+                    // `out += (ia − bias) as f32 * (wsc * asc)`, lane by
+                    // lane.
+                    let term_lo = _mm512_mul_ps(
+                        _mm512_cvtepi32_ps(_mm512_sub_epi32(ia_lo, bias)),
+                        _mm512_mul_ps(ws_lo, asc),
+                    );
+                    let term_hi = _mm512_mul_ps(
+                        _mm512_cvtepi32_ps(_mm512_sub_epi32(ia_hi, bias)),
+                        _mm512_mul_ps(ws_hi, asc),
+                    );
+                    out_lo[k] = _mm512_add_ps(out_lo[k], term_lo);
+                    out_hi[k] = _mm512_add_ps(out_hi[k], term_hi);
+                }
+            }
+            for k in 0..K {
+                // SAFETY: as for the loads above.
+                unsafe {
+                    let out = acts.get_unchecked_mut(k).out.as_mut_ptr().add(tile.o0);
+                    _mm512_mask_storeu_ps(out, m_lo, out_lo[k]);
+                    if m_hi != 0 {
+                        _mm512_mask_storeu_ps(out.add(16), m_hi, out_hi[k]);
+                    }
                 }
             }
         }
@@ -235,92 +594,188 @@ mod tests {
     fn detect_is_stable_and_named() {
         assert_eq!(detect(), detect());
         let isa = active_isa();
-        assert!(["scalar", "avx2"].contains(&isa), "unknown {isa}");
-        // The GEMM and the SSM scan share one decision, and an AVX2 host
-        // runs the AVX2 forms in the default build.
+        assert!(["scalar", "avx2", "avx512"].contains(&isa), "unknown {isa}");
+        // The GEMM and the SSM scan share one decision, and a host runs
+        // its best forms in the default build.
         assert_eq!(lightmamba_model::ssm::active_isa(), isa);
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert_eq!(isa, "avx2");
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let avx512 = has!("avx2") && has!("avx512f") && has!("avx512bw") && has!("avx512vnni");
+            assert_eq!(isa == "avx512", avx512);
+            if has!("avx2") && !avx512 {
+                assert_eq!(isa, "avx2");
+            }
         }
     }
 
     #[test]
     fn flush_bound_keeps_i16_lanes_exact() {
         for qmax in [1, 3, 7, 15, 127] {
-            let pairs = flush_pairs(qmax) as i32;
-            assert!(2 * pairs * 15 * qmax <= i16::MAX as i32, "qmax {qmax}");
-            assert!(2 * (pairs + 1) * 15 * qmax > i16::MAX as i32, "qmax {qmax}");
+            let quads = flush_quads(qmax) as i32;
+            assert!(2 * quads * 15 * qmax <= i16::MAX as i32, "qmax {qmax}");
+            assert!(2 * (quads + 1) * 15 * qmax > i16::MAX as i32, "qmax {qmax}");
         }
-        // The W4A4 recipe takes a whole 128-wide group in one call; 8-bit
-        // activations flush every 8 pairs (16 inputs).
-        assert!(flush_pairs(7) >= 64);
-        assert_eq!(flush_pairs(127), 8);
+        // The W4A4 recipe takes a whole 128-wide group (32 quads) in one
+        // run; 8-bit activations flush every 8 quads (32 inputs).
+        assert!(flush_quads(7) >= 32);
+        assert_eq!(flush_quads(127), 8);
     }
 
-    /// The sums [`mac_tile`] must produce, straight from the block
-    /// layout of the module docs, in i32.
-    fn mac_tile_naive(blocks: &[Block], acts: &[&[CodePair]], acc: &mut [[i32; TILE]]) {
-        for (a, acc) in acts.iter().zip(acc.iter_mut()) {
-            for (Block(bytes), pair) in blocks.iter().zip(a.iter()) {
-                let [q0, q1, ..] = pair.to_le_bytes();
-                for (lane, acc) in acc.iter_mut().enumerate() {
-                    let (j, shift) = (lane % 16, 4 * (lane / 16));
-                    let w0 = (bytes[2 * j] >> shift) & 0x0F;
-                    let w1 = (bytes[2 * j + 1] >> shift) & 0x0F;
-                    *acc += w0 as i32 * q0 as i8 as i32 + w1 as i32 * q1 as i8 as i32;
+    /// The outputs [`sweep`] must produce, straight from the block layout
+    /// of the module docs: exact i32 dot products per group, then the
+    /// rescale in the scalar order.
+    fn sweep_naive(w: &Weights<'_>, acts: &mut [Act<'_>]) {
+        for a in acts.iter_mut() {
+            for (o, out) in a.out.iter_mut().enumerate() {
+                let (t, lane) = (o / TILE, o % TILE);
+                let (j, shift) = (lane % 16, 4 * (lane / 16));
+                for g in 0..w.groups {
+                    let mut ia = 0i32;
+                    for p in w.quads(g) {
+                        let q = a.codes[p].to_le_bytes();
+                        for (i, &q) in q.iter().enumerate() {
+                            let n = (w.blocks[t * w.quads + p].0[4 * j + i] >> shift) & 0x0F;
+                            ia += n as i32 * q as i8 as i32;
+                        }
+                    }
+                    let (asc, bias) = (a.scales[g], 8 * a.qsum[g]);
+                    *out += (ia - bias) as f32 * (w.scales[g * w.out_features + o] * asc);
                 }
             }
         }
+    }
+
+    /// Runs `sweep` under `isa` (in two calls, the first tile and the
+    /// rest) and the naive sums on `out_features.div_ceil(32)` tiles of
+    /// `blocks` (each tile's nibbles rotated differently) in groups of
+    /// `qpg`, for `codes.len()` activations, and compares the outputs bit
+    /// for bit.
+    fn check(
+        isa: Isa,
+        blocks: &[Block],
+        codes: &[Vec<CodeQuad>],
+        qpg: usize,
+        out_features: usize,
+        qmax: i32,
+    ) {
+        let (quads, tiles) = (blocks.len(), out_features.div_ceil(TILE));
+        let groups = quads.div_ceil(qpg);
+        let all: Vec<Block> = (0..tiles)
+            .flat_map(|t| {
+                blocks
+                    .iter()
+                    .map(move |b| Block(b.0.map(|v| v.rotate_left(t as u32))))
+            })
+            .collect();
+        // Power-of-two-free scales, so any change of float order shows.
+        let wscales: Vec<f32> = (0..groups * out_features)
+            .map(|i| 0.37 + i as f32 * 0.011)
+            .collect();
+        let ascales: Vec<f32> = (0..groups).map(|g| 1.3 - g as f32 * 0.07).collect();
+        let qsums: Vec<Vec<i32>> = codes
+            .iter()
+            .map(|c| {
+                (0..groups)
+                    .map(|g| (c[g * qpg] & 0xFF) as i8 as i32 - 5)
+                    .collect()
+            })
+            .collect();
+        let w = Weights {
+            blocks: &all,
+            quads,
+            quads_per_group: qpg,
+            groups,
+            scales: &wscales,
+            out_features,
+        };
+        let run = |f: &mut dyn FnMut(&mut [Act<'_>])| -> Vec<Vec<u32>> {
+            let mut outs: Vec<Vec<f32>> = (0..codes.len())
+                .map(|k| vec![0.25 * k as f32 - 0.5; out_features])
+                .collect();
+            let mut acts: Vec<Act<'_>> = codes
+                .iter()
+                .zip(&qsums)
+                .zip(outs.iter_mut())
+                .map(|((c, q), out)| Act {
+                    codes: c,
+                    qsum: q,
+                    scales: &ascales,
+                    out,
+                })
+                .collect();
+            f(&mut acts);
+            outs.iter()
+                .map(|o| o.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let want = run(&mut |acts| sweep_naive(&w, acts));
+        let got = run(&mut |acts| {
+            sweep(isa, &w, 0..1, acts, flush_quads(qmax));
+            sweep(isa, &w, 1..tiles, acts, flush_quads(qmax));
+        });
+        assert_eq!(
+            got,
+            want,
+            "{isa:?} quads {quads} group {qpg} k {} out {out_features} qmax {qmax}",
+            codes.len()
+        );
     }
 
     #[test]
     fn dispatched_matches_scalar_on_all_nibbles() {
         // Every nibble value in every lane, extreme activation codes,
-        // runs of exactly `flush_pairs` blocks (the overflow bound),
-        // every K remainder — scalar and dispatched against the naive
-        // i32 sums.
-        for qmax in [7i32, 127] {
-            let pairs = flush_pairs(qmax);
-            let blocks: Vec<Block> = (0..pairs)
-                .map(|p| {
-                    let mut b = [0u8; TILE];
-                    for (j, v) in b.iter_mut().enumerate() {
-                        *v = match p % 3 {
-                            0 => 0xFF,
-                            1 => (j * 37 + p * 11) as u8,
-                            _ => 0x00,
-                        };
+        // i16 runs of exactly `flush_quads` quads (the overflow bound),
+        // groups that are not a multiple of the run, a ragged last tile
+        // and every K remainder — each form this host has against the
+        // naive i32 sums.
+        let block = |p: usize| {
+            let mut b = [0u8; 64];
+            for (j, v) in b.iter_mut().enumerate() {
+                *v = match p % 3 {
+                    0 => 0xFF,
+                    1 => (j * 37 + p * 11) as u8,
+                    _ => 0x00,
+                };
+            }
+            Block(b)
+        };
+        for isa in Isa::supported() {
+            for qmax in [7i32, 127] {
+                let run = flush_quads(qmax);
+                for (quads, qpg) in [(run, run), (2 * run + 3, run), (run + 1, run + 1)]
+                    .into_iter()
+                    .chain([1, 2, 3, 5, 7, 9].map(|qpg| (3 * qpg + 2, qpg)))
+                {
+                    let blocks: Vec<Block> = (0..quads).map(block).collect();
+                    let extremes = [qmax as i8, -(qmax as i8)];
+                    for k in 1..=KBLOCK {
+                        let codes: Vec<Vec<CodeQuad>> = (0..k)
+                            .map(|kk| {
+                                (0..quads)
+                                    .map(|p| {
+                                        code_quad(std::array::from_fn(|t| {
+                                            extremes[(kk + (p + t) / 3) % 2]
+                                        }))
+                                    })
+                                    .collect()
+                            })
+                            .collect();
+                        for out_features in [TILE, 5, 2 * TILE + 17] {
+                            check(isa, &blocks, &codes, qpg, out_features, qmax);
+                        }
                     }
-                    Block(b)
-                })
-                .collect();
-            let extremes = [qmax as i8, -(qmax as i8)];
-            for k in 1..=KBLOCK {
-                let codes: Vec<Vec<CodePair>> = (0..k)
-                    .map(|kk| {
-                        (0..pairs)
-                            .map(|p| code_pair(extremes[kk % 2], extremes[(kk + p / 3) % 2]))
-                            .collect()
-                    })
-                    .collect();
-                let acts: Vec<&[CodePair]> = codes.iter().map(|c| &c[..]).collect();
-                let mut want = vec![[3i32; TILE]; k];
-                mac_tile_naive(&blocks, &acts, &mut want);
-                for isa in [Isa::Scalar, detect()] {
-                    let mut got = vec![[3i32; TILE]; k];
-                    mac_tile(isa, &blocks, &acts, &mut got);
-                    assert_eq!(got, want, "{isa:?} qmax {qmax} k {k}");
+                }
+            }
+            // All-ones weights against a constant extreme code reach the
+            // i16 bound itself, and a 4096-input group the i32 one.
+            for quads in [flush_quads(127), 1024] {
+                let blocks = vec![Block([0xFF; 64]); quads];
+                for q in [127i8, -127] {
+                    let codes = vec![vec![code_quad([q; QUAD]); quads]];
+                    check(isa, &blocks, &codes, quads, TILE, 127);
                 }
             }
         }
-        // All-ones weights against a constant extreme code reach the
-        // bound itself.
-        let pairs = flush_pairs(127);
-        let blocks = vec![Block([0xFF; TILE]); pairs];
-        let codes = vec![code_pair(127, 127); pairs];
-        let mut got = [[0i32; TILE]];
-        mac_tile(detect(), &blocks, &[&codes[..]], &mut got);
-        assert_eq!(got[0], [2 * pairs as i32 * 15 * 127; TILE]);
     }
 }

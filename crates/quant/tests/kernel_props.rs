@@ -48,7 +48,8 @@ fn random_problem(
 /// weights that use every nibble including −8: partial and multiple
 /// output tiles, odd `in_features`, groups that are odd / wider than the
 /// input / ragged at the end, 8-bit activations on both sides of the
-/// i16 flush bound (16 inputs), activations with all-zero groups, and
+/// AVX2 form's i16 flush bound (32 inputs), activations with all-zero
+/// groups, and
 /// every K-block remainder. Scalar, dispatched, batched and
 /// one-at-a-time must agree bit for bit, and — scales being powers of
 /// two — with the f32 reference as well.
@@ -67,6 +68,8 @@ fn edge_shapes_agree_across_kernels_batches_and_the_reference() {
         (54, 40, 18, 8),
         (256, 33, 128, 8),
         (255, 5, 128, 8),
+        (96, 35, 32, 8),
+        (99, 9, 33, 8),
     ];
     for (case, &(inf, outf, group, abits)) in shapes.iter().enumerate() {
         let groups = inf.div_ceil(group);

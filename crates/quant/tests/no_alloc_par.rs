@@ -98,7 +98,7 @@ fn steady_state_parallel_quantized_decode_allocates_nothing() {
     let mut twin_states = states.clone();
     let mut twin_ws = QuantWorkspace::new();
     let mut alternate = |t: usize| {
-        let pool = (t % 2 == 0).then_some(&pool);
+        let pool = t.is_multiple_of(2).then_some(&pool);
         step(t, largest, &mut states, pool, &mut ws);
         step(t, largest, &mut twin_states, None, &mut twin_ws);
         assert_eq!(ws.logits(), twin_ws.logits(), "step {t} diverged");

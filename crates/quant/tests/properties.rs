@@ -139,7 +139,7 @@ fn act_vector(seed: u64, len: usize, group: usize, qmax: i32) -> Vec<f32> {
     while x.len() < len {
         let n = group.min(len - x.len());
         match rng.gen_range(0..3) {
-            0 => x.extend(std::iter::repeat(0.0f32).take(n)),
+            0 => x.extend(std::iter::repeat_n(0.0f32, n)),
             1 => x.extend((0..n).map(|_| rng.gen_range(-50.0f32..50.0))),
             _ => {
                 let step = 2f32.powi(rng.gen_range(-8..8)) / 2.0;

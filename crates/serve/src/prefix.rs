@@ -81,7 +81,7 @@ impl PrefixCache {
     /// requests.
     pub fn lookup(&mut self, model: usize, prefix: &[u32]) -> Option<&PausedState> {
         let key = (model, hash_prefix(prefix));
-        if !self.entries.get(&key).is_some_and(|e| e.prefix == prefix) {
+        if self.entries.get(&key).is_none_or(|e| e.prefix != prefix) {
             self.misses += 1;
             return None;
         }

@@ -86,7 +86,7 @@ fn req(
 ) -> GenRequest {
     let mut prompt = Vec::new();
     if let Some((tag, k)) = prefix {
-        prompt.extend(std::iter::repeat(tag).take(k));
+        prompt.extend(std::iter::repeat_n(tag, k));
     }
     prompt.extend((0..len as u64).map(|j| ((id * 31 + j * 7) % 250 + 1) as u32));
     let mut r = GenRequest::greedy(id, prompt, 4).on_model(model);

@@ -119,7 +119,7 @@ proptest! {
         let mut steps = 0u64;
         let mut next_cancel = 0usize;
         while engine.has_work() && steps < 200_000 {
-            if steps % 2 == 0 && next_cancel < cancel_mask.len() {
+            if steps.is_multiple_of(2) && next_cancel < cancel_mask.len() {
                 if cancel_mask[next_cancel] {
                     engine.cancel(next_cancel as u64);
                 }
@@ -158,7 +158,7 @@ proptest! {
             }
             fn preempt(&mut self, ctx: &lightmamba_serve::scheduler::AdmissionCtx<'_>) -> Vec<usize> {
                 self.step += 1;
-                if self.step % self.every == 0 && !ctx.residents.is_empty() {
+                if self.step.is_multiple_of(self.every) && !ctx.residents.is_empty() {
                     vec![self.step % ctx.residents.len()]
                 } else {
                     Vec::new()

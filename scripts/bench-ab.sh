@@ -23,7 +23,8 @@
 # change/parent ratio of the medians; per seed and workload each side's
 # runs that were not `correct`, its failed operations, and (under
 # `traced.{parent,change}`) the per-layer metrics of its traced run; and
-# both commit ids, the host (nproc, CPU model, active ISA), the pair
+# both commit ids, the host (nproc, CPU model, and each side's active
+# ISA: the two builds may pick different forms on one host), the pair
 # count, the seconds and the seeds. Needs jq.
 set -euo pipefail
 
@@ -105,11 +106,12 @@ for seed in ${seeds//,/ }; do
     done
   done
 done
-result="$work/change/benchmark/out/result-$(jq -r '.workloads[-1].name' "$spec").json"
+result_of() { echo "$work/$1/benchmark/out/result-$(jq -r '.workloads[-1].name' "$spec").json"; }
 
 jq -s \
   --slurpfile spec "$spec" \
-  --slurpfile host "$result" \
+  --slurpfile host "$(result_of change)" \
+  --slurpfile parent_host "$(result_of parent)" \
   --slurpfile traced "$traced" \
   --arg parent "$parent_commit" --arg change "$change_commit" \
   --argjson pairs "$pairs" --argjson seconds "$seconds" \
@@ -122,7 +124,8 @@ jq -s \
   . as $runs
   | {
       parent_commit: $parent, change_commit: $change,
-      host: ($host[0].host | {nproc, cpu_model, active_isa: .isa}),
+      host: (($host[0].host | {nproc, cpu_model})
+        + {active_isa: {parent: $parent_host[0].host.isa, change: $host[0].host.isa}}),
       pairs: $pairs, seconds: $seconds, seeds: $seeds,
       command: "--workload W --seed S --seconds \($seconds) --trace 0",
       workloads: [
