@@ -243,6 +243,59 @@ mod tests {
     }
 
     #[test]
+    fn all_zero_input_maps_to_all_zero() {
+        for (pot, rem) in [(1, 1), (8, 1), (512, 1), (64, 12), (256, 20), (128, 40)] {
+            let h = FactoredHadamard::with_factors(pot, rem).unwrap();
+            let mut x = vec![0.0f32; h.len()];
+            h.apply(&mut x);
+            assert!(x.iter().all(|v| *v == 0.0), "{pot} × {rem}");
+        }
+    }
+
+    #[test]
+    fn orders_below_one_register_match_the_dense_matrix() {
+        for n in [1usize, 2, 4, 8, 12, 20, 24] {
+            let h = FactoredHadamard::new(n).unwrap();
+            let x = crate::fht::tests::values(n, n as u32);
+            let mut got = x.clone();
+            h.apply(&mut got);
+            let want = h.to_tensor().matvec(&x).unwrap();
+            for (a, b) in got.iter().zip(&want) {
+                assert!((a - b).abs() <= 1e-5 * (1.0 + b.abs()), "n {n}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_orders_equal_rows_then_column_fwhts() {
+        // 768 = 64 × 12 and 5120 = 128 × 40: the column stages give each
+        // column exactly the bits `fwht_normalized` gives it gathered —
+        // the same butterflies on the same operands, scaled on the last.
+        for (pot, rem) in [(64, 12), (128, 40)] {
+            let h = FactoredHadamard::with_factors(pot, rem).unwrap();
+            let x = crate::fht::tests::values(pot * rem, rem as u32);
+            let mut got = x.clone();
+            h.apply(&mut got);
+            let mut want = x;
+            HadamardMatrix::new(rem)
+                .unwrap()
+                .apply_rows(&mut want, true);
+            let mut col = vec![0.0f32; pot];
+            for j in 0..rem {
+                col.iter_mut()
+                    .enumerate()
+                    .for_each(|(i, c)| *c = want[i * rem + j]);
+                fht::fwht_normalized(&mut col);
+                col.iter()
+                    .enumerate()
+                    .for_each(|(i, c)| want[i * rem + j] = *c);
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{pot} × {rem}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "length mismatch")]
     fn apply_panics_on_wrong_length() {
         let h = FactoredHadamard::new(8).unwrap();

@@ -20,10 +20,16 @@
 //! * the orthonormal form's `1/√n` multiplies each output of the last
 //!   stage as it is stored, the `s · scale` a separate pass would do.
 //!
+//! On an AVX-512 host stages 1, 2, 4 and 8 run per aligned block of 16
+//! inside one register (a lane permute, an add, a subtract and a blend
+//! per stage), and every later stage on whole registers.
+//!
 //! [`FactoredHadamard`](crate::FactoredHadamard) runs its column
 //! transform through the same stages with rows of `m` elements in place
 //! of single ones — every butterfly then pairs two contiguous rows, so
 //! no column is ever gathered.
+
+use lightmamba_tensor::isa::{detect, Isa};
 
 /// Whether `n` is a (positive) power of two.
 pub fn is_power_of_two(n: usize) -> bool {
@@ -69,20 +75,30 @@ pub fn fwht_normalized(x: &mut [f32]) {
 /// last stage multiplied by `scale` when one is given.
 #[inline(always)]
 fn transform(x: &mut [f32], scale: Option<f32>) {
+    transform_on(detect(), x, scale);
+}
+
+#[inline(always)]
+fn transform_on(isa: Isa, x: &mut [f32], scale: Option<f32>) {
     let n = x.len();
     assert!(
         is_power_of_two(n),
         "fwht requires a power-of-two length, got {n}"
     );
-    if n >= 8 {
-        for block in x.chunks_exact_mut(8) {
-            let block: &mut [f32; 8] = block.try_into().expect("chunks of 8");
-            stages_in_8(block);
+    match isa {
+        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
+        // AVX512F.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 if n >= 16 => unsafe { avx512::transform(x, scale) },
+        _ if n >= 8 => {
+            for block in x.chunks_exact_mut(8) {
+                let block: &mut [f32; 8] = block.try_into().expect("chunks of 8");
+                stages_in_8(block);
+            }
+            stages_scalar(x, 1, 8, scale);
         }
-        stages(x, 1, 8, scale);
-    } else {
         // Fewer than 8 elements: the same network, stage by stage.
-        stages(x, 1, 1, scale);
+        _ => stages_scalar(x, 1, 1, scale),
     }
 }
 
@@ -104,9 +120,27 @@ fn stages_in_8(v: &mut [f32; 8]) {
 /// `x` viewed as rows of `m` elements: stage `h` pairs row `i` with row
 /// `i + h`, element by element. With `scale`, each output of the last
 /// stage is multiplied by it as it is stored — or, when no stage is
-/// left to run, in a pass of its own.
+/// left to run, in a pass of its own. 16 lanes at a time on an AVX-512
+/// host.
 #[inline(always)]
 pub(crate) fn stages(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
+    stages_on(detect(), x, m, from, scale);
+}
+
+#[inline(always)]
+fn stages_on(isa: Isa, x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
+    match isa {
+        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
+        // AVX512F.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { avx512::stages(x, m, from, scale) },
+        _ => stages_scalar(x, m, from, scale),
+    }
+}
+
+/// [`stages`]' scalar form.
+#[inline(always)]
+fn stages_scalar(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
     let rows = x.len() / m;
     let mut h = from;
     if h >= rows {
@@ -140,8 +174,141 @@ pub(crate) fn stages(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
     }
 }
 
+/// The 16-lane forms of [`transform`] and [`stages`]: the same
+/// butterflies fed the same operands, so the same bits.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use lightmamba_tensor::isa::lanes16::{load, mask16, store};
+
+    /// [`super::transform`] for `x.len() ≥ 16`: stages 1, 2, 4 and 8 of
+    /// each aligned block of 16 inside one register, then the later
+    /// stages on whole registers, `scale` on the last stage's stores.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn transform(x: &mut [f32], scale: Option<f32>) {
+        let n = x.len();
+        assert!(n >= 16 && n.is_power_of_two());
+        let last = scale.filter(|_| n == 16);
+        for block in x.chunks_exact_mut(16) {
+            // SAFETY: `block` holds exactly 16 elements.
+            unsafe {
+                let mut v = _mm512_loadu_ps(block.as_ptr());
+                v = stage::<0xB1, 0xAAAA, false>(v);
+                v = stage::<0x4E, 0xCCCC, false>(v);
+                v = stage::<0xB1, 0xF0F0, true>(v);
+                v = stage::<0x4E, 0xFF00, true>(v);
+                if let Some(s) = last {
+                    v = _mm512_mul_ps(v, _mm512_set1_ps(s));
+                }
+                _mm512_storeu_ps(block.as_mut_ptr(), v);
+            }
+        }
+        if n > 16 {
+            stages(x, 1, 16, scale);
+        }
+    }
+
+    /// One in-register stage: every lane meets its partner `h` lanes
+    /// away — within 128-bit lanes (`permute`, `h = 1, 2`) or across them
+    /// (`shuffle_f32x4`, `h = 4, 8`) by the selector `SEL` — and the
+    /// lanes of `UPPER` (index bit `h` set) keep `a − b`, the rest
+    /// `a + b`, `a` being the lower partner.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn stage<const SEL: i32, const UPPER: u16, const ACROSS: bool>(v: __m512) -> __m512 {
+        let p = if ACROSS {
+            _mm512_shuffle_f32x4::<SEL>(v, v)
+        } else {
+            _mm512_permute_ps::<SEL>(v)
+        };
+        _mm512_mask_blend_ps(UPPER, _mm512_add_ps(v, p), _mm512_sub_ps(p, v))
+    }
+
+    /// [`super::stages`] on whole registers: each stage pairs two runs of
+    /// `h·m` elements, 16 at a time, masked at a run's end.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn stages(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
+        let rows = x.len() / m;
+        let mut h = from;
+        if h >= rows {
+            if let Some(s) = scale {
+                let (n, p, s) = (x.len(), x.as_mut_ptr(), _mm512_set1_ps(s));
+                let mut i = 0;
+                // SAFETY (both calls): the strip's lanes lie inside `x`.
+                while i + 16 <= n {
+                    unsafe { scale_strip::<true>(p.add(i), !0, s) };
+                    i += 16;
+                }
+                if i < n {
+                    unsafe { scale_strip::<false>(p.add(i), mask16(n - i), s) };
+                }
+            }
+            return;
+        }
+        while h < rows {
+            let run = h * m;
+            let s = scale.filter(|_| 2 * h == rows).map(|s| _mm512_set1_ps(s));
+            for block in x.chunks_exact_mut(2 * run) {
+                let (lo, hi) = block.split_at_mut(run);
+                let (lo, hi) = (lo.as_mut_ptr(), hi.as_mut_ptr());
+                let mut j = 0;
+                // SAFETY (both calls): the strip's lanes lie inside `lo`
+                // and `hi`, both `run` long.
+                while j + 16 <= run {
+                    unsafe { butterfly_strip::<true>(lo.add(j), hi.add(j), !0, s) };
+                    j += 16;
+                }
+                if j < run {
+                    unsafe { butterfly_strip::<false>(lo.add(j), hi.add(j), mask16(run - j), s) };
+                }
+            }
+            h *= 2;
+        }
+    }
+
+    /// One strip of butterflies: `(a + b, a − b)`, each times `s` when
+    /// given.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and the strip's lanes must lie inside both runs.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn butterfly_strip<const FULL: bool>(
+        pa: *mut f32,
+        pb: *mut f32,
+        k: __mmask16,
+        s: Option<__m512>,
+    ) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            let (a, b) = (load::<FULL>(k, pa), load::<FULL>(k, pb));
+            let (mut sum, mut diff) = (_mm512_add_ps(a, b), _mm512_sub_ps(a, b));
+            if let Some(s) = s {
+                sum = _mm512_mul_ps(sum, s);
+                diff = _mm512_mul_ps(diff, s);
+            }
+            store::<FULL>(pa, k, sum);
+            store::<FULL>(pb, k, diff);
+        }
+    }
+
+    /// One strip of the lone scale pass.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and the strip's lanes must be valid.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn scale_strip<const FULL: bool>(p: *mut f32, k: __mmask16, s: __m512) {
+        // SAFETY: the caller's contract.
+        unsafe { store::<FULL>(p, k, _mm512_mul_ps(load::<FULL>(k, p), s)) }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -212,6 +379,65 @@ mod tests {
     fn rejects_non_power_of_two() {
         let mut x = vec![0.0f32; 6];
         fwht(&mut x);
+    }
+
+    /// `n` seeded values over ±8, every seventh a signed zero or a
+    /// subnormal.
+    pub(crate) fn values(n: usize, seed: u32) -> Vec<f32> {
+        let mut h = seed.wrapping_mul(0x9E37_79B9) | 1;
+        let edges = [0.0, -0.0, f32::from_bits(1), -f32::MIN_POSITIVE / 4.0];
+        (0..n)
+            .map(|i| {
+                h ^= h << 13;
+                h ^= h >> 17;
+                h ^= h << 5;
+                if i % 7 == 3 {
+                    edges[i % edges.len()]
+                } else {
+                    (h >> 8) as f32 / (1u32 << 24) as f32 * 16.0 - 8.0
+                }
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn every_transform_form_matches_the_scalar_form_bit_for_bit() {
+        for isa in Isa::supported() {
+            for log in 0..=10 {
+                let n = 1usize << log;
+                for scale in [None, Some(1.0 / (n as f32).sqrt())] {
+                    for x in [values(n, log), vec![0.0; n]] {
+                        let (mut want, mut got) = (x.clone(), x);
+                        transform_on(Isa::Scalar, &mut want, scale);
+                        transform_on(isa, &mut got, scale);
+                        assert_eq!(bits(&got), bits(&want), "{isa:?} n {n} scale {scale:?}");
+                    }
+                }
+            }
+            // The factored column stages: rows of 12 (768 = 64 × 12) and
+            // 40 (5120 = 128 × 40), short rows, and the lone scale pass.
+            for (pot, m, from) in [(64, 12, 1), (128, 40, 1), (4, 3, 1), (16, 5, 2), (8, 12, 8)] {
+                let x = values(pot * m, m as u32);
+                let scale = Some(1.0 / (pot as f32).sqrt());
+                let (mut want, mut got) = (x.clone(), x);
+                stages_on(Isa::Scalar, &mut want, m, from, scale);
+                stages_on(isa, &mut got, m, from, scale);
+                assert_eq!(bits(&got), bits(&want), "{isa:?} {pot} × {m} from {from}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_input_stays_positive_zero() {
+        for log in 0..=10 {
+            let mut x = vec![0.0f32; 1 << log];
+            fwht_normalized(&mut x);
+            assert!(x.iter().all(|v| v.to_bits() == 0), "n {}", 1 << log);
+        }
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! output projection, residual add.
 
 use lightmamba_tensor::conv::tap_major;
-#[cfg(target_arch = "x86_64")]
-use lightmamba_tensor::isa::detect;
+use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::{norm, Tensor};
 
 use crate::ssm::{ssm_step_into, SsmDims};
@@ -149,10 +148,11 @@ impl MambaBlock {
     /// taps (only the taps allocate, so the hot path stays
     /// allocation-free when `capture` is `None`).
     ///
-    /// On an AVX2 host, AVX-512 ones included
-    /// ([`lightmamba_tensor::isa::Isa::has_avx2`]), the same source runs
+    /// On an AVX2 host, AVX-512 ones included, the same source runs
     /// compiled for AVX2. Without FMA nothing can contract or
-    /// reassociate, so both copies compute the same bits.
+    /// reassociate, so both copies compute the same bits. An AVX-512 copy
+    /// timed no faster than the AVX2 one (an FP step at batch 1 and 16),
+    /// so there is none.
     fn step_core(
         &self,
         x: &mut [f32],
@@ -160,12 +160,26 @@ impl MambaBlock {
         scratch: &mut BlockScratch,
         capture: Option<&mut BlockCapture>,
     ) -> Result<()> {
-        #[cfg(target_arch = "x86_64")]
-        if detect().has_avx2() {
-            // SAFETY: `detect` returns a vector tier only after checking AVX2.
-            return unsafe { self.step_core_avx2(x, state, scratch, capture) };
+        self.step_core_on(detect(), x, state, scratch, capture)
+    }
+
+    /// [`MambaBlock::step_core`] on `isa`'s compilation.
+    #[inline(always)]
+    fn step_core_on(
+        &self,
+        isa: Isa,
+        x: &mut [f32],
+        state: &mut LayerState,
+        scratch: &mut BlockScratch,
+        capture: Option<&mut BlockCapture>,
+    ) -> Result<()> {
+        match isa {
+            // SAFETY: each vector tier only comes from `detect`, which
+            // verified AVX2 for both.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 | Isa::Avx512 => unsafe { self.step_core_avx2(x, state, scratch, capture) },
+            Isa::Scalar => self.step_body(x, state, scratch, capture),
         }
-        self.step_body(x, state, scratch, capture)
     }
 
     /// [`MambaBlock::step_body`] compiled for AVX2.
@@ -358,5 +372,94 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let w = synth::synthetic_block(&MambaConfig::small(), &mut rng);
         assert!(MambaBlock::new(cfg, w).is_err());
+    }
+
+    /// `model`'s decode with every block on the step copy of one tier,
+    /// whatever the host's best.
+    struct OnIsa<'a>(&'a crate::MambaModel, Isa);
+
+    impl crate::DecodeKernels for OnIsa<'_> {
+        type Scratch = BlockScratch;
+        type Error = crate::ModelError;
+
+        fn config(&self) -> &MambaConfig {
+            self.0.config()
+        }
+
+        fn embed(&self, token: u32, x: &mut Vec<f32>) -> Result<()> {
+            crate::DecodeKernels::embed(self.0, token, x)
+        }
+
+        fn layer_step(
+            &self,
+            layer: usize,
+            xs: &mut [Vec<f32>],
+            states: &mut crate::LayerBatch<'_>,
+            scratch: &mut BlockScratch,
+        ) -> Result<()> {
+            for (k, x) in xs.iter_mut().enumerate() {
+                self.0.blocks()[layer].step_core_on(
+                    self.1,
+                    x,
+                    states.state_mut(k),
+                    scratch,
+                    None,
+                )?;
+            }
+            Ok(())
+        }
+
+        fn finish(
+            &self,
+            xs: &mut [Vec<f32>],
+            logits: &mut [Vec<f32>],
+            scratch: &mut BlockScratch,
+        ) -> Result<()> {
+            crate::DecodeKernels::finish(self.0, xs, logits, scratch)
+        }
+    }
+
+    #[test]
+    fn every_step_copy_matches_the_baseline_bit_for_bit() {
+        // The benchmark's call shape — a ragged 16-item advance, then 20
+        // batch-16 steps — on every copy this host can run, logits and
+        // states against the baseline copy's bits.
+        let model =
+            crate::MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(5))
+                .unwrap();
+        let vocab = model.config().vocab_size;
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let run = |isa: Isa| {
+            let on = OnIsa(&model, isa);
+            let mut states: Vec<crate::ModelState> = (0..16)
+                .map(|_| crate::ModelState::new(model.config()))
+                .collect();
+            let mut ws = crate::DecodeWorkspace::new();
+            let token = |s: usize, i: usize| ((s * 31 + i * 7 + 3) % vocab) as u32;
+            let prompts: Vec<Vec<u32>> = (0..16)
+                .map(|s| (0..1 + s % 5).map(|i| token(s, i)).collect())
+                .collect();
+            let items: Vec<(usize, &[u32])> =
+                prompts.iter().map(Vec::as_slice).enumerate().collect();
+            let mut logits =
+                crate::batch::advance(&on, &items, &mut states, None, &mut ws).unwrap();
+            for t in 0..20 {
+                let items: Vec<(usize, u32)> = (0..16).map(|s| (s, token(s, 5 + t))).collect();
+                crate::batch::step(&on, &items, &mut states, None, &mut ws).unwrap();
+                logits.extend(ws.logits().iter().cloned());
+            }
+            let logits: Vec<Vec<u32>> = logits.iter().map(|l| bits(l)).collect();
+            let h: Vec<Vec<u32>> = (states.iter().flat_map(|s| &s.layers))
+                .map(|l| bits(&l.h))
+                .collect();
+            (logits, h, states)
+        };
+        let (logits, h, states) = run(Isa::Scalar);
+        for isa in Isa::supported().skip(1) {
+            let (got_logits, got_h, got_states) = run(isa);
+            assert!(got_logits == logits, "{isa:?} copy: logits differ");
+            assert!(got_h == h, "{isa:?} copy: SSM states differ");
+            assert_eq!(got_states, states, "{isa:?} copy: conv windows differ");
+        }
     }
 }

@@ -51,7 +51,7 @@ pub use block::{BlockCapture, BlockScratch, MambaBlock};
 pub use config::{MambaConfig, ModelPreset};
 pub use error::ModelError;
 pub use model::{Capture, MambaModel};
-pub use state::{LayerState, ModelState};
+pub use state::{LayerState, ModelState, StateBuf};
 pub use weights::{BlockWeights, ModelWeights};
 
 /// Convenience alias for results produced by this crate.

@@ -20,7 +20,64 @@ pub struct LayerState {
     /// per head, one row of `headdim` channels per state index, the order
     /// the scan streams ([`crate::ssm`], "State layout"). Its logical
     /// `[h][p][n]` view is [`crate::ssm::state_to_logical`].
-    pub h: Vec<f32>,
+    pub h: StateBuf,
+}
+
+/// A zero-initialised `f32` buffer whose first element sits on a 64-byte
+/// boundary, so the 16-lane scan's loads and stores of the SSM state
+/// never split a cache line. It derefs to `[f32]`; a clone starts on a
+/// boundary of its own, and compares and prints as the slice it holds.
+pub struct StateBuf {
+    /// `len` values plus up to 15 of slack, so some element is aligned.
+    buf: Vec<f32>,
+    /// Index of the first aligned element of `buf`.
+    start: usize,
+    len: usize,
+}
+
+impl StateBuf {
+    /// `len` zeros, the first on a 64-byte boundary.
+    pub fn zeros(len: usize) -> Self {
+        const LANES: usize = 64 / std::mem::size_of::<f32>();
+        let buf = vec![0.0f32; len + LANES - 1];
+        let start = buf.as_ptr().align_offset(64);
+        assert!(start < LANES, "an f32 buffer reaches a 64-byte boundary");
+        StateBuf { buf, start, len }
+    }
+}
+
+impl std::ops::Deref for StateBuf {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl std::ops::DerefMut for StateBuf {
+    fn deref_mut(&mut self) -> &mut [f32] {
+        &mut self.buf[self.start..self.start + self.len]
+    }
+}
+
+impl Clone for StateBuf {
+    fn clone(&self) -> Self {
+        let mut copy = StateBuf::zeros(self.len);
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl PartialEq for StateBuf {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for StateBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
 }
 
 impl LayerState {
@@ -29,7 +86,7 @@ impl LayerState {
         let dims = SsmDims::new(cfg);
         LayerState {
             conv: ConvState::new(cfg.conv_dim(), cfg.d_conv),
-            h: vec![0.0; dims.state_len()],
+            h: StateBuf::zeros(dims.state_len()),
         }
     }
 
@@ -108,6 +165,31 @@ impl ModelState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ssm_state_is_64_byte_aligned_new_cloned_and_restored() {
+        let aligned = |st: &ModelState| {
+            st.layers
+                .iter()
+                .all(|l| (l.h.as_ptr() as usize).is_multiple_of(64))
+        };
+        let cfg = MambaConfig::tiny();
+        for _ in 0..8 {
+            let mut st = ModelState::new(&cfg);
+            st.layers[0].h[1] = 2.5;
+            let copy = st.clone();
+            assert!(aligned(&st) && aligned(&copy));
+            assert_eq!(copy, st);
+            assert_eq!(
+                format!("{:?}", copy.layers[0].h),
+                format!("{:?}", &*st.layers[0].h)
+            );
+            let mut restored = ModelState::new(&cfg);
+            restored.copy_from(&st);
+            assert!(aligned(&restored));
+            assert_eq!(restored, st);
+        }
+    }
 
     #[test]
     fn state_sizes_follow_config() {

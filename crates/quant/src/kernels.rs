@@ -348,16 +348,16 @@ impl ActQuant {
                 )))
             }
         };
-        let qmax = scheme.qmax() as f32;
         self.codes.resize(x.len(), 0);
         self.scales.clear();
-        for (chunk, codes) in x.chunks(group).zip(self.codes.chunks_mut(group)) {
-            let scale = scheme.scale_for(group_absmax(chunk));
-            for (c, &v) in codes.iter_mut().zip(chunk.iter()) {
-                *c = round_code(v / scale, qmax) as i8;
-            }
-            self.scales.push(scale);
-        }
+        quantize_groups(
+            detect(),
+            x,
+            group,
+            scheme,
+            &mut self.codes,
+            &mut self.scales,
+        );
         self.group = group;
         self.len = x.len();
         self.qmax = scheme.qmax();
@@ -382,6 +382,156 @@ impl ActQuant {
     /// Whether no vector has been quantized yet.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+/// Codes of `x` into `codes` (as long) and one scale per `group`-element
+/// group pushed onto `scales`, on `isa`'s form: on [`Isa::Avx512`] 16
+/// lanes at a time, the group's absmax and codes in registers.
+#[inline(always)]
+fn quantize_groups(
+    isa: Isa,
+    x: &[f32],
+    group: usize,
+    scheme: QuantScheme,
+    codes: &mut [i8],
+    scales: &mut Vec<f32>,
+) {
+    match isa {
+        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
+        // AVX512F.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { avx512::quantize_groups(x, group, scheme, codes, scales) },
+        _ => {
+            let qmax = scheme.qmax() as f32;
+            for (chunk, codes) in x.chunks(group).zip(codes.chunks_mut(group)) {
+                let scale = scheme.scale_for(group_absmax(chunk));
+                for (c, &v) in codes.iter_mut().zip(chunk.iter()) {
+                    *c = round_code(v / scale, qmax) as i8;
+                }
+                scales.push(scale);
+            }
+        }
+    }
+}
+
+/// The 16-lane form of [`ActQuant::quantize`]'s groups.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use lightmamba_tensor::isa::lanes16::{load, mask16};
+
+    use crate::quantizer::QuantScheme;
+
+    /// Per group: the absmax over 16 lanes (`max(|v|, m)` returns `m`
+    /// when `|v|` is NaN, `f32::max`'s rule; on the non-negative values
+    /// left `max` is exact in any order), the scalar `scale_for`, then
+    /// each code as [`super::round_code`] gives it — `v / scale` a true
+    /// division, NaN to 0, the clamp, truncation, the ±½ fix-up — and
+    /// narrowed to `i8` in the register.
+    ///
+    /// # Panics
+    ///
+    /// Unless `codes.len() == x.len()` and `group ≥ 1`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn quantize_groups(
+        x: &[f32],
+        group: usize,
+        scheme: QuantScheme,
+        codes: &mut [i8],
+        scales: &mut Vec<f32>,
+    ) {
+        assert!(codes.len() == x.len() && group >= 1);
+        let qmax = scheme.qmax() as f32;
+        let q = Rounding {
+            hi: _mm512_set1_ps(qmax),
+            lo: _mm512_set1_ps(-qmax),
+            half: _mm512_set1_ps(0.5),
+            neg_half: _mm512_set1_ps(-0.5),
+            one: _mm512_set1_epi32(1),
+        };
+        for (chunk, codes) in x.chunks(group).zip(codes.chunks_mut(group)) {
+            let (n, p, c) = (chunk.len(), chunk.as_ptr(), codes.as_mut_ptr());
+            let mut m = _mm512_setzero_ps();
+            let mut i = 0;
+            // SAFETY (every strip call below): the strip's lanes lie
+            // inside `chunk` and the equally long `codes`.
+            while i + 16 <= n {
+                m = unsafe { absmax_strip::<true>(p.add(i), !0, m) };
+                i += 16;
+            }
+            if i < n {
+                m = unsafe { absmax_strip::<false>(p.add(i), mask16(n - i), m) };
+            }
+            let scale = scheme.scale_for(_mm512_reduce_max_ps(m));
+            let s = _mm512_set1_ps(scale);
+            let mut i = 0;
+            while i + 16 <= n {
+                unsafe { code_strip::<true>(p.add(i), c.add(i), !0, s, &q) };
+                i += 16;
+            }
+            if i < n {
+                unsafe { code_strip::<false>(p.add(i), c.add(i), mask16(n - i), s, &q) };
+            }
+            scales.push(scale);
+        }
+    }
+
+    /// The constants of [`code_strip`]'s rounding.
+    struct Rounding {
+        hi: __m512,
+        lo: __m512,
+        half: __m512,
+        neg_half: __m512,
+        one: __m512i,
+    }
+
+    /// `max(|v|, m)` lane-wise over one strip.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and the strip's lanes must be readable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn absmax_strip<const FULL: bool>(p: *const f32, k: __mmask16, m: __m512) -> __m512 {
+        // SAFETY: the caller's contract.
+        let v = unsafe { load::<FULL>(k, p) };
+        _mm512_max_ps(_mm512_abs_ps(v), m)
+    }
+
+    /// One strip of codes, as [`super::round_code`] gives them for
+    /// `v / scale`, narrowed to `i8` in the register.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and the strip's lanes must be valid in both buffers.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn code_strip<const FULL: bool>(
+        p: *const f32,
+        c: *mut i8,
+        k: __mmask16,
+        s: __m512,
+        r: &Rounding,
+    ) {
+        // SAFETY: the caller's contract.
+        let q = _mm512_div_ps(unsafe { load::<FULL>(k, p) }, s);
+        let q = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_ORD_Q>(q, q), q);
+        let q = _mm512_min_ps(r.hi, _mm512_max_ps(r.lo, q));
+        let t = _mm512_cvttps_epi32(q);
+        let f = _mm512_sub_ps(q, _mm512_cvtepi32_ps(t));
+        let t = _mm512_mask_add_epi32(t, _mm512_cmp_ps_mask::<_CMP_GE_OQ>(f, r.half), t, r.one);
+        let t = _mm512_mask_sub_epi32(t, _mm512_cmp_ps_mask::<_CMP_LE_OQ>(f, r.neg_half), t, r.one);
+        let codes = _mm512_cvtepi32_epi8(t);
+        // SAFETY: the caller's contract.
+        unsafe {
+            if FULL {
+                _mm_storeu_si128(c.cast(), codes);
+            } else {
+                _mm512_mask_cvtepi32_storeu_epi8(c, k, t);
+            }
+        }
     }
 }
 
@@ -863,6 +1013,48 @@ mod tests {
         act.quantize(&x[..10], scheme).unwrap();
         assert_eq!(act.len(), 10);
         assert_eq!(act.scales().len(), 1);
+    }
+
+    #[test]
+    fn every_act_quant_form_matches_the_scalar_form_and_quantized_tensor() {
+        let lengths = [1usize, 7, 15, 16, 17, 31, 33, 127, 128, 129, 256, 512, 768];
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+        ];
+        let mut rng = StdRng::seed_from_u64(9);
+        for isa in Isa::supported() {
+            for &len in &lengths {
+                for group in [1usize, 7, 16, 33, 128] {
+                    for bits in [4u8, 8] {
+                        let mut x: Vec<f32> =
+                            (0..len).map(|_| rng.gen_range(-6.0f32..6.0)).collect();
+                        // An all-zero group, and (past it) the specials.
+                        x.iter_mut().skip(group).take(group).for_each(|v| *v = 0.0);
+                        for (v, s) in x.iter_mut().skip(2 * group).step_by(5).zip(specials) {
+                            *v = s;
+                        }
+                        let scheme = QuantScheme::act_per_group(bits, group);
+                        let (mut want, mut got) = ((vec![0; len], vec![]), (vec![0; len], vec![]));
+                        quantize_groups(Isa::Scalar, &x, group, scheme, &mut want.0, &mut want.1);
+                        quantize_groups(isa, &x, group, scheme, &mut got.0, &mut got.1);
+                        let scale_bits =
+                            |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                        let case = format!("{isa:?} len {len} group {group} bits {bits}");
+                        assert_eq!(got.0, want.0, "{case}");
+                        assert_eq!(scale_bits(&got.1), scale_bits(&want.1), "{case}");
+                        let t = Tensor::from_vec(x, &[len]).unwrap();
+                        let q = QuantizedTensor::quantize(&t, scheme).unwrap();
+                        assert_eq!(got.0, q.codes(), "{case}");
+                        assert_eq!(scale_bits(&got.1), scale_bits(q.scales()), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

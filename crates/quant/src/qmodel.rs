@@ -31,11 +31,13 @@
 //! An advance runs each block as phases over its rows, one row per fed
 //! token (so a prefill chunk shares each weight stream across its
 //! positions as a batch does) — norm + activation quantization for
-//! every row → in_proj GEMM → conv / SiLU / SSM / gated norm / Hadamard
-//! / activation quantization per row, in row order → out_proj GEMM +
-//! residual — and the LM head as one more GEMM over each item's last
-//! row. Per row the arithmetic is that of a batch of one, so logits and
-//! states are bit-identical at every batch size and chunk length.
+//! every row → in_proj GEMM → conv / SiLU / SSM per row, in row order →
+//! gate / gated norm / Hadamard / activation quantization for every row
+//! → out_proj GEMM + residual — and the LM head as one more GEMM over
+//! each item's last row. The norms of a lane's rows run their serial
+//! sums side by side ([`norm::rms_norm_rows`]). Per row the arithmetic
+//! is that of a batch of one, so logits and states are bit-identical at
+//! every batch size and chunk length.
 //!
 //! The SSM stays on the fake-quant path in both modes (the paper
 //! executes it on the SSMU's INT8 PoT datapath, not the MMU), so
@@ -49,9 +51,8 @@ use lightmamba_model::ssm::{ssm_step_into, state_from_logical, state_to_logical,
 use lightmamba_model::weights::InProjSplit;
 use lightmamba_model::{BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState};
 use lightmamba_tensor::conv::tap_major;
-#[cfg(target_arch = "x86_64")]
-use lightmamba_tensor::isa::detect;
-use lightmamba_tensor::{norm, Tensor};
+use lightmamba_tensor::isa::{detect, Isa};
+use lightmamba_tensor::{activation, norm, Tensor};
 
 use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
 use crate::prepared::{PreparedBlock, PreparedModel};
@@ -418,45 +419,39 @@ impl QuantizedMamba {
         }
     }
 
-    /// One sequence, up to the input projection: pre-norm of the
-    /// residual stream `x` into `s.normed`, the method's activation
-    /// conditioning, activation quantization.
+    /// The lane, up to the input projection: each row's pre-norm of the
+    /// residual stream `x` into its `normed` (the rows' sums
+    /// interleaved), the method's activation conditioning, activation
+    /// quantization.
     #[inline(always)]
     fn pre_in_proj(
         &self,
         block: &QBlock,
-        x: &[f32],
-        s: &mut BlockScratch,
-        act: &mut ActQuant,
+        xs: &[Vec<f32>],
+        blocks: &mut [BlockScratch],
+        acts: &mut [ActQuant],
     ) -> Result<()> {
-        s.normed.copy_from_slice(x);
-        norm::rms_norm(&mut s.normed, &block.norm_gamma, 1e-5);
-        if let Some(shift) = &block.in_act_shift {
-            for (v, s) in s.normed.iter_mut().zip(shift.iter()) {
-                *v -= s;
-            }
+        for (x, s) in xs.iter().zip(blocks.iter_mut()) {
+            s.normed.copy_from_slice(x);
         }
-        if let Some(scale) = &block.in_act_scale {
-            for (v, s) in s.normed.iter_mut().zip(scale.iter()) {
-                *v /= s;
-            }
+        norm::rms_norm_rows(blocks, |s| &mut s.normed[..], &block.norm_gamma, 1e-5);
+        for (s, act) in blocks.iter_mut().zip(acts.iter_mut()) {
+            condition(&mut s.normed, &block.in_act_shift, &block.in_act_scale);
+            self.quantize_act(&mut s.normed, act)?;
         }
-        self.quantize_act(&mut s.normed, act)
+        Ok(())
     }
 
-    /// One sequence, between the projections: from `scratch.proj` (the
-    /// input projection's output) through conv + SiLU, the SSM
-    /// recurrence on `lstate`, gated norm, online rotation and the
-    /// method's conditioning to the quantized out_proj input in
-    /// `scratch.y` / `act`. `logical` holds the SSM state in its logical
-    /// order while `LightMamba*` quantizes it.
+    /// One sequence, from the input projection's output in
+    /// `scratch.proj` through conv + SiLU and the SSM recurrence on
+    /// `lstate` to the SSM output in `scratch.y`. `logical` holds the
+    /// SSM state in its logical order while `LightMamba*` quantizes it.
     #[inline(always)]
-    fn mix(
+    fn mix_scan(
         &self,
         block: &QBlock,
         scratch: &mut BlockScratch,
         lstate: &mut LayerState,
-        act: &mut ActQuant,
         logical: &mut Vec<f32>,
     ) -> Result<()> {
         let ssm_scheme = self.precision.ssm;
@@ -502,29 +497,33 @@ impl QuantizedMamba {
             fake_quant_state(self.dims, &mut lstate.h, sq, logical)?;
             fake_quant_slice(&mut scratch.y, sq)?;
         }
+        Ok(())
+    }
 
-        // Gated norm (scale kept unfused per Fig. 4b), online rotation,
-        // method-specific conditioning, activation quantization.
-        norm::gated_rms_norm(
-            &mut scratch.y,
-            &scratch.proj[s.z.0..s.z.1],
-            &block.gate_norm_gamma,
-            1e-5,
-        );
-        if let Some(h) = &block.online_hadamard {
-            h.apply(&mut scratch.y);
+    /// The lane, from each row's SSM output in `y` to the quantized
+    /// out_proj input in `y` / its `act`: the gate, the gated norm (scale
+    /// kept unfused per Fig. 4b; the rows' sums interleaved), the online
+    /// rotation, the method's conditioning and activation quantization.
+    #[inline(always)]
+    fn mix_out(
+        &self,
+        block: &QBlock,
+        blocks: &mut [BlockScratch],
+        acts: &mut [ActQuant],
+    ) -> Result<()> {
+        let z = self.split.z;
+        for s in blocks.iter_mut() {
+            activation::silu_gate(&mut s.y, &s.proj[z.0..z.1]);
         }
-        if let Some(shift) = &block.out_act_shift {
-            for (v, s) in scratch.y.iter_mut().zip(shift.iter()) {
-                *v -= s;
+        norm::rms_norm_rows(blocks, |s| &mut s.y[..], &block.gate_norm_gamma, 1e-5);
+        for (s, act) in blocks.iter_mut().zip(acts.iter_mut()) {
+            if let Some(h) = &block.online_hadamard {
+                h.apply(&mut s.y);
             }
+            condition(&mut s.y, &block.out_act_shift, &block.out_act_scale);
+            self.quantize_act(&mut s.y, act)?;
         }
-        if let Some(scale) = &block.out_act_scale {
-            for (v, s) in scratch.y.iter_mut().zip(scale.iter()) {
-                *v /= s;
-            }
-        }
-        self.quantize_act(&mut scratch.y, act)
+        Ok(())
     }
 
     /// One decode step against an external state (the serving path; the
@@ -584,14 +583,14 @@ impl DecodeKernels for QuantizedMamba {
         Ok(())
     }
 
-    /// Advances every row of a lane through one block, as phases: per
-    /// row, in row order, whatever touches the row's sequence state, and
-    /// one GEMM across the lane's rows for each projection. A lane of one
-    /// row runs the same code, so per-row arithmetic — and therefore
-    /// every logit and state bit — does not depend on the batch or the
-    /// chunk length. On an AVX2 host, AVX-512 ones included, the phases
-    /// run compiled for AVX2 (same source, same bits: nothing contracts
-    /// or reassociates without FMA).
+    /// Advances every row of a lane through one block, as phases: the
+    /// element-wise ones over the lane's rows, whatever touches a row's
+    /// sequence state per row in row order, and one GEMM across the
+    /// lane's rows for each projection. A lane of one row runs the same
+    /// code, so per-row arithmetic — and therefore every logit and state
+    /// bit — does not depend on the batch or the chunk length. On a
+    /// vector host the phases run compiled for its tier (same source,
+    /// same bits: nothing contracts or reassociates without FMA).
     fn layer_step(
         &self,
         layer: usize,
@@ -599,34 +598,65 @@ impl DecodeKernels for QuantizedMamba {
         lstates: &mut LayerBatch<'_>,
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        #[cfg(target_arch = "x86_64")]
-        if detect().has_avx2() {
-            // SAFETY: `detect` returns a vector tier only after checking AVX2.
-            return unsafe { self.layer_step_avx2(layer, xs, lstates, scratch) };
-        }
-        self.layer_step_body(layer, xs, lstates, scratch)
+        self.layer_step_on(detect(), layer, xs, lstates, scratch)
     }
 
     /// Final norm + optional activation quantization + LM head for each
     /// item's last row, one GEMM for all of them, writing into reusable
-    /// logits buffers. Compiled for AVX2 on
-    /// an AVX2 host, as [`DecodeKernels::layer_step`] is.
+    /// logits buffers. Compiled for the host's tier, as
+    /// [`DecodeKernels::layer_step`] is.
     fn finish(
         &self,
         xs: &mut [Vec<f32>],
         logits: &mut [Vec<f32>],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        #[cfg(target_arch = "x86_64")]
-        if detect().has_avx2() {
-            // SAFETY: `detect` returns a vector tier only after checking AVX2.
-            return unsafe { self.finish_avx2(xs, logits, scratch) };
-        }
-        self.finish_body(xs, logits, scratch)
+        self.finish_on(detect(), xs, logits, scratch)
     }
 }
 
 impl QuantizedMamba {
+    /// [`DecodeKernels::layer_step`] on `isa`'s compilation of the
+    /// phases.
+    #[inline(always)]
+    fn layer_step_on(
+        &self,
+        isa: Isa,
+        layer: usize,
+        xs: &mut [Vec<f32>],
+        lstates: &mut LayerBatch<'_>,
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        match isa {
+            // SAFETY: each vector tier only comes from `detect`, which
+            // verified the features its copy enables.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { self.layer_step_avx512(layer, xs, lstates, scratch) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { self.layer_step_avx2(layer, xs, lstates, scratch) },
+            Isa::Scalar => self.layer_step_body(layer, xs, lstates, scratch),
+        }
+    }
+
+    /// [`DecodeKernels::finish`] on `isa`'s compilation of the phases.
+    #[inline(always)]
+    fn finish_on(
+        &self,
+        isa: Isa,
+        xs: &mut [Vec<f32>],
+        logits: &mut [Vec<f32>],
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        match isa {
+            // SAFETY: as in `layer_step_on`.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { self.finish_avx512(xs, logits, scratch) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { self.finish_avx2(xs, logits, scratch) },
+            Isa::Scalar => self.finish_body(xs, logits, scratch),
+        }
+    }
+
     /// [`QuantizedMamba::layer_step_body`] compiled for AVX2.
     ///
     /// # Safety
@@ -660,6 +690,39 @@ impl QuantizedMamba {
         self.finish_body(xs, logits, scratch)
     }
 
+    /// [`QuantizedMamba::layer_step_body`] compiled for AVX-512.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX512F and AVX512BW.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn layer_step_avx512(
+        &self,
+        layer: usize,
+        xs: &mut [Vec<f32>],
+        lstates: &mut LayerBatch<'_>,
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        self.layer_step_body(layer, xs, lstates, scratch)
+    }
+
+    /// [`QuantizedMamba::finish_body`] compiled for AVX-512.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX512F and AVX512BW.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn finish_avx512(
+        &self,
+        xs: &mut [Vec<f32>],
+        logits: &mut [Vec<f32>],
+        scratch: &mut QuantScratch,
+    ) -> Result<()> {
+        self.finish_body(xs, logits, scratch)
+    }
+
     #[inline(always)]
     fn layer_step_body(
         &self,
@@ -679,9 +742,7 @@ impl QuantizedMamba {
         } = scratch;
         let (blocks, acts) = (&mut blocks[..n], &mut acts[..n]);
 
-        for ((x, s), act) in xs.iter().zip(blocks.iter_mut()).zip(acts.iter_mut()) {
-            self.pre_in_proj(block, x, s, act)?;
-        }
+        self.pre_in_proj(block, xs, blocks, acts)?;
         match (&block.w_in_packed, self.integer()) {
             (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.proj)?,
             _ => {
@@ -690,9 +751,10 @@ impl QuantizedMamba {
                 }
             }
         }
-        for (k, (s, act)) in blocks.iter_mut().zip(acts.iter_mut()).enumerate() {
-            self.mix(block, s, lstates.state_mut(k), act, logical_state)?;
+        for (k, s) in blocks.iter_mut().enumerate() {
+            self.mix_scan(block, s, lstates.state_mut(k), logical_state)?;
         }
+        self.mix_out(block, blocks, acts)?;
         match (&block.w_out_packed, self.integer()) {
             (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.out)?,
             _ => {
@@ -726,8 +788,8 @@ impl QuantizedMamba {
             acts.resize_with(xs.len(), ActQuant::new);
         }
         let acts = &mut acts[..xs.len()];
+        norm::rms_norm_rows(xs, |x| &mut x[..], &self.weights.final_norm_gamma, 1e-5);
         for (x, act) in xs.iter_mut().zip(acts.iter_mut()) {
-            norm::rms_norm(x, &self.weights.final_norm_gamma, 1e-5);
             self.quantize_act(x, act)?;
         }
         match (&self.weights.lm_head_packed, self.integer()) {
@@ -740,6 +802,22 @@ impl QuantizedMamba {
             }
         }
         Ok(())
+    }
+}
+
+/// A method's activation conditioning of a projection input, in place:
+/// minus the shift, then divided by the scale, each when present.
+#[inline(always)]
+fn condition(v: &mut [f32], shift: &Option<Vec<f32>>, scale: &Option<Vec<f32>>) {
+    if let Some(shift) = shift {
+        for (v, s) in v.iter_mut().zip(shift.iter()) {
+            *v -= s;
+        }
+    }
+    if let Some(scale) = scale {
+        for (v, s) in v.iter_mut().zip(scale.iter()) {
+            *v /= s;
+        }
     }
 }
 
@@ -1181,5 +1259,95 @@ mod tests {
         )
         .unwrap();
         assert!(!q.shares_weights_with(&other));
+    }
+
+    /// `q`'s decode on the phase copy of one tier, whatever the host's
+    /// best.
+    struct OnIsa<'a>(&'a QuantizedMamba, Isa);
+
+    impl DecodeKernels for OnIsa<'_> {
+        type Scratch = QuantScratch;
+        type Error = QuantError;
+
+        fn config(&self) -> &MambaConfig {
+            self.0.config()
+        }
+
+        fn embed(&self, token: u32, x: &mut Vec<f32>) -> Result<()> {
+            DecodeKernels::embed(self.0, token, x)
+        }
+
+        fn layer_step(
+            &self,
+            layer: usize,
+            xs: &mut [Vec<f32>],
+            lstates: &mut LayerBatch<'_>,
+            scratch: &mut QuantScratch,
+        ) -> Result<()> {
+            self.0.layer_step_on(self.1, layer, xs, lstates, scratch)
+        }
+
+        fn finish(
+            &self,
+            xs: &mut [Vec<f32>],
+            logits: &mut [Vec<f32>],
+            scratch: &mut QuantScratch,
+        ) -> Result<()> {
+            self.0.finish_on(self.1, xs, logits, scratch)
+        }
+    }
+
+    #[test]
+    fn every_phase_copy_matches_the_baseline_bit_for_bit() {
+        // The benchmark's W4A4 widths (two of its four layers, a
+        // quarter of its vocabulary) and call shape: a ragged 16-item
+        // advance, then 20 batch-16 steps, on every copy this host can
+        // run, logits and states against the baseline copy's bits.
+        let cfg = MambaConfig {
+            d_model: 256,
+            n_layer: 2,
+            d_state: 64,
+            d_conv: 4,
+            expand: 2,
+            headdim: 64,
+            ngroups: 1,
+            vocab_size: 512,
+        };
+        let fp = MambaModel::synthetic(cfg, &mut StdRng::seed_from_u64(7)).unwrap();
+        let spec = crate::pipeline::QuantSpec::w4a4_grouped(128);
+        let q =
+            crate::pipeline::quantize_model(&fp, crate::pipeline::Method::LightMamba, &spec, &[])
+                .unwrap();
+        assert_eq!(q.exec_mode(), ExecMode::Integer);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let run = |isa: Isa| {
+            let model = OnIsa(&q, isa);
+            let mut states: Vec<ModelState> = (0..SLOTS).map(|_| q.new_state()).collect();
+            let mut ws = QuantWorkspace::new();
+            let token = |s: usize, i: usize| ((s * 31 + i * 7 + 3) % 512) as u32;
+            let prompts: Vec<Vec<u32>> = (0..SLOTS)
+                .map(|s| (0..1 + s % 5).map(|i| token(s, i)).collect())
+                .collect();
+            let items: Vec<(usize, &[u32])> =
+                prompts.iter().map(Vec::as_slice).enumerate().collect();
+            let mut logits = batch::advance(&model, &items, &mut states, None, &mut ws).unwrap();
+            for t in 0..20 {
+                let items: Vec<(usize, u32)> = (0..SLOTS).map(|s| (s, token(s, 5 + t))).collect();
+                batch::step(&model, &items, &mut states, None, &mut ws).unwrap();
+                logits.extend(ws.logits().iter().cloned());
+            }
+            let logits: Vec<Vec<u32>> = logits.iter().map(|l| bits(l)).collect();
+            let h: Vec<Vec<u32>> = (states.iter().flat_map(|s| &s.layers))
+                .map(|l| bits(&l.h))
+                .collect();
+            (logits, h, states)
+        };
+        let (logits, h, states) = run(Isa::Scalar);
+        for isa in Isa::supported().skip(1) {
+            let (got_logits, got_h, got_states) = run(isa);
+            assert!(got_logits == logits, "{isa:?} copy: logits differ");
+            assert!(got_h == h, "{isa:?} copy: SSM states differ");
+            assert_eq!(got_states, states, "{isa:?} copy: conv windows differ");
+        }
     }
 }

@@ -15,6 +15,9 @@
 //! head, and `softplus` also draws the synthetic models' timestep biases.
 //! So do [`softmax`] and [`log_softmax`], which the sampler and the
 //! evaluation call once per token.
+//!
+//! On an AVX-512 host the fused conv step runs an explicit 16-lane form
+//! of [`silu`] with the same bits ([`crate::isa`]).
 
 /// Smallest input [`exp`] evaluates: `ln(f32::MIN_POSITIVE)` rounded up,
 /// so every result from here up is a normal `f32`.
@@ -142,6 +145,90 @@ pub fn silu_slice(xs: &mut [f32]) {
     }
 }
 
+/// The SiLU gate of the gated norm: `x_i *= silu(z_i)`, in place.
+///
+/// # Panics
+///
+/// Panics when `xs.len() != z.len()`.
+#[inline(always)]
+pub fn silu_gate(xs: &mut [f32], z: &[f32]) {
+    assert_eq!(xs.len(), z.len(), "silu gate length mismatch");
+    for (x, &zi) in xs.iter_mut().zip(z) {
+        *x *= silu(zi);
+    }
+}
+
+/// The 16-lane forms of [`exp`], [`sigmoid`] and [`silu`]: each lane
+/// sees the scalar function's operations in its order — the clamp that
+/// lets NaN through, the magic-number round, the two-step reduction,
+/// Horner with separate `mul` / `add`, the `2ⁿ` bits, the edge selects
+/// and a true division — so every lane gets the scalar bits.
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod avx512 {
+    use std::arch::x86_64::*;
+
+    use super::{EXP_HI, EXP_LO, EXP_P, LN2_HI, LN2_LO, ROUND_MAGIC};
+
+    /// [`super::exp`] on 16 lanes. `max(lo, x)` and `min(hi, ·)` return
+    /// their second operand when either is NaN, so NaN passes the clamp
+    /// as it does `f32::clamp`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(crate) fn exp(x: __m512) -> __m512 {
+        let (lo, hi) = (_mm512_set1_ps(EXP_LO), _mm512_set1_ps(EXP_HI));
+        let xc = _mm512_min_ps(hi, _mm512_max_ps(lo, x));
+        let magic = _mm512_set1_ps(ROUND_MAGIC);
+        let t = _mm512_add_ps(
+            _mm512_mul_ps(xc, _mm512_set1_ps(std::f32::consts::LOG2_E)),
+            magic,
+        );
+        let n = _mm512_sub_ps(t, magic);
+        let r = _mm512_sub_ps(
+            _mm512_sub_ps(xc, _mm512_mul_ps(n, _mm512_set1_ps(LN2_HI))),
+            _mm512_mul_ps(n, _mm512_set1_ps(LN2_LO)),
+        );
+        let mut p = _mm512_set1_ps(EXP_P[0]);
+        for &c in &EXP_P[1..] {
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), _mm512_set1_ps(c));
+        }
+        let y = _mm512_add_ps(
+            _mm512_add_ps(_mm512_mul_ps(p, _mm512_mul_ps(r, r)), r),
+            _mm512_set1_ps(1.0),
+        );
+        let two_n = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_add_epi32(
+            _mm512_castps_si512(t),
+            _mm512_set1_epi32(127),
+        )));
+        let e = _mm512_mul_ps(y, two_n);
+        let below = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, lo);
+        let above = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, hi);
+        let e = _mm512_mask_mov_ps(e, below, _mm512_setzero_ps());
+        _mm512_mask_mov_ps(e, above, _mm512_set1_ps(f32::INFINITY))
+    }
+
+    /// [`super::sigmoid`] on 16 lanes: `−x` flips the sign bit, as the
+    /// scalar negation does.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(crate) fn sigmoid(x: __m512) -> __m512 {
+        let neg = _mm512_castsi512_ps(_mm512_xor_si512(
+            _mm512_castps_si512(x),
+            _mm512_set1_epi32(i32::MIN),
+        ));
+        let one = _mm512_set1_ps(1.0);
+        _mm512_div_ps(one, _mm512_add_ps(one, exp(neg)))
+    }
+
+    /// [`super::silu`] on 16 lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(crate) fn silu(x: __m512) -> __m512 {
+        let y = _mm512_mul_ps(x, sigmoid(x));
+        let under = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(-EXP_HI));
+        _mm512_mask_mov_ps(y, under, _mm512_set1_ps(-0.0))
+    }
+}
+
 /// Numerically stable softmax over a slice, returning a new vector.
 ///
 /// Used by the LM-head evaluation to turn logits into next-token
@@ -167,8 +254,9 @@ pub fn log_softmax(xs: &[f32]) -> Vec<f32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::isa::Isa;
 
     /// The stated accuracy of [`exp`] on `EXP_LO..=EXP_HI`, in ulps of
     /// `f32::exp`'s result.
@@ -278,6 +366,118 @@ mod tests {
         silu_slice(&mut got);
         for (x, y) in xs.iter().zip(&got) {
             assert_eq!(y.to_bits(), silu(*x).to_bits(), "silu({x})");
+        }
+    }
+
+    /// Lengths whose strips of 16 and tails split differently.
+    pub(crate) const LENGTHS: [usize; 14] =
+        [1, 7, 15, 16, 17, 31, 33, 127, 128, 129, 256, 512, 768, 0];
+
+    /// `n` values: every fourth an edge case (signed zeros, infinities,
+    /// NaN, subnormals, the `exp` limits and the floats beside them),
+    /// the rest a seeded spread over ±24.
+    pub(crate) fn edge_values(n: usize, seed: u32) -> Vec<f32> {
+        let beside = |x: f32| {
+            [
+                f32::from_bits(x.to_bits() - 1),
+                x,
+                f32::from_bits(x.to_bits() + 1),
+            ]
+        };
+        let edges: Vec<f32> = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ]
+        .into_iter()
+        .chain([
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::MIN_POSITIVE / 3.0,
+        ])
+        .chain(
+            [EXP_LO, EXP_HI, -EXP_LO, -EXP_HI]
+                .into_iter()
+                .flat_map(beside),
+        )
+        .chain([f32::MAX, f32::MIN, 1e30, -1e30, 0.5, -0.5])
+        .collect();
+        let mut h = seed.wrapping_mul(0x9E37_79B9) | 1;
+        (0..n)
+            .map(|i| {
+                h ^= h << 13;
+                h ^= h >> 17;
+                h ^= h << 5;
+                if i % 4 == 0 {
+                    edges[(i / 4 + seed as usize) % edges.len()]
+                } else {
+                    (h >> 8) as f32 / (1u32 << 24) as f32 * 48.0 - 24.0
+                }
+            })
+            .collect()
+    }
+
+    /// Whether two runs agree bit for bit, but for NaN payloads: where
+    /// both operands of an operation are NaN, x86 keeps the first, and
+    /// the compiler may commute a multiply or an add in one compilation
+    /// of the scalar source and not in another.
+    pub(crate) fn same_bits(a: &[f32], b: &[f32]) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x.to_bits() == y.to_bits() || x.is_nan() && y.is_nan())
+    }
+
+    /// [`silu`] on every element through `isa`'s form: the 16-lane one
+    /// on an AVX-512 tier, the scalar function otherwise.
+    fn silu_on(isa: Isa, xs: &[f32]) -> Vec<f32> {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => xs
+                .chunks(16)
+                .flat_map(|c| {
+                    let mut lanes = [0.0f32; 16];
+                    lanes[..c.len()].copy_from_slice(c);
+                    // SAFETY: `Isa::supported` yields `Avx512` only where
+                    // `detect` verified AVX512F; the 16 lanes lie in `lanes`.
+                    unsafe {
+                        use std::arch::x86_64::{_mm512_loadu_ps, _mm512_storeu_ps};
+                        let y = avx512::silu(_mm512_loadu_ps(lanes.as_ptr()));
+                        _mm512_storeu_ps(lanes.as_mut_ptr(), y);
+                    }
+                    lanes[..c.len()].to_vec()
+                })
+                .collect(),
+            _ => xs.iter().map(|&x| silu(x)).collect(),
+        }
+    }
+
+    #[test]
+    fn every_silu_form_matches_scalar_silu_bit_for_bit() {
+        for isa in Isa::supported() {
+            for (k, &n) in LENGTHS.iter().enumerate() {
+                let xs = edge_values(n, k as u32);
+                let want: Vec<f32> = xs.iter().map(|&x| silu(x)).collect();
+                assert!(same_bits(&silu_on(isa, &xs), &want), "{isa:?} silu, n {n}");
+            }
+            // Bit patterns across the whole f32 range.
+            let mut h = 0x2545_F491u32;
+            let xs: Vec<f32> = (0..1 << 18)
+                .map(|_| {
+                    h ^= h << 13;
+                    h ^= h >> 17;
+                    h ^= h << 5;
+                    f32::from_bits(h)
+                })
+                .collect();
+            let want: Vec<f32> = xs.iter().map(|&x| silu(x)).collect();
+            assert!(
+                same_bits(&silu_on(isa, &xs), &want),
+                "{isa:?}: silu differs on a random bit pattern"
+            );
         }
     }
 

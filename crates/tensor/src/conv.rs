@@ -19,9 +19,12 @@
 //! Both sum each channel as bias, then taps oldest → newest, one `mul`
 //! and one `add` per tap — the order of [`causal_conv1d`] — so the fused
 //! step is [`ConvState::step_into`] followed by
-//! [`crate::activation::silu_slice`], bit for bit.
+//! [`crate::activation::silu_slice`], bit for bit. On an AVX-512 host the
+//! fused step is one pass per 16-channel strip: the strip's window rows,
+//! taps and new input stay in registers from the shift to the SiLU.
 
 use crate::activation::silu;
+use crate::isa::{detect, Isa};
 use crate::{Result, Tensor, TensorError};
 
 /// Rolling per-channel window for decode-time causal conv1d.
@@ -172,7 +175,7 @@ impl ConvState {
         bias: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        let newest = self.check_step(input, bias, out)?;
+        self.check_step(input, bias, out)?;
         let (wk, wc) = taps.as_matrix_dims()?;
         if wc != self.channels || wk != self.kernel {
             return Err(TensorError::ShapeMismatch {
@@ -180,20 +183,45 @@ impl ConvState {
                 right: vec![wk, wc],
             });
         }
-        let mut rows = taps.data().chunks_exact(self.channels);
-        out.copy_from_slice(bias);
-        for (k, t) in rows.by_ref().take(newest).enumerate() {
-            let row = self.shift_row(k);
-            for ((o, &t), &v) in out.iter_mut().zip(t).zip(row.iter()) {
-                *o += t * v;
+        self.step_silu_on(detect(), input, taps.data(), bias, out);
+        Ok(())
+    }
+
+    /// The fused step on `isa`'s form, buffers already validated: on
+    /// [`Isa::Avx512`] one pass per 16-channel strip, each window row
+    /// loaded once for both its shift and its product and SiLU applied
+    /// in registers; elsewhere tap row by tap row.
+    #[inline(always)]
+    fn step_silu_on(
+        &mut self,
+        isa: Isa,
+        input: &[f32],
+        taps: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        match isa {
+            // SAFETY: `Isa::Avx512` only comes from `detect`, which
+            // verified AVX512F.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { avx512::step_silu(&mut self.window, taps, input, bias, out) },
+            _ => {
+                let newest = self.kernel - 1;
+                let mut rows = taps.chunks_exact(self.channels);
+                out.copy_from_slice(bias);
+                for (k, t) in rows.by_ref().take(newest).enumerate() {
+                    let row = self.shift_row(k);
+                    for ((o, &t), &v) in out.iter_mut().zip(t).zip(row.iter()) {
+                        *o += t * v;
+                    }
+                }
+                let t = rows.next().expect("kernel ≥ 1 tap rows");
+                self.newest_row().copy_from_slice(input);
+                for ((o, &t), &x) in out.iter_mut().zip(t).zip(input) {
+                    *o = silu(*o + t * x);
+                }
             }
         }
-        let t = rows.next().expect("kernel ≥ 1 tap rows");
-        self.newest_row().copy_from_slice(input);
-        for ((o, &t), &x) in out.iter_mut().zip(t).zip(input) {
-            *o = silu(*o + t * x);
-        }
-        Ok(())
     }
 
     /// Validates one step's buffers against this state and returns the
@@ -227,6 +255,98 @@ impl ConvState {
     fn newest_row(&mut self) -> &mut [f32] {
         let from = (self.kernel - 1) * self.channels;
         &mut self.window[from..]
+    }
+}
+
+/// The 16-lane form of [`ConvState::step_silu_into`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use crate::activation::avx512::silu;
+    use crate::isa::lanes16::{load, mask16, store};
+
+    /// One fused step over the tap-major `window` and `taps` (both
+    /// `kernel × channels`, `channels = out.len()`): per 16-channel
+    /// strip, the bias, then each window row shifted down one tap and
+    /// its product added, oldest → newest, then the input pushed as the
+    /// newest row and its product added, then SiLU as the strip is
+    /// stored — the scalar sums in the scalar order.
+    ///
+    /// # Panics
+    ///
+    /// Unless the lengths are as stated, with `kernel ≥ 1`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn step_silu(
+        window: &mut [f32],
+        taps: &[f32],
+        input: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+    ) {
+        let ch = out.len();
+        let kernel = window.len() / ch.max(1);
+        assert!(kernel >= 1 && window.len() == kernel * ch && taps.len() == window.len());
+        assert!(input.len() == ch && bias.len() == ch);
+        let bufs = Bufs {
+            window: window.as_mut_ptr(),
+            taps: taps.as_ptr(),
+            input: input.as_ptr(),
+            bias: bias.as_ptr(),
+            out: out.as_mut_ptr(),
+            ch,
+            kernel,
+        };
+        let mut c = 0;
+        // SAFETY (both calls): every offset is `k·ch + c + lane` with
+        // `k < kernel` and `c + lane < ch`, inside the asserted lengths.
+        while c + 16 <= ch {
+            unsafe { strip::<true>(&bufs, c, !0) };
+            c += 16;
+        }
+        if c < ch {
+            unsafe { strip::<false>(&bufs, c, mask16(ch - c)) };
+        }
+    }
+
+    /// [`step_silu`]'s buffers.
+    struct Bufs {
+        window: *mut f32,
+        taps: *const f32,
+        input: *const f32,
+        bias: *const f32,
+        out: *mut f32,
+        ch: usize,
+        kernel: usize,
+    }
+
+    /// Channels `c..c + 16` (those `m` selects unless `FULL`) of
+    /// [`step_silu`]: each window row is loaded once, for its shift and
+    /// its product.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and the strip's lanes must lie inside every buffer.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn strip<const FULL: bool>(b: &Bufs, c: usize, m: __mmask16) {
+        let ch = b.ch;
+        // SAFETY: the caller's contract.
+        unsafe {
+            let mut acc = load::<FULL>(m, b.bias.add(c));
+            for k in 0..b.kernel - 1 {
+                let v = load::<FULL>(m, b.window.add((k + 1) * ch + c));
+                store::<FULL>(b.window.add(k * ch + c), m, v);
+                let tap = load::<FULL>(m, b.taps.add(k * ch + c));
+                acc = _mm512_add_ps(acc, _mm512_mul_ps(tap, v));
+            }
+            let newest = (b.kernel - 1) * ch + c;
+            let x = load::<FULL>(m, b.input.add(c));
+            store::<FULL>(b.window.add(newest), m, x);
+            let tap = load::<FULL>(m, b.taps.add(newest));
+            acc = _mm512_add_ps(acc, _mm512_mul_ps(tap, x));
+            store::<FULL>(b.out.add(c), m, silu(acc));
+        }
     }
 }
 
@@ -370,6 +490,34 @@ mod tests {
             matches!(got, Err(TensorError::InvalidArgument(_))),
             "{got:?}"
         );
+    }
+
+    #[test]
+    fn every_fused_step_form_matches_the_scalar_step_bit_for_bit() {
+        use crate::activation::tests::{edge_values, same_bits, LENGTHS};
+        for isa in Isa::supported() {
+            for kernel in 1..=4 {
+                // Zero channels is a state no model builds (`chunks_exact`).
+                for (k, &ch) in LENGTHS.iter().enumerate().filter(|&(_, &ch)| ch > 0) {
+                    let seed = (10 * kernel + k) as u32;
+                    let taps = edge_values(kernel * ch, seed);
+                    let bias = edge_values(ch, seed + 1);
+                    let (mut want, mut got) =
+                        (ConvState::new(ch, kernel), ConvState::new(ch, kernel));
+                    let (mut y_want, mut y_got) = (vec![0.0; ch], vec![0.0; ch]);
+                    for step in 0..kernel + 2 {
+                        let input = edge_values(ch, seed + 2 + step as u32);
+                        want.step_silu_on(Isa::Scalar, &input, &taps, &bias, &mut y_want);
+                        got.step_silu_on(isa, &input, &taps, &bias, &mut y_got);
+                        assert!(same_bits(&y_got, &y_want), "{isa:?} k {kernel} ch {ch}");
+                        assert!(
+                            same_bits(&got.window, &want.window),
+                            "{isa:?} k {kernel} ch {ch}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,26 +3,36 @@
 //! There are three tiers. [`detect`] picks the best one the host has, once
 //! per process, and every dispatching kernel asks it:
 //!
-//! | tier | W4A4 GEMM (`lightmamba_quant::simd`) | SSM head step (`lightmamba_model::ssm`) | per-sequence phases |
-//! |---|---|---|---|
-//! | [`Isa::Scalar`] | i16-then-widen loops | row by row | baseline |
-//! | [`Isa::Avx2`] | `maddubs`, i16 lanes | 8 rows per register | AVX2 copy |
-//! | [`Isa::Avx512`] | `vpdpbusd`, i32 lanes | 16 rows per register | AVX2 copy |
+//! | tier | W4A4 GEMM (`lightmamba_quant::simd`) | SSM head step (`lightmamba_model::ssm`) | element-wise kernels | per-sequence phases |
+//! |---|---|---|---|---|
+//! | [`Isa::Scalar`] | i16-then-widen loops | row by row | scalar source | baseline |
+//! | [`Isa::Avx2`] | `maddubs`, i16 lanes | 8 rows per register | scalar source | AVX2 copy |
+//! | [`Isa::Avx512`] | `vpdpbusd`, i32 lanes | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
 //!
-//! Every form of both kernels is compiled on every `x86_64` build. The
+//! Every form of every kernel is compiled on every `x86_64` build. The
 //! scalar forms are the only ones on other targets (`aarch64` included)
 //! and the bit-exactness oracles the vector forms are tested against.
 //!
-//! The last column is the two compilations of each block's per-sequence
+//! The element-wise kernels with 16-lane forms are the fused conv + SiLU
+//! step, the FWHT and the factored Hadamard's column stages, and
+//! `ActQuant`. On [`Isa::Avx512`] each runs an explicit 16-lane form
+//! (`std::arch`, masked tails) that gives every element the scalar
+//! form's operations in the scalar order; elsewhere it runs its scalar
+//! source, which the phase copy it is inlined into vectorises. The
+//! gated norm's SiLU gate has no explicit form: its scalar loop,
+//! vectorised inside the AVX-512 copy, timed faster than one.
+//!
+//! The last column is the compilations of each block's per-sequence
 //! phases (`MambaBlock`'s step, `QuantizedMamba`'s layer step and
-//! finish): the same source built once for the baseline and once under
-//! `#[target_feature(enable = "avx2")]`. Any vector tier runs the AVX2
-//! copy ([`Isa::has_avx2`]); there is no 512-bit copy. Without FMA a
-//! float operation can neither contract nor reassociate, so both copies
-//! compute the same bits. The element-wise kernels those phases call —
-//! this crate's norms, [`crate::activation::silu`] and the fused conv
-//! step, the Hadamard transforms, `ActQuant` — are `#[inline(always)]`:
-//! only code inlined into the AVX2 copy is compiled for AVX2.
+//! finish): the same source built for the baseline and under
+//! `#[target_feature(enable = "avx2")]`, and `QuantizedMamba`'s also
+//! under `#[target_feature(enable = "avx512f,avx512bw")]`. The FP
+//! `MambaBlock` runs its AVX2 copy on [`Isa::Avx512`]: an AVX-512 copy
+//! of its step timed no faster. Without FMA a float operation can
+//! neither contract nor reassociate, so every copy computes the same
+//! bits. The kernels those phases call are
+//! `#[inline(always)]`: only code inlined into a copy is compiled for
+//! its tier.
 
 /// The instruction set a dispatching kernel runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +65,64 @@ impl Isa {
             .take_while(move |&isa| isa != best)
             .chain([best])
     }
+}
 
-    /// Whether this tier includes AVX2 — the per-sequence phases run
-    /// their AVX2 copy on every vector tier (module docs).
-    pub fn has_avx2(self) -> bool {
-        self != Isa::Scalar
+/// The loads and stores of the 16-lane forms. A form walks its data in
+/// strips of 16 and compiles each strip's body twice: with `FULL`, on
+/// plain whole-register moves, for every strip but a short last one,
+/// which runs on the moves masked to [`lanes16::mask16`]'s lanes.
+#[cfg(target_arch = "x86_64")]
+pub mod lanes16 {
+    use std::arch::x86_64::*;
+
+    /// The low `n` lanes of a 16-lane mask, all 16 from `n ≥ 16`.
+    #[inline(always)]
+    pub fn mask16(n: usize) -> __mmask16 {
+        if n >= 16 {
+            u16::MAX
+        } else {
+            ((1u32 << n) - 1) as u16
+        }
+    }
+
+    /// The 16 floats from `p` — with `FULL` all of them, else those `m`
+    /// selects, the rest zero.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX512F, and every selected float must be
+    /// readable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn load<const FULL: bool>(m: __mmask16, p: *const f32) -> __m512 {
+        // SAFETY: the caller's contract.
+        unsafe {
+            if FULL {
+                _mm512_loadu_ps(p)
+            } else {
+                _mm512_maskz_loadu_ps(m, p)
+            }
+        }
+    }
+
+    /// Stores `v` to the 16 floats from `p` — with `FULL` all of them,
+    /// else those `m` selects.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX512F, and every selected float must be
+    /// writable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn store<const FULL: bool>(p: *mut f32, m: __mmask16, v: __m512) {
+        // SAFETY: the caller's contract.
+        unsafe {
+            if FULL {
+                _mm512_storeu_ps(p, v)
+            } else {
+                _mm512_mask_storeu_ps(p, m, v)
+            }
+        }
     }
 }
 

@@ -6,16 +6,33 @@
 //! must be split out and folded into the downstream projection weights
 //! before the rotation can be fused. The rotation folds `γ` into the
 //! weights itself, so only the scaled forms are kept here; the unscaled
-//! norm is [`rms_norm`] with a unit `γ`.
+//! norm is [`rms_norm`] with a unit `γ`. [`rms_norm_rows`] is
+//! [`rms_norm`] over a lane of rows, their serial sums interleaved.
 
 /// Root-mean-square of a slice with numerical floor `eps`.
 #[inline(always)]
 pub fn rms(xs: &[f32], eps: f32) -> f32 {
-    if xs.is_empty() {
+    rms_of_sum(xs.iter().map(|v| v * v).sum::<f32>(), xs.len(), eps)
+}
+
+/// [`rms`] from the sum of squares of `len` values.
+#[inline(always)]
+fn rms_of_sum(sum: f32, len: usize, eps: f32) -> f32 {
+    if len == 0 {
         return eps.sqrt();
     }
-    let ms = xs.iter().map(|v| v * v).sum::<f32>() / xs.len() as f32;
+    let ms = sum / len as f32;
     (ms + eps).sqrt()
+}
+
+/// `y_i = x_i / r * gamma_i`, in place — the scaling half of
+/// [`rms_norm`].
+#[inline(always)]
+fn scale_by_rms(xs: &mut [f32], r: f32, gamma: &[f32]) {
+    let inv = 1.0 / r;
+    for (x, &g) in xs.iter_mut().zip(gamma.iter()) {
+        *x = *x * inv * g;
+    }
 }
 
 /// Scaled RMSNorm: `y_i = x_i / rms(x) * gamma_i`, in place.
@@ -27,10 +44,82 @@ pub fn rms(xs: &[f32], eps: f32) -> f32 {
 pub fn rms_norm(xs: &mut [f32], gamma: &[f32], eps: f32) {
     assert_eq!(xs.len(), gamma.len(), "rmsnorm scale length mismatch");
     let r = rms(xs, eps);
-    let inv = 1.0 / r;
-    for (x, &g) in xs.iter_mut().zip(gamma.iter()) {
-        *x = *x * inv * g;
+    scale_by_rms(xs, r, gamma);
+}
+
+/// The most rows whose sums of squares [`rms_norm_rows`] runs side by
+/// side: enough independent add chains to hide an add's latency, few
+/// enough that they and their row pointers stay in registers.
+const INTERLEAVE: usize = 8;
+
+/// [`rms_norm`] of every row `row(item)` of `items`, bit for bit, with
+/// the rows' sums of squares computed together.
+///
+/// [`rms`] is one serial chain of dependent adds, so a lone row costs
+/// an add's latency per element. Here up to eight rows advance their
+/// chains in the same loop: each row still adds its squares in
+/// ascending index order from the initial value `Iterator::sum` uses,
+/// and the rows together cost about one chain's latency.
+///
+/// # Panics
+///
+/// Panics when a row's length differs from `gamma.len()`.
+#[inline(always)]
+pub fn rms_norm_rows<T>(
+    items: &mut [T],
+    row: impl Fn(&mut T) -> &mut [f32],
+    gamma: &[f32],
+    eps: f32,
+) {
+    for chunk in items.chunks_mut(INTERLEAVE) {
+        match chunk.len() {
+            1 => rms_norm_chunk::<T, 1>(chunk, &row, gamma, eps),
+            2 => rms_norm_chunk::<T, 2>(chunk, &row, gamma, eps),
+            3 | 4 => rms_norm_chunk::<T, 4>(chunk, &row, gamma, eps),
+            _ => rms_norm_chunk::<T, INTERLEAVE>(chunk, &row, gamma, eps),
+        }
     }
+}
+
+/// [`rms_norm_rows`] of one chunk of at most `R` rows in `R` chains; a
+/// short chunk repeats its first row in the chains it leaves over.
+#[inline(always)]
+fn rms_norm_chunk<T, const R: usize>(
+    chunk: &mut [T],
+    row: &impl Fn(&mut T) -> &mut [f32],
+    gamma: &[f32],
+    eps: f32,
+) {
+    let len = gamma.len();
+    let mut rows = chunk.iter_mut().map(|t| {
+        let r = &*row(t);
+        assert_eq!(r.len(), len, "rmsnorm scale length mismatch");
+        r
+    });
+    let rows: [Option<&[f32]>; R] = std::array::from_fn(|_| rows.next());
+    let first = rows[0].unwrap_or(&[]);
+    let sums = sums_of_squares(rows.map(|r| r.unwrap_or(first)), len);
+    for (t, &sum) in chunk.iter_mut().zip(&sums) {
+        scale_by_rms(row(t), rms_of_sum(sum, len, eps), gamma);
+    }
+}
+
+/// `Σ v²` over the first `len` values of each of `R` rows, in ascending
+/// index order from `Iterator::sum`'s initial value, the rows' chains
+/// interleaved.
+#[inline(always)]
+fn sums_of_squares<const R: usize>(rows: [&[f32]; R], len: usize) -> [f32; R] {
+    let rows = rows.map(|r| &r[..len]);
+    let mut acc = [std::iter::empty::<f32>().sum::<f32>(); R];
+    for i in 0..len {
+        for (a, r) in acc.iter_mut().zip(&rows) {
+            // SAFETY: every row was just sliced to `len` elements, and
+            // `i < len` (the checked index costs as much as the add).
+            let v = unsafe { *r.get_unchecked(i) };
+            *a += v * v;
+        }
+    }
+    acc
 }
 
 /// Gated RMSNorm used by Mamba2 before the output projection:
@@ -42,9 +131,7 @@ pub fn rms_norm(xs: &mut [f32], gamma: &[f32], eps: f32) {
 #[inline(always)]
 pub fn gated_rms_norm(xs: &mut [f32], z: &[f32], gamma: &[f32], eps: f32) {
     assert_eq!(xs.len(), z.len(), "gated rmsnorm gate length mismatch");
-    for (x, &zi) in xs.iter_mut().zip(z.iter()) {
-        *x *= crate::activation::silu(zi);
-    }
+    crate::activation::silu_gate(xs, z);
     rms_norm(xs, gamma, eps);
 }
 
@@ -126,6 +213,34 @@ mod tests {
         gated_rms_norm(&mut split, &z, &[1.0; 4], 1e-6);
         for (s, (u, g)) in scaled.iter().zip(split.iter().zip(gamma.iter())) {
             assert!((s - u * g).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn interleaved_rows_match_the_per_row_norm_bit_for_bit() {
+        use crate::activation::tests::{edge_values, same_bits, LENGTHS};
+        for (k, &len) in LENGTHS.iter().enumerate() {
+            let gamma = edge_values(len, 7 * k as u32);
+            for n in 1..=17 {
+                // Finite rows, and rows with every edge case.
+                for edges in [false, true] {
+                    let rows: Vec<Vec<f32>> = (0..n)
+                        .map(|r| {
+                            let v = edge_values(len, (100 * n + r) as u32);
+                            v.into_iter()
+                                .map(|x| if edges || x.is_finite() { x } else { 1.5 })
+                                .collect()
+                        })
+                        .collect();
+                    let mut want = rows.clone();
+                    want.iter_mut().for_each(|r| rms_norm(r, &gamma, 1e-5));
+                    let mut got = rows;
+                    rms_norm_rows(&mut got, |r| &mut r[..], &gamma, 1e-5);
+                    let (got, want): (Vec<f32>, Vec<f32>) = (got.concat(), want.concat());
+                    let all_same = same_bits(&got, &want);
+                    assert!(all_same, "len {len}, {n} rows, edge cases {edges}");
+                }
+            }
         }
     }
 
