@@ -207,14 +207,10 @@ impl MambaModel {
         Ok(out)
     }
 
-    /// Index of the maximum logit (greedy sampling).
+    /// Index of the maximum logit (greedy sampling): the last of equal
+    /// maxima, 0 for no logits.
     pub fn argmax(logits: &[f32]) -> usize {
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0)
+        crate::sampler::argmax(logits)
     }
 }
 

@@ -61,7 +61,48 @@ impl Sampler {
     }
 }
 
-fn argmax(xs: &[f32]) -> usize {
+/// Lanes of [`argmax`]'s passes: short fixed-width loops a baseline
+/// compiler vectorises.
+const LANES: usize = 16;
+
+/// Index of the greedy token: what [`argmax_fold`] returns, the last
+/// index whose value equals the maximum (`-0.0 == +0.0`), or 0 for an
+/// empty row. A row without NaN takes two vectorised passes — the
+/// maximum, then the last chunk holding it — and any row with a NaN
+/// keeps the fold, whose answer then depends on where the NaN sits.
+pub(crate) fn argmax(xs: &[f32]) -> usize {
+    let mut max = [f32::NEG_INFINITY; LANES];
+    let mut nan = [false; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for chunk in chunks.by_ref() {
+        for ((m, n), &x) in max.iter_mut().zip(&mut nan).zip(chunk) {
+            *m = if x > *m { x } else { *m };
+            *n |= x.is_nan();
+        }
+    }
+    let tail = chunks.remainder();
+    if nan.contains(&true) || tail.iter().any(|x| x.is_nan()) {
+        return argmax_fold(xs);
+    }
+    let m = tail
+        .iter()
+        .chain(&max)
+        .fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+    let whole = xs.len() - tail.len();
+    if let Some(i) = tail.iter().rposition(|&x| x == m) {
+        return whole + i;
+    }
+    for (c, chunk) in xs[..whole].chunks_exact(LANES).enumerate().rev() {
+        if chunk.iter().fold(false, |hit, &x| hit | (x == m)) {
+            return c * LANES + chunk.iter().rposition(|&x| x == m).unwrap_or(0);
+        }
+    }
+    0
+}
+
+/// The reference greedy pick: a `max_by(partial_cmp)` fold that keeps the
+/// later of two equal or incomparable values.
+fn argmax_fold(xs: &[f32]) -> usize {
     xs.iter()
         .enumerate()
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
@@ -86,6 +127,52 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn argmax_matches_the_fold_on_every_row() {
+        use rand::Rng;
+        let specials = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,
+            f32::MIN,
+            f32::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut rows: Vec<Vec<f32>> = vec![vec![]];
+        for len in (1..=70).chain([2048]) {
+            // Random rows, rows of few distinct values (ties), rows of
+            // specials, and a NaN first, in the middle and last.
+            rows.push((0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect());
+            rows.push((0..len).map(|_| rng.gen_range(0..3) as f32).collect());
+            rows.push(
+                (0..len)
+                    .map(|_| specials[rng.gen_range(0..specials.len() - 1)])
+                    .collect(),
+            );
+            rows.push((0..len).map(|_| [0.0, -0.0][rng.gen_range(0..2)]).collect());
+            for at in [0, len / 2, len - 1] {
+                let mut row: Vec<f32> = (0..len).map(|_| rng.gen_range(-8.0f32..8.0)).collect();
+                row[at] = f32::NAN;
+                rows.push(row);
+            }
+        }
+        for row in (0..200).map(|_| {
+            let len = rng.gen_range(1..300);
+            (0..len)
+                .map(|_| specials[rng.gen_range(0..specials.len())])
+                .collect::<Vec<f32>>()
+        }) {
+            rows.push(row);
+        }
+        for row in &rows {
+            assert_eq!(argmax(row), argmax_fold(row), "{row:?}");
+        }
+    }
 
     #[test]
     fn greedy_picks_argmax() {

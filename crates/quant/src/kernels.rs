@@ -77,7 +77,8 @@ use lightmamba_tensor::Tensor;
 
 use crate::quantizer::{Granularity, QuantScheme, QuantizedTensor};
 use crate::simd::{
-    code_quad, flush_quads, sweep, Act, Block, CodeQuad, Weights, KBLOCK, QUAD, TILE,
+    amx_form, code_quad, flush_quads, sweep, Act, Block, CodeQuad, Weights, AMX_QUADS, AMX_ROWS,
+    KBLOCK, QUAD, TILE,
 };
 use crate::{QuantError, Result};
 
@@ -602,9 +603,11 @@ fn check_gemv(w: &PackedW4, act: &ActQuant, out: &[f32]) -> Result<()> {
 
 /// Reusable scratch of [`gemv_packed`] / [`gemm_packed`]: every
 /// activation's codes re-laid as the code quads the micro-kernel
-/// broadcasts (each group padded to a whole quad with zero codes), and
-/// `Σq` per `(activation, group)` for the `−8·Σq` correction. Grows to
-/// the largest batch seen, then allocation-free.
+/// broadcasts (each group padded to a whole quad with zero codes), back
+/// to back and followed by 16 zero quads (`AMX_QUADS`), so the AMX form can
+/// load its activation tiles in place; and `Σq` per `(activation,
+/// group)` for the `−8·Σq` correction. Grows to the largest batch seen,
+/// then allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct GemvScratch {
     quads: Vec<CodeQuad>,
@@ -621,7 +624,7 @@ impl GemvScratch {
     /// magnitude any of their schemes allows.
     fn load(&mut self, w: &PackedW4, acts: &[ActQuant]) -> i32 {
         self.quads.clear();
-        self.quads.resize(acts.len() * w.quads, 0);
+        self.quads.resize(acts.len() * w.quads + AMX_QUADS, 0);
         self.qsum.clear();
         let mut qmax = 1;
         for (act, quads) in acts.iter().zip(self.quads.chunks_exact_mut(w.quads)) {
@@ -799,14 +802,16 @@ pub(crate) fn gemm_packed_into<T>(
 /// activation block to the next.
 const L1_SWEEP_BYTES: usize = 16 << 10;
 
-/// The one GEMM loop: runs of tiles, then [`KBLOCK`] activations at a
+/// The one GEMM loop: runs of tiles, then [`AMX_ROWS`] activations at a
+/// time, which `sweep` takes in one AMX pass when the host grants AMX
+/// and there are at least `AMX_MIN_ROWS` of them, else [`KBLOCK`] at a
 /// time. Per `(tiles, activation block)` the micro-kernel's `sweep` walks
 /// each tile's groups ascending, leaves `Σ (c+8)·q` in i32, and applies
 /// the correction and the f32 rescale in the order every earlier kernel
 /// used (`out += ia as f32 * (wsc * asc)`, one group after the other),
 /// which is what keeps outputs bit-identical across kernels, batch sizes
-/// and instruction sets. A batch of one block sweeps every tile in one
-/// call.
+/// and instruction sets. A batch that is one pass over the weights
+/// sweeps every tile in one call.
 fn gemm_rows<T>(
     w: &PackedW4,
     acts: &[ActQuant],
@@ -838,18 +843,18 @@ fn gemm_rows<T>(
         out_features: w.out_features,
     };
     let tiles = w.out_features.div_ceil(TILE);
-    let step = if acts.len() <= KBLOCK {
+    let step = if acts.len() <= KBLOCK || amx_form(isa, acts.len()) {
         tiles
     } else {
         (L1_SWEEP_BYTES / (w.quads * std::mem::size_of::<Block>())).max(1)
     };
     for t0 in (0..tiles).step_by(step) {
-        for k0 in (0..acts.len()).step_by(KBLOCK) {
-            let kb = KBLOCK.min(acts.len() - k0);
-            let mut lanes: [Act<'_>; KBLOCK] = Default::default();
+        for k0 in (0..acts.len()).step_by(AMX_ROWS) {
+            let kb = AMX_ROWS.min(acts.len() - k0);
+            let mut lanes: [Act<'_>; AMX_ROWS] = Default::default();
             for ((lane, row), k) in lanes.iter_mut().zip(&mut rows[k0..k0 + kb]).zip(k0..) {
                 *lane = Act {
-                    codes: &scratch.quads[k * w.quads..][..w.quads],
+                    codes: &scratch.quads[k * w.quads..],
                     qsum: &scratch.qsum[k * groups..][..groups],
                     scales: acts[k].scales(),
                     out: out_of(row),
@@ -964,18 +969,27 @@ mod tests {
         }
     }
 
+    /// Batch sizes of the GEMM tests: every K-block remainder, and
+    /// blocks of 16 with remainders of 0, 3, 7 and 8 rows.
+    const BATCHES: [usize; 12] = [1, 2, 3, 4, 5, 8, 16, 19, 23, 24, 32, 40];
+
     #[test]
     fn every_form_matches_scalar_on_groups_of_any_length() {
         // Groups that end part-way through a quad (padding inputs in the
-        // last quad of every group), a ragged last group and last tile,
-        // every K-block remainder and both activation widths, through
-        // each form this host has.
+        // last quad of every group) or an AMX chunk, a ragged last group
+        // and last tile, every K-block remainder, AMX blocks with every
+        // kind of remainder and both activation widths, through each
+        // form this host has.
+        if !crate::simd::amx_form(detect(), AMX_ROWS) {
+            eprintln!("AMX not granted on this host: the AMX form is not exercised");
+        }
         let mut rng = StdRng::seed_from_u64(8);
-        for group in [1usize, 2, 3, 5, 7, 9] {
+        let quads = [16usize, 17, 32, 33].map(|q| 4 * q);
+        for group in [1usize, 2, 3, 5, 7, 9].into_iter().chain(quads) {
             let (inf, outf) = (4 * group + 3, 37);
             let p = PackedW4::quantize(&random_weight(&mut rng, inf, outf), w4(group)).unwrap();
             for bits in [4u8, 8] {
-                let acts: Vec<ActQuant> = (0..5)
+                let acts: Vec<ActQuant> = (0..BATCHES[BATCHES.len() - 1])
                     .map(|_| {
                         let x: Vec<f32> = (0..inf).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
                         let mut a = ActQuant::new();
@@ -988,7 +1002,7 @@ mod tests {
                 let mut want = vec![Vec::new(); acts.len()];
                 gemm_packed_scalar(&p, &acts, &mut scratch, &mut want).unwrap();
                 for isa in Isa::supported() {
-                    for batch in 1..=acts.len() {
+                    for batch in BATCHES {
                         let mut got = vec![Vec::new(); batch];
                         gemm_packed_isa(&p, &acts[..batch], &mut scratch, &mut got, isa).unwrap();
                         assert_eq!(got, want[..batch], "{isa:?} group {group} a{bits} b{batch}");
@@ -996,6 +1010,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn amx_tile_state_is_per_thread() {
+        // Two threads run GEMMs of different tile configurations (16 rows
+        // in chunks of 16 quads; 9 rows in chunks of 5) at the same time;
+        // each must keep getting the scalar result.
+        if !crate::simd::amx_form(detect(), AMX_ROWS) {
+            eprintln!("AMX not granted on this host: skipped");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(10);
+        let cases: Vec<_> = [(256usize, 70usize, 128usize, AMX_ROWS), (67, 45, 20, 9)]
+            .into_iter()
+            .map(|(inf, outf, group, rows)| {
+                let p = PackedW4::quantize(&random_weight(&mut rng, inf, outf), w4(group)).unwrap();
+                let acts: Vec<ActQuant> = (0..rows)
+                    .map(|_| {
+                        let x: Vec<f32> = (0..inf).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+                        let mut a = ActQuant::new();
+                        a.quantize(&x, QuantScheme::act_per_group(4, group))
+                            .unwrap();
+                        a
+                    })
+                    .collect();
+                let mut want = vec![Vec::new(); rows];
+                gemm_packed_scalar(&p, &acts, &mut GemvScratch::new(), &mut want).unwrap();
+                (p, acts, want)
+            })
+            .collect();
+        std::thread::scope(|s| {
+            for (p, acts, want) in &cases {
+                s.spawn(move || {
+                    let mut scratch = GemvScratch::new();
+                    let mut got = vec![Vec::new(); acts.len()];
+                    for _ in 0..200 {
+                        gemm_packed(p, acts, &mut scratch, &mut got).unwrap();
+                        assert_eq!(&got, want, "{} rows", acts.len());
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -1342,12 +1342,23 @@ mod tests {
                 .collect();
             (logits, h, states)
         };
+        let sweeps = crate::simd::tests::AMX_SWEEPS.with(|n| n.get());
         let (logits, h, states) = run(Isa::Scalar);
         for isa in Isa::supported().skip(1) {
             let (got_logits, got_h, got_states) = run(isa);
             assert!(got_logits == logits, "{isa:?} copy: logits differ");
             assert!(got_h == h, "{isa:?} copy: SSM states differ");
             assert_eq!(got_states, states, "{isa:?} copy: conv windows differ");
+        }
+        // Every copy runs the host's GEMM: on a host that grants AMX, the
+        // batch-16 projections and LM heads took the AMX form.
+        if crate::simd::amx_form(detect(), SLOTS) {
+            assert!(
+                crate::simd::tests::AMX_SWEEPS.with(|n| n.get()) > sweeps,
+                "AMX form not run"
+            );
+        } else {
+            eprintln!("AMX not granted on this host: the AMX form is not exercised");
         }
     }
 }

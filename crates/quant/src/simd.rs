@@ -10,7 +10,8 @@
 //! once and are shared by every activation of the block — the dataflow of
 //! the paper's MMU. A batch of more than four sweeps a few tiles at a
 //! time for each block of four, so those tiles stay L1-hot between
-//! blocks.
+//! blocks — unless the host grants AMX: then 5–16 activations share one
+//! pass of AMX tile products.
 //!
 //! # The block the kernel consumes
 //!
@@ -48,16 +49,28 @@
 //!   is load → `and` / `srli`+`and` → per activation one broadcast, two
 //!   `maddubs` and two adds per 64 multiply-accumulates.
 //!
-//! Weights enter unsigned because both instructions want one unsigned
+//! * **AMX-INT8** — the same block is one row of an AMX B tile, twice:
+//!   the low nibbles are 16 outputs × 4 inputs in the `tdpbsud` operand
+//!   order (column `j` = bytes `4j..4j+4`), and so are the high ones. A
+//!   chunk of up to 16 quads of one tile is split into two staged
+//!   16 × 64-byte B tiles (low and high plane); the A tile is the
+//!   activations' code quads, up to 16 rows of 64 bytes read in place
+//!   (row stride `4·quads` bytes); `tdpbsud C_lo, A, B_lo` and
+//!   `tdpbsud C_hi, A, B_hi` add `Σₜ w[i+t][j]·qₜ` for every activation
+//!   row and output column into i32 C tiles — 16 × 16 × 64
+//!   multiply-accumulates each.
+//!
+//! Weights enter unsigned because all three instructions want one unsigned
 //! operand; the caller removes the bias exactly afterwards
 //! (`Σ(c+8)·q − 8·Σq`). Groups are padded to whole quads with code 0
 //! (nibble 8) against activation code 0, which adds nothing.
 //!
 //! # Why the accumulators are exact
 //!
-//! A `dpbusd` lane gains at most `4·15·127` per quad in i32, and
-//! `PackedW4` rejects widths that break `in_features · 15 · 127 < 2³¹`,
-//! so a whole group accumulates in i32 with no flush at all.
+//! A `dpbusd` lane — or a `tdpbsud` C element — gains at most
+//! `4·15·127` per quad in i32, and `PackedW4` rejects widths that break
+//! `in_features · 15 · 127 < 2³¹`, so a whole group accumulates in i32
+//! with no flush at all.
 //!
 //! An AVX2 i16 lane gains at most `2·15·qmaxₐ` per quad (`maddubs`
 //! itself never saturates: `2·15·127 = 3810`). `flush_quads` turns
@@ -79,6 +92,27 @@
 //!   outputs through masked loads and stores, and both prefetch the
 //!   weight stream a few blocks ahead.
 //!
+//! * **AMX-INT8** (AVX-512 hosts whose kernel grants the tile state,
+//!   [`lightmamba_tensor::isa::amx`]) takes every sweep of
+//!   `AMX_MIN_ROWS`–`AMX_ROWS` activations: their count is the M of
+//!   the A and C tiles, set in the tile configuration `ldtilecfg` loads
+//!   on entry to each sweep (`tilerelease` on exit: tile state is per
+//!   thread, and a context switch need not save released tiles). Per
+//!   tile, groups go in pairs, each into its own two C tiles; a group
+//!   whose quads are not a multiple of 16 ends in a chunk whose staged B
+//!   rows past its end are zero, which cancels the codes A reads there
+//!   (`GemvScratch` pads the codes by `AMX_QUADS`, so A never reads
+//!   past them). The C tiles are stored and each activation's outputs
+//!   rescaled with AVX-512 in the scalar order, masked on a short tile.
+//!   Fewer activations keep the VNNI form. The floor of
+//!   `AMX_MIN_ROWS` = 5 is the measured crossover: at the benchmark's
+//!   shapes (group 128; in_proj 256 → 1160, out_proj 512 → 256, LM head
+//!   256 → 2048; best of 15 rounds per form, the forms alternated in one
+//!   process, three processes) the AMX form took 1.15–1.39× the VNNI
+//!   form's time at 4 activations (one VNNI pass), 0.83–0.97× at 5 and
+//!   0.43–0.91× at 6–8; at 16 it took 0.50–0.69× (two processes of 7
+//!   rounds per form).
+//!
 //! [`lightmamba_tensor::isa::detect`] picks the form once per process.
 //! All compute the same integers and then the same float operations per
 //! output — `out += (ia − 8·Σq) as f32 * (wsc * asc)`, groups ascending,
@@ -88,7 +122,7 @@
 //! There is no NEON form: the build image has no `aarch64` target to
 //! compile-check one against, so `aarch64` runs the scalar form.
 
-use lightmamba_tensor::isa::Isa;
+use lightmamba_tensor::isa::{self, Isa};
 
 /// Outputs per weight tile.
 pub(crate) const TILE: usize = 32;
@@ -98,6 +132,31 @@ pub(crate) const QUAD: usize = 4;
 
 /// Activations that share one pass over a tile's weights.
 pub(crate) const KBLOCK: usize = 4;
+
+/// Most activations one pass of the AMX form takes: the rows of its
+/// tiles.
+pub(crate) const AMX_ROWS: usize = 16;
+
+/// Fewest activations the AMX form takes; smaller sweeps run the VNNI
+/// form. The measured crossover (module docs, *Forms*).
+pub(crate) const AMX_MIN_ROWS: usize = 5;
+
+/// Input quads one `tdpbsud` reduces: 64 bytes of each activation row.
+pub(crate) const AMX_QUADS: usize = 16;
+
+/// Whether a sweep of `rows` activations on `isa` runs the AMX form.
+#[inline]
+pub(crate) fn amx_form(isa: Isa, rows: usize) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        isa == Isa::Avx512 && (AMX_MIN_ROWS..=AMX_ROWS).contains(&rows) && isa::amx()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (isa, rows);
+        false
+    }
+}
 
 /// How far ahead of the block in hand the vector forms prefetch: weights
 /// stream from L2 faster than the hardware prefetchers fetch them on
@@ -129,10 +188,17 @@ pub(crate) fn flush_quads(act_qmax: i32) -> usize {
     (i16::MAX as usize / (2 * 15 * act_qmax.max(1) as usize)).max(1)
 }
 
-/// Name of the instruction set the micro-kernel runs with on this host
-/// ("avx512", "avx2" or "scalar"): the workspace's one detector,
-/// [`lightmamba_tensor::isa`].
-pub use lightmamba_tensor::isa::active_isa;
+/// Name of the form the micro-kernel runs with on this host: the
+/// workspace's instruction-set tier ("avx512", "avx2" or "scalar", from
+/// [`lightmamba_tensor::isa`]), or "avx512+amx" when the AMX-INT8 form
+/// takes the sweeps of `AMX_MIN_ROWS` (5) activations or more.
+pub fn active_isa() -> &'static str {
+    if amx_form(isa::detect(), AMX_ROWS) {
+        "avx512+amx"
+    } else {
+        isa::active_isa()
+    }
+}
 
 /// A packed weight, as [`sweep`] reads it: `out_features.div_ceil(TILE)`
 /// tiles of `quads` blocks each.
@@ -180,7 +246,10 @@ impl Weights<'_> {
 /// One activation's share of a [`sweep`].
 #[derive(Default)]
 pub(crate) struct Act<'a> {
-    /// One [`CodeQuad`] per block of a tile.
+    /// One [`CodeQuad`] per block of a tile, then anything: the forms
+    /// read the first `quads`, except that the AMX form loads whole
+    /// chunks of [`AMX_QUADS`] and needs the codes of a sweep's
+    /// activations back to back, `quads` apart.
     pub(crate) codes: &'a [CodeQuad],
     /// `Σq` per group.
     pub(crate) qsum: &'a [i32],
@@ -194,15 +263,18 @@ pub(crate) struct Act<'a> {
 /// group `g` ascending, `a.out[o] += (ia − 8·Σq) as f32 * (wsc * asc)`,
 /// where `ia` is the unsigned-weight dot product of the group's quads for
 /// output `o`. `run` is [`flush_quads`] of the largest activation code:
-/// the i16 forms' flush length (the AVX-512 form needs none).
+/// the i16 forms' flush length (the AVX-512 forms need none). Up to
+/// [`AMX_ROWS`] activations share the pass when [`amx_form`] says so;
+/// otherwise blocks of [`KBLOCK`] take the tiles one after the other.
 ///
 /// # Panics
 ///
-/// Unless `1 ≤ acts.len() ≤ KBLOCK`, `run > 0`, `w` holds the blocks of
-/// `tiles`, its groups cover a tile and its scales every group's
+/// Unless `1 ≤ acts.len() ≤ AMX_ROWS`, `run > 0`, `w` holds the blocks
+/// of `tiles`, its groups cover a tile and its scales every group's
 /// outputs, and every activation holds one code per quad, one `Σq` and
 /// scale per group and `out_features` outputs — the vector forms index by
-/// raw pointer from these.
+/// raw pointer from these — and, for the AMX form, its codes laid out as
+/// [`Act::codes`] says.
 #[inline]
 pub(crate) fn sweep(
     isa: Isa,
@@ -211,13 +283,42 @@ pub(crate) fn sweep(
     acts: &mut [Act<'_>],
     run: usize,
 ) {
-    assert!(!acts.is_empty() && acts.len() <= KBLOCK && run > 0);
+    assert!(!acts.is_empty() && acts.len() <= AMX_ROWS && run > 0);
     assert!(tiles.end <= w.out_features.div_ceil(TILE) && tiles.end * w.quads <= w.blocks.len());
     assert!(w.groups * w.quads_per_group >= w.quads && w.scales.len() >= w.groups * w.out_features);
-    assert!(acts.iter().all(|a| a.codes.len() == w.quads
+    assert!(acts.iter().all(|a| a.codes.len() >= w.quads
         && a.qsum.len() >= w.groups
         && a.scales.len() >= w.groups
         && a.out.len() == w.out_features));
+    #[cfg(target_arch = "x86_64")]
+    if amx_form(isa, acts.len()) {
+        let base = acts[0].codes.as_ptr();
+        assert!(acts.iter().enumerate().all(|(m, a)| {
+            a.codes.as_ptr() == base.wrapping_add(m * w.quads)
+                && a.codes.len() >= w.quads + AMX_QUADS
+        }));
+        #[cfg(test)]
+        tests::AMX_SWEEPS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `amx_form` verified AVX-512 and the tile state; the
+        // length and layout contract is asserted just above.
+        unsafe { amx::sweep(w, tiles, acts) };
+        return;
+    }
+    for acts in acts.chunks_mut(KBLOCK) {
+        sweep_block(isa, w, tiles.clone(), acts, run);
+    }
+}
+
+/// [`sweep`] of at most [`KBLOCK`] activations on `isa`'s form, the
+/// contract checked.
+#[inline]
+fn sweep_block(
+    isa: Isa,
+    w: &Weights<'_>,
+    tiles: std::ops::Range<usize>,
+    acts: &mut [Act<'_>],
+    run: usize,
+) {
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
@@ -585,19 +686,318 @@ mod avx512 {
     }
 }
 
+#[cfg(target_arch = "x86_64")]
+mod amx {
+    use std::arch::asm;
+    use std::arch::x86_64::*;
+
+    use super::{Act, Tile, Weights, AMX_QUADS, AMX_ROWS, PREFETCH_BYTES, TILE};
+
+    /// The 64 bytes `ldtilecfg` reads: palette 1, then per tile register
+    /// its bytes per row (`u16` at `16 + 2t`) and rows (`u8` at `48 + t`).
+    /// `tmm0` is the activation tile A (`rows × 4·kq` signed bytes),
+    /// `tmm1` / `tmm2` the low / high nibble planes B (`kq × 64` unsigned
+    /// bytes: 16 outputs × 4 inputs per row), and `tmm4`–`tmm7` two pairs
+    /// of i32 sums C (`rows × 16`: outputs `0..16` and `16..32`), one
+    /// pair for even and one for odd groups of the sweep.
+    #[repr(C, align(64))]
+    struct TileConfig([u8; 64]);
+
+    impl TileConfig {
+        fn new(rows: usize, kq: usize) -> Self {
+            let mut cfg = [0u8; 64];
+            cfg[0] = 1;
+            let b = [(1, kq, 64), (2, kq, 64)];
+            let c = [4, 5, 6, 7].map(|t| (t, rows, 64));
+            for (t, rows, bytes) in [(0, rows, 4 * kq)].into_iter().chain(b).chain(c) {
+                cfg[16 + 2 * t..18 + 2 * t].copy_from_slice(&(bytes as u16).to_le_bytes());
+                cfg[48 + t] = rows as u8;
+            }
+            TileConfig(cfg)
+        }
+    }
+
+    /// One chunk's two nibble planes, the B tiles of its `tdpbsud`s: row
+    /// `r` of `lo` / `hi` is quad `r`'s low / high nibbles, rows past the
+    /// chunk's real quads zero.
+    #[repr(C, align(64))]
+    struct Planes {
+        lo: [[u8; 64]; AMX_QUADS],
+        hi: [[u8; 64]; AMX_QUADS],
+    }
+
+    /// A group's i32 sums as `tilestored` leaves them: row `m` holds
+    /// activation `m`'s 32 outputs, C low then C high.
+    #[derive(Clone, Copy)]
+    #[repr(C, align(64))]
+    struct Sums([[i32; TILE]; AMX_ROWS]);
+
+    /// Zeroes C pair (`$c_lo`, `$c_hi`), then for each chunk of up to
+    /// `$kq` of the quads `$quads` of `$tile` stages the chunk's planes
+    /// into `$b`, loads A from the codes at `$codes` (rows `$stride`
+    /// quads apart) and the planes, and adds both products into the
+    /// pair; then stores the pair as the rows of the [`Sums`] `$out`.
+    macro_rules! group {
+        ($tile:expr, $quads:expr, $kq:expr, $codes:expr, $stride:expr, $b:expr, $out:expr,
+         $c_lo:literal, $c_hi:literal) => {
+            asm!(concat!("tilezero ", $c_lo), concat!("tilezero ", $c_hi), options(nostack, nomem));
+            let quads = $quads;
+            let mut c0 = quads.start;
+            while c0 < quads.end {
+                let n = $kq.min(quads.end - c0);
+                stage($tile, c0..c0 + n, $kq, $b);
+                asm!(
+                    "tileloadd tmm0, [{a} + {sa}*1]",
+                    "tileloadd tmm1, [{lo} + {sb}*1]",
+                    "tileloadd tmm2, [{hi} + {sb}*1]",
+                    concat!("tdpbsud ", $c_lo, ", tmm0, tmm1"),
+                    concat!("tdpbsud ", $c_hi, ", tmm0, tmm2"),
+                    a = in(reg) $codes.add(c0),
+                    sa = in(reg) 4 * $stride,
+                    lo = in(reg) $b.lo.as_ptr(),
+                    hi = in(reg) $b.hi.as_ptr(),
+                    sb = in(reg) 64usize,
+                    options(nostack, readonly),
+                );
+                c0 += n;
+            }
+            asm!(
+                concat!("tilestored [{c} + {s}*1], ", $c_lo),
+                concat!("tilestored [{c} + {s}*1 + 64], ", $c_hi),
+                c = in(reg) $out.0.as_mut_ptr(),
+                s = in(reg) 4 * TILE,
+                options(nostack),
+            );
+        };
+    }
+
+    /// AMX [`sweep`](super::sweep) of up to 16 activations, the rows of
+    /// the A and C tiles. Per tile, groups go in pairs: each group's C
+    /// pair (`tmm4`/`tmm5`, then `tmm6`/`tmm7`) starts at zero and, per
+    /// chunk of up to `kq = min(AMX_QUADS, quads_per_group)` quads (one
+    /// configuration fits every chunk), the chunk's blocks are split into
+    /// their nibble planes, A is loaded in place from the code quads (row
+    /// stride `4·quads` bytes) and two `tdpbsud` add signed codes ×
+    /// unsigned nibbles into the pair. A short chunk's zero plane rows
+    /// cancel the codes A reads past it. Both pairs are stored, and each
+    /// activation's outputs are read once, take the two groups' rescales
+    /// in ascending order (the scalar order) and are written once, masked
+    /// to the tile's width. The configuration is loaded on entry and the
+    /// tile state released on exit.
+    ///
+    /// # Safety
+    ///
+    /// * The CPU must support AVX512F, AVX512BW, AMX-TILE and AMX-INT8,
+    ///   and the kernel must have granted the tile data state.
+    /// * The length contract of [`sweep`](super::sweep), which it
+    ///   asserts, with `1 ≤ acts.len() ≤ AMX_ROWS` and the codes laid out
+    ///   as [`Act::codes`](super::Act::codes) says.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn sweep(
+        w: &Weights<'_>,
+        tiles: std::ops::Range<usize>,
+        acts: &mut [Act<'_>],
+    ) {
+        let kq = AMX_QUADS.min(w.quads_per_group);
+        let cfg = TileConfig::new(acts.len(), kq);
+        let mut planes = Planes {
+            lo: [[0; 64]; AMX_QUADS],
+            hi: [[0; 64]; AMX_QUADS],
+        };
+        let mut sums = [Sums([[0; TILE]; AMX_ROWS]); 2];
+        let codes = acts[0].codes.as_ptr();
+        // SAFETY: `cfg` is a valid palette-1 configuration.
+        unsafe { asm!("ldtilecfg [{}]", in(reg) cfg.0.as_ptr(), options(nostack, readonly)) };
+        for t in tiles {
+            let tile = w.tile(t);
+            for g in (0..w.groups).step_by(2) {
+                let both = g + 1 < w.groups;
+                // SAFETY: a group's quads lie inside the tile; A's row
+                // `m` reads the `kq` code quads from `c0` of activation
+                // `m`'s codes, which `sweep` asserts hold `quads +
+                // AMX_QUADS` and lie `quads` apart; B reads the `kq` rows
+                // of each plane; C is stored as `rows` rows of 128 bytes;
+                // the tiles are configured.
+                unsafe {
+                    let [s0, s1] = &mut sums;
+                    group!(
+                        &tile,
+                        w.quads(g),
+                        kq,
+                        codes,
+                        w.quads,
+                        &mut planes,
+                        s0,
+                        "tmm4",
+                        "tmm5"
+                    );
+                    if both {
+                        group!(
+                            &tile,
+                            w.quads(g + 1),
+                            kq,
+                            codes,
+                            w.quads,
+                            &mut planes,
+                            s1,
+                            "tmm6",
+                            "tmm7"
+                        );
+                    }
+                    rescale(w, &tile, g, &sums[..1 + both as usize], acts);
+                }
+            }
+        }
+        // SAFETY: back to the initial tile state.
+        unsafe { asm!("tilerelease", options(nostack, nomem)) };
+    }
+
+    /// Splits the blocks `quads` of `tile` into the first rows of
+    /// `planes`, and zeroes the rest of its first `kq` rows.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, AVX512BW, `quads` inside the tile and at most `kq ≤
+    /// AMX_QUADS` of them.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn stage(
+        tile: &Tile<'_>,
+        quads: std::ops::Range<usize>,
+        kq: usize,
+        planes: &mut Planes,
+    ) {
+        let nib = _mm512_set1_epi8(0x0F);
+        for r in 0..kq {
+            let (lo, hi) = if r < quads.len() {
+                // SAFETY: the caller's contract; a block is 64 bytes
+                // aligned to 64.
+                let block = unsafe { tile.blocks.as_ptr().add(quads.start + r) }.cast::<i8>();
+                _mm_prefetch::<_MM_HINT_T0>(block.wrapping_add(PREFETCH_BYTES));
+                let v = unsafe { _mm512_load_si512(block.cast()) };
+                (
+                    _mm512_and_si512(v, nib),
+                    _mm512_and_si512(_mm512_srli_epi16::<4>(v), nib),
+                )
+            } else {
+                (_mm512_setzero_si512(), _mm512_setzero_si512())
+            };
+            // SAFETY: `r < kq ≤ AMX_QUADS`; the rows are 64-byte aligned.
+            unsafe {
+                _mm512_store_si512(planes.lo[r].as_mut_ptr().cast(), lo);
+                _mm512_store_si512(planes.hi[r].as_mut_ptr().cast(), hi);
+            }
+        }
+    }
+
+    /// `out += (ia − 8·Σq) as f32 * (wsc * asc)` over `tile`'s outputs for
+    /// groups `g0, g0 + 1, …` ascending, one per [`Sums`] of `sums`, each
+    /// activation's `ia` a row of it.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and the length contract of [`sweep`](super::sweep) with
+    /// `g0 + sums.len() ≤ groups`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rescale(
+        w: &Weights<'_>,
+        tile: &Tile<'_>,
+        g0: usize,
+        sums: &[Sums],
+        acts: &mut [Act<'_>],
+    ) {
+        let lanes = |n: usize| (((1u32 << n.min(16)) - 1) & 0xFFFF) as __mmask16;
+        let (m_lo, m_hi) = (lanes(tile.width), lanes(tile.width.saturating_sub(16)));
+        // SAFETY: `scales` holds `groups · out_features`; only lanes
+        // below `width` are read.
+        let ws = |g: usize| unsafe {
+            let ws = w.scales.as_ptr().add(g * w.out_features + tile.o0);
+            let hi = if m_hi != 0 {
+                _mm512_maskz_loadu_ps(m_hi, ws.add(16))
+            } else {
+                _mm512_setzero_ps()
+            };
+            (_mm512_maskz_loadu_ps(m_lo, ws), hi)
+        };
+        let ws: [_; 2] = std::array::from_fn(|k| ws(g0 + k.min(sums.len() - 1)));
+        for (m, a) in acts.iter_mut().enumerate() {
+            // SAFETY: `out` is `out_features` long and `o0` one of them;
+            // only lanes below `width` are touched, and the high pointer
+            // is only formed when it has any.
+            let out = unsafe { a.out.as_mut_ptr().add(tile.o0) };
+            let mut out_lo = unsafe { _mm512_maskz_loadu_ps(m_lo, out) };
+            let mut out_hi = if m_hi != 0 {
+                unsafe { _mm512_maskz_loadu_ps(m_hi, out.add(16)) }
+            } else {
+                _mm512_setzero_ps()
+            };
+            for (k, (sums, &(ws_lo, ws_hi))) in sums.iter().zip(&ws).enumerate() {
+                // SAFETY: `g0 + k < groups ≤ qsum.len(), scales.len()`.
+                let (qsum, asc) = unsafe {
+                    (
+                        *a.qsum.get_unchecked(g0 + k),
+                        *a.scales.get_unchecked(g0 + k),
+                    )
+                };
+                let (bias, asc) = (_mm512_set1_epi32(8 * qsum), _mm512_set1_ps(asc));
+                // SAFETY: row `m < AMX_ROWS` is 32 i32s aligned to 64.
+                let (ia_lo, ia_hi) = unsafe {
+                    let p = sums.0.get_unchecked(m).as_ptr();
+                    (
+                        _mm512_load_si512(p.cast()),
+                        _mm512_load_si512(p.add(16).cast()),
+                    )
+                };
+                // `out += (ia − bias) as f32 * (wsc * asc)`, lane by lane.
+                let term_lo = _mm512_mul_ps(
+                    _mm512_cvtepi32_ps(_mm512_sub_epi32(ia_lo, bias)),
+                    _mm512_mul_ps(ws_lo, asc),
+                );
+                let term_hi = _mm512_mul_ps(
+                    _mm512_cvtepi32_ps(_mm512_sub_epi32(ia_hi, bias)),
+                    _mm512_mul_ps(ws_hi, asc),
+                );
+                out_lo = _mm512_add_ps(out_lo, term_lo);
+                out_hi = _mm512_add_ps(out_hi, term_hi);
+            }
+            // SAFETY: as for the loads.
+            unsafe {
+                _mm512_mask_storeu_ps(out, m_lo, out_lo);
+                if m_hi != 0 {
+                    _mm512_mask_storeu_ps(out.add(16), m_hi, out_hi);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lightmamba_tensor::isa::detect;
+
+    thread_local! {
+        /// AMX sweeps this thread has run, so a test can tell the form
+        /// ran.
+        pub(crate) static AMX_SWEEPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn detect_is_stable_and_named() {
         assert_eq!(detect(), detect());
         let isa = active_isa();
-        assert!(["scalar", "avx2", "avx512"].contains(&isa), "unknown {isa}");
-        // The GEMM and the SSM scan share one decision, and a host runs
-        // its best forms in the default build.
-        assert_eq!(lightmamba_model::ssm::active_isa(), isa);
+        assert!(
+            ["scalar", "avx2", "avx512", "avx512+amx"].contains(&isa),
+            "unknown {isa}"
+        );
+        // The GEMM and the SSM scan share one tier, and a host runs its
+        // best forms in the default build; the GEMM names its AMX form
+        // exactly when the process was granted AMX.
+        let tier = lightmamba_model::ssm::active_isa();
+        assert_eq!(isa.strip_suffix("+amx").unwrap_or(isa), tier);
+        assert_eq!(isa.ends_with("+amx"), isa::amx());
+        let isa = tier;
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
@@ -689,16 +1089,20 @@ mod tests {
             scales: &wscales,
             out_features,
         };
+        // The codes back to back and padded, as `gemm_rows` lays them
+        // out for the AMX form.
+        let mut all_codes: Vec<CodeQuad> = codes.concat();
+        all_codes.resize(all_codes.len() + AMX_QUADS, 0);
         let run = |f: &mut dyn FnMut(&mut [Act<'_>])| -> Vec<Vec<u32>> {
             let mut outs: Vec<Vec<f32>> = (0..codes.len())
                 .map(|k| vec![0.25 * k as f32 - 0.5; out_features])
                 .collect();
-            let mut acts: Vec<Act<'_>> = codes
+            let mut acts: Vec<Act<'_>> = qsums
                 .iter()
-                .zip(&qsums)
                 .zip(outs.iter_mut())
-                .map(|((c, q), out)| Act {
-                    codes: c,
+                .enumerate()
+                .map(|(k, (q, out))| Act {
+                    codes: &all_codes[k * quads..],
                     qsum: q,
                     scales: &ascales,
                     out,
@@ -722,13 +1126,26 @@ mod tests {
         );
     }
 
+    /// Says on stderr when the AMX form cannot run here, so a log shows
+    /// which forms a pass covered.
+    fn note_amx() {
+        if !amx_form(isa::detect(), AMX_ROWS) {
+            eprintln!("AMX not granted on this host: the AMX form is not exercised");
+        }
+    }
+
+    /// Activation counts of the sweep tests: every [`KBLOCK`] remainder,
+    /// and blocks around and at the AMX form's bounds.
+    const ROWS: [usize; 9] = [1, 2, 3, 4, 5, 7, 8, 13, AMX_ROWS];
+
     #[test]
     fn dispatched_matches_scalar_on_all_nibbles() {
         // Every nibble value in every lane, extreme activation codes,
         // i16 runs of exactly `flush_quads` quads (the overflow bound),
-        // groups that are not a multiple of the run, a ragged last tile
-        // and every K remainder — each form this host has against the
-        // naive i32 sums.
+        // groups that are not a multiple of the run or of an AMX chunk,
+        // a ragged last tile and every K remainder and AMX block size —
+        // each form this host has against the naive i32 sums.
+        note_amx();
         let block = |p: usize| {
             let mut b = [0u8; 64];
             for (j, v) in b.iter_mut().enumerate() {
@@ -745,11 +1162,11 @@ mod tests {
                 let run = flush_quads(qmax);
                 for (quads, qpg) in [(run, run), (2 * run + 3, run), (run + 1, run + 1)]
                     .into_iter()
-                    .chain([1, 2, 3, 5, 7, 9].map(|qpg| (3 * qpg + 2, qpg)))
+                    .chain([1, 2, 3, 5, 7, 9, 16, 17, 32, 33].map(|qpg| (3 * qpg + 2, qpg)))
                 {
                     let blocks: Vec<Block> = (0..quads).map(block).collect();
                     let extremes = [qmax as i8, -(qmax as i8)];
-                    for k in 1..=KBLOCK {
+                    for k in ROWS {
                         let codes: Vec<Vec<CodeQuad>> = (0..k)
                             .map(|kk| {
                                 (0..quads)
@@ -772,8 +1189,10 @@ mod tests {
             for quads in [flush_quads(127), 1024] {
                 let blocks = vec![Block([0xFF; 64]); quads];
                 for q in [127i8, -127] {
-                    let codes = vec![vec![code_quad([q; QUAD]); quads]];
-                    check(isa, &blocks, &codes, quads, TILE, 127);
+                    for k in [1, AMX_ROWS] {
+                        let codes = vec![vec![code_quad([q; QUAD]); quads]; k];
+                        check(isa, &blocks, &codes, quads, TILE, 127);
+                    }
                 }
             }
         }

@@ -113,10 +113,15 @@ pub fn sigmoid(x: f32) -> f32 {
 ///
 /// `silu(±0.0) = ±0.0` and `silu(+∞) = +∞`. Below `−`[`EXP_HI`] the
 /// sigmoid is exactly `+0.0` and the result is `−0.0`, which is also
-/// `silu(−∞)` (not `−∞·0 = NaN`). NaN maps to NaN.
+/// `silu(−∞)` (not `−∞·0 = NaN`). A NaN is returned as it came, through a
+/// select: the product of two NaNs would keep whichever operand the
+/// compiled code happens to put first, so its sign could differ between
+/// compilations.
 #[inline(always)]
 pub fn silu(x: f32) -> f32 {
-    if x < -EXP_HI {
+    if x.is_nan() {
+        x
+    } else if x < -EXP_HI {
         -0.0
     } else {
         x * sigmoid(x)
@@ -219,13 +224,14 @@ pub(crate) mod avx512 {
         _mm512_div_ps(one, _mm512_add_ps(one, exp(neg)))
     }
 
-    /// [`super::silu`] on 16 lanes.
+    /// [`super::silu`] on 16 lanes, a NaN lane selected back unchanged.
     #[inline]
     #[target_feature(enable = "avx512f")]
     pub(crate) fn silu(x: __m512) -> __m512 {
         let y = _mm512_mul_ps(x, sigmoid(x));
         let under = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(-EXP_HI));
-        _mm512_mask_mov_ps(y, under, _mm512_set1_ps(-0.0))
+        let y = _mm512_mask_mov_ps(y, under, _mm512_set1_ps(-0.0));
+        _mm512_mask_mov_ps(y, _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x), x)
     }
 }
 

@@ -200,6 +200,10 @@ impl ConvState {
         bias: &[f32],
         out: &mut [f32],
     ) {
+        if self.channels == 0 {
+            // Nothing to shift or sum, as in `step_into`.
+            return;
+        }
         match isa {
             // SAFETY: `Isa::Avx512` only comes from `detect`, which
             // verified AVX512F.
@@ -493,12 +497,22 @@ mod tests {
     }
 
     #[test]
+    fn zero_channel_steps_are_ok_fused_or_not() {
+        for kernel in 1..=4 {
+            let mut st = ConvState::new(0, kernel);
+            let got = st.step_into(&[], &Tensor::zeros(&[0, kernel]), &[], &mut []);
+            assert!(got.is_ok(), "{got:?}");
+            let got = st.step_silu_into(&[], &Tensor::zeros(&[kernel, 0]), &[], &mut []);
+            assert!(got.is_ok(), "{got:?}");
+        }
+    }
+
+    #[test]
     fn every_fused_step_form_matches_the_scalar_step_bit_for_bit() {
         use crate::activation::tests::{edge_values, same_bits, LENGTHS};
         for isa in Isa::supported() {
             for kernel in 1..=4 {
-                // Zero channels is a state no model builds (`chunks_exact`).
-                for (k, &ch) in LENGTHS.iter().enumerate().filter(|&(_, &ch)| ch > 0) {
+                for (k, &ch) in LENGTHS.iter().enumerate() {
                     let seed = (10 * kernel + k) as u32;
                     let taps = edge_values(kernel * ch, seed);
                     let bias = edge_values(ch, seed + 1);

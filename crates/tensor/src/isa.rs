@@ -7,7 +7,11 @@
 //! |---|---|---|---|---|
 //! | [`Isa::Scalar`] | i16-then-widen loops | row by row | scalar source | baseline |
 //! | [`Isa::Avx2`] | `maddubs`, i16 lanes | 8 rows per register | scalar source | AVX2 copy |
-//! | [`Isa::Avx512`] | `vpdpbusd`, i32 lanes | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
+//! | [`Isa::Avx512`] | `vpdpbusd`, i32 lanes; `tdpbsud` tiles for 5–16 activations where [`amx`] | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
+//!
+//! AMX is a form of the AVX-512 tier's GEMM, not a tier: [`amx`] says
+//! whether the host has AMX-TILE and AMX-INT8 and the kernel grants this
+//! process the tile state, and only the GEMM asks it.
 //!
 //! Every form of every kernel is compiled on every `x86_64` build. The
 //! scalar forms are the only ones on other targets (`aarch64` included)
@@ -144,6 +148,58 @@ pub fn detect() -> Isa {
         }
         Isa::Scalar
     })
+}
+
+/// Whether this process may run the AMX-INT8 form of the W4A4 GEMM, a
+/// form of [`Isa::Avx512`]'s GEMM (not a tier of its own): the host is
+/// [`Isa::Avx512`], CPUID leaf 7 reports AMX-TILE and AMX-INT8, and the
+/// Linux kernel grants the process the tile data state
+/// (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` returns 0).
+/// Asked once per process (cached), like [`detect`]; anywhere else, or
+/// on refusal, the answer is `false`.
+pub fn amx() -> bool {
+    static GRANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *GRANTED.get_or_init(|| {
+        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+        {
+            if detect() == Isa::Avx512 {
+                // CPUID leaf 7 exists: AVX-512 was read from it.
+                #[allow(unused_unsafe)]
+                // SAFETY: `cpuid` has no side effect; older releases
+                // merely declare the intrinsic `unsafe`.
+                let leaf7 = unsafe { std::arch::x86_64::__cpuid_count(7, 0) };
+                let (tile, int8) = ((leaf7.edx >> 24) & 1 == 1, (leaf7.edx >> 25) & 1 == 1);
+                return tile && int8 && request_tile_data();
+            }
+        }
+        false
+    })
+}
+
+/// Asks Linux for permission to use the AMX tile data state (state
+/// component 18), which the kernel grants per process on request. The
+/// workspace has no `libc`, so this is the raw `arch_prctl` system call.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn request_tile_data() -> bool {
+    const SYS_ARCH_PRCTL: isize = 158;
+    const ARCH_REQ_XCOMP_PERM: usize = 0x1023;
+    const XFEATURE_XTILEDATA: usize = 18;
+    let ret: isize;
+    // SAFETY: the call only changes which state components the kernel
+    // lets this process use; it touches none of our memory. `syscall`
+    // clobbers `rcx` and `r11`, declared below.
+    unsafe {
+        std::arch::asm!(
+            "syscall",
+            inlateout("rax") SYS_ARCH_PRCTL => ret,
+            in("rdi") ARCH_REQ_XCOMP_PERM,
+            in("rsi") XFEATURE_XTILEDATA,
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack),
+        );
+    }
+    ret == 0
 }
 
 /// Name of the instruction set the dispatching kernels run on this host
