@@ -8,6 +8,8 @@
 //! constructible remainder, then [`FactoredHadamard::with_factors`] lets
 //! experiments pick a specific split.
 
+use lightmamba_tensor::isa::{detect, Isa};
+
 use crate::{fht, HadamardError, HadamardMatrix, Result};
 
 /// Orthonormal Hadamard transform over length `pot · rem`, computed as a
@@ -98,17 +100,29 @@ impl FactoredHadamard {
         self.rem.as_ref().map_or(1, HadamardMatrix::order)
     }
 
-    /// Applies the orthonormal transform in place, allocating nothing.
+    /// Applies the orthonormal transform in place, allocating nothing, on
+    /// the host's form: [`FactoredHadamard::apply_on`] of [`detect`].
     ///
     /// # Panics
     ///
     /// Panics when `x.len()` differs from [`FactoredHadamard::len`].
     #[inline(always)]
     pub fn apply(&self, x: &mut [f32]) {
+        self.apply_on(detect(), x);
+    }
+
+    /// [`FactoredHadamard::apply`] with the FHT stages on `isa`'s form
+    /// (every form gives the same bits).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len()` differs from [`FactoredHadamard::len`].
+    #[inline(always)]
+    pub fn apply_on(&self, isa: Isa, x: &mut [f32]) {
         let n = self.len();
         assert_eq!(x.len(), n, "factored hadamard length mismatch");
         match &self.rem {
-            None => fht::fwht_normalized(x),
+            None => fht::fwht_normalized_on(isa, x),
             Some(h) => {
                 // x viewed as (pot, m) row-major. H = H_pot ⊗ H_m acts as:
                 // rows through H_m, columns through FHT_pot — whose
@@ -117,7 +131,7 @@ impl FactoredHadamard {
                 let m = h.order();
                 h.apply_rows(x, true);
                 let scale = 1.0 / (self.pot as f32).sqrt();
-                fht::stages(x, m, 1, Some(scale));
+                fht::stages_on(isa, x, m, 1, Some(scale));
             }
         }
     }

@@ -54,7 +54,7 @@ pub fn is_power_of_two(n: usize) -> bool {
 /// ```
 #[inline(always)]
 pub fn fwht(x: &mut [f32]) {
-    transform(x, None);
+    transform_on(detect(), x, None);
 }
 
 /// In-place orthonormal fast Walsh–Hadamard transform (`H_n / √n`).
@@ -67,17 +67,18 @@ pub fn fwht(x: &mut [f32]) {
 /// Panics when `x.len()` is not a power of two.
 #[inline(always)]
 pub fn fwht_normalized(x: &mut [f32]) {
-    let scale = 1.0 / (x.len() as f32).sqrt();
-    transform(x, Some(scale));
+    fwht_normalized_on(detect(), x);
 }
 
-/// The transform of `x` (module docs, "Schedule"), each output of the
-/// last stage multiplied by `scale` when one is given.
+/// [`fwht_normalized`] on `isa`'s form.
 #[inline(always)]
-fn transform(x: &mut [f32], scale: Option<f32>) {
-    transform_on(detect(), x, scale);
+pub(crate) fn fwht_normalized_on(isa: Isa, x: &mut [f32]) {
+    let scale = 1.0 / (x.len() as f32).sqrt();
+    transform_on(isa, x, Some(scale));
 }
 
+/// The transform of `x` (module docs, "Schedule") on `isa`'s form, each
+/// output of the last stage multiplied by `scale` when one is given.
 #[inline(always)]
 fn transform_on(isa: Isa, x: &mut [f32], scale: Option<f32>) {
     let n = x.len();
@@ -86,10 +87,10 @@ fn transform_on(isa: Isa, x: &mut [f32], scale: Option<f32>) {
         "fwht requires a power-of-two length, got {n}"
     );
     match isa {
-        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
-        // AVX512F.
+        // SAFETY: only `detect` and `Isa::supported` build an
+        // `Isa::Avx512`, and only where AVX512F is present.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 if n >= 16 => unsafe { avx512::transform(x, scale) },
+        Isa::Avx512 { .. } if n >= 16 => unsafe { avx512::transform(x, scale) },
         _ if n >= 8 => {
             for block in x.chunks_exact_mut(8) {
                 let block: &mut [f32; 8] = block.try_into().expect("chunks of 8");
@@ -117,28 +118,22 @@ fn stages_in_8(v: &mut [f32; 8]) {
 }
 
 /// The butterfly stages `h = from, 2·from, …` below `x.len() / m`, over
-/// `x` viewed as rows of `m` elements: stage `h` pairs row `i` with row
-/// `i + h`, element by element. With `scale`, each output of the last
-/// stage is multiplied by it as it is stored — or, when no stage is
-/// left to run, in a pass of its own. 16 lanes at a time on an AVX-512
-/// host.
+/// `x` viewed as rows of `m` elements, on `isa`'s form: stage `h` pairs
+/// row `i` with row `i + h`, element by element. With `scale`, each
+/// output of the last stage is multiplied by it as it is stored — or,
+/// when no stage is left to run, in a pass of its own. 16 lanes at a
+/// time on [`Isa::Avx512`].
 #[inline(always)]
-pub(crate) fn stages(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
-    stages_on(detect(), x, m, from, scale);
-}
-
-#[inline(always)]
-fn stages_on(isa: Isa, x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
+pub(crate) fn stages_on(isa: Isa, x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
     match isa {
-        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
-        // AVX512F.
+        // SAFETY: as in `transform_on`.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::stages(x, m, from, scale) },
+        Isa::Avx512 { .. } => unsafe { avx512::stages(x, m, from, scale) },
         _ => stages_scalar(x, m, from, scale),
     }
 }
 
-/// [`stages`]' scalar form.
+/// [`stages_on`]'s scalar form.
 #[inline(always)]
 fn stages_scalar(x: &mut [f32], m: usize, from: usize, scale: Option<f32>) {
     let rows = x.len() / m;
@@ -406,7 +401,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_transform_form_matches_the_scalar_form_bit_for_bit() {
-        for isa in Isa::supported() {
+        for isa in Isa::tiers() {
             for log in 0..=10 {
                 let n = 1usize << log;
                 for scale in [None, Some(1.0 / (n as f32).sqrt())] {

@@ -5,7 +5,7 @@ use lightmamba_tensor::conv::tap_major;
 use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::{norm, Tensor};
 
-use crate::ssm::{ssm_step_into, SsmDims};
+use crate::ssm::{ssm_step_into_on, SsmDims};
 use crate::state::LayerState;
 use crate::weights::{BlockWeights, InProjSplit};
 use crate::{MambaConfig, Result};
@@ -148,11 +148,13 @@ impl MambaBlock {
     /// taps (only the taps allocate, so the hot path stays
     /// allocation-free when `capture` is `None`).
     ///
-    /// On an AVX2 host, AVX-512 ones included, the same source runs
-    /// compiled for AVX2. Without FMA nothing can contract or
-    /// reassociate, so both copies compute the same bits. An AVX-512 copy
-    /// timed no faster than the AVX2 one (an FP step at batch 1 and 16),
-    /// so there is none.
+    /// The host's tier is asked here, once per step, and handed down:
+    /// on an AVX2 host, AVX-512 ones included, the same source runs
+    /// compiled for AVX2, and every kernel it calls runs the tier's form
+    /// (the 16-lane ones on AVX-512). Without FMA nothing can contract
+    /// or reassociate, so every copy computes the same bits. An AVX-512
+    /// copy timed no faster than the AVX2 one (an FP step at batch 1 and
+    /// 16), so there is none.
     fn step_core(
         &self,
         x: &mut [f32],
@@ -163,7 +165,7 @@ impl MambaBlock {
         self.step_core_on(detect(), x, state, scratch, capture)
     }
 
-    /// [`MambaBlock::step_core`] on `isa`'s compilation.
+    /// [`MambaBlock::step_core`] on `isa`'s compilation and kernels.
     #[inline(always)]
     fn step_core_on(
         &self,
@@ -174,11 +176,14 @@ impl MambaBlock {
         capture: Option<&mut BlockCapture>,
     ) -> Result<()> {
         match isa {
-            // SAFETY: each vector tier only comes from `detect`, which
-            // verified AVX2 for both.
+            // SAFETY: no other crate can build a vector `Isa`, and
+            // `detect` / `Isa::supported` hand one out only where AVX2
+            // (and, for `Avx512`, more) is present.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 | Isa::Avx512 => unsafe { self.step_core_avx2(x, state, scratch, capture) },
-            Isa::Scalar => self.step_body(x, state, scratch, capture),
+            Isa::Avx2 { .. } | Isa::Avx512 { .. } => unsafe {
+                self.step_core_avx2(isa, x, state, scratch, capture)
+            },
+            Isa::Scalar => self.step_body(isa, x, state, scratch, capture),
         }
     }
 
@@ -191,17 +196,19 @@ impl MambaBlock {
     #[target_feature(enable = "avx2")]
     unsafe fn step_core_avx2(
         &self,
+        isa: Isa,
         x: &mut [f32],
         state: &mut LayerState,
         scratch: &mut BlockScratch,
         capture: Option<&mut BlockCapture>,
     ) -> Result<()> {
-        self.step_body(x, state, scratch, capture)
+        self.step_body(isa, x, state, scratch, capture)
     }
 
     #[inline(always)]
     fn step_body(
         &self,
+        isa: Isa,
         x: &mut [f32],
         state: &mut LayerState,
         scratch: &mut BlockScratch,
@@ -224,7 +231,8 @@ impl MambaBlock {
         // Causal conv over (x, B, C), read in place, SiLU as it stores.
         let di = self.cfg.d_inner();
         let g = self.cfg.ngroups * self.cfg.d_state;
-        state.conv.step_silu_into(
+        state.conv.step_silu_into_on(
+            isa,
             &scratch.proj[s.xbc().0..s.xbc().1],
             &self.conv_taps,
             &w.conv_bias,
@@ -232,7 +240,8 @@ impl MambaBlock {
         )?;
 
         // SSM recurrence.
-        ssm_step_into(
+        ssm_step_into_on(
+            isa,
             self.dims,
             &scratch.conv_out[0..di],
             &scratch.conv_out[di..di + g],
@@ -374,8 +383,8 @@ mod tests {
         assert!(MambaBlock::new(cfg, w).is_err());
     }
 
-    /// `model`'s decode with every block on the step copy of one tier,
-    /// whatever the host's best.
+    /// `model`'s decode with every block on one tier's step copy and
+    /// kernels, whatever the host's best.
     struct OnIsa<'a>(&'a crate::MambaModel, Isa);
 
     impl crate::DecodeKernels for OnIsa<'_> {
@@ -422,8 +431,9 @@ mod tests {
     #[test]
     fn every_step_copy_matches_the_baseline_bit_for_bit() {
         // The benchmark's call shape — a ragged 16-item advance, then 20
-        // batch-16 steps — on every copy this host can run, logits and
-        // states against the baseline copy's bits.
+        // batch-16 steps — on every copy this host can run, each on its
+        // own tier's conv and SSM forms, logits and states against the
+        // baseline copy's bits on the scalar forms.
         let model =
             crate::MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(5))
                 .unwrap();
@@ -455,7 +465,7 @@ mod tests {
             (logits, h, states)
         };
         let (logits, h, states) = run(Isa::Scalar);
-        for isa in Isa::supported().skip(1) {
+        for isa in Isa::tiers().skip(1) {
             let (got_logits, got_h, got_states) = run(isa);
             assert!(got_logits == logits, "{isa:?} copy: logits differ");
             assert!(got_h == h, "{isa:?} copy: SSM states differ");

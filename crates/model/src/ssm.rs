@@ -34,9 +34,10 @@
 //! # Forms
 //!
 //! The head step — update a head's `(d_state × headdim)` slab and read
-//! `y` out of it — has three forms, selected by the workspace's one
-//! runtime CPU check, [`lightmamba_tensor::isa::detect`] ([`active_isa`]
-//! names the one that runs):
+//! `y` out of it — has three forms, selected by the `Isa` that
+//! [`ssm_step_into_on`] is handed (the model's step asks the workspace's
+//! one runtime CPU check, [`lightmamba_tensor::isa::detect`], once and
+//! hands it down; [`active_isa`] names the one that runs):
 //!
 //! * **scalar** — row by row, `s ← Ā·s + (Δ·x_p)·B[n]` and
 //!   `acc += s·C[n]` for `n` ascending. This loop *defines* the float
@@ -57,9 +58,11 @@
 //!   then the scalar loop for the last `headdim % 16` rows.
 //!
 //! Outputs and state are bit-identical across the forms (the in-crate
-//! tests pin each form this host has on every blocking edge, and
-//! `tests/properties.rs` the dispatched one on a ragged grid; NaN
-//! payloads are the one thing operand order may change).
+//! tests pin each form this host has on every blocking edge,
+//! `tests/properties.rs` the dispatched one on a ragged grid, and the
+//! phase-copy tests of `MambaBlock` and `QuantizedMamba` each form over
+//! a whole model; NaN payloads are the one thing operand order may
+//! change).
 //!
 //! Separate multiply and add are load-bearing: an FMA rounds
 //! `Ā·s + (Δ·x)·B` and `acc + s·C` once instead of twice, which would
@@ -187,7 +190,7 @@ pub fn head_coeffs(dt_raw: f32, dt_bias: f32, a_log: f32) -> HeadCoeffs {
 ///
 /// Unless `state.len() == x_head.len() · b.len()`,
 /// `y_head.len() == x_head.len()` and `c.len() == b.len()`.
-/// [`step_isa`] validates the whole layer's lengths once, so these
+/// [`ssm_step_into_on`] validates the whole layer's lengths once, so these
 /// only fire on a bug in this module — but the AVX2 form indexes by
 /// raw pointer, so they are real `assert!`s, not debug ones.
 #[allow(clippy::too_many_arguments)]
@@ -207,13 +210,15 @@ fn ssm_head_step(
     match isa {
         Isa::Scalar => rows_scalar(0, state, y_head, x_head, b, c, coeffs, d_skip),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
-        // AVX2; the length contract is asserted just above.
-        Isa::Avx2 => unsafe { avx2::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
+        // SAFETY: no other crate can build an `Isa::Avx2`, and
+        // `detect` / `Isa::supported` hand one out only where AVX2 is
+        // present; the length contract is asserted just above.
+        Isa::Avx2 { .. } => unsafe { avx2::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
-        // AVX512F; the length contract is asserted just above.
-        Isa::Avx512 => unsafe { avx512::head_step(state, y_head, x_head, b, c, coeffs, d_skip) },
+        // SAFETY: as for `Isa::Avx2`, with AVX512F.
+        Isa::Avx512 { .. } => unsafe {
+            avx512::head_step(state, y_head, x_head, b, c, coeffs, d_skip)
+        },
     }
 }
 
@@ -479,7 +484,7 @@ pub fn ssm_step(
 
 /// [`ssm_step`] writing the `d_inner` outputs into a caller-provided
 /// buffer — the allocation-free variant decode hot paths use. Runs the
-/// form [`active_isa`] names.
+/// form [`active_isa`] names: [`ssm_step_into_on`] of [`detect`].
 ///
 /// # Errors
 ///
@@ -497,7 +502,7 @@ pub fn ssm_step_into(
     state: &mut [f32],
     y: &mut [f32],
 ) -> Result<()> {
-    step_isa(
+    ssm_step_into_on(
         detect(),
         dims,
         x,
@@ -512,43 +517,15 @@ pub fn ssm_step_into(
     )
 }
 
-/// [`ssm_step_into`] forced onto the scalar head step — the oracle the
-/// dispatch is tested bit-identical against, and the form every host
-/// without AVX2 runs.
+/// [`ssm_step_into`] on `isa`'s head step (module docs, "Forms"); every
+/// form gives the same bits, and `Isa::Scalar` is the oracle the others
+/// are tested against.
 ///
 /// # Errors
 ///
 /// Same conditions as [`ssm_step_into`].
 #[allow(clippy::too_many_arguments)]
-pub fn ssm_step_into_scalar(
-    dims: SsmDims,
-    x: &[f32],
-    b: &[f32],
-    c: &[f32],
-    dt_raw: &[f32],
-    a_log: &[f32],
-    dt_bias: &[f32],
-    d_skip: &[f32],
-    state: &mut [f32],
-    y: &mut [f32],
-) -> Result<()> {
-    step_isa(
-        Isa::Scalar,
-        dims,
-        x,
-        b,
-        c,
-        dt_raw,
-        a_log,
-        dt_bias,
-        d_skip,
-        state,
-        y,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn step_isa(
+pub fn ssm_step_into_on(
     isa: Isa,
     dims: SsmDims,
     x: &[f32],
@@ -753,7 +730,7 @@ mod tests {
             (seed >> 8) as f32 / (1u32 << 23) as f32 - 1.0
         };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for isa in Isa::supported() {
+        for isa in Isa::tiers() {
             for headdim in [1, 7, 8, 15, 16, 17, 24, 32, 40, 48, 61, 64, 65, 96, 128] {
                 for d_state in [1, 5, 16] {
                     let x: Vec<f32> = (0..headdim).map(|_| 2.0 * next()).collect();

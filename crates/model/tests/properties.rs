@@ -1,9 +1,10 @@
 //! Property-based tests for the Mamba2 substrate.
 
 use lightmamba_model::ssm::{
-    active_isa, head_coeffs, ssm_step, ssm_step_into, ssm_step_into_scalar, SsmDims,
+    active_isa, head_coeffs, ssm_step, ssm_step_into, ssm_step_into_on, SsmDims,
 };
 use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_tensor::isa::Isa;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -201,7 +202,8 @@ fn dispatched_ssm_step_is_bit_identical_to_scalar() {
                             &mut y,
                         )
                         .unwrap();
-                        ssm_step_into_scalar(
+                        ssm_step_into_on(
+                            Isa::Scalar,
                             dims,
                             &x,
                             &b,

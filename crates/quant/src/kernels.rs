@@ -332,7 +332,8 @@ impl ActQuant {
     /// Quantizes `x` under a per-group scheme (2–8 bits), reusing the
     /// internal buffers. Codes and scales match [`QuantizedTensor`] on
     /// the same vector bit-for-bit: the same absmax → scale, and a
-    /// branch-free rounding that gives its round-then-clamp code.
+    /// branch-free rounding that gives its round-then-clamp code. Runs
+    /// the host's form ([`detect`]).
     ///
     /// # Errors
     ///
@@ -340,6 +341,18 @@ impl ActQuant {
     /// invalid bit widths.
     #[inline(always)]
     pub fn quantize(&mut self, x: &[f32], scheme: QuantScheme) -> Result<()> {
+        self.quantize_on(detect(), x, scheme)
+    }
+
+    /// [`ActQuant::quantize`] on `isa`'s form: on `Isa::Avx512` 16 lanes
+    /// at a time, the group's absmax and codes in registers. Every form
+    /// gives the same codes and scales.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ActQuant::quantize`].
+    #[inline(always)]
+    pub(crate) fn quantize_on(&mut self, isa: Isa, x: &[f32], scheme: QuantScheme) -> Result<()> {
         scheme.validate()?;
         let group = match scheme.granularity {
             Granularity::PerGroup(g) => g,
@@ -351,14 +364,7 @@ impl ActQuant {
         };
         self.codes.resize(x.len(), 0);
         self.scales.clear();
-        quantize_groups(
-            detect(),
-            x,
-            group,
-            scheme,
-            &mut self.codes,
-            &mut self.scales,
-        );
+        quantize_groups(isa, x, group, scheme, &mut self.codes, &mut self.scales);
         self.group = group;
         self.len = x.len();
         self.qmax = scheme.qmax();
@@ -387,8 +393,7 @@ impl ActQuant {
 }
 
 /// Codes of `x` into `codes` (as long) and one scale per `group`-element
-/// group pushed onto `scales`, on `isa`'s form: on [`Isa::Avx512`] 16
-/// lanes at a time, the group's absmax and codes in registers.
+/// group pushed onto `scales`, on `isa`'s form ([`ActQuant::quantize_on`]).
 #[inline(always)]
 fn quantize_groups(
     isa: Isa,
@@ -399,10 +404,11 @@ fn quantize_groups(
     scales: &mut Vec<f32>,
 ) {
     match isa {
-        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
-        // AVX512F.
+        // SAFETY: no other crate can build an `Isa::Avx512`, and
+        // `detect` / `Isa::supported` hand one out only where AVX512F is
+        // present.
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => unsafe { avx512::quantize_groups(x, group, scheme, codes, scales) },
+        Isa::Avx512 { .. } => unsafe { avx512::quantize_groups(x, group, scheme, codes, scales) },
         _ => {
             let qmax = scheme.qmax() as f32;
             for (chunk, codes) in x.chunks(group).zip(codes.chunks_mut(group)) {
@@ -652,10 +658,7 @@ impl GemvScratch {
 ///
 /// The integer sweep runs on the instruction set
 /// [`lightmamba_tensor::isa::detect`] picks (AVX-512 VNNI or AVX2 on a
-/// capable `x86_64` host, scalar otherwise); results are bit-identical
-/// whichever runs — see
-/// [`crate::simd`] for the argument and [`gemv_packed_scalar`] for the
-/// pinned-scalar entry point.
+/// capable `x86_64` host, scalar otherwise): [`gemv_packed_on`] of it.
 ///
 /// # Errors
 ///
@@ -666,37 +669,26 @@ pub fn gemv_packed(
     scratch: &mut GemvScratch,
     out: &mut [f32],
 ) -> Result<()> {
-    gemm_rows(
-        w,
-        std::slice::from_ref(act),
-        scratch,
-        &mut [out],
-        |o| &mut o[..],
-        detect(),
-    )
+    gemv_packed_on(detect(), w, act, scratch, out)
 }
 
-/// [`gemv_packed`] forced onto the scalar micro-kernel — the oracle the
-/// SIMD dispatch is proptested bit-identical against, and the kernel
-/// every host without AVX2 runs.
+/// [`gemv_packed`] on `isa`'s micro-kernel. Results are bit-identical
+/// whichever runs — see [`crate::simd`] for the argument; `Isa::Scalar`
+/// is the oracle the others are tested against, and the kernel of every
+/// host without AVX2.
 ///
 /// # Errors
 ///
 /// Same conditions as [`gemv_packed`].
-pub fn gemv_packed_scalar(
+pub fn gemv_packed_on(
+    isa: Isa,
     w: &PackedW4,
     act: &ActQuant,
     scratch: &mut GemvScratch,
     out: &mut [f32],
 ) -> Result<()> {
-    gemm_rows(
-        w,
-        std::slice::from_ref(act),
-        scratch,
-        &mut [out],
-        |o| &mut o[..],
-        Isa::Scalar,
-    )
+    let acts = std::slice::from_ref(act);
+    gemm_rows(isa, w, acts, scratch, &mut [out], |o| &mut o[..])
 }
 
 /// The fake-quant reference oracle for [`gemv_packed`]: dequantize both
@@ -736,8 +728,9 @@ pub fn gemv_reference(w: &PackedW4, act: &ActQuant, out: &mut [f32]) -> Result<(
 /// analogue of the accelerator's shared weight stream. `outs[k]` is
 /// resized to `out_features` (allocation-free once warm).
 ///
-/// `outs[k]` is bit-identical to [`gemv_packed`] of `acts[k]` alone, and
-/// the dispatched sweep is bit-identical to [`gemm_packed_scalar`].
+/// `outs[k]` is bit-identical to [`gemv_packed`] of `acts[k]` alone.
+/// Runs the host's micro-kernel: [`gemm_packed_on`] of
+/// [`lightmamba_tensor::isa::detect`].
 ///
 /// # Errors
 ///
@@ -749,52 +742,26 @@ pub fn gemm_packed(
     scratch: &mut GemvScratch,
     outs: &mut [Vec<f32>],
 ) -> Result<()> {
-    gemm_packed_isa(w, acts, scratch, outs, detect())
+    gemm_packed_on(detect(), w, acts, scratch, outs)
 }
 
-/// [`gemm_packed`] forced onto the scalar micro-kernel — the oracle the
-/// SIMD dispatch is proptested bit-identical against.
+/// [`gemm_packed`] on `isa`'s micro-kernel, bit-identical whichever
+/// runs ([`gemv_packed_on`]).
 ///
 /// # Errors
 ///
 /// Same conditions as [`gemm_packed`].
-pub fn gemm_packed_scalar(
-    w: &PackedW4,
-    acts: &[ActQuant],
-    scratch: &mut GemvScratch,
-    outs: &mut [Vec<f32>],
-) -> Result<()> {
-    gemm_packed_isa(w, acts, scratch, outs, Isa::Scalar)
-}
-
-fn gemm_packed_isa(
-    w: &PackedW4,
-    acts: &[ActQuant],
-    scratch: &mut GemvScratch,
-    outs: &mut [Vec<f32>],
+pub fn gemm_packed_on(
     isa: Isa,
+    w: &PackedW4,
+    acts: &[ActQuant],
+    scratch: &mut GemvScratch,
+    outs: &mut [Vec<f32>],
 ) -> Result<()> {
     for out in outs.iter_mut() {
         out.resize(w.out_features, 0.0);
     }
-    gemm_rows(w, acts, scratch, outs, |o| &mut o[..], isa)
-}
-
-/// [`gemm_packed`] writing into one `out_features`-long slice of each
-/// `rows[k]`, picked by `out_of` — how the quantized model lands a
-/// projection in its per-sequence scratch without staging copies.
-///
-/// # Errors
-///
-/// Same conditions as [`gemm_packed`].
-pub(crate) fn gemm_packed_into<T>(
-    w: &PackedW4,
-    acts: &[ActQuant],
-    scratch: &mut GemvScratch,
-    rows: &mut [T],
-    out_of: impl for<'a> Fn(&'a mut T) -> &'a mut [f32],
-) -> Result<()> {
-    gemm_rows(w, acts, scratch, rows, out_of, detect())
+    gemm_rows(isa, w, acts, scratch, outs, |o| &mut o[..])
 }
 
 /// Bytes of weights one sweep takes for every [`KBLOCK`] of a larger
@@ -802,9 +769,13 @@ pub(crate) fn gemm_packed_into<T>(
 /// activation block to the next.
 const L1_SWEEP_BYTES: usize = 16 << 10;
 
+/// [`gemm_packed_on`] writing into one `out_features`-long slice of each
+/// `rows[k]`, picked by `out_of` — how the quantized model lands a
+/// projection in its per-sequence scratch without staging copies.
+///
 /// The one GEMM loop: runs of tiles, then [`AMX_ROWS`] activations at a
-/// time, which `sweep` takes in one AMX pass when the host grants AMX
-/// and there are at least `AMX_MIN_ROWS` of them, else [`KBLOCK`] at a
+/// time, which `sweep` takes in one AMX pass when `isa` grants AMX and
+/// there are at least `AMX_MIN_ROWS` of them, else [`KBLOCK`] at a
 /// time. Per `(tiles, activation block)` the micro-kernel's `sweep` walks
 /// each tile's groups ascending, leaves `Σ (c+8)·q` in i32, and applies
 /// the correction and the f32 rescale in the order every earlier kernel
@@ -812,13 +783,17 @@ const L1_SWEEP_BYTES: usize = 16 << 10;
 /// which is what keeps outputs bit-identical across kernels, batch sizes
 /// and instruction sets. A batch that is one pass over the weights
 /// sweeps every tile in one call.
-fn gemm_rows<T>(
+///
+/// # Errors
+///
+/// Same conditions as [`gemm_packed`].
+pub(crate) fn gemm_rows<T>(
+    isa: Isa,
     w: &PackedW4,
     acts: &[ActQuant],
     scratch: &mut GemvScratch,
     rows: &mut [T],
     out_of: impl for<'a> Fn(&'a mut T) -> &'a mut [f32],
-    isa: Isa,
 ) -> Result<()> {
     if acts.len() != rows.len() {
         return Err(QuantError::InvalidScheme(format!(
@@ -980,9 +955,6 @@ mod tests {
         // and last tile, every K-block remainder, AMX blocks with every
         // kind of remainder and both activation widths, through each
         // form this host has.
-        if !crate::simd::amx_form(detect(), AMX_ROWS) {
-            eprintln!("AMX not granted on this host: the AMX form is not exercised");
-        }
         let mut rng = StdRng::seed_from_u64(8);
         let quads = [16usize, 17, 32, 33].map(|q| 4 * q);
         for group in [1usize, 2, 3, 5, 7, 9].into_iter().chain(quads) {
@@ -1000,11 +972,11 @@ mod tests {
                     .collect();
                 let mut scratch = GemvScratch::new();
                 let mut want = vec![Vec::new(); acts.len()];
-                gemm_packed_scalar(&p, &acts, &mut scratch, &mut want).unwrap();
+                gemm_packed_on(Isa::Scalar, &p, &acts, &mut scratch, &mut want).unwrap();
                 for isa in Isa::supported() {
                     for batch in BATCHES {
                         let mut got = vec![Vec::new(); batch];
-                        gemm_packed_isa(&p, &acts[..batch], &mut scratch, &mut got, isa).unwrap();
+                        gemm_packed_on(isa, &p, &acts[..batch], &mut scratch, &mut got).unwrap();
                         assert_eq!(got, want[..batch], "{isa:?} group {group} a{bits} b{batch}");
                     }
                 }
@@ -1017,10 +989,10 @@ mod tests {
         // Two threads run GEMMs of different tile configurations (16 rows
         // in chunks of 16 quads; 9 rows in chunks of 5) at the same time;
         // each must keep getting the scalar result.
-        if !crate::simd::amx_form(detect(), AMX_ROWS) {
+        let Some(isa) = Isa::supported().find(|&isa| crate::simd::amx_form(isa, AMX_ROWS)) else {
             eprintln!("AMX not granted on this host: skipped");
             return;
-        }
+        };
         let mut rng = StdRng::seed_from_u64(10);
         let cases: Vec<_> = [(256usize, 70usize, 128usize, AMX_ROWS), (67, 45, 20, 9)]
             .into_iter()
@@ -1036,7 +1008,7 @@ mod tests {
                     })
                     .collect();
                 let mut want = vec![Vec::new(); rows];
-                gemm_packed_scalar(&p, &acts, &mut GemvScratch::new(), &mut want).unwrap();
+                gemm_packed_on(Isa::Scalar, &p, &acts, &mut GemvScratch::new(), &mut want).unwrap();
                 (p, acts, want)
             })
             .collect();
@@ -1046,7 +1018,7 @@ mod tests {
                     let mut scratch = GemvScratch::new();
                     let mut got = vec![Vec::new(); acts.len()];
                     for _ in 0..200 {
-                        gemm_packed(p, acts, &mut scratch, &mut got).unwrap();
+                        gemm_packed_on(isa, p, acts, &mut scratch, &mut got).unwrap();
                         assert_eq!(&got, want, "{} rows", acts.len());
                     }
                 });
@@ -1083,7 +1055,7 @@ mod tests {
             f32::from_bits(1),
         ];
         let mut rng = StdRng::seed_from_u64(9);
-        for isa in Isa::supported() {
+        for isa in Isa::tiers() {
             for &len in &lengths {
                 for group in [1usize, 7, 16, 33, 128] {
                     for bits in [4u8, 8] {

@@ -47,14 +47,14 @@ use std::sync::Arc;
 
 use lightmamba_model::batch::{self, DecodeKernels, Workspace};
 use lightmamba_model::eval::StepModel;
-use lightmamba_model::ssm::{ssm_step_into, state_from_logical, state_to_logical, SsmDims};
+use lightmamba_model::ssm::{ssm_step_into_on, state_from_logical, state_to_logical, SsmDims};
 use lightmamba_model::weights::InProjSplit;
 use lightmamba_model::{BlockScratch, LayerBatch, LayerState, MambaConfig, ModelError, ModelState};
 use lightmamba_tensor::conv::tap_major;
 use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::{activation, norm, Tensor};
 
-use crate::kernels::{gemm_packed, gemm_packed_into, ActQuant, GemvScratch, PackedW4};
+use crate::kernels::{gemm_packed_on, gemm_rows, ActQuant, GemvScratch, PackedW4};
 use crate::prepared::{PreparedBlock, PreparedModel};
 use crate::quantizer::{fake_quant_slice, Granularity, QuantScheme, QuantizedTensor};
 use crate::Result;
@@ -411,9 +411,9 @@ impl QuantizedMamba {
     /// integer codes into `act` on the hot path, quantize→dequantize in
     /// place on the oracle path.
     #[inline(always)]
-    fn quantize_act(&self, v: &mut [f32], act: &mut ActQuant) -> Result<()> {
+    fn quantize_act(&self, isa: Isa, v: &mut [f32], act: &mut ActQuant) -> Result<()> {
         match (self.precision.act, self.integer()) {
-            (Some(scheme), true) => act.quantize(v, scheme),
+            (Some(scheme), true) => act.quantize_on(isa, v, scheme),
             (Some(scheme), false) => fake_quant_slice(v, scheme),
             (None, _) => Ok(()),
         }
@@ -426,6 +426,7 @@ impl QuantizedMamba {
     #[inline(always)]
     fn pre_in_proj(
         &self,
+        isa: Isa,
         block: &QBlock,
         xs: &[Vec<f32>],
         blocks: &mut [BlockScratch],
@@ -437,7 +438,7 @@ impl QuantizedMamba {
         norm::rms_norm_rows(blocks, |s| &mut s.normed[..], &block.norm_gamma, 1e-5);
         for (s, act) in blocks.iter_mut().zip(acts.iter_mut()) {
             condition(&mut s.normed, &block.in_act_shift, &block.in_act_scale);
-            self.quantize_act(&mut s.normed, act)?;
+            self.quantize_act(isa, &mut s.normed, act)?;
         }
         Ok(())
     }
@@ -449,6 +450,7 @@ impl QuantizedMamba {
     #[inline(always)]
     fn mix_scan(
         &self,
+        isa: Isa,
         block: &QBlock,
         scratch: &mut BlockScratch,
         lstate: &mut LayerState,
@@ -465,7 +467,8 @@ impl QuantizedMamba {
         let s = &self.split;
 
         // Causal conv over (x, B, C), read in place, SiLU as it stores.
-        lstate.conv.step_silu_into(
+        lstate.conv.step_silu_into_on(
+            isa,
             &scratch.proj[s.xbc().0..s.xbc().1],
             &block.conv_weight,
             &block.conv_bias,
@@ -481,7 +484,8 @@ impl QuantizedMamba {
             fake_quant_slice(&mut scratch.conv_out[di..di + g], sq)?;
             fake_quant_slice(&mut scratch.conv_out[di + g..di + 2 * g], sq)?;
         }
-        ssm_step_into(
+        ssm_step_into_on(
+            isa,
             self.dims,
             &scratch.conv_out[0..di],
             &scratch.conv_out[di..di + g],
@@ -507,6 +511,7 @@ impl QuantizedMamba {
     #[inline(always)]
     fn mix_out(
         &self,
+        isa: Isa,
         block: &QBlock,
         blocks: &mut [BlockScratch],
         acts: &mut [ActQuant],
@@ -518,10 +523,10 @@ impl QuantizedMamba {
         norm::rms_norm_rows(blocks, |s| &mut s.y[..], &block.gate_norm_gamma, 1e-5);
         for (s, act) in blocks.iter_mut().zip(acts.iter_mut()) {
             if let Some(h) = &block.online_hadamard {
-                h.apply(&mut s.y);
+                h.apply_on(isa, &mut s.y);
             }
             condition(&mut s.y, &block.out_act_shift, &block.out_act_scale);
-            self.quantize_act(&mut s.y, act)?;
+            self.quantize_act(isa, &mut s.y, act)?;
         }
         Ok(())
     }
@@ -588,9 +593,11 @@ impl DecodeKernels for QuantizedMamba {
     /// sequence state per row in row order, and one GEMM across the
     /// lane's rows for each projection. A lane of one row runs the same
     /// code, so per-row arithmetic — and therefore every logit and state
-    /// bit — does not depend on the batch or the chunk length. On a
-    /// vector host the phases run compiled for its tier (same source,
-    /// same bits: nothing contracts or reassociates without FMA).
+    /// bit — does not depend on the batch or the chunk length. The
+    /// host's tier is asked here, once per layer step, and handed down:
+    /// on a vector host the phases run compiled for it and every kernel
+    /// they call runs its form (same source, same bits: nothing
+    /// contracts or reassociates without FMA).
     fn layer_step(
         &self,
         layer: usize,
@@ -603,7 +610,7 @@ impl DecodeKernels for QuantizedMamba {
 
     /// Final norm + optional activation quantization + LM head for each
     /// item's last row, one GEMM for all of them, writing into reusable
-    /// logits buffers. Compiled for the host's tier, as
+    /// logits buffers. On the host's tier, compilation and kernels, as
     /// [`DecodeKernels::layer_step`] is.
     fn finish(
         &self,
@@ -617,7 +624,7 @@ impl DecodeKernels for QuantizedMamba {
 
 impl QuantizedMamba {
     /// [`DecodeKernels::layer_step`] on `isa`'s compilation of the
-    /// phases.
+    /// phases, each kernel on `isa`'s form.
     #[inline(always)]
     fn layer_step_on(
         &self,
@@ -628,17 +635,21 @@ impl QuantizedMamba {
         scratch: &mut QuantScratch,
     ) -> Result<()> {
         match isa {
-            // SAFETY: each vector tier only comes from `detect`, which
-            // verified the features its copy enables.
+            // SAFETY: no other crate can build a vector `Isa`, and
+            // `detect` / `Isa::supported` hand one out only where the
+            // features its copy enables are present.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { self.layer_step_avx512(layer, xs, lstates, scratch) },
+            Isa::Avx512 { .. } => unsafe {
+                self.layer_step_avx512(isa, layer, xs, lstates, scratch)
+            },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { self.layer_step_avx2(layer, xs, lstates, scratch) },
-            Isa::Scalar => self.layer_step_body(layer, xs, lstates, scratch),
+            Isa::Avx2 { .. } => unsafe { self.layer_step_avx2(isa, layer, xs, lstates, scratch) },
+            Isa::Scalar => self.layer_step_body(isa, layer, xs, lstates, scratch),
         }
     }
 
-    /// [`DecodeKernels::finish`] on `isa`'s compilation of the phases.
+    /// [`DecodeKernels::finish`] on `isa`'s compilation of the phases
+    /// and form of the kernels.
     #[inline(always)]
     fn finish_on(
         &self,
@@ -650,10 +661,10 @@ impl QuantizedMamba {
         match isa {
             // SAFETY: as in `layer_step_on`.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { self.finish_avx512(xs, logits, scratch) },
+            Isa::Avx512 { .. } => unsafe { self.finish_avx512(isa, xs, logits, scratch) },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { self.finish_avx2(xs, logits, scratch) },
-            Isa::Scalar => self.finish_body(xs, logits, scratch),
+            Isa::Avx2 { .. } => unsafe { self.finish_avx2(isa, xs, logits, scratch) },
+            Isa::Scalar => self.finish_body(isa, xs, logits, scratch),
         }
     }
 
@@ -666,12 +677,13 @@ impl QuantizedMamba {
     #[target_feature(enable = "avx2")]
     unsafe fn layer_step_avx2(
         &self,
+        isa: Isa,
         layer: usize,
         xs: &mut [Vec<f32>],
         lstates: &mut LayerBatch<'_>,
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        self.layer_step_body(layer, xs, lstates, scratch)
+        self.layer_step_body(isa, layer, xs, lstates, scratch)
     }
 
     /// [`QuantizedMamba::finish_body`] compiled for AVX2.
@@ -683,11 +695,12 @@ impl QuantizedMamba {
     #[target_feature(enable = "avx2")]
     unsafe fn finish_avx2(
         &self,
+        isa: Isa,
         xs: &mut [Vec<f32>],
         logits: &mut [Vec<f32>],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        self.finish_body(xs, logits, scratch)
+        self.finish_body(isa, xs, logits, scratch)
     }
 
     /// [`QuantizedMamba::layer_step_body`] compiled for AVX-512.
@@ -699,12 +712,13 @@ impl QuantizedMamba {
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn layer_step_avx512(
         &self,
+        isa: Isa,
         layer: usize,
         xs: &mut [Vec<f32>],
         lstates: &mut LayerBatch<'_>,
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        self.layer_step_body(layer, xs, lstates, scratch)
+        self.layer_step_body(isa, layer, xs, lstates, scratch)
     }
 
     /// [`QuantizedMamba::finish_body`] compiled for AVX-512.
@@ -716,16 +730,18 @@ impl QuantizedMamba {
     #[target_feature(enable = "avx512f,avx512bw")]
     unsafe fn finish_avx512(
         &self,
+        isa: Isa,
         xs: &mut [Vec<f32>],
         logits: &mut [Vec<f32>],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        self.finish_body(xs, logits, scratch)
+        self.finish_body(isa, xs, logits, scratch)
     }
 
     #[inline(always)]
     fn layer_step_body(
         &self,
+        isa: Isa,
         layer: usize,
         xs: &mut [Vec<f32>],
         lstates: &mut LayerBatch<'_>,
@@ -742,9 +758,9 @@ impl QuantizedMamba {
         } = scratch;
         let (blocks, acts) = (&mut blocks[..n], &mut acts[..n]);
 
-        self.pre_in_proj(block, xs, blocks, acts)?;
+        self.pre_in_proj(isa, block, xs, blocks, acts)?;
         match (&block.w_in_packed, self.integer()) {
-            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.proj)?,
+            (Some(packed), true) => gemm_rows(isa, packed, acts, gemm, blocks, |s| &mut s.proj)?,
             _ => {
                 for s in blocks.iter_mut() {
                     block.w_in.vecmat_into(&s.normed, &mut s.proj)?;
@@ -752,11 +768,11 @@ impl QuantizedMamba {
             }
         }
         for (k, s) in blocks.iter_mut().enumerate() {
-            self.mix_scan(block, s, lstates.state_mut(k), logical_state)?;
+            self.mix_scan(isa, block, s, lstates.state_mut(k), logical_state)?;
         }
-        self.mix_out(block, blocks, acts)?;
+        self.mix_out(isa, block, blocks, acts)?;
         match (&block.w_out_packed, self.integer()) {
-            (Some(packed), true) => gemm_packed_into(packed, acts, gemm, blocks, |s| &mut s.out)?,
+            (Some(packed), true) => gemm_rows(isa, packed, acts, gemm, blocks, |s| &mut s.out)?,
             _ => {
                 for s in blocks.iter_mut() {
                     block.w_out.vecmat_into(&s.y, &mut s.out)?;
@@ -779,6 +795,7 @@ impl QuantizedMamba {
     #[inline(always)]
     fn finish_body(
         &self,
+        isa: Isa,
         xs: &mut [Vec<f32>],
         logits: &mut [Vec<f32>],
         scratch: &mut QuantScratch,
@@ -790,10 +807,10 @@ impl QuantizedMamba {
         let acts = &mut acts[..xs.len()];
         norm::rms_norm_rows(xs, |x| &mut x[..], &self.weights.final_norm_gamma, 1e-5);
         for (x, act) in xs.iter_mut().zip(acts.iter_mut()) {
-            self.quantize_act(x, act)?;
+            self.quantize_act(isa, x, act)?;
         }
         match (&self.weights.lm_head_packed, self.integer()) {
-            (Some(packed), true) => gemm_packed(packed, acts, gemm, logits)?,
+            (Some(packed), true) => gemm_packed_on(isa, packed, acts, gemm, logits)?,
             _ => {
                 for (x, logits) in xs.iter().zip(logits.iter_mut()) {
                     logits.resize(self.cfg.vocab_size, 0.0);
@@ -1261,8 +1278,8 @@ mod tests {
         assert!(!q.shares_weights_with(&other));
     }
 
-    /// `q`'s decode on the phase copy of one tier, whatever the host's
-    /// best.
+    /// `q`'s decode on one tier's phase copy and kernel forms, whatever
+    /// the host's best.
     struct OnIsa<'a>(&'a QuantizedMamba, Isa);
 
     impl DecodeKernels for OnIsa<'_> {
@@ -1302,7 +1319,9 @@ mod tests {
         // The benchmark's W4A4 widths (two of its four layers, a
         // quarter of its vocabulary) and call shape: a ragged 16-item
         // advance, then 20 batch-16 steps, on every copy this host can
-        // run, logits and states against the baseline copy's bits.
+        // run, each on its own tier's kernels (GEMM, act-quant, conv,
+        // SSM scan, Hadamard), logits and states against the baseline
+        // copy's bits on the scalar kernels.
         let cfg = MambaConfig {
             d_model: 256,
             n_layer: 2,
@@ -1321,6 +1340,7 @@ mod tests {
         assert_eq!(q.exec_mode(), ExecMode::Integer);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
         let run = |isa: Isa| {
+            let sweeps = crate::simd::tests::AMX_SWEEPS.with(|n| n.get());
             let model = OnIsa(&q, isa);
             let mut states: Vec<ModelState> = (0..SLOTS).map(|_| q.new_state()).collect();
             let mut ws = QuantWorkspace::new();
@@ -1340,25 +1360,22 @@ mod tests {
             let h: Vec<Vec<u32>> = (states.iter().flat_map(|s| &s.layers))
                 .map(|l| bits(&l.h))
                 .collect();
+            // The batch-16 projections and LM heads take the AMX form
+            // on the copy that grants it, and no other.
+            let amx = crate::simd::tests::AMX_SWEEPS.with(|n| n.get()) > sweeps;
+            assert_eq!(
+                amx,
+                crate::simd::amx_form(isa, SLOTS),
+                "{isa:?}: AMX sweeps"
+            );
             (logits, h, states)
         };
-        let sweeps = crate::simd::tests::AMX_SWEEPS.with(|n| n.get());
         let (logits, h, states) = run(Isa::Scalar);
         for isa in Isa::supported().skip(1) {
             let (got_logits, got_h, got_states) = run(isa);
             assert!(got_logits == logits, "{isa:?} copy: logits differ");
             assert!(got_h == h, "{isa:?} copy: SSM states differ");
             assert_eq!(got_states, states, "{isa:?} copy: conv windows differ");
-        }
-        // Every copy runs the host's GEMM: on a host that grants AMX, the
-        // batch-16 projections and LM heads took the AMX form.
-        if crate::simd::amx_form(detect(), SLOTS) {
-            assert!(
-                crate::simd::tests::AMX_SWEEPS.with(|n| n.get()) > sweeps,
-                "AMX form not run"
-            );
-        } else {
-            eprintln!("AMX not granted on this host: the AMX form is not exercised");
         }
     }
 }

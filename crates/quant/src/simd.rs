@@ -93,7 +93,7 @@
 //!   weight stream a few blocks ahead.
 //!
 //! * **AMX-INT8** (AVX-512 hosts whose kernel grants the tile state,
-//!   [`lightmamba_tensor::isa::amx`]) takes every sweep of
+//!   `Isa::Avx512 { amx: true }`) takes every sweep of
 //!   `AMX_MIN_ROWS`–`AMX_ROWS` activations: their count is the M of
 //!   the A and C tiles, set in the tile configuration `ldtilecfg` loads
 //!   on entry to each sweep (`tilerelease` on exit: tile state is per
@@ -113,7 +113,8 @@
 //!   0.43–0.91× at 6–8; at 16 it took 0.50–0.69× (two processes of 7
 //!   rounds per form).
 //!
-//! [`lightmamba_tensor::isa::detect`] picks the form once per process.
+//! [`lightmamba_tensor::isa::detect`] picks the form once per process;
+//! the model asks it once per step and hands the [`Isa`] down to `sweep`.
 //! All compute the same integers and then the same float operations per
 //! output — `out += (ia − 8·Σq) as f32 * (wsc * asc)`, groups ascending,
 //! multiply then add, no FMA — so dispatched and scalar results are
@@ -122,7 +123,7 @@
 //! There is no NEON form: the build image has no `aarch64` target to
 //! compile-check one against, so `aarch64` runs the scalar form.
 
-use lightmamba_tensor::isa::{self, Isa};
+use lightmamba_tensor::isa::Isa;
 
 /// Outputs per weight tile.
 pub(crate) const TILE: usize = 32;
@@ -147,15 +148,12 @@ pub(crate) const AMX_QUADS: usize = 16;
 /// Whether a sweep of `rows` activations on `isa` runs the AMX form.
 #[inline]
 pub(crate) fn amx_form(isa: Isa, rows: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        isa == Isa::Avx512 && (AMX_MIN_ROWS..=AMX_ROWS).contains(&rows) && isa::amx()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (isa, rows);
-        false
-    }
+    let granted = match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 { amx, .. } => amx.granted(),
+        _ => false,
+    };
+    granted && (AMX_MIN_ROWS..=AMX_ROWS).contains(&rows)
 }
 
 /// How far ahead of the block in hand the vector forms prefetch: weights
@@ -189,16 +187,10 @@ pub(crate) fn flush_quads(act_qmax: i32) -> usize {
 }
 
 /// Name of the form the micro-kernel runs with on this host: the
-/// workspace's instruction-set tier ("avx512", "avx2" or "scalar", from
-/// [`lightmamba_tensor::isa`]), or "avx512+amx" when the AMX-INT8 form
-/// takes the sweeps of `AMX_MIN_ROWS` (5) activations or more.
-pub fn active_isa() -> &'static str {
-    if amx_form(isa::detect(), AMX_ROWS) {
-        "avx512+amx"
-    } else {
-        isa::active_isa()
-    }
-}
+/// workspace's instruction-set tier ("avx512", "avx2" or "scalar"), or
+/// "avx512+amx" when the AMX-INT8 form takes the sweeps of
+/// `AMX_MIN_ROWS` (5) activations or more.
+pub use lightmamba_tensor::isa::active_isa;
 
 /// A packed weight, as [`sweep`] reads it: `out_features.div_ceil(TILE)`
 /// tiles of `quads` blocks each.
@@ -299,8 +291,11 @@ pub(crate) fn sweep(
         }));
         #[cfg(test)]
         tests::AMX_SWEEPS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `amx_form` verified AVX-512 and the tile state; the
-        // length and layout contract is asserted just above.
+        // SAFETY: `amx_form` saw an `Isa::Avx512` whose `Amx` is
+        // granted; no other crate can build either, and only `detect` /
+        // `Isa::supported` make them, where AVX-512 and the tile state
+        // are there. The length and layout contract is asserted just
+        // above.
         unsafe { amx::sweep(w, tiles, acts) };
         return;
     }
@@ -321,11 +316,12 @@ fn sweep_block(
 ) {
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx512` only comes from `detect`, which verified
-        // the features; the length contract is asserted just above.
-        // Fewer activations leave vector registers free for independent
-        // accumulator sets, which hide `dpbusd`'s latency.
-        Isa::Avx512 => unsafe {
+        // SAFETY: no other crate can build an `Isa::Avx512`, and
+        // `detect` / `Isa::supported` hand one out only where its
+        // features are present; the length contract is asserted in
+        // `sweep`. Fewer activations leave vector registers free for
+        // independent accumulator sets, which hide `dpbusd`'s latency.
+        Isa::Avx512 { .. } => unsafe {
             match acts.len() {
                 1 => avx512::sweep::<1, 4>(w, tiles, acts),
                 2 => avx512::sweep::<2, 2>(w, tiles, acts),
@@ -334,11 +330,10 @@ fn sweep_block(
             }
         },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `Isa::Avx2` only comes from `detect`, which verified
-        // AVX2; the length contract is asserted just above. Up to two
-        // activations keep both halves of a block in registers and take
-        // one pass; more take one pass per half.
-        Isa::Avx2 => unsafe {
+        // SAFETY: as for `Isa::Avx512`, with AVX2. Up to two activations
+        // keep both halves of a block in registers and take one pass;
+        // more take one pass per half.
+        Isa::Avx2 { .. } => unsafe {
             match acts.len() {
                 1 => avx2::sweep::<1, 2>(w, tiles, acts, run),
                 2 => avx2::sweep::<2, 2>(w, tiles, acts, run),
@@ -987,26 +982,22 @@ pub(crate) mod tests {
     fn detect_is_stable_and_named() {
         assert_eq!(detect(), detect());
         let isa = active_isa();
-        assert!(
-            ["scalar", "avx2", "avx512", "avx512+amx"].contains(&isa),
-            "unknown {isa}"
-        );
-        // The GEMM and the SSM scan share one tier, and a host runs its
-        // best forms in the default build; the GEMM names its AMX form
-        // exactly when the process was granted AMX.
-        let tier = lightmamba_model::ssm::active_isa();
-        assert_eq!(isa.strip_suffix("+amx").unwrap_or(isa), tier);
-        assert_eq!(isa.ends_with("+amx"), isa::amx());
-        let isa = tier;
         #[cfg(target_arch = "x86_64")]
         {
             use std::arch::is_x86_feature_detected as has;
-            let avx512 = has!("avx2") && has!("avx512f") && has!("avx512bw") && has!("avx512vnni");
-            assert_eq!(isa == "avx512", avx512);
-            if has!("avx2") && !avx512 {
-                assert_eq!(isa, "avx2");
-            }
+            let tier = if has!("avx2") && has!("avx512f") && has!("avx512bw") && has!("avx512vnni")
+            {
+                "avx512"
+            } else if has!("avx2") {
+                "avx2"
+            } else {
+                "scalar"
+            };
+            let amx = matches!(detect(), Isa::Avx512 { amx, .. } if amx.granted());
+            assert_eq!(isa, if amx { "avx512+amx" } else { tier });
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(isa, "scalar");
     }
 
     #[test]
@@ -1126,14 +1117,6 @@ pub(crate) mod tests {
         );
     }
 
-    /// Says on stderr when the AMX form cannot run here, so a log shows
-    /// which forms a pass covered.
-    fn note_amx() {
-        if !amx_form(isa::detect(), AMX_ROWS) {
-            eprintln!("AMX not granted on this host: the AMX form is not exercised");
-        }
-    }
-
     /// Activation counts of the sweep tests: every [`KBLOCK`] remainder,
     /// and blocks around and at the AMX form's bounds.
     const ROWS: [usize; 9] = [1, 2, 3, 4, 5, 7, 8, 13, AMX_ROWS];
@@ -1145,7 +1128,6 @@ pub(crate) mod tests {
         // groups that are not a multiple of the run or of an AMX chunk,
         // a ragged last tile and every K remainder and AMX block size —
         // each form this host has against the naive i32 sums.
-        note_amx();
         let block = |p: usize| {
             let mut b = [0u8; 64];
             for (j, v) in b.iter_mut().enumerate() {

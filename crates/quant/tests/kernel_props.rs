@@ -8,11 +8,12 @@
 use lightmamba_model::MambaConfig;
 use lightmamba_model::MambaModel;
 use lightmamba_quant::kernels::{
-    gemm_packed, gemm_packed_scalar, gemv_packed, gemv_packed_scalar, gemv_reference, ActQuant,
+    gemm_packed, gemm_packed_on, gemv_packed, gemv_packed_on, gemv_reference, ActQuant,
     GemvScratch, PackedW4,
 };
 use lightmamba_quant::qmodel::{ExecMode, Precision};
 use lightmamba_quant::{Granularity, PreparedModel, QuantScheme, QuantizedMamba};
+use lightmamba_tensor::isa::Isa;
 use lightmamba_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -114,7 +115,7 @@ fn edge_shapes_agree_across_kernels_batches_and_the_reference() {
                 let mut reference = vec![0.0f32; outf];
                 gemv_reference(&p, a, &mut reference).unwrap();
                 let mut scalar = vec![0.0f32; outf];
-                gemv_packed_scalar(&p, a, &mut scratch, &mut scalar).unwrap();
+                gemv_packed_on(Isa::Scalar, &p, a, &mut scratch, &mut scalar).unwrap();
                 let mut dispatched = vec![1.0f32; outf];
                 gemv_packed(&p, a, &mut scratch, &mut dispatched).unwrap();
                 assert_eq!(scalar, reference, "case {case}: scalar vs reference");
@@ -129,7 +130,7 @@ fn edge_shapes_agree_across_kernels_batches_and_the_reference() {
             let mut outs: Vec<Vec<f32>> = vec![Vec::new(); batch];
             gemm_packed(&p, &acts[..batch], &mut scratch, &mut outs).unwrap();
             assert_eq!(outs, singles[..batch], "case {case} batch {batch}");
-            gemm_packed_scalar(&p, &acts[..batch], &mut scratch, &mut outs).unwrap();
+            gemm_packed_on(Isa::Scalar, &p, &acts[..batch], &mut scratch, &mut outs).unwrap();
             assert_eq!(outs, singles[..batch], "case {case} batch {batch} (scalar)");
         }
     }
@@ -201,7 +202,7 @@ proptest! {
         let mut dispatched = vec![0.0f32; outf];
         let mut scalar = vec![0.0f32; outf];
         gemv_packed(&p, &act, &mut s1, &mut dispatched).unwrap();
-        gemv_packed_scalar(&p, &act, &mut s2, &mut scalar).unwrap();
+        gemv_packed_on(Isa::Scalar, &p, &act, &mut s2, &mut scalar).unwrap();
         prop_assert_eq!(dispatched, scalar);
     }
 
@@ -229,7 +230,7 @@ proptest! {
         let mut s1 = GemvScratch::new();
         let mut s2 = GemvScratch::new();
         gemm_packed(&p, &acts, &mut s1, &mut dispatched).unwrap();
-        gemm_packed_scalar(&p, &acts, &mut s2, &mut scalar).unwrap();
+        gemm_packed_on(Isa::Scalar, &p, &acts, &mut s2, &mut scalar).unwrap();
         prop_assert_eq!(dispatched, scalar);
     }
 

@@ -442,12 +442,12 @@ pub(crate) mod tests {
     fn silu_on(isa: Isa, xs: &[f32]) -> Vec<f32> {
         match isa {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => xs
+            Isa::Avx512 { .. } => xs
                 .chunks(16)
                 .flat_map(|c| {
                     let mut lanes = [0.0f32; 16];
                     lanes[..c.len()].copy_from_slice(c);
-                    // SAFETY: `Isa::supported` yields `Avx512` only where
+                    // SAFETY: `Isa::tiers` yields `Avx512` only where
                     // `detect` verified AVX512F; the 16 lanes lie in `lanes`.
                     unsafe {
                         use std::arch::x86_64::{_mm512_loadu_ps, _mm512_storeu_ps};
@@ -463,7 +463,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_silu_form_matches_scalar_silu_bit_for_bit() {
-        for isa in Isa::supported() {
+        for isa in Isa::tiers() {
             for (k, &n) in LENGTHS.iter().enumerate() {
                 let xs = edge_values(n, k as u32);
                 let want: Vec<f32> = xs.iter().map(|&x| silu(x)).collect();

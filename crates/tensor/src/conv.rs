@@ -161,7 +161,8 @@ impl ConvState {
     /// position. `taps` is the weight tap-major, `(kernel, channels)`,
     /// as [`tap_major`] lays it out; the sums are [`ConvState::step_into`]'s
     /// and the activation is [`crate::activation::silu`], so the output
-    /// is that of the two unfused calls, bit for bit.
+    /// is that of the two unfused calls, bit for bit. Runs the host's
+    /// form: [`ConvState::step_silu_into_on`] of [`detect`].
     ///
     /// # Errors
     ///
@@ -175,7 +176,28 @@ impl ConvState {
         bias: &[f32],
         out: &mut [f32],
     ) -> Result<()> {
-        self.check_step(input, bias, out)?;
+        self.step_silu_into_on(detect(), input, taps, bias, out)
+    }
+
+    /// [`ConvState::step_silu_into`] on `isa`'s form: on
+    /// [`Isa::Avx512`] one pass per 16-channel strip, each window row
+    /// loaded once for both its shift and its product and SiLU applied
+    /// in registers; elsewhere tap row by tap row. Every form gives the
+    /// same bits.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`ConvState::step_silu_into`].
+    #[inline(always)]
+    pub fn step_silu_into_on(
+        &mut self,
+        isa: Isa,
+        input: &[f32],
+        taps: &Tensor,
+        bias: &[f32],
+        out: &mut [f32],
+    ) -> Result<()> {
+        let newest = self.check_step(input, bias, out)?;
         let (wk, wc) = taps.as_matrix_dims()?;
         if wc != self.channels || wk != self.kernel {
             return Err(TensorError::ShapeMismatch {
@@ -183,34 +205,19 @@ impl ConvState {
                 right: vec![wk, wc],
             });
         }
-        self.step_silu_on(detect(), input, taps.data(), bias, out);
-        Ok(())
-    }
-
-    /// The fused step on `isa`'s form, buffers already validated: on
-    /// [`Isa::Avx512`] one pass per 16-channel strip, each window row
-    /// loaded once for both its shift and its product and SiLU applied
-    /// in registers; elsewhere tap row by tap row.
-    #[inline(always)]
-    fn step_silu_on(
-        &mut self,
-        isa: Isa,
-        input: &[f32],
-        taps: &[f32],
-        bias: &[f32],
-        out: &mut [f32],
-    ) {
         if self.channels == 0 {
             // Nothing to shift or sum, as in `step_into`.
-            return;
+            return Ok(());
         }
+        let taps = taps.data();
         match isa {
-            // SAFETY: `Isa::Avx512` only comes from `detect`, which
-            // verified AVX512F.
+            // SAFETY: only `detect` and `Isa::supported` build an
+            // `Isa::Avx512`, and only where AVX512F is present.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => unsafe { avx512::step_silu(&mut self.window, taps, input, bias, out) },
+            Isa::Avx512 { .. } => unsafe {
+                avx512::step_silu(&mut self.window, taps, input, bias, out)
+            },
             _ => {
-                let newest = self.kernel - 1;
                 let mut rows = taps.chunks_exact(self.channels);
                 out.copy_from_slice(bias);
                 for (k, t) in rows.by_ref().take(newest).enumerate() {
@@ -226,6 +233,7 @@ impl ConvState {
                 }
             }
         }
+        Ok(())
     }
 
     /// Validates one step's buffers against this state and returns the
@@ -510,19 +518,22 @@ mod tests {
     #[test]
     fn every_fused_step_form_matches_the_scalar_step_bit_for_bit() {
         use crate::activation::tests::{edge_values, same_bits, LENGTHS};
-        for isa in Isa::supported() {
+        for isa in Isa::tiers() {
             for kernel in 1..=4 {
                 for (k, &ch) in LENGTHS.iter().enumerate() {
                     let seed = (10 * kernel + k) as u32;
-                    let taps = edge_values(kernel * ch, seed);
+                    let taps =
+                        Tensor::from_vec(edge_values(kernel * ch, seed), &[kernel, ch]).unwrap();
                     let bias = edge_values(ch, seed + 1);
                     let (mut want, mut got) =
                         (ConvState::new(ch, kernel), ConvState::new(ch, kernel));
                     let (mut y_want, mut y_got) = (vec![0.0; ch], vec![0.0; ch]);
                     for step in 0..kernel + 2 {
                         let input = edge_values(ch, seed + 2 + step as u32);
-                        want.step_silu_on(Isa::Scalar, &input, &taps, &bias, &mut y_want);
-                        got.step_silu_on(isa, &input, &taps, &bias, &mut y_got);
+                        want.step_silu_into_on(Isa::Scalar, &input, &taps, &bias, &mut y_want)
+                            .unwrap();
+                        got.step_silu_into_on(isa, &input, &taps, &bias, &mut y_got)
+                            .unwrap();
                         assert!(same_bits(&y_got, &y_want), "{isa:?} k {kernel} ch {ch}");
                         assert!(
                             same_bits(&got.window, &want.window),

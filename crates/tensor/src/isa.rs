@@ -1,25 +1,41 @@
 //! Which instruction set the hand-vectorized kernels run with.
 //!
-//! There are three tiers. [`detect`] picks the best one the host has, once
-//! per process, and every dispatching kernel asks it:
+//! There are three tiers, and the top one has two forms of its GEMM.
+//! [`detect`] picks the best the host has, once per process (cached).
+//! The pick is made once per decode step and handed down: the model's
+//! step entry points (`QuantizedMamba`'s layer step and finish,
+//! `MambaBlock`'s step) ask [`detect`] and pass that one [`Isa`] to
+//! every kernel their phases call, each through its `*_on(isa, …)`
+//! form. A public kernel entry point without an [`Isa`] parameter is
+//! its `*_on(detect(), …)`.
 //!
-//! | tier | W4A4 GEMM (`lightmamba_quant::simd`) | SSM head step (`lightmamba_model::ssm`) | element-wise kernels | per-sequence phases |
+//! | [`Isa`] | W4A4 GEMM (`lightmamba_quant::simd`) | SSM head step (`lightmamba_model::ssm`) | element-wise kernels | per-sequence phases |
 //! |---|---|---|---|---|
-//! | [`Isa::Scalar`] | i16-then-widen loops | row by row | scalar source | baseline |
-//! | [`Isa::Avx2`] | `maddubs`, i16 lanes | 8 rows per register | scalar source | AVX2 copy |
-//! | [`Isa::Avx512`] | `vpdpbusd`, i32 lanes; `tdpbsud` tiles for 5–16 activations where [`amx`] | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
+//! | `Scalar` | i16-then-widen loops | row by row | scalar source | baseline |
+//! | `Avx2` | `maddubs`, i16 lanes | 8 rows per register | scalar source | AVX2 copy |
+//! | `Avx512`, AMX not granted | `vpdpbusd`, i32 lanes | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
+//! | `Avx512`, AMX granted | as above; `tdpbsud` tiles for 5–16 activations | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
 //!
-//! AMX is a form of the AVX-512 tier's GEMM, not a tier: [`amx`] says
-//! whether the host has AMX-TILE and AMX-INT8 and the kernel grants this
-//! process the tile state, and only the GEMM asks it.
+//! `Avx512`'s [`Amx`] says whether the host has AMX-TILE and AMX-INT8
+//! and the kernel grants this process the tile state; only the GEMM
+//! reads it.
 //!
 //! Every form of every kernel is compiled on every `x86_64` build. The
 //! scalar forms are the only ones on other targets (`aarch64` included)
-//! and the bit-exactness oracles the vector forms are tested against.
+//! and the bit-exactness oracles the vector forms are tested against:
+//! each kernel's in-crate tests run every form the host has against
+//! its scalar form (the GEMM's every [`Isa::supported`] value, the
+//! other kernels' every [`Isa::tiers`] one), and two tests run whole
+//! models, each copy of the phases on its own tier's kernels against
+//! the scalar copy on the scalar kernels —
+//! `every_phase_copy_matches_the_baseline_bit_for_bit`
+//! (`lightmamba_quant`'s `qmodel`, the W4A4 layer step and finish, over
+//! `supported`) and `every_step_copy_matches_the_baseline_bit_for_bit`
+//! (`lightmamba_model`'s `block`, the FP step, over `tiers`).
 //!
 //! The element-wise kernels with 16-lane forms are the fused conv + SiLU
 //! step, the FWHT and the factored Hadamard's column stages, and
-//! `ActQuant`. On [`Isa::Avx512`] each runs an explicit 16-lane form
+//! `ActQuant`. On `Isa::Avx512` each runs an explicit 16-lane form
 //! (`std::arch`, masked tails) that gives every element the scalar
 //! form's operations in the scalar order; elsewhere it runs its scalar
 //! source, which the phase copy it is inlined into vectorises. The
@@ -31,12 +47,47 @@
 //! finish): the same source built for the baseline and under
 //! `#[target_feature(enable = "avx2")]`, and `QuantizedMamba`'s also
 //! under `#[target_feature(enable = "avx512f,avx512bw")]`. The FP
-//! `MambaBlock` runs its AVX2 copy on [`Isa::Avx512`]: an AVX-512 copy
-//! of its step timed no faster. Without FMA a float operation can
-//! neither contract nor reassociate, so every copy computes the same
-//! bits. The kernels those phases call are
+//! `MambaBlock` runs its AVX2 copy, with the 16-lane kernels, on
+//! `Isa::Avx512`: an AVX-512 copy of its step timed no faster. Without
+//! FMA a float operation can neither contract nor reassociate, so every
+//! copy computes the same bits. The kernels those phases call are
 //! `#[inline(always)]`: only code inlined into a copy is compiled for
 //! its tier.
+//!
+//! No code outside this crate can make a vector [`Isa`] or a granted
+//! [`Amx`] of its own: the vector variants are `#[non_exhaustive]`, so
+//! it can match them (`Isa::Avx2 { .. }`, `Isa::Avx512 { amx, .. }`)
+//! but not build them, and `Amx`'s field is private, so a pattern that
+//! binds `amx` mutably can only store an `Amx` it was handed. Every
+//! vector `Isa` it holds came from [`detect`] or [`Isa::supported`],
+//! which verified the features and the tile grant, and a public
+//! `*_on(isa, …)` form may run `isa`'s instructions. It reads the
+//! grant, but cannot forge one:
+//!
+//! ```
+//! use lightmamba_tensor::isa::{detect, Isa};
+//! # #[cfg(target_arch = "x86_64")]
+//! let _granted = matches!(detect(), Isa::Avx512 { amx, .. } if amx.granted());
+//! ```
+//!
+//! ```compile_fail,E0603
+//! let forged = lightmamba_tensor::isa::Isa::Avx2;
+//! ```
+//!
+//! ```compile_fail,E0639
+//! use lightmamba_tensor::isa::{detect, Isa};
+//! if let Isa::Avx512 { amx, .. } = detect() {
+//!     let forged = Isa::Avx512 { amx };
+//! }
+//! ```
+//!
+//! ```compile_fail,E0423
+//! use lightmamba_tensor::isa::{detect, Amx, Isa};
+//! let mut isa = detect();
+//! if let Isa::Avx512 { amx, .. } = &mut isa {
+//!     *amx = Amx(true);
+//! }
+//! ```
 
 /// The instruction set a dispatching kernel runs with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,29 +96,67 @@ pub enum Isa {
     Scalar,
     /// The 256-bit AVX2 forms (`x86_64`, runtime-detected).
     #[cfg(target_arch = "x86_64")]
+    #[non_exhaustive]
     Avx2,
     /// The 512-bit forms (`x86_64` with AVX2, AVX512F, AVX512BW and
-    /// AVX512-VNNI, runtime-detected).
+    /// AVX512-VNNI, runtime-detected); with `amx` granted, the W4A4
+    /// GEMM's AMX-INT8 form as well (module docs).
     #[cfg(target_arch = "x86_64")]
-    Avx512,
+    #[non_exhaustive]
+    Avx512 {
+        /// Whether the host has AMX-TILE and AMX-INT8 and Linux grants
+        /// this process the tile data state.
+        amx: Amx,
+    },
+}
+
+/// Whether an [`Isa::Avx512`] host may run the AMX-INT8 form of the
+/// W4A4 GEMM. The field is private: only [`detect`] and
+/// [`Isa::supported`] make one, so a granted value proves the grant.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Amx(bool);
+
+#[cfg(target_arch = "x86_64")]
+impl Amx {
+    /// Whether the host has AMX-TILE and AMX-INT8 and Linux grants this
+    /// process the tile data state.
+    pub fn granted(self) -> bool {
+        self.0
+    }
 }
 
 impl Isa {
     /// Every instruction set this host can run, scalar first and
-    /// [`detect`]'s pick last, so tests can pin each form, not only the
-    /// detected one.
+    /// [`detect`]'s pick last (plain AVX-512 before AVX-512 with AMX),
+    /// so tests can pin each form, not only the detected one.
     pub fn supported() -> impl Iterator<Item = Isa> {
         let all = [
             Isa::Scalar,
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2,
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512,
+            Isa::Avx512 { amx: Amx(false) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 { amx: Amx(true) },
         ];
         let best = detect();
         all.into_iter()
             .take_while(move |&isa| isa != best)
             .chain([best])
+    }
+
+    /// [`Isa::supported`] once per tier: without the AVX-512 value that
+    /// grants AMX, which only the W4A4 GEMM reads, so tests of the other
+    /// kernels run each of their forms once.
+    pub fn tiers() -> impl Iterator<Item = Isa> {
+        Isa::supported().filter(|&isa| {
+            #[cfg(target_arch = "x86_64")]
+            if let Isa::Avx512 { amx } = isa {
+                return !amx.granted();
+            }
+            true
+        })
     }
 }
 
@@ -131,8 +220,10 @@ pub mod lanes16 {
 }
 
 /// The best instruction set this host supports, detected once (cached):
-/// AVX-512 when AVX2, AVX512F, AVX512BW and AVX512-VNNI are all there,
-/// else AVX2 when it is, on `x86_64`; [`Isa::Scalar`] everywhere else.
+/// AVX-512 when AVX2, AVX512F, AVX512BW and AVX512-VNNI are all there —
+/// with `amx` when CPUID reports AMX-TILE and AMX-INT8 and Linux grants
+/// the tile state — else AVX2 when it is, on `x86_64`; [`Isa::Scalar`]
+/// everywhere else.
 pub fn detect() -> Isa {
     static ACTIVE: std::sync::OnceLock<Isa> = std::sync::OnceLock::new();
     *ACTIVE.get_or_init(|| {
@@ -141,7 +232,9 @@ pub fn detect() -> Isa {
             use std::arch::is_x86_feature_detected as has;
             if has!("avx2") {
                 if has!("avx512f") && has!("avx512bw") && has!("avx512vnni") {
-                    return Isa::Avx512;
+                    return Isa::Avx512 {
+                        amx: Amx(amx_granted()),
+                    };
                 }
                 return Isa::Avx2;
             }
@@ -150,30 +243,25 @@ pub fn detect() -> Isa {
     })
 }
 
-/// Whether this process may run the AMX-INT8 form of the W4A4 GEMM, a
-/// form of [`Isa::Avx512`]'s GEMM (not a tier of its own): the host is
-/// [`Isa::Avx512`], CPUID leaf 7 reports AMX-TILE and AMX-INT8, and the
-/// Linux kernel grants the process the tile data state
+/// Whether this AVX-512 process may run the AMX-INT8 form of the W4A4
+/// GEMM: CPUID leaf 7 reports AMX-TILE and AMX-INT8, and the Linux
+/// kernel grants the process the tile data state
 /// (`arch_prctl(ARCH_REQ_XCOMP_PERM, XFEATURE_XTILEDATA)` returns 0).
-/// Asked once per process (cached), like [`detect`]; anywhere else, or
-/// on refusal, the answer is `false`.
-pub fn amx() -> bool {
-    static GRANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *GRANTED.get_or_init(|| {
-        #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-        {
-            if detect() == Isa::Avx512 {
-                // CPUID leaf 7 exists: AVX-512 was read from it.
-                #[allow(unused_unsafe)]
-                // SAFETY: `cpuid` has no side effect; older releases
-                // merely declare the intrinsic `unsafe`.
-                let leaf7 = unsafe { std::arch::x86_64::__cpuid_count(7, 0) };
-                let (tile, int8) = ((leaf7.edx >> 24) & 1 == 1, (leaf7.edx >> 25) & 1 == 1);
-                return tile && int8 && request_tile_data();
-            }
-        }
-        false
-    })
+/// `false` off Linux or on refusal.
+#[cfg(target_arch = "x86_64")]
+fn amx_granted() -> bool {
+    #[cfg(target_os = "linux")]
+    {
+        // CPUID leaf 7 exists: AVX-512 was read from it.
+        #[allow(unused_unsafe)]
+        // SAFETY: `cpuid` has no side effect; older releases merely
+        // declare the intrinsic `unsafe`.
+        let leaf7 = unsafe { std::arch::x86_64::__cpuid_count(7, 0) };
+        let (tile, int8) = ((leaf7.edx >> 24) & 1 == 1, (leaf7.edx >> 25) & 1 == 1);
+        tile && int8 && request_tile_data()
+    }
+    #[cfg(not(target_os = "linux"))]
+    false
 }
 
 /// Asks Linux for permission to use the AMX tile data state (state
@@ -203,14 +291,16 @@ fn request_tile_data() -> bool {
 }
 
 /// Name of the instruction set the dispatching kernels run on this host
-/// ("avx512", "avx2" or "scalar"), so tests and benchmark records can say
-/// what ran.
+/// ("avx512+amx", "avx512", "avx2" or "scalar"), so tests and benchmark
+/// records can say what ran.
 pub fn active_isa() -> &'static str {
     match detect() {
         Isa::Scalar => "scalar",
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => "avx2",
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx512 => "avx512",
+        Isa::Avx512 { amx: Amx(false) } => "avx512",
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 { amx: Amx(true) } => "avx512+amx",
     }
 }

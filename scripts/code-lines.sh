@@ -1,6 +1,8 @@
 #!/bin/sh
 # Code lines per file and per crate: everything before a file's test
-# module (`#[cfg(test)]` at column 0), minus blank and `//` lines.
+# module (a column-0 `#[cfg(test)]` whose next line opens `mod tests` or
+# `pub(crate) mod tests`), minus blank and `//` lines. Any other
+# `#[cfg(test)]` item counts as code.
 # The size figures in ROADMAP.md and CHANGES.md are regenerated by this.
 #
 #   scripts/code-lines.sh                     # every crates/*/src and src, totals only
@@ -13,13 +15,19 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# The line of the file's test module's `#[cfg(test)]`, or one past its end.
+tests_at() {
+    awk '/^(pub\(crate\) )?mod tests/ && prev ~ /^#\[cfg\(test\)\]/ {at=NR-1; exit}
+        {prev=$0} END{print at ? at : NR+1}' "$1"
+}
+
 count() {
-    awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1" | grep -v '^\s*//' | grep -vc '^\s*$' || true
+    head -n "$(($(tests_at "$1") - 1))" "$1" | grep -v '^\s*//' | grep -vc '^\s*$' || true
 }
 
 # Every line from the test module to the end of the file.
 test_lines() {
-    awk '/^#\[cfg\(test\)\]/{t=1} t{n++} END{print n+0}' "$1"
+    awk -v at="$(tests_at "$1")" 'NR >= at {n++} END{print n+0}' "$1"
 }
 
 verbose=0
