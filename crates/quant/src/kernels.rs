@@ -117,10 +117,6 @@ pub struct PackedW4 {
     out_features: usize,
 }
 
-/// Nibble of a padding position (`code 0`): inputs past the end of a
-/// group's last quad and outputs past the last tile's real ones.
-const PAD: u8 = 0x88;
-
 impl PackedW4 {
     /// Quantizes a `(in_features, out_features)` weight matrix under a
     /// per-group scheme with `bits ≤ 4` and packs the codes. The codes
@@ -210,8 +206,41 @@ impl PackedW4 {
                 scales_t[g * out_features + o] = scales[o * groups_per_row + g];
             }
         }
-        let mut packed = PackedW4 {
-            blocks: vec![Block([PAD; TILE * QUAD / 2]); out_features.div_ceil(TILE) * quads],
+        let tiles = out_features.div_ceil(TILE);
+        let mut blocks = Vec::with_capacity(tiles * quads);
+        for tile in 0..tiles {
+            // Each lane's codes; a lane past the last output reads none.
+            let lane_codes: [&[i8]; TILE] = std::array::from_fn(|lane| {
+                let o = tile * TILE + lane;
+                codes
+                    .get(o * in_features..(o + 1) * in_features)
+                    .unwrap_or(&[])
+            });
+            for quad in 0..quads {
+                // The quad's inputs `i0..i0 + n` (module docs' layout).
+                let (g, r0) = (quad / quads_per_group, QUAD * (quad % quads_per_group));
+                let i0 = g * group + r0;
+                let n = QUAD.min(group - r0).min(in_features - i0);
+                // A lane's four nibbles `code + 8` (`code ^ 8` in the low
+                // four bits), code 0 where the input or the lane is
+                // padding.
+                let nibbles = |lane: usize| {
+                    let mut quad = [0i8; QUAD];
+                    if let Some(c) = lane_codes[lane].get(i0..i0 + n) {
+                        quad[..n].copy_from_slice(c);
+                    }
+                    (u32::from_le_bytes(quad.map(|c| c as u8)) ^ 0x0808_0808) & 0x0F0F_0F0F
+                };
+                let mut block = Block([0; TILE * QUAD / 2]);
+                for (lane, bytes) in block.0.chunks_exact_mut(QUAD).enumerate() {
+                    let word = nibbles(lane) | nibbles(lane + TILE / 2) << 4;
+                    bytes.copy_from_slice(&word.to_le_bytes());
+                }
+                blocks.push(block);
+            }
+        }
+        Ok(PackedW4 {
+            blocks,
             scales: scales.to_vec(),
             scales_t,
             group,
@@ -220,16 +249,7 @@ impl PackedW4 {
             quads,
             in_features,
             out_features,
-        };
-        for o in 0..out_features {
-            for i in 0..in_features {
-                let (block, byte, shift) = packed.locate(i, o);
-                let nib = (codes[o * in_features + i] + 8) as u8;
-                let b = &mut packed.blocks[block].0[byte];
-                *b = (*b & !(0x0F << shift)) | (nib << shift);
-            }
-        }
-        Ok(packed)
+        })
     }
 
     /// Where weight `(input i, output o)` lives: block index, byte
@@ -266,6 +286,12 @@ impl PackedW4 {
         &self.scales
     }
 
+    /// Every byte of the packed layout, block after block.
+    #[cfg(test)]
+    pub(crate) fn layout_bytes(&self) -> impl Iterator<Item = u8> + '_ {
+        self.blocks.iter().flat_map(|b| b.0)
+    }
+
     /// Gathers output channel `o`'s signed codes (one per input) into
     /// `out` (length `in_features`) — the logical "weight row" view used
     /// by the reference oracle and tests; the hot kernel never gathers.
@@ -293,15 +319,19 @@ impl PackedW4 {
     /// Reconstructs the dequantized weight in the logical `(in, out)`
     /// layout — the f32 tensor the fake-quant reference oracle computes
     /// with. Shares the packed grid exactly.
+    ///
+    /// Walks the result row by row: input `i`'s codes for outputs
+    /// `32t..32t + 32` are one nibble column of one block.
     pub fn dequantized_weight(&self) -> Tensor {
         let mut w = Tensor::zeros(&[self.in_features, self.out_features]);
-        let data = w.data_mut();
-        let mut row = vec![0i8; self.in_features];
-        for o in 0..self.out_features {
-            self.unpack_row_into(o, &mut row);
-            for (i, &c) in row.iter().enumerate() {
-                let s = self.scales[o * self.groups_per_row + i / self.group];
-                data[i * self.out_features + o] = c as f32 * s;
+        for (i, row) in w.data_mut().chunks_exact_mut(self.out_features).enumerate() {
+            let (block, byte, _) = self.locate(i, 0);
+            let scales = &self.scales_t[(i / self.group) * self.out_features..];
+            for (o, (v, &s)) in row.iter_mut().zip(scales).enumerate() {
+                let (tile, lane) = (o / TILE, o % TILE);
+                let b = self.blocks[block + tile * self.quads].0[byte + QUAD * (lane % (TILE / 2))];
+                let nib = if lane < TILE / 2 { b & 0x0F } else { b >> 4 };
+                *v = (nib as i8 - 8) as f32 * s;
             }
         }
         w
@@ -393,9 +423,10 @@ impl ActQuant {
 }
 
 /// Codes of `x` into `codes` (as long) and one scale per `group`-element
-/// group pushed onto `scales`, on `isa`'s form ([`ActQuant::quantize_on`]).
+/// group pushed onto `scales`, on `isa`'s form ([`ActQuant::quantize_on`]);
+/// [`QuantizedTensor::quantize`] runs its blocks through it as well.
 #[inline(always)]
-fn quantize_groups(
+pub(crate) fn quantize_groups(
     isa: Isa,
     x: &[f32],
     group: usize,
@@ -875,6 +906,61 @@ mod tests {
         for o in 0..24 {
             for i in 0..32 {
                 assert_eq!(dq.data()[i * 24 + o], dq_t.data()[o * 32 + i], "({i},{o})");
+            }
+        }
+    }
+
+    /// The first packer: every block `PAD` (code 0 in both nibbles),
+    /// then one [`PackedW4::locate`] and nibble read-modify-write per
+    /// weight.
+    fn pack_per_nibble(
+        codes: &[i8],
+        scales: &[f32],
+        inf: usize,
+        outf: usize,
+        g: usize,
+    ) -> PackedW4 {
+        const PAD: u8 = 0x88;
+        let mut p = PackedW4::from_codes(&vec![0; codes.len()], scales, inf, outf, g).unwrap();
+        p.blocks
+            .iter_mut()
+            .for_each(|b| *b = Block([PAD; TILE * QUAD / 2]));
+        for o in 0..outf {
+            for i in 0..inf {
+                let (block, byte, shift) = p.locate(i, o);
+                let nib = (codes[o * inf + i] + 8) as u8;
+                let b = &mut p.blocks[block].0[byte];
+                *b = (*b & !(0x0F << shift)) | (nib << shift);
+            }
+        }
+        p
+    }
+
+    #[test]
+    fn packing_in_layout_order_matches_the_per_nibble_packer() {
+        // Groups of every length mod 4, ragged last groups and tiles,
+        // outputs past one tile or short of it, every code −8..=7.
+        let mut rng = StdRng::seed_from_u64(11);
+        for (inf, outf, group) in [
+            (1usize, 1usize, 1usize),
+            (3, 5, 2),
+            (7, 31, 3),
+            (20, 33, 16),
+            (37, 64, 5),
+            (130, 70, 128),
+            (256, 97, 64),
+        ] {
+            let codes: Vec<i8> = (0..inf * outf).map(|_| rng.gen_range(-8i8..8)).collect();
+            let scales: Vec<f32> = (0..outf * inf.div_ceil(group))
+                .map(|_| rng.gen_range(0.1f32..1.0))
+                .collect();
+            let got = PackedW4::from_codes(&codes, &scales, inf, outf, group).unwrap();
+            let want = pack_per_nibble(&codes, &scales, inf, outf, group);
+            assert_eq!(got, want, "{inf}×{outf} group {group}");
+            let mut row = vec![0i8; inf];
+            for o in 0..outf {
+                got.unpack_row_into(o, &mut row);
+                assert_eq!(row, codes[o * inf..(o + 1) * inf], "output {o}");
             }
         }
     }

@@ -13,8 +13,8 @@
 //!   streamed once per step and shared by all resident sequences.
 //! * [`ExecMode::FakeQuant`] — the auditable reference: weights are
 //!   dequantized to f32 **on the same quantization grid as the packed
-//!   codes** and every step computes in f32 with activations passed
-//!   through quantize→dequantize. Agreement between the two modes is
+//!   codes** (on first use) and every step computes in f32 with
+//!   activations passed through quantize→dequantize. Agreement between the two modes is
 //!   pinned by proptests (bit-exact under power-of-two scales,
 //!   tight-tolerance otherwise — see [`crate::kernels`]).
 //!
@@ -43,7 +43,7 @@
 //! executes it on the SSMU's INT8 PoT datapath, not the MMU), so
 //! `LightMamba*`'s `ssm` scheme behaves identically in either mode.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use lightmamba_model::batch::{self, DecodeKernels, Workspace};
 use lightmamba_model::eval::StepModel;
@@ -135,9 +135,10 @@ pub enum ExecMode {
 #[derive(Debug)]
 struct QBlock {
     norm_gamma: Vec<f32>,
-    /// Dequantized f32 weight on the same grid as `w_in_packed` —
-    /// the fake-quant oracle computes with this.
-    w_in: Tensor,
+    /// The f32 weight the fake-quant oracle computes with ([`oracle`]):
+    /// set at construction when the precision packs nothing, else
+    /// dequantized from `w_in_packed`'s grid on first use.
+    w_in: OnceLock<Tensor>,
     w_in_packed: Option<PackedW4>,
     w_in_bias: Option<Vec<f32>>,
     in_act_scale: Option<Vec<f32>>,
@@ -153,7 +154,8 @@ struct QBlock {
     online_hadamard: Option<lightmamba_hadamard::FactoredHadamard>,
     out_act_scale: Option<Vec<f32>>,
     out_act_shift: Option<Vec<f32>>,
-    w_out: Tensor,
+    /// As `w_in`, for `w_out_packed`.
+    w_out: OnceLock<Tensor>,
     w_out_packed: Option<PackedW4>,
     w_out_bias: Option<Vec<f32>>,
 }
@@ -164,7 +166,8 @@ struct QBlock {
 #[derive(Debug)]
 struct SharedWeights {
     embedding: Tensor,
-    lm_head: Tensor,
+    /// As `QBlock::w_in`, for `lm_head_packed`.
+    lm_head: OnceLock<Tensor>,
     lm_head_packed: Option<PackedW4>,
     final_norm_gamma: Vec<f32>,
     blocks: Vec<QBlock>,
@@ -233,9 +236,10 @@ impl QuantizedMamba {
     /// Parameter tensors are **moved** out of `prepared`, not cloned;
     /// everything immutable lands behind one shared `Arc`. When the
     /// precision is packable ([`Precision::is_packable`]) the linear
-    /// weights are additionally packed for integer execution and the
-    /// dequantized oracle tensors are rebuilt from the packed grid, so
-    /// the two modes quantize identically.
+    /// weights are packed for integer execution, and the fake-quant
+    /// oracle dequantizes the packed grid the first time it runs, so the
+    /// two modes quantize identically and a model that only ever runs
+    /// [`ExecMode::Integer`] holds no f32 copy of its linear weights.
     ///
     /// # Errors
     ///
@@ -253,22 +257,23 @@ impl QuantizedMamba {
         let packable = precision.is_packable();
         let mut storage_bits = 0usize;
         // Quantizes one linear weight, moving it when it stays FP.
-        // Returns the dequantized oracle tensor plus the packed form.
-        let mut quant_weight = |t: Tensor| -> Result<(Tensor, Option<PackedW4>)> {
+        // Returns the oracle tensor (left unset for a packed weight,
+        // [`oracle`] builds it) plus the packed form.
+        let mut quant_weight = |t: Tensor| -> Result<(OnceLock<Tensor>, Option<PackedW4>)> {
             match precision.weight {
                 Some(scheme) if packable => {
                     let packed = PackedW4::quantize(&t, scheme)?;
                     storage_bits += packed.storage_bits();
-                    Ok((packed.dequantized_weight(), Some(packed)))
+                    Ok((OnceLock::new(), Some(packed)))
                 }
                 Some(scheme) => {
                     let q = QuantizedTensor::quantize(&t, scheme)?;
                     storage_bits += q.storage_bits();
-                    Ok((q.dequantize(), None))
+                    Ok((OnceLock::from(q.dequantize()), None))
                 }
                 None => {
                     storage_bits += t.len() * 16;
-                    Ok((t, None))
+                    Ok((OnceLock::from(t), None))
                 }
             }
         };
@@ -762,8 +767,9 @@ impl QuantizedMamba {
         match (&block.w_in_packed, self.integer()) {
             (Some(packed), true) => gemm_rows(isa, packed, acts, gemm, blocks, |s| &mut s.proj)?,
             _ => {
+                let w_in = oracle(&block.w_in, &block.w_in_packed);
                 for s in blocks.iter_mut() {
-                    block.w_in.vecmat_into(&s.normed, &mut s.proj)?;
+                    w_in.vecmat_into(&s.normed, &mut s.proj)?;
                 }
             }
         }
@@ -774,8 +780,9 @@ impl QuantizedMamba {
         match (&block.w_out_packed, self.integer()) {
             (Some(packed), true) => gemm_rows(isa, packed, acts, gemm, blocks, |s| &mut s.out)?,
             _ => {
+                let w_out = oracle(&block.w_out, &block.w_out_packed);
                 for s in blocks.iter_mut() {
-                    block.w_out.vecmat_into(&s.y, &mut s.out)?;
+                    w_out.vecmat_into(&s.y, &mut s.out)?;
                 }
             }
         }
@@ -812,14 +819,26 @@ impl QuantizedMamba {
         match (&self.weights.lm_head_packed, self.integer()) {
             (Some(packed), true) => gemm_packed_on(isa, packed, acts, gemm, logits)?,
             _ => {
+                let lm_head = oracle(&self.weights.lm_head, &self.weights.lm_head_packed);
                 for (x, logits) in xs.iter().zip(logits.iter_mut()) {
                     logits.resize(self.cfg.vocab_size, 0.0);
-                    self.weights.lm_head.vecmat_into(x, logits)?;
+                    lm_head.vecmat_into(x, logits)?;
                 }
             }
         }
         Ok(())
     }
+}
+
+/// The f32 weight the fake-quant path computes with: `weight` as built,
+/// or, for a packed one, the packed grid dequantized on first use.
+fn oracle<'a>(weight: &'a OnceLock<Tensor>, packed: &Option<PackedW4>) -> &'a Tensor {
+    weight.get_or_init(|| {
+        packed
+            .as_ref()
+            .expect("a linear weight without its f32 tensor is packed")
+            .dequantized_weight()
+    })
 }
 
 /// A method's activation conditioning of a projection input, in place:
@@ -1191,6 +1210,186 @@ mod tests {
         }
     }
 
+    /// FNV-1a (64-bit) over the bits of what a model set-up produces.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn bytes(&mut self, bytes: impl IntoIterator<Item = u8>) {
+            for b in bytes {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn f32s(&mut self, xs: &[f32]) {
+            self.bytes(xs.len().to_le_bytes());
+            self.f32s_raw(xs);
+        }
+
+        fn f32s_raw(&mut self, xs: &[f32]) {
+            self.bytes(xs.iter().flat_map(|x| x.to_bits().to_le_bytes()));
+        }
+
+        fn opt(&mut self, xs: &Option<Vec<f32>>) {
+            match xs {
+                Some(xs) => self.f32s(xs),
+                None => self.bytes([0xFF]),
+            }
+        }
+
+        fn packed(&mut self, p: &Option<PackedW4>) {
+            let p = p
+                .as_ref()
+                .expect("a packable precision packs every linear weight");
+            self.bytes(p.layout_bytes());
+            self.f32s(p.scales());
+        }
+    }
+
+    /// The digest of `quantize_model(LightMamba, w4a4_grouped(group))`
+    /// of the synthetic model of `cfg` under `seed`: every f32 tensor
+    /// and conditioning vector of the rotated model, then every packed
+    /// block, scale, fake-quant weight and vector of the quantized one.
+    fn setup_digest(cfg: MambaConfig, seed: u64, group: usize) -> u64 {
+        use crate::pipeline::{quantize_model, rewrite, Method, QuantSpec};
+        let model = MambaModel::synthetic(cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut p = PreparedModel::from_reference(&model).unwrap();
+        rewrite(&mut p, Method::LightMamba, &model, &[]).unwrap();
+        h.f32s(p.embedding.data());
+        h.f32s(p.lm_head.data());
+        h.f32s(&p.final_norm_gamma);
+        for b in &p.blocks {
+            h.f32s(&b.norm_gamma);
+            h.f32s(b.w_in.data());
+            h.opt(&b.w_in_bias);
+            h.opt(&b.in_act_scale);
+            h.opt(&b.in_act_shift);
+            h.f32s(b.conv_weight.data());
+            for v in [
+                &b.conv_bias,
+                &b.a_log,
+                &b.dt_bias,
+                &b.d_skip,
+                &b.gate_norm_gamma,
+            ] {
+                h.f32s(v);
+            }
+            h.opt(&b.out_act_scale);
+            h.opt(&b.out_act_shift);
+            h.f32s(b.w_out.data());
+            h.opt(&b.w_out_bias);
+        }
+        let q = quantize_model(
+            &model,
+            Method::LightMamba,
+            &QuantSpec::w4a4_grouped(group),
+            &[],
+        )
+        .unwrap();
+        assert_eq!(q.exec_mode(), ExecMode::Integer);
+        let w = &q.weights;
+        h.f32s(w.embedding.data());
+        h.packed(&w.lm_head_packed);
+        h.f32s(oracle(&w.lm_head, &w.lm_head_packed).data());
+        h.f32s(&w.final_norm_gamma);
+        for b in &w.blocks {
+            h.f32s(&b.norm_gamma);
+            h.packed(&b.w_in_packed);
+            h.f32s(oracle(&b.w_in, &b.w_in_packed).data());
+            h.opt(&b.w_in_bias);
+            h.opt(&b.in_act_scale);
+            h.opt(&b.in_act_shift);
+            h.f32s(b.conv_weight.data());
+            for v in [
+                &b.conv_bias,
+                &b.a_log,
+                &b.dt_bias,
+                &b.d_skip,
+                &b.gate_norm_gamma,
+            ] {
+                h.f32s(v);
+            }
+            h.opt(&b.out_act_scale);
+            h.opt(&b.out_act_shift);
+            h.packed(&b.w_out_packed);
+            h.f32s(oracle(&b.w_out, &b.w_out_packed).data());
+            h.opt(&b.w_out_bias);
+        }
+        h.0
+    }
+
+    #[test]
+    fn setup_digest_of_a_ragged_model_is_pinned() {
+        // No dimension is a multiple of 16, 32 or 64, and every weight's
+        // last group is short: d_model 20 = 16 + 4, d_inner 40 = 2·16 +
+        // 8, 102 in_proj outputs, a 77-token vocabulary.
+        let cfg = MambaConfig {
+            d_model: 20,
+            n_layer: 2,
+            d_state: 9,
+            d_conv: 4,
+            expand: 2,
+            headdim: 10,
+            ngroups: 1,
+            vocab_size: 77,
+        };
+        assert_eq!(setup_digest(cfg, 3, 16), 0xaa06_1aa1_3a9b_0762);
+    }
+
+    /// The benchmark's model and quantization (release only: the
+    /// rotation of a 256-wide, 2048-token model is slow in debug).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn setup_digest_of_the_benchmark_model_is_pinned() {
+        let cfg = MambaConfig {
+            d_model: 256,
+            n_layer: 4,
+            d_state: 64,
+            d_conv: 4,
+            expand: 2,
+            headdim: 64,
+            ngroups: 1,
+            vocab_size: 2048,
+        };
+        assert_eq!(setup_digest(cfg, 7, 128), 0xf929_ebf0_208a_c170);
+    }
+
+    #[test]
+    fn fake_quant_copies_are_built_on_first_use_with_pinned_logits() {
+        use crate::pipeline::{quantize_model, Method, QuantSpec};
+        let spec = QuantSpec::w4a4_grouped(16);
+        let q_int = quantize_model(&reference(), Method::LightMamba, &spec, &[]).unwrap();
+        let q_fake = q_int.clone().with_exec_mode(ExecMode::FakeQuant).unwrap();
+        let w = &q_int.weights;
+        let built = || {
+            let blocks = w.blocks.iter().flat_map(|b| [&b.w_in, &b.w_out]);
+            blocks
+                .chain([&w.lm_head])
+                .map(|t| t.get().is_some())
+                .collect::<Vec<_>>()
+        };
+        let tokens = [5u32, 9, 2, 40, 1, 7];
+        let mut state = q_int.new_state();
+        for &t in &tokens {
+            q_int.forward_step_with(t, &mut state).unwrap();
+        }
+        assert!(
+            built().iter().all(|&b| !b),
+            "integer steps built an f32 copy"
+        );
+        // The oracle's logits are those of the eagerly built copies.
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut state = q_fake.new_state();
+        for &t in &tokens {
+            h.f32s_raw(&q_fake.forward_step_with(t, &mut state).unwrap());
+        }
+        assert!(
+            built().iter().all(|&b| b),
+            "a fake-quant step left a copy unbuilt"
+        );
+        assert_eq!(h.0, 0xae6f_860f_7037_1f50);
+    }
+
     #[test]
     fn integer_and_fake_quant_modes_agree_closely() {
         // The tentpole invariant at model scale: the packed integer path
@@ -1258,7 +1457,11 @@ mod tests {
         let q = QuantizedMamba::new(prepared, Precision::fp()).unwrap();
         assert_eq!(q.weights.embedding.data().as_ptr(), embedding_ptr);
         assert_eq!(q.weights.blocks[0].conv_weight.data().as_ptr(), conv_ptr);
-        assert_eq!(q.weights.blocks[0].w_in.data().as_ptr(), w_in_ptr);
+        let w_in = q.weights.blocks[0]
+            .w_in
+            .get()
+            .expect("FP weights are set at construction");
+        assert_eq!(w_in.data().as_ptr(), w_in_ptr);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! * **W4A4** — per-group (size 128) weights *and* activations;
 //! * **SSM** — INT8 per-group with PoT scales ([`crate::pot`]).
 
+use lightmamba_tensor::isa::detect;
 use lightmamba_tensor::Tensor;
 
+use crate::kernels::quantize_groups;
 use crate::{pot, QuantError, Result};
 
 /// Scale granularity of a quantizer.
@@ -141,6 +143,11 @@ impl QuantizedTensor {
     /// each column, `PerToken` each row, `PerGroup(g)` contiguous spans of
     /// `g` within each row. Vectors are treated as a single row.
     ///
+    /// Each block is `v / scale` rounded half away from zero and clamped
+    /// to `±qmax` (NaN to 0), its scale [`QuantScheme::scale_for`] of its
+    /// largest `|v|`: the act-quant kernel (`ActQuant`) on the host's
+    /// form, so weights and activations share one quantizer.
+    ///
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidScheme`] when the scheme is invalid or
@@ -158,41 +165,44 @@ impl QuantizedTensor {
             }
         };
         let data = t.data();
-        let qmax = scheme.qmax() as f32;
+        let isa = detect();
         let mut codes = vec![0i8; data.len()];
         let mut scales = Vec::new();
-
-        let mut quant_block = |idx: &mut dyn Iterator<Item = usize>| {
-            let indices: Vec<usize> = idx.collect();
-            let absmax = indices.iter().fold(0.0f32, |m, &i| m.max(data[i].abs()));
-            let scale = scheme.scale_for(absmax);
-            for &i in &indices {
-                let q = (data[i] / scale).round().clamp(-qmax, qmax);
-                codes[i] = q as i8;
+        // One block of contiguous elements; an empty one still gets the
+        // scale of an all-zero block.
+        let block = |x: &[f32], codes: &mut [i8], scales: &mut Vec<f32>| {
+            if x.is_empty() {
+                scales.push(scheme.scale_for(0.0));
+            } else {
+                quantize_groups(isa, x, x.len(), scheme, codes, scales);
             }
-            scales.push(scale);
         };
-
         match scheme.granularity {
-            Granularity::PerTensor => quant_block(&mut (0..data.len())),
+            Granularity::PerTensor => block(data, &mut codes, &mut scales),
             Granularity::PerToken => {
                 for r in 0..rows {
-                    quant_block(&mut (r * cols..(r + 1) * cols));
+                    let span = r * cols..(r + 1) * cols;
+                    block(&data[span.clone()], &mut codes[span], &mut scales);
                 }
             }
             Granularity::PerChannel => {
+                let (mut column, mut column_codes) = (vec![0.0f32; rows], vec![0i8; rows]);
                 for c in 0..cols {
-                    quant_block(&mut (0..rows).map(|r| r * cols + c));
+                    for (v, r) in column.iter_mut().zip(0..) {
+                        *v = data[r * cols + c];
+                    }
+                    block(&column, &mut column_codes, &mut scales);
+                    for (&q, r) in column_codes.iter().zip(0..) {
+                        codes[r * cols + c] = q;
+                    }
                 }
             }
             Granularity::PerGroup(g) => {
-                for r in 0..rows {
-                    let mut start = 0;
-                    while start < cols {
-                        let end = (start + g).min(cols);
-                        quant_block(&mut (r * cols + start..r * cols + end));
-                        start = end;
-                    }
+                // A zero-width row has no groups (and `chunks` needs a
+                // non-zero width).
+                let width = cols.max(1);
+                for (row, codes) in data.chunks(width).zip(codes.chunks_mut(width)) {
+                    quantize_groups(isa, row, g, scheme, codes, &mut scales);
                 }
             }
         }
@@ -324,6 +334,110 @@ mod tests {
 
     fn sample() -> Tensor {
         Tensor::from_vec(vec![0.5, -1.0, 2.0, 8.0, -0.25, 0.75, -4.0, 1.5], &[2, 4]).unwrap()
+    }
+
+    /// The first quantizer: per block an index list, its absmax, then
+    /// `(v / scale).round().clamp(-qmax, qmax) as i8` per element.
+    fn quantize_by_index_lists(t: &Tensor, scheme: QuantScheme) -> (Vec<i8>, Vec<f32>) {
+        let (rows, cols) = match t.dims() {
+            [n] => (1usize, *n),
+            [r, c] => (*r, *c),
+            _ => unreachable!(),
+        };
+        let data = t.data();
+        let qmax = scheme.qmax() as f32;
+        let mut codes = vec![0i8; data.len()];
+        let mut scales = Vec::new();
+        let mut quant_block = |idx: &mut dyn Iterator<Item = usize>| {
+            let indices: Vec<usize> = idx.collect();
+            let absmax = indices.iter().fold(0.0f32, |m, &i| m.max(data[i].abs()));
+            let scale = scheme.scale_for(absmax);
+            for &i in &indices {
+                codes[i] = (data[i] / scale).round().clamp(-qmax, qmax) as i8;
+            }
+            scales.push(scale);
+        };
+        match scheme.granularity {
+            Granularity::PerTensor => quant_block(&mut (0..data.len())),
+            Granularity::PerToken => {
+                for r in 0..rows {
+                    quant_block(&mut (r * cols..(r + 1) * cols));
+                }
+            }
+            Granularity::PerChannel => {
+                for c in 0..cols {
+                    quant_block(&mut (0..rows).map(|r| r * cols + c));
+                }
+            }
+            Granularity::PerGroup(g) => {
+                for r in 0..rows {
+                    let mut start = 0;
+                    while start < cols {
+                        let end = (start + g).min(cols);
+                        quant_block(&mut (r * cols + start..r * cols + end));
+                        start = end;
+                    }
+                }
+            }
+        }
+        (codes, scales)
+    }
+
+    #[test]
+    fn every_granularity_matches_the_index_list_quantizer() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(13);
+        for (rows, cols) in [
+            (1usize, 1usize),
+            (3, 7),
+            (5, 20),
+            (17, 33),
+            (4, 130),
+            (0, 5),
+            (2, 0),
+        ] {
+            for bits in [2u8, 4, 8] {
+                let qmax = QuantScheme::act_per_token(bits).qmax() as f32;
+                // Random values, ties `k + ½` of a unit scale (a block's
+                // absmax is `qmax`), ±0, NaN, ±inf, subnormals, and
+                // outliers that round everything else in their block to
+                // 0.
+                let t = Tensor::from_fn(&[rows, cols], |i| match i % 11 {
+                    0 => qmax,
+                    1 => (rng.gen_range(-4i32..4) as f32 + 0.5).clamp(-qmax, qmax),
+                    2 => -0.0,
+                    3 if i % 7 == 0 => f32::NAN,
+                    4 if i % 5 == 0 => 1e30,
+                    5 if i % 13 == 0 => f32::NEG_INFINITY,
+                    6 => f32::from_bits(3),
+                    _ => rng.gen_range(-3.0f32..3.0),
+                });
+                for granularity in [
+                    Granularity::PerTensor,
+                    Granularity::PerToken,
+                    Granularity::PerChannel,
+                    Granularity::PerGroup(1),
+                    Granularity::PerGroup(4),
+                    Granularity::PerGroup(16),
+                    Granularity::PerGroup(128),
+                ] {
+                    for pot_scale in [false, true] {
+                        let scheme = QuantScheme {
+                            bits,
+                            granularity,
+                            pot_scale,
+                        };
+                        let q = QuantizedTensor::quantize(&t, scheme).unwrap();
+                        let (codes, scales) = quantize_by_index_lists(&t, scheme);
+                        let case = format!("{rows}×{cols} {scheme:?}");
+                        assert_eq!(q.codes(), codes, "{case}");
+                        let bits = |v: &[f32]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(q.scales()), bits(&scales), "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,11 @@
 //! gated norm's SiLU gate has no explicit form: its scalar loop,
 //! vectorised inside the AVX-512 copy, timed faster than one.
 //!
+//! Off the decode path, `Tensor::matmul` (the set-up's dense products)
+//! has register-blocked AVX2 and AVX-512 forms with the same order
+//! contract: the scalar loop's operations for every output element
+//! (`ops` module docs).
+//!
 //! The last column is the compilations of each block's per-sequence
 //! phases (`MambaBlock`'s step, `QuantizedMamba`'s layer step and
 //! finish): the same source built for the baseline and under
@@ -70,9 +75,21 @@
 //! let _granted = matches!(detect(), Isa::Avx512 { amx, .. } if amx.granted());
 //! ```
 //!
+//! Each fragment that must not compile below is followed by its twin,
+//! the same lines with only the forbidden construct replaced, which must
+//! compile: stable rustdoc does not check a `compile_fail` error code,
+//! so without the twin a fragment broken by a typo would pass as well.
+//! Naming a vector variant:
+//!
 //! ```compile_fail,E0603
 //! let forged = lightmamba_tensor::isa::Isa::Avx2;
 //! ```
+//!
+//! ```
+//! let forged = lightmamba_tensor::isa::Isa::Scalar;
+//! ```
+//!
+//! Rebuilding one around a grant it matched:
 //!
 //! ```compile_fail,E0639
 //! use lightmamba_tensor::isa::{detect, Isa};
@@ -81,11 +98,30 @@
 //! }
 //! ```
 //!
+//! ```
+//! use lightmamba_tensor::isa::{detect, Isa};
+//! # #[cfg(target_arch = "x86_64")]
+//! if let Isa::Avx512 { amx, .. } = detect() {
+//!     let forged = amx;
+//! }
+//! ```
+//!
+//! Storing a grant of its own through a mutable binding:
+//!
 //! ```compile_fail,E0423
 //! use lightmamba_tensor::isa::{detect, Amx, Isa};
 //! let mut isa = detect();
 //! if let Isa::Avx512 { amx, .. } = &mut isa {
 //!     *amx = Amx(true);
+//! }
+//! ```
+//!
+//! ```
+//! use lightmamba_tensor::isa::{detect, Amx, Isa};
+//! let mut isa = detect();
+//! # #[cfg(target_arch = "x86_64")]
+//! if let Isa::Avx512 { amx, .. } = &mut isa {
+//!     *amx = Amx::clone(amx);
 //! }
 //! ```
 

@@ -4,7 +4,14 @@
 //! ([`Tensor::matmul`]/[`Tensor::matvec`]), the SSM recurrence (element-wise
 //! outer products), and the rotation fusions of the quantization algorithm
 //! (dense matrix products with Hadamard factors).
+//!
+//! [`Tensor::matmul`] has register-blocked AVX2 and AVX-512 forms
+//! ([`Tensor::matmul_on`]). Every form gives every output element the
+//! scalar loop's operations in its order: a `+0.0` start, then for `p`
+//! ascending, unless `a[i][p] == 0.0` (either sign), a multiply and a
+//! separate add of `a[i][p] · b[p][j]`.
 
+use crate::isa::{detect, Isa};
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
@@ -30,6 +37,18 @@ impl Tensor {
     /// # }
     /// ```
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.matmul_on(detect(), rhs)
+    }
+
+    /// [`Tensor::matmul`] on `isa`'s form: on `Isa::Avx512` a block of
+    /// 4 rows × 64 columns, on `Isa::Avx2` 2 rows × 32 columns, held in
+    /// registers while `p` runs (module docs); the rows past the last
+    /// whole block run the scalar form. Every form gives the same bits.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Tensor::matmul`].
+    pub fn matmul_on(&self, isa: Isa, rhs: &Tensor) -> Result<Tensor> {
         let (m, k) = self.as_matrix_dims()?;
         let (k2, n) = rhs.as_matrix_dims()?;
         if k != k2 {
@@ -39,22 +58,21 @@ impl Tensor {
             });
         }
         let mut out = Tensor::zeros(&[m, n]);
-        let a = self.data();
-        let b = rhs.data();
-        let o = out.data_mut();
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            let orow = &mut o[i * n..(i + 1) * n];
-            for (p, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[p * n..(p + 1) * n];
-                for (ov, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *ov += av * bv;
-                }
-            }
+        if m == 0 || k == 0 || n == 0 {
+            return Ok(out);
         }
+        let (a, b, o) = (self.data(), rhs.data(), out.data_mut());
+        let blocked = match isa {
+            // SAFETY (both arms): only `detect` and `Isa::supported`
+            // build a vector `Isa`, and only where its features are
+            // present.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 { .. } => unsafe { avx512::gemm(a, b, o, k, n) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { avx2::gemm(a, b, o, k, n) },
+            Isa::Scalar => 0,
+        };
+        gemm_rows(&a[blocked * k..], b, &mut o[blocked * n..], k, n);
         Ok(out)
     }
 
@@ -164,13 +182,20 @@ impl Tensor {
     ///
     /// Returns [`TensorError::RankMismatch`] when `self` is not a matrix.
     pub fn transpose(&self) -> Result<Tensor> {
+        /// Side of the square tiles the copy walks, so the lines it
+        /// reads and writes stay in L1 while a tile is done.
+        const TILE: usize = 16;
         let (m, n) = self.as_matrix_dims()?;
         let a = self.data();
         let mut out = Tensor::zeros(&[n, m]);
         let o = out.data_mut();
-        for i in 0..m {
-            for j in 0..n {
-                o[j * m + i] = a[i * n + j];
+        for i0 in (0..m).step_by(TILE) {
+            for j0 in (0..n).step_by(TILE) {
+                for i in i0..(i0 + TILE).min(m) {
+                    for j in j0..(j0 + TILE).min(n) {
+                        o[j * m + i] = a[i * n + j];
+                    }
+                }
             }
         }
         Ok(out)
@@ -197,6 +222,204 @@ impl Tensor {
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Tensor {
         self.map(|v| v * s)
+    }
+}
+
+/// The scalar form of [`Tensor::matmul`] over whole rows: `o += a @ b`
+/// for `a` of `k` columns and `b`, `o` of `n ≥ 1`, one row after the
+/// other, `p` ascending, skipping `a[i][p] == 0.0`.
+fn gemm_rows(a: &[f32], b: &[f32], o: &mut [f32], k: usize, n: usize) {
+    for (arow, orow) in a.chunks_exact(k).zip(o.chunks_exact_mut(n)) {
+        for (&av, brow) in arow.iter().zip(b.chunks_exact(n)) {
+            if av == 0.0 {
+                continue;
+            }
+            for (ov, &bv) in orow.iter_mut().zip(brow.iter()) {
+                *ov += av * bv;
+            }
+        }
+    }
+}
+
+/// The 16-lane form of [`Tensor::matmul`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use std::arch::x86_64::*;
+
+    use crate::isa::lanes16::{load, mask16, store};
+
+    /// Rows of a register block.
+    const ROWS: usize = 4;
+    /// 16-lane vectors of a register block's row: 64 columns.
+    const VECS: usize = 4;
+
+    /// `o = a @ b` over the leading `ROWS`-row blocks of `a` (`k`
+    /// columns; `b` and `o` have `n`), overwriting those rows of `o`;
+    /// returns how many rows it did. Column blocks run outermost, so a block's
+    /// `k × 64` panel of `b` stays cache-hot across the row blocks; the
+    /// last one is masked.
+    ///
+    /// # Panics
+    ///
+    /// Unless the lengths fit `k, n ≥ 1`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn gemm(a: &[f32], b: &[f32], o: &mut [f32], k: usize, n: usize) -> usize {
+        let m = a.len() / k;
+        assert!(k >= 1 && n >= 1 && a.len() == m * k && b.len() == k * n && o.len() == m * n);
+        let rows = m - m % ROWS;
+        for j in (0..n).step_by(16 * VECS) {
+            let masks: [__mmask16; VECS] =
+                std::array::from_fn(|v| mask16((n - j).saturating_sub(16 * v)));
+            for i in (0..rows).step_by(ROWS) {
+                let at = Block {
+                    a: a[i * k..].as_ptr(),
+                    b: b[j..].as_ptr(),
+                    o: o[i * n + j..].as_mut_ptr(),
+                    k,
+                    n,
+                };
+                // SAFETY (both calls): the block's rows `i..i + ROWS`
+                // and its columns `j..` that `masks` selects lie inside
+                // the asserted lengths.
+                if n - j >= 16 * VECS {
+                    unsafe { block::<true>(&at, &masks) };
+                } else {
+                    unsafe { block::<false>(&at, &masks) };
+                }
+            }
+        }
+        rows
+    }
+
+    /// Where one register block starts.
+    struct Block {
+        a: *const f32,
+        b: *const f32,
+        o: *mut f32,
+        k: usize,
+        n: usize,
+    }
+
+    /// One `ROWS × 64` block: accumulators from `+0.0`, then per `p`
+    /// ascending one load of `b`'s row and, for each block row whose
+    /// `a[r][p] != 0.0`, a multiply and an add per vector; then the
+    /// stores. With `FULL` every column is whole, else `masks` selects.
+    ///
+    /// # Safety
+    ///
+    /// AVX512F, and every selected element of the block must be valid.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn block<const FULL: bool>(at: &Block, masks: &[__mmask16; VECS]) {
+        let mut acc = [[_mm512_setzero_ps(); VECS]; ROWS];
+        for p in 0..at.k {
+            let row = at.b.wrapping_add(p * at.n);
+            // SAFETY: the caller's contract; a vector `masks` empties
+            // reads nothing.
+            let bv: [__m512; VECS] = std::array::from_fn(|v| unsafe {
+                load::<FULL>(masks[v], row.wrapping_add(16 * v))
+            });
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `r < ROWS` and `p < k`.
+                let av = unsafe { *at.a.add(r * at.k + p) };
+                if av != 0.0 {
+                    let s = _mm512_set1_ps(av);
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = _mm512_add_ps(*acc, _mm512_mul_ps(s, bv));
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let row = at.o.wrapping_add(r * at.n);
+            for (v, &acc) in acc.iter().enumerate() {
+                // SAFETY: the caller's contract.
+                unsafe { store::<FULL>(row.wrapping_add(16 * v), masks[v], acc) };
+            }
+        }
+    }
+}
+
+/// The 8-lane form of [`Tensor::matmul`]: [`avx512`]'s blocking at
+/// 2 rows × 32 columns, the column tail on masked moves.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    const ROWS: usize = 2;
+    /// 8-lane vectors of a register block's row: 32 columns.
+    const VECS: usize = 4;
+
+    /// [`super::avx512::gemm`] on 8 lanes.
+    ///
+    /// # Panics
+    ///
+    /// Unless the lengths fit `k, n ≥ 1`.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn gemm(a: &[f32], b: &[f32], o: &mut [f32], k: usize, n: usize) -> usize {
+        let m = a.len() / k;
+        assert!(k >= 1 && n >= 1 && a.len() == m * k && b.len() == k * n && o.len() == m * n);
+        let rows = m - m % ROWS;
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        for j in (0..n).step_by(8 * VECS) {
+            let masks: [__m256i; VECS] = std::array::from_fn(|v| {
+                let left = (n - j).saturating_sub(8 * v).min(8) as i32;
+                _mm256_cmpgt_epi32(_mm256_set1_epi32(left), lanes)
+            });
+            for i in (0..rows).step_by(ROWS) {
+                let (a, b, o) = (
+                    a[i * k..].as_ptr(),
+                    b[j..].as_ptr(),
+                    o[i * n + j..].as_mut_ptr(),
+                );
+                // SAFETY: as in `avx512::gemm`.
+                unsafe { block(a, b, o, k, n, &masks) };
+            }
+        }
+        rows
+    }
+
+    /// One `ROWS × 32` block, as `avx512`'s, every column on masked moves
+    /// (a lane `masks` clears is neither read nor written).
+    ///
+    /// # Safety
+    ///
+    /// AVX2, and every selected element of the block must be valid.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn block(
+        a: *const f32,
+        b: *const f32,
+        o: *mut f32,
+        k: usize,
+        n: usize,
+        masks: &[__m256i; VECS],
+    ) {
+        let mut acc = [[_mm256_setzero_ps(); VECS]; ROWS];
+        for p in 0..k {
+            let row = b.wrapping_add(p * n);
+            // SAFETY: the caller's contract.
+            let bv: [__m256; VECS] = std::array::from_fn(|v| unsafe {
+                _mm256_maskload_ps(row.wrapping_add(8 * v), masks[v])
+            });
+            for (r, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: `r < ROWS` and `p < k`.
+                let av = unsafe { *a.add(r * k + p) };
+                if av != 0.0 {
+                    let s = _mm256_set1_ps(av);
+                    for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                        *acc = _mm256_add_ps(*acc, _mm256_mul_ps(s, bv));
+                    }
+                }
+            }
+        }
+        for (r, acc) in acc.iter().enumerate() {
+            let row = o.wrapping_add(r * n);
+            for (v, &acc) in acc.iter().enumerate() {
+                // SAFETY: the caller's contract.
+                unsafe { _mm256_maskstore_ps(row.wrapping_add(8 * v), masks[v], acc) };
+            }
+        }
     }
 }
 
@@ -262,6 +485,75 @@ mod tests {
             a.matmul(&b),
             Err(TensorError::MatmulDimMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn every_matmul_form_matches_the_scalar_form() {
+        use crate::activation::tests::same_bits;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Around every row block (4 and 2) and every column block and
+        // strip (64, 32, 16, 8), k = 1, and empty dimensions. `a` holds
+        // ±0.0 (skipped: `b` has ±inf and NaN, and 0 · inf is NaN), `b`
+        // subnormals, and an all-`-0.0`-product output must stay +0.0.
+        let specials = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(1),
+            -f32::from_bits(0x7F_FFFF),
+            f32::MIN_POSITIVE,
+            -0.0,
+        ];
+        let mut rng = StdRng::seed_from_u64(12);
+        for m in [0usize, 1, 2, 3, 4, 5, 7, 8, 9] {
+            for n in [
+                0usize, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 129,
+            ] {
+                for k in [0usize, 1, 2, 5, 33] {
+                    let mut a = Tensor::from_fn(&[m, k], |_| rng.gen_range(-2.0f32..2.0));
+                    for (idx, v) in a.data_mut().iter_mut().enumerate() {
+                        match idx % 5 {
+                            1 => *v = 0.0,
+                            3 => *v = -0.0,
+                            _ => {}
+                        }
+                    }
+                    let mut b = Tensor::from_fn(&[k, n], |_| rng.gen_range(-2.0f32..2.0));
+                    for (v, &x) in b
+                        .data_mut()
+                        .iter_mut()
+                        .step_by(3)
+                        .zip(specials.iter().cycle())
+                    {
+                        *v = x;
+                    }
+                    if m > 1 && k > 0 {
+                        // Row 1: every product is −0.0 or skipped.
+                        for p in 0..k {
+                            a.data_mut()[k + p] = if p % 2 == 0 { -1.0 } else { 0.0 };
+                        }
+                        if n > 0 {
+                            for p in 0..k {
+                                b.data_mut()[p * n] = 0.0;
+                            }
+                        }
+                    }
+                    let want = a.matmul_on(Isa::Scalar, &b).unwrap();
+                    if m > 1 && k > 0 && n > 0 {
+                        assert_eq!(want.data()[n].to_bits(), 0, "m {m} n {n} k {k}");
+                    }
+                    for isa in Isa::tiers() {
+                        let got = a.matmul_on(isa, &b).unwrap();
+                        assert_eq!(got.dims(), want.dims());
+                        assert!(
+                            same_bits(got.data(), want.data()),
+                            "{isa:?} m {m} n {n} k {k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

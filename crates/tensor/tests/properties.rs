@@ -83,6 +83,33 @@ proptest! {
     }
 
     #[test]
+    fn dispatched_matmul_matches_the_scalar_form_bitwise(
+        m in 1usize..12,
+        k in 1usize..40,
+        n in 1usize..140,
+        seed in 0u64..1_000_000,
+    ) {
+        use lightmamba_tensor::isa::Isa;
+        use rand::{Rng, SeedableRng};
+        const SPECIALS: [f32; 6] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-40];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut draw = || {
+            if rng.gen_range(0..6) == 0 {
+                SPECIALS[rng.gen_range(0..SPECIALS.len())]
+            } else {
+                rng.gen_range(-4.0f32..4.0)
+            }
+        };
+        let a = Tensor::from_fn(&[m, k], |_| draw());
+        let b = Tensor::from_fn(&[k, n], |_| draw());
+        let got = a.matmul(&b).unwrap();
+        let want = a.matmul_on(Isa::Scalar, &b).unwrap();
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            prop_assert_eq!(bits_nan_folded(*g), bits_nan_folded(*w), "{m}×{k}×{n} element {i}");
+        }
+    }
+
+    #[test]
     fn outer_accumulate_matches_matmul(
         a in proptest::collection::vec(-5.0f32..5.0, 1..6),
         b in proptest::collection::vec(-5.0f32..5.0, 1..6),
