@@ -72,10 +72,14 @@
 //! [`ActQuant`] scratch and outputs land in caller buffers, which is what
 //! keeps the serving hot path allocation-free.
 
+use std::ops::Range;
+
 use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::Tensor;
 
-use crate::quantizer::{Granularity, QuantScheme, QuantizedTensor};
+#[cfg(any(doc, test))]
+use crate::quantizer::QuantizedTensor;
+use crate::quantizer::{Granularity, QuantScheme};
 use crate::simd::{
     amx_form, code_quad, flush_quads, sweep, Act, Block, CodeQuad, Weights, AMX_QUADS, AMX_ROWS,
     KBLOCK, QUAD, TILE,
@@ -119,16 +123,51 @@ pub struct PackedW4 {
 
 impl PackedW4 {
     /// Quantizes a `(in_features, out_features)` weight matrix under a
-    /// per-group scheme with `bits ≤ 4` and packs the codes. The codes
-    /// are produced by the shared [`QuantizedTensor`] on the transposed
-    /// matrix, so the grid is identical to fake-quantizing the packed
-    /// view — the agreement proofs above rely on exactly this.
+    /// per-group scheme with `bits ≤ 4` and packs the codes, one
+    /// 32-output tile at a time (`PackedW4::quantize_rows` over the
+    /// tile's columns), so no transposed copy of the whole weight is
+    /// made. Each output's codes and scales are those the shared
+    /// [`QuantizedTensor`] gives the transposed matrix, so the grid is
+    /// identical to fake-quantizing the packed view — the agreement
+    /// proofs above rely on exactly this.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::InvalidScheme`] unless the scheme is
-    /// per-group with 2–4 bits.
+    /// per-group with 2–4 bits, and for the shapes
+    /// [`PackedW4::from_codes`] rejects.
     pub fn quantize(weight: &Tensor, scheme: QuantScheme) -> Result<Self> {
+        let (in_features, out_features) = weight.as_matrix_dims()?;
+        let w = weight.data();
+        PackedW4::quantize_rows(in_features, out_features, scheme, |outputs, rows| {
+            // Output `o`'s inputs are column `o` of the weight.
+            for (i, src) in w.chunks_exact(out_features).enumerate() {
+                for (lane, &v) in src[outputs.clone()].iter().enumerate() {
+                    rows[lane * in_features + i] = v;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// Quantizes and packs an `in_features × out_features` weight given
+    /// by its outputs' rows, one 32-output tile at a time:
+    /// `fill(outputs, rows)` writes the inputs of outputs `outputs` into
+    /// `rows`, `in_features` values per output. Each row is quantized on
+    /// its own ([`QuantizedTensor::quantize`]'s per-group blocks), so the
+    /// result is [`PackedW4::quantize`] of the matrix whose column `o` is
+    /// output `o`'s row, whatever produced the rows; only one tile of
+    /// them is held at a time.
+    ///
+    /// # Errors
+    ///
+    /// As [`PackedW4::quantize`]; an error of `fill` is passed on.
+    pub(crate) fn quantize_rows(
+        in_features: usize,
+        out_features: usize,
+        scheme: QuantScheme,
+        mut fill: impl FnMut(Range<usize>, &mut [f32]) -> Result<()>,
+    ) -> Result<Self> {
         scheme.validate()?;
         let group = match scheme.granularity {
             Granularity::PerGroup(g) => g,
@@ -144,17 +183,31 @@ impl PackedW4 {
                 scheme.bits
             )));
         }
-        let (in_features, out_features) = weight.as_matrix_dims()?;
-        // Quantize the transposed view so groups run along the reduction
-        // (input) dimension.
-        let q = QuantizedTensor::quantize(&weight.transpose()?, scheme)?;
-        PackedW4::from_codes(q.codes(), q.scales(), in_features, out_features, group)
+        let mut packed = PackedW4::empty(in_features, out_features, group)?;
+        let isa = detect();
+        let tile = TILE.min(out_features) * in_features;
+        let (mut rows, mut codes) = (vec![0.0f32; tile], vec![0i8; tile]);
+        let mut scales = Vec::with_capacity(out_features * packed.groups_per_row);
+        for o0 in (0..out_features).step_by(TILE) {
+            let outputs = o0..(o0 + TILE).min(out_features);
+            let n = outputs.len() * in_features;
+            fill(outputs, &mut rows[..n])?;
+            for (row, codes) in rows[..n]
+                .chunks_exact(in_features)
+                .zip(codes.chunks_exact_mut(in_features))
+            {
+                quantize_groups(isa, row, group, scheme, codes, &mut scales);
+            }
+            packed.push_tile(&codes[..n]);
+        }
+        packed.set_scales(scales);
+        Ok(packed)
     }
 
     /// Packs caller-supplied codes: `codes[o · in_features + i]` is the
     /// signed 4-bit code of output `o`, input `i`, and
     /// `scales[o · groups + g]` its group's scale — the
-    /// [`QuantizedTensor`] order [`PackedW4::quantize`] feeds in. Any
+    /// [`QuantizedTensor`] order [`PackedW4::quantize`] produces. Any
     /// nibble value is accepted, including the −8 the symmetric
     /// quantizer never emits.
     ///
@@ -171,19 +224,9 @@ impl PackedW4 {
         out_features: usize,
         group: usize,
     ) -> Result<Self> {
-        if in_features == 0 || out_features == 0 || group == 0 {
-            return Err(QuantError::InvalidScheme(format!(
-                "packed weight needs non-zero dimensions, got {in_features}×{out_features} group {group}"
-            )));
-        }
-        if in_features.saturating_mul(15 * 127) > i32::MAX as usize {
-            return Err(QuantError::InvalidScheme(format!(
-                "{in_features} inputs could overflow the kernel's i32 accumulators"
-            )));
-        }
-        let groups_per_row = in_features.div_ceil(group);
+        let mut packed = PackedW4::empty(in_features, out_features, group)?;
         if codes.len() != in_features * out_features
-            || scales.len() != out_features * groups_per_row
+            || scales.len() != out_features * packed.groups_per_row
         {
             return Err(QuantError::InvalidScheme(format!(
                 "{} codes and {} scales do not describe a {in_features}×{out_features} weight \
@@ -197,52 +240,38 @@ impl PackedW4 {
                 "code {c} does not fit a signed nibble"
             )));
         }
+        for tile in codes.chunks(TILE * in_features) {
+            packed.push_tile(tile);
+        }
+        packed.set_scales(scales.to_vec());
+        Ok(packed)
+    }
+
+    /// A packed weight of this shape with no tile packed and no scale
+    /// set yet.
+    ///
+    /// # Errors
+    ///
+    /// The shape errors of [`PackedW4::from_codes`].
+    fn empty(in_features: usize, out_features: usize, group: usize) -> Result<Self> {
+        if in_features == 0 || out_features == 0 || group == 0 {
+            return Err(QuantError::InvalidScheme(format!(
+                "packed weight needs non-zero dimensions, got {in_features}×{out_features} group {group}"
+            )));
+        }
+        if in_features.saturating_mul(15 * 127) > i32::MAX as usize {
+            return Err(QuantError::InvalidScheme(format!(
+                "{in_features} inputs could overflow the kernel's i32 accumulators"
+            )));
+        }
+        let groups_per_row = in_features.div_ceil(group);
         let quads_per_group = group.div_ceil(QUAD);
         let last_group = in_features - (groups_per_row - 1) * group;
         let quads = (groups_per_row - 1) * quads_per_group + last_group.div_ceil(QUAD);
-        let mut scales_t = vec![0.0f32; groups_per_row * out_features];
-        for o in 0..out_features {
-            for g in 0..groups_per_row {
-                scales_t[g * out_features + o] = scales[o * groups_per_row + g];
-            }
-        }
-        let tiles = out_features.div_ceil(TILE);
-        let mut blocks = Vec::with_capacity(tiles * quads);
-        for tile in 0..tiles {
-            // Each lane's codes; a lane past the last output reads none.
-            let lane_codes: [&[i8]; TILE] = std::array::from_fn(|lane| {
-                let o = tile * TILE + lane;
-                codes
-                    .get(o * in_features..(o + 1) * in_features)
-                    .unwrap_or(&[])
-            });
-            for quad in 0..quads {
-                // The quad's inputs `i0..i0 + n` (module docs' layout).
-                let (g, r0) = (quad / quads_per_group, QUAD * (quad % quads_per_group));
-                let i0 = g * group + r0;
-                let n = QUAD.min(group - r0).min(in_features - i0);
-                // A lane's four nibbles `code + 8` (`code ^ 8` in the low
-                // four bits), code 0 where the input or the lane is
-                // padding.
-                let nibbles = |lane: usize| {
-                    let mut quad = [0i8; QUAD];
-                    if let Some(c) = lane_codes[lane].get(i0..i0 + n) {
-                        quad[..n].copy_from_slice(c);
-                    }
-                    (u32::from_le_bytes(quad.map(|c| c as u8)) ^ 0x0808_0808) & 0x0F0F_0F0F
-                };
-                let mut block = Block([0; TILE * QUAD / 2]);
-                for (lane, bytes) in block.0.chunks_exact_mut(QUAD).enumerate() {
-                    let word = nibbles(lane) | nibbles(lane + TILE / 2) << 4;
-                    bytes.copy_from_slice(&word.to_le_bytes());
-                }
-                blocks.push(block);
-            }
-        }
         Ok(PackedW4 {
-            blocks,
-            scales: scales.to_vec(),
-            scales_t,
+            blocks: Vec::with_capacity(out_features.div_ceil(TILE) * quads),
+            scales: Vec::new(),
+            scales_t: Vec::new(),
             group,
             groups_per_row,
             quads_per_group,
@@ -250,6 +279,54 @@ impl PackedW4 {
             in_features,
             out_features,
         })
+    }
+
+    /// Packs the next tile: `codes` holds up to 32 outputs' codes,
+    /// `in_features` each; lanes past them are padding.
+    fn push_tile(&mut self, codes: &[i8]) {
+        let in_features = self.in_features;
+        // Each lane's codes; a lane past the last output reads none.
+        let lane_codes: [&[i8]; TILE] = std::array::from_fn(|lane| {
+            codes
+                .get(lane * in_features..(lane + 1) * in_features)
+                .unwrap_or(&[])
+        });
+        for quad in 0..self.quads {
+            // The quad's inputs `i0..i0 + n` (module docs' layout).
+            let (g, r0) = (
+                quad / self.quads_per_group,
+                QUAD * (quad % self.quads_per_group),
+            );
+            let i0 = g * self.group + r0;
+            let n = QUAD.min(self.group - r0).min(in_features - i0);
+            // A lane's four nibbles `code + 8` (`code ^ 8` in the low
+            // four bits), code 0 where the input or the lane is padding.
+            let nibbles = |lane: usize| {
+                let mut quad = [0i8; QUAD];
+                if let Some(c) = lane_codes[lane].get(i0..i0 + n) {
+                    quad[..n].copy_from_slice(c);
+                }
+                (u32::from_le_bytes(quad.map(|c| c as u8)) ^ 0x0808_0808) & 0x0F0F_0F0F
+            };
+            let mut block = Block([0; TILE * QUAD / 2]);
+            for (lane, bytes) in block.0.chunks_exact_mut(QUAD).enumerate() {
+                let word = nibbles(lane) | nibbles(lane + TILE / 2) << 4;
+                bytes.copy_from_slice(&word.to_le_bytes());
+            }
+            self.blocks.push(block);
+        }
+    }
+
+    /// Sets the output-major scales and their group-major copy.
+    fn set_scales(&mut self, scales: Vec<f32>) {
+        let (groups, outputs) = (self.groups_per_row, self.out_features);
+        self.scales_t = vec![0.0f32; groups * outputs];
+        for (o, row) in scales.chunks_exact(groups).enumerate() {
+            for (g, &s) in row.iter().enumerate() {
+                self.scales_t[g * outputs + o] = s;
+            }
+        }
+        self.scales = scales;
     }
 
     /// Where weight `(input i, output o)` lives: block index, byte
@@ -963,6 +1040,62 @@ mod tests {
                 assert_eq!(row, codes[o * inf..(o + 1) * inf], "output {o}");
             }
         }
+    }
+
+    #[test]
+    fn tile_packing_matches_packing_the_transposed_weight() {
+        // `quantize` packs one 32-output tile at a time; the oracle is
+        // the whole-matrix path it replaced: transpose, quantize per
+        // group, pack the codes. Output counts short of a tile, past
+        // one and ragged; last groups short; outputs of all zeros, of
+        // ±0, ±inf and NaN, and outliers.
+        let mut rng = StdRng::seed_from_u64(12);
+        for (inf, outf, group) in [
+            (1usize, 1usize, 1usize),
+            (20, 33, 16),
+            (37, 45, 8),
+            (64, 77, 64),
+            (100, 102, 16),
+            (130, 70, 128),
+            (256, 97, 128),
+        ] {
+            let mut w = random_weight(&mut rng, inf, outf);
+            let specials = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 40.0];
+            for (k, v) in w.data_mut().iter_mut().enumerate() {
+                match k % 7 {
+                    _ if k % outf == outf / 2 => *v = 0.0,
+                    3 => *v = specials[(k / 7) % specials.len()],
+                    _ => {}
+                }
+            }
+            let q = QuantizedTensor::quantize(&w.transpose().unwrap(), w4(group)).unwrap();
+            let want = PackedW4::from_codes(q.codes(), q.scales(), inf, outf, group).unwrap();
+            let got = PackedW4::quantize(&w, w4(group)).unwrap();
+            assert_eq!(
+                got.layout_bytes().collect::<Vec<_>>(),
+                want.layout_bytes().collect::<Vec<_>>(),
+                "{inf}×{outf} group {group}"
+            );
+            let bits = |p: &PackedW4| p.scales_t.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{inf}×{outf} group {group}");
+            assert_eq!(
+                got.scales().iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                q.scales().iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+            );
+            assert_eq!(
+                (got.quads, got.quads_per_group, got.groups_per_row),
+                (want.quads, want.quads_per_group, want.groups_per_row)
+            );
+        }
+        // A producer's error comes back as the packer's.
+        let err = PackedW4::quantize_rows(8, 40, w4(8), |outputs, _| {
+            if outputs.start == 32 {
+                Err(QuantError::InvalidScheme("tile 1".into()))
+            } else {
+                Ok(())
+            }
+        });
+        assert!(matches!(err, Err(QuantError::InvalidScheme(m)) if m == "tile 1"));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use lightmamba_tensor::Tensor;
 
 use crate::calib::{CalibrationStats, ChannelStats};
-use crate::prepared::{scale_rows, PreparedModel};
+use crate::prepared::{check_calibration, scale_rows, PreparedBlock, PreparedModel};
 use crate::Result;
 
 /// Numerical floor for scale factors.
@@ -70,22 +70,43 @@ fn condition(
     Ok(ss)
 }
 
-/// Applies OS+ shifting and scaling to both linear layers of every block.
+/// Applies OS+ shifting and scaling to both linear layers of every block
+/// (`apply_block` per layer).
 ///
 /// # Errors
 ///
 /// Returns [`crate::QuantError::InvalidCalibration`] when `stats` does not match
 /// the model shape.
 pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats) -> Result<()> {
-    prepared.check_calibration(stats)?;
-    for (l, block) in prepared.blocks.iter_mut().enumerate() {
-        let ss = condition(&mut block.w_in, &mut block.w_in_bias, &stats.in_proj[l])?;
-        block.in_act_shift = Some(ss.shift);
-        block.in_act_scale = Some(ss.scale);
-        let ss = condition(&mut block.w_out, &mut block.w_out_bias, &stats.out_proj[l])?;
-        block.out_act_shift = Some(ss.shift);
-        block.out_act_scale = Some(ss.scale);
+    check_calibration(&prepared.cfg, stats)?;
+    for (block, (in_stats, out_stats)) in prepared
+        .blocks
+        .iter_mut()
+        .zip(stats.in_proj.iter().zip(&stats.out_proj))
+    {
+        apply_block(block, in_stats, out_stats)?;
     }
+    Ok(())
+}
+
+/// OS+ on one block, from its layer's in_proj and out_proj calibration
+/// ranges (channel widths checked by the caller). The method has
+/// nothing to rewrite outside the blocks.
+///
+/// # Errors
+///
+/// Propagates tensor shape errors.
+pub(crate) fn apply_block(
+    block: &mut PreparedBlock,
+    in_stats: &ChannelStats,
+    out_stats: &ChannelStats,
+) -> Result<()> {
+    let ss = condition(&mut block.w_in, &mut block.w_in_bias, in_stats)?;
+    block.in_act_shift = Some(ss.shift);
+    block.in_act_scale = Some(ss.scale);
+    let ss = condition(&mut block.w_out, &mut block.w_out_bias, out_stats)?;
+    block.out_act_shift = Some(ss.shift);
+    block.out_act_scale = Some(ss.scale);
     Ok(())
 }
 

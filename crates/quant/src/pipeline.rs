@@ -4,14 +4,27 @@
 //! [`Method`], a [`QuantSpec`] (W8A8 / W4A4, with or without SSM
 //! quantization), provide calibration sequences for the channel-wise
 //! baselines, and get a runnable [`QuantizedMamba`].
+//!
+//! [`quantize_model`] works one block at a time, the way a checkpoint
+//! is read: each block is prepared, rewritten, quantized and packed, and
+//! its f32 weights are dropped before the next block is read. The
+//! model-level tensors follow once the blocks are done (and the dense
+//! HTU rotation is freed): the embedding, then the LM head, which is
+//! rewritten straight into its packer one 32-output tile at a time. So
+//! the set-up never holds a second f32 copy of the model: its high-water
+//! above the reference is what it keeps plus one block's working set.
 
 use lightmamba_model::MambaModel;
+use lightmamba_tensor::Tensor;
 
-use crate::calib;
-use crate::prepared::PreparedModel;
-use crate::qmodel::{Precision, QuantizedMamba};
-use crate::rotation::{self, RotationConfig};
+use crate::calib::{self, CalibrationStats};
+use crate::prepared::{check_calibration, PreparedBlock, PreparedModel};
+use crate::qmodel::{LmHead, Precision, QuantBuilder, QuantizedMamba};
+use crate::rotation::{self, Rotation, RotationConfig};
 use crate::{outlier_suppression, smoothquant, Result};
+
+/// SmoothQuant's migration strength α.
+const SMOOTHQUANT_ALPHA: f32 = 0.5;
 
 /// Outlier-handling method (the rows of Tables II and III).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -117,7 +130,7 @@ pub fn rewrite(
         Method::Rtn => Ok(()),
         Method::SmoothQuant => {
             let stats = calib::collect(reference, calibration)?;
-            smoothquant::apply(prepared, &stats, 0.5)
+            smoothquant::apply(prepared, &stats, SMOOTHQUANT_ALPHA)
         }
         Method::OutlierSuppressionPlus => {
             let stats = calib::collect(reference, calibration)?;
@@ -138,9 +151,13 @@ fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
 }
 
 /// The pipeline: prepare the FP reference, rewrite it under `method`, and
-/// quantize it under `spec`. For [`Method::LightMambaStar`] the SSM is
-/// additionally quantized with the PoT INT8 scheme at `spec.group`
-/// granularity.
+/// quantize it under `spec`, one block at a time (module docs). For
+/// [`Method::LightMambaStar`] the SSM is additionally quantized with the
+/// PoT INT8 scheme at `spec.group` granularity.
+///
+/// The result is bit for bit `QuantizedMamba::new` of [`rewrite`] on
+/// `PreparedModel::from_reference(reference)`: both run the same
+/// per-block rewrites and the same packer.
 ///
 /// # Errors
 ///
@@ -151,9 +168,114 @@ pub fn quantize_model(
     spec: &QuantSpec,
     calibration: &[Vec<u32>],
 ) -> Result<QuantizedMamba> {
-    let mut prepared = PreparedModel::from_reference(reference)?;
-    rewrite(&mut prepared, method, reference, calibration)?;
-    QuantizedMamba::new(prepared, finalize_precision(method, spec))
+    let cfg = reference.config();
+    let mut rewrite = Rewrite::new(method, reference, calibration)?;
+    let mut build = QuantBuilder::new(cfg.clone(), finalize_precision(method, spec))?;
+    for (l, block) in reference.blocks().iter().enumerate() {
+        let mut prepared = PreparedBlock::from_reference(block);
+        rewrite.block(l, &mut prepared)?;
+        build.block(prepared)?;
+    }
+    rewrite.end_blocks();
+    let embedding = rewrite.embedding(reference.embedding())?;
+    let gamma = reference.final_norm_gamma();
+    let (e, d_model) = (reference.embedding().data(), cfg.d_model);
+    // The LM head starts as `Eᵀ`: output (token) `j`'s inputs are `E[j]`.
+    let mut head_rows = |tokens: std::ops::Range<usize>, rows: &mut [f32]| {
+        rows.copy_from_slice(&e[tokens.start * d_model..tokens.end * d_model]);
+        rewrite.head_rows(rows, gamma)
+    };
+    build.finish(
+        embedding,
+        rewrite.final_norm_gamma(gamma),
+        LmHead::Rows(&mut head_rows),
+    )
+}
+
+/// One method's rewrite as [`quantize_model`] streams it: set up once,
+/// applied block by block, then to the model-level tensors — through
+/// the same per-block and model-level functions that the methods'
+/// `apply` run over a whole [`PreparedModel`].
+#[derive(Debug)]
+enum Rewrite {
+    /// Round-to-nearest: nothing to rewrite.
+    None,
+    SmoothQuant(CalibrationStats),
+    OutlierSuppression(CalibrationStats),
+    Rotation(Rotation),
+}
+
+impl Rewrite {
+    fn new(method: Method, reference: &MambaModel, calibration: &[Vec<u32>]) -> Result<Self> {
+        let calibrated = || -> Result<CalibrationStats> {
+            let stats = calib::collect(reference, calibration)?;
+            check_calibration(reference.config(), &stats)?;
+            Ok(stats)
+        };
+        Ok(match method {
+            Method::Rtn => Rewrite::None,
+            Method::SmoothQuant => Rewrite::SmoothQuant(calibrated()?),
+            Method::OutlierSuppressionPlus => Rewrite::OutlierSuppression(calibrated()?),
+            Method::LightMamba | Method::LightMambaStar => Rewrite::Rotation(Rotation::new(
+                &RotationConfig::default(),
+                reference.config(),
+            )?),
+        })
+    }
+
+    /// Rewrites block `l`.
+    fn block(&self, l: usize, block: &mut PreparedBlock) -> Result<()> {
+        match self {
+            Rewrite::None => Ok(()),
+            Rewrite::SmoothQuant(stats) => {
+                smoothquant::apply_block(
+                    block,
+                    &stats.in_proj[l],
+                    &stats.out_proj[l],
+                    SMOOTHQUANT_ALPHA,
+                );
+                Ok(())
+            }
+            Rewrite::OutlierSuppression(stats) => {
+                outlier_suppression::apply_block(block, &stats.in_proj[l], &stats.out_proj[l])
+            }
+            Rewrite::Rotation(rotation) => rotation.block(block),
+        }
+    }
+
+    /// Frees what only the blocks needed.
+    fn end_blocks(&mut self) {
+        if let Rewrite::Rotation(rotation) = self {
+            rotation.end_blocks();
+        }
+    }
+
+    /// The rewritten embedding.
+    fn embedding(&self, embedding: &Tensor) -> Result<Tensor> {
+        match self {
+            Rewrite::Rotation(rotation) => rotation.embedding(embedding),
+            _ => Ok(embedding.clone()),
+        }
+    }
+
+    /// Rewrites some of the LM head's outputs in place, each a row of
+    /// `d_model` inputs ([`Rotation::head_rows`]).
+    fn head_rows(&self, rows: &mut [f32], gamma: &[f32]) -> Result<()> {
+        if let Rewrite::Rotation(rotation) = self {
+            let d_model = gamma.len();
+            let t = Tensor::from_vec(rows.to_vec(), &[rows.len() / d_model, d_model])?;
+            rows.copy_from_slice(rotation.head_rows(t, gamma)?.data());
+        }
+        Ok(())
+    }
+
+    /// The final norm's scale after the rewrite.
+    fn final_norm_gamma(&self, gamma: &[f32]) -> Vec<f32> {
+        match self {
+            Rewrite::Rotation(_) => vec![1.0; gamma.len()],
+            _ => gamma.to_vec(),
+        }
+    }
 }
 
 #[cfg(test)]

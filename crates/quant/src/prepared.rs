@@ -10,7 +10,7 @@
 
 use lightmamba_hadamard::FactoredHadamard;
 use lightmamba_model::weights::InProjSplit;
-use lightmamba_model::{MambaConfig, MambaModel};
+use lightmamba_model::{MambaBlock, MambaConfig, MambaModel};
 use lightmamba_tensor::Tensor;
 
 use crate::calib::CalibrationStats;
@@ -71,6 +71,31 @@ pub struct PreparedModel {
     pub blocks: Vec<PreparedBlock>,
 }
 
+impl PreparedBlock {
+    /// Unpacks one reference block (no rewrites yet).
+    pub fn from_reference(block: &MambaBlock) -> Self {
+        let w = block.weights();
+        PreparedBlock {
+            norm_gamma: w.norm_gamma.clone(),
+            w_in: w.w_in.clone(),
+            w_in_bias: None,
+            in_act_scale: None,
+            in_act_shift: None,
+            conv_weight: w.conv_weight.clone(),
+            conv_bias: w.conv_bias.clone(),
+            a_log: w.a_log.clone(),
+            dt_bias: w.dt_bias.clone(),
+            d_skip: w.d_skip.clone(),
+            gate_norm_gamma: w.gate_norm_gamma.clone(),
+            online_hadamard: None,
+            out_act_scale: None,
+            out_act_shift: None,
+            w_out: w.w_out.clone(),
+            w_out_bias: None,
+        }
+    }
+}
+
 impl PreparedModel {
     /// Unpacks a reference model into the prepared form (no rewrites yet).
     ///
@@ -78,39 +103,16 @@ impl PreparedModel {
     ///
     /// Propagates tensor errors from the LM-head transpose.
     pub fn from_reference(model: &MambaModel) -> Result<Self> {
-        let cfg = model.config().clone();
-        let lm_head = model.embedding().transpose()?;
-        let blocks = model
-            .blocks()
-            .iter()
-            .map(|b| {
-                let w = b.weights();
-                PreparedBlock {
-                    norm_gamma: w.norm_gamma.clone(),
-                    w_in: w.w_in.clone(),
-                    w_in_bias: None,
-                    in_act_scale: None,
-                    in_act_shift: None,
-                    conv_weight: w.conv_weight.clone(),
-                    conv_bias: w.conv_bias.clone(),
-                    a_log: w.a_log.clone(),
-                    dt_bias: w.dt_bias.clone(),
-                    d_skip: w.d_skip.clone(),
-                    gate_norm_gamma: w.gate_norm_gamma.clone(),
-                    online_hadamard: None,
-                    out_act_scale: None,
-                    out_act_shift: None,
-                    w_out: w.w_out.clone(),
-                    w_out_bias: None,
-                }
-            })
-            .collect();
         Ok(PreparedModel {
-            final_norm_gamma: model.final_norm_gamma().to_vec(),
-            cfg,
+            cfg: model.config().clone(),
             embedding: model.embedding().clone(),
-            lm_head,
-            blocks,
+            lm_head: model.embedding().transpose()?,
+            final_norm_gamma: model.final_norm_gamma().to_vec(),
+            blocks: model
+                .blocks()
+                .iter()
+                .map(PreparedBlock::from_reference)
+                .collect(),
         })
     }
 
@@ -118,32 +120,31 @@ impl PreparedModel {
     pub fn split(&self) -> InProjSplit {
         InProjSplit::new(&self.cfg)
     }
+}
 
-    /// Checks that `stats` was collected on a model of this shape — the
-    /// precondition of the calibrated rewrites (SmoothQuant, OS+).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidCalibration`] when the layer count or a
-    /// layer's channel widths differ.
-    pub(crate) fn check_calibration(&self, stats: &CalibrationStats) -> Result<()> {
-        if stats.in_proj.len() != self.blocks.len() || stats.out_proj.len() != self.blocks.len() {
+/// Checks that `stats` was collected on a model of `cfg`'s shape — the
+/// precondition of the calibrated rewrites (SmoothQuant, OS+).
+///
+/// # Errors
+///
+/// Returns [`QuantError::InvalidCalibration`] when the layer count or a
+/// layer's channel widths differ.
+pub(crate) fn check_calibration(cfg: &MambaConfig, stats: &CalibrationStats) -> Result<()> {
+    if stats.in_proj.len() != cfg.n_layer || stats.out_proj.len() != cfg.n_layer {
+        return Err(QuantError::InvalidCalibration(format!(
+            "calibration covers {} layers, model has {}",
+            stats.in_proj.len(),
+            cfg.n_layer
+        )));
+    }
+    for (l, (in_stats, out_stats)) in stats.in_proj.iter().zip(&stats.out_proj).enumerate() {
+        if in_stats.channels() != cfg.d_model || out_stats.channels() != cfg.d_inner() {
             return Err(QuantError::InvalidCalibration(format!(
-                "calibration covers {} layers, model has {}",
-                stats.in_proj.len(),
-                self.blocks.len()
+                "layer {l} calibration channel width mismatch"
             )));
         }
-        for (l, (in_stats, out_stats)) in stats.in_proj.iter().zip(&stats.out_proj).enumerate() {
-            if in_stats.channels() != self.cfg.d_model || out_stats.channels() != self.cfg.d_inner()
-            {
-                return Err(QuantError::InvalidCalibration(format!(
-                    "layer {l} calibration channel width mismatch"
-                )));
-            }
-        }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Scales row `r` of the weight matrix `t` by `factors[r]` in place

@@ -43,6 +43,7 @@
 //! executes it on the SSMU's INT8 PoT datapath, not the MMU), so
 //! `LightMamba*`'s `ssm` scheme behaves identically in either mode.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use lightmamba_model::batch::{self, DecodeKernels, Workspace};
@@ -173,6 +174,185 @@ struct SharedWeights {
     blocks: Vec<QBlock>,
 }
 
+/// The LM head as [`QuantBuilder::finish`] receives it.
+pub(crate) enum LmHead<'a> {
+    /// The `(d_model, vocab)` weight.
+    Tensor(Tensor),
+    /// A producer of its outputs' rows, the `fill` of
+    /// [`PackedW4::quantize_rows`]: `fill(outputs, rows)` writes the
+    /// `d_model` inputs of each output (token) in `outputs` into `rows`.
+    /// A packable precision asks for one 32-output tile at a time;
+    /// another asks for every row at once and keeps the transposed
+    /// tensor.
+    Rows(&'a mut FillRows<'a>),
+}
+
+/// The producer behind [`LmHead::Rows`].
+pub(crate) type FillRows<'a> = dyn FnMut(Range<usize>, &mut [f32]) -> Result<()> + 'a;
+
+/// The one constructor of [`QuantizedMamba`], fed one prepared block at
+/// a time: [`QuantBuilder::block`] quantizes and packs a block's linear
+/// weights and drops its f32 tensors before the next block exists, and
+/// [`QuantBuilder::finish`] takes the model-level tensors.
+/// [`QuantizedMamba::new`] feeds it a [`PreparedModel`];
+/// [`crate::pipeline::quantize_model`] feeds it each block as it is
+/// rewritten, so no second f32 copy of the model is ever held.
+#[derive(Debug)]
+pub(crate) struct QuantBuilder {
+    cfg: MambaConfig,
+    precision: Precision,
+    storage_bits: usize,
+    blocks: Vec<QBlock>,
+}
+
+impl QuantBuilder {
+    /// A builder for a model of `cfg` at `precision`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates scheme validation errors.
+    pub(crate) fn new(cfg: MambaConfig, precision: Precision) -> Result<Self> {
+        for scheme in [precision.weight, precision.act, precision.ssm]
+            .into_iter()
+            .flatten()
+        {
+            scheme.validate()?;
+        }
+        Ok(QuantBuilder {
+            blocks: Vec::with_capacity(cfg.n_layer),
+            cfg,
+            precision,
+            storage_bits: 0,
+        })
+    }
+
+    /// Quantizes one linear weight, moving it when it stays FP. Returns
+    /// the oracle tensor (left unset for a packed weight, [`oracle`]
+    /// builds it) plus the packed form.
+    fn weight(&mut self, t: Tensor) -> Result<(OnceLock<Tensor>, Option<PackedW4>)> {
+        match self.precision.weight {
+            Some(scheme) if self.precision.is_packable() => {
+                let packed = PackedW4::quantize(&t, scheme)?;
+                self.storage_bits += packed.storage_bits();
+                Ok((OnceLock::new(), Some(packed)))
+            }
+            Some(scheme) => {
+                let q = QuantizedTensor::quantize(&t, scheme)?;
+                self.storage_bits += q.storage_bits();
+                Ok((OnceLock::from(q.dequantize()), None))
+            }
+            None => {
+                self.storage_bits += t.len() * 16;
+                Ok((OnceLock::from(t), None))
+            }
+        }
+    }
+
+    /// Quantizes and packs the next block.
+    ///
+    /// # Errors
+    ///
+    /// Propagates quantization and shape errors.
+    pub(crate) fn block(&mut self, block: PreparedBlock) -> Result<()> {
+        let PreparedBlock {
+            norm_gamma,
+            w_in,
+            w_in_bias,
+            in_act_scale,
+            in_act_shift,
+            conv_weight,
+            conv_bias,
+            a_log,
+            dt_bias,
+            d_skip,
+            gate_norm_gamma,
+            online_hadamard,
+            out_act_scale,
+            out_act_shift,
+            w_out,
+            w_out_bias,
+        } = block;
+        let (w_in, w_in_packed) = self.weight(w_in)?;
+        let (w_out, w_out_packed) = self.weight(w_out)?;
+        self.blocks.push(QBlock {
+            norm_gamma,
+            w_in,
+            w_in_packed,
+            w_in_bias,
+            in_act_scale,
+            in_act_shift,
+            conv_weight: tap_major(conv_weight)?,
+            conv_bias,
+            a_log,
+            dt_bias,
+            d_skip,
+            gate_norm_gamma,
+            online_hadamard,
+            out_act_scale,
+            out_act_shift,
+            w_out,
+            w_out_packed,
+            w_out_bias,
+        });
+        Ok(())
+    }
+
+    /// Quantizes the LM head and assembles the model.
+    ///
+    /// # Errors
+    ///
+    /// Propagates quantization and shape errors, and an error of the
+    /// head's producer.
+    pub(crate) fn finish(
+        mut self,
+        embedding: Tensor,
+        final_norm_gamma: Vec<f32>,
+        lm_head: LmHead<'_>,
+    ) -> Result<QuantizedMamba> {
+        let (d_model, vocab) = (self.cfg.d_model, self.cfg.vocab_size);
+        let packable = self.precision.is_packable();
+        let (lm_head, lm_head_packed) = match (lm_head, self.precision.weight) {
+            (LmHead::Rows(fill), Some(scheme)) if packable => {
+                let packed = PackedW4::quantize_rows(d_model, vocab, scheme, fill)?;
+                self.storage_bits += packed.storage_bits();
+                (OnceLock::new(), Some(packed))
+            }
+            (LmHead::Rows(fill), _) => {
+                let mut rows = Tensor::zeros(&[vocab, d_model]);
+                fill(0..vocab, rows.data_mut())?;
+                self.weight(rows.transpose()?)?
+            }
+            (LmHead::Tensor(t), _) => self.weight(t)?,
+        };
+        let QuantBuilder {
+            cfg,
+            precision,
+            storage_bits,
+            blocks,
+        } = self;
+        Ok(QuantizedMamba {
+            split: InProjSplit::new(&cfg),
+            dims: SsmDims::new(&cfg),
+            precision,
+            exec: if packable {
+                ExecMode::Integer
+            } else {
+                ExecMode::FakeQuant
+            },
+            weights: Arc::new(SharedWeights {
+                embedding,
+                lm_head,
+                lm_head_packed,
+                final_norm_gamma,
+                blocks,
+            }),
+            state: ModelState::new(&cfg),
+            cfg,
+            weight_storage_bits: storage_bits,
+        })
+    }
+}
+
 /// Kernel scratch of the quantized decode driver, one per lane: per row
 /// the shared FP block buffers ([`lightmamba_model::BlockScratch`] — one
 /// `prepare` keeps the shapes in sync with the FP path) and its
@@ -231,7 +411,9 @@ pub struct QuantizedMamba {
 }
 
 impl QuantizedMamba {
-    /// Quantizes a prepared model's weights under `precision`.
+    /// Quantizes a prepared model's weights under `precision`: a
+    /// `QuantBuilder` fed its blocks in order, then its embedding,
+    /// final norm and LM head.
     ///
     /// Parameter tensors are **moved** out of `prepared`, not cloned;
     /// everything immutable lands behind one shared `Arc`. When the
@@ -245,112 +427,18 @@ impl QuantizedMamba {
     ///
     /// Propagates scheme validation and shape errors.
     pub fn new(prepared: PreparedModel, precision: Precision) -> Result<Self> {
-        if let Some(s) = precision.weight {
-            s.validate()?;
-        }
-        if let Some(s) = precision.act {
-            s.validate()?;
-        }
-        if let Some(s) = precision.ssm {
-            s.validate()?;
-        }
-        let packable = precision.is_packable();
-        let mut storage_bits = 0usize;
-        // Quantizes one linear weight, moving it when it stays FP.
-        // Returns the oracle tensor (left unset for a packed weight,
-        // [`oracle`] builds it) plus the packed form.
-        let mut quant_weight = |t: Tensor| -> Result<(OnceLock<Tensor>, Option<PackedW4>)> {
-            match precision.weight {
-                Some(scheme) if packable => {
-                    let packed = PackedW4::quantize(&t, scheme)?;
-                    storage_bits += packed.storage_bits();
-                    Ok((OnceLock::new(), Some(packed)))
-                }
-                Some(scheme) => {
-                    let q = QuantizedTensor::quantize(&t, scheme)?;
-                    storage_bits += q.storage_bits();
-                    Ok((OnceLock::from(q.dequantize()), None))
-                }
-                None => {
-                    storage_bits += t.len() * 16;
-                    Ok((OnceLock::from(t), None))
-                }
-            }
-        };
-
         let PreparedModel {
             cfg,
             embedding,
             lm_head,
             final_norm_gamma,
-            blocks: prepared_blocks,
+            blocks,
         } = prepared;
-
-        let mut blocks = Vec::with_capacity(prepared_blocks.len());
-        for b in prepared_blocks {
-            let PreparedBlock {
-                norm_gamma,
-                w_in,
-                w_in_bias,
-                in_act_scale,
-                in_act_shift,
-                conv_weight,
-                conv_bias,
-                a_log,
-                dt_bias,
-                d_skip,
-                gate_norm_gamma,
-                online_hadamard,
-                out_act_scale,
-                out_act_shift,
-                w_out,
-                w_out_bias,
-            } = b;
-            let (w_in, w_in_packed) = quant_weight(w_in)?;
-            let (w_out, w_out_packed) = quant_weight(w_out)?;
-            blocks.push(QBlock {
-                norm_gamma,
-                w_in,
-                w_in_packed,
-                w_in_bias,
-                in_act_scale,
-                in_act_shift,
-                conv_weight: tap_major(conv_weight)?,
-                conv_bias,
-                a_log,
-                dt_bias,
-                d_skip,
-                gate_norm_gamma,
-                online_hadamard,
-                out_act_scale,
-                out_act_shift,
-                w_out,
-                w_out_packed,
-                w_out_bias,
-            });
+        let mut build = QuantBuilder::new(cfg, precision)?;
+        for block in blocks {
+            build.block(block)?;
         }
-        let (lm_head, lm_head_packed) = quant_weight(lm_head)?;
-        let state = ModelState::new(&cfg);
-        Ok(QuantizedMamba {
-            split: InProjSplit::new(&cfg),
-            dims: SsmDims::new(&cfg),
-            precision,
-            exec: if packable {
-                ExecMode::Integer
-            } else {
-                ExecMode::FakeQuant
-            },
-            weights: Arc::new(SharedWeights {
-                embedding,
-                lm_head,
-                lm_head_packed,
-                final_norm_gamma,
-                blocks,
-            }),
-            cfg,
-            state,
-            weight_storage_bits: storage_bits,
-        })
+        build.finish(embedding, final_norm_gamma, LmHead::Tensor(lm_head))
     }
 
     /// The model configuration.
@@ -1237,11 +1325,75 @@ mod tests {
         }
 
         fn packed(&mut self, p: &Option<PackedW4>) {
-            let p = p
-                .as_ref()
-                .expect("a packable precision packs every linear weight");
-            self.bytes(p.layout_bytes());
-            self.f32s(p.scales());
+            match p {
+                Some(p) => {
+                    self.bytes(p.layout_bytes());
+                    self.f32s(p.scales());
+                }
+                None => self.bytes([0xFF]),
+            }
+        }
+
+        /// Every f32 tensor and conditioning vector of a prepared model.
+        fn prepared(&mut self, p: &PreparedModel) {
+            self.f32s(p.embedding.data());
+            self.f32s(p.lm_head.data());
+            self.f32s(&p.final_norm_gamma);
+            for b in &p.blocks {
+                self.f32s(&b.norm_gamma);
+                self.f32s(b.w_in.data());
+                self.opt(&b.w_in_bias);
+                self.opt(&b.in_act_scale);
+                self.opt(&b.in_act_shift);
+                self.f32s(b.conv_weight.data());
+                for v in [
+                    &b.conv_bias,
+                    &b.a_log,
+                    &b.dt_bias,
+                    &b.d_skip,
+                    &b.gate_norm_gamma,
+                ] {
+                    self.f32s(v);
+                }
+                self.opt(&b.out_act_scale);
+                self.opt(&b.out_act_shift);
+                self.f32s(b.w_out.data());
+                self.opt(&b.w_out_bias);
+            }
+        }
+
+        /// Every packed block, scale, fake-quant weight and vector of a
+        /// quantized model (a packed model's fake-quant weights are
+        /// built here if no step has built them yet).
+        fn quantized(&mut self, q: &QuantizedMamba) {
+            let w = &q.weights;
+            self.f32s(w.embedding.data());
+            self.packed(&w.lm_head_packed);
+            self.f32s(oracle(&w.lm_head, &w.lm_head_packed).data());
+            self.f32s(&w.final_norm_gamma);
+            for b in &w.blocks {
+                self.f32s(&b.norm_gamma);
+                self.packed(&b.w_in_packed);
+                self.f32s(oracle(&b.w_in, &b.w_in_packed).data());
+                self.opt(&b.w_in_bias);
+                self.opt(&b.in_act_scale);
+                self.opt(&b.in_act_shift);
+                self.f32s(b.conv_weight.data());
+                for v in [
+                    &b.conv_bias,
+                    &b.a_log,
+                    &b.dt_bias,
+                    &b.d_skip,
+                    &b.gate_norm_gamma,
+                ] {
+                    self.f32s(v);
+                }
+                self.opt(&b.out_act_scale);
+                self.opt(&b.out_act_shift);
+                self.packed(&b.w_out_packed);
+                self.f32s(oracle(&b.w_out, &b.w_out_packed).data());
+                self.opt(&b.w_out_bias);
+            }
         }
     }
 
@@ -1255,30 +1407,7 @@ mod tests {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         let mut p = PreparedModel::from_reference(&model).unwrap();
         rewrite(&mut p, Method::LightMamba, &model, &[]).unwrap();
-        h.f32s(p.embedding.data());
-        h.f32s(p.lm_head.data());
-        h.f32s(&p.final_norm_gamma);
-        for b in &p.blocks {
-            h.f32s(&b.norm_gamma);
-            h.f32s(b.w_in.data());
-            h.opt(&b.w_in_bias);
-            h.opt(&b.in_act_scale);
-            h.opt(&b.in_act_shift);
-            h.f32s(b.conv_weight.data());
-            for v in [
-                &b.conv_bias,
-                &b.a_log,
-                &b.dt_bias,
-                &b.d_skip,
-                &b.gate_norm_gamma,
-            ] {
-                h.f32s(v);
-            }
-            h.opt(&b.out_act_scale);
-            h.opt(&b.out_act_shift);
-            h.f32s(b.w_out.data());
-            h.opt(&b.w_out_bias);
-        }
+        h.prepared(&p);
         let q = quantize_model(
             &model,
             Method::LightMamba,
@@ -1287,43 +1416,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(q.exec_mode(), ExecMode::Integer);
-        let w = &q.weights;
-        h.f32s(w.embedding.data());
-        h.packed(&w.lm_head_packed);
-        h.f32s(oracle(&w.lm_head, &w.lm_head_packed).data());
-        h.f32s(&w.final_norm_gamma);
-        for b in &w.blocks {
-            h.f32s(&b.norm_gamma);
-            h.packed(&b.w_in_packed);
-            h.f32s(oracle(&b.w_in, &b.w_in_packed).data());
-            h.opt(&b.w_in_bias);
-            h.opt(&b.in_act_scale);
-            h.opt(&b.in_act_shift);
-            h.f32s(b.conv_weight.data());
-            for v in [
-                &b.conv_bias,
-                &b.a_log,
-                &b.dt_bias,
-                &b.d_skip,
-                &b.gate_norm_gamma,
-            ] {
-                h.f32s(v);
-            }
-            h.opt(&b.out_act_scale);
-            h.opt(&b.out_act_shift);
-            h.packed(&b.w_out_packed);
-            h.f32s(oracle(&b.w_out, &b.w_out_packed).data());
-            h.opt(&b.w_out_bias);
-        }
+        h.quantized(&q);
         h.0
     }
 
-    #[test]
-    fn setup_digest_of_a_ragged_model_is_pinned() {
-        // No dimension is a multiple of 16, 32 or 64, and every weight's
-        // last group is short: d_model 20 = 16 + 4, d_inner 40 = 2·16 +
-        // 8, 102 in_proj outputs, a 77-token vocabulary.
-        let cfg = MambaConfig {
+    /// No dimension is a multiple of 16, 32 or 64, and every weight's
+    /// last group is short: d_model 20 = 16 + 4, d_inner 40 = 2·16 + 8,
+    /// 102 in_proj outputs (3 tiles and 6), a 77-token vocabulary (2
+    /// tiles and 13).
+    fn ragged_config() -> MambaConfig {
+        MambaConfig {
             d_model: 20,
             n_layer: 2,
             d_state: 9,
@@ -1332,8 +1434,69 @@ mod tests {
             headdim: 10,
             ngroups: 1,
             vocab_size: 77,
+        }
+    }
+
+    #[test]
+    fn setup_digest_of_a_ragged_model_is_pinned() {
+        assert_eq!(setup_digest(ragged_config(), 3, 16), 0xaa06_1aa1_3a9b_0762);
+    }
+
+    #[test]
+    fn streamed_set_up_matches_the_whole_model_one_for_every_method() {
+        // `quantize_model` streams blocks and the LM head's tiles; the
+        // whole-model path prepares and rewrites everything first.
+        // Both must give the same packed blocks, scales, fake-quant
+        // weights and logits, bit for bit, at a packable precision and
+        // at one that keeps f32 weights.
+        use crate::pipeline::{quantize_model, rewrite, Method, QuantSpec};
+        let cfg = ragged_config();
+        let model = MambaModel::synthetic(cfg.clone(), &mut StdRng::seed_from_u64(3)).unwrap();
+        let calib = SyntheticCorpus::for_vocab(cfg.vocab_size).calibration_set(
+            &mut StdRng::seed_from_u64(4),
+            3,
+            8,
+        );
+        let tokens = [3u32, 76, 0, 41, 41, 12];
+        let logit_bits = |q: &mut QuantizedMamba| -> Vec<u32> {
+            q.reset();
+            let mut bits = Vec::new();
+            for &t in &tokens {
+                bits.extend(q.step(t).unwrap().iter().map(|v| v.to_bits()));
+            }
+            bits
         };
-        assert_eq!(setup_digest(cfg, 3, 16), 0xaa06_1aa1_3a9b_0762);
+        for method in Method::ALL {
+            for spec in [QuantSpec::w4a4_grouped(16), QuantSpec::w8a8()] {
+                let label = format!("{method} {:?}", spec.precision);
+                let mut streamed = quantize_model(&model, method, &spec, &calib).unwrap();
+                let mut p = PreparedModel::from_reference(&model).unwrap();
+                rewrite(&mut p, method, &model, &calib).unwrap();
+                let mut whole = QuantizedMamba::new(p, streamed.precision()).unwrap();
+                assert_eq!(streamed.exec_mode(), whole.exec_mode(), "{label}");
+                assert_eq!(
+                    streamed.weight_storage_bits(),
+                    whole.weight_storage_bits(),
+                    "{label}"
+                );
+                let digest = |q: &QuantizedMamba| {
+                    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+                    h.quantized(q);
+                    h.0
+                };
+                assert_eq!(digest(&streamed), digest(&whole), "{label}: weights differ");
+                assert_eq!(logit_bits(&mut streamed), logit_bits(&mut whole), "{label}");
+                if streamed.exec_mode() == ExecMode::Integer {
+                    let mut streamed = streamed.with_exec_mode(ExecMode::FakeQuant).unwrap();
+                    let mut whole = whole.with_exec_mode(ExecMode::FakeQuant).unwrap();
+                    assert_eq!(
+                        logit_bits(&mut streamed),
+                        logit_bits(&mut whole),
+                        "{label}, fake-quant"
+                    );
+                }
+            }
+        }
     }
 
     /// The benchmark's model and quantization (release only: the

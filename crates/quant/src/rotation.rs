@@ -27,9 +27,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use lightmamba_hadamard::{FactoredHadamard, RandomizedHadamard};
+use lightmamba_model::MambaConfig;
 use lightmamba_tensor::Tensor;
 
-use crate::prepared::{scale_rows, PreparedModel};
+use crate::prepared::{scale_rows, PreparedBlock, PreparedModel};
 use crate::Result;
 
 /// Configuration of the rotation pass.
@@ -77,59 +78,143 @@ pub fn rotate_out_proj(
     Ok(h_dense.matmul(&scaled)?.matmul(q_dense)?)
 }
 
-/// Applies the full rotation-assisted rewrite to a prepared model.
+/// Applies the full rotation-assisted rewrite to a prepared model: one
+/// `Rotation`, applied to every block, the embedding and the LM head.
 ///
 /// # Errors
 ///
 /// Returns a rotation error when `d_model` or `d_inner` admits no Hadamard
 /// construction, and propagates tensor shape errors.
 pub fn apply(prepared: &mut PreparedModel, cfg: &RotationConfig) -> Result<()> {
-    let d_model = prepared.cfg.d_model;
-    let d_inner = prepared.cfg.d_inner();
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let q = RandomizedHadamard::new(d_model, &mut rng)?;
-    let q_dense = q.to_tensor();
-    let q_t = q_dense.transpose()?;
-
-    let htu = match cfg.htu_factors {
-        Some((pot, rem)) => FactoredHadamard::with_factors(pot, rem)?,
-        None => FactoredHadamard::new(d_inner)?,
-    };
-    if htu.len() != d_inner {
-        return Err(crate::QuantError::InvalidScheme(format!(
-            "htu factorization covers {} channels, d_inner is {d_inner}",
-            htu.len()
-        )));
-    }
-    let h_dense = htu.to_tensor();
-
-    // ① Embedding enters rotated space.
-    prepared.embedding = prepared.embedding.matmul(&q_dense)?;
-
+    let rotation = Rotation::new(cfg, &prepared.cfg)?;
     for block in &mut prepared.blocks {
+        rotation.block(block)?;
+    }
+    prepared.embedding = rotation.embedding(&prepared.embedding)?;
+    let rows = prepared.lm_head.transpose()?;
+    prepared.lm_head = rotation
+        .head_rows(rows, &prepared.final_norm_gamma)?
+        .transpose()?;
+    prepared.final_norm_gamma = vec![1.0; prepared.cfg.d_model];
+    Ok(())
+}
+
+/// The rotations of one rewrite in dense form, built once and applied
+/// block by block ([`Rotation::block`]), then to the model-level
+/// tensors ([`Rotation::embedding`], [`Rotation::head_rows`]) — by
+/// [`apply`] on a whole prepared model, and by the pipeline one block at
+/// a time.
+#[derive(Debug)]
+pub(crate) struct Rotation {
+    /// The randomized Hadamard `Q`, `d_model` square.
+    q: Tensor,
+    /// `Qᵀ`.
+    q_t: Tensor,
+    /// The HTU's `H` in dense form, `d_inner` square; freed by
+    /// [`Rotation::end_blocks`].
+    h: Option<Tensor>,
+    htu: FactoredHadamard,
+    fuse_second_norm: bool,
+}
+
+impl Rotation {
+    /// Builds `Q` from `cfg.seed` and the HTU's factorization of
+    /// `model`'s `d_inner`.
+    ///
+    /// # Errors
+    ///
+    /// As [`apply`].
+    pub(crate) fn new(cfg: &RotationConfig, model: &MambaConfig) -> Result<Self> {
+        let d_inner = model.d_inner();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let q = RandomizedHadamard::new(model.d_model, &mut rng)?.to_tensor();
+        let htu = match cfg.htu_factors {
+            Some((pot, rem)) => FactoredHadamard::with_factors(pot, rem)?,
+            None => FactoredHadamard::new(d_inner)?,
+        };
+        if htu.len() != d_inner {
+            return Err(crate::QuantError::InvalidScheme(format!(
+                "htu factorization covers {} channels, d_inner is {d_inner}",
+                htu.len()
+            )));
+        }
+        Ok(Rotation {
+            q_t: q.transpose()?,
+            q,
+            h: Some(htu.to_tensor()),
+            htu,
+            fuse_second_norm: cfg.fuse_second_norm,
+        })
+    }
+
+    /// Fusions ②–④ on one block.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    ///
+    /// # Panics
+    ///
+    /// After [`Rotation::end_blocks`].
+    pub(crate) fn block(&self, block: &mut PreparedBlock) -> Result<()> {
+        let h = self
+            .h
+            .as_ref()
+            .expect("blocks are rotated before end_blocks");
         // ② Split the pre-norm scale into W_in, then rotate its input side.
         scale_rows(&mut block.w_in, &block.norm_gamma);
-        block.w_in = q_t.matmul(&block.w_in)?;
-        block.norm_gamma = vec![1.0; d_model];
+        block.w_in = self.q_t.matmul(&block.w_in)?;
+        block.norm_gamma = vec![1.0; block.norm_gamma.len()];
 
         // ③/④ Online Hadamard before out_proj; rotate W_out on both sides.
-        let gate_gamma = if cfg.fuse_second_norm {
-            let g = block.gate_norm_gamma.clone();
-            block.gate_norm_gamma = vec![1.0; d_inner];
-            Some(g)
+        let gate_gamma = if self.fuse_second_norm {
+            let ones = vec![1.0; block.gate_norm_gamma.len()];
+            Some(std::mem::replace(&mut block.gate_norm_gamma, ones))
         } else {
             None
         };
-        block.w_out = rotate_out_proj(&block.w_out, gate_gamma.as_deref(), &h_dense, &q_dense)?;
-        block.online_hadamard = Some(htu.clone());
+        block.w_out = rotate_out_proj(&block.w_out, gate_gamma.as_deref(), h, &self.q)?;
+        block.online_hadamard = Some(self.htu.clone());
+        Ok(())
     }
 
-    // ⑤ Split the final norm scale into the LM head and rotate it back.
-    scale_rows(&mut prepared.lm_head, &prepared.final_norm_gamma);
-    prepared.lm_head = q_t.matmul(&prepared.lm_head)?;
-    prepared.final_norm_gamma = vec![1.0; d_model];
+    /// Frees the dense `H` once every block is rotated.
+    pub(crate) fn end_blocks(&mut self) {
+        self.h = None;
+    }
 
-    Ok(())
+    /// Fusion ①: the embedding `E·Q`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    pub(crate) fn embedding(&self, embedding: &Tensor) -> Result<Tensor> {
+        Ok(embedding.matmul(&self.q)?)
+    }
+
+    /// Fusion ⑤ for some of the LM head's outputs: `rows` holds each
+    /// output's inputs as a row (`Eᵀ`'s columns, i.e. `E`'s rows, before
+    /// any rewrite) and becomes `(rows ⊙ γ_final)·Q`. Output `j`'s row is
+    /// column `j` of `Qᵀ·diag(γ)·Eᵀ` bit for bit: each element is the same
+    /// products `Q[p][p']·(E[j][p]·γ[p])` (a product does not depend on
+    /// the order of its factors) added from `+0.0` in ascending `p`, and
+    /// where `matmul` skips a zero of `rows` instead of adding the ±0
+    /// product, the sum does not change: a sum that starts at `+0.0` is
+    /// never `−0`. So the same rows come out one tile at a time or all
+    /// at once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates tensor shape errors.
+    pub(crate) fn head_rows(&self, mut rows: Tensor, gamma: &[f32]) -> Result<Tensor> {
+        let (_, d_model) = rows.as_matrix_dims()?;
+        for row in rows.data_mut().chunks_exact_mut(d_model) {
+            for (v, g) in row.iter_mut().zip(gamma) {
+                *v *= g;
+            }
+        }
+        Ok(rows.matmul(&self.q)?)
+    }
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 
 use lightmamba_tensor::stats::per_token_absmax;
 
-use crate::calib::CalibrationStats;
-use crate::prepared::{scale_rows, PreparedModel};
+use crate::calib::{CalibrationStats, ChannelStats};
+use crate::prepared::{check_calibration, scale_rows, PreparedBlock, PreparedModel};
 use crate::Result;
 
 /// Numerical floor for smoothing factors.
@@ -34,34 +34,49 @@ pub fn smoothing_factors(act_absmax: &[f32], weight_absmax: &[f32], alpha: f32) 
         .collect()
 }
 
-/// Applies SmoothQuant to both linear layers of every block.
+/// Applies SmoothQuant to both linear layers of every block
+/// (`apply_block` per layer).
 ///
 /// # Errors
 ///
 /// Returns [`crate::QuantError::InvalidCalibration`] when `stats` does not match
 /// the model's layer count or channel widths.
 pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats, alpha: f32) -> Result<()> {
-    prepared.check_calibration(stats)?;
-    for (l, block) in prepared.blocks.iter_mut().enumerate() {
-        let in_stats = &stats.in_proj[l];
-        let out_stats = &stats.out_proj[l];
-        // in_proj: fold the divide into the pre-norm scale (γ/s) so no
-        // run-time op is needed, scale weight rows by s.
-        let s_in = smoothing_factors(&in_stats.absmax, &per_token_absmax(&block.w_in), alpha);
-        for (g, s) in block.norm_gamma.iter_mut().zip(s_in.iter()) {
-            *g /= s;
-        }
-        scale_rows(&mut block.w_in, &s_in);
-
-        // out_proj: the input comes from the gated norm; fold into the
-        // gate-norm scale likewise.
-        let s_out = smoothing_factors(&out_stats.absmax, &per_token_absmax(&block.w_out), alpha);
-        for (g, s) in block.gate_norm_gamma.iter_mut().zip(s_out.iter()) {
-            *g /= s;
-        }
-        scale_rows(&mut block.w_out, &s_out);
+    check_calibration(&prepared.cfg, stats)?;
+    for (block, (in_stats, out_stats)) in prepared
+        .blocks
+        .iter_mut()
+        .zip(stats.in_proj.iter().zip(&stats.out_proj))
+    {
+        apply_block(block, in_stats, out_stats, alpha);
     }
     Ok(())
+}
+
+/// SmoothQuant on one block, from its layer's in_proj and out_proj
+/// calibration ranges (channel widths checked by the caller). The
+/// method has nothing to rewrite outside the blocks.
+pub(crate) fn apply_block(
+    block: &mut PreparedBlock,
+    in_stats: &ChannelStats,
+    out_stats: &ChannelStats,
+    alpha: f32,
+) {
+    // in_proj: fold the divide into the pre-norm scale (γ/s) so no
+    // run-time op is needed, scale weight rows by s.
+    let s_in = smoothing_factors(&in_stats.absmax, &per_token_absmax(&block.w_in), alpha);
+    for (g, s) in block.norm_gamma.iter_mut().zip(s_in.iter()) {
+        *g /= s;
+    }
+    scale_rows(&mut block.w_in, &s_in);
+
+    // out_proj: the input comes from the gated norm; fold into the
+    // gate-norm scale likewise.
+    let s_out = smoothing_factors(&out_stats.absmax, &per_token_absmax(&block.w_out), alpha);
+    for (g, s) in block.gate_norm_gamma.iter_mut().zip(s_out.iter()) {
+        *g /= s;
+    }
+    scale_rows(&mut block.w_out, &s_out);
 }
 
 #[cfg(test)]
