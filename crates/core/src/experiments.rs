@@ -30,6 +30,7 @@ use lightmamba_hadamard::{FactoredHadamard, RandomizedHadamard};
 use lightmamba_model::corpus::SyntheticCorpus;
 use lightmamba_model::synth::{channel_persistence, synthetic_activations, OutlierPattern};
 use lightmamba_model::{MambaConfig, MambaModel, ModelPreset};
+use lightmamba_pool::WorkerPool;
 use lightmamba_quant::metrics::{activation_quant_error, quant_error};
 use lightmamba_quant::outlier_suppression::shift_scale;
 use lightmamba_quant::pipeline::{Method, QuantSpec};
@@ -776,6 +777,7 @@ fn fig4b() -> Outcome {
         .expect("96 is constructible")
         .to_tensor();
     let scheme = QuantScheme::weight_per_group(4, 32);
+    let pool = WorkerPool::per_cpu();
 
     // Per layer: (only-rotate error, fuse-and-rotate error), with
     // heavy-tailed weights and gate-norm scales as `model::synth` draws them.
@@ -789,7 +791,8 @@ fn fig4b() -> Outcome {
                 .map(|_| 1.0 + 0.15 * heavy_tailed(&mut rng, 0.02, 6.0).abs())
                 .collect();
             let error = |gamma: Option<&[f32]>| {
-                let rotated = rotate_out_proj(&w, gamma, &h_dense, &q_dense).expect("shapes agree");
+                let rotated =
+                    rotate_out_proj(&pool, &w, gamma, &h_dense, &q_dense).expect("shapes agree");
                 quant_error(&rotated, scheme).expect("valid scheme")
             };
             (error(None), error(Some(&gamma)))

@@ -19,31 +19,106 @@
 
 use rand::Rng;
 
-use lightmamba_tensor::rng::{heavy_tailed, normal};
+use lightmamba_pool::WorkerPool;
+use lightmamba_tensor::rng::{heavy_tailed, normal, HeavyDraw};
 use lightmamba_tensor::Tensor;
 
 use crate::weights::{BlockWeights, ModelWeights};
 use crate::MambaConfig;
+
+/// Heavy-tailed samples per pipeline step of [`Sampler::heavy`]: one
+/// draw buffer is 8192 × 12 B = 96 KiB.
+const CHUNK: usize = 8192;
+/// Samples per transform task: a chunk is eight tasks for the lanes.
+const PIECE: usize = 1024;
 
 /// Scale used for projection weights (`1/√fan_in` Xavier-style).
 fn proj_std(fan_in: usize) -> f32 {
     1.0 / (fan_in as f32).sqrt()
 }
 
+/// Makes the heavy-tailed tensors — the embedding and every `w_in` and
+/// `w_out`, nearly all of the model's samples — on a set-up's lanes.
+/// The caller's thread draws each chunk's coins and uniforms from the
+/// generator, in the order [`heavy_tailed`] draws them, into one of two
+/// reused buffers, while the lanes turn the previous chunk's draws into
+/// samples ([`HeavyDraw::sample`]: the Box–Muller `ln`, `sqrt` and `cos`,
+/// which cost most of a sample). So the generator's stream and every
+/// sample's operations are those of the serial loop, whatever the lane
+/// count; a one-lane pool draws a chunk, then transforms the previous one.
+struct Sampler<'p> {
+    pool: &'p WorkerPool,
+    draws: [Vec<HeavyDraw>; 2],
+}
+
+impl<'p> Sampler<'p> {
+    fn new(pool: &'p WorkerPool) -> Self {
+        Sampler {
+            pool,
+            draws: std::array::from_fn(|_| vec![HeavyDraw::default(); CHUNK]),
+        }
+    }
+
+    /// A `dims` tensor of `scale · heavy_tailed(rng, tail_prob,
+    /// tail_scale)`, element by element in row-major order.
+    fn heavy<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        dims: &[usize],
+        scale: f32,
+        tail_prob: f64,
+        tail_scale: f32,
+    ) -> Tensor {
+        let fill = |rng: &mut R, draws: &mut [HeavyDraw]| {
+            for d in draws {
+                *d = HeavyDraw::draw(rng, tail_prob);
+            }
+        };
+        let mut t = Tensor::zeros(dims);
+        let [cur, next] = &mut self.draws;
+        let mut chunks = t.data_mut().chunks_mut(CHUNK);
+        let mut out = chunks.next();
+        if let Some(out) = &out {
+            fill(rng, &mut cur[..out.len()]);
+        }
+        while let Some(samples) = out {
+            let following = chunks.next();
+            let mut pieces: Vec<_> = samples.chunks_mut(PIECE).zip(cur.chunks(PIECE)).collect();
+            self.pool.run_over_beside(
+                &mut pieces,
+                |_, (samples, draws)| {
+                    for (v, d) in samples.iter_mut().zip(draws.iter()) {
+                        *v = scale * d.sample(tail_scale);
+                    }
+                },
+                || {
+                    if let Some(f) = &following {
+                        fill(rng, &mut next[..f.len()]);
+                    }
+                },
+            );
+            std::mem::swap(cur, next);
+            out = following;
+        }
+        t
+    }
+}
+
 /// Generates one block of synthetic weights.
 pub fn synthetic_block<R: Rng + ?Sized>(cfg: &MambaConfig, rng: &mut R) -> BlockWeights {
+    block(cfg, rng, &mut Sampler::new(&WorkerPool::per_cpu()))
+}
+
+/// [`synthetic_block`] with its heavy-tailed tensors from `sampler`.
+fn block<R: Rng + ?Sized>(cfg: &MambaConfig, rng: &mut R, sampler: &mut Sampler) -> BlockWeights {
     let d = cfg.d_model;
     let di = cfg.d_inner();
     let h = cfg.nheads();
 
     // Projections: mostly Gaussian with a sprinkle of heavy tails, matching
     // the weight kurtosis regime of trained LLMs.
-    let std_in = proj_std(d);
-    let w_in = Tensor::from_fn(&[d, cfg.d_in_proj()], |_| {
-        std_in * heavy_tailed(rng, 0.002, 8.0)
-    });
-    let std_out = proj_std(di);
-    let w_out = Tensor::from_fn(&[di, d], |_| std_out * heavy_tailed(rng, 0.002, 8.0));
+    let w_in = sampler.heavy(rng, &[d, cfg.d_in_proj()], proj_std(d), 0.002, 8.0);
+    let w_out = sampler.heavy(rng, &[di, d], proj_std(di), 0.002, 8.0);
 
     // Conv taps small and centered; bias near zero.
     let conv_weight = Tensor::from_fn(&[cfg.conv_dim(), cfg.d_conv], |_| normal(rng, 0.0, 0.35));
@@ -85,13 +160,23 @@ pub fn synthetic_block<R: Rng + ?Sized>(cfg: &MambaConfig, rng: &mut R) -> Block
     }
 }
 
-/// Generates full synthetic model weights for `cfg`.
+/// Generates full synthetic model weights for `cfg`, the heavy-tailed
+/// tensors on one lane per CPU (`Sampler`): the weights are the same
+/// bits on any number of lanes.
 pub fn synthetic_weights<R: Rng + ?Sized>(cfg: &MambaConfig, rng: &mut R) -> ModelWeights {
-    let embedding = Tensor::from_fn(&[cfg.vocab_size, cfg.d_model], |_| {
-        0.02 * heavy_tailed(rng, 0.005, 6.0)
-    });
+    weights_on(cfg, rng, &WorkerPool::per_cpu())
+}
+
+/// [`synthetic_weights`] on `pool`'s lanes.
+pub(crate) fn weights_on<R: Rng + ?Sized>(
+    cfg: &MambaConfig,
+    rng: &mut R,
+    pool: &WorkerPool,
+) -> ModelWeights {
+    let mut sampler = Sampler::new(pool);
+    let embedding = sampler.heavy(rng, &[cfg.vocab_size, cfg.d_model], 0.02, 0.005, 6.0);
     let blocks = (0..cfg.n_layer)
-        .map(|_| synthetic_block(cfg, rng))
+        .map(|_| block(cfg, rng, &mut sampler))
         .collect();
     let final_norm_gamma = (0..cfg.d_model).map(|_| normal(rng, 1.0, 0.05)).collect();
     ModelWeights {
@@ -274,6 +359,95 @@ mod tests {
         let a = synthetic_weights(&cfg, &mut StdRng::seed_from_u64(5));
         let b = synthetic_weights(&cfg, &mut StdRng::seed_from_u64(5));
         assert_eq!(a, b);
+    }
+
+    /// FNV-1a over the bits of every weight `weights_on(pool)` makes for
+    /// `cfg` under `seed`, in declaration order.
+    fn synth_digest(cfg: &MambaConfig, seed: u64, pool: &WorkerPool) -> u64 {
+        let w = weights_on(cfg, &mut StdRng::seed_from_u64(seed), pool);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |xs: &[f32]| {
+            for x in xs {
+                for b in x.to_bits().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+                }
+            }
+        };
+        eat(w.embedding.data());
+        for b in &w.blocks {
+            eat(&b.norm_gamma);
+            eat(b.w_in.data());
+            eat(b.conv_weight.data());
+            eat(&b.conv_bias);
+            eat(&b.a_log);
+            eat(&b.dt_bias);
+            eat(&b.d_skip);
+            eat(&b.gate_norm_gamma);
+            eat(b.w_out.data());
+        }
+        eat(&w.final_norm_gamma);
+        h
+    }
+
+    /// The benchmark's model (`benchmark/src/workload.rs`).
+    #[cfg(not(debug_assertions))]
+    fn bench_config() -> MambaConfig {
+        MambaConfig {
+            d_model: 256,
+            n_layer: 4,
+            d_state: 64,
+            d_conv: 4,
+            expand: 2,
+            headdim: 64,
+            ngroups: 1,
+            vocab_size: 2048,
+        }
+    }
+
+    /// No heavy-tailed tensor is a multiple of 1024 elements: embedding
+    /// 301 × 72 = 21672, `w_in` 72 × 313 = 22536, `w_out` 144 × 72 = 10368.
+    fn ragged_config() -> MambaConfig {
+        MambaConfig {
+            d_model: 72,
+            n_layer: 2,
+            d_state: 8,
+            d_conv: 4,
+            expand: 2,
+            headdim: 16,
+            ngroups: 1,
+            vocab_size: 301,
+        }
+    }
+
+    /// Recorded before synthesis ran on more than one lane; every lane
+    /// count must give the same bits.
+    #[test]
+    fn synth_digest_of_a_ragged_model_is_pinned_on_any_lane_count() {
+        for lanes in [1, 2, 3] {
+            let pool = WorkerPool::new(lanes);
+            let got = synth_digest(&ragged_config(), 3, &pool);
+            assert_eq!(got, 0xb11a_0ca1_e8bf_a98a, "{lanes} lanes");
+        }
+    }
+
+    /// The benchmark's model (release only: 2.2 M Box–Muller samples are
+    /// slow in debug).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn synth_digest_of_the_benchmark_model_is_pinned_on_any_lane_count() {
+        for lanes in [1, 2, 3] {
+            let pool = WorkerPool::new(lanes);
+            let got = synth_digest(&bench_config(), 7, &pool);
+            assert_eq!(got, 0xe60c_092d_f53c_5288, "{lanes} lanes");
+        }
+        assert_eq!(
+            synthetic_weights(&bench_config(), &mut StdRng::seed_from_u64(7)),
+            weights_on(
+                &bench_config(),
+                &mut StdRng::seed_from_u64(7),
+                &WorkerPool::new(1)
+            )
+        );
     }
 
     #[test]

@@ -1,4 +1,6 @@
 //! Persistent worker pool for sharding engine decode steps across cores.
+//! Model set-up uses it too: synthesis and the rotation's dense products
+//! each run on a pool built for that one call ([`WorkerPool::per_cpu`]).
 //!
 //! The serving engine advances every active sequence once per step. The
 //! per-sequence work (one weight-stationary sweep over the model layers)
@@ -222,6 +224,14 @@ impl WorkerPool {
         self.threads
     }
 
+    /// A pool with one lane per CPU this process may run on:
+    /// [`std::thread::available_parallelism`], which honours the
+    /// affinity mask (under `taskset -c 0` it is one lane, and the
+    /// caller runs every task), or one lane when that is unknown.
+    pub fn per_cpu() -> Self {
+        WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    }
+
     /// Runs `f(i, &mut items[i])` for every element of `items` across
     /// the pool and returns once all calls have completed, each task
     /// receiving exclusive mutable access to its own slot — the shape
@@ -247,9 +257,38 @@ impl WorkerPool {
     /// of surviving tasks are fully written; a panicked task's slot may
     /// hold a torn partial write. The pool itself stays usable.
     pub fn run_over<W: Send>(&self, items: &mut [W], f: impl Fn(usize, &mut W) + Sync) {
+        self.run_over_beside(items, f, || ());
+    }
+
+    /// [`run_over`](Self::run_over) with `own` run on the calling thread
+    /// while the workers start on the tasks: the caller joins the claim
+    /// loop once `own` returns, and this returns `own`'s result after
+    /// every task has completed. `own` need not be `Send` — a pipeline
+    /// stage that must stay on the caller's thread (drawing from a
+    /// caller's random number generator, say) overlaps the tasks this
+    /// way. On a one-lane pool `own` runs first, then every task.
+    ///
+    /// ```
+    /// use lightmamba_pool::WorkerPool;
+    /// let pool = WorkerPool::new(2);
+    /// let mut doubled = [1u32, 2, 3];
+    /// let next: Vec<u32> = pool.run_over_beside(&mut doubled, |_, v| *v *= 2, || vec![4, 5]);
+    /// assert_eq!((doubled, next), ([2, 4, 6], vec![4, 5]));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// As [`run_over`](Self::run_over); a panic of `own` is re-raised
+    /// after the barrier too, ahead of a task's.
+    pub fn run_over_beside<W: Send, T>(
+        &self,
+        items: &mut [W],
+        f: impl Fn(usize, &mut W) + Sync,
+        own: impl FnOnce() -> T,
+    ) -> T {
         let tasks = items.len();
         if tasks == 0 {
-            return;
+            return own();
         }
         let base = SendPtr(items.as_mut_ptr());
         let task = move |i: usize| {
@@ -264,9 +303,10 @@ impl WorkerPool {
         let _serial = self.run_lock.lock().unwrap_or_else(PoisonError::into_inner);
         let task: &(dyn Fn(usize) + Sync) = &task;
         // SAFETY: the job pointer escapes to worker threads, but this
-        // function blocks below until `finished == tasks`, and workers
-        // drop their borrow of the closure before incrementing
-        // `finished`, so the closure outlives every dereference.
+        // function blocks below until `finished == tasks` (also when
+        // `own` panics: that panic is caught first), and workers drop
+        // their borrow of the closure before incrementing `finished`, so
+        // the closure outlives every dereference.
         let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
         {
             let mut st = self.shared.lock();
@@ -277,6 +317,7 @@ impl WorkerPool {
             st.finished = 0;
         }
         self.shared.work_cv.notify_all();
+        let own = catch_unwind(AssertUnwindSafe(own));
 
         let mut st = self.shared.claim_tasks(self.shared.lock());
         while st.finished < st.tasks {
@@ -289,8 +330,9 @@ impl WorkerPool {
         st.job = None;
         let panic = st.panic.take();
         drop(st);
-        if let Some(payload) = panic {
-            resume_unwind(payload);
+        match (own, panic) {
+            (Err(payload), _) | (Ok(_), Some(payload)) => resume_unwind(payload),
+            (Ok(own), None) => own,
         }
     }
 }
@@ -437,6 +479,40 @@ mod tests {
     fn task_panic_propagates_and_pool_survives() {
         panic_is_contained_on(2);
         panic_is_contained_on(4);
+    }
+
+    #[test]
+    fn own_runs_on_the_caller_beside_the_tasks() {
+        for threads in 1..=3 {
+            let pool = WorkerPool::new(threads);
+            let caller = std::thread::current().id();
+            let mut out = vec![0usize; 20];
+            let own = pool.run_over_beside(
+                &mut out,
+                |i, v| *v = i + 1,
+                || std::thread::current().id() == caller,
+            );
+            assert!(own, "{threads} threads");
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
+            assert_eq!(pool.run_over_beside(&mut [0u8; 0], |_, _| {}, || 7), 7);
+        }
+        // A panic of `own` comes back after every task has run.
+        let pool = WorkerPool::new(2);
+        let mut out = [0u8; 6];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_over_beside(&mut out, |_, v| *v = 1, || panic!("own fails"))
+        }));
+        assert_eq!(
+            caught.unwrap_err().downcast_ref::<&str>(),
+            Some(&"own fails")
+        );
+        assert_eq!(out, [1; 6]);
+    }
+
+    #[test]
+    fn per_cpu_has_a_lane_per_available_cpu() {
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(WorkerPool::per_cpu().threads(), cpus);
     }
 
     #[test]

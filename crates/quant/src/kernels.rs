@@ -743,12 +743,23 @@ impl GemvScratch {
         let mut qmax = 1;
         for (act, quads) in acts.iter().zip(self.quads.chunks_exact_mut(w.quads)) {
             qmax = qmax.max(act.qmax);
-            for (codes, quads) in act
-                .codes()
-                .chunks(w.group)
-                .zip(quads.chunks_mut(w.quads_per_group))
-            {
-                self.qsum.push(codes.iter().map(|&q| q as i32).sum());
+            let codes = act.codes();
+            let groups = codes.chunks(w.group);
+            self.qsum.extend(
+                groups
+                    .clone()
+                    .map(|g| g.iter().map(|&q| q as i32).sum::<i32>()),
+            );
+            if w.group.is_multiple_of(QUAD) && codes.len().is_multiple_of(QUAD) {
+                // Every group is whole quads, so the quads are the code
+                // bytes read as little-endian words, back to back.
+                for (quad, q) in quads.iter_mut().zip(codes.chunks_exact(QUAD)) {
+                    *quad = code_quad(q.try_into().expect("a quad"));
+                }
+                continue;
+            }
+            // A ragged group: its last quad is padded with zero codes.
+            for (codes, quads) in groups.zip(quads.chunks_mut(w.quads_per_group)) {
                 for (q, quad) in codes.chunks(QUAD).zip(quads) {
                     *quad = code_quad(std::array::from_fn(|t| q.get(t).copied().unwrap_or(0)));
                 }

@@ -15,6 +15,7 @@
 //! above the reference is what it keeps plus one block's working set.
 
 use lightmamba_model::MambaModel;
+use lightmamba_pool::WorkerPool;
 use lightmamba_tensor::Tensor;
 
 use crate::calib::{self, CalibrationStats};
@@ -182,8 +183,11 @@ pub fn quantize_model(
     let (e, d_model) = (reference.embedding().data(), cfg.d_model);
     // The LM head starts as `Eᵀ`: output (token) `j`'s inputs are `E[j]`.
     let mut head_rows = |tokens: std::ops::Range<usize>, rows: &mut [f32]| {
-        rows.copy_from_slice(&e[tokens.start * d_model..tokens.end * d_model]);
-        rewrite.head_rows(rows, gamma)
+        rewrite.head_rows(
+            &e[tokens.start * d_model..tokens.end * d_model],
+            gamma,
+            rows,
+        )
     };
     build.finish(
         embedding,
@@ -219,6 +223,7 @@ impl Rewrite {
             Method::LightMamba | Method::LightMambaStar => Rewrite::Rotation(Rotation::new(
                 &RotationConfig::default(),
                 reference.config(),
+                WorkerPool::per_cpu(),
             )?),
         })
     }
@@ -258,15 +263,16 @@ impl Rewrite {
         }
     }
 
-    /// Rewrites some of the LM head's outputs in place, each a row of
-    /// `d_model` inputs ([`Rotation::head_rows`]).
-    fn head_rows(&self, rows: &mut [f32], gamma: &[f32]) -> Result<()> {
-        if let Rewrite::Rotation(rotation) = self {
-            let d_model = gamma.len();
-            let t = Tensor::from_vec(rows.to_vec(), &[rows.len() / d_model, d_model])?;
-            rows.copy_from_slice(rotation.head_rows(t, gamma)?.data());
+    /// Rewrites some of the LM head's outputs, each a row of `d_model`
+    /// `inputs`, into `rows` ([`Rotation::head_rows`]).
+    fn head_rows(&self, inputs: &[f32], gamma: &[f32], rows: &mut [f32]) -> Result<()> {
+        match self {
+            Rewrite::Rotation(rotation) => rotation.head_rows(inputs, gamma, rows),
+            _ => {
+                rows.copy_from_slice(inputs);
+                Ok(())
+            }
         }
-        Ok(())
     }
 
     /// The final norm's scale after the rewrite.

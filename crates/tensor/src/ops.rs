@@ -11,6 +11,8 @@
 //! ascending, unless `a[i][p] == 0.0` (either sign), a multiply and a
 //! separate add of `a[i][p] · b[p][j]`.
 
+use std::ops::Range;
+
 use crate::isa::{detect, Isa};
 use crate::{Result, Tensor, TensorError};
 
@@ -49,6 +51,32 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_on(&self, isa: Isa, rhs: &Tensor) -> Result<Tensor> {
+        let (m, _) = self.as_matrix_dims()?;
+        let (_, n) = rhs.as_matrix_dims()?;
+        let mut out = Tensor::zeros(&[m, n]);
+        self.matmul_rows_into(isa, rhs, 0..m, out.data_mut())?;
+        Ok(out)
+    }
+
+    /// Rows `rows` of `self @ rhs` on `isa`'s form, written into `out`
+    /// (`rows.len()` rows of `rhs`'s `n` columns, overwritten). A row of
+    /// the product reads only its own row of `self`, and the register
+    /// blocks start at `rows.start`, so each row comes out bit for bit
+    /// as in [`Tensor::matmul_on`] however the rows are split: callers
+    /// shard one product across threads by output rows.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul`], plus [`TensorError::IndexOutOfBounds`] when
+    /// `rows` ends past `self`'s rows or is reversed, and
+    /// [`TensorError::LengthMismatch`] when `out` is not `rows.len() × n`.
+    pub fn matmul_rows_into(
+        &self,
+        isa: Isa,
+        rhs: &Tensor,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) -> Result<()> {
         let (m, k) = self.as_matrix_dims()?;
         let (k2, n) = rhs.as_matrix_dims()?;
         if k != k2 {
@@ -57,23 +85,35 @@ impl Tensor {
                 right_rows: k2,
             });
         }
-        let mut out = Tensor::zeros(&[m, n]);
-        if m == 0 || k == 0 || n == 0 {
-            return Ok(out);
+        if rows.start > rows.end || rows.end > m {
+            return Err(TensorError::IndexOutOfBounds {
+                index: rows.end.max(rows.start),
+                len: m,
+            });
         }
-        let (a, b, o) = (self.data(), rhs.data(), out.data_mut());
+        if out.len() != rows.len() * n {
+            return Err(TensorError::LengthMismatch {
+                expected: rows.len() * n,
+                actual: out.len(),
+            });
+        }
+        out.fill(0.0);
+        if rows.is_empty() || k == 0 || n == 0 {
+            return Ok(());
+        }
+        let (a, b) = (&self.data()[rows.start * k..rows.end * k], rhs.data());
         let blocked = match isa {
             // SAFETY (both arms): only `detect` and `Isa::supported`
             // build a vector `Isa`, and only where its features are
             // present.
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 { .. } => unsafe { avx512::gemm(a, b, o, k, n) },
+            Isa::Avx512 { .. } => unsafe { avx512::gemm(a, b, out, k, n) },
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => unsafe { avx2::gemm(a, b, o, k, n) },
+            Isa::Avx2 => unsafe { avx2::gemm(a, b, out, k, n) },
             Isa::Scalar => 0,
         };
-        gemm_rows(&a[blocked * k..], b, &mut o[blocked * n..], k, n);
-        Ok(out)
+        gemm_rows(&a[blocked * k..], b, &mut out[blocked * n..], k, n);
+        Ok(())
     }
 
     /// Matrix–vector product `self @ x` where `self` is `(m, k)` and `x`
@@ -554,6 +594,45 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn every_row_range_matches_the_rows_of_the_whole_product() {
+        use crate::activation::tests::same_bits;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Ranges that start and end off the 4- and 2-row blocks, empty
+        // ones, and `a` with zero entries (skipped, as in the whole
+        // product).
+        let mut rng = StdRng::seed_from_u64(44);
+        for m in [1usize, 3, 5, 33] {
+            for (k, n) in [(1usize, 1usize), (7, 17), (33, 65), (16, 130)] {
+                let mut a = Tensor::from_fn(&[m, k], |_| rng.gen_range(-2.0f32..2.0));
+                for v in a.data_mut().iter_mut().step_by(3) {
+                    *v = 0.0;
+                }
+                let b = Tensor::from_fn(&[k, n], |_| rng.gen_range(-2.0f32..2.0));
+                for isa in Isa::supported() {
+                    let whole = a.matmul_on(isa, &b).unwrap();
+                    for r0 in 0..=m {
+                        for r1 in (r0..=m).filter(|&r1| r1 - r0 < 7 || r1 == m) {
+                            let mut out = vec![f32::NAN; (r1 - r0) * n];
+                            a.matmul_rows_into(isa, &b, r0..r1, &mut out).unwrap();
+                            assert!(
+                                same_bits(&out, &whole.data()[r0 * n..r1 * n]),
+                                "{isa:?} m {m} k {k} n {n} rows {r0}..{r1}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let a = Tensor::zeros(&[3, 2]);
+        let b = Tensor::zeros(&[2, 4]);
+        let mut out = vec![0.0; 8];
+        assert!(a.matmul_rows_into(Isa::Scalar, &b, 2..4, &mut out).is_err());
+        assert!(a.matmul_rows_into(Isa::Scalar, &b, 0..1, &mut out).is_err());
+        assert!(a.matmul_rows_into(Isa::Scalar, &b, 1..3, &mut out).is_ok());
     }
 
     #[test]

@@ -12,9 +12,20 @@ use rand::Rng;
 
 /// Draws one standard-normal sample via the Box–Muller transform.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
-    // Guard u1 away from 0 so ln(u1) is finite.
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms behind one [`standard_normal`] sample, in the
+/// order it draws them: `u1` guarded away from 0 so `ln(u1)` is finite.
+fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f32, f32) {
     let u1: f32 = rng.gen_range(f32::MIN_POSITIVE..1.0);
     let u2: f32 = rng.gen::<f32>();
+    (u1, u2)
+}
+
+/// The Box–Muller transform of two uniforms into a standard normal.
+fn box_muller(u1: f32, u2: f32) -> f32 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
 }
 
@@ -30,10 +41,38 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std: f32) -> f32 {
 /// `tail_prob`/`tail_scale` and is the building block for the scattered
 /// activation outliers of the paper's Fig. 2.
 pub fn heavy_tailed<R: Rng + ?Sized>(rng: &mut R, tail_prob: f64, tail_scale: f32) -> f32 {
-    if rng.gen_bool(tail_prob) {
-        tail_scale * standard_normal(rng)
-    } else {
-        standard_normal(rng)
+    HeavyDraw::draw(rng, tail_prob).sample(tail_scale)
+}
+
+/// What one [`heavy_tailed`] sample takes from the generator — the tail
+/// coin and the two uniforms — drawn apart from the arithmetic that
+/// turns them into the sample, so a caller can draw in order on one
+/// thread and transform on others: `HeavyDraw::draw(rng, p).sample(s)`
+/// is `heavy_tailed(rng, p, s)`, bit for bit and draw for draw.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HeavyDraw {
+    tail: bool,
+    u1: f32,
+    u2: f32,
+}
+
+impl HeavyDraw {
+    /// Draws the coin (`true` with probability `tail_prob`), then the
+    /// uniforms.
+    pub fn draw<R: Rng + ?Sized>(rng: &mut R, tail_prob: f64) -> Self {
+        let tail = rng.gen_bool(tail_prob);
+        let (u1, u2) = box_muller_uniforms(rng);
+        HeavyDraw { tail, u1, u2 }
+    }
+
+    /// The sample: the Box–Muller normal, times `tail_scale` in the tail.
+    pub fn sample(self, tail_scale: f32) -> f32 {
+        let z = box_muller(self.u1, self.u2);
+        if self.tail {
+            tail_scale * z
+        } else {
+            z
+        }
     }
 }
 
