@@ -14,8 +14,8 @@
 
 use lightmamba_tensor::Tensor;
 
-use crate::calib::{CalibrationStats, ChannelStats};
-use crate::prepared::{check_calibration, scale_rows, PreparedBlock, PreparedModel};
+use crate::calib::ChannelStats;
+use crate::prepared::{scale_rows, PreparedBlock};
 use crate::Result;
 
 /// Numerical floor for scale factors.
@@ -70,28 +70,8 @@ fn condition(
     Ok(ss)
 }
 
-/// Applies OS+ shifting and scaling to both linear layers of every block
-/// (`apply_block` per layer).
-///
-/// # Errors
-///
-/// Returns [`crate::QuantError::InvalidCalibration`] when `stats` does not match
-/// the model shape.
-pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats) -> Result<()> {
-    check_calibration(&prepared.cfg, stats)?;
-    for (block, (in_stats, out_stats)) in prepared
-        .blocks
-        .iter_mut()
-        .zip(stats.in_proj.iter().zip(&stats.out_proj))
-    {
-        apply_block(block, in_stats, out_stats)?;
-    }
-    Ok(())
-}
-
 /// OS+ on one block, from its layer's in_proj and out_proj calibration
-/// ranges (channel widths checked by the caller). The method has
-/// nothing to rewrite outside the blocks.
+/// ranges. The method has nothing to rewrite outside the blocks.
 ///
 /// # Errors
 ///
@@ -114,7 +94,7 @@ pub(crate) fn apply_block(
 mod tests {
     use super::*;
     use crate::calib;
-    use crate::qmodel::{Precision, QuantizedMamba};
+    use crate::pipeline::{quantize_model, Method, QuantSpec};
     use lightmamba_model::corpus::SyntheticCorpus;
     use lightmamba_model::eval::{compare_models, ReferenceRunner};
     use lightmamba_model::{MambaConfig, MambaModel};
@@ -148,10 +128,8 @@ mod tests {
     #[test]
     fn rewrite_preserves_fp_function() {
         let (model, seqs) = setup();
-        let stats = calib::collect(&model, &seqs).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(&mut p, &stats).unwrap();
-        let mut q = QuantizedMamba::new(p, Precision::fp()).unwrap();
+        let method = Method::OutlierSuppressionPlus;
+        let mut q = quantize_model(&model, method, &QuantSpec::fp16(), &seqs).unwrap();
         let mut r = ReferenceRunner::new(model);
         let rep = compare_models(&mut r, &mut q, &seqs).unwrap();
         assert!(rep.mean_kl < 1e-3, "fp invariance broken: {}", rep.mean_kl);
@@ -162,21 +140,11 @@ mod tests {
     fn biases_are_installed() {
         let (model, seqs) = setup();
         let stats = calib::collect(&model, &seqs).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(&mut p, &stats).unwrap();
-        assert!(p.blocks[0].w_in_bias.is_some());
-        assert!(p.blocks[0].w_out_bias.is_some());
-        assert!(p.blocks[0].in_act_shift.is_some());
-        assert!(p.blocks[0].out_act_scale.is_some());
-    }
-
-    #[test]
-    fn mismatched_calibration_rejected() {
-        let (model, seqs) = setup();
-        let stats = calib::collect(&model, &seqs).unwrap();
-        let other =
-            MambaModel::synthetic(MambaConfig::small(), &mut StdRng::seed_from_u64(10)).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&other).unwrap();
-        assert!(apply(&mut p, &stats).is_err());
+        let mut p = PreparedBlock::from_reference(&model.blocks()[0]);
+        apply_block(&mut p, &stats.in_proj[0], &stats.out_proj[0]).unwrap();
+        assert!(p.w_in_bias.is_some());
+        assert!(p.w_out_bias.is_some());
+        assert!(p.in_act_shift.is_some());
+        assert!(p.out_act_scale.is_some());
     }
 }

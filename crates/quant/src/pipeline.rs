@@ -5,23 +5,24 @@
 //! quantization), provide calibration sequences for the channel-wise
 //! baselines, and get a runnable [`QuantizedMamba`].
 //!
-//! [`quantize_model`] works one block at a time, the way a checkpoint
-//! is read: each block is prepared, rewritten, quantized and packed, and
-//! its f32 weights are dropped before the next block is read. The
-//! model-level tensors follow once the blocks are done (and the dense
-//! HTU rotation is freed): the embedding, then the LM head, which is
-//! rewritten straight into its packer one 32-output tile at a time. So
-//! the set-up never holds a second f32 copy of the model: its high-water
-//! above the reference is what it keeps plus one block's working set.
+//! [`quantize_model`] is the one way a [`QuantizedMamba`] is built. It
+//! works one block at a time, the way a checkpoint is read: each block
+//! is prepared, rewritten, quantized and packed, and its f32 weights are
+//! dropped before the next block is read. The model-level tensors
+//! follow once the blocks are done (and the dense HTU rotation is
+//! freed): the embedding, then the LM head, which is rewritten straight
+//! into its packer one 32-output tile at a time. So the set-up never
+//! holds a second f32 copy of the model: its high-water above the
+//! reference is what it keeps plus one block's working set.
 
 use lightmamba_model::MambaModel;
 use lightmamba_pool::WorkerPool;
 use lightmamba_tensor::Tensor;
 
 use crate::calib::{self, CalibrationStats};
-use crate::prepared::{check_calibration, PreparedBlock, PreparedModel};
-use crate::qmodel::{LmHead, Precision, QuantBuilder, QuantizedMamba};
-use crate::rotation::{self, Rotation, RotationConfig};
+use crate::prepared::PreparedBlock;
+use crate::qmodel::{Precision, QuantBuilder, QuantizedMamba};
+use crate::rotation::{Rotation, RotationConfig};
 use crate::{outlier_suppression, smoothquant, Result};
 
 /// SmoothQuant's migration strength α.
@@ -112,37 +113,6 @@ impl QuantSpec {
     }
 }
 
-/// Applies `method`'s weight rewrite to a prepared model.
-///
-/// `calibration` must be non-empty for calibration-based methods; rotation
-/// methods ignore it.
-///
-/// # Errors
-///
-/// Propagates calibration, rotation, and shape errors.
-pub fn rewrite(
-    prepared: &mut PreparedModel,
-    method: Method,
-    reference: &MambaModel,
-    calibration: &[Vec<u32>],
-) -> Result<()> {
-    match method {
-        // Round-to-nearest is the no-conditioning baseline: nothing to rewrite.
-        Method::Rtn => Ok(()),
-        Method::SmoothQuant => {
-            let stats = calib::collect(reference, calibration)?;
-            smoothquant::apply(prepared, &stats, SMOOTHQUANT_ALPHA)
-        }
-        Method::OutlierSuppressionPlus => {
-            let stats = calib::collect(reference, calibration)?;
-            outlier_suppression::apply(prepared, &stats)
-        }
-        Method::LightMamba | Method::LightMambaStar => {
-            rotation::apply(prepared, &RotationConfig::default())
-        }
-    }
-}
-
 fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
     if method == Method::LightMambaStar {
         spec.precision.with_ssm_pot(spec.group)
@@ -156,22 +126,34 @@ fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
 /// [`Method::LightMambaStar`] the SSM is additionally quantized with the
 /// PoT INT8 scheme at `spec.group` granularity.
 ///
-/// The result is bit for bit `QuantizedMamba::new` of [`rewrite`] on
-/// `PreparedModel::from_reference(reference)`: both run the same
-/// per-block rewrites and the same packer.
-///
 /// # Errors
 ///
-/// Propagates preparation, calibration, and quantization errors.
+/// Returns [`crate::QuantError::InvalidScheme`] for an invalid precision
+/// before any set-up work; otherwise propagates calibration, rotation
+/// and quantization errors.
 pub fn quantize_model(
     reference: &MambaModel,
     method: Method,
     spec: &QuantSpec,
     calibration: &[Vec<u32>],
 ) -> Result<QuantizedMamba> {
+    let build = QuantBuilder::new(reference.config().clone(), finalize_precision(method, spec))?;
+    let rewrite = Rewrite::new(method, reference, calibration)?;
+    stream(reference, rewrite, build)
+}
+
+/// Streams `reference` through `rewrite` into `build`, one block at a
+/// time, then the embedding and the LM head tile by tile (module docs).
+///
+/// # Errors
+///
+/// Propagates rewrite and quantization errors.
+pub(crate) fn stream(
+    reference: &MambaModel,
+    mut rewrite: Rewrite,
+    mut build: QuantBuilder,
+) -> Result<QuantizedMamba> {
     let cfg = reference.config();
-    let mut rewrite = Rewrite::new(method, reference, calibration)?;
-    let mut build = QuantBuilder::new(cfg.clone(), finalize_precision(method, spec))?;
     for (l, block) in reference.blocks().iter().enumerate() {
         let mut prepared = PreparedBlock::from_reference(block);
         rewrite.block(l, &mut prepared)?;
@@ -181,27 +163,21 @@ pub fn quantize_model(
     let embedding = rewrite.embedding(reference.embedding())?;
     let gamma = reference.final_norm_gamma();
     let (e, d_model) = (reference.embedding().data(), cfg.d_model);
+    let final_norm_gamma = rewrite.final_norm_gamma(gamma);
     // The LM head starts as `Eᵀ`: output (token) `j`'s inputs are `E[j]`.
-    let mut head_rows = |tokens: std::ops::Range<usize>, rows: &mut [f32]| {
+    build.finish(embedding, final_norm_gamma, |tokens, rows| {
         rewrite.head_rows(
             &e[tokens.start * d_model..tokens.end * d_model],
             gamma,
             rows,
         )
-    };
-    build.finish(
-        embedding,
-        rewrite.final_norm_gamma(gamma),
-        LmHead::Rows(&mut head_rows),
-    )
+    })
 }
 
 /// One method's rewrite as [`quantize_model`] streams it: set up once,
-/// applied block by block, then to the model-level tensors — through
-/// the same per-block and model-level functions that the methods'
-/// `apply` run over a whole [`PreparedModel`].
+/// applied block by block, then to the model-level tensors.
 #[derive(Debug)]
-enum Rewrite {
+pub(crate) enum Rewrite {
     /// Round-to-nearest: nothing to rewrite.
     None,
     SmoothQuant(CalibrationStats),
@@ -211,11 +187,7 @@ enum Rewrite {
 
 impl Rewrite {
     fn new(method: Method, reference: &MambaModel, calibration: &[Vec<u32>]) -> Result<Self> {
-        let calibrated = || -> Result<CalibrationStats> {
-            let stats = calib::collect(reference, calibration)?;
-            check_calibration(reference.config(), &stats)?;
-            Ok(stats)
-        };
+        let calibrated = || calib::collect(reference, calibration);
         Ok(match method {
             Method::Rtn => Rewrite::None,
             Method::SmoothQuant => Rewrite::SmoothQuant(calibrated()?),
@@ -287,6 +259,7 @@ impl Rewrite {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::QuantError;
     use lightmamba_model::corpus::SyntheticCorpus;
     use lightmamba_model::eval::{compare_models, ReferenceRunner};
     use lightmamba_model::MambaConfig;
@@ -326,11 +299,34 @@ mod tests {
     #[test]
     fn rtn_rewrite_is_the_identity() {
         let (model, _) = setup();
-        let mut p = PreparedModel::from_reference(&model).unwrap();
-        let before = p.blocks[0].w_out.clone();
-        rewrite(&mut p, Method::Rtn, &model, &[]).unwrap();
-        assert_eq!(p.blocks[0].w_out, before);
-        assert!(p.blocks[0].in_act_scale.is_none());
+        let rewrite = Rewrite::new(Method::Rtn, &model, &[]).unwrap();
+        let mut p = PreparedBlock::from_reference(&model.blocks()[0]);
+        let before = p.w_out.clone();
+        rewrite.block(0, &mut p).unwrap();
+        assert_eq!(p.w_out, before);
+        assert!(p.in_act_scale.is_none());
+        let e = model.embedding();
+        assert_eq!(&rewrite.embedding(e).unwrap(), e);
+        let gamma = model.final_norm_gamma();
+        assert_eq!(rewrite.final_norm_gamma(gamma), gamma);
+        let mut rows = vec![0.0; e.data().len()];
+        rewrite.head_rows(e.data(), gamma, &mut rows).unwrap();
+        assert_eq!(rows, e.data());
+    }
+
+    #[test]
+    fn an_invalid_precision_fails_before_any_set_up_work() {
+        // SmoothQuant with no calibration set would fail to calibrate;
+        // the precision is checked first.
+        let (model, _) = setup();
+        let err = quantize_model(
+            &model,
+            Method::SmoothQuant,
+            &QuantSpec::w4a4_grouped(0),
+            &[],
+        )
+        .unwrap_err();
+        assert!(matches!(err, QuantError::InvalidScheme(_)), "{err:?}");
     }
 
     #[test]

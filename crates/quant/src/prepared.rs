@@ -1,20 +1,23 @@
-//! A Mamba2 model "prepared" for quantization.
+//! Mamba2 weights "prepared" for quantization.
 //!
 //! All outlier-handling methods (SmoothQuant, OS+, rotation) are
 //! *computationally invariant* weight rewrites: they change where numbers
-//! live without changing the FP function. [`PreparedModel`] is the mutable
-//! container those rewrites edit — an unpacked copy of the reference
-//! weights with the extra degrees of freedom the methods need (untied LM
-//! head, optional projection biases, optional online Hadamard before
-//! out_proj).
+//! live without changing the FP function. [`PreparedBlock`] is the
+//! mutable container those rewrites edit, one block at a time as
+//! [`crate::pipeline::quantize_model`] streams them — an unpacked copy of
+//! a reference block's weights with the extra degrees of freedom the
+//! methods need (optional projection biases, activation scales and
+//! shifts, optional online Hadamard before out_proj).
+//!
+//! [`PreparedModel`] holds a whole model in that form, with an untied LM
+//! head. Only [`crate::rotation::apply`] rewrites one; the benchmark
+//! times that whole-model rotation.
 
 use lightmamba_hadamard::FactoredHadamard;
-use lightmamba_model::weights::InProjSplit;
 use lightmamba_model::{MambaBlock, MambaConfig, MambaModel};
 use lightmamba_tensor::Tensor;
 
-use crate::calib::CalibrationStats;
-use crate::{QuantError, Result};
+use crate::Result;
 
 /// One block's prepared weights (see module docs).
 #[derive(Debug, Clone)]
@@ -115,36 +118,6 @@ impl PreparedModel {
                 .collect(),
         })
     }
-
-    /// The input-projection column split for this configuration.
-    pub fn split(&self) -> InProjSplit {
-        InProjSplit::new(&self.cfg)
-    }
-}
-
-/// Checks that `stats` was collected on a model of `cfg`'s shape — the
-/// precondition of the calibrated rewrites (SmoothQuant, OS+).
-///
-/// # Errors
-///
-/// Returns [`QuantError::InvalidCalibration`] when the layer count or a
-/// layer's channel widths differ.
-pub(crate) fn check_calibration(cfg: &MambaConfig, stats: &CalibrationStats) -> Result<()> {
-    if stats.in_proj.len() != cfg.n_layer || stats.out_proj.len() != cfg.n_layer {
-        return Err(QuantError::InvalidCalibration(format!(
-            "calibration covers {} layers, model has {}",
-            stats.in_proj.len(),
-            cfg.n_layer
-        )));
-    }
-    for (l, (in_stats, out_stats)) in stats.in_proj.iter().zip(&stats.out_proj).enumerate() {
-        if in_stats.channels() != cfg.d_model || out_stats.channels() != cfg.d_inner() {
-            return Err(QuantError::InvalidCalibration(format!(
-                "layer {l} calibration channel width mismatch"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Scales row `r` of the weight matrix `t` by `factors[r]` in place

@@ -56,7 +56,7 @@ use lightmamba_tensor::isa::{detect, Isa};
 use lightmamba_tensor::{activation, norm, Tensor};
 
 use crate::kernels::{gemm_packed_on, gemm_rows, ActQuant, GemvScratch, PackedW4};
-use crate::prepared::{PreparedBlock, PreparedModel};
+use crate::prepared::PreparedBlock;
 use crate::quantizer::{fake_quant_slice, Granularity, QuantScheme, QuantizedTensor};
 use crate::Result;
 
@@ -174,29 +174,13 @@ struct SharedWeights {
     blocks: Vec<QBlock>,
 }
 
-/// The LM head as [`QuantBuilder::finish`] receives it.
-pub(crate) enum LmHead<'a> {
-    /// The `(d_model, vocab)` weight.
-    Tensor(Tensor),
-    /// A producer of its outputs' rows, the `fill` of
-    /// [`PackedW4::quantize_rows`]: `fill(outputs, rows)` writes the
-    /// `d_model` inputs of each output (token) in `outputs` into `rows`.
-    /// A packable precision asks for one 32-output tile at a time;
-    /// another asks for every row at once and keeps the transposed
-    /// tensor.
-    Rows(&'a mut FillRows<'a>),
-}
-
-/// The producer behind [`LmHead::Rows`].
-pub(crate) type FillRows<'a> = dyn FnMut(Range<usize>, &mut [f32]) -> Result<()> + 'a;
-
 /// The one constructor of [`QuantizedMamba`], fed one prepared block at
-/// a time: [`QuantBuilder::block`] quantizes and packs a block's linear
-/// weights and drops its f32 tensors before the next block exists, and
-/// [`QuantBuilder::finish`] takes the model-level tensors.
-/// [`QuantizedMamba::new`] feeds it a [`PreparedModel`];
-/// [`crate::pipeline::quantize_model`] feeds it each block as it is
-/// rewritten, so no second f32 copy of the model is ever held.
+/// a time by [`crate::pipeline::quantize_model`] as each is rewritten:
+/// [`QuantBuilder::block`] quantizes and packs a block's linear weights
+/// and drops its f32 tensors before the next block exists, and
+/// [`QuantBuilder::finish`] takes the model-level tensors, the LM head
+/// as a producer of its rows. So no second f32 copy of the model is
+/// ever held.
 #[derive(Debug)]
 pub(crate) struct QuantBuilder {
     cfg: MambaConfig,
@@ -297,7 +281,12 @@ impl QuantBuilder {
         Ok(())
     }
 
-    /// Quantizes the LM head and assembles the model.
+    /// Quantizes the LM head and assembles the model. The head comes as
+    /// the `fill` of [`PackedW4::quantize_rows`]: `lm_head(outputs, rows)`
+    /// writes the `d_model` inputs of each output (token) in `outputs`
+    /// into `rows`. A packable precision asks for one 32-output tile at a
+    /// time; another asks for every row at once and keeps the transposed
+    /// tensor.
     ///
     /// # Errors
     ///
@@ -307,22 +296,21 @@ impl QuantBuilder {
         mut self,
         embedding: Tensor,
         final_norm_gamma: Vec<f32>,
-        lm_head: LmHead<'_>,
+        mut lm_head: impl FnMut(Range<usize>, &mut [f32]) -> Result<()>,
     ) -> Result<QuantizedMamba> {
         let (d_model, vocab) = (self.cfg.d_model, self.cfg.vocab_size);
         let packable = self.precision.is_packable();
-        let (lm_head, lm_head_packed) = match (lm_head, self.precision.weight) {
-            (LmHead::Rows(fill), Some(scheme)) if packable => {
-                let packed = PackedW4::quantize_rows(d_model, vocab, scheme, fill)?;
+        let (lm_head, lm_head_packed) = match self.precision.weight {
+            Some(scheme) if packable => {
+                let packed = PackedW4::quantize_rows(d_model, vocab, scheme, lm_head)?;
                 self.storage_bits += packed.storage_bits();
                 (OnceLock::new(), Some(packed))
             }
-            (LmHead::Rows(fill), _) => {
+            _ => {
                 let mut rows = Tensor::zeros(&[vocab, d_model]);
-                fill(0..vocab, rows.data_mut())?;
+                lm_head(0..vocab, rows.data_mut())?;
                 self.weight(rows.transpose()?)?
             }
-            (LmHead::Tensor(t), _) => self.weight(t)?,
         };
         let QuantBuilder {
             cfg,
@@ -411,36 +399,6 @@ pub struct QuantizedMamba {
 }
 
 impl QuantizedMamba {
-    /// Quantizes a prepared model's weights under `precision`: a
-    /// `QuantBuilder` fed its blocks in order, then its embedding,
-    /// final norm and LM head.
-    ///
-    /// Parameter tensors are **moved** out of `prepared`, not cloned;
-    /// everything immutable lands behind one shared `Arc`. When the
-    /// precision is packable ([`Precision::is_packable`]) the linear
-    /// weights are packed for integer execution, and the fake-quant
-    /// oracle dequantizes the packed grid the first time it runs, so the
-    /// two modes quantize identically and a model that only ever runs
-    /// [`ExecMode::Integer`] holds no f32 copy of its linear weights.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheme validation and shape errors.
-    pub fn new(prepared: PreparedModel, precision: Precision) -> Result<Self> {
-        let PreparedModel {
-            cfg,
-            embedding,
-            lm_head,
-            final_norm_gamma,
-            blocks,
-        } = prepared;
-        let mut build = QuantBuilder::new(cfg, precision)?;
-        for block in blocks {
-            build.block(block)?;
-        }
-        build.finish(embedding, final_norm_gamma, LmHead::Tensor(lm_head))
-    }
-
     /// The model configuration.
     pub fn config(&self) -> &MambaConfig {
         &self.cfg
@@ -983,6 +941,7 @@ impl StepModel for QuantizedMamba {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::PreparedModel;
     use crate::QuantError;
     use lightmamba_model::eval::{compare_models, ReferenceRunner};
     use lightmamba_model::{corpus::SyntheticCorpus, MambaModel};
@@ -1006,11 +965,20 @@ mod tests {
         SyntheticCorpus::for_vocab(256).calibration_set(&mut StdRng::seed_from_u64(5), 2, 10)
     }
 
+    /// `model` quantized at `precision` with no rewrite (RTN).
+    fn rtn(model: &MambaModel, precision: Precision) -> QuantizedMamba {
+        use crate::pipeline::{quantize_model, Method, QuantSpec};
+        let spec = QuantSpec {
+            precision,
+            group: 16,
+        };
+        quantize_model(model, Method::Rtn, &spec, &[]).unwrap()
+    }
+
     #[test]
     fn w8a8_is_near_lossless() {
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let mut q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let mut q = rtn(&model, precision(8, 8));
         assert_eq!(q.exec_mode(), ExecMode::FakeQuant);
         let mut r = ReferenceRunner::new(model);
         let rep = compare_models(&mut r, &mut q, &sequences()).unwrap();
@@ -1023,8 +991,7 @@ mod tests {
         let model = reference();
         let seqs = sequences();
         let kl_at = |wbits, abits| {
-            let prepared = PreparedModel::from_reference(&model).unwrap();
-            let mut q = QuantizedMamba::new(prepared, precision(wbits, abits)).unwrap();
+            let mut q = rtn(&model, precision(wbits, abits));
             let mut r = ReferenceRunner::new(model.clone());
             compare_models(&mut r, &mut q, &seqs).unwrap().mean_kl
         };
@@ -1039,15 +1006,13 @@ mod tests {
     fn ssm_quantization_adds_bounded_error() {
         let model = reference();
         let seqs = sequences();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let mut with_ssm = QuantizedMamba::new(
-            prepared.clone(),
+        let mut with_ssm = rtn(
+            &model,
             Precision {
                 ssm: Some(QuantScheme::ssm_pot(16)),
                 ..precision(8, 8)
             },
-        )
-        .unwrap();
+        );
         let mut r = ReferenceRunner::new(model);
         let rep = compare_models(&mut r, &mut with_ssm, &seqs).unwrap();
         // INT8 PoT SSM should stay usable (paper: LightMamba* W8A8 ≈ FP16).
@@ -1092,24 +1057,15 @@ mod tests {
     #[test]
     fn storage_bits_track_precision() {
         let model = reference();
-        let p4 = QuantizedMamba::new(
-            PreparedModel::from_reference(&model).unwrap(),
-            Precision::w4a4(16),
-        )
-        .unwrap();
-        let p8 = QuantizedMamba::new(
-            PreparedModel::from_reference(&model).unwrap(),
-            precision(8, 8),
-        )
-        .unwrap();
+        let p4 = rtn(&model, Precision::w4a4(16));
+        let p8 = rtn(&model, precision(8, 8));
         assert!(p4.weight_storage_bits() < p8.weight_storage_bits());
     }
 
     #[test]
     fn reset_restores_initial_state() {
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let mut q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let mut q = rtn(&model, precision(8, 8));
         let first = q.step(3).unwrap();
         q.step(4).unwrap();
         q.reset();
@@ -1120,16 +1076,14 @@ mod tests {
     #[test]
     fn rejects_bad_token() {
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let mut q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let mut q = rtn(&model, precision(8, 8));
         assert!(q.step(100_000).is_err());
     }
 
     #[test]
     fn external_step_leaves_internal_state_untouched() {
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let mut q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let mut q = rtn(&model, precision(8, 8));
         let first = q.step(3).unwrap();
         let mut external = q.new_state();
         q.forward_step_with(7, &mut external).unwrap();
@@ -1145,8 +1099,7 @@ mod tests {
         // rows but the last being one token per item) by `step`, pooled
         // and not, with every state left bit-equal.
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let q = rtn(&model, precision(8, 8));
         let bad = q.config().vocab_size as u32;
         let mut other_cfg = MambaConfig::tiny();
         other_cfg.d_state = 32;
@@ -1222,8 +1175,7 @@ mod tests {
         // engine-shaped waves, one-token and multi-token items mixed in
         // one `advance` (an all-one-token wave through `step`).
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let q_int = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+        let q_int = rtn(&model, Precision::w4a4(16));
         let q_fake = q_int.clone().with_exec_mode(ExecMode::FakeQuant).unwrap();
         let prompts: Vec<Vec<u32>> = (0..9u32)
             .map(|k| {
@@ -1399,14 +1351,16 @@ mod tests {
 
     /// The digest of `quantize_model(LightMamba, w4a4_grouped(group))`
     /// of the synthetic model of `cfg` under `seed`: every f32 tensor
-    /// and conditioning vector of the rotated model, then every packed
-    /// block, scale, fake-quant weight and vector of the quantized one.
+    /// and conditioning vector of the model as `rotation::apply` rotates
+    /// it whole, then every packed block, scale, fake-quant weight and
+    /// vector of the quantized one.
     fn setup_digest(cfg: MambaConfig, seed: u64, group: usize) -> u64 {
-        use crate::pipeline::{quantize_model, rewrite, Method, QuantSpec};
+        use crate::pipeline::{quantize_model, Method, QuantSpec};
+        use crate::rotation::{self, RotationConfig};
         let model = MambaModel::synthetic(cfg, &mut StdRng::seed_from_u64(seed)).unwrap();
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         let mut p = PreparedModel::from_reference(&model).unwrap();
-        rewrite(&mut p, Method::LightMamba, &model, &[]).unwrap();
+        rotation::apply(&mut p, &RotationConfig::default()).unwrap();
         h.prepared(&p);
         let q = quantize_model(
             &model,
@@ -1442,14 +1396,12 @@ mod tests {
         assert_eq!(setup_digest(ragged_config(), 3, 16), 0xaa06_1aa1_3a9b_0762);
     }
 
-    #[test]
-    fn streamed_set_up_matches_the_whole_model_one_for_every_method() {
-        // `quantize_model` streams blocks and the LM head's tiles; the
-        // whole-model path prepares and rewrites everything first.
-        // Both must give the same packed blocks, scales, fake-quant
-        // weights and logits, bit for bit, at a packable precision and
-        // at one that keeps f32 weights.
-        use crate::pipeline::{quantize_model, rewrite, Method, QuantSpec};
+    /// The digest of `quantize_model(method, spec)` of the ragged model
+    /// with a calibration set: every packed block, scale, fake-quant
+    /// weight and vector, the storage bits, then the bits of six steps'
+    /// logits (on the integer path and on its fake-quant oracle where
+    /// the model packs).
+    fn method_digest(method: crate::pipeline::Method, spec: &crate::pipeline::QuantSpec) -> u64 {
         let cfg = ragged_config();
         let model = MambaModel::synthetic(cfg.clone(), &mut StdRng::seed_from_u64(3)).unwrap();
         let calib = SyntheticCorpus::for_vocab(cfg.vocab_size).calibration_set(
@@ -1457,45 +1409,58 @@ mod tests {
             3,
             8,
         );
-        let tokens = [3u32, 76, 0, 41, 41, 12];
-        let logit_bits = |q: &mut QuantizedMamba| -> Vec<u32> {
-            q.reset();
-            let mut bits = Vec::new();
-            for &t in &tokens {
-                bits.extend(q.step(t).unwrap().iter().map(|v| v.to_bits()));
+        let q = crate::pipeline::quantize_model(&model, method, spec, &calib).unwrap();
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.quantized(&q);
+        h.bytes(q.weight_storage_bits().to_le_bytes());
+        let mut logits = |q: &QuantizedMamba| {
+            let mut state = q.new_state();
+            for t in [3u32, 76, 0, 41, 41, 12] {
+                h.f32s_raw(&q.forward_step_with(t, &mut state).unwrap());
             }
-            bits
         };
-        for method in Method::ALL {
-            for spec in [QuantSpec::w4a4_grouped(16), QuantSpec::w8a8()] {
-                let label = format!("{method} {:?}", spec.precision);
-                let mut streamed = quantize_model(&model, method, &spec, &calib).unwrap();
-                let mut p = PreparedModel::from_reference(&model).unwrap();
-                rewrite(&mut p, method, &model, &calib).unwrap();
-                let mut whole = QuantizedMamba::new(p, streamed.precision()).unwrap();
-                assert_eq!(streamed.exec_mode(), whole.exec_mode(), "{label}");
-                assert_eq!(
-                    streamed.weight_storage_bits(),
-                    whole.weight_storage_bits(),
-                    "{label}"
-                );
-                let digest = |q: &QuantizedMamba| {
-                    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-                    h.quantized(q);
-                    h.0
-                };
-                assert_eq!(digest(&streamed), digest(&whole), "{label}: weights differ");
-                assert_eq!(logit_bits(&mut streamed), logit_bits(&mut whole), "{label}");
-                if streamed.exec_mode() == ExecMode::Integer {
-                    let mut streamed = streamed.with_exec_mode(ExecMode::FakeQuant).unwrap();
-                    let mut whole = whole.with_exec_mode(ExecMode::FakeQuant).unwrap();
-                    assert_eq!(
-                        logit_bits(&mut streamed),
-                        logit_bits(&mut whole),
-                        "{label}, fake-quant"
-                    );
-                }
-            }
+        logits(&q);
+        if q.exec_mode() == ExecMode::Integer {
+            logits(&q.clone().with_exec_mode(ExecMode::FakeQuant).unwrap());
+        }
+        h.0
+    }
+
+    /// Recorded while a whole-model set-up (prepare, rewrite, then pack)
+    /// was pinned bit for bit against the streamed one, so they are
+    /// that path's bits too.
+    #[test]
+    fn setup_digest_of_every_method_is_pinned() {
+        use crate::pipeline::{Method, QuantSpec};
+        let pins = [
+            (Method::Rtn, 0x4055_d10e_381d_fde7, 0x7638_4201_67b0_0f6d),
+            (
+                Method::SmoothQuant,
+                0xa59d_141b_4981_9dc7,
+                0x13d9_90fe_d063_e9cb,
+            ),
+            (
+                Method::OutlierSuppressionPlus,
+                0x61c8_94c2_6f96_42d1,
+                0xd35e_349b_9e51_001e,
+            ),
+            (
+                Method::LightMamba,
+                0xfc35_a010_5ede_394e,
+                0xa82c_b6c6_5a59_eccc,
+            ),
+            (
+                Method::LightMambaStar,
+                0xf576_b2ec_8177_5983,
+                0xc7dc_23e5_48a1_38e4,
+            ),
+        ];
+        assert_eq!(pins.map(|(m, ..)| m), Method::ALL);
+        for (method, w4a4, w8a8) in pins {
+            let got = method_digest(method, &QuantSpec::w4a4_grouped(16));
+            assert_eq!(got, w4a4, "{method} W4A4: {got:#018x}");
+            let got = method_digest(method, &QuantSpec::w8a8());
+            assert_eq!(got, w8a8, "{method} W8A8: {got:#018x}");
         }
     }
 
@@ -1562,8 +1527,7 @@ mod tests {
         // agreement including the PoT bit-exact case is proptested in
         // tests/kernel_props.rs).
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let q_int = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+        let q_int = rtn(&model, Precision::w4a4(16));
         let q_fake = q_int.clone().with_exec_mode(ExecMode::FakeQuant).unwrap();
         assert!(q_int.shares_weights_with(&q_fake));
         let mut s_int = q_int.new_state();
@@ -1581,20 +1545,18 @@ mod tests {
     #[test]
     fn integer_mode_requires_packable_precision() {
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
         // Per-channel/per-token W8A8 has no packed path.
-        let q = QuantizedMamba::new(prepared, precision(8, 8)).unwrap();
+        let q = rtn(&model, precision(8, 8));
         assert_eq!(q.exec_mode(), ExecMode::FakeQuant);
         assert!(q.with_exec_mode(ExecMode::Integer).is_err());
         // W4A8 with matching groups is packable.
-        let prepared = PreparedModel::from_reference(&reference()).unwrap();
         let p = Precision {
             weight: Some(QuantScheme::weight_per_group(4, 16)),
             act: Some(QuantScheme::act_per_group(8, 16)),
             ssm: None,
         };
         assert!(p.is_packable());
-        let q = QuantizedMamba::new(prepared, p).unwrap();
+        let q = rtn(&model, p);
         assert_eq!(q.exec_mode(), ExecMode::Integer);
         // Mismatched groups fall back to fake quantization.
         let p = Precision {
@@ -1603,8 +1565,7 @@ mod tests {
             ssm: None,
         };
         assert!(!p.is_packable());
-        let prepared = PreparedModel::from_reference(&reference()).unwrap();
-        let q = QuantizedMamba::new(prepared, p).unwrap();
+        let q = rtn(&model, p);
         assert_eq!(q.exec_mode(), ExecMode::FakeQuant);
     }
 
@@ -1613,11 +1574,28 @@ mod tests {
         // With FP weights the prepared tensors must be moved into the
         // shared weight set — same heap buffers, no copy.
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let embedding_ptr = prepared.embedding.data().as_ptr();
-        let conv_ptr = prepared.blocks[0].conv_weight.data().as_ptr();
-        let w_in_ptr = prepared.blocks[0].w_in.data().as_ptr();
-        let q = QuantizedMamba::new(prepared, Precision::fp()).unwrap();
+        let cfg = model.config();
+        let mut build = QuantBuilder::new(cfg.clone(), Precision::fp()).unwrap();
+        let blocks: Vec<_> = model
+            .blocks()
+            .iter()
+            .map(PreparedBlock::from_reference)
+            .collect();
+        let conv_ptr = blocks[0].conv_weight.data().as_ptr();
+        let w_in_ptr = blocks[0].w_in.data().as_ptr();
+        for block in blocks {
+            build.block(block).unwrap();
+        }
+        let embedding = model.embedding().clone();
+        let embedding_ptr = embedding.data().as_ptr();
+        let e = embedding.data().to_vec();
+        let q = build
+            .finish(embedding, vec![1.0; cfg.d_model], |tokens, rows| {
+                let d = cfg.d_model;
+                rows.copy_from_slice(&e[tokens.start * d..tokens.end * d]);
+                Ok(())
+            })
+            .unwrap();
         assert_eq!(q.weights.embedding.data().as_ptr(), embedding_ptr);
         assert_eq!(q.weights.blocks[0].conv_weight.data().as_ptr(), conv_ptr);
         let w_in = q.weights.blocks[0]
@@ -1630,17 +1608,12 @@ mod tests {
     #[test]
     fn clones_share_weight_memory() {
         let model = reference();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let q = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+        let q = rtn(&model, Precision::w4a4(16));
         let clone = q.clone();
         assert!(q.shares_weights_with(&clone));
         assert_eq!(Arc::strong_count(&q.weights), 2);
         // A separately constructed model does not share.
-        let other = QuantizedMamba::new(
-            PreparedModel::from_reference(&model).unwrap(),
-            Precision::w4a4(16),
-        )
-        .unwrap();
+        let other = rtn(&model, Precision::w4a4(16));
         assert!(!q.shares_weights_with(&other));
     }
 

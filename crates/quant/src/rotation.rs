@@ -297,7 +297,7 @@ impl Rotation {
 mod tests {
     use super::*;
     use crate::calib;
-    use crate::qmodel::{Precision, QuantizedMamba};
+    use crate::pipeline::{quantize_model, Method, QuantSpec};
     use lightmamba_model::corpus::SyntheticCorpus;
     use lightmamba_model::eval::{compare_models, ReferenceRunner};
     use lightmamba_model::{MambaConfig, MambaModel};
@@ -315,9 +315,7 @@ mod tests {
         // The critical invariance: rotated-then-FP-executed model must match
         // the reference exactly (within f32 rounding across 48-dim sums).
         let (model, seqs) = setup();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(&mut p, &RotationConfig::default()).unwrap();
-        let mut q = QuantizedMamba::new(p, Precision::fp()).unwrap();
+        let mut q = quantize_model(&model, Method::LightMamba, &QuantSpec::fp16(), &seqs).unwrap();
         let mut r = ReferenceRunner::new(model);
         let rep = compare_models(&mut r, &mut q, &seqs).unwrap();
         assert!(
@@ -330,17 +328,17 @@ mod tests {
 
     #[test]
     fn fused_second_norm_also_preserves_fp_function() {
+        // `quantize_model`'s stream under the Fig. 4b variant.
+        use crate::pipeline::{stream, Rewrite};
+        use crate::qmodel::{Precision, QuantBuilder};
         let (model, seqs) = setup();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(
-            &mut p,
-            &RotationConfig {
-                fuse_second_norm: true,
-                ..RotationConfig::default()
-            },
-        )
-        .unwrap();
-        let mut q = QuantizedMamba::new(p, Precision::fp()).unwrap();
+        let cfg = RotationConfig {
+            fuse_second_norm: true,
+            ..RotationConfig::default()
+        };
+        let rotation = Rotation::new(&cfg, model.config(), WorkerPool::per_cpu()).unwrap();
+        let build = QuantBuilder::new(model.config().clone(), Precision::fp()).unwrap();
+        let mut q = stream(&model, Rewrite::Rotation(rotation), build).unwrap();
         let mut r = ReferenceRunner::new(model);
         let rep = compare_models(&mut r, &mut q, &seqs).unwrap();
         assert!(rep.mean_kl < 1e-3, "kl {}", rep.mean_kl);
@@ -365,9 +363,7 @@ mod tests {
         // (Fig. 2's before/after).
         let (model, seqs) = setup();
         let stats_before = calib::collect(&model, &seqs).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(&mut p, &RotationConfig::default()).unwrap();
-        let mut q = QuantizedMamba::new(p, Precision::fp()).unwrap();
+        let mut q = quantize_model(&model, Method::LightMamba, &QuantSpec::fp16(), &seqs).unwrap();
         // Drive the rotated model and capture the fake out_proj input via
         // its weight-side equivalence: compare per-channel absmax spread of
         // the *reference* capture against the H-rotated capture.

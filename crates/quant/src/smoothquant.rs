@@ -12,9 +12,8 @@
 
 use lightmamba_tensor::stats::per_token_absmax;
 
-use crate::calib::{CalibrationStats, ChannelStats};
-use crate::prepared::{check_calibration, scale_rows, PreparedBlock, PreparedModel};
-use crate::Result;
+use crate::calib::ChannelStats;
+use crate::prepared::{scale_rows, PreparedBlock};
 
 /// Numerical floor for smoothing factors.
 const EPS: f32 = 1e-5;
@@ -34,28 +33,9 @@ pub fn smoothing_factors(act_absmax: &[f32], weight_absmax: &[f32], alpha: f32) 
         .collect()
 }
 
-/// Applies SmoothQuant to both linear layers of every block
-/// (`apply_block` per layer).
-///
-/// # Errors
-///
-/// Returns [`crate::QuantError::InvalidCalibration`] when `stats` does not match
-/// the model's layer count or channel widths.
-pub fn apply(prepared: &mut PreparedModel, stats: &CalibrationStats, alpha: f32) -> Result<()> {
-    check_calibration(&prepared.cfg, stats)?;
-    for (block, (in_stats, out_stats)) in prepared
-        .blocks
-        .iter_mut()
-        .zip(stats.in_proj.iter().zip(&stats.out_proj))
-    {
-        apply_block(block, in_stats, out_stats, alpha);
-    }
-    Ok(())
-}
-
 /// SmoothQuant on one block, from its layer's in_proj and out_proj
-/// calibration ranges (channel widths checked by the caller). The
-/// method has nothing to rewrite outside the blocks.
+/// calibration ranges. The method has nothing to rewrite outside the
+/// blocks.
 pub(crate) fn apply_block(
     block: &mut PreparedBlock,
     in_stats: &ChannelStats,
@@ -83,7 +63,7 @@ pub(crate) fn apply_block(
 mod tests {
     use super::*;
     use crate::calib;
-    use crate::qmodel::{Precision, QuantizedMamba};
+    use crate::pipeline::{quantize_model, Method, QuantSpec};
     use lightmamba_model::corpus::SyntheticCorpus;
     use lightmamba_model::eval::{compare_models, ReferenceRunner, StepModel};
     use lightmamba_model::{MambaConfig, MambaModel};
@@ -115,13 +95,10 @@ mod tests {
 
     #[test]
     fn rewrite_preserves_fp_function() {
-        // SmoothQuant is an exact rewrite: FP execution of the prepared
+        // SmoothQuant is an exact rewrite: FP execution of the rewritten
         // model must match the reference.
         let (model, seqs) = setup();
-        let stats = calib::collect(&model, &seqs).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(&mut p, &stats, 0.5).unwrap();
-        let mut q = QuantizedMamba::new(p, Precision::fp()).unwrap();
+        let mut q = quantize_model(&model, Method::SmoothQuant, &QuantSpec::fp16(), &seqs).unwrap();
         let mut r = ReferenceRunner::new(model);
         let rep = compare_models(&mut r, &mut q, &seqs).unwrap();
         assert!(rep.mean_kl < 1e-4, "fp invariance broken: {}", rep.mean_kl);
@@ -132,11 +109,9 @@ mod tests {
     fn smoothing_flattens_calibrated_activation_ranges() {
         let (model, seqs) = setup();
         let stats = calib::collect(&model, &seqs).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&model).unwrap();
-        apply(&mut p, &stats, 0.5).unwrap();
         // Re-calibrate the rewritten model: the out_proj input per-channel
         // range spread must shrink on the calibration data itself.
-        let mut q = QuantizedMamba::new(p, Precision::fp()).unwrap();
+        let mut q = quantize_model(&model, Method::SmoothQuant, &QuantSpec::fp16(), &seqs).unwrap();
         // Run the quantized (FP) model and measure via its own steps: use
         // spread of original vs smoothed stats as a cheap proxy instead.
         let spread = |xs: &[f32]| {
@@ -163,15 +138,5 @@ mod tests {
         // Touch q so the FP path runs at least once.
         q.reset();
         q.step(0).unwrap();
-    }
-
-    #[test]
-    fn mismatched_calibration_rejected() {
-        let (model, seqs) = setup();
-        let stats = calib::collect(&model, &seqs).unwrap();
-        let other =
-            MambaModel::synthetic(MambaConfig::small(), &mut StdRng::seed_from_u64(4)).unwrap();
-        let mut p = crate::PreparedModel::from_reference(&other).unwrap();
-        assert!(apply(&mut p, &stats, 0.5).is_err());
     }
 }

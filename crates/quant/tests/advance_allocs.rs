@@ -11,8 +11,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lightmamba_model::{batch, MambaConfig, MambaModel};
-use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{PreparedModel, QuantizedMamba};
+use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_quant::qmodel::{ExecMode, QuantWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,8 +44,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 #[test]
 fn warm_ragged_advance_allocates_only_what_it_returns() {
     let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
-    let prepared = PreparedModel::from_reference(&model).unwrap();
-    let q = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+    let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
     assert_eq!(q.exec_mode(), ExecMode::Integer);
 
     // A 4-token prefill chunk beside three decoders, then 16 decoders.

@@ -11,8 +11,9 @@ use lightmamba_quant::kernels::{
     gemm_packed, gemm_packed_on, gemv_packed, gemv_packed_on, gemv_reference, ActQuant,
     GemvScratch, PackedW4,
 };
-use lightmamba_quant::qmodel::{ExecMode, Precision};
-use lightmamba_quant::{Granularity, PreparedModel, QuantScheme, QuantizedMamba};
+use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_quant::qmodel::ExecMode;
+use lightmamba_quant::{Granularity, QuantScheme};
 use lightmamba_tensor::isa::Isa;
 use lightmamba_tensor::Tensor;
 use proptest::prelude::*;
@@ -272,8 +273,7 @@ proptest! {
         // both execution modes, logits within a tight relative band.
         let model =
             MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(seed)).unwrap();
-        let prepared = PreparedModel::from_reference(&model).unwrap();
-        let q_int = QuantizedMamba::new(prepared, Precision::w4a4(group)).unwrap();
+        let q_int = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(group), &[]).unwrap();
         prop_assert_eq!(q_int.exec_mode(), ExecMode::Integer);
         let q_fake = q_int.clone().with_exec_mode(ExecMode::FakeQuant).unwrap();
         prop_assert!(q_int.shares_weights_with(&q_fake));

@@ -12,8 +12,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lightmamba_model::{MambaConfig, MambaModel};
-use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{PreparedModel, QuantizedMamba};
+use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_quant::qmodel::{ExecMode, QuantWorkspace};
+use lightmamba_quant::QuantizedMamba;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,8 +84,7 @@ fn drive(q: &QuantizedMamba, label: &str) {
 #[test]
 fn steady_state_quantized_decode_allocates_nothing() {
     let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
-    let prepared = PreparedModel::from_reference(&model).unwrap();
-    let q_int = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+    let q_int = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
     assert_eq!(q_int.exec_mode(), ExecMode::Integer);
     drive(&q_int, "integer-W4A4");
     let q_fake = q_int.with_exec_mode(ExecMode::FakeQuant).unwrap();

@@ -18,8 +18,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lightmamba_model::{batch, MambaConfig, MambaModel};
 use lightmamba_pool::WorkerPool;
-use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{PreparedModel, QuantizedMamba};
+use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_quant::qmodel::{ExecMode, QuantWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,8 +51,7 @@ static COUNTER: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_parallel_quantized_decode_allocates_nothing() {
     let model = MambaModel::synthetic(MambaConfig::tiny(), &mut StdRng::seed_from_u64(3)).unwrap();
-    let prepared = PreparedModel::from_reference(&model).unwrap();
-    let q = QuantizedMamba::new(prepared, Precision::w4a4(16)).unwrap();
+    let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(16), &[]).unwrap();
     assert_eq!(q.exec_mode(), ExecMode::Integer);
 
     // Full, shrunk, full again: per-lane scratch grows to its largest

@@ -655,9 +655,9 @@ mod tests {
 
     #[test]
     fn odd_precisions_map_to_hosting_datapath_not_fp16() {
+        use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
         use lightmamba_quant::qmodel::Precision;
         use lightmamba_quant::quantizer::QuantScheme;
-        use lightmamba_quant::{PreparedModel, QuantizedMamba};
 
         let model = tiny_model();
         let build = |wbits, abits| {
@@ -666,8 +666,11 @@ mod tests {
                 act: Some(QuantScheme::act_per_token(abits)),
                 ssm: None,
             };
-            let prepared = PreparedModel::from_reference(&model).unwrap();
-            W4A4Backend::new(QuantizedMamba::new(prepared, precision).unwrap())
+            let spec = QuantSpec {
+                precision,
+                group: 16,
+            };
+            W4A4Backend::new(quantize_model(&model, Method::Rtn, &spec, &[]).unwrap())
         };
         // A 2-bit model rides the 4-bit datapath — it must not silently
         // price as FP16.

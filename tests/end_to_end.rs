@@ -39,16 +39,9 @@ fn w8a8_is_near_lossless_for_all_methods() {
 
 #[test]
 fn rotation_is_fp_invariant_end_to_end() {
-    let (reference, _, eval) = small_setup(77);
-    let mut prepared =
-        lightmamba_repro::quant::PreparedModel::from_reference(&reference).expect("prepare");
-    lightmamba_repro::quant::rotation::apply(
-        &mut prepared,
-        &lightmamba_repro::quant::rotation::RotationConfig::default(),
-    )
-    .expect("rotate");
-    let mut fp =
-        lightmamba_repro::quant::QuantizedMamba::new(prepared, Precision::fp()).expect("fp model");
+    let (reference, calib, eval) = small_setup(77);
+    let mut fp = quantize_model(&reference, Method::LightMamba, &QuantSpec::fp16(), &calib)
+        .expect("fp model");
     let mut r = ReferenceRunner::new(reference);
     let rep = compare_models(&mut r, &mut fp, &eval).expect("compare");
     assert!(

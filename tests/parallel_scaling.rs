@@ -13,8 +13,8 @@ use std::time::Instant;
 
 use lightmamba_model::{batch, MambaConfig, MambaModel, ModelState};
 use lightmamba_pool::WorkerPool;
-use lightmamba_quant::qmodel::{ExecMode, Precision, QuantWorkspace};
-use lightmamba_quant::{PreparedModel, QuantizedMamba};
+use lightmamba_quant::pipeline::{quantize_model, Method, QuantSpec};
+use lightmamba_quant::qmodel::{ExecMode, QuantWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,8 +76,7 @@ fn four_thread_integer_decode_reaches_2_5x() {
         vocab_size: 2048,
     };
     let model = MambaModel::synthetic(cfg.clone(), &mut StdRng::seed_from_u64(7)).unwrap();
-    let prepared = PreparedModel::from_reference(&model).unwrap();
-    let q = QuantizedMamba::new(prepared, Precision::w4a4(128)).unwrap();
+    let q = quantize_model(&model, Method::Rtn, &QuantSpec::w4a4_grouped(128), &[]).unwrap();
     assert_eq!(q.exec_mode(), ExecMode::Integer);
 
     let mut states: Vec<ModelState> = (0..BATCH).map(|_| q.new_state()).collect();
