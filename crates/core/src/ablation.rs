@@ -141,7 +141,6 @@ fn stage_accuracy(stage: AblationStage, seed: u64) -> f64 {
                     act: None,
                     ssm: None,
                 },
-                group,
             },
         ),
         AblationStage::W4A4 => (Method::Rtn, QuantSpec::w4a4_grouped(group)),

@@ -63,15 +63,13 @@ pub struct BlockCapture {
     /// Input of the output projection (post gated norm) — the activation
     /// whose scattered outliers motivate the paper (Fig. 2).
     pub out_proj_input: Option<Vec<f32>>,
-    /// Raw SSM output `y` before the gate.
-    pub ssm_output: Option<Vec<f32>>,
 }
 
 /// A Mamba2 block bound to its weights.
 ///
-/// The block borrows nothing at rest; [`MambaBlock::forward_step`] takes
-/// the residual-stream vector and the layer state and returns the updated
-/// residual vector.
+/// The block borrows nothing at rest; [`MambaBlock::forward_step_into`]
+/// takes the residual-stream vector, the layer state and a scratch, and
+/// updates the residual vector in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MambaBlock {
     cfg: MambaConfig,
@@ -114,26 +112,16 @@ impl MambaBlock {
         &self.cfg
     }
 
-    /// One decode step: consumes the residual-stream vector `x_resid`
-    /// (length `d_model`) and returns the new residual vector.
+    /// One decode step: updates the residual stream `x` (length
+    /// `d_model`) in place, using `scratch` for every temporary, so a
+    /// warm step allocates nothing. The capturing path of
+    /// [`crate::MambaModel::forward_step_captured`] runs this same
+    /// pipeline, so outputs are bit-for-bit identical.
     ///
     /// # Errors
     ///
     /// Propagates shape errors from the underlying kernels; these indicate
     /// a state object built for a different configuration.
-    pub fn forward_step(&self, x_resid: &[f32], state: &mut LayerState) -> Result<Vec<f32>> {
-        self.forward_step_captured(x_resid, state, &mut BlockCapture::default())
-    }
-
-    /// Allocation-free [`MambaBlock::forward_step`]: updates the residual
-    /// stream `x` in place using `scratch` for every temporary. The
-    /// capturing path runs this same pipeline (it is the same code), so
-    /// outputs are bit-for-bit identical — the batched decode drivers
-    /// rely on this.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MambaBlock::forward_step`].
     pub fn forward_step_into(
         &self,
         x: &mut [f32],
@@ -149,13 +137,10 @@ impl MambaBlock {
     /// allocation-free when `capture` is `None`).
     ///
     /// The host's tier is asked here, once per step, and handed down:
-    /// on an AVX2 host, AVX-512 ones included, the same source runs
-    /// compiled for AVX2, and every kernel it calls runs the tier's form
-    /// (the 16-lane ones on AVX-512). Without FMA nothing can contract
-    /// or reassociate, so every copy computes the same bits. An AVX-512
-    /// copy timed no faster than the AVX2 one (an FP step at batch 1 and
-    /// 16), so there is none.
-    fn step_core(
+    /// on a vector host the same source runs compiled for it, and every
+    /// kernel it calls runs the tier's form (`lightmamba_tensor::isa`:
+    /// every copy computes the same bits).
+    pub(crate) fn step_core(
         &self,
         x: &mut [f32],
         state: &mut LayerState,
@@ -175,34 +160,10 @@ impl MambaBlock {
         scratch: &mut BlockScratch,
         capture: Option<&mut BlockCapture>,
     ) -> Result<()> {
-        match isa {
-            // SAFETY: no other crate can build a vector `Isa`, and
-            // `detect` / `Isa::supported` hand one out only where AVX2
-            // (and, for `Avx512`, more) is present.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 { .. } | Isa::Avx512 { .. } => unsafe {
-                self.step_core_avx2(isa, x, state, scratch, capture)
-            },
-            Isa::Scalar => self.step_body(isa, x, state, scratch, capture),
-        }
-    }
-
-    /// [`MambaBlock::step_body`] compiled for AVX2.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn step_core_avx2(
-        &self,
-        isa: Isa,
-        x: &mut [f32],
-        state: &mut LayerState,
-        scratch: &mut BlockScratch,
-        capture: Option<&mut BlockCapture>,
-    ) -> Result<()> {
-        self.step_body(isa, x, state, scratch, capture)
+        isa.compiled(
+            #[inline(always)]
+            |isa| self.step_body(isa, x, state, scratch, capture),
+        )
     }
 
     #[inline(always)]
@@ -253,9 +214,6 @@ impl MambaBlock {
             &mut state.h,
             &mut scratch.y,
         )?;
-        if let Some(cap) = capture.as_deref_mut() {
-            cap.ssm_output = Some(scratch.y.clone());
-        }
 
         // Gated RMSNorm, then output projection and the residual add.
         norm::gated_rms_norm(
@@ -272,25 +230,6 @@ impl MambaBlock {
             *xi += oi;
         }
         Ok(())
-    }
-
-    /// [`MambaBlock::forward_step`] with activation taps recorded into
-    /// `capture` (calibration / outlier-study path). Runs the same
-    /// single pipeline as [`MambaBlock::forward_step_into`], cloning the
-    /// three taps out of the scratch buffers.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`MambaBlock::forward_step`].
-    pub fn forward_step_captured(
-        &self,
-        x_resid: &[f32],
-        state: &mut LayerState,
-        capture: &mut BlockCapture,
-    ) -> Result<Vec<f32>> {
-        let mut x = x_resid.to_vec();
-        self.step_core(&mut x, state, &mut BlockScratch::default(), Some(capture))?;
-        Ok(x)
     }
 }
 
@@ -309,11 +248,20 @@ mod tests {
         (MambaBlock::new(cfg, w).unwrap(), state)
     }
 
+    /// One step of `block` from `x`, as a new residual vector.
+    fn step(block: &MambaBlock, x: &[f32], state: &mut LayerState) -> Vec<f32> {
+        let mut x = x.to_vec();
+        block
+            .forward_step_into(&mut x, state, &mut BlockScratch::default())
+            .unwrap();
+        x
+    }
+
     #[test]
     fn forward_preserves_dimension() {
         let (block, mut state) = test_block();
         let x = vec![0.1f32; block.config().d_model];
-        let y = block.forward_step(&x, &mut state).unwrap();
+        let y = step(&block, &x, &mut state);
         assert_eq!(y.len(), block.config().d_model);
         assert!(y.iter().all(|v| v.is_finite()));
     }
@@ -323,8 +271,8 @@ mod tests {
         let (block, mut s1) = test_block();
         let mut s2 = s1.clone();
         let x = vec![0.3f32; block.config().d_model];
-        let y1 = block.forward_step(&x, &mut s1).unwrap();
-        let y2 = block.forward_step(&x, &mut s2).unwrap();
+        let y1 = step(&block, &x, &mut s1);
+        let y2 = step(&block, &x, &mut s2);
         assert_eq!(y1, y2);
         assert_eq!(s1, s2);
     }
@@ -333,8 +281,8 @@ mod tests {
     fn state_carries_history() {
         let (block, mut state) = test_block();
         let x = vec![0.5f32; block.config().d_model];
-        let y1 = block.forward_step(&x, &mut state).unwrap();
-        let y2 = block.forward_step(&x, &mut state).unwrap();
+        let y1 = step(&block, &x, &mut state);
+        let y2 = step(&block, &x, &mut state);
         // Same input, different state → different output.
         assert_ne!(y1, y2);
     }
@@ -342,10 +290,15 @@ mod tests {
     #[test]
     fn capture_records_taps() {
         let (block, mut state) = test_block();
-        let x = vec![0.2f32; block.config().d_model];
+        let mut x = vec![0.2f32; block.config().d_model];
         let mut cap = BlockCapture::default();
         block
-            .forward_step_captured(&x, &mut state, &mut cap)
+            .step_core(
+                &mut x,
+                &mut state,
+                &mut BlockScratch::default(),
+                Some(&mut cap),
+            )
             .unwrap();
         assert_eq!(
             cap.in_proj_input.as_ref().unwrap().len(),
@@ -353,10 +306,6 @@ mod tests {
         );
         assert_eq!(
             cap.out_proj_input.as_ref().unwrap().len(),
-            block.config().d_inner()
-        );
-        assert_eq!(
-            cap.ssm_output.as_ref().unwrap().len(),
             block.config().d_inner()
         );
     }
@@ -371,7 +320,7 @@ mod tests {
         let block = MambaBlock::new(cfg.clone(), w).unwrap();
         let mut state = LayerState::new(&cfg);
         let x: Vec<f32> = (0..cfg.d_model).map(|i| i as f32 * 0.01).collect();
-        let y = block.forward_step(&x, &mut state).unwrap();
+        let y = step(&block, &x, &mut state);
         assert_eq!(y, x);
     }
 

@@ -4,7 +4,7 @@ use rand::Rng;
 
 use lightmamba_tensor::norm;
 
-use crate::block::{BlockCapture, MambaBlock};
+use crate::block::{BlockCapture, BlockScratch, MambaBlock};
 use crate::state::ModelState;
 use crate::weights::ModelWeights;
 use crate::{MambaConfig, ModelError, Result};
@@ -134,7 +134,8 @@ impl MambaModel {
     }
 
     /// [`MambaModel::forward_step`] recording activation taps when
-    /// `capture` is provided.
+    /// `capture` is provided. Every block steps in place, over one
+    /// [`BlockScratch`] per call.
     ///
     /// # Errors
     ///
@@ -143,7 +144,7 @@ impl MambaModel {
         &self,
         token: u32,
         state: &mut ModelState,
-        mut capture: Option<&mut Capture>,
+        capture: Option<&mut Capture>,
     ) -> Result<Vec<f32>> {
         if state.layers.len() != self.blocks.len() {
             return Err(ModelError::StateMismatch(format!(
@@ -153,20 +154,16 @@ impl MambaModel {
             )));
         }
         let mut x = self.embed(token)?;
-        if let Some(cap) = capture.as_deref_mut() {
+        let mut taps = capture.map(|cap| {
             cap.blocks.clear();
-        }
+            cap.blocks
+                .resize_with(self.blocks.len(), BlockCapture::default);
+            cap.blocks.iter_mut()
+        });
+        let mut scratch = BlockScratch::default();
         for (block, lstate) in self.blocks.iter().zip(state.layers.iter_mut()) {
-            match capture.as_deref_mut() {
-                Some(cap) => {
-                    let mut bc = BlockCapture::default();
-                    x = block.forward_step_captured(&x, lstate, &mut bc)?;
-                    cap.blocks.push(bc);
-                }
-                None => {
-                    x = block.forward_step(&x, lstate)?;
-                }
-            }
+            let tap = taps.as_mut().and_then(Iterator::next);
+            block.step_core(&mut x, lstate, &mut scratch, tap)?;
         }
         norm::rms_norm(&mut x, &self.final_norm_gamma, 1e-5);
         // Tied LM head: logits = E · x.

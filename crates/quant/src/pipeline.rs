@@ -77,9 +77,6 @@ impl std::fmt::Display for Method {
 pub struct QuantSpec {
     /// Execution precision (weight/activation/SSM schemes).
     pub precision: Precision,
-    /// Group size used by per-group schemes (paper: 128; scaled-down
-    /// models use smaller groups).
-    pub group: usize,
 }
 
 impl QuantSpec {
@@ -87,7 +84,6 @@ impl QuantSpec {
     pub fn w8a8() -> Self {
         QuantSpec {
             precision: Precision::w8a8(),
-            group: 128,
         }
     }
 
@@ -100,7 +96,6 @@ impl QuantSpec {
     pub fn w4a4_grouped(group: usize) -> Self {
         QuantSpec {
             precision: Precision::w4a4(group),
-            group,
         }
     }
 
@@ -108,14 +103,13 @@ impl QuantSpec {
     pub fn fp16() -> Self {
         QuantSpec {
             precision: Precision::fp(),
-            group: 128,
         }
     }
 }
 
 fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
     if method == Method::LightMambaStar {
-        spec.precision.with_ssm_pot(spec.group)
+        spec.precision.with_ssm_pot()
     } else {
         spec.precision
     }
@@ -124,7 +118,7 @@ fn finalize_precision(method: Method, spec: &QuantSpec) -> Precision {
 /// The pipeline: prepare the FP reference, rewrite it under `method`, and
 /// quantize it under `spec`, one block at a time (module docs). For
 /// [`Method::LightMambaStar`] the SSM is additionally quantized with the
-/// PoT INT8 scheme at `spec.group` granularity.
+/// PoT INT8 scheme ([`Precision::with_ssm_pot`]).
 ///
 /// # Errors
 ///

@@ -102,8 +102,14 @@ impl Precision {
         }
     }
 
-    /// Adds the PoT INT8 SSM quantization (`LightMamba*`).
-    pub fn with_ssm_pot(mut self, group: usize) -> Self {
+    /// Adds the PoT INT8 SSM quantization (`LightMamba*`), in the
+    /// per-group weight scheme's groups, else in the paper's groups of
+    /// 128.
+    pub fn with_ssm_pot(mut self) -> Self {
+        let group = match self.weight.map(|w| w.granularity) {
+            Some(Granularity::PerGroup(group)) => group,
+            _ => 128,
+        };
         self.ssm = Some(QuantScheme::ssm_pot(group));
         self
     }
@@ -685,18 +691,10 @@ impl QuantizedMamba {
         lstates: &mut LayerBatch<'_>,
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        match isa {
-            // SAFETY: no other crate can build a vector `Isa`, and
-            // `detect` / `Isa::supported` hand one out only where the
-            // features its copy enables are present.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 { .. } => unsafe {
-                self.layer_step_avx512(isa, layer, xs, lstates, scratch)
-            },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 { .. } => unsafe { self.layer_step_avx2(isa, layer, xs, lstates, scratch) },
-            Isa::Scalar => self.layer_step_body(isa, layer, xs, lstates, scratch),
-        }
+        isa.compiled(
+            #[inline(always)]
+            |isa| self.layer_step_body(isa, layer, xs, lstates, scratch),
+        )
     }
 
     /// [`DecodeKernels::finish`] on `isa`'s compilation of the phases
@@ -709,84 +707,10 @@ impl QuantizedMamba {
         logits: &mut [Vec<f32>],
         scratch: &mut QuantScratch,
     ) -> Result<()> {
-        match isa {
-            // SAFETY: as in `layer_step_on`.
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 { .. } => unsafe { self.finish_avx512(isa, xs, logits, scratch) },
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 { .. } => unsafe { self.finish_avx2(isa, xs, logits, scratch) },
-            Isa::Scalar => self.finish_body(isa, xs, logits, scratch),
-        }
-    }
-
-    /// [`QuantizedMamba::layer_step_body`] compiled for AVX2.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn layer_step_avx2(
-        &self,
-        isa: Isa,
-        layer: usize,
-        xs: &mut [Vec<f32>],
-        lstates: &mut LayerBatch<'_>,
-        scratch: &mut QuantScratch,
-    ) -> Result<()> {
-        self.layer_step_body(isa, layer, xs, lstates, scratch)
-    }
-
-    /// [`QuantizedMamba::finish_body`] compiled for AVX2.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn finish_avx2(
-        &self,
-        isa: Isa,
-        xs: &mut [Vec<f32>],
-        logits: &mut [Vec<f32>],
-        scratch: &mut QuantScratch,
-    ) -> Result<()> {
-        self.finish_body(isa, xs, logits, scratch)
-    }
-
-    /// [`QuantizedMamba::layer_step_body`] compiled for AVX-512.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX512F and AVX512BW.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn layer_step_avx512(
-        &self,
-        isa: Isa,
-        layer: usize,
-        xs: &mut [Vec<f32>],
-        lstates: &mut LayerBatch<'_>,
-        scratch: &mut QuantScratch,
-    ) -> Result<()> {
-        self.layer_step_body(isa, layer, xs, lstates, scratch)
-    }
-
-    /// [`QuantizedMamba::finish_body`] compiled for AVX-512.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX512F and AVX512BW.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    unsafe fn finish_avx512(
-        &self,
-        isa: Isa,
-        xs: &mut [Vec<f32>],
-        logits: &mut [Vec<f32>],
-        scratch: &mut QuantScratch,
-    ) -> Result<()> {
-        self.finish_body(isa, xs, logits, scratch)
+        isa.compiled(
+            #[inline(always)]
+            |isa| self.finish_body(isa, xs, logits, scratch),
+        )
     }
 
     #[inline(always)]
@@ -968,11 +892,7 @@ mod tests {
     /// `model` quantized at `precision` with no rewrite (RTN).
     fn rtn(model: &MambaModel, precision: Precision) -> QuantizedMamba {
         use crate::pipeline::{quantize_model, Method, QuantSpec};
-        let spec = QuantSpec {
-            precision,
-            group: 16,
-        };
-        quantize_model(model, Method::Rtn, &spec, &[]).unwrap()
+        quantize_model(model, Method::Rtn, &QuantSpec { precision }, &[]).unwrap()
     }
 
     #[test]

@@ -666,10 +666,7 @@ mod tests {
                 act: Some(QuantScheme::act_per_token(abits)),
                 ssm: None,
             };
-            let spec = QuantSpec {
-                precision,
-                group: 16,
-            };
+            let spec = QuantSpec { precision };
             W4A4Backend::new(quantize_model(&model, Method::Rtn, &spec, &[]).unwrap())
         };
         // A 2-bit model rides the 4-bit datapath — it must not silently

@@ -9,12 +9,12 @@
 //! form. A public kernel entry point without an [`Isa`] parameter is
 //! its `*_on(detect(), …)`.
 //!
-//! | [`Isa`] | W4A4 GEMM (`lightmamba_quant::simd`) | SSM head step (`lightmamba_model::ssm`) | element-wise kernels | per-sequence phases |
+//! | [`Isa`] | W4A4 GEMM (`lightmamba_quant::simd`) | SSM head step (`lightmamba_model::ssm`) | element-wise kernels | per-sequence phases ([`Isa::compiled`]) |
 //! |---|---|---|---|---|
 //! | `Scalar` | i16-then-widen loops | row by row | scalar source | baseline |
 //! | `Avx2` | `maddubs`, i16 lanes | 8 rows per register | scalar source | AVX2 copy |
-//! | `Avx512`, AMX not granted | `vpdpbusd`, i32 lanes | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
-//! | `Avx512`, AMX granted | as above; `tdpbsud` tiles for 5–16 activations | 16 rows per register | 16-lane forms | AVX-512 copy (W4A4) |
+//! | `Avx512`, AMX not granted | `vpdpbusd`, i32 lanes | 16 rows per register | 16-lane forms | AVX-512 copy |
+//! | `Avx512`, AMX granted | as above; `tdpbsud` tiles for 5–16 activations | 16 rows per register | 16-lane forms | AVX-512 copy |
 //!
 //! `Avx512`'s [`Amx`] says whether the host has AMX-TILE and AMX-INT8
 //! and the kernel grants this process the tile state; only the GEMM
@@ -49,15 +49,16 @@
 //!
 //! The last column is the compilations of each block's per-sequence
 //! phases (`MambaBlock`'s step, `QuantizedMamba`'s layer step and
-//! finish): the same source built for the baseline and under
-//! `#[target_feature(enable = "avx2")]`, and `QuantizedMamba`'s also
-//! under `#[target_feature(enable = "avx512f,avx512bw")]`. The FP
-//! `MambaBlock` runs its AVX2 copy, with the 16-lane kernels, on
-//! `Isa::Avx512`: an AVX-512 copy of its step timed no faster. Without
-//! FMA a float operation can neither contract nor reassociate, so every
-//! copy computes the same bits. The kernels those phases call are
-//! `#[inline(always)]`: only code inlined into a copy is compiled for
-//! its tier.
+//! finish), all made by [`Isa::compiled`]: the same source built for
+//! the baseline, under `#[target_feature(enable = "avx2")]` and under
+//! `#[target_feature(enable = "avx512f,avx512bw")]`. No copy asks for
+//! `fma` (AVX512F brings it to LLVM, but nothing asks for a fused
+//! multiply-add), and Rust hands LLVM no fast-math flags, so no float
+//! operation contracts or reassociates in any copy: every copy computes
+//! the same bits. The kernels those phases call are `#[inline(always)]`:
+//! only code inlined into a copy is compiled for its tier, and
+//! `scripts/phase-copies.sh` checks the release copies for their tier's
+//! registers.
 //!
 //! No code outside this crate can make a vector [`Isa`] or a granted
 //! [`Amx`] of its own: the vector variants are `#[non_exhaustive]`, so
@@ -182,6 +183,27 @@ impl Isa {
             .chain([best])
     }
 
+    /// Runs `body` on this value, inlined into the copy compiled for its
+    /// tier: the baseline, `avx2`, or `avx512f,avx512bw` (module docs).
+    /// Mark the closure `#[inline(always)]`, and every function it calls
+    /// that should run at the tier's width: a body left out of line runs
+    /// the same bits at baseline speed.
+    #[inline(always)]
+    pub fn compiled<R>(self, body: impl FnOnce(Isa) -> R) -> R {
+        match self {
+            // SAFETY: every vector `Isa` was made by `detect` or
+            // `Isa::supported`, which first verified the features its
+            // copy enables (`Avx512` implies AVX2, AVX512F and
+            // AVX512BW): other crates cannot build one (module docs),
+            // and this crate builds one nowhere else.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 { .. } => unsafe { compiled_avx512(self, body) },
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { compiled_avx2(self, body) },
+            Isa::Scalar => body(self),
+        }
+    }
+
     /// [`Isa::supported`] once per tier: without the AVX-512 value that
     /// grants AMX, which only the W4A4 GEMM reads, so tests of the other
     /// kernels run each of their forms once.
@@ -194,6 +216,28 @@ impl Isa {
             true
         })
     }
+}
+
+/// [`Isa::compiled`]'s AVX2 copy.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn compiled_avx2<R>(isa: Isa, body: impl FnOnce(Isa) -> R) -> R {
+    body(isa)
+}
+
+/// [`Isa::compiled`]'s AVX-512 copy.
+///
+/// # Safety
+///
+/// The CPU must support AVX512F and AVX512BW.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw")]
+unsafe fn compiled_avx512<R>(isa: Isa, body: impl FnOnce(Isa) -> R) -> R {
+    body(isa)
 }
 
 /// The loads and stores of the 16-lane forms. A form walks its data in
@@ -338,5 +382,17 @@ pub fn active_isa() -> &'static str {
         Isa::Avx512 { amx: Amx(false) } => "avx512",
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 { amx: Amx(true) } => "avx512+amx",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compiled_hands_its_body_the_value_and_returns_the_result() {
+        for isa in Isa::supported() {
+            assert_eq!(isa.compiled(|got| (got, 7)), (isa, 7));
+        }
     }
 }
